@@ -5,11 +5,11 @@ and the truncated-series identity checks.
 Run: python demos/andrews_problem12.py
 """
 
-from qtelescope.andrews12 import (F_trunc, Triple, classify, domain_slice,
-                                  enum_P, involution, involution_certificate,
-                                  phi, phi_certificate, verify_andrews,
-                                  weight_of)
-from qtelescope.cli import andrews_orbit, render_diagram
+from qtelescope.andrews12 import (F_trunc, Triple, andrews_orbit, classify,
+                                  domain_slice, enum_P, involution,
+                                  involution_certificate, phi,
+                                  phi_certificate, verify_andrews, weight_of)
+from qtelescope.cli import render_diagram
 from qtelescope.partitions import Partition, staircase
 from qtelescope.qalgebra import rhs_andrews, truncate
 

@@ -19,7 +19,8 @@ print(f"a          = {a}")
 print(f"b          = {b}")
 print(f"a * b      = {a * b}")
 print(f"a - a      = {a - a}")
-print(f"(a*b)(1,1) = {(a * b).total_at_one()}   (sum of coefficients)")
+print(f"(a*b)(1,1) = {sum(c for _z, _q, c in (a * b).terms())}   "
+      "(sum of coefficients)")
 
 print()
 print("Coefficients are arbitrary-precision integers:")
@@ -34,7 +35,9 @@ for n, k in [(2, 1), (4, 2), (6, 3)]:
     print(f"  [{n},{k}]_q   = {gaussian_binomial(n, k, 1)}")
 print("Base q^2 is the same polynomial with stretched exponents:")
 print(f"  [4,2]_q2  = {gaussian_binomial(4, 2, 2)}")
-print(f"  stretched = {gaussian_binomial(4, 2, 1).stretch_q(2)}")
+stretched = LaurentPoly({(z, 2 * q): c
+                         for z, q, c in gaussian_binomial(4, 2, 1).terms()})
+print(f"  stretched = {stretched}")
 
 print()
 print("=" * 64)

@@ -5,9 +5,13 @@ The package is organized bottom-up:
 
     qalgebra    exact sparse Laurent polynomials and truncated q-series
     partitions  partition objects (zero parts allowed) and enumerators
-    telescope   generic bijection / telescoping / cancelation checkers
-    macmahon    the square-plus-even-partition families and both step maps
-    andrews12   the staircase triples, classification, bijection, involution
+    telescope   generic bijection / telescoping / cancelation checkers,
+                the shared weight_of and certify, which makes every Certificate
+    macmahon    the square-plus-even-partition families, both step maps,
+                and verify_macmahon, which runs the per-index telescoping
+                check on the enumerated families
+    andrews12   the staircase triples, classification, bijection,
+                involution and orbit tracing
     cli         command-line driver and text diagram rendering
 
 Every check is exhaustive over finite or weight-capped slices and returns
@@ -16,8 +20,8 @@ a Certificate; nothing is floating point and nothing is sampled.
 
 from .qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                        gaussian_binomial, rhs_andrews, truncate)
-from .partitions import (Partition, SquareSide, enum_distinct_range,
-                         enum_even_bounded, enum_even_capped, staircase)
+from .partitions import (Partition, enum_distinct_range, enum_even_bounded,
+                         enum_even_capped, staircase)
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         cancelation_psi, check_graded_bijection,
                         telescoping_sum_check)
@@ -26,7 +30,7 @@ from . import andrews12, macmahon
 __all__ = [
     "LaurentPoly", "TruncatedSeries", "factor_product", "gaussian_binomial",
     "rhs_andrews", "truncate",
-    "Partition", "SquareSide", "enum_distinct_range", "enum_even_bounded",
+    "Partition", "enum_distinct_range", "enum_even_bounded",
     "enum_even_capped", "staircase",
     "Certificate", "IterationBudgetExceeded", "MarkedObject",
     "cancelation_psi", "check_graded_bijection", "telescoping_sum_check",

@@ -33,7 +33,8 @@ from typing import Union
 from .partitions import (EMPTY, Partition, enum_distinct_range,
                          enum_even_capped, staircase)
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
-from .telescope import Certificate, MarkedObject, check_graded_bijection
+from .telescope import (Certificate, MarkedObject, certify,
+                        check_graded_bijection, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,13 +78,6 @@ class ClassTag(enum.Enum):
     B_PRIME = "B'"
     C_PRIME = "C'"
     D = "D"
-
-
-def weight_of(x: TripleValue) -> LaurentPoly:
-    """Signed weight monomial; markers contribute q^marker and no sign."""
-    if isinstance(x, MarkedObject):
-        return LaurentPoly.monomial(1, x.marker_z, x.marker_q) * weight_of(x.payload)
-    return x.weight()
 
 
 def total_weight_of(x: TripleValue) -> int:
@@ -257,6 +251,31 @@ def involution(n: int, k: int, x: TripleValue) -> TripleValue:
     return t
 
 
+def andrews_orbit(n: int, k: int, x: TripleValue) -> list[tuple[str, TripleValue]]:
+    """Follow one element through successive maps until it lands unmarked.
+
+    Marked images (2n-3, t) re-enter the construction one level down, as
+    marked (2(n-1)-1, t) inputs at index k+1; the chain ends when an image
+    is unmarked or when the lowered index leaves every map's range.
+    """
+    steps: list[tuple[str, TripleValue]] = [("start", x)]
+    cur, cn, ck = x, n, k
+    while True:
+        if 0 <= ck <= cn - 2:
+            cur = phi(cn, ck, cur)
+            steps.append((f"phi({cn},{ck})", cur))
+        elif cn >= 2 and ck in (cn - 1, cn):
+            cur = involution(cn, ck, cur)
+            steps.append((f"involution({cn},{ck})", cur))
+            break
+        else:
+            break
+        if not isinstance(cur, MarkedObject):
+            break
+        cn, ck = cn - 1, ck + 1
+    return steps
+
+
 # slices and certificates --------------------------------------------------
 
 def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
@@ -284,35 +303,29 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     the fixed set is exactly the embedded copy of P(n-1,k-1).
     """
     started = time.monotonic()
-    params = {"n": n, "k": k}
     slice_ = domain_slice(n, k, cap)
     embedded = set(enum_P(n - 1, k - 1, cap))
+    return certify("andrews-involution", {"n": n, "k": k}, started,
+                   _involution_failure(n, k, slice_, embedded), cap=cap,
+                   domain_size=len(slice_), codomain_size=len(embedded))
+
+
+def _involution_failure(n, k, slice_, embedded):
     fixed = set()
-
-    def fail(element, image, reason):
-        return Certificate(
-            check="andrews-involution", params=params, cap=cap, status="failed",
-            domain_size=len(slice_), codomain_size=len(embedded),
-            counterexample={"element": element, "image": image, "reason": reason},
-            elapsed_ms=int((time.monotonic() - started) * 1000))
-
     for x in slice_:
         y = involution(n, k, x)
         if involution(n, k, y) != x:
-            return fail(x, y, "not-involutive")
+            return x, y, "not-involutive"
         if y == x:
             fixed.add(x)
             continue
         if total_weight_of(y) != total_weight_of(x):
-            return fail(x, y, "weight-mismatch")
+            return x, y, "weight-mismatch"
         if weight_of(y) != -weight_of(x):
-            return fail(x, y, "sign-not-reversed")
+            return x, y, "sign-not-reversed"
     if fixed != embedded:
-        witness = sorted(fixed ^ embedded, key=repr)[0]
-        return fail(witness, None, "fixed-set-mismatch")
-    return Certificate(check="andrews-involution", params=params, cap=cap,
-                       domain_size=len(slice_), codomain_size=len(embedded),
-                       elapsed_ms=int((time.monotonic() - started) * 1000))
+        return sorted(fixed ^ embedded, key=repr)[0], None, "fixed-set-mismatch"
+    return None
 
 
 # the weighted sums ---------------------------------------------------------
@@ -388,15 +401,11 @@ def verify_andrews(n: int, cap: int, which: str) -> Certificate:
         check = "andrews-gn"
     else:
         raise ValueError(f"unknown check {which!r}")
-    params = {"n": n, "which": which, "window": window}
     mismatch = lhs.first_mismatch(rhs, window)
-    elapsed = int((time.monotonic() - started) * 1000)
+    failure = None
     if mismatch is not None:
-        return Certificate(
-            check=check, params=params, cap=cap, status="failed",
-            counterexample={
-                "element": {"q_exp": mismatch},
-                "image": {"lhs": lhs.coeff(mismatch), "rhs": rhs.coeff(mismatch)},
-                "reason": "coefficient-mismatch"},
-            elapsed_ms=elapsed)
-    return Certificate(check=check, params=params, cap=cap, elapsed_ms=elapsed)
+        failure = ({"q_exp": mismatch},
+                   {"lhs": lhs.coeff(mismatch), "rhs": rhs.coeff(mismatch)},
+                   "coefficient-mismatch")
+    return certify(check, {"n": n, "which": which, "window": window}, started,
+                   failure, cap=cap)

@@ -10,7 +10,7 @@ Grammar:
     trace andrews --n N --k K [--cap D]
 
 Exit status: 0 if every emitted certificate verified, 1 if any failed,
-2 on a usage or precondition error.
+2 on a usage or precondition error (any ValueError a subcommand raises).
 """
 
 from __future__ import annotations
@@ -135,9 +135,6 @@ def _verify(args, out) -> int:
     certs = []
     for n in _index_range(args.n, args.n_max, 4):
         cap = args.cap if args.cap is not None else n * n + 15
-        if cap < n * n:
-            print(f"error: cap {cap} is below n^2 = {n * n}", file=sys.stderr)
-            return USAGE_ERROR
         certs.append(andrews12.verify_andrews(n, cap, "identity"))
         if n >= 2:
             certs.append(andrews12.verify_andrews(n, cap, "rec_fn"))
@@ -147,60 +144,29 @@ def _verify(args, out) -> int:
 
 
 def _check_bijection(args, out) -> int:
-    try:
-        if args.which == "macmahon-phi":
-            if args.m is None:
-                print("error: macmahon-phi requires --m", file=sys.stderr)
-                return USAGE_ERROR
-            cert = macmahon.phi_certificate(args.n, args.m, args.k)
-        elif args.which == "macmahon-psi":
-            cert = macmahon.psi_certificate(args.n, args.k)
-        elif args.which == "andrews-phi":
-            cert = andrews12.phi_certificate(args.n, args.k, args.cap)
-        else:
-            cert = andrews12.involution_certificate(args.n, args.k, args.cap)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    if args.which == "macmahon-phi":
+        if args.m is None:
+            raise ValueError("macmahon-phi requires --m")
+        cert = macmahon.phi_certificate(args.n, args.m, args.k)
+    elif args.which == "macmahon-psi":
+        cert = macmahon.psi_certificate(args.n, args.k)
+    elif args.which == "andrews-phi":
+        cert = andrews12.phi_certificate(args.n, args.k, args.cap)
+    else:
+        cert = andrews12.involution_certificate(args.n, args.k, args.cap)
     return _emit([cert], args.format, args.json_path, out)
-
-
-def andrews_orbit(n: int, k: int, x) -> list[tuple[str, object]]:
-    """Follow one element through successive maps until it lands unmarked.
-
-    Marked images (2n-3, t) re-enter the construction one level down, as
-    marked (2(n-1)-1, t) inputs at index k+1; the chain ends when an image
-    is unmarked or when the lowered index leaves every map's range.
-    """
-    steps: list[tuple[str, object]] = [("start", x)]
-    cur, cn, ck = x, n, k
-    while True:
-        if 0 <= ck <= cn - 2:
-            cur = andrews12.phi(cn, ck, cur)
-            steps.append((f"phi({cn},{ck})", cur))
-        elif cn >= 2 and ck in (cn - 1, cn):
-            cur = andrews12.involution(cn, ck, cur)
-            steps.append((f"involution({cn},{ck})", cur))
-            break
-        else:
-            break
-        if not isinstance(cur, MarkedObject):
-            break
-        cn, ck = cn - 1, ck + 1
-    return steps
 
 
 def _trace(args, out) -> int:
     n, k, cap = args.n, args.k, args.cap
     if not 0 <= k <= n:
-        print(f"error: need 0 <= k <= n, got n={n}, k={k}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     elements = andrews12.domain_slice(n, k, cap)
     print(f"tracing {len(elements)} elements of the (n={n}, k={k}) slice "
           f"at cap {cap}", file=out)
     for i, x in enumerate(elements):
         print(f"--- element {i} ---", file=out)
-        for label, value in andrews_orbit(n, k, x):
+        for label, value in andrews12.andrews_orbit(n, k, x):
             print(f"{label}:", file=out)
             for line in render_diagram(value).splitlines():
                 print(f"  {line}", file=out)
@@ -213,11 +179,15 @@ def run(argv: list[str], out=sys.stdout) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if args.command == "verify":
-        return _verify(args, out)
-    if args.command == "check-bijection":
-        return _check_bijection(args, out)
-    return _trace(args, out)
+    try:
+        if args.command == "verify":
+            return _verify(args, out)
+        if args.command == "check-bijection":
+            return _check_bijection(args, out)
+        return _trace(args, out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def main() -> None:

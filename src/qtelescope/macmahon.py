@@ -14,9 +14,15 @@ The largest part of the empty partition reads as 0, so a boundary slice
 whose boundary value is 0 contains the pair with empty second component.
 
 The map phi_step lowers m by one, psi_step lowers n by one; both shuffle
-the boundary slices so that summing over k telescopes them away, which
-yields the two recurrences that verify_macmahon checks against exhaustive
-enumeration.
+the boundary slices, so that at each index k
+
+    f(k) + h(k) = g(k) + h(k+1)
+
+with f, g the weighted counts of the two sides and h that of the boundary
+slice.  Summing over k telescopes h away and yields the two recurrences.
+verify_macmahon runs this per-index check (telescope.telescoping_sum_check)
+on counts from one exhaustive enumeration of every P and Q family, then
+checks the closed-form identity.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .partitions import Partition, enum_even_bounded
-from .qalgebra import LaurentPoly, factor_product, gaussian_binomial
-from .telescope import (Certificate, MarkedObject, cancelation_psi,
-                        check_graded_bijection)
+from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
+                       gaussian_binomial)
+from .telescope import (Certificate, MarkedObject, cancelation_psi, certify,
+                        check_graded_bijection, telescoping_sum_check,
+                        weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,14 +57,6 @@ class MacPair:
 
 
 MacValue = Union[MacPair, MarkedObject]
-
-
-def weight_of(x: MacValue) -> LaurentPoly:
-    """Signed weight monomial, marker contribution included."""
-    if isinstance(x, MarkedObject):
-        marker = LaurentPoly.monomial(1, x.marker_z, x.marker_q)
-        return marker * weight_of(x.payload)
-    return x.weight()
 
 
 def weighted_count(objs: Iterable[MacValue]) -> LaurentPoly:
@@ -117,19 +117,6 @@ def enum_Q(n: int, k: int) -> list[MacPair]:
 def enum_H(n: int, k: int) -> list[MacPair]:
     bound = 2 * n - 2 * k
     return [x for x in enum_Q(n, k) if x.mu.first == bound]
-
-
-def enum_family(which: str, params: dict) -> list[MacPair]:
-    """Dispatch by family letter: P/G take (n, m, k), Q/H take (n, k)."""
-    if which == "P":
-        return enum_P(params["n"], params["m"], params["k"])
-    if which == "G":
-        return enum_G(params["n"], params["m"], params["k"])
-    if which == "Q":
-        return enum_Q(params["n"], params["k"])
-    if which == "H":
-        return enum_H(params["n"], params["k"])
-    raise ValueError(f"unknown family {which!r}")
 
 
 # the two step maps ------------------------------------------------------
@@ -206,17 +193,27 @@ def psi_certificate(n: int, k: int) -> Certificate:
         cap=None, check="macmahon-psi", params={"n": n, "k": k})
 
 
+def _tally(family: list[MacPair], bound: int):
+    """Weighted counts of one index's family and of its boundary slice, the
+    pairs whose largest part equals bound."""
+    return (weighted_count(family),
+            weighted_count([x for x in family if x.mu.first == bound]))
+
+
 def phi_telescoping_counts(n: int, m: int):
     """(f, g, h, k_min, k_max) for the m-lowering telescoping relation.
 
     f(k) counts P(n,m,k), g(k) = (1 + q^(2m-1)/z) * count of P(n,m-1,k),
     and h(k) counts G(n,m,k-1), which vanishes at k_min = -m and beyond
-    k_max = n.
+    k_max = n.  Each P family is enumerated once, G(n,m,k) being read off
+    the list of P(n,m,k); each list is dropped before the next is built, so
+    peak memory is one index's list.
     """
-    coeff = LaurentPoly.one() + LaurentPoly.monomial(1, -1, 2 * m - 1)
-    f = {k: weighted_count(enum_P(n, m, k)) for k in range(-m, n + 1)}
-    g = {k: coeff * weighted_count(enum_P(n, m - 1, k)) for k in range(-m, n + 1)}
-    h = {k: weighted_count(enum_G(n, m, k - 1)) for k in range(-m, n + 2)}
+    coeff = ONE + LaurentPoly.monomial(1, -1, 2 * m - 1)
+    f, g, h = {}, {}, {-m: ZERO}
+    for k in range(-m, n + 1):
+        f[k], h[k + 1] = _tally(enum_P(n, m, k), 2 * m + 2 * k)
+        g[k] = coeff * weighted_count(enum_P(n, m - 1, k))
     return f, g, h, -m, n
 
 
@@ -224,13 +221,21 @@ def psi_telescoping_counts(n: int):
     """(f, g, h, k_min, k_max) for the n-lowering telescoping relation.
 
     Oriented for the generic checker: f(k) = (1 + z*q^(2n-1)) * count of
-    Q(n-1,k), g(k) counts Q(n,k), h(k) counts H(n,k).
+    Q(n-1,k), g(k) counts Q(n,k), h(k) counts H(n,k), read off the list
+    of Q(n,k).  Each Q family is enumerated once.
     """
-    coeff = LaurentPoly.one() + LaurentPoly.monomial(1, 1, 2 * n - 1)
-    f = {k: coeff * weighted_count(enum_Q(n - 1, k)) for k in range(0, n + 1)}
-    g = {k: weighted_count(enum_Q(n, k)) for k in range(0, n + 1)}
-    h = {k: weighted_count(enum_H(n, k)) for k in range(0, n + 2)}
+    coeff = ONE + LaurentPoly.monomial(1, 1, 2 * n - 1)
+    f, g, h = {}, {}, {n + 1: ZERO}
+    for k in range(0, n + 1):
+        f[k] = coeff * weighted_count(enum_Q(n - 1, k))
+        g[k], h[k] = _tally(enum_Q(n, k), 2 * n - 2 * k)
     return f, g, h, 0, n
+
+
+def _pair_count(counts: dict) -> int:
+    """The number of pairs a weighted count stands for: its value at
+    z = q = 1, since every pair weighs one monomial with coefficient +1."""
+    return sum(c for poly in counts.values() for _z, _q, c in poly.terms())
 
 
 def product_sum_F(n: int, m: int) -> LaurentPoly:
@@ -242,20 +247,10 @@ def product_sum_F(n: int, m: int) -> LaurentPoly:
     return total
 
 
-def enumerated_F(n: int, m: int) -> LaurentPoly:
-    """The same sum computed by enumerating every pair in the P families."""
-    total = LaurentPoly.zero()
-    for k in range(-m, n + 1):
-        total = total + weighted_count(enum_P(n, m, k))
-    return total
-
-
-def enumerated_F_initial(n: int) -> LaurentPoly:
-    """The m = 0 column computed by enumerating the Q families."""
-    total = LaurentPoly.zero()
-    for k in range(0, n + 1):
-        total = total + weighted_count(enum_Q(n, k))
-    return total
+def _recurrence_failure(name: str, f, g, h, k_min, k_max):
+    sub = telescoping_sum_check(f, g, h, k_max=k_max, k_min=k_min)
+    return None if sub.verified else (name, sub.counterexample,
+                                      "sub-identity-violated")
 
 
 def verify_macmahon(n: int, m: int) -> Certificate:
@@ -263,46 +258,39 @@ def verify_macmahon(n: int, m: int) -> Certificate:
 
     Three exact polynomial checks, each skipped only where its index
     range makes it vacuous:
-      (a) m-lowering recurrence from enumerated P families   (m >= 1)
-      (b) n-lowering recurrence from enumerated Q families   (n >= 1)
+      (a) m-lowering recurrence: the per-index telescoping relation of
+          phi on the enumerated P families                     (m >= 1)
+      (b) n-lowering recurrence: the same for psi on the Q families
+                                                               (n >= 1)
       (c) the closed-form identity: weighted sum = product of factors
+    Summing the per-index relation over k gives the recurrence, so a
+    failed one reports the telescoping sub-check's counterexample, which
+    names the index k.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     started = time.monotonic()
-    params = {"n": n, "m": m}
-    domain_size = sum(len(enum_P(n, m, k)) for k in range(-m, n + 1))
-    codomain_size = sum(len(enum_P(n, m - 1, k)) for k in range(-m, n + 1)) if m >= 1 \
-        else domain_size
-
-    def fail(name, lhs, rhs):
-        return Certificate(
-            check="macmahon", params=params, status="failed",
-            domain_size=domain_size, codomain_size=codomain_size,
-            counterexample={"element": name,
-                            "image": {"lhs": str(lhs), "rhs": str(rhs)},
-                            "reason": "sub-identity-violated"},
-            elapsed_ms=int((time.monotonic() - started) * 1000))
-
+    failure = None
     if m >= 1:
-        lhs = enumerated_F(n, m)
-        rhs = (LaurentPoly.one()
-               + LaurentPoly.monomial(1, -1, 2 * m - 1)) * enumerated_F(n, m - 1)
+        counts = phi_telescoping_counts(n, m)
+        domain_size = _pair_count(counts[0])
+        # g holds every P(n,m-1,k) pair twice: bare and marked
+        codomain_size = _pair_count(counts[1]) // 2
+        failure = _recurrence_failure("m-lowering recurrence", *counts)
+    else:
+        domain_size = codomain_size = sum(len(enum_P(n, 0, k))
+                                          for k in range(n + 1))
+    if failure is None and n >= 1:
+        failure = _recurrence_failure("n-lowering recurrence",
+                                      *psi_telescoping_counts(n))
+    if failure is None:
+        lhs = product_sum_F(n, m)
+        rhs = factor_product(m, 1, -1, 1, 2) * factor_product(n, 1, 1, 1, 2)
         if lhs != rhs:
-            return fail("m-lowering recurrence", lhs, rhs)
-    if n >= 1:
-        lhs = enumerated_F_initial(n)
-        rhs = (LaurentPoly.one()
-               + LaurentPoly.monomial(1, 1, 2 * n - 1)) * enumerated_F_initial(n - 1)
-        if lhs != rhs:
-            return fail("n-lowering recurrence", lhs, rhs)
-    lhs = product_sum_F(n, m)
-    rhs = factor_product(m, 1, -1, 1, 2) * factor_product(n, 1, 1, 1, 2)
-    if lhs != rhs:
-        return fail("product identity", lhs, rhs)
-    return Certificate(check="macmahon", params=params,
-                       domain_size=domain_size, codomain_size=codomain_size,
-                       elapsed_ms=int((time.monotonic() - started) * 1000))
+            failure = ("product identity", {"lhs": str(lhs), "rhs": str(rhs)},
+                       "sub-identity-violated")
+    return certify("macmahon", {"n": n, "m": m}, started, failure,
+                   domain_size=domain_size, codomain_size=codomain_size)
 
 
 # cancelation: the direct bijection obtained by iterating phi -------------

@@ -114,24 +114,6 @@ class Partition:
 EMPTY = Partition(())
 
 
-@dataclass(frozen=True, slots=True)
-class SquareSide:
-    """A square partition given by its signed side length.
-
-    k >= 0 is the ordinary k x k square; negative k is the same shape
-    carrying a negative index.  Either way the weight is k^2.
-    """
-
-    k: int
-
-    @property
-    def weight(self) -> int:
-        return self.k * self.k
-
-    def to_json_obj(self) -> int:
-        return self.k
-
-
 def staircase(r: int) -> Partition:
     """The partition (r-1, r-2, ..., 1, 0) with exactly r parts; r = 0 gives ()."""
     if r < 0:

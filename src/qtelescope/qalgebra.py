@@ -64,27 +64,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_z_free(self) -> bool:
-        return all(z == 0 for (z, _q) in self._terms)
-
-    def num_terms(self) -> int:
-        return len(self._terms)
-
-    def total_at_one(self) -> int:
-        """Sum of all coefficients, i.e. the evaluation at z = q = 1."""
-        return sum(self._terms.values())
-
-    def q_degree_range(self) -> tuple[int, int]:
-        """(min, max) q-exponent over the support; raises on the zero polynomial."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no degree range")
-        exps = [q for (_z, q) in self._terms]
-        return min(exps), max(exps)
-
-    def stretch_q(self, factor: int) -> "LaurentPoly":
-        """Substitute q -> q**factor (multiply every q-exponent by factor)."""
-        return LaurentPoly({(z, q * factor): c for (z, q), c in self._terms.items()})
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -223,12 +202,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def restrict(self, cap: int) -> "TruncatedSeries":
-        """Drop knowledge above a smaller cap."""
-        if cap > self.cap:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(cap, {e: c for e, c in self._coeffs.items() if e <= cap})
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):

@@ -4,14 +4,17 @@ cancelation iteration that turns a telescoping map into a direct bijection.
 
 All checks are exhaustive over explicitly enumerated, weight-capped slices
 and report their verdict as a Certificate (machine-readable, with a concrete
-counterexample on failure).  Nothing here is probabilistic.
+counterexample on failure), built by the one helper certify.  Nothing here
+is probabilistic.  weight_of is the single notion of weight: an object's
+own monomial times its marker, if any.  macmahon.verify_macmahon runs
+telescoping_sum_check per index on its enumerated families.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .qalgebra import LaurentPoly
@@ -50,6 +53,14 @@ class MarkedObject:
     def to_json_obj(self):
         return {"marker_q": self.marker_q, "marker_z": self.marker_z,
                 "payload": _jsonable(self.payload)}
+
+
+def weight_of(x) -> LaurentPoly:
+    """Signed weight monomial of an object; a marker contributes
+    z^marker_z * q^marker_q and no sign."""
+    if isinstance(x, MarkedObject):
+        return LaurentPoly.monomial(1, x.marker_z, x.marker_q) * weight_of(x.payload)
+    return x.weight()
 
 
 def _jsonable(obj):
@@ -112,13 +123,22 @@ class Certificate:
         return line
 
 
-def _failure(check, params, cap, domain_size, codomain_size, element, image,
-             reason, started) -> Certificate:
-    return Certificate(
-        check=check, params=dict(params), cap=cap, status="failed",
-        domain_size=domain_size, codomain_size=codomain_size,
-        counterexample={"element": element, "image": image, "reason": reason},
-        elapsed_ms=int((time.monotonic() - started) * 1000))
+def certify(check: str, params: Mapping, started: float,
+            failure: Optional[tuple] = None, *, cap: Optional[int] = None,
+            domain_size: int = 0, codomain_size: int = 0) -> Certificate:
+    """Build the certificate of a check begun at time.monotonic() `started`.
+
+    failure is None for a verified check, else the (element, image, reason)
+    of its first counterexample.
+    """
+    cert = Certificate(check=check, params=dict(params), cap=cap,
+                       domain_size=domain_size, codomain_size=codomain_size,
+                       elapsed_ms=int((time.monotonic() - started) * 1000))
+    if failure is None:
+        return cert
+    element, image, reason = failure
+    return replace(cert, status="failed", counterexample={
+        "element": element, "image": image, "reason": reason})
 
 
 def check_graded_bijection(map_fn: Callable[[Any], Any],
@@ -136,34 +156,32 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
     monomial equals its preimage's, and every codomain element is hit.
     """
     started = time.monotonic()
-    params = dict(params or {})
     domain = list(domain)
     codomain = list(codomain)
     codomain_set = set(codomain)
     if len(codomain_set) != len(codomain):
         raise ValueError("codomain enumeration contains duplicates")
+    return certify(check, params or {}, started,
+                   _bijection_failure(map_fn, domain, codomain_set, weight_fn),
+                   cap=cap, domain_size=len(domain),
+                   codomain_size=len(codomain))
+
+
+def _bijection_failure(map_fn, domain, codomain_set, weight_fn):
     seen: dict[Any, Any] = {}
     for x in domain:
         y = map_fn(x)
         if y not in codomain_set:
-            return _failure(check, params, cap, len(domain), len(codomain),
-                            x, y, REASON_NOT_IN_CODOMAIN, started)
+            return x, y, REASON_NOT_IN_CODOMAIN
         if y in seen:
-            return _failure(check, params, cap, len(domain), len(codomain),
-                            {"first": seen[y], "second": x}, y,
-                            REASON_COLLISION, started)
+            return {"first": seen[y], "second": x}, y, REASON_COLLISION
         seen[y] = x
         if weight_fn(x) != weight_fn(y):
-            return _failure(check, params, cap, len(domain), len(codomain),
-                            x, y, REASON_WEIGHT_MISMATCH, started)
+            return x, y, REASON_WEIGHT_MISMATCH
     missed = codomain_set - set(seen)
     if missed:
-        target = min(missed, key=repr)
-        return _failure(check, params, cap, len(domain), len(codomain),
-                        None, target, REASON_NOT_SURJECTIVE, started)
-    return Certificate(check=check, params=params, cap=cap,
-                       domain_size=len(domain), codomain_size=len(codomain),
-                       elapsed_ms=int((time.monotonic() - started) * 1000))
+        return None, min(missed, key=repr), REASON_NOT_SURJECTIVE
+    return None
 
 
 def telescoping_sum_check(f_counts: Mapping[int, LaurentPoly],
@@ -181,40 +199,37 @@ def telescoping_sum_check(f_counts: Mapping[int, LaurentPoly],
     k_min..k_max makes the h terms cancel pairwise.
     """
     started = time.monotonic()
-    params = dict(params or {})
+    return certify(check, params or {}, started,
+                   _telescoping_failure(f_counts, g_counts, h_counts,
+                                        k_min, k_max),
+                   domain_size=len(f_counts), codomain_size=len(g_counts))
+
+
+def _telescoping_failure(f_counts, g_counts, h_counts, k_min, k_max):
     zero = LaurentPoly.zero()
 
     def at(counts, k):
         return counts.get(k, zero)
 
     if not at(h_counts, k_min).is_zero():
-        return _failure(check, params, None, len(f_counts), len(g_counts),
-                        {"k": k_min}, str(at(h_counts, k_min)),
-                        "h-nonzero-at-start", started)
+        return {"k": k_min}, str(at(h_counts, k_min)), "h-nonzero-at-start"
     for k in h_counts:
         if k > k_max and not h_counts[k].is_zero():
-            return _failure(check, params, None, len(f_counts), len(g_counts),
-                            {"k": k}, str(h_counts[k]),
-                            "h-nonzero-beyond-kmax", started)
+            return {"k": k}, str(h_counts[k]), "h-nonzero-beyond-kmax"
     for k in range(k_min, k_max + 1):
         lhs = at(f_counts, k) + at(h_counts, k)
         rhs = at(g_counts, k) + at(h_counts, k + 1)
         if lhs != rhs:
-            return _failure(check, params, None, len(f_counts), len(g_counts),
-                            {"k": k}, {"lhs": str(lhs), "rhs": str(rhs)},
-                            "index-relation-violated", started)
+            return ({"k": k}, {"lhs": str(lhs), "rhs": str(rhs)},
+                    "index-relation-violated")
     total_f = LaurentPoly.zero()
     total_g = LaurentPoly.zero()
     for k in range(k_min, k_max + 1):
         total_f = total_f + at(f_counts, k)
         total_g = total_g + at(g_counts, k)
     if total_f != total_g:
-        return _failure(check, params, None, len(f_counts), len(g_counts),
-                        "sum", {"lhs": str(total_f), "rhs": str(total_g)},
-                        "sum-mismatch", started)
-    return Certificate(check=check, params=params,
-                       domain_size=len(f_counts), codomain_size=len(g_counts),
-                       elapsed_ms=int((time.monotonic() - started) * 1000))
+        return "sum", {"lhs": str(total_f), "rhs": str(total_g)}, "sum-mismatch"
+    return None
 
 
 def cancelation_psi(phi: Callable[[Any], Any],

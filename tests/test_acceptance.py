@@ -12,8 +12,8 @@ from qtelescope import andrews12, cli, macmahon
 from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
                                   classify_image, enum_P, verify_andrews)
 from qtelescope.macmahon import (MacPair, cancelation_certificate,
-                                 enumerated_F, enumerated_F_initial,
-                                 phi_certificate, psi_certificate,
+                                 phi_certificate, phi_telescoping_counts,
+                                 psi_certificate, psi_telescoping_counts,
                                  product_sum_F, verify_macmahon)
 from qtelescope.partitions import (Partition, enum_distinct_range,
                                    enum_even_bounded, enum_even_capped,
@@ -35,6 +35,16 @@ def report(number, name, failures, extra=""):
 
 def mono(c, z=0, q=0):
     return LaurentPoly.monomial(c, z, q)
+
+
+def enumerated_F(n, m):
+    """sum_k of the weighted P(n,m,k) counts, read off the telescoping counts."""
+    return sum(phi_telescoping_counts(n, m)[0].values(), LaurentPoly.zero())
+
+
+def enumerated_F_initial(n):
+    """sum_k of the weighted Q(n,k) counts, read off the telescoping counts."""
+    return sum(psi_telescoping_counts(n)[1].values(), LaurentPoly.zero())
 
 
 def test_criterion_01_macmahon_identity_grid():

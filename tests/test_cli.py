@@ -5,7 +5,7 @@ rendering, and orbit traces.
 import io
 import json
 
-from qtelescope import cli
+from qtelescope import andrews12, cli
 from qtelescope.andrews12 import Triple
 from qtelescope.macmahon import MacPair
 from qtelescope.partitions import Partition
@@ -46,6 +46,14 @@ def test_verify_andrews_single_n():
 def test_verify_andrews_cap_below_square_is_usage_error():
     code, _ = run(["verify", "andrews", "--n", "2", "--cap", "1"])
     assert code == 2
+
+
+def test_verify_negative_n_is_usage_error(capsys):
+    for target in ("macmahon", "andrews"):
+        code, output = run(["verify", target, "--n", "-1"])
+        assert (code, output) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_unknown_arguments_are_usage_errors():
@@ -130,7 +138,7 @@ def test_trace_prints_the_pinned_staircase_orbit():
 
 
 def test_trace_orbit_chains_until_unmarked():
-    steps = cli.andrews_orbit(3, 0, T((2, 1, 0)))
+    steps = andrews12.andrews_orbit(3, 0, T((2, 1, 0)))
     labels = [label for label, _ in steps]
     assert labels == ["start", "phi(3,0)", "involution(2,1)"]
     assert not isinstance(steps[-1][1], MarkedObject)

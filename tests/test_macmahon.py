@@ -5,9 +5,8 @@ bijection certificates run over the complete finite sets.
 
 import pytest
 
-from qtelescope.macmahon import (MacPair, cancelation_certificate, enum_family,
+from qtelescope.macmahon import (MacPair, cancelation_certificate,
                                  enum_G, enum_H, enum_P, enum_Q,
-                                 enumerated_F, enumerated_F_initial,
                                  phi_certificate, phi_step,
                                  phi_telescoping_counts, product_sum_F,
                                  psi_certificate, psi_step,
@@ -24,6 +23,16 @@ def pair(side, *mu):
 
 def mono(c, z=0, q=0):
     return LaurentPoly.monomial(c, z, q)
+
+
+def enumerated_F(n, m):
+    """sum_k of the weighted P(n,m,k) counts, read off the telescoping counts."""
+    return sum(phi_telescoping_counts(n, m)[0].values(), LaurentPoly.zero())
+
+
+def enumerated_F_initial(n):
+    """sum_k of the weighted Q(n,k) counts, read off the telescoping counts."""
+    return sum(psi_telescoping_counts(n)[1].values(), LaurentPoly.zero())
 
 
 # enumeration ----------------------------------------------------------------
@@ -58,15 +67,6 @@ def test_boundary_families():
     assert enum_H(2, 1) == [pair(1, 2)]
     assert enum_H(2, 2) == [pair(2)]
     assert enum_H(3, 0) == []
-
-
-def test_enum_family_dispatch():
-    assert enum_family("P", {"n": 1, "m": 1, "k": 0}) == enum_P(1, 1, 0)
-    assert enum_family("G", {"n": 1, "m": 1, "k": 0}) == enum_G(1, 1, 0)
-    assert enum_family("Q", {"n": 2, "k": 1}) == enum_Q(2, 1)
-    assert enum_family("H", {"n": 2, "k": 1}) == enum_H(2, 1)
-    with pytest.raises(ValueError):
-        enum_family("X", {})
 
 
 def test_weighted_count_is_the_gaussian_summand():
@@ -259,6 +259,45 @@ def test_verify_failure_names_the_sub_identity(monkeypatch):
     assert not cert.verified
     assert cert.counterexample["element"] == "product identity"
     assert cert.counterexample["reason"] == "sub-identity-violated"
+
+
+def _assert_recurrence_failure(cert, element, k):
+    assert not cert.verified
+    assert cert.counterexample["element"] == element
+    assert cert.counterexample["reason"] == "sub-identity-violated"
+    image = cert.counterexample["image"]
+    assert image["element"] == {"k": k}
+    assert image["reason"] == "index-relation-violated"
+
+
+def test_verify_failure_names_the_index_of_the_m_lowering_recurrence(monkeypatch):
+    import qtelescope.macmahon as mac
+
+    n, m, k = 2, 2, 1
+    true_enum_P = mac.enum_P
+
+    def perturbed(nn, mm, kk):
+        out = true_enum_P(nn, mm, kk)
+        return out[:-1] if (nn, mm, kk) == (n, m - 1, k) else out
+
+    monkeypatch.setattr(mac, "enum_P", perturbed)
+    _assert_recurrence_failure(mac.verify_macmahon(n, m),
+                               "m-lowering recurrence", k)
+
+
+def test_verify_failure_names_the_index_of_the_n_lowering_recurrence(monkeypatch):
+    import qtelescope.macmahon as mac
+
+    n, k = 3, 1
+    true_enum_Q = mac.enum_Q
+
+    def perturbed(nn, kk):
+        out = true_enum_Q(nn, kk)
+        return out[:-1] if (nn, kk) == (n - 1, k) else out
+
+    monkeypatch.setattr(mac, "enum_Q", perturbed)
+    _assert_recurrence_failure(mac.verify_macmahon(n, 1),
+                               "n-lowering recurrence", k)
 
 
 def test_enumerated_and_closed_forms_agree():

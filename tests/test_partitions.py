@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from qtelescope.partitions import (EMPTY, Partition, SquareSide,
-                                   enum_distinct_range, enum_even_bounded,
-                                   enum_even_capped, staircase)
+from qtelescope.partitions import (EMPTY, Partition, enum_distinct_range,
+                                   enum_even_bounded, enum_even_capped,
+                                   staircase)
 from qtelescope.qalgebra import LaurentPoly, gaussian_binomial
 
 
@@ -78,12 +78,6 @@ def test_row_edits():
 def test_json_forms():
     assert Partition((2, 1, 0)).to_json_obj() == [2, 1, 0]
     assert Partition.from_json_obj([2, 1, 0]) == Partition((2, 1, 0))
-    assert SquareSide(-3).to_json_obj() == -3
-
-
-def test_square_weight():
-    for k in range(-5, 6):
-        assert SquareSide(k).weight == k * k
 
 
 # staircases ------------------------------------------------------------------

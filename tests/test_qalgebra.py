@@ -100,7 +100,7 @@ def test_ring_laws_on_random_values():
 
 def test_canonical_form_drops_zeros():
     p = P({(0, 0): 0, (1, 1): 2})
-    assert p.num_terms() == 1
+    assert len(list(p.terms())) == 1
     assert (p - p).is_zero()
     assert P({}) == LaurentPoly.zero()
 
@@ -148,8 +148,9 @@ def test_gaussian_step_is_exponent_stretch():
     for n in range(8):
         for k in range(n + 1):
             for step in (2, 3):
-                assert gaussian_binomial(n, k, step) == \
-                    gaussian_binomial(n, k, 1).stretch_q(step)
+                assert gaussian_binomial(n, k, step) == P(
+                    {(z, q * step): c
+                     for z, q, c in gaussian_binomial(n, k, 1).terms()})
 
 
 # factor products -------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_factor_product_coefficient_mass():
     # total coefficient mass (value at z = q = 1) is exactly 2^count.
     for count in range(6):
         p = factor_product(count, 1, 1, 1, 2)
-        assert p.total_at_one() == 2 ** count
+        assert sum(c for _z, _q, c in p.terms()) == 2 ** count
         assert all(c > 0 for _z, _q, c in p.terms())
 
 
@@ -196,9 +197,9 @@ def test_rhs_andrews_small_values():
 
 def test_rhs_andrews_support():
     for n in range(1, 8):
-        lo, hi = rhs_andrews(n).q_degree_range()
-        assert lo == 0 and hi == n * n
-        assert rhs_andrews(n).is_z_free()
+        exps = [q for _z, q, _c in rhs_andrews(n).terms()]
+        assert min(exps) == 0 and max(exps) == n * n
+        assert all(z == 0 for z, _q, _c in rhs_andrews(n).terms())
 
 
 def test_rhs_andrews_two_term_recurrence():
