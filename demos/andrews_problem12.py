@@ -11,7 +11,7 @@ from qtelescope.andrews12 import (F_trunc, Triple, andrews_orbit, classify,
                                   phi_certificate, verify_andrews, weight_of)
 from qtelescope.cli import render_diagram
 from qtelescope.partitions import Partition, staircase
-from qtelescope.qalgebra import rhs_andrews, truncate
+from qtelescope.qalgebra import LaurentPoly, rhs_andrews, truncate
 
 print("=" * 64)
 print("The triple families of n = 3")
@@ -46,7 +46,7 @@ print("=" * 64)
 for x in domain_slice(2, 2, 6):
     y = involution(2, 2, x)
     marker = "fixed" if x == y else f"pairs with {y!r} "
-    print(f"  {x!r}  weight {weight_of(x)}  {marker}")
+    print(f"  {x!r}  weight {LaurentPoly.monomial(*weight_of(x))}  {marker}")
 
 print()
 print("=" * 64)

@@ -10,7 +10,14 @@ from qtelescope.macmahon import (cancelation_certificate, enum_G,
                                  phi_telescoping_counts, psi_certificate,
                                  telescoping_phi, verify_macmahon, weight_of,
                                  weighted_count)
+from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import telescoping_sum_check
+
+
+def monomial(x):
+    """An object's weight key, shown as its Laurent monomial."""
+    return LaurentPoly.monomial(*weight_of(x))
+
 
 print("=" * 64)
 print("The families at n = 2, m = 1")
@@ -30,7 +37,7 @@ for x in enum_P(1, 1, 0) + enum_G(1, 1, -1):
     k = x.side if x.side == 0 else x.side + 1
     case, out = phi_step(1, 1, k, x)
     print(f"  phi case {case}: {x.side, x.mu.parts} "
-          f"(weight {weight_of(x)}) -> {out} (weight {weight_of(out)})")
+          f"(weight {monomial(x)}) -> {out} (weight {monomial(out)})")
 
 print()
 print("=" * 64)

@@ -6,7 +6,8 @@ The package is organized bottom-up:
     qalgebra    exact sparse Laurent polynomials and truncated q-series
     partitions  partition objects (zero parts allowed) and enumerators
     telescope   generic bijection / telescoping / cancelation checkers,
-                the shared weight_of and certify, which makes every Certificate
+                the (sign, z, q) weight key weight_of, weighted_count, and
+                certify, which makes every Certificate
     macmahon    the square-plus-even-partition families, both step maps,
                 and verify_macmahon, which runs the per-index telescoping
                 check on the enumerated families

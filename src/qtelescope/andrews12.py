@@ -33,7 +33,7 @@ from typing import Union
 from .partitions import (EMPTY, Partition, enum_distinct_range,
                          enum_even_capped, staircase)
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
-from .telescope import (Certificate, MarkedObject, certify,
+from .telescope import (Certificate, MarkedObject, WeightKey, certify,
                         check_graded_bijection, weight_of)
 
 
@@ -56,8 +56,8 @@ class Triple:
     def sign(self) -> int:
         return -1 if self.lam.length % 2 else 1
 
-    def weight(self) -> LaurentPoly:
-        return LaurentPoly.monomial(self.sign, 0, self.total_weight)
+    def weight(self) -> WeightKey:
+        return self.sign, 0, self.total_weight
 
     def to_json_obj(self) -> dict:
         return {"tau": self.tau.to_json_obj(), "lambda": self.lam.to_json_obj(),
@@ -78,12 +78,6 @@ class ClassTag(enum.Enum):
     B_PRIME = "B'"
     C_PRIME = "C'"
     D = "D"
-
-
-def total_weight_of(x: TripleValue) -> int:
-    if isinstance(x, MarkedObject):
-        return x.marker_q + total_weight_of(x.payload)
-    return x.total_weight
 
 
 def in_P(n: int, k: int, t: Triple) -> bool:
@@ -191,12 +185,12 @@ def phi(n: int, k: int, x: TripleValue) -> TripleValue:
         lam = t.lam.with_part(n - k).with_part(n - k - 1)
         return MarkedObject(marker_out, Triple(t.tau.drop_first_rows(2), lam, t.mu))
     t = x
-    if not in_P(n, k, t):
-        raise ValueError(f"{t} is not in P({n},{k})")
     if k == 0:
+        if not in_P(n, k, t):
+            raise ValueError(f"{t} is not in P({n},{k})")
         return MarkedObject(marker_out,
                             Triple(t.tau.drop_first_rows(2), EMPTY, EMPTY))
-    tag = classify(n, k, t)
+    tag = classify(n, k, t)  # raises for non-members of P(n,k)
     tau2 = t.tau.drop_first_rows(2)
     if tag is ClassTag.EMBEDDED:
         return t
@@ -300,10 +294,13 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
 
     Verifies that applying the map twice is the identity, that non-fixed
     points pair with equal unsigned weight and opposite sign, and that
-    the fixed set is exactly the embedded copy of P(n-1,k-1).
+    the fixed set is exactly the embedded copy of P(n-1,k-1).  An empty
+    slice would verify vacuously, so it raises ValueError.
     """
     started = time.monotonic()
     slice_ = domain_slice(n, k, cap)
+    if not slice_:
+        raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
     embedded = set(enum_P(n - 1, k - 1, cap))
     return certify("andrews-involution", {"n": n, "k": k}, started,
                    _involution_failure(n, k, slice_, embedded), cap=cap,
@@ -319,9 +316,10 @@ def _involution_failure(n, k, slice_, embedded):
         if y == x:
             fixed.add(x)
             continue
-        if total_weight_of(y) != total_weight_of(x):
+        (sign_x, *grade_x), (sign_y, *grade_y) = weight_of(x), weight_of(y)
+        if grade_y != grade_x:
             return x, y, "weight-mismatch"
-        if weight_of(y) != -weight_of(x):
+        if sign_y != -sign_x:
             return x, y, "sign-not-reversed"
     if fixed != embedded:
         return sorted(fixed ^ embedded, key=repr)[0], None, "fixed-set-mismatch"

@@ -123,6 +123,8 @@ def _index_range(single: Optional[int], upper: Optional[int],
                  default_max: int) -> list[int]:
     if single is not None:
         return [single]
+    if upper is not None and upper < 0:
+        raise ValueError(f"upper bound must be nonnegative, got {upper}")
     return list(range(0, (upper if upper is not None else default_max) + 1))
 
 

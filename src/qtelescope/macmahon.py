@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .partitions import Partition, enum_even_bounded
 from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
                        gaussian_binomial)
-from .telescope import (Certificate, MarkedObject, cancelation_psi, certify,
-                        check_graded_bijection, telescoping_sum_check,
-                        weight_of)
+from .telescope import (Certificate, MarkedObject, WeightKey,
+                        cancelation_psi, certify, check_graded_bijection,
+                        telescoping_sum_check, weight_of, weighted_count)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,28 +49,14 @@ class MacPair:
     side: int
     mu: Partition
 
-    def weight(self) -> LaurentPoly:
-        return LaurentPoly.monomial(1, self.side, self.side * self.side + self.mu.weight)
+    def weight(self) -> WeightKey:
+        return 1, self.side, self.side * self.side + self.mu.weight
 
     def to_json_obj(self) -> dict:
         return {"side": self.side, "mu": self.mu.to_json_obj()}
 
 
 MacValue = Union[MacPair, MarkedObject]
-
-
-def weighted_count(objs: Iterable[MacValue]) -> LaurentPoly:
-    terms: dict[tuple[int, int], int] = {}
-    for x in objs:
-        poly = weight_of(x)
-        for z, q, c in poly.terms():
-            key = (z, q)
-            acc = terms.get(key, 0) + c
-            if acc:
-                terms[key] = acc
-            else:
-                del terms[key]
-    return LaurentPoly(terms)
 
 
 # family membership -----------------------------------------------------

@@ -151,9 +151,7 @@ def enum_even_bounded(max_part: int, max_len: int) -> list[Partition]:
             for rest in rec(p, slots - 1):
                 yield (p,) + rest
 
-    out = [Partition(parts) for parts in rec(max_part, max_len)]
-    out.sort(key=lambda p: p.parts)
-    return out
+    return [Partition(parts) for parts in rec(max_part, max_len)]
 
 
 def enum_even_capped(max_part: int, weight_cap: int) -> list[Partition]:
@@ -172,6 +170,4 @@ def enum_even_capped(max_part: int, weight_cap: int) -> list[Partition]:
             for rest in rec(p, budget - p):
                 yield (p,) + rest
 
-    out = [Partition(parts) for parts in rec(max_part, weight_cap)]
-    out.sort(key=lambda p: p.parts)
-    return out
+    return [Partition(parts) for parts in rec(max_part, weight_cap)]

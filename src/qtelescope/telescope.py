@@ -6,7 +6,8 @@ All checks are exhaustive over explicitly enumerated, weight-capped slices
 and report their verdict as a Certificate (machine-readable, with a concrete
 counterexample on failure), built by the one helper certify.  Nothing here
 is probabilistic.  weight_of is the single notion of weight: an object's
-own monomial times its marker, if any.  macmahon.verify_macmahon runs
+signed monomial as the int key (sign, z_exp, q_exp); weighted_count sums a
+family's keys into one LaurentPoly.  macmahon.verify_macmahon runs
 telescoping_sum_check per index on its enumerated families.
 """
 
@@ -23,6 +24,8 @@ REASON_NOT_IN_CODOMAIN = "not-in-codomain"
 REASON_COLLISION = "collision"
 REASON_WEIGHT_MISMATCH = "weight-mismatch"
 REASON_NOT_SURJECTIVE = "not-surjective"
+
+WeightKey = tuple[int, int, int]  # (sign, z_exp, q_exp), see weight_of
 
 
 class IterationBudgetExceeded(RuntimeError):
@@ -55,12 +58,22 @@ class MarkedObject:
                 "payload": _jsonable(self.payload)}
 
 
-def weight_of(x) -> LaurentPoly:
-    """Signed weight monomial of an object; a marker contributes
-    z^marker_z * q^marker_q and no sign."""
+def weight_of(x) -> WeightKey:
+    """The (sign, z_exp, q_exp) key of an object's signed weight monomial,
+    in the argument order of LaurentPoly.monomial; a marker adds marker_z
+    and marker_q to the exponents and no sign."""
     if isinstance(x, MarkedObject):
-        return LaurentPoly.monomial(1, x.marker_z, x.marker_q) * weight_of(x.payload)
+        sign, z, q = weight_of(x.payload)
+        return sign, z + x.marker_z, q + x.marker_q
     return x.weight()
+
+
+def weighted_count(objs: Iterable) -> LaurentPoly:
+    """The sum of the weight monomials of objs, as one LaurentPoly."""
+    terms: dict[tuple[int, int], int] = {}
+    for sign, z, q in map(weight_of, objs):
+        terms[z, q] = terms.get((z, q), 0) + sign
+    return LaurentPoly(terms)
 
 
 def _jsonable(obj):
@@ -144,7 +157,7 @@ def certify(check: str, params: Mapping, started: float,
 def check_graded_bijection(map_fn: Callable[[Any], Any],
                            domain: Iterable,
                            codomain: Iterable,
-                           weight_fn: Callable[[Any], LaurentPoly],
+                           weight_fn: Callable[[Any], WeightKey],
                            cap: Optional[int] = None,
                            check: str = "graded-bijection",
                            params: Optional[Mapping] = None) -> Certificate:
@@ -153,10 +166,13 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
     domain and codomain must be complete enumerations of the two sides up
     to the weight cap.  Verifies, in order: every image lies in the
     codomain, images are pairwise distinct, each image's signed weight
-    monomial equals its preimage's, and every codomain element is hit.
+    equals its preimage's, and every codomain element is hit.  An empty
+    domain would verify vacuously, so it raises ValueError.
     """
     started = time.monotonic()
     domain = list(domain)
+    if not domain:
+        raise ValueError(f"empty domain: {check} {dict(params or {})}")
     codomain = list(codomain)
     codomain_set = set(codomain)
     if len(codomain_set) != len(codomain):

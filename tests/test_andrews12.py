@@ -11,12 +11,11 @@ import pytest
 from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
                                   classify_image, domain_slice, enum_P, in_P,
                                   involution, involution_certificate, phi,
-                                  phi_certificate, total_weight_of,
-                                  verify_andrews, weight_of)
+                                  phi_certificate, verify_andrews, weight_of)
 from qtelescope import andrews12
 from qtelescope.partitions import EMPTY, Partition, staircase
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews
-from qtelescope.telescope import MarkedObject
+from qtelescope.telescope import MarkedObject, weighted_count
 
 
 def T(tau, lam=(), mu=()):
@@ -75,6 +74,15 @@ def test_signed_sums_match_series():
     for t in enum_P(1, 1, 6):
         acc = acc + TruncatedSeries(6, {t.total_weight: t.sign})
     assert acc == TruncatedSeries(6, {0: 1, 1: -1})
+
+
+def test_signed_sum_of_slices_matches_per_object_oracle():
+    for n, k, cap in [(2, 0, 10), (3, 1, 20), (3, 2, 20), (4, 3, 25),
+                      (4, 4, 25)]:
+        slice_ = domain_slice(n, k, cap)
+        oracle = sum((LaurentPoly.monomial(*weight_of(x)) for x in slice_),
+                     LaurentPoly.zero())
+        assert weighted_count(slice_) == oracle, (n, k, cap)
 
 
 # classification ----------------------------------------------------------------
@@ -167,7 +175,6 @@ def test_phi_preserves_weight_and_parity():
             for x in domain_slice(n, k, 25):
                 y = phi(n, k, x)
                 assert weight_of(y) == weight_of(x), (n, k, x, y)
-                assert total_weight_of(y) == total_weight_of(x)
 
 
 def test_phi_rejects_out_of_range_and_non_members():
@@ -188,8 +195,11 @@ def test_phi_certificates_small_grid():
 
 def test_phi_certificate_monotone_in_cap():
     assert phi_certificate(3, 1, 12).verified
-    for cap in (0, 3, 9, 17, 30):
+    for cap in (3, 9, 17, 30):
         assert phi_certificate(4, 1, cap).verified
+    # below the staircase weight 3 the slice is empty: nothing to certify
+    with pytest.raises(ValueError, match="empty domain"):
+        phi_certificate(4, 1, 0)
 
 
 def test_phi_certificate_detects_perturbation():
@@ -221,7 +231,8 @@ def test_involution_pairs_at_2_2():
     b = T((), (1,), (4,))
     assert involution(2, 2, a) == b
     assert involution(2, 2, b) == a
-    assert weight_of(a) == -weight_of(b)
+    sign_a, z_a, q_a = weight_of(a)
+    assert weight_of(b) == (-sign_a, z_a, q_a)
     assert involution(2, 2, T((), (3,))) == mark(3, T(()))
     assert involution(2, 2, mark(3, T(()))) == T((), (3,))
     assert involution(2, 2, T((), (2, 1), (2,))) == T((), (2, 1), (2,))
@@ -269,12 +280,8 @@ def test_involution_net_weight_equals_embedded():
     for n in range(2, 5):
         for k in (n - 1, n):
             cap = 25
-            net = LaurentPoly.zero()
-            for x in domain_slice(n, k, cap):
-                net = net + weight_of(x)
-            embedded = LaurentPoly.zero()
-            for t in enum_P(n - 1, k - 1, cap):
-                embedded = embedded + weight_of(t)
+            net = weighted_count(domain_slice(n, k, cap))
+            embedded = weighted_count(enum_P(n - 1, k - 1, cap))
             assert net == embedded
 
 

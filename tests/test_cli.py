@@ -56,6 +56,16 @@ def test_verify_negative_n_is_usage_error(capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_verify_negative_upper_bound_is_usage_error(capsys):
+    for argv in (["verify", "macmahon", "--n-max", "-1"],
+                 ["verify", "andrews", "--n-max", "-1"],
+                 ["verify", "macmahon", "--n", "1", "--m-max", "-3"]):
+        code, output = run(argv)
+        assert (code, output) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_unknown_arguments_are_usage_errors():
     assert run(["verify", "nonsense"])[0] == 2
     assert run(["frobnicate"])[0] == 2
@@ -125,6 +135,17 @@ def test_check_bijection_bad_range_is_usage_error():
     assert run(["check-bijection", "andrews-phi", "--n", "3", "--k", "2"])[0] == 2
     assert run(["check-bijection", "andrews-involution", "--n", "3",
                 "--k", "0"])[0] == 2
+
+
+def test_check_bijection_empty_domain_is_usage_error(capsys):
+    for argv in (["andrews-phi", "--n", "3", "--k", "-2"],
+                 ["macmahon-phi", "--n", "2", "--m", "1", "--k", "9"],
+                 ["macmahon-psi", "--n", "2", "--k", "7"],
+                 ["andrews-involution", "--n", "4", "--k", "4", "--cap", "-1"]):
+        code, output = run(["check-bijection"] + argv)
+        assert (code, output) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empty domain" in err, argv
 
 
 # trace ---------------------------------------------------------------------------

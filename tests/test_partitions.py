@@ -120,6 +120,18 @@ def test_enumerations_are_duplicate_free_and_sorted():
         assert len(parts) == len(set(parts))
 
 
+def test_even_enumerators_are_lexicographic_on_a_grid():
+    # The module's ordering contract, which certificates rely on, holds
+    # without a final sort: the recursive generators yield in order.
+    for max_part in range(0, 13, 2):
+        for max_len in range(8):
+            parts = [p.parts for p in enum_even_bounded(max_part, max_len)]
+            assert parts == sorted(parts), (max_part, max_len)
+        for weight_cap in range(40):
+            parts = [p.parts for p in enum_even_capped(max_part, weight_cap)]
+            assert parts == sorted(parts), (max_part, weight_cap)
+
+
 # enum_even_bounded ---------------------------------------------------------------
 
 def test_even_bounded_examples():

@@ -6,6 +6,7 @@ counterexample.
 """
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,7 +14,8 @@ from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import (Certificate, IterationBudgetExceeded,
                                   MarkedObject, cancelation_psi,
                                   check_graded_bijection,
-                                  telescoping_sum_check)
+                                  telescoping_sum_check, weight_of,
+                                  weighted_count)
 
 
 def weight_by_table(table):
@@ -78,6 +80,41 @@ def test_duplicate_codomain_enumeration_is_rejected():
     with pytest.raises(ValueError):
         check_graded_bijection(lambda _: "x", ["a"], ["x", "x"],
                                weight_by_table(weights))
+
+
+def test_empty_domain_is_rejected():
+    with pytest.raises(ValueError, match="empty domain"):
+        check_graded_bijection(lambda x: x, [], [], weight_by_table({}))
+
+
+# weight keys ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Signed:
+    key: tuple
+
+    def weight(self):
+        return self.key
+
+
+def test_marker_adds_exponents_and_keeps_sign():
+    x = Signed((-1, 2, 5))
+    assert weight_of(x) == (-1, 2, 5)
+    for marker_z in (1, -1):
+        marked = MarkedObject(3, x, marker_z=marker_z)
+        assert weight_of(marked) == (-1, 2 + marker_z, 8)
+        # the key is the monomial z^marker_z q^3 times the payload's
+        assert (LaurentPoly.monomial(*weight_of(marked))
+                == LaurentPoly.monomial(1, marker_z, 3)
+                * LaurentPoly.monomial(*weight_of(x)))
+
+
+def test_weighted_count_drops_cancelled_terms():
+    family = [Signed((1, 0, 1)), Signed((-1, 0, 1)), Signed((1, 1, 0)),
+              MarkedObject(1, Signed((-1, 1, 0)), marker_z=-1)]
+    assert weighted_count(family) == LaurentPoly.monomial(1, 1, 0) \
+        - LaurentPoly.monomial(1, 0, 1)
+    assert weighted_count([]) == LaurentPoly.zero()
 
 
 # telescoping_sum_check --------------------------------------------------------
