@@ -5,8 +5,8 @@ bijection built by cancelation, and the identity certificates.
 Run: python demos/macmahon_walkthrough.py
 """
 
-from qtelescope.macmahon import (cancelation_certificate, enum_G,
-                                 enum_P, phi_certificate, phi_step,
+from qtelescope.macmahon import (cancelation_certificate, enum_P,
+                                 phi_certificate, phi_step,
                                  phi_telescoping_counts, psi_certificate,
                                  telescoping_phi, verify_macmahon, weight_of,
                                  weighted_count)
@@ -22,18 +22,22 @@ def monomial(x):
 print("=" * 64)
 print("The families at n = 2, m = 1")
 print("=" * 64)
+boundary = {}
 for k in range(-1, 3):
     pairs = enum_P(2, 1, k)
     print(f"  P(2,1,{k:+d}): {len(pairs):2d} pairs, "
           f"weighted count = {weighted_count(pairs)}")
-for k in range(-1, 3):
-    print(f"  G(2,1,{k:+d}): {[ (x.side, x.mu.parts) for x in enum_G(2, 1, k)]}")
+    # G(2,1,k): the pairs of P(2,1,k) whose largest part equals 2 + 2k
+    boundary[k] = [(x.side, x.mu.parts) for x in pairs if x.mu.first == 2 + 2 * k]
+for k, pairs in boundary.items():
+    print(f"  G(2,1,{k:+d}): {pairs}")
 
 print()
 print("=" * 64)
 print("One application of each step map")
 print("=" * 64)
-for x in enum_P(1, 1, 0) + enum_G(1, 1, -1):
+g_below = [x for x in enum_P(1, 1, -1) if x.mu.first == 0]  # G(1,1,-1)
+for x in enum_P(1, 1, 0) + g_below:
     k = x.side if x.side == 0 else x.side + 1
     case, out = phi_step(1, 1, k, x)
     print(f"  phi case {case}: {x.side, x.mu.parts} "

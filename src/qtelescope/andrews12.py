@@ -364,9 +364,9 @@ def verify_andrews(n: int, cap: int, which: str) -> Certificate:
     which = "identity": F_n equals the alternating square sum on [0, cap]
     which = "rec_fn":   F_n + (q^(2n-1) - 1) F_{n-1} - q^(2n-3) F_{n-2} = 0
     which = "gn":       F_n + q^(2n-1) F_{n-1} = 2
-    The recurrence forms are compared on the window [0, cap - (2n-1)]
-    because multiplying a capped series by q^(2n-1) forfeits the top
-    coefficients; the certificate records the effective window.
+    The recurrence forms are compared on the window [0, cap - (2n-1)],
+    which params.window records; mul_poly keeps the cap, so the products
+    are exact on all of [0, cap] and the window is only conservative.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

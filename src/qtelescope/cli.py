@@ -164,6 +164,8 @@ def _trace(args, out) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     elements = andrews12.domain_slice(n, k, cap)
+    if not elements:
+        raise ValueError(f"empty domain: trace andrews n={n} k={k} cap={cap}")
     print(f"tracing {len(elements)} elements of the (n={n}, k={k}) slice "
           f"at cap {cap}", file=out)
     for i, x in enumerate(elements):

@@ -3,18 +3,19 @@ on them, and the full verification of MacMahon's finite product identity
 
     sum_k z^k q^(k^2) [m+n, m+k]_(q^2)  =  (-q/z; q^2)_m (-zq; q^2)_n.
 
-Four finite families of pairs (square side, even partition) are involved:
+Every family is a box (side, bound, slots): the pairs with square side
+`side` whose even partition has largest part <= bound and at most `slots`
+parts.  P(n,m,k) is the box (k, 2m+2k, n-k) and Q(n,k) the box
+(k, 2n-2k, k); a negative bound or slot count is exactly an index out of
+range (k outside [-m, n] for P, [0, n] for Q), and the box is then empty.
+The boundary slices G(n,m,k) and H(n,k) are the pairs of the box whose
+largest part equals its bound (the empty partition's reads as 0), read off
+a list of the box.
 
-    P(n,m,k): side k, largest even part <= 2m+2k, at most n-k parts
-    G(n,m,k): the boundary slice of P where the largest part equals 2m+2k
-    Q(n,k):   side k, at most k parts, largest part <= 2n-2k
-    H(n,k):   the boundary slice of Q where the largest part equals 2n-2k
-
-The largest part of the empty partition reads as 0, so a boundary slice
-whose boundary value is 0 contains the pair with empty second component.
-
-The map phi_step lowers m by one, psi_step lowers n by one; both shuffle
-the boundary slices, so that at each index k
+phi_step lowers m by one, psi_step lowers n by one, by one construction:
+a pair of the index's own box is its own image, and a boundary pair of the
+neighbouring box (k-1 for phi, k+1 for psi) loses its first row and
+carries a marker.  So at each index k
 
     f(k) + h(k) = g(k) + h(k+1)
 
@@ -57,55 +58,61 @@ class MacPair:
 
 
 MacValue = Union[MacPair, MarkedObject]
+Box = tuple[int, int, int]  # (side, bound, slots), see the module docstring
 
 
-# family membership -----------------------------------------------------
+# boxes ------------------------------------------------------------------
 
-def in_P(n: int, m: int, k: int, x: MacPair) -> bool:
-    return (x.side == k and -m <= k <= n and x.mu.has_even_parts()
-            and x.mu.first <= 2 * m + 2 * k and x.mu.length <= n - k)
-
-
-def in_G(n: int, m: int, k: int, x: MacPair) -> bool:
-    return in_P(n, m, k, x) and x.mu.first == 2 * m + 2 * k
+def _box_P(n: int, m: int, k: int) -> Box:
+    return k, 2 * m + 2 * k, n - k
 
 
-def in_Q(n: int, k: int, x: MacPair) -> bool:
-    return (x.side == k and 0 <= k and x.mu.has_even_parts()
-            and x.mu.length <= k and x.mu.first <= 2 * n - 2 * k)
+def _box_Q(n: int, k: int) -> Box:
+    return k, 2 * n - 2 * k, k
 
 
-def in_H(n: int, k: int, x: MacPair) -> bool:
-    return in_Q(n, k, x) and x.mu.first == 2 * n - 2 * k
+def _in_box(box: Box, x: MacPair) -> bool:
+    side, bound, slots = box
+    return (x.side == side and x.mu.has_even_parts()
+            and x.mu.first <= bound and x.mu.length <= slots)
 
 
-# enumeration ------------------------------------------------------------
+def _enum_box(box: Box) -> list[MacPair]:
+    side, bound, slots = box
+    if bound < 0 or slots < 0:
+        return []
+    return [MacPair(side, mu) for mu in enum_even_bounded(bound, slots)]
+
+
+def _boundary(box: Box, pairs: list[MacPair]) -> list[MacPair]:
+    """The pairs of a list of the box whose largest part equals its bound."""
+    return [x for x in pairs if x.mu.first == box[1]]
+
 
 def enum_P(n: int, m: int, k: int) -> list[MacPair]:
     """All of P(n,m,k); empty for k outside [-m, n]."""
-    if not (-m <= k <= n):
-        return []
-    return [MacPair(k, mu) for mu in enum_even_bounded(2 * m + 2 * k, n - k)]
-
-
-def enum_G(n: int, m: int, k: int) -> list[MacPair]:
-    bound = 2 * m + 2 * k
-    return [x for x in enum_P(n, m, k) if x.mu.first == bound]
+    return _enum_box(_box_P(n, m, k))
 
 
 def enum_Q(n: int, k: int) -> list[MacPair]:
     """All of Q(n,k); empty for k outside [0, n]."""
-    if not (0 <= k <= n):
-        return []
-    return [MacPair(k, mu) for mu in enum_even_bounded(2 * n - 2 * k, k)]
-
-
-def enum_H(n: int, k: int) -> list[MacPair]:
-    bound = 2 * n - 2 * k
-    return [x for x in enum_Q(n, k) if x.mu.first == bound]
+    return _enum_box(_box_Q(n, k))
 
 
 # the two step maps ------------------------------------------------------
+
+def _step(box: Box, neighbour: Box, marker: tuple[int, int],
+          x: MacPair) -> tuple[int, MacValue]:
+    """The step map at one index: a pair of box is its own image, a
+    boundary pair of the neighbouring box loses its first row, takes the
+    side of box and carries the marker (marker_q, marker_z)."""
+    if _in_box(box, x):
+        return (1 if x.mu.first == box[1] else 2), x
+    if _in_box(neighbour, x) and x.mu.first == neighbour[1]:
+        out = MacPair(box[0], x.mu.drop_first())
+        return 3, MarkedObject(marker[0], out, marker_z=marker[1])
+    raise ValueError(f"{x} is neither in {box} nor on the boundary of {neighbour}")
+
 
 def phi_step(n: int, m: int, k: int, x: MacPair) -> tuple[int, MacValue]:
     """One application of the m-lowering map at index k.
@@ -120,14 +127,7 @@ def phi_step(n: int, m: int, k: int, x: MacPair) -> tuple[int, MacValue]:
         raise ValueError("phi_step requires m >= 1")
     if isinstance(x, MarkedObject):
         raise ValueError("marked objects are not in the domain of phi_step")
-    if x.side == k and in_P(n, m, k, x):
-        if x.mu.first == 2 * m + 2 * k:
-            return 1, x
-        return 2, x
-    if x.side == k - 1 and in_G(n, m, k - 1, x):
-        out = MacPair(k, x.mu.drop_first())
-        return 3, MarkedObject(2 * m - 1, out, marker_z=-1)
-    raise ValueError(f"{x} is not in P({n},{m},{k}) or G({n},{m},{k - 1})")
+    return _step(_box_P(n, m, k), _box_P(n, m, k - 1), (2 * m - 1, -1), x)
 
 
 def psi_step(n: int, k: int, x: MacPair) -> tuple[int, MacValue]:
@@ -143,47 +143,44 @@ def psi_step(n: int, k: int, x: MacPair) -> tuple[int, MacValue]:
         raise ValueError("psi_step requires n >= 1")
     if isinstance(x, MarkedObject):
         raise ValueError("marked objects are not in the domain of psi_step")
-    if x.side == k and in_Q(n, k, x):
-        if x.mu.first == 2 * n - 2 * k:
-            return 1, x
-        return 2, x
-    if x.side == k + 1 and in_H(n, k + 1, x):
-        out = MacPair(k, x.mu.drop_first())
-        return 3, MarkedObject(2 * n - 1, out, marker_z=1)
-    raise ValueError(f"{x} is not in Q({n},{k}) or H({n},{k + 1})")
+    return _step(_box_Q(n, k), _box_Q(n, k + 1), (2 * n - 1, 1), x)
 
 
 # certificates -----------------------------------------------------------
 
+def _slice_certificate(map_fn, enum, box, here, neighbour, lower, marker,
+                       check: str, params: dict) -> Certificate:
+    """Bijection check of a step map at one index; enum and box take a family
+    index (enum_P and _box_P, or enum_Q and _box_Q).  Domain: here, then the
+    boundary of neighbour.  Codomain: lower bare and marked, then the
+    boundary of here.  Each box is enumerated once."""
+    pairs = enum(*here)
+    domain = pairs + _boundary(box(*neighbour), enum(*neighbour))
+    lowered = enum(*lower)
+    codomain = (lowered + [MarkedObject(marker[0], x, marker_z=marker[1])
+                           for x in lowered] + _boundary(box(*here), pairs))
+    del pairs, lowered  # only domain and codomain stay alive for the check
+    return check_graded_bijection(map_fn, domain, codomain, weight_of,
+                                  cap=None, check=check, params=params)
+
+
 def phi_certificate(n: int, m: int, k: int) -> Certificate:
     """Exhaustive bijection check of phi_step at one index (finite sets)."""
-    domain = enum_P(n, m, k) + enum_G(n, m, k - 1)
-    codomain = (enum_P(n, m - 1, k)
-                + [MarkedObject(2 * m - 1, x, marker_z=-1)
-                   for x in enum_P(n, m - 1, k)]
-                + enum_G(n, m, k))
-    return check_graded_bijection(
-        lambda x: phi_step(n, m, k, x)[1], domain, codomain, weight_of,
-        cap=None, check="macmahon-phi", params={"n": n, "m": m, "k": k})
+    return _slice_certificate(lambda x: phi_step(n, m, k, x)[1], enum_P, _box_P,
+                              (n, m, k), (n, m, k - 1), (n, m - 1, k), (2 * m - 1, -1),
+                              "macmahon-phi", {"n": n, "m": m, "k": k})
 
 
 def psi_certificate(n: int, k: int) -> Certificate:
     """Exhaustive bijection check of psi_step at one index (finite sets)."""
-    domain = enum_Q(n, k) + enum_H(n, k + 1)
-    codomain = (enum_Q(n - 1, k)
-                + [MarkedObject(2 * n - 1, x, marker_z=1)
-                   for x in enum_Q(n - 1, k)]
-                + enum_H(n, k))
-    return check_graded_bijection(
-        lambda x: psi_step(n, k, x)[1], domain, codomain, weight_of,
-        cap=None, check="macmahon-psi", params={"n": n, "k": k})
+    return _slice_certificate(lambda x: psi_step(n, k, x)[1], enum_Q, _box_Q,
+                              (n, k), (n, k + 1), (n - 1, k), (2 * n - 1, 1),
+                              "macmahon-psi", {"n": n, "k": k})
 
 
-def _tally(family: list[MacPair], bound: int):
-    """Weighted counts of one index's family and of its boundary slice, the
-    pairs whose largest part equals bound."""
-    return (weighted_count(family),
-            weighted_count([x for x in family if x.mu.first == bound]))
+def _tally(box: Box, pairs: list[MacPair]):
+    """Weighted counts of a box's list and of its boundary slice."""
+    return weighted_count(pairs), weighted_count(_boundary(box, pairs))
 
 
 def phi_telescoping_counts(n: int, m: int):
@@ -198,7 +195,7 @@ def phi_telescoping_counts(n: int, m: int):
     coeff = ONE + LaurentPoly.monomial(1, -1, 2 * m - 1)
     f, g, h = {}, {}, {-m: ZERO}
     for k in range(-m, n + 1):
-        f[k], h[k + 1] = _tally(enum_P(n, m, k), 2 * m + 2 * k)
+        f[k], h[k + 1] = _tally(_box_P(n, m, k), enum_P(n, m, k))
         g[k] = coeff * weighted_count(enum_P(n, m - 1, k))
     return f, g, h, -m, n
 
@@ -214,7 +211,7 @@ def psi_telescoping_counts(n: int):
     f, g, h = {}, {}, {n + 1: ZERO}
     for k in range(0, n + 1):
         f[k] = coeff * weighted_count(enum_Q(n - 1, k))
-        g[k], h[k] = _tally(enum_Q(n, k), 2 * n - 2 * k)
+        g[k], h[k] = _tally(_box_Q(n, k), enum_Q(n, k))
     return f, g, h, 0, n
 
 
@@ -309,8 +306,8 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     whole union plus one.
     """
     domain = [x for k in range(-m, n + 1) for x in enum_P(n, m, k)]
-    h_part = [x for k in range(-m, n + 1) for x in enum_G(n, m, k)]
-    budget = len(domain) + len(h_part) + 1
+    boundary = sum(x.mu.first == _box_P(n, m, x.side)[1] for x in domain)
+    budget = len(domain) + boundary + 1
     direct: dict[MacPair, MacValue] = {}
     for a in domain:
         landed = cancelation_psi(

@@ -260,11 +260,15 @@ def test_criterion_10_negative_controls(monkeypatch, tmp_path):
 
     # (i) a perturbed bijection must fail with a concrete counterexample
     n, m, k = 2, 1, 0
-    domain = macmahon.enum_P(n, m, k) + macmahon.enum_G(n, m, k - 1)
+    # G(n,m,j): the pairs of P(n,m,j) whose largest part equals 2m+2j
+    domain = (macmahon.enum_P(n, m, k)
+              + [x for x in macmahon.enum_P(n, m, k - 1)
+                 if x.mu.first == 2 * m + 2 * (k - 1)])
     codomain = (macmahon.enum_P(n, m - 1, k)
                 + [MarkedObject(1, x, marker_z=-1)
                    for x in macmahon.enum_P(n, m - 1, k)]
-                + macmahon.enum_G(n, m, k))
+                + [x for x in macmahon.enum_P(n, m, k)
+                   if x.mu.first == 2 * m + 2 * k])
     first = domain[0]
 
     def broken(x):

@@ -169,6 +169,15 @@ def test_trace_bad_range_is_usage_error():
     assert run(["trace", "andrews", "--n", "2", "--k", "5"])[0] == 2
 
 
+def test_trace_empty_slice_is_usage_error(capsys):
+    for cap in ("0", "-5"):
+        code, output = run(["trace", "andrews", "--n", "4", "--k", "1",
+                            "--cap", cap])
+        assert (code, output) == (2, ""), cap
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empty domain" in err, cap
+
+
 # rendering -----------------------------------------------------------------------
 
 def test_render_triple_with_zero_row():

@@ -39,11 +39,15 @@ def _andrews_certificates():
 
 def _bijection_control():
     n, m, k = 2, 1, 0
-    domain = macmahon.enum_P(n, m, k) + macmahon.enum_G(n, m, k - 1)
+    # G(n,m,j): the pairs of P(n,m,j) whose largest part equals 2m+2j
+    domain = (macmahon.enum_P(n, m, k)
+              + [x for x in macmahon.enum_P(n, m, k - 1)
+                 if x.mu.first == 2 * m + 2 * (k - 1)])
     codomain = (macmahon.enum_P(n, m - 1, k)
                 + [MarkedObject(1, x, marker_z=-1)
                    for x in macmahon.enum_P(n, m - 1, k)]
-                + macmahon.enum_G(n, m, k))
+                + [x for x in macmahon.enum_P(n, m, k)
+                   if x.mu.first == 2 * m + 2 * k])
     first = domain[0]
 
     def broken(x):

@@ -6,13 +6,13 @@ bijection certificates run over the complete finite sets.
 import pytest
 
 from qtelescope.macmahon import (MacPair, cancelation_certificate,
-                                 enum_G, enum_H, enum_P, enum_Q,
+                                 enum_P, enum_Q,
                                  phi_certificate, phi_step,
                                  phi_telescoping_counts, product_sum_F,
                                  psi_certificate, psi_step,
                                  psi_telescoping_counts, telescoping_phi,
                                  verify_macmahon, weight_of, weighted_count)
-from qtelescope.partitions import Partition
+from qtelescope.partitions import Partition, enum_even_bounded
 from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
 from qtelescope.telescope import MarkedObject, telescoping_sum_check
 
@@ -23,6 +23,16 @@ def pair(side, *mu):
 
 def mono(c, z=0, q=0):
     return LaurentPoly.monomial(c, z, q)
+
+
+def G(n, m, k):
+    """G(n,m,k): the pairs of P(n,m,k) whose largest part equals 2m+2k."""
+    return [x for x in enum_P(n, m, k) if x.mu.first == 2 * m + 2 * k]
+
+
+def H(n, k):
+    """H(n,k): the pairs of Q(n,k) whose largest part equals 2n-2k."""
+    return [x for x in enum_Q(n, k) if x.mu.first == 2 * n - 2 * k]
 
 
 def enumerated_F(n, m):
@@ -55,18 +65,18 @@ def test_out_of_range_indices_give_empty_sets():
     assert enum_P(2, 1, -2) == []
     assert enum_Q(3, 4) == []
     assert enum_Q(3, -1) == []
-    assert enum_G(3, 2, -3) == []
-    assert enum_H(4, 5) == []
+    assert G(3, 2, -3) == []
+    assert H(4, 5) == []
 
 
 def test_boundary_families():
     # The boundary slice keeps only pairs whose largest part hits the bound;
     # when that bound is 0 the empty partition itself sits on the boundary.
-    assert enum_G(1, 1, 0) == [pair(0, 2)]
-    assert enum_G(1, 1, -1) == [pair(-1)]
-    assert enum_H(2, 1) == [pair(1, 2)]
-    assert enum_H(2, 2) == [pair(2)]
-    assert enum_H(3, 0) == []
+    assert G(1, 1, 0) == [pair(0, 2)]
+    assert G(1, 1, -1) == [pair(-1)]
+    assert H(2, 1) == [pair(1, 2)]
+    assert H(2, 2) == [pair(2)]
+    assert H(3, 0) == []
 
 
 def test_weighted_count_is_the_gaussian_summand():
@@ -91,12 +101,12 @@ def test_weighted_count_matches_per_object_oracle():
         for k in range(n + 2):
             q = enum_Q(n, k)
             marked = [MarkedObject(2 * n + 1, x, marker_z=1) for x in q]
-            families += [q, enum_H(n, k), q + marked]
+            families += [q, H(n, k), q + marked]
         for m in range(5):
             for k in range(-m - 1, n + 2):
                 p = enum_P(n, m, k)
                 marked = [MarkedObject(2 * m + 1, x, marker_z=-1) for x in p]
-                families += [p, enum_G(n, m, k), p + marked]
+                families += [p, G(n, m, k), p + marked]
     for family in families:
         assert weighted_count(family) == oracle_count(family)
 
@@ -137,12 +147,66 @@ def test_phi_cases_are_mutually_exclusive():
     for n in range(4):
         for m in range(1, 4):
             for k in range(-m, n + 1):
-                members = enum_P(n, m, k) + enum_G(n, m, k - 1)
+                members = enum_P(n, m, k) + G(n, m, k - 1)
                 assert len(set(members)) == len(members)
                 for x in members:
                     in_p = x.side == k
                     in_g = x.side == k - 1
                     assert in_p != in_g
+
+
+def paper_P(n, m, k, x):
+    """x in P(n,m,k): -m <= k <= n, side k, even parts, largest part at
+    most 2m+2k, at most n-k parts."""
+    mu = x.mu
+    return (-m <= k <= n and x.side == k and mu.has_even_parts()
+            and mu.first <= 2 * m + 2 * k and mu.length <= n - k)
+
+
+def paper_Q(n, k, x):
+    """x in Q(n,k): 0 <= k <= n, side k, even parts, at most k parts,
+    largest part at most 2n-2k."""
+    mu = x.mu
+    return (0 <= k <= n and x.side == k and mu.has_even_parts()
+            and mu.length <= k and mu.first <= 2 * n - 2 * k)
+
+
+def assert_step_domain(step, candidates, in_domain, in_neighbour):
+    """step accepts exactly the candidates in_domain says, with case 3
+    exactly on the neighbouring boundary slice, and raises on the rest."""
+    for x in candidates:
+        try:
+            case, _ = step(x)
+        except ValueError:
+            assert not in_domain(x), x
+        else:
+            assert in_domain(x) and (case == 3) == in_neighbour(x), x
+
+
+def test_phi_step_domain_is_P_and_the_lower_boundary():
+    for n in range(4):
+        for m in range(1, 4):
+            mus = enum_even_bounded(2 * (n + m) + 2, n + m + 1)
+            for k in range(-m - 1, n + 2):
+                def in_G_below(x):
+                    return (paper_P(n, m, k - 1, x)
+                            and x.mu.first == 2 * m + 2 * (k - 1))
+                assert_step_domain(
+                    lambda x: phi_step(n, m, k, x),
+                    [MacPair(side, mu) for side in range(k - 2, k + 3) for mu in mus],
+                    lambda x: paper_P(n, m, k, x) or in_G_below(x), in_G_below)
+
+
+def test_psi_step_domain_is_Q_and_the_upper_boundary():
+    for n in range(1, 5):
+        mus = enum_even_bounded(2 * n + 2, n + 1)
+        for k in range(-1, n + 2):
+            def in_H_above(x):
+                return paper_Q(n, k + 1, x) and x.mu.first == 2 * n - 2 * (k + 1)
+            assert_step_domain(
+                lambda x: psi_step(n, k, x),
+                [MacPair(side, mu) for side in range(k - 2, k + 3) for mu in mus],
+                lambda x: paper_Q(n, k, x) or in_H_above(x), in_H_above)
 
 
 # psi_step -----------------------------------------------------------------------
@@ -184,15 +248,33 @@ def test_psi_bijection_certificates_small_grid():
             assert cert.verified, cert.to_json()
 
 
+def test_step_certificates_enumerate_each_box_once(monkeypatch):
+    import qtelescope.macmahon as mac
+
+    calls = []
+    true_enum = mac.enum_even_bounded
+
+    def counted(*args):
+        calls.append(args)
+        return true_enum(*args)
+
+    monkeypatch.setattr(mac, "enum_even_bounded", counted)
+    for certificate in (lambda: phi_certificate(3, 2, 1),
+                        lambda: psi_certificate(4, 2)):
+        calls.clear()
+        assert certificate().verified
+        assert len(calls) == 3
+
+
 def test_phi_certificate_detects_a_broken_map():
     from qtelescope.telescope import check_graded_bijection
 
     n, m, k = 2, 1, 0
-    domain = enum_P(n, m, k) + enum_G(n, m, k - 1)
+    domain = enum_P(n, m, k) + G(n, m, k - 1)
     codomain = (enum_P(n, m - 1, k)
                 + [MarkedObject(2 * m - 1, x, marker_z=-1)
                    for x in enum_P(n, m - 1, k)]
-                + enum_G(n, m, k))
+                + G(n, m, k))
 
     def broken(x):
         case, out = phi_step(n, m, k, x)

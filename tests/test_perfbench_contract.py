@@ -1,0 +1,39 @@
+"""The benchmark's contract with the library: perfbench/tracer.py and
+perfbench/workloads.py import and read qtelescope names at import time,
+and every benchmark call must return the certificates recorded in
+perfbench/expected.json.  A rename in the library that breaks either makes
+every benchmark operation fail, so it is checked here on a small share of
+the workloads.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load("tracer")
+workloads = load("workloads")
+
+CALLS = ([call for call in workloads.WORKLOADS["macmahon-grid"]
+          if int(call[3]) <= 4 and int(call[5]) <= 4]
+         + [call for call in workloads.WORKLOADS["bijection-slices"]
+            if call[1] in ("macmahon-phi", "macmahon-psi")])
+
+
+@pytest.mark.parametrize("call", CALLS, ids=workloads.call_id)
+def test_benchmark_call_returns_the_recorded_certificates(call):
+    for cache in tracer.CACHES.values():
+        cache.cache_clear()
+    expected = workloads.load_expected()[workloads.call_id(call)]
+    assert workloads.check_call(workloads.invoke(call), expected) == 0
