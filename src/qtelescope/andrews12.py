@@ -18,7 +18,8 @@ invariant set P(n-1,k-1) does the same job.  Summing over k gives
 
     F_n + (q^(2n-1) - 1) F_{n-1} - q^(2n-3) F_{n-2} = 0,
 
-which pins F_n to the alternating square sum above.
+which pins F_n to the alternating square sum above.  F_trunc counts F_n by
+weight; the bijection and the involutions run on enumerated triples.
 """
 
 from __future__ import annotations
@@ -332,30 +333,28 @@ def _involution_failure(n, k, slice_, embedded):
 def F_trunc(n: int, cap: int) -> TruncatedSeries:
     """Signed weighted count of the union of all P(n,k), truncated at cap.
 
-    Sums the signed weight of every triple of total weight <= cap; the
-    even-part components are pooled by weight so the double loop stays
-    cheap at desk scale.
+    Counted by weight with integer additions only, no product formula: per
+    k, a histogram takes coin-change steps over mu's even parts 2, ..., 2k,
+    then signed subset-sum steps over lam's parts n-k+1, ..., n+k, and is
+    added in at the staircase weight C(n-k,2).
     """
     if n < 0 or cap < 0:
         raise ValueError("n and cap must be nonnegative")
-    coeffs: dict[int, int] = {}
+    coeffs = [0] * (cap + 1)
     for k in range(n + 1):
-        tau_weight = staircase(n - k).weight
+        tau_weight = (n - k) * (n - k - 1) // 2
         if tau_weight > cap:
             continue
-        mu_hist: dict[int, int] = {}
-        for mu in enum_even_capped(2 * k, cap - tau_weight):
-            mu_hist[mu.weight] = mu_hist.get(mu.weight, 0) + 1
-        for lam in enum_distinct_range(n - k + 1, n + k):
-            base = tau_weight + lam.weight
-            if base > cap:
-                continue
-            sign = -1 if lam.length % 2 else 1
-            for mu_w, count in mu_hist.items():
-                w = base + mu_w
-                if w <= cap:
-                    coeffs[w] = coeffs.get(w, 0) + sign * count
-    return TruncatedSeries(cap, coeffs)
+        hist = [1] + [0] * (cap - tau_weight)
+        for part in range(2, 2 * k + 1, 2):
+            for w in range(part, len(hist)):
+                hist[w] += hist[w - part]
+        for part in range(n - k + 1, n + k + 1):
+            for w in range(len(hist) - 1, part - 1, -1):
+                hist[w] -= hist[w - part]
+        for w, count in enumerate(hist, tau_weight):
+            coeffs[w] += count
+    return TruncatedSeries(cap, dict(enumerate(coeffs)))
 
 
 def verify_andrews(n: int, cap: int, which: str) -> Certificate:

@@ -2,8 +2,10 @@
 JSON certificates, and render text Young diagrams for single-orbit audits.
 
 Grammar:
-    verify (macmahon|andrews) [--n N | --n-max N] [--m M | --m-max M]
-                              [--cap D] [--json PATH] [--format {text,json}]
+    verify macmahon [--n N | --n-max N] [--m M | --m-max M]
+                    [--json PATH] [--format {text,json}]
+    verify andrews  [--n N | --n-max N] [--cap D]
+                    [--json PATH] [--format {text,json}]
     check-bijection (macmahon-phi|macmahon-psi|andrews-phi|andrews-involution)
                               --n N [--m M] --k K [--cap D] [--json PATH]
                               [--format {text,json}]
@@ -37,10 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run identity/recurrence checks")
     verify.add_argument("target", choices=["macmahon", "andrews"])
-    verify.add_argument("--n", type=int, default=None)
-    verify.add_argument("--n-max", type=int, default=None)
-    verify.add_argument("--m", type=int, default=None)
-    verify.add_argument("--m-max", type=int, default=None)
+    for single, upper in (("--n", "--n-max"), ("--m", "--m-max")):
+        group = verify.add_mutually_exclusive_group()
+        group.add_argument(single, type=int, default=None)
+        group.add_argument(upper, type=int, default=None)
     verify.add_argument("--cap", type=int, default=None,
                         help="series truncation degree (andrews only; "
                              "defaults to n^2 + 15)")
@@ -129,7 +131,11 @@ def _index_range(single: Optional[int], upper: Optional[int],
 
 
 def _verify(args, out) -> int:
+    if args.target == "andrews" and (args.m, args.m_max) != (None, None):
+        raise ValueError("--m and --m-max apply to macmahon only")
     if args.target == "macmahon":
+        if args.cap is not None:
+            raise ValueError("--cap applies to andrews only")
         certs = [macmahon.verify_macmahon(n, m)
                  for n in _index_range(args.n, args.n_max, 4)
                  for m in _index_range(args.m, args.m_max, 4)]

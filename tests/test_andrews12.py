@@ -13,7 +13,8 @@ from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
                                   involution, involution_certificate, phi,
                                   phi_certificate, verify_andrews, weight_of)
 from qtelescope import andrews12
-from qtelescope.partitions import EMPTY, Partition, staircase
+from qtelescope.partitions import (EMPTY, Partition, enum_distinct_range,
+                                   enum_even_capped, staircase)
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews
 from qtelescope.telescope import MarkedObject, weighted_count
 
@@ -304,6 +305,53 @@ def test_F_trunc_equals_slice_sum():
         assert acc == F_trunc(n, cap)
 
 
+def F_enumerated(n, cap):
+    """The oracle for F_trunc: enumerate lam and mu, pool mu by weight."""
+    coeffs = {}
+    for k in range(n + 1):
+        tau_weight = staircase(n - k).weight
+        if tau_weight > cap:
+            continue
+        mu_hist = {}
+        for mu in enum_even_capped(2 * k, cap - tau_weight):
+            mu_hist[mu.weight] = mu_hist.get(mu.weight, 0) + 1
+        for lam in enum_distinct_range(n - k + 1, n + k):
+            base = tau_weight + lam.weight
+            if base > cap:
+                continue
+            sign = -1 if lam.length % 2 else 1
+            for mu_w, count in mu_hist.items():
+                w = base + mu_w
+                if w <= cap:
+                    coeffs[w] = coeffs.get(w, 0) + sign * count
+    return TruncatedSeries(cap, coeffs)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_F_trunc_matches_enumeration(n):
+    # Small caps leave out the summands whose staircase alone exceeds the cap.
+    for cap in (0, 1, n * n, n * n + 15, n * n + 30):
+        assert F_trunc(n, cap).coeffs() == F_enumerated(n, cap).coeffs(), cap
+
+
+def test_F_trunc_matches_sympy_summands():
+    # Each summand (q^(n-k+1);q)_{2k} / (q^2;q^2)_k * q^C(n-k,2), divided out.
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def poch(a, base, length):
+        return sympy.prod([1 - a * base ** i for i in range(length)])
+
+    for n in range(9):
+        cap = n * n + 15
+        total = sum(sympy.cancel(poch(q ** (n - k + 1), q, 2 * k)
+                                 / poch(q ** 2, q ** 2, k))
+                    * q ** ((n - k) * (n - k - 1) // 2) for k in range(n + 1))
+        poly = sympy.Poly(sympy.expand(total), q)
+        expected = {e: int(c) for (e,), c in poly.terms() if e <= cap}
+        assert F_trunc(n, cap).coeffs() == expected, n
+
+
 def test_F_trunc_tail_cancels_above_n_squared():
     for n in range(6):
         series = F_trunc(n, n * n + 15)
@@ -331,6 +379,14 @@ def test_verify_examples():
     assert verify_andrews(2, 20, "identity").verified
     assert verify_andrews(2, 20, "rec_fn").verified
     assert verify_andrews(1, 20, "gn").verified
+
+
+def test_verify_reaches_n_20():
+    for n in range(21):
+        cap = n * n + 15
+        for which, n_min in (("identity", 0), ("gn", 1), ("rec_fn", 2)):
+            if n >= n_min:
+                assert verify_andrews(n, cap, which).verified, (n, which)
 
 
 def test_verify_records_effective_window():

@@ -66,6 +66,17 @@ def test_verify_negative_upper_bound_is_usage_error(capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_verify_flags_it_cannot_honour_are_usage_errors(capsys):
+    for argv in (["verify", "andrews", "--n", "3", "--n-max", "5"],
+                 ["verify", "macmahon", "--m", "1", "--m-max", "2"],
+                 ["verify", "andrews", "--n", "2", "--m", "7"],
+                 ["verify", "andrews", "--n", "2", "--m-max", "7"],
+                 ["verify", "macmahon", "--n", "1", "--m", "1", "--cap", "3"]):
+        code, output = run(argv)
+        assert (code, output) == (2, ""), argv
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unknown_arguments_are_usage_errors():
     assert run(["verify", "nonsense"])[0] == 2
     assert run(["frobnicate"])[0] == 2

@@ -2,8 +2,11 @@
 perfbench/workloads.py import and read qtelescope names at import time,
 and every benchmark call must return the certificates recorded in
 perfbench/expected.json.  A rename in the library that breaks either makes
-every benchmark operation fail, so it is checked here on a small share of
-the workloads.
+every benchmark operation fail, so it is checked here on every
+andrews-series call and a small share of the other workloads.  The tracer
+clears and reads the caches of `qalgebra.gaussian_binomial` and
+`andrews12.F_trunc`, so both must stay module-level `functools.lru_cache`
+functions.
 """
 
 import importlib.util
@@ -27,6 +30,7 @@ workloads = load("workloads")
 
 CALLS = ([call for call in workloads.WORKLOADS["macmahon-grid"]
           if int(call[3]) <= 4 and int(call[5]) <= 4]
+         + workloads.WORKLOADS["andrews-series"]
          + [call for call in workloads.WORKLOADS["bijection-slices"]
             if call[1] in ("macmahon-phi", "macmahon-psi")])
 
