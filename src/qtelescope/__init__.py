@@ -3,7 +3,8 @@ through telescoping families of weight-preserving bijections.
 
 The package is organized bottom-up:
 
-    qalgebra    exact sparse Laurent polynomials and truncated q-series
+    qalgebra    exact sparse Laurent polynomials; a truncated q-series is
+                a capped LaurentPoly
     partitions  partition objects (zero parts allowed) and enumerators
     telescope   generic bijection / telescoping / cancelation checkers,
                 the (sign, z, q) weight key weight_of, weighted_count, and

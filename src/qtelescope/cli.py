@@ -6,9 +6,12 @@ Grammar:
                     [--json PATH] [--format {text,json}]
     verify andrews  [--n N | --n-max N] [--cap D]
                     [--json PATH] [--format {text,json}]
-    check-bijection (macmahon-phi|macmahon-psi|andrews-phi|andrews-involution)
-                              --n N [--m M] --k K [--cap D] [--json PATH]
-                              [--format {text,json}]
+    check-bijection macmahon-phi --n N --m M --k K
+                    [--json PATH] [--format {text,json}]
+    check-bijection macmahon-psi --n N --k K
+                    [--json PATH] [--format {text,json}]
+    check-bijection (andrews-phi|andrews-involution) --n N --k K [--cap D]
+                    [--json PATH] [--format {text,json}]
     trace andrews --n N --k K [--cap D]
 
 Exit status: 0 if every emitted certificate verified, 1 if any failed,
@@ -57,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=int, required=True)
     check.add_argument("--m", type=int, default=None)
     check.add_argument("--k", type=int, required=True)
-    check.add_argument("--cap", type=int, default=30)
+    check.add_argument("--cap", type=int, default=None,
+                       help="weight cap (andrews maps only; defaults to 30)")
     check.add_argument("--json", dest="json_path", default=None)
     check.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -152,6 +156,11 @@ def _verify(args, out) -> int:
 
 
 def _check_bijection(args, out) -> int:
+    if args.which != "macmahon-phi" and args.m is not None:
+        raise ValueError("--m applies to macmahon-phi only")
+    if args.which.startswith("macmahon") and args.cap is not None:
+        raise ValueError("--cap applies to the andrews maps only")
+    cap = 30 if args.cap is None else args.cap
     if args.which == "macmahon-phi":
         if args.m is None:
             raise ValueError("macmahon-phi requires --m")
@@ -159,9 +168,9 @@ def _check_bijection(args, out) -> int:
     elif args.which == "macmahon-psi":
         cert = macmahon.psi_certificate(args.n, args.k)
     elif args.which == "andrews-phi":
-        cert = andrews12.phi_certificate(args.n, args.k, args.cap)
+        cert = andrews12.phi_certificate(args.n, args.k, cap)
     else:
-        cert = andrews12.involution_certificate(args.n, args.k, args.cap)
+        cert = andrews12.involution_certificate(args.n, args.k, cap)
     return _emit([cert], args.format, args.json_path, out)
 
 

@@ -106,10 +106,6 @@ class Partition:
     def to_json_obj(self) -> list[int]:
         return list(self.parts)
 
-    @classmethod
-    def from_json_obj(cls, obj: list[int]) -> "Partition":
-        return cls(tuple(int(x) for x in obj))
-
 
 EMPTY = Partition(())
 

@@ -5,6 +5,10 @@ precision), exponents are signed ints, and there is no floating point or
 division anywhere.  Polynomials are immutable and kept in canonical form
 (no stored zero coefficients), so equality is plain structural equality.
 
+A truncated q-series is a capped LaurentPoly: a cap and a z-free
+polynomial with no term above it, so series arithmetic is polynomial
+arithmetic followed by one cut at the cap.
+
 The module also provides the closed-form building blocks used by the
 verification drivers: Gaussian (q-binomial) coefficients in base q^step,
 finite products of (1 +/- z^a q^b) factors, and the alternating square
@@ -110,14 +114,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined in this ring")
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -154,39 +150,44 @@ class LaurentPoly:
         """Portable form: [{z, q, c}] sorted by (z, q), c as decimal string."""
         return [{"z": z, "q": q, "c": str(c)} for z, q, c in self.terms()]
 
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "LaurentPoly":
-        return cls({(int(t["z"]), int(t["q"])): int(t["c"]) for t in obj})
-
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 
 
-class TruncatedSeries:
-    """A q-power series known exactly on exponents 0..cap (z-free).
+def _cut(poly: LaurentPoly, cap: int) -> LaurentPoly:
+    """The terms of poly up to q^cap.
 
-    Stored sparsely as exponent -> coefficient with zeros dropped.
-    Arithmetic on two series keeps the minimum of their caps; coefficients
+    The one validation of a truncated series: cap >= 0, and poly is z-free
+    with no negative exponent.  Raises ValueError otherwise.
+    """
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    kept = {}
+    for (z, q), c in poly._terms.items():
+        if z != 0:
+            raise ValueError("truncated series must be z-free")
+        if q < 0:
+            raise ValueError(f"negative exponent {q} in truncated series")
+        if q <= cap:
+            kept[(z, q)] = c
+    return poly if len(kept) == len(poly._terms) else LaurentPoly(kept)
+
+
+class TruncatedSeries:
+    """A z-free q-power series known exactly on exponents 0..cap.
+
+    A capped LaurentPoly: the cap and a z-free polynomial with no term above
+    it.  Each operation is one LaurentPoly operation followed by one cut at
+    the cap.  Two series combine at the smaller of their caps; coefficients
     above the cap are discarded, never invented.
     """
 
-    __slots__ = ("cap", "_coeffs")
+    __slots__ = ("cap", "poly")
 
     def __init__(self, cap: int, coeffs: Union[Mapping[int, int], None] = None):
-        if cap < 0:
-            raise ValueError("cap must be nonnegative")
         self.cap = cap
-        clean: dict[int, int] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if e < 0:
-                    raise ValueError(f"negative exponent {e} in truncated series")
-                if c and e <= cap:
-                    clean[e] = clean.get(e, 0) + c
-                    if not clean[e]:
-                        del clean[e]
-        self._coeffs = clean
+        self.poly = _cut(LaurentPoly({(0, e): c for e, c in (coeffs or {}).items()}), cap)
 
     @classmethod
     def constant(cls, value: int, cap: int) -> "TruncatedSeries":
@@ -195,90 +196,33 @@ class TruncatedSeries:
     def coeff(self, e: int) -> int:
         if e > self.cap:
             raise ValueError(f"exponent {e} beyond cap {self.cap}")
-        return self._coeffs.get(e, 0)
+        return self.poly.coeff(0, e)
 
     def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
+        return {q: c for _z, q, c in self.poly.terms()}
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return self.poly.is_zero()
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        cap = min(self.cap, other.cap)
-        out = {e: c for e, c in self._coeffs.items() if e <= cap}
-        for e, c in other._coeffs.items():
-            if e <= cap:
-                acc = out.get(e, 0) + c
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.cap, res._coeffs = cap, out
-        return res
+        return truncate(self.poly + other.poly, min(self.cap, other.cap))
 
     def __neg__(self) -> "TruncatedSeries":
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.cap = self.cap
-        res._coeffs = {e: -c for e, c in self._coeffs.items()}
-        return res
+        return truncate(-self.poly, self.cap)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["TruncatedSeries", "LaurentPoly", int]):
-        if isinstance(other, int):
-            res = TruncatedSeries.__new__(TruncatedSeries)
-            res.cap = self.cap
-            res._coeffs = {e: c * other for e, c in self._coeffs.items()} if other else {}
-            return res
-        if isinstance(other, LaurentPoly):
-            return self.mul_poly(other)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        cap = min(self.cap, other.cap)
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                if e <= cap:
-                    acc = out.get(e, 0) + c1 * c2
-                    if acc:
-                        out[e] = acc
-                    else:
-                        out.pop(e, None)
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.cap, res._coeffs = cap, out
-        return res
-
-    __rmul__ = __mul__
+        return truncate(self.poly - other.poly, min(self.cap, other.cap))
 
     def mul_poly(self, p: LaurentPoly) -> "TruncatedSeries":
         """Multiply by a z-free polynomial with nonnegative q-exponents.
 
         The cap is unchanged; anything pushed above it is dropped.
         """
-        out: dict[int, int] = {}
-        for z, d, c in p.terms():
-            if z != 0:
-                raise ValueError("polynomial factor must be z-free")
-            if d < 0:
-                raise ValueError("polynomial factor must have nonnegative q-exponents")
-            for e, s in self._coeffs.items():
-                key = e + d
-                if key <= self.cap:
-                    acc = out.get(key, 0) + c * s
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.cap, res._coeffs = self.cap, out
-        return res
+        return truncate(self.poly * p, self.cap)
 
     def first_mismatch(self, other: "TruncatedSeries", window: Union[int, None] = None):
         """Smallest exponent <= window where the two series differ, else None.
@@ -288,27 +232,22 @@ class TruncatedSeries:
         limit = min(self.cap, other.cap)
         if window is not None:
             limit = min(limit, window)
-        for e in range(limit + 1):
-            if self._coeffs.get(e, 0) != other._coeffs.get(e, 0):
-                return e
-        return None
+        return next((q for _z, q, _c in (self.poly - other.poly).terms() if q <= limit),
+                    None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.cap == other.cap and self._coeffs == other._coeffs
+        return self.cap == other.cap and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.cap, frozenset(self._coeffs.items())))
+        return hash((self.cap, self.poly))
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries(cap={self.cap}, coeffs={self._coeffs!r})"
+        return f"TruncatedSeries(cap={self.cap}, coeffs={self.coeffs()!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return f"0 + O(q^{self.cap + 1})"
-        body = str(LaurentPoly({(0, e): c for e, c in self._coeffs.items()}))
-        return f"{body} + O(q^{self.cap + 1})"
+        return f"{self.poly} + O(q^{self.cap + 1})"
 
 
 def truncate(p: LaurentPoly, cap: int) -> TruncatedSeries:
@@ -317,15 +256,9 @@ def truncate(p: LaurentPoly, cap: int) -> TruncatedSeries:
     Coefficients of q^0 .. q^cap are retained; anything above is dropped.
     Raises ValueError if p involves z or negative q-exponents.
     """
-    coeffs: dict[int, int] = {}
-    for z, q, c in p.terms():
-        if z != 0:
-            raise ValueError("cannot truncate: polynomial is not z-free")
-        if q < 0:
-            raise ValueError("cannot truncate: negative q-exponent present")
-        if q <= cap:
-            coeffs[q] = c
-    return TruncatedSeries(cap, coeffs)
+    series = TruncatedSeries.__new__(TruncatedSeries)
+    series.cap, series.poly = cap, _cut(p, cap)
+    return series
 
 
 @lru_cache(maxsize=None)

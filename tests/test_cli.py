@@ -77,6 +77,25 @@ def test_verify_flags_it_cannot_honour_are_usage_errors(capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_check_bijection_flags_its_map_cannot_use_are_usage_errors(capsys):
+    for argv in (["check-bijection", "macmahon-psi", "--n", "2", "--k", "1", "--m", "5"],
+                 ["check-bijection", "andrews-phi", "--n", "3", "--k", "1", "--m", "5",
+                  "--cap", "12"],
+                 ["check-bijection", "andrews-involution", "--n", "3", "--k", "1",
+                  "--m", "5"],
+                 ["check-bijection", "macmahon-phi", "--n", "2", "--m", "1", "--k", "1",
+                  "--cap", "3"],
+                 ["check-bijection", "macmahon-psi", "--n", "2", "--k", "1", "--cap", "30"]):
+        code, output = run(argv)
+        assert (code, output) == (2, ""), argv
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_bijection_andrews_cap_defaults_to_30():
+    assert run(["check-bijection", "andrews-phi", "--n", "3", "--k", "1"]) == \
+        (0, "[ok ] andrews-phi n=3 k=1 cap=30\n")
+
+
 def test_unknown_arguments_are_usage_errors():
     assert run(["verify", "nonsense"])[0] == 2
     assert run(["frobnicate"])[0] == 2

@@ -77,7 +77,6 @@ def test_row_edits():
 
 def test_json_forms():
     assert Partition((2, 1, 0)).to_json_obj() == [2, 1, 0]
-    assert Partition.from_json_obj([2, 1, 0]) == Partition((2, 1, 0))
 
 
 # staircases ------------------------------------------------------------------
