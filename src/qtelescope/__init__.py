@@ -12,8 +12,8 @@ The package is organized bottom-up:
     macmahon    the square-plus-even-partition families, both step maps,
                 and verify_macmahon, which runs the per-index telescoping
                 check on the enumerated families
-    andrews12   the staircase triples, classification, bijection,
-                involution and orbit tracing
+    andrews12   the staircase triples, the index rule, classification,
+                bijection, involutions, sum checks and orbit tracing
     cli         command-line driver and text diagram rendering
 
 Every check is exhaustive over finite or weight-capped slices and returns

@@ -11,10 +11,11 @@ of the family
                included), lam strictly decreasing with parts in
                [n-k+1, n+k], mu even with largest part <= 2k }
 
-with weight (-1)^len(lam) * q^(|tau| + |lam| + |mu|).  For 0 <= k <= n-2
-a weight-preserving bijection lowers n by one (picking up markers
-q^(2n-1) / q^(2n-3)); for k in {n-1, n} a sign-reversing involution with
-invariant set P(n-1,k-1) does the same job.  Summing over k gives
+with weight (-1)^len(lam) * q^(|tau| + |lam| + |mu|).  The index rule
+(lowering_map): for 0 <= k <= n-2 a weight-preserving bijection phi lowers
+n by one (picking up markers q^(2n-1) / q^(2n-3)); for n >= 2 and
+k in {n-1, n} a sign-reversing involution with invariant set P(n-1,k-1)
+does the same job; no map lowers any other (n, k).  Summing over k gives
 
     F_n + (q^(2n-1) - 1) F_{n-1} - q^(2n-3) F_{n-2} = 0,
 
@@ -158,6 +159,24 @@ def classify_image(n: int, k: int, t: Triple) -> ClassTag:
     return ClassTag.A_PRIME
 
 
+def lowering_map(n: int, k: int) -> str:
+    """The index rule: the name of the map that lowers (n, k); ValueError if none does."""
+    if 0 <= k <= n - 2:
+        return "phi"
+    if n >= 2 and k in (n - 1, n):
+        return "involution"
+    raise ValueError(f"no map lowers n={n}, k={k}")
+
+
+def _marked_payload(n: int, k: int, x: MarkedObject) -> Triple:
+    """The payload of a marked input at (n, k): marker q^(2n-1), no z, in P(n-1,k-1)."""
+    if x.marker_q != 2 * n - 1 or x.marker_z != 0:
+        raise ValueError(f"unexpected marker on {x}")
+    if not in_P(n - 1, k - 1, x.payload):
+        raise ValueError(f"marked payload {x.payload} is not in P({n - 1},{k - 1})")
+    return x.payload
+
+
 def phi(n: int, k: int, x: TripleValue) -> TripleValue:
     """The n-lowering bijection at index k (0 <= k <= n-2).
 
@@ -174,15 +193,11 @@ def phi(n: int, k: int, x: TripleValue) -> TripleValue:
                 mu gains a new part 2k
       marked:   drop two staircase rows; lam gains parts n-k and n-k-1
     """
-    if not (0 <= k <= n - 2):
-        raise ValueError(f"phi needs 0 <= k <= n-2, got n={n}, k={k}")
+    if lowering_map(n, k) != "phi":
+        raise ValueError(f"phi does not lower n={n}, k={k}")
     marker_out = 2 * n - 3
     if isinstance(x, MarkedObject):
-        if x.marker_q != 2 * n - 1 or x.marker_z != 0:
-            raise ValueError(f"unexpected marker on {x}")
-        t = x.payload
-        if not in_P(n - 1, k - 1, t):
-            raise ValueError(f"marked payload {t} is not in P({n - 1},{k - 1})")
+        t = _marked_payload(n, k, x)
         lam = t.lam.with_part(n - k).with_part(n - k - 1)
         return MarkedObject(marker_out, Triple(t.tau.drop_first_rows(2), lam, t.mu))
     t = x
@@ -222,16 +237,12 @@ def involution(n: int, k: int, x: TripleValue) -> TripleValue:
     The toggle rules fire before the marker exchange.  Non-fixed points
     pair up with equal unsigned weight and opposite sign.
     """
-    if n < 2 or k not in (n - 1, n):
-        raise ValueError(f"involution needs n >= 2 and k in {{n-1, n}}, got {n},{k}")
+    if lowering_map(n, k) != "involution":
+        raise ValueError(f"involution does not lower n={n}, k={k}")
     toggle = 2 * k
     marker_part = 2 * n - 1
     if isinstance(x, MarkedObject):
-        if x.marker_q != marker_part or x.marker_z != 0:
-            raise ValueError(f"unexpected marker on {x}")
-        t = x.payload
-        if not in_P(n - 1, k - 1, t):
-            raise ValueError(f"marked payload {t} is not in P({n - 1},{k - 1})")
+        t = _marked_payload(n, k, x)
         return Triple(t.tau, t.lam.with_part(marker_part), t.mu)
     t = x
     if not in_P(n, k, t):
@@ -250,41 +261,39 @@ def andrews_orbit(n: int, k: int, x: TripleValue) -> list[tuple[str, TripleValue
     """Follow one element through successive maps until it lands unmarked.
 
     Marked images (2n-3, t) re-enter the construction one level down, as
-    marked (2(n-1)-1, t) inputs at index k+1; the chain ends when an image
-    is unmarked or when the lowered index leaves every map's range.
+    marked (2(n-1)-1, t) inputs at index k+1.  The chain ends after an
+    involution, at an unmarked image, or at a lowered index that no map
+    lowers; ValueError if no map lowers (n, k).
     """
     steps: list[tuple[str, TripleValue]] = [("start", x)]
-    cur, cn, ck = x, n, k
+    name = lowering_map(n, k)
     while True:
-        if 0 <= ck <= cn - 2:
-            cur = phi(cn, ck, cur)
-            steps.append((f"phi({cn},{ck})", cur))
-        elif cn >= 2 and ck in (cn - 1, cn):
-            cur = involution(cn, ck, cur)
-            steps.append((f"involution({cn},{ck})", cur))
-            break
-        else:
-            break
-        if not isinstance(cur, MarkedObject):
-            break
-        cn, ck = cn - 1, ck + 1
-    return steps
+        x = (phi if name == "phi" else involution)(n, k, x)
+        steps.append((f"{name}({n},{k})", x))
+        if name == "involution" or not isinstance(x, MarkedObject):
+            return steps
+        n, k = n - 1, k + 1
+        try:
+            name = lowering_map(n, k)
+        except ValueError:
+            return steps
 
 
 # slices and certificates --------------------------------------------------
 
+def _marked_slice(a: tuple, marker: int, b: tuple, cap: int) -> list[TripleValue]:
+    """P(a) plus marker-`marker` copies of P(b), all of weight <= cap."""
+    return enum_P(*a, cap) + [MarkedObject(marker, t) for t in enum_P(*b, cap - marker)]
+
+
 def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
     """P(n,k) plus marker-(2n-1) copies of P(n-1,k-1), all of weight <= cap."""
-    marked = [MarkedObject(2 * n - 1, t)
-              for t in enum_P(n - 1, k - 1, cap - (2 * n - 1))]
-    return list(enum_P(n, k, cap)) + marked
+    return _marked_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap)
 
 
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     """Exhaustive weight-graded bijection check of phi on a capped slice."""
-    codomain = (list(enum_P(n - 1, k - 1, cap))
-                + [MarkedObject(2 * n - 3, t)
-                   for t in enum_P(n - 2, k, cap - (2 * n - 3))])
+    codomain = _marked_slice((n - 1, k - 1), 2 * n - 3, (n - 2, k), cap)
     return check_graded_bijection(
         lambda x: phi(n, k, x), domain_slice(n, k, cap), codomain, weight_of,
         cap=cap, check="andrews-phi", params={"n": n, "k": k})
@@ -357,8 +366,17 @@ def F_trunc(n: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries(cap, dict(enumerate(coeffs)))
 
 
+def sum_checks(n: int) -> list[str]:
+    """The sum-level checks that apply at n, in certificate order: identity
+    at every n >= 0, rec_fn (it reads F_{n-2}) from 2, gn (F_{n-1}) from 1."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return [which for which, least_n in (("identity", 0), ("rec_fn", 2), ("gn", 1))
+            if n >= least_n]
+
+
 def verify_andrews(n: int, cap: int, which: str) -> Certificate:
-    """Check one of the three sum-level consequences at truncation cap.
+    """Check one of the sum-level consequences at truncation cap.
 
     which = "identity": F_n equals the alternating square sum on [0, cap]
     which = "rec_fn":   F_n + (q^(2n-1) - 1) F_{n-1} - q^(2n-3) F_{n-2} = 0
@@ -366,38 +384,30 @@ def verify_andrews(n: int, cap: int, which: str) -> Certificate:
     The recurrence forms are compared on the window [0, cap - (2n-1)],
     which params.window records; mul_poly keeps the cap, so the products
     are exact on all of [0, cap] and the window is only conservative.
+    Raises ValueError unless sum_checks(n) lists which and cap >= n^2.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if which not in sum_checks(n):
+        raise ValueError(f"{which!r} is not a sum check at n={n}: {sum_checks(n)}")
     if cap < n * n:
         raise ValueError(f"cap must be at least n^2 = {n * n}")
     started = time.monotonic()
-    zero = TruncatedSeries(cap)
     if which == "identity":
         lhs = F_trunc(n, cap)
         rhs = truncate(rhs_andrews(n), cap)
-        window = cap
         check = "andrews-identity"
     elif which == "rec_fn":
-        if n < 2:
-            raise ValueError("rec_fn needs n >= 2")
         shift = LaurentPoly.monomial(1, 0, 2 * n - 1) - LaurentPoly.one()
         lhs = (F_trunc(n, cap)
                + F_trunc(n - 1, cap).mul_poly(shift)
                - F_trunc(n - 2, cap).mul_poly(LaurentPoly.monomial(1, 0, 2 * n - 3)))
-        rhs = zero
-        window = cap - (2 * n - 1)
+        rhs = TruncatedSeries(cap)
         check = "andrews-rec-fn"
-    elif which == "gn":
-        if n < 1:
-            raise ValueError("gn needs n >= 1")
+    else:
         lhs = (F_trunc(n, cap)
                + F_trunc(n - 1, cap).mul_poly(LaurentPoly.monomial(1, 0, 2 * n - 1)))
         rhs = TruncatedSeries.constant(2, cap)
-        window = cap - (2 * n - 1)
         check = "andrews-gn"
-    else:
-        raise ValueError(f"unknown check {which!r}")
+    window = cap if which == "identity" else cap - (2 * n - 1)
     mismatch = lhs.first_mismatch(rhs, window)
     failure = None
     if mismatch is not None:

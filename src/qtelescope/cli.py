@@ -12,7 +12,7 @@ Grammar:
                     [--json PATH] [--format {text,json}]
     check-bijection (andrews-phi|andrews-involution) --n N --k K [--cap D]
                     [--json PATH] [--format {text,json}]
-    trace andrews --n N --k K [--cap D]
+    trace andrews --n N --k K [--cap D]     (some map must lower (n, k))
 
 Exit status: 0 if every emitted certificate verified, 1 if any failed,
 2 on a usage or precondition error (any ValueError a subcommand raises).
@@ -31,6 +31,7 @@ from .andrews12 import Triple
 from .telescope import Certificate, MarkedObject
 
 USAGE_ERROR = 2
+ANDREWS_DEFAULT_CAP = 30
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--m", type=int, default=None)
     check.add_argument("--k", type=int, required=True)
     check.add_argument("--cap", type=int, default=None,
-                       help="weight cap (andrews maps only; defaults to 30)")
+                       help="weight cap (andrews maps only; defaults to "
+                            f"{ANDREWS_DEFAULT_CAP})")
     check.add_argument("--json", dest="json_path", default=None)
     check.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -70,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("target", choices=["andrews"])
     trace.add_argument("--n", type=int, required=True)
     trace.add_argument("--k", type=int, required=True)
-    trace.add_argument("--cap", type=int, default=30)
+    trace.add_argument("--cap", type=int, default=ANDREWS_DEFAULT_CAP)
     return parser
 
 
@@ -147,11 +149,8 @@ def _verify(args, out) -> int:
     certs = []
     for n in _index_range(args.n, args.n_max, 4):
         cap = args.cap if args.cap is not None else n * n + 15
-        certs.append(andrews12.verify_andrews(n, cap, "identity"))
-        if n >= 2:
-            certs.append(andrews12.verify_andrews(n, cap, "rec_fn"))
-        if n >= 1:
-            certs.append(andrews12.verify_andrews(n, cap, "gn"))
+        certs += [andrews12.verify_andrews(n, cap, which)
+                  for which in andrews12.sum_checks(n)]
     return _emit(certs, args.format, args.json_path, out)
 
 
@@ -160,7 +159,7 @@ def _check_bijection(args, out) -> int:
         raise ValueError("--m applies to macmahon-phi only")
     if args.which.startswith("macmahon") and args.cap is not None:
         raise ValueError("--cap applies to the andrews maps only")
-    cap = 30 if args.cap is None else args.cap
+    cap = ANDREWS_DEFAULT_CAP if args.cap is None else args.cap
     if args.which == "macmahon-phi":
         if args.m is None:
             raise ValueError("macmahon-phi requires --m")
@@ -176,8 +175,7 @@ def _check_bijection(args, out) -> int:
 
 def _trace(args, out) -> int:
     n, k, cap = args.n, args.k, args.cap
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    andrews12.lowering_map(n, k)  # raises where no map lowers (n, k)
     elements = andrews12.domain_slice(n, k, cap)
     if not elements:
         raise ValueError(f"empty domain: trace andrews n={n} k={k} cap={cap}")

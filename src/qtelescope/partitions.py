@@ -97,9 +97,6 @@ class Partition:
         """Remove one copy of `old` and insert `new`."""
         return self.without_part(old).with_part(new)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "()" if not self.parts else "(" + ",".join(map(str, self.parts)) + ")"
 

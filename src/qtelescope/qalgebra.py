@@ -209,9 +209,6 @@ class TruncatedSeries:
             return NotImplemented
         return truncate(self.poly + other.poly, min(self.cap, other.cap))
 
-    def __neg__(self) -> "TruncatedSeries":
-        return truncate(-self.poly, self.cap)
-
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -239,9 +236,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.cap == other.cap and self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.cap, self.poly))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(cap={self.cap}, coeffs={self.coeffs()!r})"

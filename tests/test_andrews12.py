@@ -286,6 +286,178 @@ def test_involution_net_weight_equals_embedded():
             assert net == embedded
 
 
+# the index rule and the maps' domains -------------------------------------------
+
+def paper_map(n, k):
+    """The index rule as the module docstring states it."""
+    if 0 <= k <= n - 2:
+        return "phi"
+    if n >= 2 and k in (n - 1, n):
+        return "involution"
+    return None
+
+
+def test_lowering_map_is_the_index_rule():
+    for n in range(-1, 8):
+        for k in range(-2, n + 3):
+            if paper_map(n, k) is None:
+                with pytest.raises(ValueError):
+                    andrews12.lowering_map(n, k)
+            else:
+                assert andrews12.lowering_map(n, k) == paper_map(n, k), (n, k)
+
+
+def paper_P(n, k, t):
+    """t in P(n,k), from the module docstring: 0 <= k <= n, tau the
+    staircase with n-k rows (zero part included), lam strictly decreasing
+    with parts in [n-k+1, n+k], mu even with largest part <= 2k."""
+    lam, mu = t.lam.parts, t.mu.parts
+    return (0 <= k <= n
+            and t.tau.parts == tuple(range(n - k - 1, -1, -1))
+            and all(a > b for a, b in zip(lam, lam[1:]))
+            and all(n - k + 1 <= p <= n + k for p in lam)
+            and all(p % 2 == 0 and 0 < p <= 2 * k for p in mu))
+
+
+def paper_domain(n, k, x):
+    """P(n,k) together with marker-(2n-1) copies of P(n-1,k-1)."""
+    if isinstance(x, MarkedObject):
+        return (x.marker_q, x.marker_z) == (2 * n - 1, 0) and paper_P(n - 1, k - 1, x.payload)
+    return paper_P(n, k, x)
+
+
+def domain_neighbourhood(n, k):
+    """Triples one step outside P(n,k) and P(n-1,k-1) on every side: tau
+    with n-k-1 .. n-k+1 rows, lam with at most two parts in [n-k, n+k+1] or
+    a repeated part, mu with one even part up to 2k+2 or an odd part; each
+    also unmarked and under markers 2n-3, 2n-1, 2n+1 with marker_z -1, 0, 1."""
+    taus = [staircase(r) for r in range(max(n - k - 1, 0), n - k + 2)]
+    lams = [lam for lam in enum_distinct_range(max(n - k, 0), n + k + 1) if lam.length <= 2]
+    lams.append(Partition((n + k + 1, n + k + 1)))
+    mus = [Partition((p,) if p else ()) for p in range(0, 2 * k + 3, 2)] + [Partition((1,))]
+    triples = [Triple(tau, lam, mu) for tau in taus for lam in lams for mu in mus]
+    return triples + [MarkedObject(w, t, marker_z=z) for t in triples
+                      for w in (2 * n - 3, 2 * n - 1, 2 * n + 1) if w >= 0
+                      for z in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("name", ["phi", "involution"])
+def test_maps_accept_exactly_their_domain(name):
+    step = {"phi": phi, "involution": involution}[name]
+    for n in range(5):
+        for k in range(-1, n + 2):
+            in_domain = paper_map(n, k) == name
+            accepted = set()
+            for x in domain_neighbourhood(n, k):
+                try:
+                    step(n, k, x)
+                except ValueError:
+                    assert not (in_domain and paper_domain(n, k, x)), (n, k, x)
+                else:
+                    assert in_domain and paper_domain(n, k, x), (n, k, x)
+                    accepted.add(type(x))
+            if in_domain:  # the neighbourhood reaches both parts of the domain
+                assert accepted == ({Triple, MarkedObject} if k else {Triple}), (n, k)
+
+
+# one broken case at a time: each certificate sees every case of its map ---------
+
+def phi_case(n, k, x):
+    """The case of phi's docstring that x falls in, from the raw predicates."""
+    if isinstance(x, MarkedObject):
+        return "marked"
+    if k == 0:
+        return "k=0"
+    flags = raw_domain_flags(n, k, x)
+    return next(tag for tag, flag in flags.items() if flag).value
+
+
+def involution_case(n, k, x):
+    """The rule (a)-(e) of the involution's docstring that x falls under."""
+    toggle = 2 * k
+    if isinstance(x, MarkedObject):
+        return "d"
+    if x.lam.contains(toggle):
+        return "a"
+    if x.mu.contains(toggle):
+        return "b"
+    if x.lam.first == 2 * n - 1:
+        return "c"
+    return "e"
+
+
+def _toggle_two(x):
+    if x.lam.contains(2):
+        return Triple(x.tau, x.lam.without_part(2), x.mu.with_part(2))
+    if x.mu.contains(2):
+        return Triple(x.tau, x.lam.with_part(2), x.mu.without_part(2))
+    return x
+
+
+# (map, case, n, k, cap, fault(n, k, x, true image), reason, where the
+# counterexample shows the broken case: its element, its image, or the
+# second element of a collision)
+MUTATIONS = [
+    ("phi", "k=0", 3, 0, 20,  # the wrong outgoing marker
+     lambda n, k, x, y: MarkedObject(2 * n - 1, y.payload),
+     "not-in-codomain", "element"),
+    ("phi", "embedded", 4, 2, 30,  # lowered like class A, without its mu row
+     lambda n, k, x, y: MarkedObject(2 * n - 3, Triple(x.tau.drop_first_rows(2), x.lam, x.mu)),
+     "weight-mismatch", "element"),
+    ("phi", "A", 4, 2, 30,  # the image loses its marker
+     lambda n, k, x, y: y.payload,
+     "not-in-codomain", "element"),
+    ("phi", "B", 4, 2, 30,  # the top part does not shrink
+     lambda n, k, x, y: MarkedObject(y.marker_q, Triple(y.payload.tau, x.lam, x.mu)),
+     "not-in-codomain", "element"),
+    ("phi", "C", 4, 2, 30,  # mu does not gain its part 2k
+     lambda n, k, x, y: MarkedObject(y.marker_q, Triple(y.payload.tau, y.payload.lam, x.mu)),
+     "weight-mismatch", "element"),
+    ("phi", "marked", 4, 2, 30,  # lam does not gain n-k and n-k-1: class A's image
+     lambda n, k, x, y: MarkedObject(y.marker_q, Triple(y.payload.tau, x.payload.lam, x.payload.mu)),
+     "collision", "second"),
+    ("involution", "a", 3, 2, 20,  # the toggle is copied to mu, not moved
+     lambda n, k, x, y: Triple(x.tau, x.lam, x.mu.with_part(2 * k)),
+     "not-involutive", "image"),
+    ("involution", "b", 3, 2, 20,  # the toggle is copied to lam, not moved
+     lambda n, k, x, y: Triple(x.tau, x.lam.with_part(2 * k), x.mu),
+     "not-involutive", "element"),
+    ("involution", "c", 3, 2, 20,  # the part 2n-1 is stripped without its marker
+     lambda n, k, x, y: y.payload,
+     "not-involutive", "element"),
+    ("involution", "d", 3, 2, 20,  # the marker is absorbed without its part
+     lambda n, k, x, y: x.payload,
+     "not-involutive", "image"),
+    ("involution", "e", 3, 2, 20,  # fixed points toggle on part 2, the toggle of k = 1
+     lambda n, k, x, y: _toggle_two(x),
+     "fixed-set-mismatch", "element"),
+]
+
+
+@pytest.mark.parametrize("name, case, n, k, cap, fault, reason, where", MUTATIONS,
+                         ids=[f"{m[0]}-{m[1]}" for m in MUTATIONS])
+def test_certificate_sees_a_fault_in_each_case(monkeypatch, name, case, n, k, cap,
+                                               fault, reason, where):
+    true_map = getattr(andrews12, name)
+    case_of = {"phi": phi_case, "involution": involution_case}[name]
+    certificate = {"phi": phi_certificate, "involution": involution_certificate}[name]
+    assert certificate(n, k, cap).verified
+    assert case in {case_of(n, k, x) for x in domain_slice(n, k, cap)}
+
+    def broken(nn, kk, x):
+        y = true_map(nn, kk, x)
+        return fault(nn, kk, x, y) if case_of(nn, kk, x) == case else y
+
+    monkeypatch.setattr(andrews12, name, broken)
+    cert = certificate(n, k, cap)
+    assert not cert.verified
+    counterexample = cert.counterexample
+    assert counterexample["reason"] == reason
+    shown = (counterexample["element"]["second"] if where == "second"
+             else counterexample[where])
+    assert case_of(n, k, shown) == case, counterexample
+
+
 # truncated sums --------------------------------------------------------------------
 
 def test_F_trunc_frozen_values():
@@ -409,6 +581,21 @@ def test_verify_preconditions():
         verify_andrews(0, 20, "gn")            # needs n >= 1
     with pytest.raises(ValueError):
         verify_andrews(2, 20, "nonsense")
+
+
+def test_sum_checks_apply_from_their_first_n():
+    assert andrews12.sum_checks(0) == ["identity"]
+    assert andrews12.sum_checks(1) == ["identity", "gn"]
+    assert andrews12.sum_checks(5) == ["identity", "rec_fn", "gn"]
+    with pytest.raises(ValueError):
+        andrews12.sum_checks(-1)
+    for n in range(4):
+        for which in ("identity", "rec_fn", "gn", "nonsense"):
+            if which in andrews12.sum_checks(n):
+                assert verify_andrews(n, n * n + 10, which).verified
+            else:
+                with pytest.raises(ValueError):
+                    verify_andrews(n, n * n + 10, which)
 
 
 def test_identity_mismatch_reports_first_exponent(monkeypatch):

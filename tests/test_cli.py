@@ -199,6 +199,36 @@ def test_trace_bad_range_is_usage_error():
     assert run(["trace", "andrews", "--n", "2", "--k", "5"])[0] == 2
 
 
+def paper_map(n, k):
+    """The index rule as the paper states it: phi lowers 0 <= k <= n-2, the
+    involution n >= 2 with k in {n-1, n}, and nothing lowers any other (n, k)."""
+    if 0 <= k <= n - 2:
+        return "phi"
+    if n >= 2 and k in (n - 1, n):
+        return "involution"
+    return None
+
+
+def test_andrews_commands_run_exactly_where_the_index_rule_names_a_map(capsys):
+    # cap 20 is at least every staircase weight C(n-k, 2) for n <= 5, so no
+    # slice below is empty because of the cap
+    for n in range(6):
+        for k in range(-1, n + 2):
+            named = paper_map(n, k)
+            args = ["--n", str(n), "--k", str(k), "--cap", "20"]
+            for which, name in (("andrews-phi", "phi"),
+                                ("andrews-involution", "involution")):
+                code, _ = run(["check-bijection", which] + args)
+                assert code == (0 if named == name else 2), (which, n, k)
+            capsys.readouterr()
+            code, output = run(["trace", "andrews"] + args)
+            if named is None:
+                assert (code, output) == (2, ""), (n, k)
+                assert capsys.readouterr().err.startswith("error: "), (n, k)
+            else:
+                assert code == 0 and output.startswith("tracing "), (n, k)
+
+
 def test_trace_empty_slice_is_usage_error(capsys):
     for cap in ("0", "-5"):
         code, output = run(["trace", "andrews", "--n", "4", "--k", "1",

@@ -1,0 +1,114 @@
+"""Property tests (Hypothesis): the LaurentPoly ring laws with the int
+scalar, the TruncatedSeries min-cap rule, and the Partition row edits.
+
+Derandomized, with no example database and a bounded number of examples,
+so a run is deterministic and leaves no files in the working tree.
+"""
+
+import atexit
+import shutil
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import configuration, given, settings, strategies as st  # noqa: E402
+
+# Hypothesis caches the constants of local modules in its storage directory
+# whatever the database setting, from collection on: keep that cache in a
+# temporary directory, removed when the test process exits.
+STORAGE = tempfile.mkdtemp(prefix="qtelescope-hypothesis-")
+configuration.set_hypothesis_home_dir(STORAGE)
+atexit.register(shutil.rmtree, STORAGE, ignore_errors=True)
+
+from qtelescope.partitions import Partition  # noqa: E402
+from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, truncate  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+small = st.integers(-4, 4)
+coeff = st.integers(-9, 9)
+polys = st.dictionaries(st.tuples(small, small), coeff, max_size=5).map(LaurentPoly)
+# z-free polynomials with exponents 0..12, and caps 0..12
+series_polys = st.dictionaries(st.tuples(st.just(0), st.integers(0, 12)), coeff,
+                               max_size=6).map(LaurentPoly)
+caps = st.integers(0, 12)
+partitions = st.lists(st.integers(0, 9), max_size=6).map(
+    lambda parts: Partition(tuple(sorted(parts, reverse=True))))
+
+ZERO, ONE = LaurentPoly.zero(), LaurentPoly.one()
+
+
+# the ring Z[z, 1/z, q, 1/q] ------------------------------------------------
+
+@PROPERTY
+@given(polys, polys, polys)
+def test_laurent_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a
+    assert not (a * ZERO)
+    assert not (a + (-a))
+    assert a - b == a + (-b)
+
+
+@PROPERTY
+@given(polys, polys, coeff, coeff)
+def test_laurent_int_scalar_is_the_constant_polynomial(a, b, m, n):
+    assert a * m == a * LaurentPoly.monomial(m) == m * a
+    assert (a * m) * n == a * (m * n)
+    assert (a + b) * m == a * m + b * m
+    assert a * (m + n) == a * m + a * n
+    assert (a * 0).is_zero() and a * 1 == a and a * -1 == -a
+
+
+# truncated series: the min-cap rule ------------------------------------------
+
+def cut(poly, cap):
+    return {q: c for _z, q, c in poly.terms() if q <= cap}
+
+
+@PROPERTY
+@given(series_polys, caps, series_polys, caps, series_polys)
+def test_series_combine_at_the_smaller_cap(a, cap_a, b, cap_b, p):
+    x, y = truncate(a, cap_a), truncate(b, cap_b)
+    low = min(cap_a, cap_b)
+    assert x.coeffs() == cut(a, cap_a)
+    for result, exact in ((x + y, a + b), (x - y, a - b)):
+        assert result.cap == low
+        assert result.coeffs() == cut(exact, low)
+    product = x.mul_poly(p)
+    assert product.cap == cap_a
+    assert product.coeffs() == cut(a * p, cap_a)
+    assert TruncatedSeries(cap_a, {q: c for _z, q, c in a.terms()}) == x
+
+
+# partitions: row edits -------------------------------------------------------
+
+@PROPERTY
+@given(partitions, st.integers(0, 10))
+def test_with_part_and_without_part_are_inverse(p, value):
+    grown = p.with_part(value)
+    assert grown.weight == p.weight + value and grown.length == p.length + 1
+    assert grown.contains(value)
+    assert grown.without_part(value) == p
+    for part in p.parts:
+        assert p.without_part(part).with_part(part) == p
+
+
+@PROPERTY
+@given(partitions, st.integers(0, 8), st.integers(0, 8))
+def test_drop_first_rows_drops_the_largest_rows(p, a, b):
+    if a > p.length:
+        with pytest.raises(ValueError):
+            p.drop_first_rows(a)
+        return
+    rest = p.drop_first_rows(a)
+    assert rest.parts == p.parts[a:]
+    assert rest.weight == p.weight - sum(p.parts[:a])
+    if a + b <= p.length:
+        assert rest.drop_first_rows(b) == p.drop_first_rows(a + b)
+    assert p.drop_first_rows(0) == p

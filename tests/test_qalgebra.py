@@ -117,6 +117,16 @@ def test_equality_is_structural():
     assert hash(P({(0, 1): 1})) == hash(mono(1, 0, 1))
 
 
+def from_sympy(sympy, expr, z, q):
+    """A sympy Laurent polynomial in z and q as a LaurentPoly, read term by
+    term after clearing negative powers of z by a shift."""
+    expr = sympy.expand(expr)
+    shift = max([0] + [-e for e in (t.as_powers_dict().get(z, 0) for t in
+                                    sympy.Add.make_args(expr))])
+    poly = sympy.Poly(sympy.expand(expr * z ** shift), z, q)
+    return P({(a - shift, b): int(c) for (a, b), c in poly.terms()})
+
+
 # gaussian binomials ---------------------------------------------------------
 
 def test_gaussian_examples():
@@ -159,6 +169,20 @@ def test_gaussian_step_is_exponent_stretch():
                      for z, q, c in gaussian_binomial(n, k, 1).terms()})
 
 
+def test_gaussian_matches_sympy_product_formula():
+    # [n choose k] in base q^step is the product over i = 1..k of
+    # (1 - q^(step (n-k+i))) / (1 - q^(step i)), divided out by sympy
+    sympy = pytest.importorskip("sympy")
+    z, q = sympy.symbols("z q")
+    for step in (1, 2):
+        for n in range(8):
+            for k in range(n + 1):
+                ratio = sympy.prod([(1 - q ** (step * (n - k + i))) / (1 - q ** (step * i))
+                                    for i in range(1, k + 1)])
+                expected = from_sympy(sympy, sympy.cancel(ratio), z, q)
+                assert gaussian_binomial(n, k, step) == expected, (n, k, step)
+
+
 # factor products -------------------------------------------------------------
 
 def test_factor_product_single_factors():
@@ -173,6 +197,19 @@ def test_factor_product_matches_subset_expansion():
             for z_exp in (-1, 0, 1):
                 assert factor_product(count, sign, z_exp, 1, 2) == \
                     subset_expansion(count, sign, z_exp, 1, 2)
+
+
+def test_factor_product_matches_sympy_expansion():
+    sympy = pytest.importorskip("sympy")
+    z, q = sympy.symbols("z q")
+    for count in range(6):
+        for sign in (1, -1):
+            for z_exp in (-2, -1, 0, 1):
+                for q_offset, q_step in ((0, 1), (1, 2), (3, 1)):
+                    expected = sympy.prod([1 + sign * z ** z_exp * q ** (q_offset + i * q_step)
+                                           for i in range(count)])
+                    assert factor_product(count, sign, z_exp, q_offset, q_step) == \
+                        from_sympy(sympy, expected, z, q), (count, sign, z_exp, q_offset)
 
 
 def test_factor_product_coefficient_mass():
