@@ -8,10 +8,9 @@ Run: python demos/macmahon_walkthrough.py
 from qtelescope.macmahon import (cancelation_certificate, enum_P,
                                  phi_certificate, phi_step,
                                  phi_telescoping_counts, psi_certificate,
-                                 telescoping_phi, verify_macmahon, weight_of,
-                                 weighted_count)
+                                 telescoping_phi, verify_macmahon)
 from qtelescope.qalgebra import LaurentPoly
-from qtelescope.telescope import telescoping_sum_check
+from qtelescope.telescope import telescoping_sum_check, weight_of, weighted_count
 
 
 def monomial(x):

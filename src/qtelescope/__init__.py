@@ -11,7 +11,7 @@ The package is organized bottom-up:
                 certify, which makes every Certificate
     macmahon    the square-plus-even-partition families, both step maps,
                 and verify_macmahon, which runs the per-index telescoping
-                check on the enumerated families
+                check on counts from one weight-only walk per family
     andrews12   the staircase triples, the index rule, classification,
                 bijection, involutions, sum checks and orbit tracing
     cli         command-line driver and text diagram rendering

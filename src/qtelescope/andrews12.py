@@ -168,6 +168,12 @@ def lowering_map(n: int, k: int) -> str:
     raise ValueError(f"no map lowers n={n}, k={k}")
 
 
+def _require_map(name: str, n: int, k: int) -> None:
+    """ValueError unless the index rule names `name` at (n, k)."""
+    if lowering_map(n, k) != name:
+        raise ValueError(f"{name} does not lower n={n}, k={k}")
+
+
 def _marked_payload(n: int, k: int, x: MarkedObject) -> Triple:
     """The payload of a marked input at (n, k): marker q^(2n-1), no z, in P(n-1,k-1)."""
     if x.marker_q != 2 * n - 1 or x.marker_z != 0:
@@ -193,8 +199,7 @@ def phi(n: int, k: int, x: TripleValue) -> TripleValue:
                 mu gains a new part 2k
       marked:   drop two staircase rows; lam gains parts n-k and n-k-1
     """
-    if lowering_map(n, k) != "phi":
-        raise ValueError(f"phi does not lower n={n}, k={k}")
+    _require_map("phi", n, k)
     marker_out = 2 * n - 3
     if isinstance(x, MarkedObject):
         t = _marked_payload(n, k, x)
@@ -237,8 +242,7 @@ def involution(n: int, k: int, x: TripleValue) -> TripleValue:
     The toggle rules fire before the marker exchange.  Non-fixed points
     pair up with equal unsigned weight and opposite sign.
     """
-    if lowering_map(n, k) != "involution":
-        raise ValueError(f"involution does not lower n={n}, k={k}")
+    _require_map("involution", n, k)
     toggle = 2 * k
     marker_part = 2 * n - 1
     if isinstance(x, MarkedObject):
@@ -293,6 +297,7 @@ def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
 
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     """Exhaustive weight-graded bijection check of phi on a capped slice."""
+    _require_map("phi", n, k)
     codomain = _marked_slice((n - 1, k - 1), 2 * n - 3, (n - 2, k), cap)
     return check_graded_bijection(
         lambda x: phi(n, k, x), domain_slice(n, k, cap), codomain, weight_of,
@@ -308,6 +313,7 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     slice would verify vacuously, so it raises ValueError.
     """
     started = time.monotonic()
+    _require_map("involution", n, k)
     slice_ = domain_slice(n, k, cap)
     if not slice_:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")

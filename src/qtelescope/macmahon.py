@@ -9,8 +9,7 @@ parts.  P(n,m,k) is the box (k, 2m+2k, n-k) and Q(n,k) the box
 (k, 2n-2k, k); a negative bound or slot count is exactly an index out of
 range (k outside [-m, n] for P, [0, n] for Q), and the box is then empty.
 The boundary slices G(n,m,k) and H(n,k) are the pairs of the box whose
-largest part equals its bound (the empty partition's reads as 0), read off
-a list of the box.
+largest part equals its bound (the empty partition's reads as 0).
 
 phi_step lowers m by one, psi_step lowers n by one, by one construction:
 a pair of the index's own box is its own image, and a boundary pair of the
@@ -21,9 +20,16 @@ carries a marker.  So at each index k
 
 with f, g the weighted counts of the two sides and h that of the boundary
 slice.  Summing over k telescopes h away and yields the two recurrences.
-verify_macmahon runs this per-index check (telescope.telescoping_sum_check)
-on counts from one exhaustive enumeration of every P and Q family, then
-checks the closed-form identity.
+
+The two paths see the boxes differently.  The bijection path (the step
+certificates and cancelation) builds every pair of a box and reads its
+boundary slice off that list.  The sum path needs weights only: _box_counts
+walks every even partition of a box once, keeping each leaf's |mu| and
+whether its first part is the bound, and builds no pair.  verify_macmahon
+runs the per-index check (telescope.telescoping_sum_check) on those counts,
+then checks the closed-form identity.  The walk visits every leaf, so the
+sum side stays an enumeration, independent of the Pascal recurrence behind
+gaussian_binomial.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
                        gaussian_binomial)
 from .telescope import (Certificate, MarkedObject, WeightKey,
                         cancelation_psi, certify, check_graded_bijection,
-                        telescoping_sum_check, weight_of, weighted_count)
+                        telescoping_sum_check, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,9 +184,36 @@ def psi_certificate(n: int, k: int) -> Certificate:
                               "macmahon-psi", {"n": n, "k": k})
 
 
-def _tally(box: Box, pairs: list[MacPair]):
-    """Weighted counts of a box's list and of its boundary slice."""
-    return weighted_count(pairs), weighted_count(_boundary(box, pairs))
+# weighted counts: one walk per box, no pairs -----------------------------
+
+def _walk(hist: list[int], limit: int, slots: int, weight: int) -> None:
+    """Count every even partition with parts <= limit and at most `slots`
+    parts, each into hist at `weight` plus its own weight."""
+    hist[weight] += 1
+    if slots:
+        for part in range(2, limit + 1, 2):
+            _walk(hist, part, slots - 1, weight + part)
+
+
+def _box_counts(box: Box) -> tuple[LaurentPoly, LaurentPoly]:
+    """Weighted counts of a box and of its boundary slice, from one walk over
+    its even partitions that keeps only each leaf's |mu|, filed under the
+    boundary when the leaf's first part equals the bound (the empty
+    partition's reads as 0).  No pair is built."""
+    side, bound, slots = box
+    if bound < 0 or slots < 0:
+        return ZERO, ZERO
+    inner, edge = [0] * (bound * slots + 1), [0] * (bound * slots + 1)
+    (edge if bound == 0 else inner)[0] += 1  # the empty partition
+    if slots:
+        for first in range(2, bound + 1, 2):
+            _walk(edge if first == bound else inner, first, slots - 1, first)
+
+    def shifted(hist):  # z^side q^(side^2 + w) per leaf of weight w
+        return LaurentPoly({(side, side * side + w): c
+                            for w, c in enumerate(hist) if c})
+
+    return shifted([a + b for a, b in zip(inner, edge)]), shifted(edge)
 
 
 def phi_telescoping_counts(n: int, m: int):
@@ -188,15 +221,14 @@ def phi_telescoping_counts(n: int, m: int):
 
     f(k) counts P(n,m,k), g(k) = (1 + q^(2m-1)/z) * count of P(n,m-1,k),
     and h(k) counts G(n,m,k-1), which vanishes at k_min = -m and beyond
-    k_max = n.  Each P family is enumerated once, G(n,m,k) being read off
-    the list of P(n,m,k); each list is dropped before the next is built, so
-    peak memory is one index's list.
+    k_max = n.  Each P box is walked once, G(n,m,k) being counted on the
+    walk over P(n,m,k); no pair is built.
     """
     coeff = ONE + LaurentPoly.monomial(1, -1, 2 * m - 1)
     f, g, h = {}, {}, {-m: ZERO}
     for k in range(-m, n + 1):
-        f[k], h[k + 1] = _tally(_box_P(n, m, k), enum_P(n, m, k))
-        g[k] = coeff * weighted_count(enum_P(n, m - 1, k))
+        f[k], h[k + 1] = _box_counts(_box_P(n, m, k))
+        g[k] = coeff * _box_counts(_box_P(n, m - 1, k))[0]
     return f, g, h, -m, n
 
 
@@ -204,21 +236,21 @@ def psi_telescoping_counts(n: int):
     """(f, g, h, k_min, k_max) for the n-lowering telescoping relation.
 
     Oriented for the generic checker: f(k) = (1 + z*q^(2n-1)) * count of
-    Q(n-1,k), g(k) counts Q(n,k), h(k) counts H(n,k), read off the list
-    of Q(n,k).  Each Q family is enumerated once.
+    Q(n-1,k), g(k) counts Q(n,k), h(k) counts H(n,k), counted on the walk
+    over Q(n,k).  Each Q box is walked once.
     """
     coeff = ONE + LaurentPoly.monomial(1, 1, 2 * n - 1)
     f, g, h = {}, {}, {n + 1: ZERO}
     for k in range(0, n + 1):
-        f[k] = coeff * weighted_count(enum_Q(n - 1, k))
-        g[k], h[k] = _tally(_box_Q(n, k), enum_Q(n, k))
+        f[k] = coeff * _box_counts(_box_Q(n - 1, k))[0]
+        g[k], h[k] = _box_counts(_box_Q(n, k))
     return f, g, h, 0, n
 
 
-def _pair_count(counts: dict) -> int:
-    """The number of pairs a weighted count stands for: its value at
+def _pair_count(counts) -> int:
+    """The number of pairs some weighted counts stand for: their value at
     z = q = 1, since every pair weighs one monomial with coefficient +1."""
-    return sum(c for poly in counts.values() for _z, _q, c in poly.terms())
+    return sum(c for poly in counts for _z, _q, c in poly.terms())
 
 
 def product_sum_F(n: int, m: int) -> LaurentPoly:
@@ -256,13 +288,13 @@ def verify_macmahon(n: int, m: int) -> Certificate:
     failure = None
     if m >= 1:
         counts = phi_telescoping_counts(n, m)
-        domain_size = _pair_count(counts[0])
+        domain_size = _pair_count(counts[0].values())
         # g holds every P(n,m-1,k) pair twice: bare and marked
-        codomain_size = _pair_count(counts[1]) // 2
+        codomain_size = _pair_count(counts[1].values()) // 2
         failure = _recurrence_failure("m-lowering recurrence", *counts)
     else:
-        domain_size = codomain_size = sum(len(enum_P(n, 0, k))
-                                          for k in range(n + 1))
+        domain_size = codomain_size = _pair_count(
+            _box_counts(_box_P(n, 0, k))[0] for k in range(n + 1))
     if failure is None and n >= 1:
         failure = _recurrence_failure("n-lowering recurrence",
                                       *psi_telescoping_counts(n))

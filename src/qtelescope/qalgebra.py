@@ -146,10 +146,6 @@ class LaurentPoly:
         first = "-" + first[2:] if first.startswith("- ") else first[2:]
         return " ".join([first] + chunks[1:])
 
-    def to_json_obj(self) -> list[dict]:
-        """Portable form: [{z, q, c}] sorted by (z, q), c as decimal string."""
-        return [{"z": z, "q": q, "c": str(c)} for z, q, c in self.terms()]
-
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()

@@ -168,14 +168,24 @@ def test_check_bijection_bad_range_is_usage_error():
 
 
 def test_check_bijection_empty_domain_is_usage_error(capsys):
-    for argv in (["andrews-phi", "--n", "3", "--k", "-2"],
-                 ["macmahon-phi", "--n", "2", "--m", "1", "--k", "9"],
+    for argv in (["macmahon-phi", "--n", "2", "--m", "1", "--k", "9"],
                  ["macmahon-psi", "--n", "2", "--k", "7"],
                  ["andrews-involution", "--n", "4", "--k", "4", "--cap", "-1"]):
         code, output = run(["check-bijection"] + argv)
         assert (code, output) == (2, ""), argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "empty domain" in err, argv
+
+
+def test_check_bijection_names_the_index_rule_before_the_slice(capsys):
+    # (3, -2) has an empty slice too, but the index rule answers first
+    code, output = run(["check-bijection", "andrews-phi", "--n", "3", "--k", "-2"])
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == "error: no map lowers n=3, k=-2\n"
+    for name, k in (("andrews-phi", "2"), ("andrews-involution", "0")):
+        code, output = run(["check-bijection", name, "--n", "3", "--k", k])
+        assert (code, output) == (2, ""), name
+        assert "does not lower n=3, k=" in capsys.readouterr().err, name
 
 
 # trace ---------------------------------------------------------------------------

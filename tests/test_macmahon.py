@@ -11,10 +11,11 @@ from qtelescope.macmahon import (MacPair, cancelation_certificate,
                                  phi_telescoping_counts, product_sum_F,
                                  psi_certificate, psi_step,
                                  psi_telescoping_counts, telescoping_phi,
-                                 verify_macmahon, weight_of, weighted_count)
+                                 verify_macmahon, weight_of)
 from qtelescope.partitions import Partition, enum_even_bounded
 from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
-from qtelescope.telescope import MarkedObject, telescoping_sum_check
+from qtelescope.telescope import (IterationBudgetExceeded, MarkedObject,
+                                  telescoping_sum_check, weighted_count)
 
 
 def pair(side, *mu):
@@ -109,6 +110,48 @@ def test_weighted_count_matches_per_object_oracle():
                 families += [p, G(n, m, k), p + marked]
     for family in families:
         assert weighted_count(family) == oracle_count(family)
+
+
+# the sum path's walk -------------------------------------------------------------
+
+def test_box_walk_matches_the_enumerated_pairs():
+    # The weight-only walk against weighted_count over the enumerated pairs,
+    # the boundary slice rebuilt from its bound (2m+2k for G, 2n-2k for H),
+    # on every box the sum path can ask for and one index beyond each end.
+    import qtelescope.macmahon as mac
+
+    kinds = set()
+    for n in range(6):
+        for m in range(6):
+            for k in range(-m - 1, n + 2):
+                box = mac._box_P(n, m, k)
+                kinds.add((box[1] < 0 or box[2] < 0, box[1] == 0, box[2] == 0))
+                assert mac._box_counts(box) == (
+                    weighted_count(enum_P(n, m, k)),
+                    weighted_count(G(n, m, k))), (n, m, k)
+        for k in range(-1, n + 2):
+            box = mac._box_Q(n, k)
+            kinds.add((box[1] < 0 or box[2] < 0, box[1] == 0, box[2] == 0))
+            assert mac._box_counts(box) == (
+                weighted_count(enum_Q(n, k)), weighted_count(H(n, k))), (n, k)
+    # out of range, bound 0, slots 0, and both 0 at once were all walked
+    assert {(True, False, False), (False, True, False), (False, False, True),
+            (False, True, True)} <= kinds
+
+
+def test_verify_builds_no_pair(monkeypatch):
+    import qtelescope.macmahon as mac
+
+    def refuse(*args):
+        raise AssertionError("the sum path enumerated objects")
+
+    for name in ("enum_even_bounded", "enum_P", "enum_Q"):
+        monkeypatch.setattr(mac, name, refuse)
+    for n in range(5):
+        for m in range(5):
+            cert = mac.verify_macmahon(n, m)
+            assert cert.verified, cert.to_json()
+            assert cert.domain_size == 2 ** (n + m)
 
 
 # phi_step ---------------------------------------------------------------------
@@ -288,6 +331,95 @@ def test_phi_certificate_detects_a_broken_map():
     assert cert.counterexample is not None
 
 
+# one broken case at a time: each step certificate sees every case ---------------
+
+def phi_case(n, m, k, x):
+    """The case of phi_step's docstring that x falls in, from the paper's sets."""
+    if paper_P(n, m, k, x):
+        return 1 if x.mu.first == 2 * m + 2 * k else 2
+    assert paper_P(n, m, k - 1, x) and x.mu.first == 2 * m + 2 * (k - 1), x
+    return 3
+
+
+def psi_case(n, k, x):
+    """The case of psi_step's docstring that x falls in, from the paper's sets."""
+    if paper_Q(n, k, x):
+        return 1 if x.mu.first == 2 * n - 2 * k else 2
+    assert paper_Q(n, k + 1, x) and x.mu.first == 2 * n - 2 * (k + 1), x
+    return 3
+
+
+# step name -> (index, certificate, case of an input, domain, marker (q, z))
+STEPS = {
+    "phi_step": ((3, 2, 1), phi_certificate, phi_case,
+                 lambda: enum_P(3, 2, 1) + G(3, 2, 0), (3, -1)),
+    "psi_step": ((4, 2), psi_certificate, psi_case,
+                 lambda: enum_Q(4, 2) + H(4, 3), (7, 1)),
+}
+
+
+def _marked_copy(x, y, marker):
+    return MarkedObject(marker[0], x, marker_z=marker[1])
+
+
+# (step, case, fault(x, true image, marker), reason, where the counterexample
+# shows the broken case: its element or the second element of a collision)
+STEP_MUTATIONS = [
+    (step, case, fault, reason, where)
+    for step in STEPS
+    for case, fault, reason, where in [
+        (1, _marked_copy,  # a boundary pair is lowered as if interior
+         "not-in-codomain", "element"),
+        (2, _marked_copy,  # an interior pair picks up the marker
+         "weight-mismatch", "element"),
+        (3, lambda x, y, marker: y.payload,  # the image loses its marker
+         "collision", "second"),
+    ]
+]
+
+
+@pytest.mark.parametrize("step, case, fault, reason, where", STEP_MUTATIONS,
+                         ids=[f"{m[0]}-{m[1]}" for m in STEP_MUTATIONS])
+def test_step_certificate_sees_a_fault_in_each_case(monkeypatch, step, case,
+                                                    fault, reason, where):
+    import qtelescope.macmahon as mac
+
+    index, certificate, case_of, domain, marker = STEPS[step]
+    true_step = getattr(mac, step)
+    assert certificate(*index).verified
+    assert case in {case_of(*index, x) for x in domain()}
+
+    def broken(*args):
+        found, y = true_step(*args)
+        if case_of(*args) == case:
+            return found, fault(args[-1], y, marker)
+        return found, y
+
+    monkeypatch.setattr(mac, step, broken)
+    cert = certificate(*index)
+    assert not cert.verified
+    counterexample = cert.counterexample
+    assert counterexample["reason"] == reason
+    shown = (counterexample["element"]["second"] if where == "second"
+             else counterexample[where])
+    assert case_of(*index, shown) == case, counterexample
+
+
+def test_cancelation_cycle_exceeds_the_budget(monkeypatch):
+    import qtelescope.macmahon as mac
+
+    assert mac.cancelation_certificate(2, 2).verified
+    true_step = mac.phi_step
+
+    def cycling(n, m, k, x):  # an H-tagged pair goes back to case 1, and stays H
+        case, out = true_step(n, m, k, x)
+        return (1, x) if case == 3 else (case, out)
+
+    monkeypatch.setattr(mac, "phi_step", cycling)
+    with pytest.raises(IterationBudgetExceeded):
+        mac.cancelation_certificate(2, 2)
+
+
 # telescoping relations ------------------------------------------------------------
 
 def test_phi_telescoping_sum_checks():
@@ -374,17 +506,25 @@ def _assert_recurrence_failure(cert, element, k):
     assert image["reason"] == "index-relation-violated"
 
 
+def _drop_one_leaf(monkeypatch, box, pairs):
+    """Make the walk over `box` miss the monomial of the last of its pairs."""
+    import qtelescope.macmahon as mac
+
+    true_box_counts = mac._box_counts
+    missed = mono(-1, *weight_of(pairs[-1])[1:])
+
+    def perturbed(b):
+        count, boundary = true_box_counts(b)
+        return (count + missed, boundary) if b == box else (count, boundary)
+
+    monkeypatch.setattr(mac, "_box_counts", perturbed)
+
+
 def test_verify_failure_names_the_index_of_the_m_lowering_recurrence(monkeypatch):
     import qtelescope.macmahon as mac
 
     n, m, k = 2, 2, 1
-    true_enum_P = mac.enum_P
-
-    def perturbed(nn, mm, kk):
-        out = true_enum_P(nn, mm, kk)
-        return out[:-1] if (nn, mm, kk) == (n, m - 1, k) else out
-
-    monkeypatch.setattr(mac, "enum_P", perturbed)
+    _drop_one_leaf(monkeypatch, mac._box_P(n, m - 1, k), enum_P(n, m - 1, k))
     _assert_recurrence_failure(mac.verify_macmahon(n, m),
                                "m-lowering recurrence", k)
 
@@ -393,13 +533,7 @@ def test_verify_failure_names_the_index_of_the_n_lowering_recurrence(monkeypatch
     import qtelescope.macmahon as mac
 
     n, k = 3, 1
-    true_enum_Q = mac.enum_Q
-
-    def perturbed(nn, kk):
-        out = true_enum_Q(nn, kk)
-        return out[:-1] if (nn, kk) == (n - 1, k) else out
-
-    monkeypatch.setattr(mac, "enum_Q", perturbed)
+    _drop_one_leaf(monkeypatch, mac._box_Q(n - 1, k), enum_Q(n - 1, k))
     _assert_recurrence_failure(mac.verify_macmahon(n, 1),
                                "n-lowering recurrence", k)
 

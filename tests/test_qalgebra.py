@@ -311,14 +311,3 @@ def test_series_first_mismatch():
     assert a.first_mismatch(b, window=4) is None
     assert a.first_mismatch(a) is None
 
-
-# serialization -------------------------------------------------------------------
-
-def test_json_round_trip_and_ordering():
-    p = P({(1, -2): 3, (-1, 5): -10 ** 30, (0, 0): 7})
-    obj = p.to_json_obj()
-    assert obj == [
-        {"z": -1, "q": 5, "c": str(-10 ** 30)},
-        {"z": 0, "q": 0, "c": "7"},
-        {"z": 1, "q": -2, "c": "3"},
-    ]
