@@ -35,8 +35,8 @@ from typing import Union
 from .partitions import (EMPTY, Partition, enum_distinct_range,
                          enum_even_capped, staircase)
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
-from .telescope import (Certificate, MarkedObject, WeightKey, certify,
-                        check_graded_bijection, weight_of)
+from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
+                        WeightKey, certify, check_graded_bijection, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,10 +307,11 @@ def phi_certificate(n: int, k: int, cap: int) -> Certificate:
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     """Check the involution laws on a capped slice.
 
-    Verifies that applying the map twice is the identity, that non-fixed
-    points pair with equal unsigned weight and opposite sign, and that
-    the fixed set is exactly the embedded copy of P(n-1,k-1).  An empty
-    slice would verify vacuously, so it raises ValueError.
+    Verifies that every image lies in the map's domain, that applying the
+    map twice is the identity, that non-fixed points pair with equal
+    unsigned weight and opposite sign, and that the fixed set is exactly
+    the embedded copy of P(n-1,k-1).  An empty slice would verify
+    vacuously, so it raises ValueError.
     """
     started = time.monotonic()
     _require_map("involution", n, k)
@@ -327,7 +328,11 @@ def _involution_failure(n, k, slice_, embedded):
     fixed = set()
     for x in slice_:
         y = involution(n, k, x)
-        if involution(n, k, y) != x:
+        try:
+            back = involution(n, k, y)
+        except ValueError:  # the map's own membership check: y left its domain
+            return x, y, REASON_NOT_IN_CODOMAIN
+        if back != x:
             return x, y, "not-involutive"
         if y == x:
             fixed.add(x)

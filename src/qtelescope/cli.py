@@ -1,7 +1,7 @@
 """Command-line front end: run verifications over parameter grids, emit
 JSON certificates, and render text Young diagrams for single-orbit audits.
 
-Grammar:
+Grammar (COMMAND TARGET come first; ROWS states each row's flags):
     verify macmahon [--n N | --n-max N] [--m M | --m-max M]
                     [--json PATH] [--format {text,json}]
     verify andrews  [--n N | --n-max N] [--cap D]
@@ -15,7 +15,8 @@ Grammar:
     trace andrews --n N --k K [--cap D]     (some map must lower (n, k))
 
 Exit status: 0 if every emitted certificate verified, 1 if any failed,
-2 on a usage or precondition error (any ValueError a subcommand raises).
+2 on a usage or precondition error (any ValueError a row raises, or a
+--json path that cannot be written).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import andrews12, macmahon
 from .macmahon import MacPair
@@ -31,49 +32,21 @@ from .andrews12 import Triple
 from .telescope import Certificate, MarkedObject
 
 USAGE_ERROR = 2
-ANDREWS_DEFAULT_CAP = 30
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qtelescope",
-        description="Exact verification of the MacMahon and Andrews "
-                    "partition identities via telescoping bijections.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run identity/recurrence checks")
-    verify.add_argument("target", choices=["macmahon", "andrews"])
-    for single, upper in (("--n", "--n-max"), ("--m", "--m-max")):
-        group = verify.add_mutually_exclusive_group()
-        group.add_argument(single, type=int, default=None)
-        group.add_argument(upper, type=int, default=None)
-    verify.add_argument("--cap", type=int, default=None,
-                        help="series truncation degree (andrews only; "
-                             "defaults to n^2 + 15)")
-    verify.add_argument("--json", dest="json_path", default=None,
-                        help="also write the certificates to this file")
-    verify.add_argument("--format", choices=["text", "json"], default="text")
-
-    check = sub.add_parser("check-bijection",
-                           help="certify a single map instance")
-    check.add_argument("which", choices=["macmahon-phi", "macmahon-psi",
-                                         "andrews-phi", "andrews-involution"])
-    check.add_argument("--n", type=int, required=True)
-    check.add_argument("--m", type=int, default=None)
-    check.add_argument("--k", type=int, required=True)
-    check.add_argument("--cap", type=int, default=None,
-                       help="weight cap (andrews maps only; defaults to "
-                            f"{ANDREWS_DEFAULT_CAP})")
-    check.add_argument("--json", dest="json_path", default=None)
-    check.add_argument("--format", choices=["text", "json"], default="text")
-
-    trace = sub.add_parser("trace",
-                           help="print every orbit of a map instance")
-    trace.add_argument("target", choices=["andrews"])
-    trace.add_argument("--n", type=int, required=True)
-    trace.add_argument("--k", type=int, required=True)
-    trace.add_argument("--cap", type=int, default=ANDREWS_DEFAULT_CAP)
-    return parser
+# A flag is (name, add_argument keywords); a tuple of flags is a mutually
+# exclusive group.
+N, M, K = ((f"--{x}", dict(type=int, required=True, metavar=x.upper())) for x in "nmk")
+N_RANGE, M_RANGE = (((f"--{x}", dict(type=int, metavar=x.upper())),
+                     (f"--{x}-max", dict(type=int, default=4, metavar=x.upper(),
+                                         help="default 4")))
+                    for x in "nm")
+CAP = ("--cap", dict(type=int, default=30, metavar="D",
+                     help="weight cap (default 30)"))
+SERIES_CAP = ("--cap", dict(type=int, metavar="D",
+                            help="series truncation degree (default n^2 + 15)"))
+OUTPUT = (("--json", dict(dest="json_path", metavar="PATH",
+                          help="also write the certificates to this file")),
+          ("--format", dict(choices=["text", "json"], default="text")))
 
 
 def render_diagram(obj) -> str:
@@ -120,57 +93,36 @@ def _emit(certs: list[Certificate], fmt: str, json_path: Optional[str],
     for cert in certs:
         print(cert.to_json() if fmt == "json" else cert.summary(), file=out)
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump([c.to_json_obj() for c in certs], fh, sort_keys=True,
-                      indent=2)
-            fh.write("\n")
+        try:
+            with open(json_path, "w") as fh:
+                json.dump([c.to_json_obj() for c in certs], fh, sort_keys=True,
+                          indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --json {json_path}: {exc.strerror}")
     return 0 if all(c.verified for c in certs) else 1
 
 
-def _index_range(single: Optional[int], upper: Optional[int],
-                 default_max: int) -> list[int]:
+def _certifying(certs_of):
+    """A row action that emits the certificates certs_of(args) returns."""
+    return lambda args, out: _emit(certs_of(args), args.format, args.json_path, out)
+
+
+def _index_range(single: Optional[int], upper: int) -> list[int]:
     if single is not None:
         return [single]
-    if upper is not None and upper < 0:
+    if upper < 0:
         raise ValueError(f"upper bound must be nonnegative, got {upper}")
-    return list(range(0, (upper if upper is not None else default_max) + 1))
+    return list(range(upper + 1))
 
 
-def _verify(args, out) -> int:
-    if args.target == "andrews" and (args.m, args.m_max) != (None, None):
-        raise ValueError("--m and --m-max apply to macmahon only")
-    if args.target == "macmahon":
-        if args.cap is not None:
-            raise ValueError("--cap applies to andrews only")
-        certs = [macmahon.verify_macmahon(n, m)
-                 for n in _index_range(args.n, args.n_max, 4)
-                 for m in _index_range(args.m, args.m_max, 4)]
-        return _emit(certs, args.format, args.json_path, out)
+def _verify_andrews(args) -> list[Certificate]:
     certs = []
-    for n in _index_range(args.n, args.n_max, 4):
+    for n in _index_range(args.n, args.n_max):
         cap = args.cap if args.cap is not None else n * n + 15
         certs += [andrews12.verify_andrews(n, cap, which)
                   for which in andrews12.sum_checks(n)]
-    return _emit(certs, args.format, args.json_path, out)
-
-
-def _check_bijection(args, out) -> int:
-    if args.which != "macmahon-phi" and args.m is not None:
-        raise ValueError("--m applies to macmahon-phi only")
-    if args.which.startswith("macmahon") and args.cap is not None:
-        raise ValueError("--cap applies to the andrews maps only")
-    cap = ANDREWS_DEFAULT_CAP if args.cap is None else args.cap
-    if args.which == "macmahon-phi":
-        if args.m is None:
-            raise ValueError("macmahon-phi requires --m")
-        cert = macmahon.phi_certificate(args.n, args.m, args.k)
-    elif args.which == "macmahon-psi":
-        cert = macmahon.psi_certificate(args.n, args.k)
-    elif args.which == "andrews-phi":
-        cert = andrews12.phi_certificate(args.n, args.k, cap)
-    else:
-        cert = andrews12.involution_certificate(args.n, args.k, cap)
-    return _emit([cert], args.format, args.json_path, out)
+    return certs
 
 
 def _trace(args, out) -> int:
@@ -190,18 +142,65 @@ def _trace(args, out) -> int:
     return 0
 
 
+# (command, target) -> (the flags it takes, its action(args, out) -> exit code)
+ROWS = {
+    ("verify", "macmahon"): ((N_RANGE, M_RANGE, *OUTPUT), _certifying(
+        lambda a: [macmahon.verify_macmahon(n, m)
+                   for n in _index_range(a.n, a.n_max)
+                   for m in _index_range(a.m, a.m_max)])),
+    ("verify", "andrews"): ((N_RANGE, SERIES_CAP, *OUTPUT), _certifying(_verify_andrews)),
+    ("check-bijection", "macmahon-phi"): ((N, M, K, *OUTPUT), _certifying(
+        lambda a: [macmahon.phi_certificate(a.n, a.m, a.k)])),
+    ("check-bijection", "macmahon-psi"): ((N, K, *OUTPUT), _certifying(
+        lambda a: [macmahon.psi_certificate(a.n, a.k)])),
+    ("check-bijection", "andrews-phi"): ((N, K, CAP, *OUTPUT), _certifying(
+        lambda a: [andrews12.phi_certificate(a.n, a.k, a.cap)])),
+    ("check-bijection", "andrews-involution"): ((N, K, CAP, *OUTPUT), _certifying(
+        lambda a: [andrews12.involution_certificate(a.n, a.k, a.cap)])),
+    ("trace", "andrews"): ((N, K, CAP), _trace),
+}
+
+
+def _row_parser(command: str, target: str) -> argparse.ArgumentParser:
+    """The parser of one row: it accepts that row's flags and no other."""
+    parser = argparse.ArgumentParser(prog=f"qtelescope {command} {target}")
+    for spec in ROWS[command, target][0]:
+        if isinstance(spec[0], str):
+            parser.add_argument(spec[0], **spec[1])
+            continue
+        group = parser.add_mutually_exclusive_group()
+        for name, keywords in spec:
+            group.add_argument(name, **keywords)
+    return parser
+
+
+def _no_row(argv: list[str]) -> NoReturn:
+    """Exit as argparse does for an argv that names no row: 0 on --help, else 2."""
+    parser = argparse.ArgumentParser(
+        prog="qtelescope",
+        description="Exact verification of the MacMahon and Andrews partition "
+                    "identities via telescoping bijections.",
+        epilog="rows (see 'qtelescope COMMAND TARGET --help' for each one's "
+               "flags):\n" + "\n".join(f"  {c} {t}" for c, t in ROWS),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=list(dict.fromkeys(c for c, _ in ROWS)))
+    parser.add_argument("target")
+    args, _ = parser.parse_known_args(argv)  # a row's flags are not errors here
+    targets = ", ".join(repr(t) for c, t in ROWS if c == args.command)
+    parser.error(f"argument target: invalid choice: {args.target!r} "
+                 f"(choose from {targets})")
+
+
 def run(argv: list[str], out=sys.stdout) -> int:
-    parser = build_parser()
+    row = ROWS.get(tuple(argv[:2]))
     try:
-        args = parser.parse_args(argv)
+        if row is None:
+            _no_row(argv)
+        args = _row_parser(*argv[:2]).parse_args(argv[2:])
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        if args.command == "verify":
-            return _verify(args, out)
-        if args.command == "check-bijection":
-            return _check_bijection(args, out)
-        return _trace(args, out)
+        return row[1](args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

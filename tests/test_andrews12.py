@@ -422,6 +422,11 @@ MUTATIONS = [
     ("involution", "b", 3, 2, 20,  # the toggle is copied to lam, not moved
      lambda n, k, x, y: Triple(x.tau, x.lam.with_part(2 * k), x.mu),
      "not-involutive", "element"),
+    # the toggle moves to lam as part n+k+1, outside the map's domain; a
+    # second rule-(b) row, so it names itself (an explicit id wins over ids=)
+    pytest.param("involution", "b", 3, 2, 20,
+                 lambda n, k, x, y: Triple(y.tau, x.lam.with_part(n + k + 1), y.mu),
+                 "not-in-codomain", "element", id="involution-b-leaves-domain"),
     ("involution", "c", 3, 2, 20,  # the part 2n-1 is stripped without its marker
      lambda n, k, x, y: y.payload,
      "not-involutive", "element"),

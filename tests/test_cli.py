@@ -4,6 +4,7 @@ rendering, and orbit traces.
 
 import io
 import json
+import re
 
 from qtelescope import andrews12, cli
 from qtelescope.andrews12 import Triple
@@ -283,3 +284,91 @@ def test_render_negative_square_pair():
     assert lines[1] == "         ■■"
     assert "mu:   ■■■■" in text
     assert "      ■■" in text
+
+
+# one parser per row ----------------------------------------------------------------
+
+# The grammar of the cli docstring: each (command, target) row and its flags.
+GRAMMAR = {
+    ("verify", "macmahon"): {"--n", "--n-max", "--m", "--m-max", "--json", "--format"},
+    ("verify", "andrews"): {"--n", "--n-max", "--cap", "--json", "--format"},
+    ("check-bijection", "macmahon-phi"): {"--n", "--m", "--k", "--json", "--format"},
+    ("check-bijection", "macmahon-psi"): {"--n", "--k", "--json", "--format"},
+    ("check-bijection", "andrews-phi"): {"--n", "--k", "--cap", "--json", "--format"},
+    ("check-bijection", "andrews-involution"): {"--n", "--k", "--cap", "--json",
+                                                "--format"},
+    ("trace", "andrews"): {"--n", "--k", "--cap"},
+}
+ALL_FLAGS = ("--n", "--n-max", "--m", "--m-max", "--k", "--cap", "--json", "--format")
+# a call of each row that succeeds
+VALID = {
+    ("verify", "macmahon"): ["--n", "1", "--m", "1"],
+    ("verify", "andrews"): ["--n", "1"],
+    ("check-bijection", "macmahon-phi"): ["--n", "2", "--m", "1", "--k", "0"],
+    ("check-bijection", "macmahon-psi"): ["--n", "2", "--k", "1"],
+    ("check-bijection", "andrews-phi"): ["--n", "3", "--k", "1", "--cap", "12"],
+    ("check-bijection", "andrews-involution"): ["--n", "2", "--k", "2", "--cap", "12"],
+    ("trace", "andrews"): ["--n", "2", "--k", "0", "--cap", "10"],
+}
+
+
+def test_the_rows_are_the_grammar():
+    assert set(cli.ROWS) == set(GRAMMAR) == set(VALID)
+    assert set().union(*GRAMMAR.values()) == set(ALL_FLAGS)
+
+
+def test_help_exits_zero_and_lists_every_row(capsys):
+    assert run(["--help"]) == (0, "")
+    text = capsys.readouterr().out
+    for command, target in GRAMMAR:
+        assert f"{command} {target}" in text
+
+
+def test_each_row_usage_names_exactly_its_flags(capsys):
+    for row, flags in GRAMMAR.items():
+        assert run([*row, "--help"]) == (0, ""), row
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage.startswith(f"usage: qtelescope {' '.join(row)} "), row
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == flags, row
+
+
+def test_each_flag_a_row_does_not_take_is_a_usage_error(tmp_path, capsys):
+    values = {"--json": str(tmp_path / "certs.json"), "--format": "json"}
+    for row, flags in GRAMMAR.items():
+        assert run([*row, *VALID[row]])[0] == 0, row
+        capsys.readouterr()
+        for flag in ALL_FLAGS:
+            if flag in flags:
+                continue
+            argv = [*row, *VALID[row], flag, values.get(flag, "1")]
+            assert run(argv) == (2, ""), argv
+            assert "Traceback" not in capsys.readouterr().err, argv
+    assert not (tmp_path / "certs.json").exists()
+
+
+def test_json_to_an_unwritable_path_is_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "certs.json", tmp_path):
+        code, _ = run(["verify", "macmahon", "--n", "1", "--m", "1",
+                       "--json", str(path)])
+        assert code == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, path
+
+
+def test_involution_image_outside_its_domain_fails_the_certificate(monkeypatch):
+    # rule (b) moves the toggle to lam as part n+k+1, outside P(n,k)'s window
+    true_map = andrews12.involution
+
+    def broken(n, k, x):
+        if not isinstance(x, MarkedObject) and x.mu.contains(2 * k) \
+                and not x.lam.contains(2 * k):
+            return Triple(x.tau, x.lam.with_part(n + k + 1), x.mu.without_part(2 * k))
+        return true_map(n, k, x)
+
+    monkeypatch.setattr(andrews12, "involution", broken)
+    code, output = run(["check-bijection", "andrews-involution", "--n", "3",
+                        "--k", "2", "--cap", "20", "--format", "json"])
+    assert code == 1
+    counterexample = json.loads(output)["counterexample"]
+    assert counterexample["reason"] == "not-in-codomain"
+    assert counterexample["image"]["lambda"][0] == 6
