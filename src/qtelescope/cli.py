@@ -1,17 +1,13 @@
 """Command-line front end: run verifications over parameter grids, emit
 JSON certificates, and render text Young diagrams for single-orbit audits.
 
-Grammar (COMMAND TARGET come first; ROWS states each row's flags):
+Grammar (ROWS states each row's flags; every row but trace also takes
+[--json PATH] [--format {text,json}]):
     verify macmahon [--n N | --n-max N] [--m M | --m-max M]
-                    [--json PATH] [--format {text,json}]
     verify andrews  [--n N | --n-max N] [--cap D]
-                    [--json PATH] [--format {text,json}]
     check-bijection macmahon-phi --n N --m M --k K
-                    [--json PATH] [--format {text,json}]
     check-bijection macmahon-psi --n N --k K
-                    [--json PATH] [--format {text,json}]
     check-bijection (andrews-phi|andrews-involution) --n N --k K [--cap D]
-                    [--json PATH] [--format {text,json}]
     trace andrews --n N --k K [--cap D]     (some map must lower (n, k))
 
 Exit status: 0 if every emitted certificate verified, 1 if any failed,
@@ -24,7 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NoReturn, Optional
+from collections import namedtuple
+from typing import Optional
 
 from . import andrews12, macmahon
 from .macmahon import MacPair
@@ -33,39 +30,36 @@ from .telescope import Certificate, MarkedObject
 
 USAGE_ERROR = 2
 
-# A flag is (name, add_argument keywords); a tuple of flags is a mutually
-# exclusive group.
-N, M, K = ((f"--{x}", dict(type=int, required=True, metavar=x.upper())) for x in "nmk")
-N_RANGE, M_RANGE = (((f"--{x}", dict(type=int, metavar=x.upper())),
-                     (f"--{x}-max", dict(type=int, default=4, metavar=x.upper(),
-                                         help="default 4")))
-                    for x in "nm")
-CAP = ("--cap", dict(type=int, default=30, metavar="D",
-                     help="weight cap (default 30)"))
-SERIES_CAP = ("--cap", dict(type=int, metavar="D",
-                            help="series truncation degree (default n^2 + 15)"))
-OUTPUT = (("--json", dict(dest="json_path", metavar="PATH",
-                          help="also write the certificates to this file")),
-          ("--format", dict(choices=["text", "json"], default="text")))
+# A row's flag is added as add_argument(name, **keywords); the flags of one
+# row that share a group are mutually exclusive.
+Flag = namedtuple("Flag", "name keywords group", defaults=[None])
+N = Flag("--n", dict(type=int, required=True))
+M = Flag("--m", dict(type=int, required=True))
+K = Flag("--k", dict(type=int, required=True))
+N_RANGE = (Flag("--n", dict(type=int), group="n"),
+           Flag("--n-max", dict(type=int, metavar="N", help="default 4"), group="n"))
+M_RANGE = (Flag("--m", dict(type=int), group="m"),
+           Flag("--m-max", dict(type=int, metavar="M", help="default 4"), group="m"))
+CAP = Flag("--cap", dict(type=int, default=30, metavar="D", help="weight cap (default 30)"))
+SERIES_CAP = Flag("--cap", dict(type=int, metavar="D",
+                                help="series truncation degree (default n^2 + 15)"))
+OUTPUT = (Flag("--json", dict(dest="json_path", metavar="PATH",
+                              help="also write the certificates to this file")),
+          Flag("--format", dict(choices=["text", "json"], default="text")))
 
 
 def render_diagram(obj) -> str:
     """Text Young diagram: one row of cells per part, zero parts as a bare
     row marker, marked objects prefixed with their marker weight."""
     if isinstance(obj, MarkedObject):
-        prefix = f"[marker {obj.marker_q}]"
-        if obj.marker_z:
-            prefix = f"[marker {obj.marker_q}, z{obj.marker_z:+d}]"
+        z = f", z{obj.marker_z:+d}" if obj.marker_z else ""
         body = render_diagram(obj.payload)
-        if "\n" not in body and body == "(empty)":
-            return f"{prefix} {body}"
-        return prefix + "\n" + body
+        return f"[marker {obj.marker_q}{z}]" + (" " if body == "(empty)" else "\n") + body
 
     def rows(partition) -> list[str]:
         return [("■" * p if p else "·") for p in partition.parts]
 
-    def block(label: str, partition) -> list[str]:
-        body = rows(partition)
+    def block(label: str, body: list[str]) -> list[str]:
         if not body:
             return [f"{label} (empty)"]
         pad = " " * len(label)
@@ -74,43 +68,39 @@ def render_diagram(obj) -> str:
     if isinstance(obj, Triple):
         if obj.tau.is_empty() and obj.lam.is_empty() and obj.mu.is_empty():
             return "(empty)"
-        lines = block("tau:", obj.tau) + block("lam:", obj.lam) + block("mu: ", obj.mu)
-        return "\n".join(lines)
+        return "\n".join(block("tau:", rows(obj.tau)) + block("lam:", rows(obj.lam))
+                         + block("mu: ", rows(obj.mu)))
     if isinstance(obj, MacPair):
         if obj.side == 0 and obj.mu.is_empty():
             return "(empty)"
         size = abs(obj.side)
-        label = f"side {obj.side}:"
-        square = [("■" * size)] * size or ["(empty)"]
-        pad = " " * len(label)
-        lines = [f"{label} {square[0]}"] + [f"{pad} {row}" for row in square[1:]]
-        return "\n".join(lines + block("mu:  ", obj.mu))
+        square = block(f"side {obj.side}:", ["■" * size] * size)
+        return "\n".join(square + block("mu:  ", rows(obj.mu)))
     return str(obj)
 
 
-def _emit(certs: list[Certificate], fmt: str, json_path: Optional[str],
-          out=sys.stdout) -> int:
-    for cert in certs:
-        print(cert.to_json() if fmt == "json" else cert.summary(), file=out)
-    if json_path:
-        try:
-            with open(json_path, "w") as fh:
-                json.dump([c.to_json_obj() for c in certs], fh, sort_keys=True,
-                          indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write --json {json_path}: {exc.strerror}")
-    return 0 if all(c.verified for c in certs) else 1
-
-
 def _certifying(certs_of):
-    """A row action that emits the certificates certs_of(args) returns."""
-    return lambda args, out: _emit(certs_of(args), args.format, args.json_path, out)
+    """A row action: print the certificates certs_of(args) returns, write them
+    to --json if it is given, and exit 0 only if every one verified."""
+    def action(args, out) -> int:
+        certs = certs_of(args)
+        for cert in certs:
+            print(cert.to_json() if args.format == "json" else cert.summary(), file=out)
+        if args.json_path:
+            try:
+                with open(args.json_path, "w") as fh:
+                    json.dump([c.to_json_obj() for c in certs], fh, sort_keys=True, indent=2)
+                    fh.write("\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write --json {args.json_path}: {exc.strerror}")
+        return 0 if all(c.verified for c in certs) else 1
+    return action
 
 
-def _index_range(single: Optional[int], upper: int) -> list[int]:
+def _index_range(single: Optional[int], upper: Optional[int]) -> list[int]:
     if single is not None:
         return [single]
+    upper = 4 if upper is None else upper
     if upper < 0:
         raise ValueError(f"upper bound must be nonnegative, got {upper}")
     return list(range(upper + 1))
@@ -144,11 +134,11 @@ def _trace(args, out) -> int:
 
 # (command, target) -> (the flags it takes, its action(args, out) -> exit code)
 ROWS = {
-    ("verify", "macmahon"): ((N_RANGE, M_RANGE, *OUTPUT), _certifying(
+    ("verify", "macmahon"): ((*N_RANGE, *M_RANGE, *OUTPUT), _certifying(
         lambda a: [macmahon.verify_macmahon(n, m)
                    for n in _index_range(a.n, a.n_max)
                    for m in _index_range(a.m, a.m_max)])),
-    ("verify", "andrews"): ((N_RANGE, SERIES_CAP, *OUTPUT), _certifying(_verify_andrews)),
+    ("verify", "andrews"): ((*N_RANGE, SERIES_CAP, *OUTPUT), _certifying(_verify_andrews)),
     ("check-bijection", "macmahon-phi"): ((N, M, K, *OUTPUT), _certifying(
         lambda a: [macmahon.phi_certificate(a.n, a.m, a.k)])),
     ("check-bijection", "macmahon-psi"): ((N, K, *OUTPUT), _certifying(
@@ -164,43 +154,52 @@ ROWS = {
 def _row_parser(command: str, target: str) -> argparse.ArgumentParser:
     """The parser of one row: it accepts that row's flags and no other."""
     parser = argparse.ArgumentParser(prog=f"qtelescope {command} {target}")
-    for spec in ROWS[command, target][0]:
-        if isinstance(spec[0], str):
-            parser.add_argument(spec[0], **spec[1])
-            continue
-        group = parser.add_mutually_exclusive_group()
-        for name, keywords in spec:
-            group.add_argument(name, **keywords)
+    parser.add_argument("command", help=argparse.SUPPRESS)
+    parser.add_argument("target", help=argparse.SUPPRESS)
+    adds_to = {None: parser}
+    for flag in ROWS[command, target][0]:
+        if flag.group not in adds_to:
+            adds_to[flag.group] = parser.add_mutually_exclusive_group()
+        adds_to[flag.group].add_argument(flag.name, **flag.keywords)
     return parser
 
 
-def _no_row(argv: list[str]) -> NoReturn:
-    """Exit as argparse does for an argv that names no row: 0 on --help, else 2."""
+def _find_row(argv: list[str]) -> tuple[str, str]:
+    """The row of an argv whose COMMAND and TARGET stand among the flags (each
+    known here only as taking one value); exits 0 on --help, else 2, if none."""
     parser = argparse.ArgumentParser(
-        prog="qtelescope",
+        prog="qtelescope", add_help=False,
         description="Exact verification of the MacMahon and Andrews partition "
                     "identities via telescoping bijections.",
         epilog="rows (see 'qtelescope COMMAND TARGET --help' for each one's "
                "flags):\n" + "\n".join(f"  {c} {t}" for c, t in ROWS),
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=list(dict.fromkeys(c for c, _ in ROWS)))
-    parser.add_argument("target")
-    args, _ = parser.parse_known_args(argv)  # a row's flags are not errors here
-    targets = ", ".join(repr(t) for c, t in ROWS if c == args.command)
-    parser.error(f"argument target: invalid choice: {args.target!r} "
-                 f"(choose from {targets})")
+    parser.add_argument("-h", "--help", action="store_true",
+                        help="show this help message and exit")
+    for i, name in enumerate(("COMMAND", "TARGET")):
+        parser.add_argument(name.lower(), nargs="?", metavar=name,
+                            choices=list(dict.fromkeys(row[i] for row in ROWS)))
+    for name in dict.fromkeys(f.name for flags, _ in ROWS.values() for f in flags):
+        parser.add_argument(name, help=argparse.SUPPRESS)
+    words, _ = parser.parse_known_intermixed_args(argv)
+    if (words.command, words.target) in ROWS:
+        return words.command, words.target
+    if words.help:
+        parser.print_help()
+        parser.exit()
+    parser.error(f"{words.command} has no target {words.target}" if words.target
+                 else "COMMAND and TARGET are required")
 
 
 def run(argv: list[str], out=sys.stdout) -> int:
-    row = ROWS.get(tuple(argv[:2]))
     try:
-        if row is None:
-            _no_row(argv)
-        args = _row_parser(*argv[:2]).parse_args(argv[2:])
+        # COMMAND TARGET mostly come first, which spares building _find_row's parser
+        row = tuple(argv[:2]) if tuple(argv[:2]) in ROWS else _find_row(argv)
+        args = _row_parser(*row).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return row[1](args, out)
+        return ROWS[row][1](args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -346,6 +346,41 @@ def test_each_flag_a_row_does_not_take_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "certs.json").exists()
 
 
+def test_an_index_and_its_upper_bound_conflict_at_the_default_too(capsys):
+    # 4 is the default upper bound; giving it explicitly still conflicts
+    for x in ("n", "m"):
+        single, upper = [f"--{x}", "1"], [f"--{x}-max", "4"]
+        for argv in (["verify", "macmahon", *single, *upper],
+                     ["verify", "macmahon", *upper, *single]):
+            assert run(argv) == (2, ""), argv
+            assert "not allowed with" in capsys.readouterr().err, argv
+
+
+def test_flags_may_stand_before_the_target(capsys):
+    expected = run(["verify", "macmahon", "--n-max", "1", "--m", "1"])
+    assert expected[0] == 0
+    for argv in (["verify", "--n-max", "1", "macmahon", "--m", "1"],
+                 ["--n-max", "1", "--m", "1", "verify", "macmahon"],
+                 ["verify", "--m=1", "macmahon", "--n-max=1"]):
+        assert run(argv) == expected, argv
+    # -2 is --k's value, not a word, so the row's index rule sees it
+    assert run(["check-bijection", "--k", "-2", "andrews-phi", "--n", "3"]) == (2, "")
+    assert capsys.readouterr().err == "error: no map lowers n=3, k=-2\n"
+
+
+def test_an_argv_that_names_no_row_says_why(capsys):
+    # macmahon is --json's value here, so no TARGET is given
+    for argv, reason in (
+            (["verify", "--json", "macmahon"], "COMMAND and TARGET are required"),
+            (["verify", "andrews-phi"], "verify has no target andrews-phi"),
+            (["trace", "macmahon", "--n", "1"], "trace has no target macmahon"),
+            (["verify", "nonsense"], "invalid choice: 'nonsense'")):
+        assert run(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qtelescope [-h] [COMMAND] [TARGET]"), argv
+        assert reason in err and "Traceback" not in err, argv
+
+
 def test_json_to_an_unwritable_path_is_usage_error(tmp_path, capsys):
     for path in (tmp_path / "missing" / "certs.json", tmp_path):
         code, _ = run(["verify", "macmahon", "--n", "1", "--m", "1",
@@ -353,22 +388,3 @@ def test_json_to_an_unwritable_path_is_usage_error(tmp_path, capsys):
         assert code == 2, path
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, path
-
-
-def test_involution_image_outside_its_domain_fails_the_certificate(monkeypatch):
-    # rule (b) moves the toggle to lam as part n+k+1, outside P(n,k)'s window
-    true_map = andrews12.involution
-
-    def broken(n, k, x):
-        if not isinstance(x, MarkedObject) and x.mu.contains(2 * k) \
-                and not x.lam.contains(2 * k):
-            return Triple(x.tau, x.lam.with_part(n + k + 1), x.mu.without_part(2 * k))
-        return true_map(n, k, x)
-
-    monkeypatch.setattr(andrews12, "involution", broken)
-    code, output = run(["check-bijection", "andrews-involution", "--n", "3",
-                        "--k", "2", "--cap", "20", "--format", "json"])
-    assert code == 1
-    counterexample = json.loads(output)["counterexample"]
-    assert counterexample["reason"] == "not-in-codomain"
-    assert counterexample["image"]["lambda"][0] == 6
