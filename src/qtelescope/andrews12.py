@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -96,28 +95,22 @@ def in_P(n: int, k: int, t: Triple) -> bool:
 
 
 def enum_P(n: int, k: int, cap: int) -> list[Triple]:
-    """All members of P(n,k) with total weight <= cap, deterministically ordered.
+    """All members of P(n,k) with total weight <= cap, in certificate order:
+    by total weight, then lam, then mu, each lexicographic.
 
-    tau and lam range over finite sets; mu is enumerated up to the weight
-    left over under the cap.
+    Built grade by grade from the capped enumerators, with mu grouped by
+    weight once, so nothing over the cap is built and nothing is sorted.
     """
-    if n < 0 or k < 0 or k > n or cap < 0:
+    if n < 0 or k < 0 or k > n:
         return []
     tau = staircase(n - k)
-    if tau.weight > cap:
-        return []
-    mus = sorted(enum_even_capped(2 * k, cap - tau.weight),
-                 key=lambda p: (p.weight, p.parts))
-    mu_weights = [p.weight for p in mus]
-    out = []
-    for lam in enum_distinct_range(n - k + 1, n + k):
-        budget = cap - tau.weight - lam.weight
-        if budget < 0:
-            continue
-        for mu in mus[:bisect_right(mu_weights, budget)]:
-            out.append(Triple(tau, lam, mu))
-    out.sort(key=lambda t: (t.total_weight, t.tau.parts, t.lam.parts, t.mu.parts))
-    return out
+    budget = cap - tau.weight
+    lams = enum_distinct_range(n - k + 1, n + k, budget)
+    mus_by_weight = [[] for _ in range(budget + 1)]
+    for mu in enum_even_capped(2 * k, budget):
+        mus_by_weight[mu.weight].append(mu)
+    return [Triple(tau, lam, mu) for grade in range(budget + 1) for lam in lams
+            if lam.weight <= grade for mu in mus_by_weight[grade - lam.weight]]
 
 
 def classify(n: int, k: int, t: Triple) -> ClassTag:
@@ -343,7 +336,7 @@ def _involution_failure(n, k, slice_, embedded):
         if sign_y != -sign_x:
             return x, y, "sign-not-reversed"
     if fixed != embedded:
-        return sorted(fixed ^ embedded, key=repr)[0], None, "fixed-set-mismatch"
+        return min(fixed ^ embedded, key=repr), None, "fixed-set-mismatch"
     return None
 
 

@@ -2,14 +2,14 @@
 by the verification drivers.
 
 Zero parts are first-class: (0) and the empty partition are different
-objects, and staircases always end in a zero part when nonempty.  The
-enumerators return deterministically ordered lists (lexicographic by
-part tuple) so downstream certificates are byte-stable.
+objects, and staircases always end in a zero part when nonempty.  Each
+enumerator is a recursion that yields in lexicographic order of the part
+tuple, so its list needs no sort and downstream certificates are
+byte-stable; the weight-capped ones prune a branch once it passes the cap.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -114,19 +114,23 @@ def staircase(r: int) -> Partition:
     return Partition(tuple(range(r - 1, -1, -1)))
 
 
-def enum_distinct_range(lo: int, hi: int) -> list[Partition]:
-    """All strictly decreasing partitions whose parts lie in [lo, hi].
+def enum_distinct_range(lo: int, hi: int, weight_cap: int) -> list[Partition]:
+    """All strictly decreasing partitions with parts in [lo, hi] and weight <= weight_cap.
 
-    An empty range (hi < lo) yields exactly [()]; otherwise there are
-    2^(hi - lo + 1) results, one per subset of {lo, ..., hi}.
+    A branch is pruned once its weight passes the cap, so no partition over
+    the cap is built.  An empty range (hi < lo) yields exactly [()]; a
+    negative cap yields [].
     """
-    values = list(range(hi, lo - 1, -1))
-    out = []
-    for r in range(len(values) + 1):
-        for combo in itertools.combinations(values, r):
-            out.append(Partition(combo))
-    out.sort(key=lambda p: p.parts)
-    return out
+    if weight_cap < 0:
+        return []
+
+    def rec(limit: int, budget: int) -> Iterator[tuple[int, ...]]:
+        yield ()
+        for p in range(lo, min(limit, budget) + 1):
+            for rest in rec(p - 1, budget - p):
+                yield (p,) + rest
+
+    return [Partition(parts) for parts in rec(hi, weight_cap)]
 
 
 def enum_even_bounded(max_part: int, max_len: int) -> list[Partition]:

@@ -194,8 +194,8 @@ def _bijection_failure(map_fn, domain, codomain_set, weight_fn):
         seen[y] = x
         if weight_fn(x) != weight_fn(y):
             return x, y, REASON_WEIGHT_MISMATCH
-    missed = codomain_set - set(seen)
-    if missed:
+    if len(seen) < len(codomain_set):
+        missed = (y for y in codomain_set if y not in seen)
         return None, min(missed, key=repr), REASON_NOT_SURJECTIVE
     return None
 

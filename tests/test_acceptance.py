@@ -231,7 +231,7 @@ def test_criterion_09_property_suites():
                 failures.append(("even-bounded", max_part, max_len))
     for lo in (1, 2):
         for hi in range(lo - 1, lo + 4):
-            got = {p.parts for p in enum_distinct_range(lo, hi)}
+            got = {p.parts for p in enum_distinct_range(lo, hi, sum(range(lo, hi + 1)))}
             want = {t for t in brute_partitions(max(hi, 0), 40)
                     if len(set(t)) == len(t) and all(lo <= x <= hi for x in t)}
             if got != want:

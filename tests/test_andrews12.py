@@ -6,6 +6,9 @@ from scratch here (not via classify) so exhaustiveness and disjointness are
 checked against raw definitions.
 """
 
+import itertools
+from bisect import bisect_right
+
 import pytest
 
 from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
@@ -67,6 +70,36 @@ def test_enum_P_respects_joint_weight_cap():
 def test_enum_P_out_of_range():
     assert enum_P(2, 3, 10) == []
     assert enum_P(1, -1, 10) == []
+
+
+def enum_P_by_filter_and_sort(n, k, cap):
+    """The slice built the plain way: every distinct-part lam of the window,
+    the ones over the cap filtered out, the whole slice sorted."""
+    if n < 0 or k < 0 or k > n:
+        return []
+    tau = staircase(n - k)
+    window = range(n + k, n - k, -1)
+    lams = [Partition(c) for r in range(2 * k + 1)
+            for c in itertools.combinations(window, r)]
+    mus = sorted(enum_even_capped(2 * k, cap - tau.weight), key=lambda p: p.weight)
+    mu_weights = [p.weight for p in mus]
+    out = [Triple(tau, lam, mu) for lam in lams if tau.weight + lam.weight <= cap
+           for mu in mus[:bisect_right(mu_weights, cap - tau.weight - lam.weight)]]
+    out.sort(key=lambda t: (t.total_weight, t.tau.parts, t.lam.parts, t.mu.parts))
+    return out
+
+
+def test_enum_P_is_the_filtered_sorted_slice():
+    # Caps over 36 add slices of up to 4.5 million triples (n = k = 7 at
+    # cap 64) and about a minute of run time; the caps kept already put
+    # many lam and mu in one grade.
+    for n in range(8):
+        for k in range(-1, n + 2):
+            for cap in (-1, 0, 1, n * n, n * n + 15, 40):
+                if cap > 36:
+                    continue
+                want = enum_P_by_filter_and_sort(n, k, cap)
+                assert enum_P(n, k, cap) == want, (n, k, cap)
 
 
 def test_signed_sums_match_series():
@@ -332,7 +365,9 @@ def domain_neighbourhood(n, k):
     a repeated part, mu with one even part up to 2k+2 or an odd part; each
     also unmarked and under markers 2n-3, 2n-1, 2n+1 with marker_z -1, 0, 1."""
     taus = [staircase(r) for r in range(max(n - k - 1, 0), n - k + 2)]
-    lams = [lam for lam in enum_distinct_range(max(n - k, 0), n + k + 1) if lam.length <= 2]
+    whole_range = sum(range(n + k + 2))
+    lams = [lam for lam in enum_distinct_range(max(n - k, 0), n + k + 1, whole_range)
+            if lam.length <= 2]
     lams.append(Partition((n + k + 1, n + k + 1)))
     mus = [Partition((p,) if p else ()) for p in range(0, 2 * k + 3, 2)] + [Partition((1,))]
     triples = [Triple(tau, lam, mu) for tau in taus for lam in lams for mu in mus]
@@ -493,7 +528,7 @@ def F_enumerated(n, cap):
         for mu in enum_even_capped(2 * k, cap - tau_weight):
             mu_hist[mu.weight] = mu_hist.get(mu.weight, 0) + 1
         lam_hist = {}
-        for lam in enum_distinct_range(n - k + 1, n + k):
+        for lam in enum_distinct_range(n - k + 1, n + k, sum(range(n - k + 1, n + k + 1))):
             if tau_weight + lam.weight <= cap:
                 sign = -1 if lam.length % 2 else 1
                 lam_hist[lam.weight] = lam_hist.get(lam.weight, 0) + sign

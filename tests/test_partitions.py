@@ -2,10 +2,12 @@
 brute-force generator that knows nothing about the library's descent order.
 """
 
+import itertools
 import math
 
 import pytest
 
+from qtelescope import partitions
 from qtelescope.partitions import (EMPTY, Partition, enum_distinct_range,
                                    enum_even_bounded, enum_even_capped,
                                    staircase)
@@ -96,23 +98,48 @@ def test_staircase_weight_is_triangular():
 # enum_distinct_range -----------------------------------------------------------
 
 def test_distinct_range_examples():
-    assert {p.parts for p in enum_distinct_range(1, 2)} == {(), (1,), (2,), (2, 1)}
-    assert [p.parts for p in enum_distinct_range(3, 2)] == [()]
-    assert {p.parts for p in enum_distinct_range(2, 3)} == {(), (2,), (3,), (3, 2)}
+    assert {p.parts for p in enum_distinct_range(1, 2, 3)} == {(), (1,), (2,), (2, 1)}
+    assert [p.parts for p in enum_distinct_range(3, 2, 0)] == [()]
+    assert {p.parts for p in enum_distinct_range(2, 3, 5)} == {(), (2,), (3,), (3, 2)}
 
 
 def test_distinct_range_against_brute_force():
     for lo in range(1, 4):
         for hi in range(lo - 1, lo + 5):
-            got = {p.parts for p in enum_distinct_range(lo, hi)}
+            got = {p.parts for p in enum_distinct_range(lo, hi, sum(range(lo, hi + 1)))}
             want = {t for t in brute_all_partitions(max(hi, 0), max(hi, 0) * 6)
                     if len(set(t)) == len(t) and all(lo <= x <= hi for x in t)}
             assert got == want
             assert len(got) == 2 ** max(hi - lo + 1, 0)
 
 
+def test_distinct_range_is_the_capped_subsets_in_lexicographic_order():
+    for lo in range(13):
+        for hi in range(lo - 1, 13):
+            values = range(hi, lo - 1, -1)
+            subsets = sorted(c for r in range(len(values) + 1)
+                             for c in itertools.combinations(values, r))
+            for cap in range(-1, sum(values) + 1):
+                got = [p.parts for p in enum_distinct_range(lo, hi, cap)]
+                assert got == [c for c in subsets if sum(c) <= cap], (lo, hi, cap)
+
+
+def test_distinct_range_builds_only_what_it_returns(monkeypatch):
+    built = []
+
+    class CountedPartition(Partition):
+        __slots__ = ()
+
+        def __post_init__(self):
+            built.append(self)
+
+    monkeypatch.setattr(partitions, "Partition", CountedPartition)
+    result = enum_distinct_range(2, 21, 40)
+    assert len(built) == len(result) < 2 ** 20
+
+
 def test_enumerations_are_duplicate_free_and_sorted():
-    for enum in (enum_distinct_range(2, 6), enum_even_bounded(6, 3),
+    for enum in (enum_distinct_range(2, 6, 20), enum_even_bounded(6, 3),
                  enum_even_capped(4, 9)):
         parts = [p.parts for p in enum]
         assert parts == sorted(parts)
@@ -187,7 +214,7 @@ def test_even_capped_against_brute_force():
 
 
 def test_enumerator_outputs_satisfy_their_predicates():
-    for p in enum_distinct_range(2, 7):
+    for p in enum_distinct_range(2, 7, 27):
         assert p.has_distinct_parts()
     for p in enum_even_bounded(8, 3):
         assert p.has_even_parts() and p.first <= 8 and p.length <= 3

@@ -3,11 +3,13 @@ perfbench/workloads.py import and read qtelescope names at import time,
 and every benchmark call must return the certificates recorded in
 perfbench/expected.json.  A rename in the library that breaks either makes
 every benchmark operation fail, so it is checked here on every
-andrews-series call and a small share of the other workloads.  The tracer
-clears and reads the caches of `qalgebra.gaussian_binomial` and
-`andrews12.F_trunc`, so both must stay module-level `functools.lru_cache`
-functions.  The tracer wraps names it finds by attribute lookup and only
-notes the ones that are gone, so the set of names it misses is pinned here.
+andrews-series call and a small share of the other workloads.  Among them
+is the Andrews phi slice, whose recorded sizes pin what `andrews12.enum_P`
+builds there.  The tracer clears and reads the caches of
+`qalgebra.gaussian_binomial` and `andrews12.F_trunc`, so both must stay
+module-level `functools.lru_cache` functions.  The tracer wraps names it
+finds by attribute lookup and only notes the ones that are gone, so the
+set of names it misses is pinned here.
 """
 
 import importlib.util
@@ -33,7 +35,8 @@ CALLS = ([call for call in workloads.WORKLOADS["macmahon-grid"]
           if int(call[3]) <= 4 and int(call[5]) <= 4]
          + workloads.WORKLOADS["andrews-series"]
          + [call for call in workloads.WORKLOADS["bijection-slices"]
-            if call[1] in ("macmahon-phi", "macmahon-psi")])
+            if call[1] in ("macmahon-phi", "macmahon-psi")
+            or call[1:] == ("andrews-phi", "--n", "7", "--k", "3", "--cap", "60")])
 
 
 @pytest.mark.parametrize("call", CALLS, ids=workloads.call_id)
