@@ -20,7 +20,10 @@ does the same job; no map lowers any other (n, k).  Summing over k gives
     F_n + (q^(2n-1) - 1) F_{n-1} - q^(2n-3) F_{n-2} = 0,
 
 which pins F_n to the alternating square sum above.  F_trunc counts F_n by
-weight; the bijection and the involutions run on enumerated triples.
+weight; the bijection and the involutions run on enumerated triples.  The
+public maps phi and involution check their input's membership; the
+involution certificate runs the unchecked body and tests each image's
+membership once.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def in_P(n: int, k: int, t: Triple) -> bool:
     """Membership in P(n,k); False outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return False
-    if t.tau != staircase(n - k):
+    if t.tau.parts != tuple(range(n - k - 1, -1, -1)):  # staircase(n - k)
         return False
     if not t.lam.has_distinct_parts():
         return False
@@ -167,13 +170,23 @@ def _require_map(name: str, n: int, k: int) -> None:
         raise ValueError(f"{name} does not lower n={n}, k={k}")
 
 
+def _is_marked_input(n: int, k: int, x: MarkedObject) -> bool:
+    """The marked-input rule at (n, k): marker q^(2n-1), no z, payload in P(n-1,k-1)."""
+    return x.marker_q == 2 * n - 1 and x.marker_z == 0 and in_P(n - 1, k - 1, x.payload)
+
+
 def _marked_payload(n: int, k: int, x: MarkedObject) -> Triple:
-    """The payload of a marked input at (n, k): marker q^(2n-1), no z, in P(n-1,k-1)."""
-    if x.marker_q != 2 * n - 1 or x.marker_z != 0:
-        raise ValueError(f"unexpected marker on {x}")
-    if not in_P(n - 1, k - 1, x.payload):
-        raise ValueError(f"marked payload {x.payload} is not in P({n - 1},{k - 1})")
+    """The payload of a marked input at (n, k); ValueError unless the rule holds."""
+    if not _is_marked_input(n, k, x):
+        raise ValueError(f"{x} is not a marker-{2 * n - 1} copy of P({n - 1},{k - 1})")
     return x.payload
+
+
+def _in_domain(n: int, k: int, x: TripleValue) -> bool:
+    """Membership in the maps' domain at (n, k): P(n,k), or a marked input."""
+    if isinstance(x, MarkedObject):
+        return _is_marked_input(n, k, x)
+    return in_P(n, k, x)
 
 
 def phi(n: int, k: int, x: TripleValue) -> TripleValue:
@@ -233,17 +246,24 @@ def involution(n: int, k: int, x: TripleValue) -> TripleValue:
           of P(n-1,k-1)
 
     The toggle rules fire before the marker exchange.  Non-fixed points
-    pair up with equal unsigned weight and opposite sign.
+    pair up with equal unsigned weight and opposite sign.  ValueError
+    unless the index rule names the involution at (n, k) and x is in its
+    domain.
     """
     _require_map("involution", n, k)
+    if not _in_domain(n, k, x):
+        raise ValueError(f"{x} is not in the involution's domain at n={n}, k={k}")
+    return _involute(n, k, x)
+
+
+def _involute(n: int, k: int, x: TripleValue) -> TripleValue:
+    """Rules (a)-(e) of `involution` with no check: x must be in its domain."""
     toggle = 2 * k
     marker_part = 2 * n - 1
     if isinstance(x, MarkedObject):
-        t = _marked_payload(n, k, x)
+        t = x.payload
         return Triple(t.tau, t.lam.with_part(marker_part), t.mu)
     t = x
-    if not in_P(n, k, t):
-        raise ValueError(f"{t} is not in P({n},{k})")
     if t.lam.contains(toggle):
         return Triple(t.tau, t.lam.without_part(toggle), t.mu.with_part(toggle))
     if t.mu.contains(toggle):
@@ -318,13 +338,18 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
 
 
 def _involution_failure(n, k, slice_, embedded):
+    # Only the images are tested for membership, each once; the slice is
+    # the capped domain by construction.  No check is lost: in a verified
+    # certificate the map is involutive on the slice, and every image is in
+    # the domain and has its element's weight, so it is within the cap.  So
+    # the images are exactly the slice, and testing each image tests each
+    # element once.
     fixed = set()
     for x in slice_:
-        y = involution(n, k, x)
-        try:
-            back = involution(n, k, y)
-        except ValueError:  # the map's own membership check: y left its domain
+        y = _involute(n, k, x)
+        if not _in_domain(n, k, y):
             return x, y, REASON_NOT_IN_CODOMAIN
+        back = _involute(n, k, y)
         if back != x:
             return x, y, "not-involutive"
         if y == x:

@@ -291,7 +291,7 @@ def test_criterion_10_negative_controls(monkeypatch, tmp_path):
         failures.append("telescoping control")
 
     # (iii) a perturbed involution must fail its certificate
-    true_involution = andrews12.involution
+    true_involution = andrews12._involute
 
     def broken_involution(nn, kk, x):
         y = true_involution(nn, kk, x)
@@ -299,9 +299,9 @@ def test_criterion_10_negative_controls(monkeypatch, tmp_path):
             return x  # silently freeze one non-fixed point
         return y
 
-    monkeypatch.setattr(andrews12, "involution", broken_involution)
+    monkeypatch.setattr(andrews12, "_involute", broken_involution)
     cert = andrews12.involution_certificate(2, 2, 12)
-    monkeypatch.setattr(andrews12, "involution", true_involution)
+    monkeypatch.setattr(andrews12, "_involute", true_involution)
     if cert.verified or cert.counterexample is None:
         failures.append("involution control")
 

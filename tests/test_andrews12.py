@@ -310,6 +310,29 @@ def test_involution_rejects_bad_indices():
         involution(3, 1, T((1, 0), (3,)))
 
 
+def test_trusted_involution_body_matches_the_checking_map():
+    for n in range(2, 6):
+        for k in (n - 1, n):
+            for x in domain_slice(n, k, 30):
+                assert andrews12._involute(n, k, x) == involution(n, k, x), (n, k, x)
+
+
+@pytest.mark.parametrize("n, k, cap", [(3, 2, 20), (4, 4, 30), (5, 4, 30)])
+def test_involution_certificate_tests_membership_once_per_element(monkeypatch, n, k, cap):
+    calls = 0
+    true_in_P = andrews12.in_P
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return true_in_P(*args)
+
+    monkeypatch.setattr(andrews12, "in_P", counted)
+    cert = involution_certificate(n, k, cap)
+    assert cert.verified
+    assert calls == cert.domain_size
+
+
 def test_involution_net_weight_equals_embedded():
     for n in range(2, 5):
         for k in (n - 1, n):
@@ -391,6 +414,8 @@ def test_maps_accept_exactly_their_domain(name):
                 else:
                     assert in_domain and paper_domain(n, k, x), (n, k, x)
                     accepted.add(type(x))
+                if name == "involution":
+                    assert andrews12._in_domain(n, k, x) == paper_domain(n, k, x), (n, k, x)
             if in_domain:  # the neighbourhood reaches both parts of the domain
                 assert accepted == ({Triple, MarkedObject} if k else {Triple}), (n, k)
 
@@ -478,7 +503,8 @@ MUTATIONS = [
                          ids=[f"{m[0]}-{m[1]}" for m in MUTATIONS])
 def test_certificate_sees_a_fault_in_each_case(monkeypatch, name, case, n, k, cap,
                                                fault, reason, where):
-    true_map = getattr(andrews12, name)
+    body = {"phi": "phi", "involution": "_involute"}[name]  # what the certificate calls
+    true_map = getattr(andrews12, body)
     case_of = {"phi": phi_case, "involution": involution_case}[name]
     certificate = {"phi": phi_certificate, "involution": involution_certificate}[name]
     assert certificate(n, k, cap).verified
@@ -488,7 +514,7 @@ def test_certificate_sees_a_fault_in_each_case(monkeypatch, name, case, n, k, ca
         y = true_map(nn, kk, x)
         return fault(nn, kk, x, y) if case_of(nn, kk, x) == case else y
 
-    monkeypatch.setattr(andrews12, name, broken)
+    monkeypatch.setattr(andrews12, body, broken)
     cert = certificate(n, k, cap)
     assert not cert.verified
     counterexample = cert.counterexample

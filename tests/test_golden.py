@@ -67,7 +67,7 @@ def _telescoping_control():
 
 
 def _involution_control():
-    true_involution = andrews12.involution
+    true_involution = andrews12._involute
 
     def broken(nn, kk, x):
         if isinstance(x, andrews12.Triple) and x.lam.parts == (3,) \
@@ -75,7 +75,7 @@ def _involution_control():
             return x
         return true_involution(nn, kk, x)
 
-    with mock.patch.object(andrews12, "involution", broken):
+    with mock.patch.object(andrews12, "_involute", broken):
         return andrews12.involution_certificate(2, 2, 12)
 
 
