@@ -21,9 +21,9 @@ does the same job; no map lowers any other (n, k).  Summing over k gives
 
 which pins F_n to the alternating square sum above.  F_trunc counts F_n by
 weight; the bijection and the involutions run on enumerated triples.  The
-public maps phi and involution check their input's membership; the
-involution certificate runs the unchecked body and tests each image's
-membership once.
+public maps phi and involution share one input check (the index rule, then
+membership in their common domain); the involution certificate runs the
+unchecked body and tests each image's membership once.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .partitions import (EMPTY, Partition, enum_distinct_range,
-                         enum_even_capped, staircase)
+from .partitions import (Partition, enum_distinct_range, enum_even_capped,
+                         staircase)
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
                         WeightKey, certify, check_graded_bijection, weight_of)
@@ -117,16 +117,20 @@ def enum_P(n: int, k: int, cap: int) -> list[Triple]:
 
 
 def classify(n: int, k: int, t: Triple) -> ClassTag:
-    """Place a member of P(n,k), k >= 1, into its domain class.
+    """Place a member of P(n,k) into its domain class; ValueError for a
+    non-member.
 
     The four predicates are mutually exclusive and exhaustive, keyed on
     whether the two largest admissible lam values n+k and n+k-1 occur and
     on whether mu sits on its boundary 2k.
     """
-    if k < 1:
-        raise ValueError("classification needs k >= 1")
     if not in_P(n, k, t):
         raise ValueError(f"{t} is not in P({n},{k})")
+    return _class_of(n, k, t)
+
+
+def _class_of(n: int, k: int, t: Triple) -> ClassTag:
+    """`classify` with no check: t must be in P(n,k)."""
     top = t.lam.contains(n + k)
     second = t.lam.contains(n + k - 1)
     if top and second:
@@ -170,23 +174,21 @@ def _require_map(name: str, n: int, k: int) -> None:
         raise ValueError(f"{name} does not lower n={n}, k={k}")
 
 
-def _is_marked_input(n: int, k: int, x: MarkedObject) -> bool:
-    """The marked-input rule at (n, k): marker q^(2n-1), no z, payload in P(n-1,k-1)."""
-    return x.marker_q == 2 * n - 1 and x.marker_z == 0 and in_P(n - 1, k - 1, x.payload)
-
-
-def _marked_payload(n: int, k: int, x: MarkedObject) -> Triple:
-    """The payload of a marked input at (n, k); ValueError unless the rule holds."""
-    if not _is_marked_input(n, k, x):
-        raise ValueError(f"{x} is not a marker-{2 * n - 1} copy of P({n - 1},{k - 1})")
-    return x.payload
-
-
 def _in_domain(n: int, k: int, x: TripleValue) -> bool:
-    """Membership in the maps' domain at (n, k): P(n,k), or a marked input."""
+    """Membership in the maps' domain at (n, k): P(n,k), or a marked input
+    (marker q^(2n-1), no z, payload in P(n-1,k-1))."""
     if isinstance(x, MarkedObject):
-        return _is_marked_input(n, k, x)
+        return (x.marker_q == 2 * n - 1 and x.marker_z == 0
+                and in_P(n - 1, k - 1, x.payload))
     return in_P(n, k, x)
+
+
+def _require_input(name: str, n: int, k: int, x: TripleValue) -> None:
+    """ValueError unless the index rule names `name` at (n, k) and x is in
+    the maps' domain there."""
+    _require_map(name, n, k)
+    if not _in_domain(n, k, x):
+        raise ValueError(f"{x} is not in the domain of {name} at n={n}, k={k}")
 
 
 def phi(n: int, k: int, x: TripleValue) -> TripleValue:
@@ -196,28 +198,26 @@ def phi(n: int, k: int, x: TripleValue) -> TripleValue:
     Codomain: P(n-1,k-1) together with marker-(2n-3) copies of P(n-2,k).
     Every case preserves the signed weight, markers included:
 
-      k = 0:    drop two staircase rows, emit marker 2n-3
       embedded: the triple already lies in P(n-1,k-1); identity
-      A:        drop two staircase rows and the first row of mu
+      A:        drop two staircase rows and the first row of mu (this
+                covers k = 0, where P(n,0) is the bare staircase)
       B:        drop two staircase rows; the one part from {n+k, n+k-1}
                 shrinks by 2k
       C:        drop two staircase rows; both top parts shrink by 2k and
                 mu gains a new part 2k
       marked:   drop two staircase rows; lam gains parts n-k and n-k-1
+
+    ValueError unless the index rule names phi at (n, k) and x is in its
+    domain.
     """
-    _require_map("phi", n, k)
+    _require_input("phi", n, k, x)
     marker_out = 2 * n - 3
     if isinstance(x, MarkedObject):
-        t = _marked_payload(n, k, x)
+        t = x.payload
         lam = t.lam.with_part(n - k).with_part(n - k - 1)
         return MarkedObject(marker_out, Triple(t.tau.drop_first_rows(2), lam, t.mu))
     t = x
-    if k == 0:
-        if not in_P(n, k, t):
-            raise ValueError(f"{t} is not in P({n},{k})")
-        return MarkedObject(marker_out,
-                            Triple(t.tau.drop_first_rows(2), EMPTY, EMPTY))
-    tag = classify(n, k, t)  # raises for non-members of P(n,k)
+    tag = _class_of(n, k, t)
     tau2 = t.tau.drop_first_rows(2)
     if tag is ClassTag.EMBEDDED:
         return t
@@ -250,9 +250,7 @@ def involution(n: int, k: int, x: TripleValue) -> TripleValue:
     unless the index rule names the involution at (n, k) and x is in its
     domain.
     """
-    _require_map("involution", n, k)
-    if not _in_domain(n, k, x):
-        raise ValueError(f"{x} is not in the involution's domain at n={n}, k={k}")
+    _require_input("involution", n, k, x)
     return _involute(n, k, x)
 
 

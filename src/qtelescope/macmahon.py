@@ -77,10 +77,11 @@ def _box_Q(n: int, k: int) -> Box:
     return k, 2 * n - 2 * k, k
 
 
-def _in_box(box: Box, x: MacPair) -> bool:
+def _in_box(box: Box, x: MacValue) -> bool:
     side, bound, slots = box
-    return (x.side == side and x.mu.has_even_parts()
-            and x.mu.first <= bound and x.mu.length <= slots)
+    return (isinstance(x, MacPair) and x.side == side
+            and x.mu.has_even_parts() and x.mu.first <= bound
+            and x.mu.length <= slots)
 
 
 def _enum_box(box: Box) -> list[MacPair]:
@@ -108,10 +109,11 @@ def enum_Q(n: int, k: int) -> list[MacPair]:
 # the two step maps ------------------------------------------------------
 
 def _step(box: Box, neighbour: Box, marker: tuple[int, int],
-          x: MacPair) -> tuple[int, MacValue]:
+          x: MacValue) -> tuple[int, MacValue]:
     """The step map at one index: a pair of box is its own image, a
     boundary pair of the neighbouring box loses its first row, takes the
-    side of box and carries the marker (marker_q, marker_z)."""
+    side of box and carries the marker (marker_q, marker_z).  Anything
+    else, a MarkedObject included, is rejected here with ValueError."""
     if _in_box(box, x):
         return (1 if x.mu.first == box[1] else 2), x
     if _in_box(neighbour, x) and x.mu.first == neighbour[1]:
@@ -123,16 +125,15 @@ def _step(box: Box, neighbour: Box, marker: tuple[int, int],
 def phi_step(n: int, m: int, k: int, x: MacPair) -> tuple[int, MacValue]:
     """One application of the m-lowering map at index k.
 
-    Input must lie in P(n,m,k) or G(n,m,k-1); m >= 1.  Returns (case, value):
+    Input must lie in P(n,m,k) or G(n,m,k-1); n >= 0, m >= 1.  Returns
+    (case, value):
       case 1: boundary pair, lands in G(n,m,k) unchanged
       case 2: interior pair, lands in P(n,m-1,k) unchanged
       case 3: G(n,m,k-1) pair; the side grows by one, the first row of mu
               goes away, and the output carries marker q^(2m-1)/z
     """
-    if m < 1:
-        raise ValueError("phi_step requires m >= 1")
-    if isinstance(x, MarkedObject):
-        raise ValueError("marked objects are not in the domain of phi_step")
+    if n < 0 or m < 1:
+        raise ValueError("phi_step requires n >= 0 and m >= 1")
     return _step(_box_P(n, m, k), _box_P(n, m, k - 1), (2 * m - 1, -1), x)
 
 
@@ -147,8 +148,6 @@ def psi_step(n: int, k: int, x: MacPair) -> tuple[int, MacValue]:
     """
     if n < 1:
         raise ValueError("psi_step requires n >= 1")
-    if isinstance(x, MarkedObject):
-        raise ValueError("marked objects are not in the domain of psi_step")
     return _step(_box_Q(n, k), _box_Q(n, k + 1), (2 * n - 1, 1), x)
 
 
@@ -331,23 +330,22 @@ def telescoping_phi(n: int, m: int, tagged: tuple[str, MacPair]):
 
 
 def cancelation_certificate(n: int, m: int) -> Certificate:
-    """Build the direct map by iterating phi and verify it is a bijection.
+    """Verify that the direct map obtained by iterating phi is a bijection.
 
-    Every pair in the union of the P(n,m,k) is driven through the tagged
-    union until it first lands in a target; the budget is the size of the
-    whole union plus one.
+    The checker drives each pair in the union of the P(n,m,k) through the
+    tagged union until it first lands in a target, as it reaches the pair;
+    the budget is the size of the whole union plus one.
     """
     domain = [x for k in range(-m, n + 1) for x in enum_P(n, m, k)]
     boundary = sum(x.mu.first == _box_P(n, m, x.side)[1] for x in domain)
     budget = len(domain) + boundary + 1
-    direct: dict[MacPair, MacValue] = {}
-    for a in domain:
-        landed = cancelation_psi(
-            lambda t: telescoping_phi(n, m, t), ("A", a),
-            lambda t: t[0] == "B", budget)
-        direct[a] = landed[1]
+
+    def direct(a: MacPair) -> MacValue:
+        return cancelation_psi(lambda t: telescoping_phi(n, m, t), ("A", a),
+                               lambda t: t[0] == "B", budget)[1]
+
     codomain = [x for k in range(-m, n + 1) for x in enum_P(n, m - 1, k)]
     codomain = codomain + [MarkedObject(2 * m - 1, x, marker_z=-1) for x in codomain]
     return check_graded_bijection(
-        direct.__getitem__, domain, codomain, weight_of,
+        direct, domain, codomain, weight_of,
         cap=None, check="macmahon-cancelation", params={"n": n, "m": m})

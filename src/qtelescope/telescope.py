@@ -8,7 +8,8 @@ counterexample on failure), built by the one helper certify.  Nothing here
 is probabilistic.  weight_of is the single notion of weight: an object's
 signed monomial as the int key (sign, z_exp, q_exp); weighted_count sums a
 family's keys into one LaurentPoly.  macmahon.verify_macmahon runs
-telescoping_sum_check per index on its enumerated families.
+telescoping_sum_check per index on weighted counts from
+macmahon._box_counts, a weight-only walk over each box that builds no pair.
 """
 
 from __future__ import annotations

@@ -153,7 +153,7 @@ def test_classify_examples():
 
 def test_domain_classification_partition(cap=30):
     for n in range(2, 7):
-        for k in range(1, n - 1):
+        for k in range(0, n - 1):  # at k = 0 the bare staircase is class A
             embedded = []
             for t in enum_P(n, k, cap):
                 flags = raw_domain_flags(n, k, t)
@@ -175,7 +175,7 @@ def test_codomain_classification_partition(cap=30):
 
 def test_classify_rejects_non_members():
     with pytest.raises(ValueError):
-        classify(3, 0, T((2, 1, 0)))
+        classify(3, 0, T((1, 0)))         # tau is not staircase(3)
     with pytest.raises(ValueError):
         classify(3, 1, T((), (1,)))
 
@@ -317,8 +317,16 @@ def test_trusted_involution_body_matches_the_checking_map():
                 assert andrews12._involute(n, k, x) == involution(n, k, x), (n, k, x)
 
 
-@pytest.mark.parametrize("n, k, cap", [(3, 2, 20), (4, 4, 30), (5, 4, 30)])
-def test_involution_certificate_tests_membership_once_per_element(monkeypatch, n, k, cap):
+@pytest.mark.parametrize("certificate, n, k, cap", [
+    pytest.param(involution_certificate, 3, 2, 20, id="3-2-20"),
+    pytest.param(involution_certificate, 4, 4, 30, id="4-4-30"),
+    pytest.param(involution_certificate, 5, 4, 30, id="5-4-30"),
+    pytest.param(phi_certificate, 4, 0, 20, id="phi-4-0-20"),
+    pytest.param(phi_certificate, 4, 2, 30, id="phi-4-2-30"),
+    pytest.param(phi_certificate, 5, 3, 30, id="phi-5-3-30"),
+])
+def test_involution_certificate_tests_membership_once_per_element(monkeypatch, certificate,
+                                                                  n, k, cap):
     calls = 0
     true_in_P = andrews12.in_P
 
@@ -328,7 +336,7 @@ def test_involution_certificate_tests_membership_once_per_element(monkeypatch, n
         return true_in_P(*args)
 
     monkeypatch.setattr(andrews12, "in_P", counted)
-    cert = involution_certificate(n, k, cap)
+    cert = certificate(n, k, cap)
     assert cert.verified
     assert calls == cert.domain_size
 

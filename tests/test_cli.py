@@ -240,6 +240,25 @@ def test_andrews_commands_run_exactly_where_the_index_rule_names_a_map(capsys):
                 assert code == 0 and output.startswith("tracing "), (n, k)
 
 
+def test_macmahon_commands_run_exactly_where_their_index_is_in_range(capsys):
+    # phi_step needs n >= 0 and m >= 1, psi_step n >= 1; P(n,m,k) is indexed
+    # by -m <= k <= n and Q(n,k) by 0 <= k <= n
+    cells = [("macmahon-phi", {"n": n, "m": m, "k": k},
+              n >= 0 and m >= 1 and -m <= k <= n)
+             for n in range(-3, 4) for m in range(-1, 4) for k in range(-5, 6)]
+    cells += [("macmahon-psi", {"n": n, "k": k}, n >= 1 and 0 <= k <= n)
+              for n in range(-2, 5) for k in range(-3, 7)]
+    for which, index, in_range in cells:
+        args = [str(a) for name, value in index.items() for a in (f"--{name}", value)]
+        code, output = run(["check-bijection", which] + args)
+        err = capsys.readouterr().err
+        if in_range:
+            assert code == 0, (which, index)
+        else:
+            assert (code, output) == (2, ""), (which, index)
+            assert err.startswith("error: "), (which, index)
+
+
 def test_trace_empty_slice_is_usage_error(capsys):
     for cap in ("0", "-5"):
         code, output = run(["trace", "andrews", "--n", "4", "--k", "1",

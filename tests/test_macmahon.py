@@ -180,6 +180,8 @@ def test_phi_rejects_bad_inputs():
     with pytest.raises(ValueError):
         phi_step(1, 0, 0, pair(0))
     with pytest.raises(ValueError):
+        phi_step(-1, 1, -1, pair(-1))     # n < 0, though the box is not empty
+    with pytest.raises(ValueError):
         phi_step(1, 1, 0, pair(2))
     with pytest.raises(ValueError):
         phi_step(1, 1, 0, MarkedObject(1, pair(0), marker_z=-1))
