@@ -20,10 +20,19 @@ does the same job; no map lowers any other (n, k).  Summing over k gives
     F_n + (q^(2n-1) - 1) F_{n-1} - q^(2n-3) F_{n-2} = 0,
 
 which pins F_n to the alternating square sum above.  F_trunc counts F_n by
-weight; the bijection and the involutions run on enumerated triples.  The
-public maps phi and involution share one input check (the index rule, then
+weight; the bijection and the involutions run on enumerated triples.
+
+The maps, membership and the capped enumerator are stated once, on a
+packed form: one int per element, whose fields are marker_q, tau's row
+count, lam as a bitmask and the multiplicities of mu's parts 2, 4, ...
+(see _Layout).  Each rule is a class dispatch followed by a constant
+shift of that int.  The certificates run end to end on packed ints and
+decode an element to a Triple / MarkedObject only for a counterexample.
+The public functions take and return Triples: they check the input's
+shape, encode it, run the packed rule and decode the result.  The public
+maps phi and involution share one input check (the index rule, then
 membership in their common domain); the involution certificate runs the
-unchecked body and tests each image's membership once.
+unchecked rule and tests each image's membership once.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import enum
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Callable, Optional, Union
 
 from .partitions import (Partition, enum_distinct_range, enum_even_capped,
                          staircase)
@@ -84,36 +93,268 @@ class ClassTag(enum.Enum):
     D = "D"
 
 
-def in_P(n: int, k: int, t: Triple) -> bool:
-    """Membership in P(n,k); False outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return False
-    if t.tau.parts != tuple(range(n - k - 1, -1, -1)):  # staircase(n - k)
-        return False
-    if not t.lam.has_distinct_parts():
-        return False
-    if t.lam.parts and (t.lam.last < n - k + 1 or t.lam.first > n + k):
-        return False
-    return t.mu.has_even_parts() and t.mu.first <= 2 * k
+# the packed form -------------------------------------------------------------
+
+class _Layout:
+    """Where the fields of the packed form sit, for elements and rule
+    constants of weight at most `bound`.
+
+    From bit 0 up: marker_q (0 when unmarked) and tau's row count, `width`
+    bits each; lam as a bitmask, bit p set when p is a part, `bound + 2`
+    bits; then the multiplicities of the mu parts 2, 4, 6, ..., `width`
+    bits each and unbounded above.  A field holds bound + 2: more than any
+    marker, any row count (a staircase of weight w has at most w + 1 rows)
+    and twice any multiplicity within the bound, so no rule step on an
+    element of weight <= bound carries into the next field.
+    """
+
+    __slots__ = ("width", "field", "rows", "lam", "lam_field", "mu")
+
+    def __init__(self, bound: int):
+        self.width = (bound + 2).bit_length()
+        self.field = (1 << self.width) - 1
+        self.rows = self.width
+        self.lam = 2 * self.width
+        self.lam_field = ((1 << bound + 2) - 1) << self.lam
+        self.mu = self.lam + bound + 2
+
+    def part(self, p: int) -> int:
+        """The bit of the lam part p."""
+        return 1 << self.lam + p
+
+    def mu_part(self, p: int) -> int:
+        """One mu part p, an even part >= 2: the unit of its multiplicity field."""
+        return 1 << self.mu + (p // 2 - 1) * self.width
 
 
-def enum_P(n: int, k: int, cap: int) -> list[Triple]:
-    """All members of P(n,k) with total weight <= cap, in certificate order:
-    by total weight, then lam, then mu, each lexicographic.
+def _layout(n: int, cap: int) -> _Layout:
+    """The layout for elements of weight <= cap under the rules at n, whose
+    constants (lam parts and markers) are at most 2n."""
+    return _Layout(max(cap, 2 * n, 0))
+
+
+def _encode(x: TripleValue, lay: _Layout) -> Optional[int]:
+    """The Triple or marked Triple x in the packed form of `lay`; None where
+    x has no packed form: a marker with z or with q = 0, a tau that is not
+    a staircase, a lam with a repeated or zero part, a mu with an odd or
+    zero part.  ValueError where a field overflows `lay`."""
+    marker = 0
+    if isinstance(x, MarkedObject):
+        if x.marker_z or not x.marker_q:
+            return None
+        marker, x = x.marker_q, x.payload
+    rows = x.tau.length
+    if (x.tau.parts != tuple(range(rows - 1, -1, -1))
+            or not x.lam.has_distinct_parts() or not x.mu.has_even_parts()):
+        return None
+    mu = x.mu.parts
+    if (max(marker, rows, *map(mu.count, mu)) > lay.field
+            or lay.part(x.lam.first) > lay.lam_field):
+        raise ValueError(f"{x} does not fit the packed layout")
+    return (marker + (rows << lay.rows) + sum(map(lay.part, x.lam.parts))
+            + sum(map(lay.mu_part, mu)))
+
+
+def _decoder(lay: _Layout) -> Callable[[int], TripleValue]:
+    """The inverse of _encode at `lay`.  Equal taus, lams and mus of the
+    elements it decodes are one shared Partition."""
+    field, width = lay.field, lay.width
+
+    @lru_cache(maxsize=None)
+    def lam_of(bits: int) -> Partition:
+        return Partition(tuple(p for p in range(bits.bit_length() - 1, 0, -1)
+                               if bits >> p & 1))
+
+    @lru_cache(maxsize=None)
+    def mu_of(mults: int) -> Partition:
+        parts, part = [], 2
+        while mults:
+            parts += [part] * (mults & field)
+            mults >>= width
+            part += 2
+        return Partition(tuple(reversed(parts)))
+
+    tau_of = lru_cache(maxsize=None)(staircase)
+
+    def decode(x: int) -> TripleValue:
+        t = Triple(tau_of(x >> lay.rows & field),
+                   lam_of((x & lay.lam_field) >> lay.lam), mu_of(x >> lay.mu))
+        marker = x & field
+        return MarkedObject(marker, t) if marker else t
+    return decode
+
+
+def _pack(n: int, x: TripleValue) -> tuple[Optional[int], Optional[_Layout]]:
+    """(x packed, the layout): the layout fits x's weight and the rules at
+    n; None in place of x where it has no packed form."""
+    payload = x.payload if isinstance(x, MarkedObject) else x
+    if not isinstance(payload, Triple):
+        return None, None
+    lay = _layout(n, weight_of(x)[2])
+    return _encode(x, lay), lay
+
+
+def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
+    """weight_of on the packed form of `lay`, computed from the fields;
+    the sign and weight of each lam and each mu met are worked out once."""
+    field, width = lay.field, lay.width
+
+    @lru_cache(maxsize=None)
+    def lam_key(bits: int) -> tuple[int, int]:
+        return (-1 if bits.bit_count() & 1 else 1,
+                sum(p for p in range(bits.bit_length()) if bits >> p & 1))
+
+    @lru_cache(maxsize=None)
+    def mu_weight(mults: int) -> int:
+        q, part = 0, 2
+        while mults:
+            q += part * (mults & field)
+            mults >>= width
+            part += 2
+        return q
+
+    def weight(x: int) -> WeightKey:
+        rows = x >> width & field
+        sign, lam_weight = lam_key((x & lay.lam_field) >> lay.lam)
+        return sign, 0, ((x & field) + rows * (rows - 1) // 2 + lam_weight
+                         + mu_weight(x >> lay.mu))
+    return weight
+
+
+def _P_mask(n: int, k: int, lay: _Layout) -> Optional[tuple[int, int]]:
+    """(forbidden, expected): a packed x is in P(n,k) iff x & forbidden ==
+    expected.  The bits left free are lam's parts n-k+1 .. n+k and the
+    multiplicities of mu's parts 2 .. 2k; the marker must be 0 and the row
+    count n-k.  None where P(n,k) is empty or has no element in `lay`."""
+    if n < 0 or k < 0 or k > n or n - k > lay.field:
+        return None
+    free = (lay.lam_field & ((1 << 2 * k) - 1) * lay.part(n - k + 1)
+            | ((1 << k * lay.width) - 1) << lay.mu)
+    return ~free, (n - k) << lay.rows
+
+
+def _domain_test(n: int, k: int, lay: _Layout) -> Callable[[int], bool]:
+    """Membership in the maps' domain at (n, k) on the packed form: P(n,k),
+    or marker 2n-1 (no z) over a payload in P(n-1,k-1)."""
+    never = (0, 1)  # x & 0 is never 1
+    forbidden, expected = _P_mask(n, k, lay) or never
+    marked = _P_mask(n - 1, k - 1, lay)
+    forbidden_m, expected_m = (marked[0], marked[1] + 2 * n - 1) if marked else never
+
+    def member(x: int) -> bool:
+        return x & forbidden == expected or x & forbidden_m == expected_m
+    return member
+
+
+def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> list[int]:
+    """All members of P(n,k) with total weight <= cap, packed at `lay`, in
+    certificate order: by total weight, then lam, then mu, each
+    lexicographic.
 
     Built grade by grade from the capped enumerators, with mu grouped by
     weight once, so nothing over the cap is built and nothing is sorted.
     """
     if n < 0 or k < 0 or k > n:
         return []
-    tau = staircase(n - k)
-    budget = cap - tau.weight
-    lams = enum_distinct_range(n - k + 1, n + k, budget)
+    rows = n - k
+    budget = cap - rows * (rows - 1) // 2
+    lams = [(lam.weight, sum(map(lay.part, lam.parts)))
+            for lam in enum_distinct_range(n - k + 1, n + k, budget)]
     mus_by_weight = [[] for _ in range(budget + 1)]
     for mu in enum_even_capped(2 * k, budget):
-        mus_by_weight[mu.weight].append(mu)
-    return [Triple(tau, lam, mu) for grade in range(budget + 1) for lam in lams
-            if lam.weight <= grade for mu in mus_by_weight[grade - lam.weight]]
+        mus_by_weight[mu.weight].append((rows << lay.rows)
+                                        + sum(map(lay.mu_part, mu.parts)))
+    return [lam + mu for grade in range(budget + 1) for weight, lam in lams
+            if weight <= grade for mu in mus_by_weight[grade - weight]]
+
+
+def _packed_slice(a: tuple, marker: int, b: tuple, cap: int, lay: _Layout) -> list[int]:
+    """P(a) plus marker-`marker` copies of P(b), all of weight <= cap, packed."""
+    return (_enum_packed(*a, cap, lay)
+            + [x + marker for x in _enum_packed(*b, cap - marker, lay)])
+
+
+def _class_rule(n: int, k: int, lay: _Layout) -> Callable[[int], ClassTag]:
+    """`classify` on the packed form, unchecked: x must be in P(n,k)."""
+    if not k:  # P(n,0) is the bare staircase: mu's first row is 0 = 2k
+        return lambda x: ClassTag.A
+    top_pair = lay.part(n + k) | lay.part(n + k - 1)
+    boundary = lay.field * lay.mu_part(2 * k)
+
+    def class_of(x: int) -> ClassTag:
+        pair = x & top_pair
+        if pair == top_pair:
+            return ClassTag.C
+        if pair:
+            return ClassTag.B
+        if x & boundary:  # mu's first row is 2k
+            return ClassTag.A
+        return ClassTag.EMBEDDED
+    return class_of
+
+
+def _phi_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
+    """The cases of `phi` on the packed form, unchecked: x must be in its
+    domain.  Every case but the embedded one drops two staircase rows and
+    takes the marker 2n-3."""
+    class_of, field = _class_rule(n, k, lay), lay.field
+    lowered = 2 * n - 3 - (2 << lay.rows)
+    marked = lowered - (2 * n - 1) + lay.part(n - k) + lay.part(n - k - 1)
+    top_pair = lay.part(n + k) | lay.part(n + k - 1)
+    new_mu = lay.mu_part(2 * k) if k else 0
+
+    def step(x: int) -> int:
+        if x & field:  # marked: lam gains n-k and n-k-1
+            return x + marked
+        tag = class_of(x)
+        if tag is ClassTag.EMBEDDED:
+            return x
+        if tag is ClassTag.A:  # mu's first row, a part 2k, goes
+            return x + lowered - new_mu
+        pair = x & top_pair  # B: the one top part, C: both, shrink by 2k
+        shrunk = x + lowered - pair + (pair >> 2 * k)
+        return shrunk if tag is ClassTag.B else shrunk + new_mu
+    return step
+
+
+def _involution_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
+    """Rules (a)-(e) of `involution` on the packed form, unchecked: x must
+    be in its domain."""
+    field = lay.field
+    toggle, toggle_mu = lay.part(2 * k), lay.mu_part(2 * k)
+    toggle_mults = field * toggle_mu
+    marker_part = lay.part(2 * n - 1)
+    from_marker_part = lay.lam_field & -marker_part  # lam parts >= 2n-1
+    to_lam = toggle - toggle_mu
+    absorb = marker_part - (2 * n - 1)
+
+    def step(x: int) -> int:
+        if x & field:  # (d)
+            return x + absorb
+        if x & toggle:  # (a)
+            return x - to_lam
+        if x & toggle_mults:  # (b)
+            return x + to_lam
+        if x & from_marker_part == marker_part:  # (c): lam starts with 2n-1
+            return x - absorb
+        return x  # (e)
+    return step
+
+
+# the public maps on triples ---------------------------------------------------
+
+def in_P(n: int, k: int, t: Triple) -> bool:
+    """Membership in P(n,k); False outside 0 <= k <= n."""
+    x, lay = _pack(n, t)
+    mask = None if x is None else _P_mask(n, k, lay)
+    return mask is not None and x & mask[0] == mask[1]
+
+
+def enum_P(n: int, k: int, cap: int) -> list[Triple]:
+    """All members of P(n,k) with total weight <= cap, in certificate order:
+    by total weight, then lam, then mu, each lexicographic."""
+    lay = _layout(n, cap)
+    return list(map(_decoder(lay), _enum_packed(n, k, cap, lay)))
 
 
 def classify(n: int, k: int, t: Triple) -> ClassTag:
@@ -126,20 +367,8 @@ def classify(n: int, k: int, t: Triple) -> ClassTag:
     """
     if not in_P(n, k, t):
         raise ValueError(f"{t} is not in P({n},{k})")
-    return _class_of(n, k, t)
-
-
-def _class_of(n: int, k: int, t: Triple) -> ClassTag:
-    """`classify` with no check: t must be in P(n,k)."""
-    top = t.lam.contains(n + k)
-    second = t.lam.contains(n + k - 1)
-    if top and second:
-        return ClassTag.C
-    if top != second:
-        return ClassTag.B
-    if t.mu.first == 2 * k:
-        return ClassTag.A
-    return ClassTag.EMBEDDED
+    x, lay = _pack(n, t)
+    return _class_rule(n, k, lay)(x)
 
 
 def classify_image(n: int, k: int, t: Triple) -> ClassTag:
@@ -174,21 +403,30 @@ def _require_map(name: str, n: int, k: int) -> None:
         raise ValueError(f"{name} does not lower n={n}, k={k}")
 
 
-def _in_domain(n: int, k: int, x: TripleValue) -> bool:
-    """Membership in the maps' domain at (n, k): P(n,k), or a marked input
-    (marker q^(2n-1), no z, payload in P(n-1,k-1))."""
-    if isinstance(x, MarkedObject):
-        return (x.marker_q == 2 * n - 1 and x.marker_z == 0
-                and in_P(n - 1, k - 1, x.payload))
-    return in_P(n, k, x)
-
-
-def _require_input(name: str, n: int, k: int, x: TripleValue) -> None:
-    """ValueError unless the index rule names `name` at (n, k) and x is in
-    the maps' domain there."""
+def _checked_rule(name: str, n: int, k: int, lay: _Layout) -> Callable[[int], int]:
+    """The packed rule of the map `name` at (n, k) behind the maps' one
+    input check: ValueError unless the index rule names `name` there, and
+    for each input not in the maps' domain."""
     _require_map(name, n, k)
-    if not _in_domain(n, k, x):
+    member = _domain_test(n, k, lay)
+    rule = (_phi_rule if name == "phi" else _involution_rule)(n, k, lay)
+
+    def step(x: int) -> int:
+        if not member(x):
+            raise ValueError(f"{_decoder(lay)(x)} is not in the domain of "
+                             f"{name} at n={n}, k={k}")
+        return rule(x)
+    return step
+
+
+def _apply(name: str, n: int, k: int, x: TripleValue) -> TripleValue:
+    """The map `name` at (n, k) on a Triple or MarkedObject: check, encode,
+    run the packed rule, decode."""
+    _require_map(name, n, k)
+    packed, lay = _pack(n, x)
+    if packed is None:
         raise ValueError(f"{x} is not in the domain of {name} at n={n}, k={k}")
+    return _decoder(lay)(_checked_rule(name, n, k, lay)(packed))
 
 
 def phi(n: int, k: int, x: TripleValue) -> TripleValue:
@@ -210,25 +448,7 @@ def phi(n: int, k: int, x: TripleValue) -> TripleValue:
     ValueError unless the index rule names phi at (n, k) and x is in its
     domain.
     """
-    _require_input("phi", n, k, x)
-    marker_out = 2 * n - 3
-    if isinstance(x, MarkedObject):
-        t = x.payload
-        lam = t.lam.with_part(n - k).with_part(n - k - 1)
-        return MarkedObject(marker_out, Triple(t.tau.drop_first_rows(2), lam, t.mu))
-    t = x
-    tag = _class_of(n, k, t)
-    tau2 = t.tau.drop_first_rows(2)
-    if tag is ClassTag.EMBEDDED:
-        return t
-    if tag is ClassTag.A:
-        return MarkedObject(marker_out, Triple(tau2, t.lam, t.mu.drop_first()))
-    if tag is ClassTag.B:
-        part = n + k if t.lam.contains(n + k) else n + k - 1
-        return MarkedObject(marker_out,
-                            Triple(tau2, t.lam.replace_part(part, part - 2 * k), t.mu))
-    lam = t.lam.replace_part(n + k, n - k).replace_part(n + k - 1, n - k - 1)
-    return MarkedObject(marker_out, Triple(tau2, lam, t.mu.with_part(2 * k)))
+    return _apply("phi", n, k, x)
 
 
 def involution(n: int, k: int, x: TripleValue) -> TripleValue:
@@ -250,26 +470,7 @@ def involution(n: int, k: int, x: TripleValue) -> TripleValue:
     unless the index rule names the involution at (n, k) and x is in its
     domain.
     """
-    _require_input("involution", n, k, x)
-    return _involute(n, k, x)
-
-
-def _involute(n: int, k: int, x: TripleValue) -> TripleValue:
-    """Rules (a)-(e) of `involution` with no check: x must be in its domain."""
-    toggle = 2 * k
-    marker_part = 2 * n - 1
-    if isinstance(x, MarkedObject):
-        t = x.payload
-        return Triple(t.tau, t.lam.with_part(marker_part), t.mu)
-    t = x
-    if t.lam.contains(toggle):
-        return Triple(t.tau, t.lam.without_part(toggle), t.mu.with_part(toggle))
-    if t.mu.contains(toggle):
-        return Triple(t.tau, t.lam.with_part(toggle), t.mu.without_part(toggle))
-    if t.lam.first == marker_part:
-        return MarkedObject(marker_part,
-                            Triple(t.tau, t.lam.without_part(marker_part), t.mu))
-    return t
+    return _apply("involution", n, k, x)
 
 
 def andrews_orbit(n: int, k: int, x: TripleValue) -> list[tuple[str, TripleValue]]:
@@ -296,27 +497,27 @@ def andrews_orbit(n: int, k: int, x: TripleValue) -> list[tuple[str, TripleValue
 
 # slices and certificates --------------------------------------------------
 
-def _marked_slice(a: tuple, marker: int, b: tuple, cap: int) -> list[TripleValue]:
-    """P(a) plus marker-`marker` copies of P(b), all of weight <= cap."""
-    return enum_P(*a, cap) + [MarkedObject(marker, t) for t in enum_P(*b, cap - marker)]
-
-
 def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
     """P(n,k) plus marker-(2n-1) copies of P(n-1,k-1), all of weight <= cap."""
-    return _marked_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap)
+    lay = _layout(n, cap)
+    return list(map(_decoder(lay),
+                    _packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay)))
 
 
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
-    """Exhaustive weight-graded bijection check of phi on a capped slice."""
-    _require_map("phi", n, k)
-    codomain = _marked_slice((n - 1, k - 1), 2 * n - 3, (n - 2, k), cap)
+    """Exhaustive weight-graded bijection check of phi on a capped slice,
+    run on the packed form; phi tests each element's membership once."""
+    lay = _layout(n, cap)
+    step = _checked_rule("phi", n, k, lay)
     return check_graded_bijection(
-        lambda x: phi(n, k, x), domain_slice(n, k, cap), codomain, weight_of,
-        cap=cap, check="andrews-phi", params={"n": n, "k": k})
+        step, _packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay),
+        _packed_slice((n - 1, k - 1), 2 * n - 3, (n - 2, k), cap, lay),
+        _weight_key(lay), cap=cap, check="andrews-phi", params={"n": n, "k": k},
+        present=_decoder(lay))
 
 
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
-    """Check the involution laws on a capped slice.
+    """Check the involution laws on a capped slice, run on the packed form.
 
     Verifies that every image lies in the map's domain, that applying the
     map twice is the identity, that non-fixed points pair with equal
@@ -326,40 +527,44 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     """
     started = time.monotonic()
     _require_map("involution", n, k)
-    slice_ = domain_slice(n, k, cap)
+    lay = _layout(n, cap)
+    slice_ = _packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay)
     if not slice_:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
-    embedded = set(enum_P(n - 1, k - 1, cap))
-    return certify("andrews-involution", {"n": n, "k": k}, started,
-                   _involution_failure(n, k, slice_, embedded), cap=cap,
-                   domain_size=len(slice_), codomain_size=len(embedded))
+    embedded = set(_enum_packed(n - 1, k - 1, cap, lay))
+    failure = _involution_failure(slice_, embedded, _involution_rule(n, k, lay),
+                                  _domain_test(n, k, lay), _weight_key(lay),
+                                  _decoder(lay))
+    return certify("andrews-involution", {"n": n, "k": k}, started, failure,
+                   cap=cap, domain_size=len(slice_), codomain_size=len(embedded))
 
 
-def _involution_failure(n, k, slice_, embedded):
+def _involution_failure(slice_, embedded, step, member, weight, decode):
     # Only the images are tested for membership, each once; the slice is
     # the capped domain by construction.  No check is lost: in a verified
     # certificate the map is involutive on the slice, and every image is in
     # the domain and has its element's weight, so it is within the cap.  So
     # the images are exactly the slice, and testing each image tests each
-    # element once.
+    # element once.  A counterexample is decoded, and the least element of
+    # a fixed-set mismatch is the least by the repr of its decoded form.
     fixed = set()
     for x in slice_:
-        y = _involute(n, k, x)
-        if not _in_domain(n, k, y):
-            return x, y, REASON_NOT_IN_CODOMAIN
-        back = _involute(n, k, y)
-        if back != x:
-            return x, y, "not-involutive"
+        y = step(x)
+        if not member(y):
+            return decode(x), decode(y), REASON_NOT_IN_CODOMAIN
+        if step(y) != x:
+            return decode(x), decode(y), "not-involutive"
         if y == x:
             fixed.add(x)
             continue
-        (sign_x, *grade_x), (sign_y, *grade_y) = weight_of(x), weight_of(y)
-        if grade_y != grade_x:
-            return x, y, "weight-mismatch"
+        sign_x, z_x, q_x = weight(x)
+        sign_y, z_y, q_y = weight(y)
+        if (z_y, q_y) != (z_x, q_x):
+            return decode(x), decode(y), "weight-mismatch"
         if sign_y != -sign_x:
-            return x, y, "sign-not-reversed"
+            return decode(x), decode(y), "sign-not-reversed"
     if fixed != embedded:
-        return min(fixed ^ embedded, key=repr), None, "fixed-set-mismatch"
+        return min(map(decode, fixed ^ embedded), key=repr), None, "fixed-set-mismatch"
     return None
 
 

@@ -161,7 +161,8 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
                            weight_fn: Callable[[Any], WeightKey],
                            cap: Optional[int] = None,
                            check: str = "graded-bijection",
-                           params: Optional[Mapping] = None) -> Certificate:
+                           params: Optional[Mapping] = None,
+                           present: Callable[[Any], Any] = lambda x: x) -> Certificate:
     """Exhaustively verify that map_fn is a weight-preserving bijection.
 
     domain and codomain must be complete enumerations of the two sides up
@@ -169,6 +170,10 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
     codomain, images are pairwise distinct, each image's signed weight
     equals its preimage's, and every codomain element is hit.  An empty
     domain would verify vacuously, so it raises ValueError.
+
+    present turns an element into the object a counterexample shows (for
+    an encoded family, its decoder); of the codomain elements missed, the
+    one reported is the least by the repr of its presented form.
     """
     started = time.monotonic()
     domain = list(domain)
@@ -179,24 +184,26 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
     if len(codomain_set) != len(codomain):
         raise ValueError("codomain enumeration contains duplicates")
     return certify(check, params or {}, started,
-                   _bijection_failure(map_fn, domain, codomain_set, weight_fn),
+                   _bijection_failure(map_fn, domain, codomain_set, weight_fn,
+                                      present),
                    cap=cap, domain_size=len(domain),
                    codomain_size=len(codomain))
 
 
-def _bijection_failure(map_fn, domain, codomain_set, weight_fn):
+def _bijection_failure(map_fn, domain, codomain_set, weight_fn, present):
     seen: dict[Any, Any] = {}
     for x in domain:
         y = map_fn(x)
         if y not in codomain_set:
-            return x, y, REASON_NOT_IN_CODOMAIN
+            return present(x), present(y), REASON_NOT_IN_CODOMAIN
         if y in seen:
-            return {"first": seen[y], "second": x}, y, REASON_COLLISION
+            return ({"first": present(seen[y]), "second": present(x)}, present(y),
+                    REASON_COLLISION)
         seen[y] = x
         if weight_fn(x) != weight_fn(y):
-            return x, y, REASON_WEIGHT_MISMATCH
+            return present(x), present(y), REASON_WEIGHT_MISMATCH
     if len(seen) < len(codomain_set):
-        missed = (y for y in codomain_set if y not in seen)
+        missed = (present(y) for y in codomain_set if y not in seen)
         return None, min(missed, key=repr), REASON_NOT_SURJECTIVE
     return None
 

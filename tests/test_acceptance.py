@@ -291,17 +291,21 @@ def test_criterion_10_negative_controls(monkeypatch, tmp_path):
         failures.append("telescoping control")
 
     # (iii) a perturbed involution must fail its certificate
-    true_involution = andrews12._involute
+    true_rule = andrews12._involution_rule
 
-    def broken_involution(nn, kk, x):
-        y = true_involution(nn, kk, x)
-        if isinstance(x, Triple) and x.lam.parts == (3,) and x.mu.is_empty():
-            return x  # silently freeze one non-fixed point
-        return y
+    def broken_rule(nn, kk, lay):
+        step, decode = true_rule(nn, kk, lay), andrews12._decoder(lay)
 
-    monkeypatch.setattr(andrews12, "_involute", broken_involution)
+        def broken_involution(x):
+            t = decode(x)
+            if isinstance(t, Triple) and t.lam.parts == (3,) and t.mu.is_empty():
+                return andrews12._encode(t, lay)  # silently freeze one non-fixed point
+            return step(x)
+        return broken_involution
+
+    monkeypatch.setattr(andrews12, "_involution_rule", broken_rule)
     cert = andrews12.involution_certificate(2, 2, 12)
-    monkeypatch.setattr(andrews12, "_involute", true_involution)
+    monkeypatch.setattr(andrews12, "_involution_rule", true_rule)
     if cert.verified or cert.counterexample is None:
         failures.append("involution control")
 

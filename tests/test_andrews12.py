@@ -310,13 +310,6 @@ def test_involution_rejects_bad_indices():
         involution(3, 1, T((1, 0), (3,)))
 
 
-def test_trusted_involution_body_matches_the_checking_map():
-    for n in range(2, 6):
-        for k in (n - 1, n):
-            for x in domain_slice(n, k, 30):
-                assert andrews12._involute(n, k, x) == involution(n, k, x), (n, k, x)
-
-
 @pytest.mark.parametrize("certificate, n, k, cap", [
     pytest.param(involution_certificate, 3, 2, 20, id="3-2-20"),
     pytest.param(involution_certificate, 4, 4, 30, id="4-4-30"),
@@ -328,14 +321,18 @@ def test_trusted_involution_body_matches_the_checking_map():
 def test_involution_certificate_tests_membership_once_per_element(monkeypatch, certificate,
                                                                   n, k, cap):
     calls = 0
-    true_in_P = andrews12.in_P
+    true_test = andrews12._domain_test
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return true_in_P(*args)
+    def counted_test(nn, kk, lay):
+        member = true_test(nn, kk, lay)
 
-    monkeypatch.setattr(andrews12, "in_P", counted)
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return member(x)
+        return counted
+
+    monkeypatch.setattr(andrews12, "_domain_test", counted_test)
     cert = certificate(n, k, cap)
     assert cert.verified
     assert calls == cert.domain_size
@@ -422,8 +419,6 @@ def test_maps_accept_exactly_their_domain(name):
                 else:
                     assert in_domain and paper_domain(n, k, x), (n, k, x)
                     accepted.add(type(x))
-                if name == "involution":
-                    assert andrews12._in_domain(n, k, x) == paper_domain(n, k, x), (n, k, x)
             if in_domain:  # the neighbourhood reaches both parts of the domain
                 assert accepted == ({Triple, MarkedObject} if k else {Triple}), (n, k)
 
@@ -452,6 +447,19 @@ def involution_case(n, k, x):
     if x.lam.first == 2 * n - 1:
         return "c"
     return "e"
+
+
+def faulty_rule(true_rule, fault):
+    """A packed rule factory like true_rule whose step decodes its element
+    and image, applies the Triple-level fault(n, k, x, y) and encodes the
+    result back."""
+    def factory(n, k, lay):
+        step, decode = true_rule(n, k, lay), andrews12._decoder(lay)
+
+        def broken(x):
+            return andrews12._encode(fault(n, k, decode(x), decode(step(x))), lay)
+        return broken
+    return factory
 
 
 def _toggle_two(x):
@@ -511,18 +519,16 @@ MUTATIONS = [
                          ids=[f"{m[0]}-{m[1]}" for m in MUTATIONS])
 def test_certificate_sees_a_fault_in_each_case(monkeypatch, name, case, n, k, cap,
                                                fault, reason, where):
-    body = {"phi": "phi", "involution": "_involute"}[name]  # what the certificate calls
-    true_map = getattr(andrews12, body)
+    body = {"phi": "_phi_rule", "involution": "_involution_rule"}[name]  # what the certificate calls
     case_of = {"phi": phi_case, "involution": involution_case}[name]
     certificate = {"phi": phi_certificate, "involution": involution_certificate}[name]
     assert certificate(n, k, cap).verified
     assert case in {case_of(n, k, x) for x in domain_slice(n, k, cap)}
 
-    def broken(nn, kk, x):
-        y = true_map(nn, kk, x)
+    def broken(nn, kk, x, y):
         return fault(nn, kk, x, y) if case_of(nn, kk, x) == case else y
 
-    monkeypatch.setattr(andrews12, body, broken)
+    monkeypatch.setattr(andrews12, body, faulty_rule(getattr(andrews12, body), broken))
     cert = certificate(n, k, cap)
     assert not cert.verified
     counterexample = cert.counterexample
@@ -530,6 +536,77 @@ def test_certificate_sees_a_fault_in_each_case(monkeypatch, name, case, n, k, ca
     shown = (counterexample["element"]["second"] if where == "second"
              else counterexample[where])
     assert case_of(n, k, shown) == case, counterexample
+
+
+# the packed rules against the Triple-level oracle ------------------------------
+
+def oracle_phi(n, k, x):
+    """phi on Triples, case by case as its docstring states it."""
+    marker_out = 2 * n - 3
+    if isinstance(x, MarkedObject):
+        t = x.payload
+        lam = t.lam.with_part(n - k).with_part(n - k - 1)
+        return MarkedObject(marker_out, Triple(t.tau.drop_first_rows(2), lam, t.mu))
+    t = x
+    top, second = t.lam.contains(n + k), t.lam.contains(n + k - 1)
+    tau2 = t.tau.drop_first_rows(2)
+    if top and second:
+        lam = t.lam.replace_part(n + k, n - k).replace_part(n + k - 1, n - k - 1)
+        return MarkedObject(marker_out, Triple(tau2, lam, t.mu.with_part(2 * k)))
+    if top or second:
+        part = n + k if top else n + k - 1
+        return MarkedObject(marker_out,
+                            Triple(tau2, t.lam.replace_part(part, part - 2 * k), t.mu))
+    if t.mu.first == 2 * k:
+        return MarkedObject(marker_out, Triple(tau2, t.lam, t.mu.drop_first()))
+    return t
+
+
+def oracle_involution(n, k, x):
+    """The involution on Triples, rules (a)-(e) as its docstring states them."""
+    toggle = 2 * k
+    marker_part = 2 * n - 1
+    if isinstance(x, MarkedObject):
+        t = x.payload
+        return Triple(t.tau, t.lam.with_part(marker_part), t.mu)
+    t = x
+    if t.lam.contains(toggle):
+        return Triple(t.tau, t.lam.without_part(toggle), t.mu.with_part(toggle))
+    if t.mu.contains(toggle):
+        return Triple(t.tau, t.lam.with_part(toggle), t.mu.without_part(toggle))
+    if t.lam.first == marker_part:
+        return MarkedObject(marker_part,
+                            Triple(t.tau, t.lam.without_part(marker_part), t.mu))
+    return t
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_packed_rules_match_the_triple_oracle(n):
+    # Every cap up to 30 has its own layout; below n = 2 no map lowers.
+    for k in range(n + 1):
+        name = andrews12.lowering_map(n, k)
+        oracle = {"phi": oracle_phi, "involution": oracle_involution}[name]
+        rule_of = {"phi": andrews12._phi_rule, "involution": andrews12._involution_rule}[name]
+        for cap in range(31):
+            lay = andrews12._layout(n, cap)
+            rule, decode = rule_of(n, k, lay), andrews12._decoder(lay)
+            for x in domain_slice(n, k, cap):
+                assert decode(rule(andrews12._encode(x, lay))) == oracle(n, k, x), \
+                    (n, k, cap, x)
+
+
+def test_packed_membership_is_the_paper_domain():
+    # At the layout of each element's own weight and at a cap's layout; an
+    # element with no packed form (a repeated lam part, an odd mu part, a
+    # marker with z) is in no domain.
+    for n in range(5):
+        for k in range(-1, n + 2):
+            for x in domain_neighbourhood(n, k):
+                packed, own = andrews12._pack(n, x)
+                at_cap = andrews12._layout(n, 40)
+                for lay, p in ((own, packed), (at_cap, andrews12._encode(x, at_cap))):
+                    member = p is not None and andrews12._domain_test(n, k, lay)(p)
+                    assert member == paper_domain(n, k, x), (n, k, x)
 
 
 # truncated sums --------------------------------------------------------------------

@@ -67,15 +67,20 @@ def _telescoping_control():
 
 
 def _involution_control():
-    true_involution = andrews12._involute
+    true_rule = andrews12._involution_rule
 
-    def broken(nn, kk, x):
-        if isinstance(x, andrews12.Triple) and x.lam.parts == (3,) \
-                and x.mu.is_empty():
-            return x
-        return true_involution(nn, kk, x)
+    def broken_rule(nn, kk, lay):
+        step, decode = true_rule(nn, kk, lay), andrews12._decoder(lay)
 
-    with mock.patch.object(andrews12, "_involute", broken):
+        def broken(x):
+            t = decode(x)
+            if isinstance(t, andrews12.Triple) and t.lam.parts == (3,) \
+                    and t.mu.is_empty():
+                return andrews12._encode(t, lay)
+            return step(x)
+        return broken
+
+    with mock.patch.object(andrews12, "_involution_rule", broken_rule):
         return andrews12.involution_certificate(2, 2, 12)
 
 

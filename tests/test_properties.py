@@ -1,5 +1,6 @@
 """Property tests (Hypothesis): the LaurentPoly ring laws with the int
-scalar, the TruncatedSeries min-cap rule, and the Partition row edits.
+scalar, the TruncatedSeries min-cap rule, the Partition row edits, and
+the packed form of the Andrews triples.
 
 Derandomized, with no example database and a bounded number of examples,
 so a run is deterministic and leaves no files in the working tree.
@@ -21,8 +22,11 @@ STORAGE = tempfile.mkdtemp(prefix="qtelescope-hypothesis-")
 configuration.set_hypothesis_home_dir(STORAGE)
 atexit.register(shutil.rmtree, STORAGE, ignore_errors=True)
 
-from qtelescope.partitions import Partition  # noqa: E402
+from qtelescope import andrews12  # noqa: E402
+from qtelescope.andrews12 import Triple, in_P, involution, phi  # noqa: E402
+from qtelescope.partitions import Partition, staircase  # noqa: E402
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, truncate  # noqa: E402
+from qtelescope.telescope import MarkedObject, weight_of  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -112,3 +116,75 @@ def test_drop_first_rows_drops_the_largest_rows(p, a, b):
     if a + b <= p.length:
         assert rest.drop_first_rows(b) == p.drop_first_rows(a + b)
     assert p.drop_first_rows(0) == p
+
+
+# Andrews triples: the packed form ----------------------------------------------
+
+def draw_member(draw, n, k, mu_max=6):
+    """A member of P(n,k), drawn."""
+    lam = draw(st.sets(st.integers(n - k + 1, n + k))) if k else ()
+    mu = draw(st.lists(st.integers(1, k), max_size=mu_max)) if k else ()
+    return Triple(staircase(n - k), Partition(tuple(sorted(lam, reverse=True))),
+                  Partition(tuple(sorted((2 * j for j in mu), reverse=True))))
+
+
+@st.composite
+def members(draw):
+    """(n, k, t, slack): t in P(n,k), and a cap slack of 0..20."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, n))
+    return n, k, draw_member(draw, n, k), draw(st.integers(0, 20))
+
+
+def packed_copies(n, t, slack):
+    """t and its marker-(2n-1) copy, each with the layout of its weight plus slack."""
+    copies = [t] + ([MarkedObject(2 * n - 1, t)] if n else [])
+    return [(x, andrews12._layout(n, weight_of(x)[2] + slack)) for x in copies]
+
+
+@PROPERTY
+@given(members())
+def test_packed_form_round_trips(member):
+    n, k, t, slack = member
+    assert in_P(n, k, t)
+    for x, lay in packed_copies(n, t, slack):
+        assert andrews12._decoder(lay)(andrews12._encode(x, lay)) == x
+
+
+@PROPERTY
+@given(members())
+def test_packed_weight_is_weight_of(member):
+    n, k, t, slack = member
+    for x, lay in packed_copies(n, t, slack):
+        assert andrews12._weight_key(lay)(andrews12._encode(x, lay)) == weight_of(x)
+
+
+@PROPERTY
+@given(st.data())
+def test_a_full_mu_field_survives_one_map_step(data):
+    # An element of a map's domain whose mu holds as many copies of one
+    # part 2j as the cap allows; its packed image at the cap's layout
+    # decodes to the map's image, re-encodes to the same int and keeps the
+    # element's unsigned weight.
+    n = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(0, n))
+    marked = k >= 2 and data.draw(st.booleans())
+    level = (n - 1, k - 1) if marked else (n, k)
+    t = draw_member(data.draw, *level, mu_max=2)
+    marker = 2 * n - 1 if marked else 0
+    base = marker + t.total_weight
+    cap = base + data.draw(st.integers(0, 30))
+    if level[1]:
+        j = data.draw(st.integers(1, level[1]))
+        mu = Partition(tuple(sorted(t.mu.parts + (2 * j,) * ((cap - base) // (2 * j)),
+                                    reverse=True)))
+        t = Triple(t.tau, t.lam, mu)
+    x = MarkedObject(marker, t) if marked else t
+    name = andrews12.lowering_map(n, k)
+    lay = andrews12._layout(n, cap)
+    rule = {"phi": andrews12._phi_rule, "involution": andrews12._involution_rule}[name]
+    y = rule(n, k, lay)(andrews12._encode(x, lay))
+    image = andrews12._decoder(lay)(y)
+    assert andrews12._encode(image, lay) == y
+    assert image == {"phi": phi, "involution": involution}[name](n, k, x)
+    assert weight_of(image)[1:] == weight_of(x)[1:]
