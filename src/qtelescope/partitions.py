@@ -47,11 +47,6 @@ class Partition:
         """Largest part; 0 for the empty partition."""
         return self.parts[0] if self.parts else 0
 
-    @property
-    def last(self) -> int:
-        """Smallest part; 0 for the empty partition."""
-        return self.parts[-1] if self.parts else 0
-
     def is_empty(self) -> bool:
         return not self.parts
 
@@ -66,36 +61,6 @@ class Partition:
 
     def contains(self, value: int) -> bool:
         return value in self.parts
-
-    def drop_first(self) -> "Partition":
-        """Remove the first (largest) row; on the empty partition this is a no-op."""
-        return Partition(self.parts[1:])
-
-    def drop_first_rows(self, count: int) -> "Partition":
-        if count > len(self.parts):
-            raise ValueError(f"cannot drop {count} rows from {self.parts}")
-        return Partition(self.parts[count:])
-
-    def with_part(self, value: int) -> "Partition":
-        """Insert a part, keeping the tuple nonincreasing."""
-        if value < 0:
-            raise ValueError("parts must be nonnegative")
-        out = list(self.parts)
-        i = 0
-        while i < len(out) and out[i] >= value:
-            i += 1
-        out.insert(i, value)
-        return Partition(tuple(out))
-
-    def without_part(self, value: int) -> "Partition":
-        """Remove one copy of a part; raises if absent."""
-        out = list(self.parts)
-        out.remove(value)
-        return Partition(tuple(out))
-
-    def replace_part(self, old: int, new: int) -> "Partition":
-        """Remove one copy of `old` and insert `new`."""
-        return self.without_part(old).with_part(new)
 
     def __str__(self) -> str:
         return "()" if not self.parts else "(" + ",".join(map(str, self.parts)) + ")"

@@ -21,6 +21,9 @@ from qtelescope.partitions import (EMPTY, Partition, enum_distinct_range,
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews
 from qtelescope.telescope import MarkedObject, weighted_count
 
+from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
+                             without_part)
+
 
 def T(tau, lam=(), mu=()):
     return Triple(Partition(tuple(tau)), Partition(tuple(lam)),
@@ -464,9 +467,9 @@ def faulty_rule(true_rule, fault):
 
 def _toggle_two(x):
     if x.lam.contains(2):
-        return Triple(x.tau, x.lam.without_part(2), x.mu.with_part(2))
+        return Triple(x.tau, without_part(x.lam, 2), with_part(x.mu, 2))
     if x.mu.contains(2):
-        return Triple(x.tau, x.lam.with_part(2), x.mu.without_part(2))
+        return Triple(x.tau, with_part(x.lam, 2), without_part(x.mu, 2))
     return x
 
 
@@ -478,7 +481,7 @@ MUTATIONS = [
      lambda n, k, x, y: MarkedObject(2 * n - 1, y.payload),
      "not-in-codomain", "element"),
     ("phi", "embedded", 4, 2, 30,  # lowered like class A, without its mu row
-     lambda n, k, x, y: MarkedObject(2 * n - 3, Triple(x.tau.drop_first_rows(2), x.lam, x.mu)),
+     lambda n, k, x, y: MarkedObject(2 * n - 3, Triple(drop_first_rows(x.tau, 2), x.lam, x.mu)),
      "weight-mismatch", "element"),
     ("phi", "A", 4, 2, 30,  # the image loses its marker
      lambda n, k, x, y: y.payload,
@@ -493,15 +496,15 @@ MUTATIONS = [
      lambda n, k, x, y: MarkedObject(y.marker_q, Triple(y.payload.tau, x.payload.lam, x.payload.mu)),
      "collision", "second"),
     ("involution", "a", 3, 2, 20,  # the toggle is copied to mu, not moved
-     lambda n, k, x, y: Triple(x.tau, x.lam, x.mu.with_part(2 * k)),
+     lambda n, k, x, y: Triple(x.tau, x.lam, with_part(x.mu, 2 * k)),
      "not-involutive", "image"),
     ("involution", "b", 3, 2, 20,  # the toggle is copied to lam, not moved
-     lambda n, k, x, y: Triple(x.tau, x.lam.with_part(2 * k), x.mu),
+     lambda n, k, x, y: Triple(x.tau, with_part(x.lam, 2 * k), x.mu),
      "not-involutive", "element"),
     # the toggle moves to lam as part n+k+1, outside the map's domain; a
     # second rule-(b) row, so it names itself (an explicit id wins over ids=)
     pytest.param("involution", "b", 3, 2, 20,
-                 lambda n, k, x, y: Triple(y.tau, x.lam.with_part(n + k + 1), y.mu),
+                 lambda n, k, x, y: Triple(y.tau, with_part(x.lam, n + k + 1), y.mu),
                  "not-in-codomain", "element", id="involution-b-leaves-domain"),
     ("involution", "c", 3, 2, 20,  # the part 2n-1 is stripped without its marker
      lambda n, k, x, y: y.payload,
@@ -545,20 +548,20 @@ def oracle_phi(n, k, x):
     marker_out = 2 * n - 3
     if isinstance(x, MarkedObject):
         t = x.payload
-        lam = t.lam.with_part(n - k).with_part(n - k - 1)
-        return MarkedObject(marker_out, Triple(t.tau.drop_first_rows(2), lam, t.mu))
+        lam = with_part(with_part(t.lam, n - k), n - k - 1)
+        return MarkedObject(marker_out, Triple(drop_first_rows(t.tau, 2), lam, t.mu))
     t = x
     top, second = t.lam.contains(n + k), t.lam.contains(n + k - 1)
-    tau2 = t.tau.drop_first_rows(2)
+    tau2 = drop_first_rows(t.tau, 2)
     if top and second:
-        lam = t.lam.replace_part(n + k, n - k).replace_part(n + k - 1, n - k - 1)
-        return MarkedObject(marker_out, Triple(tau2, lam, t.mu.with_part(2 * k)))
+        lam = replace_part(replace_part(t.lam, n + k, n - k), n + k - 1, n - k - 1)
+        return MarkedObject(marker_out, Triple(tau2, lam, with_part(t.mu, 2 * k)))
     if top or second:
         part = n + k if top else n + k - 1
         return MarkedObject(marker_out,
-                            Triple(tau2, t.lam.replace_part(part, part - 2 * k), t.mu))
+                            Triple(tau2, replace_part(t.lam, part, part - 2 * k), t.mu))
     if t.mu.first == 2 * k:
-        return MarkedObject(marker_out, Triple(tau2, t.lam, t.mu.drop_first()))
+        return MarkedObject(marker_out, Triple(tau2, t.lam, drop_first(t.mu)))
     return t
 
 
@@ -568,15 +571,15 @@ def oracle_involution(n, k, x):
     marker_part = 2 * n - 1
     if isinstance(x, MarkedObject):
         t = x.payload
-        return Triple(t.tau, t.lam.with_part(marker_part), t.mu)
+        return Triple(t.tau, with_part(t.lam, marker_part), t.mu)
     t = x
     if t.lam.contains(toggle):
-        return Triple(t.tau, t.lam.without_part(toggle), t.mu.with_part(toggle))
+        return Triple(t.tau, without_part(t.lam, toggle), with_part(t.mu, toggle))
     if t.mu.contains(toggle):
-        return Triple(t.tau, t.lam.with_part(toggle), t.mu.without_part(toggle))
+        return Triple(t.tau, with_part(t.lam, toggle), without_part(t.mu, toggle))
     if t.lam.first == marker_part:
         return MarkedObject(marker_part,
-                            Triple(t.tau, t.lam.without_part(marker_part), t.mu))
+                            Triple(t.tau, without_part(t.lam, marker_part), t.mu))
     return t
 
 

@@ -17,6 +17,8 @@ from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
 from qtelescope.telescope import (IterationBudgetExceeded, MarkedObject,
                                   telescoping_sum_check, weighted_count)
 
+from partition_edits import drop_first
+
 
 def pair(side, *mu):
     return MacPair(side, Partition(mu))
@@ -145,7 +147,7 @@ def test_verify_builds_no_pair(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sum path enumerated objects")
 
-    for name in ("enum_even_bounded", "enum_P", "enum_Q"):
+    for name in ("enum_even_bounded", "_enum_packed", "enum_P", "enum_Q"):
         monkeypatch.setattr(mac, name, refuse)
     for n in range(5):
         for m in range(5):
@@ -297,13 +299,13 @@ def test_step_certificates_enumerate_each_box_once(monkeypatch):
     import qtelescope.macmahon as mac
 
     calls = []
-    true_enum = mac.enum_even_bounded
+    true_enum = mac._enum_packed
 
     def counted(*args):
         calls.append(args)
         return true_enum(*args)
 
-    monkeypatch.setattr(mac, "enum_even_bounded", counted)
+    monkeypatch.setattr(mac, "_enum_packed", counted)
     for certificate in (lambda: phi_certificate(3, 2, 1),
                         lambda: psi_certificate(4, 2)):
         calls.clear()
@@ -380,6 +382,21 @@ STEP_MUTATIONS = [
 ]
 
 
+def faulty_rule(true_rule, fault):
+    """A packed step rule factory like true_rule whose step decodes its
+    element and image, applies the MacPair-level fault(x, y) and encodes
+    the result back."""
+    import qtelescope.macmahon as mac
+
+    def factory(box, neighbour, lay):
+        step, decode = true_rule(box, neighbour, lay), mac._decoder(lay)
+
+        def broken(x):
+            return mac._encode(fault(decode(x), decode(step(x))), lay)
+        return broken
+    return factory
+
+
 @pytest.mark.parametrize("step, case, fault, reason, where", STEP_MUTATIONS,
                          ids=[f"{m[0]}-{m[1]}" for m in STEP_MUTATIONS])
 def test_step_certificate_sees_a_fault_in_each_case(monkeypatch, step, case,
@@ -387,17 +404,13 @@ def test_step_certificate_sees_a_fault_in_each_case(monkeypatch, step, case,
     import qtelescope.macmahon as mac
 
     index, certificate, case_of, domain, marker = STEPS[step]
-    true_step = getattr(mac, step)
     assert certificate(*index).verified
     assert case in {case_of(*index, x) for x in domain()}
 
-    def broken(*args):
-        found, y = true_step(*args)
-        if case_of(*args) == case:
-            return found, fault(args[-1], y, marker)
-        return found, y
+    def broken(x, y):
+        return fault(x, y, marker) if case_of(*index, x) == case else y
 
-    monkeypatch.setattr(mac, step, broken)
+    monkeypatch.setattr(mac, "_step_rule", faulty_rule(mac._step_rule, broken))
     cert = certificate(*index)
     assert not cert.verified
     counterexample = cert.counterexample
@@ -411,15 +424,197 @@ def test_cancelation_cycle_exceeds_the_budget(monkeypatch):
     import qtelescope.macmahon as mac
 
     assert mac.cancelation_certificate(2, 2).verified
-    true_step = mac.phi_step
 
-    def cycling(n, m, k, x):  # an H-tagged pair goes back to case 1, and stays H
-        case, out = true_step(n, m, k, x)
-        return (1, x) if case == 3 else (case, out)
+    def cycling(x, y):  # an H-tagged pair stays as it is: case 1, so H again
+        return x if isinstance(y, MarkedObject) else y
 
-    monkeypatch.setattr(mac, "phi_step", cycling)
+    monkeypatch.setattr(mac, "_step_rule", faulty_rule(mac._step_rule, cycling))
     with pytest.raises(IterationBudgetExceeded):
         mac.cancelation_certificate(2, 2)
+
+
+# the packed form against the MacPair-level oracle --------------------------------
+
+def box_P(n, m, k):
+    return k, 2 * m + 2 * k, n - k
+
+
+def box_Q(n, k):
+    return k, 2 * n - 2 * k, k
+
+
+def oracle_enum(box):
+    side, bound, slots = box
+    if bound < 0 or slots < 0:
+        return []
+    return [MacPair(side, mu) for mu in enum_even_bounded(bound, slots)]
+
+
+def oracle_in_box(box, x):
+    side, bound, slots = box
+    return (isinstance(x, MacPair) and x.side == side
+            and x.mu.has_even_parts() and x.mu.first <= bound
+            and x.mu.length <= slots)
+
+
+def oracle_step(box, neighbour, marker, x):
+    """The step map on MacPairs, as phi_step's and psi_step's docstrings
+    state it: a pair of box is its own image, a boundary pair of the
+    neighbouring box loses its first row, takes box's side and the marker."""
+    if oracle_in_box(box, x):
+        return (1 if x.mu.first == box[1] else 2), x
+    if oracle_in_box(neighbour, x) and x.mu.first == neighbour[1]:
+        out = MacPair(box[0], drop_first(x.mu))
+        return 3, MarkedObject(marker[0], out, marker_z=marker[1])
+    raise ValueError(f"{x} is neither in {box} nor on the boundary of {neighbour}")
+
+
+def oracle_phi(n, m, k, x):
+    if n < 0 or m < 1:
+        raise ValueError("phi_step requires n >= 0 and m >= 1")
+    return oracle_step(box_P(n, m, k), box_P(n, m, k - 1), (2 * m - 1, -1), x)
+
+
+def oracle_psi(n, k, x):
+    if n < 1:
+        raise ValueError("psi_step requires n >= 1")
+    return oracle_step(box_Q(n, k), box_Q(n, k + 1), (2 * n - 1, 1), x)
+
+
+def oracle_slice_certificate(step, box, neighbour, lower, marker, check, params):
+    """A step certificate on objects: every pair built, hashed and mapped."""
+    from qtelescope.telescope import check_graded_bijection
+
+    pairs = oracle_enum(box)
+    domain = pairs + [x for x in oracle_enum(neighbour) if x.mu.first == neighbour[1]]
+    lowered = oracle_enum(lower)
+    codomain = (lowered
+                + [MarkedObject(marker[0], x, marker_z=marker[1]) for x in lowered]
+                + [x for x in pairs if x.mu.first == box[1]])
+    return check_graded_bijection(lambda x: step(x)[1], domain, codomain, weight_of,
+                                  check=check, params=params)
+
+
+def oracle_telescoping(n, m, tagged):
+    tag, x = tagged
+    if tag not in ("A", "H"):
+        raise ValueError(f"unexpected tag {tag!r}")
+    case, out = oracle_phi(n, m, x.side + (tag == "H"), x)
+    return ("H" if case == 1 else "B"), out
+
+
+def oracle_cancelation(n, m):
+    from qtelescope.telescope import cancelation_psi, check_graded_bijection
+
+    domain = [x for k in range(-m, n + 1) for x in oracle_enum(box_P(n, m, k))]
+    budget = (len(domain) + 1
+              + sum(x.mu.first == box_P(n, m, x.side)[1] for x in domain))
+
+    def direct(a):
+        return cancelation_psi(lambda t: oracle_telescoping(n, m, t), ("A", a),
+                               lambda t: t[0] == "B", budget)[1]
+
+    codomain = [x for k in range(-m, n + 1) for x in oracle_enum(box_P(n, m - 1, k))]
+    codomain += [MarkedObject(2 * m - 1, x, marker_z=-1) for x in codomain]
+    return check_graded_bijection(direct, domain, codomain, weight_of,
+                                  check="macmahon-cancelation", params={"n": n, "m": m})
+
+
+def outcome(make):
+    """The JSON of a certificate without its timing, the value of a call,
+    or the text of the ValueError it raised."""
+    try:
+        result = make()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if hasattr(result, "to_json_obj"):
+        return {k: v for k, v in result.to_json_obj().items() if k != "elapsed_ms"}
+    return result
+
+
+def near(x, marker):
+    """x and pairs one edit away from it: the side moved, a row added on top
+    or at the bottom, the first row dropped, an odd part, and x marked
+    (where the marker is a valid one)."""
+    mu = x.mu.parts
+    return [x, MacPair(x.side - 1, x.mu), MacPair(x.side + 1, x.mu),
+            MacPair(x.side, Partition(((mu[0] if mu else 0) + 2,) + mu)),
+            MacPair(x.side, Partition(mu + (2,))), MacPair(x.side, drop_first(x.mu)),
+            MacPair(x.side, Partition(mu + (1,)))] + (
+                [MarkedObject(marker[0], x, marker_z=marker[1])] if marker[0] > 0 else [])
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_packed_phi_matches_the_object_path(n):
+    # Every index from k = -m-1 to n+1: k = -m is the box of bound 0, whose
+    # only pair (empty mu) is on its boundary, and k = -m+1 the index whose
+    # neighbour has bound 0, so its boundary pair has no row to lose.
+    for m in range(5):
+        for k in range(-m - 1, n + 2):
+            marker = (2 * m - 1, -1)
+            candidates = {y for x in oracle_enum(box_P(n, m, k)) + oracle_enum(box_P(n, m, k - 1))
+                          for y in near(x, marker)}
+            for x in candidates:
+                assert outcome(lambda: phi_step(n, m, k, x)) == outcome(
+                    lambda: oracle_phi(n, m, k, x)), (n, m, k, x)
+                if isinstance(x, MacPair) and x.side in (k, k - 1):
+                    t = ("A" if x.side == k else "H", x)
+                    assert outcome(lambda: telescoping_phi(n, m, t)) == outcome(
+                        lambda: oracle_telescoping(n, m, t)), (n, m, t)
+            if m >= 1:
+                assert outcome(lambda: phi_certificate(n, m, k)) == outcome(
+                    lambda: oracle_slice_certificate(
+                        lambda x: oracle_phi(n, m, k, x), box_P(n, m, k),
+                        box_P(n, m, k - 1), box_P(n, m - 1, k), marker,
+                        "macmahon-phi", {"n": n, "m": m, "k": k})), (n, m, k)
+        if m >= 1:
+            assert outcome(lambda: cancelation_certificate(n, m)) == outcome(
+                lambda: oracle_cancelation(n, m)), (n, m)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_packed_psi_matches_the_object_path(n):
+    # k = n-1 is the index whose neighbour Q(n,n) has bound 0
+    for k in range(-1, n + 2):
+        marker = (2 * n - 1, 1)
+        candidates = {y for x in oracle_enum(box_Q(n, k)) + oracle_enum(box_Q(n, k + 1))
+                      for y in near(x, marker)}
+        for x in candidates:
+            assert outcome(lambda: psi_step(n, k, x)) == outcome(
+                lambda: oracle_psi(n, k, x)), (n, k, x)
+        if n >= 1:
+            assert outcome(lambda: psi_certificate(n, k)) == outcome(
+                lambda: oracle_slice_certificate(
+                    lambda x: oracle_psi(n, k, x), box_Q(n, k), box_Q(n, k + 1),
+                    box_Q(n - 1, k), marker, "macmahon-psi", {"n": n, "k": k})), (n, k)
+
+
+def test_bound_zero_boxes():
+    # P(n,m,-m) holds only (-m, ()), on its boundary; at k = -m+1 that pair is
+    # the neighbour's boundary and moves up with its empty mu.  Q(n,n) is the
+    # same for psi at k = n and k = n-1.
+    for n in range(4):
+        for m in range(1, 4):
+            assert phi_step(n, m, -m, pair(-m)) == (1, pair(-m))
+            assert phi_step(n, m, -m + 1, pair(-m)) == (
+                3, MarkedObject(2 * m - 1, pair(-m + 1), marker_z=-1))
+            assert phi_certificate(n, m, -m).verified
+            assert phi_certificate(n, m, -m + 1).verified
+    for n in range(1, 5):
+        assert psi_step(n, n, pair(n)) == (1, pair(n))
+        assert psi_step(n, n - 1, pair(n)) == (
+            3, MarkedObject(2 * n - 1, pair(n - 1), marker_z=1))
+        assert psi_certificate(n, n - 1).verified
+
+
+def test_certificates_check_the_step_parameters_first():
+    # phi needs m >= 1 and n >= 0, psi n >= 1, whatever the index
+    for make in (lambda: phi_certificate(2, 0, 1), lambda: phi_certificate(-1, 1, 5),
+                 lambda: cancelation_certificate(2, 0)):
+        with pytest.raises(ValueError, match="phi_step requires"):
+            make()
+    with pytest.raises(ValueError, match="psi_step requires"):
+        psi_certificate(0, 0)
 
 
 # telescoping relations ------------------------------------------------------------

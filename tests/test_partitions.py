@@ -13,6 +13,9 @@ from qtelescope.partitions import (EMPTY, Partition, enum_distinct_range,
                                    staircase)
 from qtelescope.qalgebra import LaurentPoly, gaussian_binomial
 
+from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
+                             without_part)
+
 
 def brute_all_partitions(max_part, weight_cap, max_len=None):
     """Every nonincreasing tuple of positive parts <= max_part with weight
@@ -57,24 +60,23 @@ def test_predicates():
     assert not Partition((2, 0)).has_even_parts()
 
 
-def test_first_and_last_default_to_zero():
-    assert EMPTY.first == 0 and EMPTY.last == 0
+def test_first_defaults_to_zero():
+    assert EMPTY.first == 0
     assert Partition((5, 2)).first == 5
-    assert Partition((5, 2)).last == 2
 
 
 def test_row_edits():
     p = Partition((4, 2, 2))
-    assert p.drop_first() == Partition((2, 2))
-    assert EMPTY.drop_first() == EMPTY
-    assert p.with_part(4) == Partition((4, 4, 2, 2))
-    assert p.with_part(6) == Partition((6, 4, 2, 2))
-    assert p.without_part(2) == Partition((4, 2))
-    assert p.replace_part(4, 1) == Partition((2, 2, 1))
+    assert drop_first(p) == Partition((2, 2))
+    assert drop_first(EMPTY) == EMPTY
+    assert with_part(p, 4) == Partition((4, 4, 2, 2))
+    assert with_part(p, 6) == Partition((6, 4, 2, 2))
+    assert without_part(p, 2) == Partition((4, 2))
+    assert replace_part(p, 4, 1) == Partition((2, 2, 1))
     with pytest.raises(ValueError):
-        p.without_part(3)
+        without_part(p, 3)
     with pytest.raises(ValueError):
-        p.drop_first_rows(4)
+        drop_first_rows(p, 4)
 
 
 def test_json_forms():

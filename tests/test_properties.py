@@ -28,6 +28,8 @@ from qtelescope.partitions import Partition, staircase  # noqa: E402
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, truncate  # noqa: E402
 from qtelescope.telescope import MarkedObject, weight_of  # noqa: E402
 
+from partition_edits import drop_first_rows, with_part, without_part  # noqa: E402
+
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 small = st.integers(-4, 4)
@@ -95,12 +97,12 @@ def test_series_combine_at_the_smaller_cap(a, cap_a, b, cap_b, p):
 @PROPERTY
 @given(partitions, st.integers(0, 10))
 def test_with_part_and_without_part_are_inverse(p, value):
-    grown = p.with_part(value)
+    grown = with_part(p, value)
     assert grown.weight == p.weight + value and grown.length == p.length + 1
     assert grown.contains(value)
-    assert grown.without_part(value) == p
+    assert without_part(grown, value) == p
     for part in p.parts:
-        assert p.without_part(part).with_part(part) == p
+        assert with_part(without_part(p, part), part) == p
 
 
 @PROPERTY
@@ -108,14 +110,14 @@ def test_with_part_and_without_part_are_inverse(p, value):
 def test_drop_first_rows_drops_the_largest_rows(p, a, b):
     if a > p.length:
         with pytest.raises(ValueError):
-            p.drop_first_rows(a)
+            drop_first_rows(p, a)
         return
-    rest = p.drop_first_rows(a)
+    rest = drop_first_rows(p, a)
     assert rest.parts == p.parts[a:]
     assert rest.weight == p.weight - sum(p.parts[:a])
     if a + b <= p.length:
-        assert rest.drop_first_rows(b) == p.drop_first_rows(a + b)
-    assert p.drop_first_rows(0) == p
+        assert drop_first_rows(rest, b) == drop_first_rows(p, a + b)
+    assert drop_first_rows(p, 0) == p
 
 
 # Andrews triples: the packed form ----------------------------------------------
