@@ -5,7 +5,8 @@ The package is organized bottom-up:
 
     qalgebra    exact sparse Laurent polynomials; a truncated q-series is
                 a capped LaurentPoly
-    partitions  partition objects (zero parts allowed) and enumerators
+    partitions  partition objects (zero parts allowed), their enumerators,
+                and EvenField, the packed even partition mu of both families
     telescope   generic bijection / telescoping / cancelation checkers,
                 the (sign, z, q) weight key weight_of, weighted_count, and
                 certify, which makes every Certificate

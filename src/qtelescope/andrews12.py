@@ -24,15 +24,15 @@ weight; the bijection and the involutions run on enumerated triples.
 
 The maps, membership and the capped enumerator are stated once, on a
 packed form: one int per element, whose fields are marker_q, tau's row
-count, lam as a bitmask and the multiplicities of mu's parts 2, 4, ...
-(see _Layout).  Each rule is a class dispatch followed by a constant
-shift of that int.  The certificates run end to end on packed ints and
-decode an element to a Triple / MarkedObject only for a counterexample.
-The public functions take and return Triples: they check the input's
-shape, encode it, run the packed rule and decode the result.  The public
-maps phi and involution share one input check (the index rule, then
-membership in their common domain); the involution certificate runs the
-unchecked rule and tests each image's membership once.
+count, lam as a bitmask and mu as a partitions.EvenField (see _Layout).
+Each rule is a class dispatch followed by a constant shift of that int.
+The certificates run end to end on packed ints and decode an element to
+a Triple / MarkedObject only for a counterexample.  The public functions
+take and return Triples: they check the input's shape, encode it, run
+the packed rule and decode the result.  The public maps phi and
+involution share one input check (the index rule, then membership in
+their common domain); the involution certificate runs the unchecked rule
+and tests each image's membership once.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from .partitions import (Partition, enum_distinct_range, enum_even_capped,
-                         staircase)
+from .partitions import EvenField, Partition, enum_distinct_range, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
                         WeightKey, certify, check_graded_bijection, weight_of)
@@ -101,11 +100,11 @@ class _Layout:
 
     From bit 0 up: marker_q (0 when unmarked) and tau's row count, `width`
     bits each; lam as a bitmask, bit p set when p is a part, `bound + 2`
-    bits; then the multiplicities of the mu parts 2, 4, 6, ..., `width`
-    bits each and unbounded above.  A field holds bound + 2: more than any
-    marker, any row count (a staircase of weight w has at most w + 1 rows)
-    and twice any multiplicity within the bound, so no rule step on an
-    element of weight <= bound carries into the next field.
+    bits; then mu, an EvenField of `width`-bit multiplicities.  A field
+    holds bound + 2: more than any marker, any row count (a staircase of
+    weight w has at most w + 1 rows) and twice any multiplicity within the
+    bound, so no rule step on an element of weight <= bound carries into
+    the next field.
     """
 
     __slots__ = ("width", "field", "rows", "lam", "lam_field", "mu")
@@ -116,15 +115,11 @@ class _Layout:
         self.rows = self.width
         self.lam = 2 * self.width
         self.lam_field = ((1 << bound + 2) - 1) << self.lam
-        self.mu = self.lam + bound + 2
+        self.mu = EvenField(self.lam + bound + 2, self.width)
 
     def part(self, p: int) -> int:
         """The bit of the lam part p."""
         return 1 << self.lam + p
-
-    def mu_part(self, p: int) -> int:
-        """One mu part p, an even part >= 2: the unit of its multiplicity field."""
-        return 1 << self.mu + (p // 2 - 1) * self.width
 
 
 def _layout(n: int, cap: int) -> _Layout:
@@ -152,33 +147,24 @@ def _encode(x: TripleValue, lay: _Layout) -> Optional[int]:
             or lay.part(x.lam.first) > lay.lam_field):
         raise ValueError(f"{x} does not fit the packed layout")
     return (marker + (rows << lay.rows) + sum(map(lay.part, x.lam.parts))
-            + sum(map(lay.mu_part, mu)))
+            + lay.mu.encode(mu))
 
 
 def _decoder(lay: _Layout) -> Callable[[int], TripleValue]:
     """The inverse of _encode at `lay`.  Equal taus, lams and mus of the
     elements it decodes are one shared Partition."""
-    field, width = lay.field, lay.width
+    field, mu_of, at = lay.field, lay.mu.decode, lay.mu.at
 
     @lru_cache(maxsize=None)
     def lam_of(bits: int) -> Partition:
         return Partition(tuple(p for p in range(bits.bit_length() - 1, 0, -1)
                                if bits >> p & 1))
 
-    @lru_cache(maxsize=None)
-    def mu_of(mults: int) -> Partition:
-        parts, part = [], 2
-        while mults:
-            parts += [part] * (mults & field)
-            mults >>= width
-            part += 2
-        return Partition(tuple(reversed(parts)))
-
     tau_of = lru_cache(maxsize=None)(staircase)
 
     def decode(x: int) -> TripleValue:
         t = Triple(tau_of(x >> lay.rows & field),
-                   lam_of((x & lay.lam_field) >> lay.lam), mu_of(x >> lay.mu))
+                   lam_of((x & lay.lam_field) >> lay.lam), mu_of(x >> at))
         marker = x & field
         return MarkedObject(marker, t) if marker else t
     return decode
@@ -197,27 +183,18 @@ def _pack(n: int, x: TripleValue) -> tuple[Optional[int], Optional[_Layout]]:
 def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
     """weight_of on the packed form of `lay`, computed from the fields;
     the sign and weight of each lam and each mu met are worked out once."""
-    field, width = lay.field, lay.width
+    field, width, mu_weight, at = lay.field, lay.width, lay.mu.weight, lay.mu.at
 
     @lru_cache(maxsize=None)
     def lam_key(bits: int) -> tuple[int, int]:
         return (-1 if bits.bit_count() & 1 else 1,
                 sum(p for p in range(bits.bit_length()) if bits >> p & 1))
 
-    @lru_cache(maxsize=None)
-    def mu_weight(mults: int) -> int:
-        q, part = 0, 2
-        while mults:
-            q += part * (mults & field)
-            mults >>= width
-            part += 2
-        return q
-
     def weight(x: int) -> WeightKey:
         rows = x >> width & field
         sign, lam_weight = lam_key((x & lay.lam_field) >> lay.lam)
         return sign, 0, ((x & field) + rows * (rows - 1) // 2 + lam_weight
-                         + mu_weight(x >> lay.mu))
+                         + mu_weight(x >> at))
     return weight
 
 
@@ -229,7 +206,7 @@ def _P_mask(n: int, k: int, lay: _Layout) -> Optional[tuple[int, int]]:
     if n < 0 or k < 0 or k > n or n - k > lay.field:
         return None
     free = (lay.lam_field & ((1 << 2 * k) - 1) * lay.part(n - k + 1)
-            | ((1 << k * lay.width) - 1) << lay.mu)
+            | lay.mu.unit(2 * k + 2) - lay.mu.unit(2))
     return ~free, (n - k) << lay.rows
 
 
@@ -251,8 +228,8 @@ def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> list[int]:
     certificate order: by total weight, then lam, then mu, each
     lexicographic.
 
-    Built grade by grade from the capped enumerators, with mu grouped by
-    weight once, so nothing over the cap is built and nothing is sorted.
+    Built grade by grade from the capped enumerators, mu packed and grouped
+    by weight once, so nothing over the cap is built and nothing is sorted.
     """
     if n < 0 or k < 0 or k > n:
         return []
@@ -261,9 +238,8 @@ def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> list[int]:
     lams = [(lam.weight, sum(map(lay.part, lam.parts)))
             for lam in enum_distinct_range(n - k + 1, n + k, budget)]
     mus_by_weight = [[] for _ in range(budget + 1)]
-    for mu in enum_even_capped(2 * k, budget):
-        mus_by_weight[mu.weight].append((rows << lay.rows)
-                                        + sum(map(lay.mu_part, mu.parts)))
+    for mu in lay.mu.enum(2 * k, budget // 2, budget):
+        mus_by_weight[lay.mu.weight(mu >> lay.mu.at)].append((rows << lay.rows) + mu)
     return [lam + mu for grade in range(budget + 1) for weight, lam in lams
             if weight <= grade for mu in mus_by_weight[grade - weight]]
 
@@ -279,7 +255,7 @@ def _class_rule(n: int, k: int, lay: _Layout) -> Callable[[int], ClassTag]:
     if not k:  # P(n,0) is the bare staircase: mu's first row is 0 = 2k
         return lambda x: ClassTag.A
     top_pair = lay.part(n + k) | lay.part(n + k - 1)
-    boundary = lay.field * lay.mu_part(2 * k)
+    boundary = lay.field * lay.mu.unit(2 * k)
 
     def class_of(x: int) -> ClassTag:
         pair = x & top_pair
@@ -301,7 +277,7 @@ def _phi_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
     lowered = 2 * n - 3 - (2 << lay.rows)
     marked = lowered - (2 * n - 1) + lay.part(n - k) + lay.part(n - k - 1)
     top_pair = lay.part(n + k) | lay.part(n + k - 1)
-    new_mu = lay.mu_part(2 * k) if k else 0
+    new_mu = lay.mu.unit(2 * k) if k else 0
 
     def step(x: int) -> int:
         if x & field:  # marked: lam gains n-k and n-k-1
@@ -321,7 +297,7 @@ def _involution_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
     """Rules (a)-(e) of `involution` on the packed form, unchecked: x must
     be in its domain."""
     field = lay.field
-    toggle, toggle_mu = lay.part(2 * k), lay.mu_part(2 * k)
+    toggle, toggle_mu = lay.part(2 * k), lay.mu.unit(2 * k)
     toggle_mults = field * toggle_mu
     marker_part = lay.part(2 * n - 1)
     from_marker_part = lay.lam_field & -marker_part  # lam parts >= 2n-1

@@ -23,17 +23,17 @@ slice.  Summing over k telescopes h away and yields the two recurrences.
 
 The two paths see the boxes differently.  The bijection path (the step
 certificates and cancelation) runs on a packed form, one int per pair (see
-_Layout): each box is enumerated as ints and its boundary slice read off
-that list, membership is one AND-and-compare plus a length bound, and each
-step map is one rule (_step_rule) whose moving case is a constant shift.
-The certificates decode a pair only for a counterexample.  The public
-enum_P, enum_Q, phi_step, psi_step and telescoping_phi take and return
-MacPairs: they check the input, encode it, run the packed rule and decode
-the result.  The sum
-path needs weights only: _box_counts walks every even partition of a box
-once, keeping each leaf's |mu| and whether its first part is the bound, and
-builds no pair.  verify_macmahon runs the per-index check
-(telescope.telescoping_sum_check) on those counts, then checks the
+_Layout; mu is a partitions.EvenField): each box is enumerated as ints by
+mu's packed enumerator and its boundary slice read off that list,
+membership is one AND-and-compare plus a length bound, and each step map
+is one rule (_step_rule) whose moving case is a constant shift.  The
+certificates decode a pair only for a counterexample.  The public enum_P,
+enum_Q, phi_step, psi_step and telescoping_phi take and return MacPairs:
+they check the input, encode it, run the packed rule and decode the
+result.  The sum path needs weights only: _box_counts walks every even
+partition of a box once, keeping each leaf's |mu| and whether its first
+part is the bound, and builds no pair.  verify_macmahon runs the per-index
+check (telescope.telescoping_sum_check) on those counts, then checks the
 closed-form identity.  The walk visits every leaf, so the sum side stays an
 enumeration, independent of the Pascal recurrence behind gaussian_binomial.
 """
@@ -42,17 +42,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
-# enum_even_bounded and weight_of are not called here; they stay importable
-# from this module, where perfbench/tracer.py wraps them
-from .partitions import Partition, enum_even_bounded  # noqa: F401
+from .partitions import EvenField, Partition
 from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
                        gaussian_binomial)
-from .telescope import (Certificate, MarkedObject, WeightKey,  # noqa: F401
-                        cancelation_psi, certify, check_graded_bijection,
-                        telescoping_sum_check, weight_of)
+from .telescope import (Certificate, MarkedObject, WeightKey, cancelation_psi,
+                        certify, check_graded_bijection, telescoping_sum_check)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,23 +93,19 @@ class _Layout:
     [lo, hi] and at most `slots` parts, marked with `marker` (q, z).
 
     From bit 0 up: the marked flag; side - lo and mu's length, `width` bits
-    each; then the multiplicities of mu's parts 2, 4, 6, ..., `width` bits
-    each and unbounded above.  A field holds max(hi - lo, slots), so no
-    step between two sides of [lo, hi] carries or borrows across a field.
+    each; then mu, an EvenField of `width`-bit multiplicities.  A field
+    holds max(hi - lo, slots), so no step between two sides of [lo, hi]
+    carries or borrows across a field.
     """
 
-    __slots__ = ("lo", "marker", "width", "field", "length", "mu")
+    __slots__ = ("lo", "marker", "field", "length", "mu")
 
     def __init__(self, lo: int, hi: int, slots: int, marker=(0, 0)):
         self.lo, self.marker = lo, marker
-        self.width = max(hi - lo, slots, 1).bit_length()
-        self.field = (1 << self.width) - 1
-        self.length = _SIDE + self.width
-        self.mu = _SIDE + 2 * self.width
-
-    def mu_part(self, p: int) -> int:
-        """One mu part p, an even part >= 2: the unit of its multiplicity field."""
-        return 1 << self.mu + (p // 2 - 1) * self.width
+        width = max(hi - lo, slots, 1).bit_length()
+        self.field = (1 << width) - 1
+        self.length = _SIDE + width
+        self.mu = EvenField(_SIDE + 2 * width, width)
 
 
 def _step_layout(box: Box, neighbour: Box, marker: tuple[int, int]) -> _Layout:
@@ -135,26 +127,16 @@ def _encode(x: MacValue, lay: _Layout) -> Optional[int]:
     if not (0 <= side <= lay.field and mu.length <= lay.field
             and mu.has_even_parts()):
         return None
-    return (flag + (side << _SIDE) + (mu.length << lay.length)
-            + sum(map(lay.mu_part, mu.parts)))
+    return flag + (side << _SIDE) + (mu.length << lay.length) + lay.mu.encode(mu.parts)
 
 
 def _decoder(lay: _Layout) -> Callable[[int], MacValue]:
     """The inverse of _encode at `lay`.  Equal mus of the pairs it decodes
     are one shared Partition."""
-    field, width = lay.field, lay.width
-
-    @lru_cache(maxsize=None)
-    def mu_of(mults: int) -> Partition:
-        parts, part = [], 2
-        while mults:
-            parts += [part] * (mults & field)
-            mults >>= width
-            part += 2
-        return Partition(tuple(reversed(parts)))
+    field, mu_of, at = lay.field, lay.mu.decode, lay.mu.at
 
     def decode(x: int) -> MacValue:
-        pair = MacPair((x >> _SIDE & field) + lay.lo, mu_of(x >> lay.mu))
+        pair = MacPair((x >> _SIDE & field) + lay.lo, mu_of(x >> at))
         if x & _MARKED:
             return MarkedObject(lay.marker[0], pair, marker_z=lay.marker[1])
         return pair
@@ -164,21 +146,12 @@ def _decoder(lay: _Layout) -> Callable[[int], MacValue]:
 def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
     """weight_of on the packed form of `lay`, computed from the fields; the
     weight of each mu met is worked out once."""
-    field, width, lo = lay.field, lay.width, lay.lo
+    field, lo, mu_weight, at = lay.field, lay.lo, lay.mu.weight, lay.mu.at
     marker_q, marker_z = lay.marker
-
-    @lru_cache(maxsize=None)
-    def mu_weight(mults: int) -> int:
-        q, part = 0, 2
-        while mults:
-            q += part * (mults & field)
-            mults >>= width
-            part += 2
-        return q
 
     def weight(x: int) -> WeightKey:
         side = (x >> _SIDE & field) + lo
-        q = side * side + mu_weight(x >> lay.mu)
+        q = side * side + mu_weight(x >> at)
         return (1, side + marker_z, q + marker_q) if x & _MARKED else (1, side, q)
     return weight
 
@@ -192,7 +165,7 @@ def _box_test(box: Box, lay: _Layout) -> tuple[int, int, int]:
     side, bound, slots = box
     if bound < 0 or slots < 0 or not 0 <= side - lay.lo <= lay.field:
         return 0, 1, 0  # x & 0 is never 1
-    free = lay.field << lay.length | ((1 << bound // 2 * lay.width) - 1) << lay.mu
+    free = lay.field << lay.length | lay.mu.unit(bound + 2) - lay.mu.unit(2)
     return ~free, side - lay.lo << _SIDE, slots << lay.length
 
 
@@ -200,7 +173,7 @@ def _edge_test(bound: int, lay: _Layout) -> Callable[[int], bool]:
     """The boundary test of a box with this bound, on the packed form: mu
     has a part `bound`, or, when bound is 0, mu is empty."""
     if bound > 0:
-        mask = lay.field * lay.mu_part(bound)
+        mask = lay.field * lay.mu.unit(bound)
         return lambda x: x & mask != 0
     mask = lay.field << lay.length
     return lambda x: x & mask == 0
@@ -211,21 +184,8 @@ def _enum_packed(box: Box, lay: _Layout) -> list[int]:
     (mu lexicographic, each partition before its extensions).  No Partition
     is built."""
     side, bound, slots = box
-    if bound < 0 or slots < 0:
-        return []
-    row = 1 << lay.length  # one more part
-
-    @lru_cache(maxsize=None)
-    def tails(limit: int, room: int) -> list[int]:
-        out = [0]
-        if room:
-            for part in range(2, limit + 1, 2):
-                head = row + lay.mu_part(part)
-                out += [head + t for t in tails(part, room - 1)]
-        return out
-
     base = side - lay.lo << _SIDE
-    return [base + t for t in tails(bound, slots)]
+    return [base + t for t in lay.mu.enum(bound, slots, bound * slots, 1 << lay.length)]
 
 
 def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
@@ -237,7 +197,7 @@ def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
     n_forbidden, n_expected, n_limit = _box_test(neighbour, lay)
     on_edge = _edge_test(neighbour[1], lay)
     length = lay.field << lay.length
-    first_row = lay.mu_part(neighbour[1]) + (1 << lay.length) if neighbour[1] > 0 else 0
+    first_row = lay.mu.unit(neighbour[1]) + (1 << lay.length) if neighbour[1] > 0 else 0
     shift = _MARKED + (box[0] - neighbour[0] << _SIDE) - first_row
 
     def step(x: int) -> int:

@@ -1,16 +1,19 @@
-"""Integer partitions with explicit zero parts, and the enumerators used
-by the verification drivers.
+"""Integer partitions with explicit zero parts, the enumerators used by
+the verification drivers, and EvenField, the packed form of an even-part
+partition that both families carry.
 
 Zero parts are first-class: (0) and the empty partition are different
 objects, and staircases always end in a zero part when nonempty.  Each
 enumerator is a recursion that yields in lexicographic order of the part
 tuple, so its list needs no sort and downstream certificates are
 byte-stable; the weight-capped ones prune a branch once it passes the cap.
+The Partition-level enumerators are the packed one's test references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -98,22 +101,23 @@ def enum_distinct_range(lo: int, hi: int, weight_cap: int) -> list[Partition]:
     return [Partition(parts) for parts in rec(hi, weight_cap)]
 
 
+def _even_parts(limit: int, slots: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Even-part tuples with parts <= limit, at most `slots` parts and
+    weight <= budget, in lexicographic order."""
+    yield ()
+    if slots:
+        for p in range(2, min(limit, budget) + 1, 2):
+            for rest in _even_parts(p, slots - 1, budget - p):
+                yield (p,) + rest
+
+
 def enum_even_bounded(max_part: int, max_len: int) -> list[Partition]:
     """All even-part partitions with largest part <= max_part, at most max_len parts."""
     if max_part % 2 != 0 or max_part < 0:
         raise ValueError("max_part must be even and nonnegative")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-
-    def rec(limit: int, slots: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        if slots == 0:
-            return
-        for p in range(2, limit + 1, 2):
-            for rest in rec(p, slots - 1):
-                yield (p,) + rest
-
-    return [Partition(parts) for parts in rec(max_part, max_len)]
+    return [Partition(p) for p in _even_parts(max_part, max_len, max_part * max_len)]
 
 
 def enum_even_capped(max_part: int, weight_cap: int) -> list[Partition]:
@@ -125,11 +129,69 @@ def enum_even_capped(max_part: int, weight_cap: int) -> list[Partition]:
         raise ValueError("max_part must be even and nonnegative")
     if weight_cap < 0:
         return []
+    return [Partition(p) for p in _even_parts(max_part, weight_cap // 2, weight_cap)]
 
-    def rec(limit: int, budget: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        for p in range(2, min(limit, budget) + 1, 2):
-            for rest in rec(p, budget - p):
-                yield (p,) + rest
 
-    return [Partition(parts) for parts in rec(max_part, weight_cap)]
+class EvenField:
+    """An even-part partition packed into an int: the multiplicities of its
+    parts 2, 4, 6, ..., `width` bits each from bit `at` up, the last one
+    unbounded.  The cached `decode` and `weight` read those fields shifted
+    down, x >> at: equal mus decode to one shared Partition."""
+
+    __slots__ = ("at", "width", "decode", "weight")
+
+    def __init__(self, at: int, width: int):
+        self.at, self.width = at, width
+        field = (1 << width) - 1
+
+        @lru_cache(maxsize=None)
+        def decode(mults: int) -> Partition:
+            parts, part = (), 2
+            while mults:
+                parts = (part,) * (mults & field) + parts
+                mults, part = mults >> width, part + 2
+            return Partition(parts)
+
+        @lru_cache(maxsize=None)
+        def weight(mults: int) -> int:
+            q, part = 0, 2
+            while mults:
+                q += part * (mults & field)
+                mults, part = mults >> width, part + 2
+            return q
+
+        self.decode, self.weight = decode, weight
+
+    def unit(self, p: int) -> int:
+        """One part p, an even part >= 2: the unit of its multiplicity field."""
+        return 1 << self.at + (p // 2 - 1) * self.width
+
+    def encode(self, parts) -> int:
+        """Even parts >= 2, packed; each multiplicity must fit its field."""
+        return sum(map(self.unit, parts))
+
+    def enum(self, bound: int, slots: int, cap: int, row: int = 0) -> list[int]:
+        """Every even-part partition with largest part <= bound, at most
+        `slots` parts and weight <= cap, packed, with `row` added once per
+        part, in enum_even_bounded's order.  No Partition is built."""
+        if min(bound, slots, cap) < 0:
+            return []
+        unit, memo = self.unit, {}
+
+        def tails(limit: int, room: int, budget: int) -> list[int]:
+            # one key per set: at most budget // 2 parts fit, and `room`
+            # parts <= limit weigh at most limit * room
+            room = min(room, budget // 2)
+            budget = min(budget, limit * room)
+            out = memo.get((limit, room, budget))
+            if out is None:
+                out = memo[limit, room, budget] = [0]
+                for part in range(2, min(limit, budget) + 1, 2):
+                    head = row + unit(part)
+                    out += [head + t for t in tails(part, room - 1, budget - part)]
+            return out
+
+        try:
+            return tails(bound, slots, cap)
+        finally:
+            del tails  # it refers to itself: left alone, it and memo outlive the call

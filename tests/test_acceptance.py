@@ -21,7 +21,7 @@ from qtelescope.partitions import (Partition, enum_distinct_range,
 from qtelescope.qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                                  gaussian_binomial, rhs_andrews, truncate)
 from qtelescope.telescope import (MarkedObject, check_graded_bijection,
-                                  telescoping_sum_check)
+                                  telescoping_sum_check, weight_of)
 
 
 def report(number, name, failures, extra=""):
@@ -278,7 +278,7 @@ def test_criterion_10_negative_controls(monkeypatch, tmp_path):
         return out
 
     cert = check_graded_bijection(broken, domain, codomain,
-                                  macmahon.weight_of, check="macmahon-phi")
+                                  weight_of, check="macmahon-phi")
     if cert.verified or cert.counterexample is None:
         failures.append("graded-bijection control")
 

@@ -73,6 +73,7 @@ def test_enum_P_respects_joint_weight_cap():
 def test_enum_P_out_of_range():
     assert enum_P(2, 3, 10) == []
     assert enum_P(1, -1, 10) == []
+    assert enum_P(6, 0, 5) == []  # the staircase alone weighs 15
 
 
 def enum_P_by_filter_and_sort(n, k, cap):

@@ -20,7 +20,7 @@ from qtelescope.macmahon import MacPair
 from qtelescope.partitions import Partition
 from qtelescope.qalgebra import LaurentPoly, rhs_andrews
 from qtelescope.telescope import (MarkedObject, check_graded_bijection,
-                                  telescoping_sum_check)
+                                  telescoping_sum_check, weight_of)
 
 GOLDEN = Path(__file__).with_name("golden_certificates.json")
 
@@ -56,7 +56,7 @@ def _bijection_control():
         return macmahon.phi_step(n, m, k, x)[1]
 
     return check_graded_bijection(broken, domain, codomain,
-                                  macmahon.weight_of, check="macmahon-phi")
+                                  weight_of, check="macmahon-phi")
 
 
 def _telescoping_control():

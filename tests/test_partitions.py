@@ -1,5 +1,6 @@
 """Partition objects and the three enumerators, checked against a naive
-brute-force generator that knows nothing about the library's descent order.
+brute-force generator that knows nothing about the library's descent order;
+EvenField, the packed even partition, checked against those enumerators.
 """
 
 import itertools
@@ -8,9 +9,9 @@ import math
 import pytest
 
 from qtelescope import partitions
-from qtelescope.partitions import (EMPTY, Partition, enum_distinct_range,
-                                   enum_even_bounded, enum_even_capped,
-                                   staircase)
+from qtelescope.partitions import (EMPTY, EvenField, Partition,
+                                   enum_distinct_range, enum_even_bounded,
+                                   enum_even_capped, staircase)
 from qtelescope.qalgebra import LaurentPoly, gaussian_binomial
 
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
@@ -222,3 +223,57 @@ def test_enumerator_outputs_satisfy_their_predicates():
         assert p.has_even_parts() and p.first <= 8 and p.length <= 3
     for p in enum_even_capped(6, 12):
         assert p.has_even_parts() and p.first <= 6 and p.weight <= 12
+
+
+# EvenField -------------------------------------------------------------------------
+
+FIELDS = [(0, 1), (0, 3), (5, 2), (9, 4)]  # (at, width)
+
+
+def decoded(field, packed):
+    return [field.decode(x >> field.at) for x in packed]
+
+
+@pytest.mark.parametrize("at, width", FIELDS)
+def test_packed_enumerator_is_the_bounded_reference(at, width):
+    field = EvenField(at, width)
+    for bound in range(0, 11, 2):
+        for slots in range(2 ** width):
+            packed = field.enum(bound, slots, bound * slots)
+            assert decoded(field, packed) == enum_even_bounded(bound, slots), \
+                (bound, slots)
+    assert field.enum(-2, 3, 6) == field.enum(4, -1, 0) == []
+
+
+@pytest.mark.parametrize("at, width", FIELDS)
+def test_packed_enumerator_is_the_capped_reference(at, width):
+    field = EvenField(at, width)
+    for bound in range(0, 11, 2):
+        for cap in range(-3, 2 * (2 ** width - 1) + 1):
+            packed = field.enum(bound, max(cap, 0) // 2, cap)
+            assert decoded(field, packed) == enum_even_capped(bound, cap), (bound, cap)
+
+
+def test_packed_enumerator_with_all_three_bounds_and_a_row():
+    # row counts the parts in the bits below the field, as a length field does
+    at, row = 4, 1
+    field = EvenField(at, 3)
+    for bound in (0, 2, 6):
+        for slots in range(4):
+            for cap in range(-1, 16):
+                packed = field.enum(bound, slots, cap, row)
+                want = [mu for mu in enum_even_bounded(bound, slots) if mu.weight <= cap]
+                assert decoded(field, packed) == want, (bound, slots, cap)
+                assert [x & (1 << at) - 1 for x in packed] == [mu.length for mu in want]
+
+
+@pytest.mark.parametrize("at, width", FIELDS)
+def test_decode_and_weight_are_the_partition(at, width):
+    field = EvenField(at, width)
+    for mu in enum_even_capped(12, 2 * (2 ** width - 1)):  # multiplicities fit
+        x = field.encode(mu.parts)
+        assert x & (1 << at) - 1 == 0
+        assert field.decode(x >> at) == mu
+        assert field.weight(x >> at) == mu.weight
+    # equal mus decode to one shared Partition
+    assert field.decode(1) is field.decode(1)

@@ -51,8 +51,11 @@ def test_tracer_finds_every_traced_name_the_library_still_has():
     traced = tracer.Tracer()
     try:
         traced.install()
-        assert traced.missing == ["qtelescope.macmahon.enum_G",
+        assert traced.missing == ["qtelescope.macmahon.enum_even_bounded",
+                                  "qtelescope.andrews12.enum_even_capped",
+                                  "qtelescope.macmahon.enum_G",
                                   "qtelescope.macmahon.enum_H",
-                                  "qtelescope.macmahon.weighted_count"]
+                                  "qtelescope.macmahon.weighted_count",
+                                  "qtelescope.macmahon.weight_of"]
     finally:
         traced.uninstall()
