@@ -7,9 +7,11 @@ The package is organized bottom-up:
                 a capped LaurentPoly
     partitions  partition objects (zero parts allowed), their enumerators,
                 and EvenField, the packed even partition mu of both families
-    telescope   generic bijection / telescoping / cancelation checkers,
-                the (sign, z, q) weight key weight_of, weighted_count, and
-                certify, which makes every Certificate
+    telescope   generic bijection / telescoping / cancelation checkers
+                (the bijection check streams, with the set-based one as
+                its failure-path oracle), the (sign, z, q) weight key
+                weight_of, weighted_count, and certify, which makes every
+                Certificate
     macmahon    the square-plus-even-partition families, both step maps,
                 and verify_macmahon, which runs the per-index telescoping
                 check on counts from one weight-only walk per family
@@ -27,7 +29,7 @@ from .partitions import (Partition, enum_distinct_range, enum_even_bounded,
                          enum_even_capped, staircase)
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         cancelation_psi, check_graded_bijection,
-                        telescoping_sum_check)
+                        stream_graded_bijection, telescoping_sum_check)
 from . import andrews12, macmahon
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "Partition", "enum_distinct_range", "enum_even_bounded",
     "enum_even_capped", "staircase",
     "Certificate", "IterationBudgetExceeded", "MarkedObject",
-    "cancelation_psi", "check_graded_bijection", "telescoping_sum_check",
+    "cancelation_psi", "check_graded_bijection", "stream_graded_bijection",
+    "telescoping_sum_check",
     "andrews12", "macmahon",
 ]

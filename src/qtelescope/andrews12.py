@@ -27,9 +27,15 @@ packed form: one int per element, whose fields are marker_q, tau's row
 count, lam as a bitmask and mu as a partitions.EvenField (see _Layout).
 Each rule is a class dispatch followed by a constant shift of that int.
 The certificates run end to end on packed ints and decode an element to
-a Triple / MarkedObject only for a counterexample.  The public functions
-take and return Triples: they check the input's shape, encode it, run
-the packed rule and decode the result.  The public maps phi and
+a Triple / MarkedObject only for a counterexample.  Both stream over their
+slice, holding no element, set or dict: phi against its inverse
+(_phi_inverse, telescope.stream_graded_bijection), the involution by
+_stream_involution.  Where a streaming check fails, the set-based check
+(check_graded_bijection, _involution_failure) reruns as the oracle and
+names the counterexample; a negative int, which no rule of a sound map
+yields, is shown as {"packed": x}.  The public functions take and return
+Triples: they check the input's shape, encode it, run the packed rule
+and decode the result.  The public maps phi and
 involution share one input check (the index rule, then membership in
 their common domain); the involution certificate runs the unchecked rule
 and tests each image's membership once.
@@ -41,12 +47,14 @@ import enum
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from itertools import accumulate, chain
+from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Partition, enum_distinct_range, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
-                        WeightKey, certify, check_graded_bijection, weight_of)
+                        WeightKey, certify, check_graded_bijection,
+                        stream_graded_bijection, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +171,11 @@ def _decoder(lay: _Layout) -> Callable[[int], TripleValue]:
     tau_of = lru_cache(maxsize=None)(staircase)
 
     def decode(x: int) -> TripleValue:
+        mu = mu_of(x >> at)
+        if mu is None:  # a negative int packs no triple
+            return {"packed": x}
         t = Triple(tau_of(x >> lay.rows & field),
-                   lam_of((x & lay.lam_field) >> lay.lam), mu_of(x >> at))
+                   lam_of((x & lay.lam_field) >> lay.lam), mu)
         marker = x & field
         return MarkedObject(marker, t) if marker else t
     return decode
@@ -183,7 +194,8 @@ def _pack(n: int, x: TripleValue) -> tuple[Optional[int], Optional[_Layout]]:
 def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
     """weight_of on the packed form of `lay`, computed from the fields;
     the sign and weight of each lam and each mu met are worked out once."""
-    field, width, mu_weight, at = lay.field, lay.width, lay.mu.weight, lay.mu.at
+    field, width, at = lay.field, lay.width, lay.mu.at
+    mu_weight = lru_cache(maxsize=None)(lay.mu.weight)
 
     @lru_cache(maxsize=None)
     def lam_key(bits: int) -> tuple[int, int]:
@@ -210,44 +222,72 @@ def _P_mask(n: int, k: int, lay: _Layout) -> Optional[tuple[int, int]]:
     return ~free, (n - k) << lay.rows
 
 
-def _domain_test(n: int, k: int, lay: _Layout) -> Callable[[int], bool]:
-    """Membership in the maps' domain at (n, k) on the packed form: P(n,k),
-    or marker 2n-1 (no z) over a payload in P(n-1,k-1)."""
+def _slice_test(a: tuple, marker: int, b: tuple, lay: _Layout) -> Callable[[int], bool]:
+    """Membership in P(a) plus marker-`marker` copies (no z) of P(b), on
+    the packed form, with no weight cap."""
     never = (0, 1)  # x & 0 is never 1
-    forbidden, expected = _P_mask(n, k, lay) or never
-    marked = _P_mask(n - 1, k - 1, lay)
-    forbidden_m, expected_m = (marked[0], marked[1] + 2 * n - 1) if marked else never
+    forbidden, expected = _P_mask(*a, lay) or never
+    marked = _P_mask(*b, lay)
+    forbidden_m, expected_m = (marked[0], marked[1] + marker) if marked else never
 
     def member(x: int) -> bool:
         return x & forbidden == expected or x & forbidden_m == expected_m
     return member
 
 
-def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> list[int]:
-    """All members of P(n,k) with total weight <= cap, packed at `lay`, in
-    certificate order: by total weight, then lam, then mu, each
-    lexicographic.
+def _domain_test(n: int, k: int, lay: _Layout) -> Callable[[int], bool]:
+    """Membership in the maps' domain at (n, k) on the packed form: P(n,k),
+    or marker 2n-1 (no z) over a payload in P(n-1,k-1)."""
+    return _slice_test((n, k), 2 * n - 1, (n - 1, k - 1), lay)
 
-    Built grade by grade from the capped enumerators, mu packed and grouped
-    by weight once, so nothing over the cap is built and nothing is sorted.
-    """
+
+def _factors(n: int, k: int, cap: int, lay: _Layout):
+    """(lams, mus by weight) of the members of P(n,k) with total weight
+    <= cap: each lam as its (weight, packed bits), each mu packed with the
+    row count, grouped by its weight; ([], []) where P(n,k) is empty."""
     if n < 0 or k < 0 or k > n:
-        return []
+        return [], []
     rows = n - k
     budget = cap - rows * (rows - 1) // 2
     lams = [(lam.weight, sum(map(lay.part, lam.parts)))
             for lam in enum_distinct_range(n - k + 1, n + k, budget)]
     mus_by_weight = [[] for _ in range(budget + 1)]
-    for mu in lay.mu.enum(2 * k, budget // 2, budget):
+    for mu in lay.mu.iter(2 * k, budget // 2, budget):
         mus_by_weight[lay.mu.weight(mu >> lay.mu.at)].append((rows << lay.rows) + mu)
-    return [lam + mu for grade in range(budget + 1) for weight, lam in lams
-            if weight <= grade for mu in mus_by_weight[grade - weight]]
+    return lams, mus_by_weight
 
 
-def _packed_slice(a: tuple, marker: int, b: tuple, cap: int, lay: _Layout) -> list[int]:
+def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> Iterator[int]:
+    """All members of P(n,k) with total weight <= cap, packed at `lay`, one
+    at a time, in certificate order: by total weight, then lam, then mu,
+    each lexicographic.
+
+    Built grade by grade from the capped enumerators, mu packed and grouped
+    by weight once, so nothing over the cap is built and nothing is sorted.
+    """
+    lams, mus_by_weight = _factors(n, k, cap, lay)
+    return (lam + mu for grade in range(len(mus_by_weight)) for weight, lam in lams
+            if weight <= grade for mu in mus_by_weight[grade - weight])
+
+
+def _count_packed(n: int, k: int, cap: int, lay: _Layout) -> int:
+    """The number of members _enum_packed yields, counted from its factors
+    without pairing them."""
+    lams, mus_by_weight = _factors(n, k, cap, lay)
+    at_most = list(accumulate(map(len, mus_by_weight)))  # mus of weight <= w
+    return sum(at_most[-1 - weight] for weight, _ in lams)  # <= budget - weight
+
+
+def _packed_slice(a: tuple, marker: int, b: tuple, cap: int,
+                  lay: _Layout) -> Iterator[int]:
     """P(a) plus marker-`marker` copies of P(b), all of weight <= cap, packed."""
-    return (_enum_packed(*a, cap, lay)
-            + [x + marker for x in _enum_packed(*b, cap - marker, lay)])
+    return chain(_enum_packed(*a, cap, lay),
+                 (x + marker for x in _enum_packed(*b, cap - marker, lay)))
+
+
+def _slice_size(a: tuple, marker: int, b: tuple, cap: int, lay: _Layout) -> int:
+    """The number of elements _packed_slice yields, counted."""
+    return _count_packed(*a, cap, lay) + _count_packed(*b, cap - marker, lay)
 
 
 def _class_rule(n: int, k: int, lay: _Layout) -> Callable[[int], ClassTag]:
@@ -291,6 +331,33 @@ def _phi_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
         shrunk = x + lowered - pair + (pair >> 2 * k)
         return shrunk if tag is ClassTag.B else shrunk + new_mu
     return step
+
+
+def _phi_inverse(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
+    """The inverse of _phi_rule on the packed form, unchecked: y must be in
+    phi's codomain.  An unmarked image is its own preimage.  A marked one's
+    codomain class comes from the low pair n-k, n-k-1 of lam and from mu's
+    row 2k: A' (neither low part) takes back the part 2k, B' (one) shifts
+    its low part up by 2k, C' (both, and a part 2k) does both, and D (both,
+    no part 2k) loses the pair the marked case added."""
+    field = lay.field
+    lowered = 2 * n - 3 - (2 << lay.rows)
+    low_pair = lay.part(n - k) | lay.part(n - k - 1)
+    marked = lowered - (2 * n - 1) + low_pair
+    new_mu = lay.mu.unit(2 * k) if k else 0
+    row_2k = field * new_mu
+
+    def inverse(y: int) -> int:
+        if not y & field:
+            return y
+        pair = y & low_pair
+        if pair == low_pair and not y & row_2k:  # D
+            return y - marked
+        raised = y - lowered - pair + (pair << 2 * k)
+        if pair == low_pair:  # C'
+            return raised - new_mu
+        return raised if pair else raised + new_mu  # B', A'
+    return inverse
 
 
 def _involution_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
@@ -482,14 +549,25 @@ def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
 
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     """Exhaustive weight-graded bijection check of phi on a capped slice,
-    run on the packed form; phi tests each element's membership once."""
+    run on the packed form; phi tests each element's membership once.
+
+    The check streams (telescope.stream_graded_bijection): one pass over
+    the domain slice against phi's inverse, the codomain's membership test
+    and its count.  Where that fails, the set-based check_graded_bijection
+    reruns on both slices and names the counterexample."""
     lay = _layout(n, cap)
-    step = _checked_rule("phi", n, k, lay)
-    return check_graded_bijection(
-        step, _packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay),
-        _packed_slice((n - 1, k - 1), 2 * n - 3, (n - 2, k), cap, lay),
-        _weight_key(lay), cap=cap, check="andrews-phi", params={"n": n, "k": k},
-        present=_decoder(lay))
+    step, weight = _checked_rule("phi", n, k, lay), _weight_key(lay)
+    domain = (n, k), 2 * n - 1, (n - 1, k - 1)
+    codomain = (n - 1, k - 1), 2 * n - 3, (n - 2, k)
+    params = {"n": n, "k": k}
+    return (stream_graded_bijection(
+                step, _phi_inverse(n, k, lay), _packed_slice(*domain, cap, lay),
+                _slice_test(*codomain, lay), _slice_size(*codomain, cap, lay), weight,
+                cap=cap, check="andrews-phi", params=params)
+            or check_graded_bijection(
+                step, _packed_slice(*domain, cap, lay),
+                _packed_slice(*codomain, cap, lay), weight, cap=cap,
+                check="andrews-phi", params=params, present=_decoder(lay)))
 
 
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
@@ -500,19 +578,62 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     unsigned weight and opposite sign, and that the fixed set is exactly
     the embedded copy of P(n-1,k-1).  An empty slice would verify
     vacuously, so it raises ValueError.
+
+    The check streams (_stream_involution): one pass over the slice that
+    keeps only counters.  Where that fails, the set-based
+    _involution_failure reruns on the slice and names the counterexample.
     """
     started = time.monotonic()
     _require_map("involution", n, k)
     lay = _layout(n, cap)
-    slice_ = _packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay)
+    step, member, weight = (_involution_rule(n, k, lay), _domain_test(n, k, lay),
+                            _weight_key(lay))
+    sizes = _stream_involution(n, k, cap, lay, step, member, weight)
+    if sizes is not None:
+        return certify("andrews-involution", {"n": n, "k": k}, started, cap=cap,
+                       domain_size=sizes[0], codomain_size=sizes[1])
+    slice_ = list(_packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay))
     if not slice_:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
     embedded = set(_enum_packed(n - 1, k - 1, cap, lay))
-    failure = _involution_failure(slice_, embedded, _involution_rule(n, k, lay),
-                                  _domain_test(n, k, lay), _weight_key(lay),
-                                  _decoder(lay))
+    failure = _involution_failure(slice_, embedded, step, member, weight, _decoder(lay))
     return certify("andrews-involution", {"n": n, "k": k}, started, failure,
                    cap=cap, domain_size=len(slice_), codomain_size=len(embedded))
+
+
+def _stream_involution(n, k, cap, lay, step, member, weight) -> Optional[tuple[int, int]]:
+    """(slice size, fixed count) where the involution laws hold on the
+    capped slice, checked in one pass that holds no element; None where any
+    check fails.
+
+    For each x: y = step(x) is in the domain, step(y) == x, and x is fixed
+    exactly when it is in the embedded P(n-1,k-1).  Weight and sign are
+    checked at the smaller end of each pair only, and as many elements
+    rise (x < y) as fall: the rising ones' partners have x's weight, so
+    they are in the slice and fall, and the equal counts leave no falling
+    element whose partner was not checked.  The fixed count must equal the
+    count of the embedded P(n-1,k-1), taken from its factors.
+    """
+    forbidden, expected = _P_mask(n - 1, k - 1, lay) or (0, 1)  # x & 0 is never 1
+    size = fixed = rising = falling = 0
+    for x in _packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay):
+        y = step(x)
+        if not member(y) or step(y) != x or (y == x) != (x & forbidden == expected):
+            return None
+        size += 1
+        if y == x:
+            fixed += 1
+        elif x < y:
+            rising += 1
+            sign_x, z_x, q_x = weight(x)
+            sign_y, z_y, q_y = weight(y)
+            if (z_y, q_y) != (z_x, q_x) or sign_y != -sign_x:
+                return None
+        else:
+            falling += 1
+    if not size or rising != falling or fixed != _count_packed(n - 1, k - 1, cap, lay):
+        return None
+    return size, fixed
 
 
 def _involution_failure(slice_, embedded, step, member, weight, decode):

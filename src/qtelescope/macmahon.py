@@ -23,10 +23,15 @@ slice.  Summing over k telescopes h away and yields the two recurrences.
 
 The two paths see the boxes differently.  The bijection path (the step
 certificates and cancelation) runs on a packed form, one int per pair (see
-_Layout; mu is a partitions.EvenField): each box is enumerated as ints by
-mu's packed enumerator and its boundary slice read off that list,
-membership is one AND-and-compare plus a length bound, and each step map
-is one rule (_step_rule) whose moving case is a constant shift.  The
+_Layout; mu is a partitions.EvenField): mu's packed enumerator walks each
+box one int at a time and generates a boundary slice from its first part,
+or counts either without walking it; membership is one AND-and-compare
+plus a length bound, and each step map is one rule (_step_rule) whose
+moving case is a constant shift.  The step and cancelation certificates
+stream (telescope.stream_graded_bijection): one pass over the domain
+against the map's inverse, which takes a marked pair's shift back, with
+the codomain counted and tested by membership.  Where that fails,
+check_graded_bijection reruns on lists of both sides as the oracle.  The
 certificates decode a pair only for a counterexample.  The public enum_P,
 enum_Q, phi_step, psi_step and telescoping_phi take and return MacPairs:
 they check the input, encode it, run the packed rule and decode the
@@ -42,13 +47,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from itertools import chain
+from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Partition
 from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
                        gaussian_binomial)
 from .telescope import (Certificate, MarkedObject, WeightKey, cancelation_psi,
-                        certify, check_graded_bijection, telescoping_sum_check)
+                        certify, check_graded_bijection, stream_graded_bijection,
+                        telescoping_sum_check)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +143,10 @@ def _decoder(lay: _Layout) -> Callable[[int], MacValue]:
     field, mu_of, at = lay.field, lay.mu.decode, lay.mu.at
 
     def decode(x: int) -> MacValue:
-        pair = MacPair((x >> _SIDE & field) + lay.lo, mu_of(x >> at))
+        mu = mu_of(x >> at)
+        if mu is None:  # a negative int packs no pair
+            return {"packed": x}
+        pair = MacPair((x >> _SIDE & field) + lay.lo, mu)
         if x & _MARKED:
             return MarkedObject(lay.marker[0], pair, marker_z=lay.marker[1])
         return pair
@@ -144,8 +154,7 @@ def _decoder(lay: _Layout) -> Callable[[int], MacValue]:
 
 
 def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
-    """weight_of on the packed form of `lay`, computed from the fields; the
-    weight of each mu met is worked out once."""
+    """weight_of on the packed form of `lay`, computed from the fields."""
     field, lo, mu_weight, at = lay.field, lay.lo, lay.mu.weight, lay.mu.at
     marker_q, marker_z = lay.marker
 
@@ -156,17 +165,19 @@ def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
     return weight
 
 
-def _box_test(box: Box, lay: _Layout) -> tuple[int, int, int]:
-    """(forbidden, expected, limit): a packed x is in the box iff
-    x & forbidden == expected and its length field is at most limit.  The
-    bits left free are the length and the multiplicities of the parts
-    2 .. bound; the flag is 0 and the side the box's.  Never true where the
-    box is empty or its side is outside `lay`."""
+def _member(box: Box, lay: _Layout) -> Callable[[int], bool]:
+    """Membership in the box on the packed form: x & forbidden == expected
+    and a length field of at most the box's slots.  The bits left free are
+    the length and the multiplicities of the parts 2 .. bound; the flag is
+    0 and the side the box's.  Never true where the box is empty or its
+    side is outside `lay`."""
     side, bound, slots = box
     if bound < 0 or slots < 0 or not 0 <= side - lay.lo <= lay.field:
-        return 0, 1, 0  # x & 0 is never 1
-    free = lay.field << lay.length | lay.mu.unit(bound + 2) - lay.mu.unit(2)
-    return ~free, side - lay.lo << _SIDE, slots << lay.length
+        return lambda x: False
+    length = lay.field << lay.length
+    forbidden = ~(length | lay.mu.unit(bound + 2) - lay.mu.unit(2))
+    expected, limit = side - lay.lo << _SIDE, slots << lay.length
+    return lambda x: x & forbidden == expected and x & length <= limit
 
 
 def _edge_test(bound: int, lay: _Layout) -> Callable[[int], bool]:
@@ -179,13 +190,21 @@ def _edge_test(bound: int, lay: _Layout) -> Callable[[int], bool]:
     return lambda x: x & mask == 0
 
 
-def _enum_packed(box: Box, lay: _Layout) -> list[int]:
-    """All pairs of the box, packed at `lay`, in enum_even_bounded's order
-    (mu lexicographic, each partition before its extensions).  No Partition
-    is built."""
+def _enum_packed(box: Box, lay: _Layout, edge: bool = False) -> Iterator[int]:
+    """All pairs of the box, packed at `lay`, one at a time, in
+    enum_even_bounded's order (mu lexicographic, each partition before its
+    extensions); with `edge`, its boundary slice only, generated from its
+    first part.  No Partition is built."""
     side, bound, slots = box
     base = side - lay.lo << _SIDE
-    return [base + t for t in lay.mu.enum(bound, slots, bound * slots, 1 << lay.length)]
+    return (base + t for t in lay.mu.iter(bound, slots, bound * slots,
+                                          1 << lay.length, edge))
+
+
+def _box_size(box: Box, lay: _Layout, edge: bool = False) -> int:
+    """The number of pairs _enum_packed yields, counted without them."""
+    _side, bound, slots = box
+    return lay.mu.count(bound, slots, bound * slots, edge)
 
 
 def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
@@ -193,20 +212,29 @@ def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
     own image, and a boundary pair of the neighbouring box takes one
     constant shift: its first row goes (an empty mu has none), it takes the
     side of box and the flag is set.  ValueError for anything else."""
-    forbidden, expected, limit = _box_test(box, lay)
-    n_forbidden, n_expected, n_limit = _box_test(neighbour, lay)
-    on_edge = _edge_test(neighbour[1], lay)
-    length = lay.field << lay.length
-    first_row = lay.mu.unit(neighbour[1]) + (1 << lay.length) if neighbour[1] > 0 else 0
-    shift = _MARKED + (box[0] - neighbour[0] << _SIDE) - first_row
+    in_box, in_neighbour = _member(box, lay), _member(neighbour, lay)
+    on_edge, shift = _edge_test(neighbour[1], lay), _step_shift(box, neighbour, lay)
 
     def step(x: int) -> int:
-        if x & forbidden == expected and x & length <= limit:
+        if in_box(x):
             return x
-        if x & n_forbidden == n_expected and x & length <= n_limit and on_edge(x):
+        if in_neighbour(x) and on_edge(x):
             return x + shift
         raise ValueError(_not_in_domain(_decoder(lay)(x), box, neighbour))
     return step
+
+
+def _step_shift(box: Box, neighbour: Box, lay: _Layout) -> int:
+    """The constant shift of the step map's moving case."""
+    first_row = lay.mu.unit(neighbour[1]) + (1 << lay.length) if neighbour[1] > 0 else 0
+    return _MARKED + (box[0] - neighbour[0] << _SIDE) - first_row
+
+
+def _step_inverse(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
+    """The inverse of _step_rule on its codomain, unchecked: a marked pair
+    takes the shift back, anything else is its own preimage."""
+    shift = _step_shift(box, neighbour, lay)
+    return lambda y: y - shift if y & _MARKED else y
 
 
 def _not_in_domain(x, box: Box, neighbour: Box) -> str:
@@ -284,32 +312,61 @@ def psi_step(n: int, k: int, x: MacPair) -> tuple[int, MacValue]:
 
 # certificates -----------------------------------------------------------
 
+def _bijection_certificate(step: Callable[[int], int], inverse: Callable[[int], int],
+                           domain: Callable[[], Iterator[int]],
+                           codomain: Callable[[], list[int]],
+                           in_codomain: Callable[[int], bool], codomain_size: int,
+                           lay: _Layout, check: str, params: dict) -> Certificate:
+    """The streaming bijection check of a packed map; where it fails, the
+    set-based check_graded_bijection reruns on fresh lists of both sides
+    and names the counterexample."""
+    weight = _weight_key(lay)
+    return (stream_graded_bijection(step, inverse, domain(), in_codomain,
+                                    codomain_size, weight, check=check, params=params)
+            or check_graded_bijection(step, domain(), codomain(), weight, check=check,
+                                      params=params, present=_decoder(lay)))
+
+
 def _slice_certificate(box: Box, neighbour: Box, marker: tuple[int, int],
                        lower: Box, check: str, params: dict) -> Certificate:
     """Bijection check of a step map at one index, on the packed form.
     Domain: box, then the boundary of neighbour.  Codomain: lower bare and
-    marked, then the boundary of box.  Each box is enumerated once."""
+    marked, then the boundary of box.  The domain streams, each box walked
+    once and the boundary from its first part; the codomain is counted and
+    tested by membership."""
     lay = _step_layout(box, neighbour, marker)
-    pairs = _enum_packed(box, lay)
-    domain = pairs + list(filter(_edge_test(neighbour[1], lay),
-                                 _enum_packed(neighbour, lay)))
-    lowered = _enum_packed(lower, lay)
-    codomain = (lowered + [x + _MARKED for x in lowered]
-                + list(filter(_edge_test(box[1], lay), pairs)))
-    del pairs, lowered  # only domain and codomain stay alive for the check
-    return check_graded_bijection(_step_rule(box, neighbour, lay), domain, codomain,
-                                  _weight_key(lay), cap=None, check=check,
-                                  params=params, present=_decoder(lay))
+    in_lower, in_box = _member(lower, lay), _member(box, lay)
+    on_edge = _edge_test(box[1], lay)
+
+    def domain() -> Iterator[int]:
+        return chain(_enum_packed(box, lay), _enum_packed(neighbour, lay, edge=True))
+
+    def codomain() -> list[int]:
+        lowered = list(_enum_packed(lower, lay))
+        return (lowered + [x + _MARKED for x in lowered]
+                + list(_enum_packed(box, lay, edge=True)))
+
+    def in_codomain(y: int) -> bool:
+        if y & _MARKED:
+            return in_lower(y - _MARKED)
+        return in_lower(y) or in_box(y) and on_edge(y)
+
+    return _bijection_certificate(
+        _step_rule(box, neighbour, lay), _step_inverse(box, neighbour, lay),
+        domain, codomain, in_codomain,
+        2 * _box_size(lower, lay) + _box_size(box, lay, edge=True), lay, check, params)
 
 
 def phi_certificate(n: int, m: int, k: int) -> Certificate:
-    """Exhaustive bijection check of phi_step at one index (finite sets)."""
+    """Exhaustive bijection check of phi_step at one index (finite sets),
+    streamed; see _slice_certificate."""
     return _slice_certificate(*_phi_index(n, m, k), _box_P(n, m - 1, k),
                               "macmahon-phi", {"n": n, "m": m, "k": k})
 
 
 def psi_certificate(n: int, k: int) -> Certificate:
-    """Exhaustive bijection check of psi_step at one index (finite sets)."""
+    """Exhaustive bijection check of psi_step at one index (finite sets),
+    streamed; see _slice_certificate."""
     return _slice_certificate(*_psi_index(n, k), _box_Q(n - 1, k),
                               "macmahon-psi", {"n": n, "k": k})
 
@@ -481,25 +538,52 @@ def telescoping_phi(n: int, m: int, tagged: tuple[str, MacPair]):
     return out, _decoder(lay)(y)
 
 
+def _cancelation_inverse(n: int, m: int, lay: _Layout) -> Callable[[int], int]:
+    """The inverse of the cancelation's direct map on the packed form,
+    unchecked.  An orbit is its pair alone or, from a boundary pair, one
+    marked step onto the next side: a marked image takes back the shift of
+    the step at its own side, anything else is its own preimage."""
+    field = lay.field
+    shifts = [_step_shift(*_phi_index(n, m, s + lay.lo)[:2], lay)
+              for s in range(field + 1)]  # indexed by the side field
+    return lambda y: y - shifts[y >> _SIDE & field] if y & _MARKED else y
+
+
 def cancelation_certificate(n: int, m: int) -> Certificate:
     """Verify that the direct map obtained by iterating phi is a bijection.
 
     Runs telescoping_phi on the packed form.  The checker drives each pair
     in the union of the P(n,m,k) through the tagged union until it first
     lands in a target, as it reaches the pair; the budget is the size of
-    the union plus its boundary pairs plus one.
+    the union plus its boundary pairs plus one, both counted.  The check
+    streams, as the step certificates' does: the union of the P(n,m,k)
+    against the direct map's inverse and the union of the P(n,m-1,k), bare
+    and marked, counted and tested by membership.
     """
-    lay, step, on_edge = _cancelation_rule(n, m)
-    ks = range(-m, n + 1)
-    domain = [x for k in ks for x in _enum_packed(_box_P(n, m, k), lay)]
-    budget = len(domain) + sum(map(on_edge, domain)) + 1
+    lay, step, _ = _cancelation_rule(n, m)
+    field = lay.field
+    boxes = [_box_P(n, m, k) for k in range(-m, n + 1)]
+    lowers = [_box_P(n, m - 1, k) for k in range(-m, n + 1)]
+    budget = sum(_box_size(box, lay) + _box_size(box, lay, edge=True)
+                 for box in boxes) + 1
 
     def direct(a: int) -> int:
         return cancelation_psi(step, ("A", a), lambda t: t[0] == "B", budget)[1]
 
-    codomain = [x for k in ks for x in _enum_packed(_box_P(n, m - 1, k), lay)]
-    codomain += [x + _MARKED for x in codomain]
-    return check_graded_bijection(
-        direct, domain, codomain, _weight_key(lay), cap=None,
-        check="macmahon-cancelation", params={"n": n, "m": m},
-        present=_decoder(lay))
+    in_lower = [_member(_box_P(n, m - 1, s + lay.lo), lay)
+                for s in range(field + 1)]  # indexed by the side field
+
+    def in_codomain(y: int) -> bool:
+        return in_lower[y >> _SIDE & field](y & ~_MARKED)
+
+    def domain() -> Iterator[int]:
+        return chain.from_iterable(_enum_packed(box, lay) for box in boxes)
+
+    def codomain() -> list[int]:
+        lowered = [x for box in lowers for x in _enum_packed(box, lay)]
+        return lowered + [x + _MARKED for x in lowered]
+
+    return _bijection_certificate(
+        direct, _cancelation_inverse(n, m, lay), domain, codomain, in_codomain,
+        2 * sum(_box_size(box, lay) for box in lowers), lay,
+        "macmahon-cancelation", {"n": n, "m": m})

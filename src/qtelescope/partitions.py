@@ -7,14 +7,15 @@ objects, and staircases always end in a zero part when nonempty.  Each
 enumerator is a recursion that yields in lexicographic order of the part
 tuple, so its list needs no sort and downstream certificates are
 byte-stable; the weight-capped ones prune a branch once it passes the cap.
-The Partition-level enumerators are the packed one's test references.
+The Partition-level enumerators are the packed one's test references;
+the packed one also streams and counts (EvenField.iter, EvenField.count).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,35 +133,51 @@ def enum_even_capped(max_part: int, weight_cap: int) -> list[Partition]:
     return [Partition(p) for p in _even_parts(max_part, weight_cap // 2, weight_cap)]
 
 
+CHUNK = 512  # the longest tail list a streaming walk keeps
+
+
 class EvenField:
     """An even-part partition packed into an int: the multiplicities of its
     parts 2, 4, 6, ..., `width` bits each from bit `at` up, the last one
-    unbounded.  The cached `decode` and `weight` read those fields shifted
-    down, x >> at: equal mus decode to one shared Partition."""
+    unbounded.  `decode` (cached) and `weight` read those fields shifted
+    down, x >> at: equal mus decode to one shared Partition.  A negative
+    int packs no partition; both give None for it.
 
-    __slots__ = ("at", "width", "decode", "weight")
+    `enum`, `iter` and `count` share one recursion over the first part,
+    memoised on (largest part, parts left, weight left); `iter` keeps only
+    tail lists of at most CHUNK elements and walks the parts above them,
+    so it holds no whole box.
+    """
+
+    __slots__ = ("at", "width", "decode")
 
     def __init__(self, at: int, width: int):
         self.at, self.width = at, width
         field = (1 << width) - 1
 
         @lru_cache(maxsize=None)
-        def decode(mults: int) -> Partition:
+        def decode(mults: int) -> Optional[Partition]:
+            if mults < 0:
+                return None
             parts, part = (), 2
             while mults:
                 parts = (part,) * (mults & field) + parts
                 mults, part = mults >> width, part + 2
             return Partition(parts)
 
-        @lru_cache(maxsize=None)
-        def weight(mults: int) -> int:
-            q, part = 0, 2
-            while mults:
-                q += part * (mults & field)
-                mults, part = mults >> width, part + 2
-            return q
+        self.decode = decode
 
-        self.decode, self.weight = decode, weight
+    def weight(self, mults: int) -> Optional[int]:
+        """The weight of the packed mu `mults`, read off its multiplicities;
+        not cached, as most mus of a MacMahon box are met once."""
+        if mults < 0:
+            return None
+        field, width = (1 << self.width) - 1, self.width
+        q, part = 0, 2
+        while mults:
+            q += part * (mults & field)
+            mults, part = mults >> width, part + 2
+        return q
 
     def unit(self, p: int) -> int:
         """One part p, an even part >= 2: the unit of its multiplicity field."""
@@ -174,24 +191,72 @@ class EvenField:
         """Every even-part partition with largest part <= bound, at most
         `slots` parts and weight <= cap, packed, with `row` added once per
         part, in enum_even_bounded's order.  No Partition is built."""
-        if min(bound, slots, cap) < 0:
-            return []
-        unit, memo = self.unit, {}
+        return list(self.iter(bound, slots, cap, row))
 
-        def tails(limit: int, room: int, budget: int) -> list[int]:
-            # one key per set: at most budget // 2 parts fit, and `room`
-            # parts <= limit weigh at most limit * room
-            room = min(room, budget // 2)
-            budget = min(budget, limit * room)
-            out = memo.get((limit, room, budget))
-            if out is None:
-                out = memo[limit, room, budget] = [0]
-                for part in range(2, min(limit, budget) + 1, 2):
-                    head = row + unit(part)
-                    out += [head + t for t in tails(part, room - 1, budget - part)]
-            return out
+    def iter(self, bound: int, slots: int, cap: int, row: int = 0,
+             edge: bool = False) -> Iterator[int]:
+        """`enum`'s partitions one at a time, in its order; with `edge`,
+        only those whose largest part is `bound` (the empty partition's
+        reads as 0), generated from that first part."""
+        root = self._root(bound, slots, cap, row, edge)
+        if root is None:
+            return
+        counts, lists = {}, {}
+        for head, tails in self._chunks(counts, lists, row, *root):
+            for t in tails:
+                yield head + t
 
-        try:
-            return tails(bound, slots, cap)
-        finally:
-            del tails  # it refers to itself: left alone, it and memo outlive the call
+    def count(self, bound: int, slots: int, cap: int, edge: bool = False) -> int:
+        """The number of partitions `iter` yields, counted without them."""
+        root = self._root(bound, slots, cap, 0, edge)
+        return 0 if root is None else self._count({}, *root[1:])
+
+    def _root(self, bound, slots, cap, row, edge):
+        """(head, limit, room, budget) of the walk; None where it is empty."""
+        head = 0
+        if edge and bound > 0:  # the first part is the bound
+            head, slots, cap = row + self.unit(bound), slots - 1, cap - bound
+        return None if min(bound, slots, cap) < 0 else (head, bound, slots, cap)
+
+    @staticmethod
+    def _key(limit: int, room: int, budget: int) -> tuple[int, int, int]:
+        # one key per set: at most budget // 2 parts fit, and `room` parts
+        # <= limit weigh at most limit * room
+        room = min(room, budget // 2)
+        return limit, room, min(budget, limit * room)
+
+    def _count(self, memo: dict, limit: int, room: int, budget: int) -> int:
+        key = self._key(limit, room, budget)
+        out = memo.get(key)
+        if out is None:
+            limit, room, budget = key
+            out = memo[key] = 1 + sum(
+                self._count(memo, part, room - 1, budget - part)
+                for part in range(2, min(limit, budget) + 1, 2))
+        return out
+
+    def _tails(self, memo: dict, row: int, limit: int, room: int,
+               budget: int) -> list[int]:
+        key = self._key(limit, room, budget)
+        out = memo.get(key)
+        if out is None:
+            limit, room, budget = key
+            out = memo[key] = [0]
+            for part in range(2, min(limit, budget) + 1, 2):
+                head = row + self.unit(part)
+                out += [head + t for t in self._tails(memo, row, part, room - 1,
+                                                      budget - part)]
+        return out
+
+    def _chunks(self, counts: dict, lists: dict, row: int, head: int, limit: int,
+                room: int, budget: int) -> Iterator[tuple[int, list[int]]]:
+        """(head, tails) pairs whose sums head + t are the walk's elements in
+        order: a subtree of at most CHUNK elements is one memoised list."""
+        if self._count(counts, limit, room, budget) <= CHUNK:
+            yield head, self._tails(lists, row, limit, room, budget)
+            return
+        limit, room, budget = self._key(limit, room, budget)
+        yield head, [0]
+        for part in range(2, min(limit, budget) + 1, 2):
+            yield from self._chunks(counts, lists, row, head + row + self.unit(part),
+                                    part, room - 1, budget - part)

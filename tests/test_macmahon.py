@@ -301,21 +301,24 @@ def test_psi_bijection_certificates_small_grid():
 
 
 def test_step_certificates_enumerate_each_box_once(monkeypatch):
+    # A verified step certificate walks its box once and the neighbour's
+    # boundary once, from its first part; the codomain is only counted.
     import qtelescope.macmahon as mac
 
-    calls = []
+    walked = []
     true_enum = mac._enum_packed
 
-    def counted(*args):
-        calls.append(args)
-        return true_enum(*args)
+    def counted(box, lay, edge=False):
+        walked.append((box, edge))
+        return true_enum(box, lay, edge)
 
     monkeypatch.setattr(mac, "_enum_packed", counted)
-    for certificate in (lambda: phi_certificate(3, 2, 1),
-                        lambda: psi_certificate(4, 2)):
-        calls.clear()
+    for certificate, (box, neighbour, _marker) in (
+            (lambda: phi_certificate(3, 2, 1), mac._phi_index(3, 2, 1)),
+            (lambda: psi_certificate(4, 2), mac._psi_index(4, 2))):
+        walked.clear()
         assert certificate().verified
-        assert len(calls) == 3
+        assert walked == [(box, False), (neighbour, True)]
 
 
 def test_box_enumeration_keeps_no_memory_once_its_list_is_dropped():
@@ -329,7 +332,7 @@ def test_box_enumeration_keeps_no_memory_once_its_list_is_dropped():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pairs = mac._enum_packed((0, 16, 8), lay)
+        pairs = list(mac._enum_packed((0, 16, 8), lay))
         assert len(pairs) == 12870  # C(16, 8)
         del pairs
         kept = tracemalloc.get_traced_memory()[0] - before

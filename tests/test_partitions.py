@@ -277,3 +277,27 @@ def test_decode_and_weight_are_the_partition(at, width):
         assert field.weight(x >> at) == mu.weight
     # equal mus decode to one shared Partition
     assert field.decode(1) is field.decode(1)
+
+
+@pytest.mark.parametrize("at, width", FIELDS)
+def test_streaming_enumerator_and_count_are_the_list(at, width):
+    # Boxes past the chunk size walk their top parts; `edge` keeps the
+    # partitions whose largest part is the bound (the empty one's reads as 0).
+    field, row = EvenField(at, width), 1 if at else 0
+    for bound in range(-2, 11, 2):
+        for slots in range(-1, 2 ** width):
+            for cap in (-1, 0, 7, bound * slots):
+                packed = field.enum(bound, slots, cap, row)
+                assert list(field.iter(bound, slots, cap, row)) == packed
+                assert field.count(bound, slots, cap) == len(packed)
+                edge = [x for x in packed if field.decode(x >> at).first == max(bound, 0)]
+                assert list(field.iter(bound, slots, cap, row, edge=True)) == edge, \
+                    (bound, slots, cap)
+                assert field.count(bound, slots, cap, edge=True) == len(edge)
+
+
+def test_decode_and_weight_are_total_on_ints():
+    # A negative int packs no partition; reading it must not loop.
+    field = EvenField(3, 2)
+    assert field.decode(-5) is None and field.weight(-5) is None
+    assert field.decode(0) == EMPTY and field.weight(0) == 0

@@ -1,0 +1,329 @@
+"""The streaming certificates against their set-based oracles.
+
+Every bijection-side certificate makes one pass over its slice and keeps
+only counters; where that pass fails, it reruns the set-based checker
+(telescope.check_graded_bijection, or andrews12._involution_failure for
+the involution), which names the counterexample.  These tests hold the
+two paths together: a verified certificate never reaches the oracle, each
+certificate is the one the oracle alone would give, each hand-written
+inverse is two-sided, exceptions are the oracle's, a rule fault fails
+instead of hanging, and a large slice stays small in memory.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import chain
+from pathlib import Path
+
+import pytest
+
+from qtelescope import andrews12, macmahon
+from qtelescope.telescope import IterationBudgetExceeded
+
+import test_andrews12 as andrews_tests
+import test_macmahon as macmahon_tests
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def without_timing(cert):
+    row = cert.to_json_obj()
+    del row["elapsed_ms"]
+    return row
+
+
+def refuse_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    for module in (macmahon, andrews12):
+        monkeypatch.setattr(module, "check_graded_bijection", refuse)
+    monkeypatch.setattr(andrews12, "_involution_failure", refuse)
+
+
+def force_oracle(monkeypatch):
+    """Switch the streaming checks off: every certificate is the oracle's."""
+    for module in (macmahon, andrews12):
+        monkeypatch.setattr(module, "stream_graded_bijection", lambda *a, **k: None)
+    monkeypatch.setattr(andrews12, "_stream_involution", lambda *a, **k: None)
+
+
+def both_paths(monkeypatch, certificate):
+    """(the streaming path's certificate, the oracle's), timing left out."""
+    streamed = without_timing(certificate())
+    with monkeypatch.context() as patch:
+        force_oracle(patch)
+        return streamed, without_timing(certificate())
+
+
+def andrews_certificate(n, k, cap):
+    name = andrews12.lowering_map(n, k)
+    return (andrews12.phi_certificate if name == "phi"
+            else andrews12.involution_certificate)(n, k, cap)
+
+
+GRID = ([("macmahon-phi", n, m, k) for n in range(4) for m in range(1, 4)
+         for k in range(-m + 1, n + 1)]
+        + [("macmahon-psi", n, k) for n in range(1, 6) for k in range(n)]
+        + [("macmahon-cancelation", n, m) for n in range(4) for m in range(1, 4)]
+        + [("andrews", n, k, cap) for n in range(2, 7) for k in range(n + 1)
+           for cap in (n * n, 30)])
+
+
+def certificate_of(row):
+    kind, *args = row
+    return {"macmahon-phi": macmahon.phi_certificate,
+            "macmahon-psi": macmahon.psi_certificate,
+            "macmahon-cancelation": macmahon.cancelation_certificate,
+            "andrews": andrews_certificate}[kind](*args)
+
+
+def test_certificates_verify_on_the_streaming_path_alone(monkeypatch):
+    with monkeypatch.context() as patch:
+        refuse_oracle(patch)
+        streamed = [without_timing(certificate_of(row)) for row in GRID]
+    assert all(row["status"] == "verified" for row in streamed)
+    with monkeypatch.context() as patch:
+        force_oracle(patch)
+        assert [without_timing(certificate_of(row)) for row in GRID] == streamed
+
+
+def test_golden_involution_control_is_the_oracles(monkeypatch):
+    from test_golden import _involution_control
+
+    streamed, oracle = both_paths(monkeypatch, _involution_control)
+    assert streamed == oracle
+    assert streamed["status"] == "failed"
+
+
+# each fault of the mutation tables gives the oracle's certificate -------------
+
+@pytest.mark.parametrize("name, case, n, k, cap, fault, reason, where",
+                         andrews_tests.MUTATIONS,
+                         ids=[f"{m[0]}-{m[1]}" for m in andrews_tests.MUTATIONS])
+def test_each_andrews_fault_gives_the_oracles_certificate(monkeypatch, name, case, n, k,
+                                                          cap, fault, reason, where):
+    body = {"phi": "_phi_rule", "involution": "_involution_rule"}[name]
+    case_of = {"phi": andrews_tests.phi_case,
+               "involution": andrews_tests.involution_case}[name]
+
+    def broken(nn, kk, x, y):
+        return fault(nn, kk, x, y) if case_of(nn, kk, x) == case else y
+
+    monkeypatch.setattr(andrews12, body,
+                        andrews_tests.faulty_rule(getattr(andrews12, body), broken))
+    streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == reason
+
+
+@pytest.mark.parametrize("step, case, fault, reason, where",
+                         macmahon_tests.STEP_MUTATIONS,
+                         ids=[f"{m[0]}-{m[1]}" for m in macmahon_tests.STEP_MUTATIONS])
+def test_each_step_fault_gives_the_oracles_certificate(monkeypatch, step, case, fault,
+                                                       reason, where):
+    index, certificate, case_of, _domain, marker = macmahon_tests.STEPS[step]
+
+    def broken(x, y):
+        return fault(x, y, marker) if case_of(*index, x) == case else y
+
+    monkeypatch.setattr(macmahon, "_step_rule",
+                        macmahon_tests.faulty_rule(macmahon._step_rule, broken))
+    streamed, oracle = both_paths(monkeypatch, lambda: certificate(*index))
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == reason
+
+
+# the exceptions are the oracle's ----------------------------------------------
+
+def _refuse_one_element(monkeypatch):
+    """_step_rule refuses the fourth pair of phi_certificate(2, 2, 0)'s domain."""
+    true_rule = macmahon._step_rule
+    box, neighbour, marker = macmahon._phi_index(2, 2, 0)
+    lay = macmahon._step_layout(box, neighbour, marker)
+    refused = list(macmahon._enum_packed(box, lay))[3]
+
+    def factory(box_, neighbour_, lay_):
+        step = true_rule(box_, neighbour_, lay_)
+
+        def refusing(x):
+            if x == refused:
+                raise ValueError(f"refused {x}")
+            return step(x)
+        return refusing
+
+    monkeypatch.setattr(macmahon, "_step_rule", factory)
+
+
+def _cycle(monkeypatch):
+    """An H-tagged pair stays as it is: the cancelation's orbit cycles."""
+    true_rule = macmahon._step_rule
+
+    def factory(box, neighbour, lay):
+        step = true_rule(box, neighbour, lay)
+        return lambda x: x if step(x) & macmahon._MARKED else step(x)
+
+    monkeypatch.setattr(macmahon, "_step_rule", factory)
+
+
+# name -> (a fault to patch in, or None; the raising call)
+RAISING = {
+    "macmahon-phi-empty": (None, lambda: macmahon.phi_certificate(2, 1, 5)),
+    "macmahon-psi-empty": (None, lambda: macmahon.psi_certificate(2, 4)),
+    "macmahon-phi-m0": (None, lambda: macmahon.phi_certificate(2, 0, 0)),
+    "cancelation-m0": (None, lambda: macmahon.cancelation_certificate(2, 0)),
+    "andrews-phi-empty": (None, lambda: andrews12.phi_certificate(4, 1, -1)),
+    "andrews-involution-empty": (None, lambda: andrews12.involution_certificate(2, 2, -1)),
+    "andrews-involution-index": (None, lambda: andrews12.involution_certificate(3, 1, 20)),
+    "map-refuses-an-element": (_refuse_one_element,
+                               lambda: macmahon.phi_certificate(2, 2, 0)),
+    "cancelation-cycle": (_cycle, lambda: macmahon.cancelation_certificate(2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", RAISING)
+def test_exceptions_propagate_as_the_oracles(monkeypatch, name):
+    fault, certificate = RAISING[name]
+    if fault is not None:
+        fault(monkeypatch)
+    with pytest.raises((ValueError, IterationBudgetExceeded)) as streamed:
+        certificate()
+    with monkeypatch.context() as patch:
+        force_oracle(patch)
+        with pytest.raises(streamed.type) as oracle:
+            certificate()
+    assert str(streamed.value) == str(oracle.value)
+
+
+# each hand-written inverse is two-sided ------------------------------------
+
+def test_andrews_phi_inverse_is_two_sided():
+    for n in range(2, 7):
+        for k in range(n - 1):
+            for cap in range(0, 31, 3):
+                lay = andrews12._layout(n, cap)
+                step = andrews12._phi_rule(n, k, lay)
+                inverse = andrews12._phi_inverse(n, k, lay)
+                member = andrews12._domain_test(n, k, lay)
+                domain = (n, k), 2 * n - 1, (n - 1, k - 1)
+                codomain = (n - 1, k - 1), 2 * n - 3, (n - 2, k)
+                for x in andrews12._packed_slice(*domain, cap, lay):
+                    assert inverse(step(x)) == x, (n, k, cap, x)
+                for y in andrews12._packed_slice(*codomain, cap, lay):
+                    assert member(inverse(y)) and step(inverse(y)) == y, (n, k, cap, y)
+
+
+def _step_sides(box, neighbour, lower, lay):
+    enum = macmahon._enum_packed
+    domain = chain(enum(box, lay), enum(neighbour, lay, edge=True))
+    lowered = list(enum(lower, lay))
+    codomain = chain(lowered, [x + macmahon._MARKED for x in lowered],
+                     enum(box, lay, edge=True))
+    return domain, codomain
+
+
+def test_macmahon_step_inverse_is_two_sided():
+    indices = ([(macmahon._phi_index(n, m, k), macmahon._box_P(n, m - 1, k))
+                for n in range(5) for m in range(1, 5) for k in range(-m, n + 2)]
+               + [(macmahon._psi_index(n, k), macmahon._box_Q(n - 1, k))
+                  for n in range(1, 7) for k in range(-1, n + 1)])
+    for (box, neighbour, marker), lower in indices:
+        lay = macmahon._step_layout(box, neighbour, marker)
+        step = macmahon._step_rule(box, neighbour, lay)
+        inverse = macmahon._step_inverse(box, neighbour, lay)
+        domain, codomain = _step_sides(box, neighbour, lower, lay)
+        for x in domain:
+            assert inverse(step(x)) == x, (box, neighbour, x)
+        for y in codomain:
+            assert step(inverse(y)) == y, (box, neighbour, y)
+
+
+def landed(tagged):
+    return tagged[0] == "B"
+
+
+def test_cancelation_inverse_is_two_sided():
+    for n in range(4):
+        for m in range(1, 4):
+            lay, step, _ = macmahon._cancelation_rule(n, m)
+            inverse = macmahon._cancelation_inverse(n, m, lay)
+
+            def union(mm):  # every pair of the P(n,mm,k), k in -m .. n
+                return [x for k in range(-m, n + 1)
+                        for x in macmahon._enum_packed(macmahon._box_P(n, mm, k), lay)]
+
+            def direct(a):
+                return macmahon.cancelation_psi(step, ("A", a), landed, 100)[1]
+
+            for x in union(m):
+                assert inverse(direct(x)) == x, (n, m, x)
+            lowered = union(m - 1)
+            for y in lowered + [x + macmahon._MARKED for x in lowered]:
+                assert direct(inverse(y)) == y, (n, m, y)
+
+
+# a rule fault fails its certificate; it does not hang it ------------------------
+
+def run_child(code, timeout=60):
+    """Run code in a fresh interpreter on this checkout's src; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=timeout, check=True)
+    return done.stdout
+
+
+LOSE_A_TWO = """
+    from qtelescope import andrews12, macmahon
+
+    def lose_a_two(true_rule):  # a fixed point loses one mu part 2
+        def factory(*args):
+            lay, step = args[-1], true_rule(*args)
+
+            def broken(x):
+                y = step(x)
+                return y - lay.mu.unit(2) if y == x else y
+            return broken
+        return factory
+"""
+
+
+@pytest.mark.parametrize("patch, call", [
+    ("andrews12._involution_rule = lose_a_two(andrews12._involution_rule)",
+     "andrews12.involution_certificate(3, 2, 20)"),
+    ("macmahon._step_rule = lose_a_two(macmahon._step_rule)",
+     "macmahon.phi_certificate(2, 2, 0)"),
+], ids=["involution", "macmahon-phi"])
+def test_a_negative_image_fails_its_certificate(patch, call):
+    # An empty mu that loses a part 2 packs to a negative int, which the
+    # decoders used to loop on; it is presented as the bare int.
+    cert = json.loads(run_child(LOSE_A_TWO + f"""
+    {patch}
+    print({call}.to_json())
+    """, timeout=30))
+    assert cert["status"] == "failed"
+    counterexample = cert["counterexample"]
+    assert counterexample["reason"] == "not-in-codomain"
+    assert set(counterexample["image"]) == {"packed"}
+    assert counterexample["image"]["packed"] < 0
+
+
+# memory -----------------------------------------------------------------------
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak from /proc/self/status")
+def test_a_large_involution_slice_stays_small():
+    # 579,660 elements: holding the slice, a set and the fixed set took
+    # 83 MB.  The child reads VmHWM, its own peak RSS: Linux carries a
+    # forking parent's peak into the child's ru_maxrss across exec.
+    peak_kb = int(run_child("""
+        from qtelescope import andrews12
+
+        assert andrews12.involution_certificate(6, 6, 50).verified
+        with open("/proc/self/status") as status:
+            print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    """, timeout=120))
+    assert peak_kb < 40 * 1024, peak_kb
