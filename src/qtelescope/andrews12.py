@@ -25,20 +25,26 @@ weight; the bijection and the involutions run on enumerated triples.
 The maps, membership and the capped enumerator are stated once, on a
 packed form: one int per element, whose fields are marker_q, tau's row
 count, lam as a bitmask and mu as a partitions.EvenField (see _Layout).
-Each rule is a class dispatch followed by a constant shift of that int.
+Each map is one ordered table of cases (_phi_table, _involution_table):
+a row holds the case, a guard x & mask == value on the _Layout masks and
+a constant shift of the int; phi's rows add the image class and its
+guard.  One first-match dispatch, _FirstMatch, derives from a table the
+rule (guard, then + shift), phi's inverse (image guard, then - shift)
+and the classes that classify and classify_image report.
 The certificates run end to end on packed ints and decode an element to
 a Triple / MarkedObject only for a counterexample.  Both stream over their
-slice, holding no element, set or dict: phi against its inverse
+slice and hold none of its elements: phi against its inverse
 (_phi_inverse, telescope.stream_graded_bijection), the involution by
 _stream_involution.  Where a streaming check fails, the set-based check
 (check_graded_bijection, _involution_failure) reruns as the oracle and
 names the counterexample; a negative int, which no rule of a sound map
 yields, is shown as {"packed": x}.  The public functions take and return
 Triples: they check the input's shape, encode it, run the packed rule
-and decode the result.  The public maps phi and
-involution share one input check (the index rule, then membership in
-their common domain); the involution certificate runs the unchecked rule
-and tests each image's membership once.
+and decode the result.  The public maps phi and involution share one
+input check (the index rule, then membership in their common domain);
+classify and classify_image answer only where the index rule names phi.
+The involution certificate runs the unchecked rule and tests each
+image's membership once.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain
+from operator import or_
 from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Partition, enum_distinct_range, staircase
@@ -88,12 +95,14 @@ TripleValue = Union[Triple, MarkedObject]
 
 
 class ClassTag(enum.Enum):
-    """Which of the four pieces of the domain / codomain split a triple is in."""
+    """The case of phi an element is in: P(n,k)'s four classes and the marked
+    copy in its domain; the embedded case and A', B', C', D in its codomain."""
 
     EMBEDDED = "embedded"
     A = "A"
     B = "B"
     C = "C"
+    MARKED = "marked"
     A_PRIME = "A'"
     B_PRIME = "B'"
     C_PRIME = "C'"
@@ -290,98 +299,93 @@ def _slice_size(a: tuple, marker: int, b: tuple, cap: int, lay: _Layout) -> int:
     return _count_packed(*a, cap, lay) + _count_packed(*b, cap - marker, lay)
 
 
-def _class_rule(n: int, k: int, lay: _Layout) -> Callable[[int], ClassTag]:
-    """`classify` on the packed form, unchecked: x must be in P(n,k)."""
-    if not k:  # P(n,0) is the bare staircase: mu's first row is 0 = 2k
-        return lambda x: ClassTag.A
-    top_pair = lay.part(n + k) | lay.part(n + k - 1)
-    boundary = lay.field * lay.mu.unit(2 * k)
+def _phi_table(n: int, k: int, lay: _Layout) -> list[tuple]:
+    """`phi`'s cases in dispatch order, one row each: (case, guard, shift,
+    image case, image guard), a guard (mask, value) passed by x & mask ==
+    value.  The first row whose guard an element of the domain passes is
+    its case and adds its shift; the first whose image guard an element of
+    the codomain passes is its image case and takes the shift back.
+    The marker reads exactly 2n-1 in the domain and 2n-3 in the codomain.
+    No guard tests that mu has a part 2k: the embedded case comes before
+    A, and D before C'.  At k = 0 the embedded case, P(n-1,-1), is empty."""
+    field, mu_2k = lay.field, lay.mu.unit(2 * k) if k else 0  # one mu part 2k
+    top, second = lay.part(n + k), lay.part(n + k - 1)
+    low, lower = lay.part(n - k), lay.part(n - k - 1)
+    tops, lows, out = field | top | second, field | low | lower, 2 * n - 3
+    lowered = out - (2 << lay.rows)  # marker 2n-3, two staircase rows fewer
+    cases = [  # case, guard, shift, image case, image guard
+        (ClassTag.EMBEDDED, (tops | field * mu_2k, 0), 0, ClassTag.EMBEDDED, (field, 0)),
+        (ClassTag.A, (tops, 0), lowered - mu_2k, ClassTag.A_PRIME, (lows, out)),
+        (ClassTag.B, (tops, top), lowered - top + low, ClassTag.B_PRIME, (lows, out + low)),
+        (ClassTag.B, (tops, second), lowered - second + lower,
+         ClassTag.B_PRIME, (lows, out + lower)),
+        (ClassTag.MARKED, (field, 2 * n - 1), lowered - (2 * n - 1) + low + lower,
+         ClassTag.D, (lows | field * mu_2k, out + low + lower)),
+        (ClassTag.C, (tops, top + second), lowered - top - second + low + lower + mu_2k,
+         ClassTag.C_PRIME, (lows, out + low + lower)),
+    ]
+    return cases if k else cases[1:]
 
-    def class_of(x: int) -> ClassTag:
-        pair = x & top_pair
-        if pair == top_pair:
-            return ClassTag.C
-        if pair:
-            return ClassTag.B
-        if x & boundary:  # mu's first row is 2k
-            return ClassTag.A
-        return ClassTag.EMBEDDED
-    return class_of
+
+def _involution_table(n: int, k: int, lay: _Layout) -> list[tuple]:
+    """Rules (a)-(e) of `involution` in dispatch order, one row each: (rule,
+    guard, shift), read like _phi_table's.  In the domain the marker reads
+    exactly 2n-1, and once the toggle 2k is not in lam, a part 2n-1 is
+    lam's first part.  (b), the toggle in mu, is what the rows before it
+    leave."""
+    field, marker_part = lay.field, lay.part(2 * n - 1)
+    toggle, toggle_mults = lay.part(2 * k), field * lay.mu.unit(2 * k)
+    to_mu, absorb = lay.mu.unit(2 * k) - toggle, marker_part - (2 * n - 1)
+    return [
+        ("d", (field, 2 * n - 1), absorb),
+        ("a", (toggle, toggle), to_mu),
+        ("c", (toggle_mults | marker_part, marker_part), -absorb),
+        ("e", (toggle_mults, 0), 0),
+        ("b", (0, 0), -to_mu),
+    ]
+
+
+class _FirstMatch(dict):
+    """First-match dispatch on rows ((mask, value), out): called on x, the
+    out of the first row whose guard x passes, x & mask == value.  The
+    guards read only the bits of `read`, the union of their masks, so the
+    dict keeps each x & read met with its out."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.read = reduce(or_, (mask for (mask, _), _ in self.rows), 0)
+
+    def __missing__(self, bits: int):
+        for (mask, value), out in self.rows:
+            if bits & mask == value:
+                self[bits] = out
+                return out
+
+    def __call__(self, x: int):
+        return self[x & self.read]
+
+
+def _shifted(rows) -> Callable[[int], int]:
+    """x -> x plus the shift of the first ((mask, value), shift) row x passes."""
+    shifts = _FirstMatch(rows)
+    read = shifts.read
+    return lambda x: x + shifts[x & read]  # shifts(x) inlined: the certificates' inner loop
 
 
 def _phi_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """The cases of `phi` on the packed form, unchecked: x must be in its
-    domain.  Every case but the embedded one drops two staircase rows and
-    takes the marker 2n-3."""
-    class_of, field = _class_rule(n, k, lay), lay.field
-    lowered = 2 * n - 3 - (2 << lay.rows)
-    marked = lowered - (2 * n - 1) + lay.part(n - k) + lay.part(n - k - 1)
-    top_pair = lay.part(n + k) | lay.part(n + k - 1)
-    new_mu = lay.mu.unit(2 * k) if k else 0
-
-    def step(x: int) -> int:
-        if x & field:  # marked: lam gains n-k and n-k-1
-            return x + marked
-        tag = class_of(x)
-        if tag is ClassTag.EMBEDDED:
-            return x
-        if tag is ClassTag.A:  # mu's first row, a part 2k, goes
-            return x + lowered - new_mu
-        pair = x & top_pair  # B: the one top part, C: both, shrink by 2k
-        shrunk = x + lowered - pair + (pair >> 2 * k)
-        return shrunk if tag is ClassTag.B else shrunk + new_mu
-    return step
+    """`phi` on the packed form, unchecked: x must be in its domain."""
+    return _shifted((guard, shift) for _, guard, shift, _, _ in _phi_table(n, k, lay))
 
 
 def _phi_inverse(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
     """The inverse of _phi_rule on the packed form, unchecked: y must be in
-    phi's codomain.  An unmarked image is its own preimage.  A marked one's
-    codomain class comes from the low pair n-k, n-k-1 of lam and from mu's
-    row 2k: A' (neither low part) takes back the part 2k, B' (one) shifts
-    its low part up by 2k, C' (both, and a part 2k) does both, and D (both,
-    no part 2k) loses the pair the marked case added."""
-    field = lay.field
-    lowered = 2 * n - 3 - (2 << lay.rows)
-    low_pair = lay.part(n - k) | lay.part(n - k - 1)
-    marked = lowered - (2 * n - 1) + low_pair
-    new_mu = lay.mu.unit(2 * k) if k else 0
-    row_2k = field * new_mu
-
-    def inverse(y: int) -> int:
-        if not y & field:
-            return y
-        pair = y & low_pair
-        if pair == low_pair and not y & row_2k:  # D
-            return y - marked
-        raised = y - lowered - pair + (pair << 2 * k)
-        if pair == low_pair:  # C'
-            return raised - new_mu
-        return raised if pair else raised + new_mu  # B', A'
-    return inverse
+    phi's codomain."""
+    return _shifted((image, -shift) for _, _, shift, _, image in _phi_table(n, k, lay))
 
 
 def _involution_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """Rules (a)-(e) of `involution` on the packed form, unchecked: x must
-    be in its domain."""
-    field = lay.field
-    toggle, toggle_mu = lay.part(2 * k), lay.mu.unit(2 * k)
-    toggle_mults = field * toggle_mu
-    marker_part = lay.part(2 * n - 1)
-    from_marker_part = lay.lam_field & -marker_part  # lam parts >= 2n-1
-    to_lam = toggle - toggle_mu
-    absorb = marker_part - (2 * n - 1)
-
-    def step(x: int) -> int:
-        if x & field:  # (d)
-            return x + absorb
-        if x & toggle:  # (a)
-            return x - to_lam
-        if x & toggle_mults:  # (b)
-            return x + to_lam
-        if x & from_marker_part == marker_part:  # (c): lam starts with 2n-1
-            return x - absorb
-        return x  # (e)
-    return step
+    """`involution` on the packed form, unchecked: x must be in its domain."""
+    return _shifted((guard, shift) for _, guard, shift in _involution_table(n, k, lay))
 
 
 # the public maps on triples ---------------------------------------------------
@@ -400,37 +404,6 @@ def enum_P(n: int, k: int, cap: int) -> list[Triple]:
     return list(map(_decoder(lay), _enum_packed(n, k, cap, lay)))
 
 
-def classify(n: int, k: int, t: Triple) -> ClassTag:
-    """Place a member of P(n,k) into its domain class; ValueError for a
-    non-member.
-
-    The four predicates are mutually exclusive and exhaustive, keyed on
-    whether the two largest admissible lam values n+k and n+k-1 occur and
-    on whether mu sits on its boundary 2k.
-    """
-    if not in_P(n, k, t):
-        raise ValueError(f"{t} is not in P({n},{k})")
-    x, lay = _pack(n, t)
-    return _class_rule(n, k, lay)(x)
-
-
-def classify_image(n: int, k: int, t: Triple) -> ClassTag:
-    """Place a member of P(n-2,k) into its codomain class.
-
-    Keyed on whether the two smallest admissible values n-k and n-k-1
-    occur in lam and on whether mu sits on its boundary 2k.
-    """
-    if not in_P(n - 2, k, t):
-        raise ValueError(f"{t} is not in P({n - 2},{k})")
-    low = t.lam.contains(n - k)
-    lower = t.lam.contains(n - k - 1)
-    if low and lower:
-        return ClassTag.C_PRIME if t.mu.first == 2 * k else ClassTag.D
-    if low != lower:
-        return ClassTag.B_PRIME
-    return ClassTag.A_PRIME
-
-
 def lowering_map(n: int, k: int) -> str:
     """The index rule: the name of the map that lowers (n, k); ValueError if none does."""
     if 0 <= k <= n - 2:
@@ -444,6 +417,32 @@ def _require_map(name: str, n: int, k: int) -> None:
     """ValueError unless the index rule names `name` at (n, k)."""
     if lowering_map(n, k) != name:
         raise ValueError(f"{name} does not lower n={n}, k={k}")
+
+
+def classify(n: int, k: int, t: Triple) -> ClassTag:
+    """The domain class of a member of P(n,k), keyed on which of lam's
+    largest admissible parts n+k, n+k-1 occur and on whether mu has a part
+    2k: the case of _phi_table it falls in.  ValueError unless the index
+    rule names phi at (n, k) and t is in P(n,k)."""
+    _require_map("phi", n, k)
+    if not in_P(n, k, t):
+        raise ValueError(f"{t} is not in P({n},{k})")
+    x, lay = _pack(n, t)
+    return _FirstMatch((guard, case) for case, guard, *_ in _phi_table(n, k, lay))(x)
+
+
+def classify_image(n: int, k: int, t: Triple) -> ClassTag:
+    """The codomain class of a member of P(n-2,k), keyed on which of lam's
+    smallest admissible parts n-k, n-k-1 occur and on whether mu has a part
+    2k: the image case of _phi_table that phi's marked image (2n-3, t)
+    falls in.  ValueError unless the index rule names phi at (n, k) and t
+    is in P(n-2,k)."""
+    _require_map("phi", n, k)
+    if not in_P(n - 2, k, t):
+        raise ValueError(f"{t} is not in P({n - 2},{k})")
+    x, lay = _pack(n, t)
+    return _FirstMatch((image, case) for *_, case, image in _phi_table(n, k, lay))(
+        x + 2 * n - 3)
 
 
 def _checked_rule(name: str, n: int, k: int, lay: _Layout) -> Callable[[int], int]:

@@ -177,6 +177,22 @@ def test_codomain_classification_partition(cap=30):
                 assert flags[classify_image(n, k, t)]
 
 
+def test_classes_exist_only_where_phi_lowers():
+    # the classes are phi's cases: where the index rule names no phi, such
+    # as (3,3), (1,1), (1,0) and (0,0), there are none
+    members = 0
+    for n in range(-1, 6):
+        for k in range(-1, n + 2):
+            if paper_map(n, k) == "phi":
+                continue
+            for t in enum_P(n, k, 12):
+                members += 1
+                for classes in (classify, classify_image):
+                    with pytest.raises(ValueError, match="lower"):
+                        classes(n, k, t)
+    assert members
+
+
 def test_classify_rejects_non_members():
     with pytest.raises(ValueError):
         classify(3, 0, T((1, 0)))         # tau is not staircase(3)
@@ -451,6 +467,39 @@ def involution_case(n, k, x):
     if x.lam.first == 2 * n - 1:
         return "c"
     return "e"
+
+
+@pytest.mark.parametrize("name", ["phi", "involution"])
+def test_each_table_row_is_its_docstring_case(name):
+    # the case a table's first match gives each element of the domain is
+    # the one its map's docstring names (phi's A covers k = 0); phi's image
+    # of each case is in that case's image class
+    table_of = {"phi": andrews12._phi_table, "involution": andrews12._involution_table}[name]
+    case_of = {"phi": phi_case, "involution": involution_case}[name]
+    for n in range(2, 6):
+        for k in range(n + 1):
+            if paper_map(n, k) != name:
+                continue
+            for cap in (n * n, 30):
+                lay = andrews12._layout(n, cap)
+                table = table_of(n, k, lay)
+                row_case = andrews12._FirstMatch((guard, case) for case, guard, *_ in table)
+                for x in domain_slice(n, k, cap):
+                    case, expected = row_case(andrews12._encode(x, lay)), case_of(n, k, x)
+                    assert getattr(case, "value", case) == {"k=0": "A"}.get(expected, expected), \
+                        (n, k, cap, x)
+                if name == "phi":
+                    assert_images_in_their_class(n, k, cap, table, lay)
+
+
+def assert_images_in_their_class(n, k, cap, table, lay):
+    """phi's image of each case is in that case's image class."""
+    row_case = andrews12._FirstMatch((guard, case) for case, guard, *_ in table)
+    image_case = andrews12._FirstMatch((image, case) for *_, case, image in table)
+    image_of = {case: image for case, _, _, image, _ in table}
+    step = andrews12._phi_rule(n, k, lay)
+    for x in andrews12._packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay):
+        assert image_case(step(x)) is image_of[row_case(x)], (n, k, cap, x)
 
 
 def faulty_rule(true_rule, fault):

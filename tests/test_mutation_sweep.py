@@ -1,0 +1,158 @@
+"""Every one-unit fault in a packed rule's shift fails its certificate.
+
+A mutant adds or takes away one unit of one field to one shift: the shift
+of one row of an Andrews table (andrews12._phi_table, _involution_table)
+or the MacMahon step's one shift (macmahon._step_shift).  The fields are
+the marker (MacMahon: the flag), the row count (the side, and the
+length), and one lam part or one mu part.  A map and its inverse read the
+same shift, so a mutant moves both.  Each mutant runs its certificate on
+a small grid that reaches every row, one index after another, and must
+fail at one of them: a failed certificate, not an exception.  The sweep
+runs in a child interpreter, so that a mutant that hangs fails the test
+at its time bound instead of stalling the suite.
+
+The hand-written MUTATIONS (test_andrews12) and STEP_MUTATIONS
+(test_macmahon) stay: they pin each case's reason and where its
+counterexample shows.  The cancelation is left out: seven of its mutants
+raise ValueError instead of failing, where a later step of an orbit
+refuses an element that lies outside every box.
+"""
+
+import json
+import time
+from pathlib import Path
+
+import pytest
+
+from qtelescope import andrews12, macmahon
+
+from test_streaming import run_child
+
+MUTANT_SECONDS = 5.0  # the slowest mutant's bound; the sweep's is the child's timeout
+
+
+def andrews_fields(n):
+    """field name -> its unit at a layout: the marker, the row count, lam
+    parts 1 .. 2n+1 and mu parts 2 .. 2n+2."""
+    fields = {"marker": lambda lay: 1, "rows": lambda lay: 1 << lay.rows}
+    fields.update({f"lam {p}": lambda lay, p=p: lay.part(p) for p in range(1, 2 * n + 2)})
+    fields.update({f"mu {p}": lambda lay, p=p: lay.mu.unit(p)
+                   for p in range(2, 2 * n + 3, 2)})
+    return fields
+
+
+def macmahon_fields(bound):
+    """field name -> its unit at a layout: the flag, the side, the length
+    and mu parts 2 .. bound + 2."""
+    fields = {"flag": lambda lay: macmahon._MARKED, "side": lambda lay: 1 << macmahon._SIDE,
+              "length": lambda lay: 1 << lay.length}
+    fields.update({f"mu {p}": lambda lay, p=p: lay.mu.unit(p)
+                   for p in range(2, bound + 3, 2)})
+    return fields
+
+
+def shifted_row(table, row, unit):
+    """A table factory like `table` whose row `row` shifts by unit(lay) more.
+    Rows count from the end: at k = 0 phi's table drops its first row, and
+    a mutant of that row changes nothing there."""
+    def factory(n, k, lay):
+        rows = table(n, k, lay)
+        if row >= -len(rows):
+            case, guard, shift, *image = rows[row]
+            rows[row] = (case, guard, shift + unit(lay), *image)
+        return rows
+    return factory
+
+
+def andrews_mutants(name, grid):
+    """(mutant id, attribute, its replacement) for every row of the table
+    `name` and every field unit at the largest n of the grid, both signs."""
+    true_table = getattr(andrews12, name)
+    rows = len(true_table(*grid[0][:2], andrews12._layout(grid[0][0], 0)))
+    for row in range(-rows, 0):
+        for field, unit in andrews_fields(max(n for n, _, _ in grid)).items():
+            for sign in (1, -1):
+                yield (f"{name} row {row} {'+-'[sign < 0]}{field}", name,
+                       shifted_row(true_table, row, lambda lay, u=unit, s=sign: s * u(lay)))
+
+
+def step_mutants(index_of, grid):
+    """(mutant id, attribute, its replacement) for every field unit of
+    the MacMahon step's shift, mu parts up to the grid's largest bound
+    plus 2, both signs."""
+    true_shift = macmahon._step_shift
+    bound = max(box[1] for index in grid for box in index_of(*index)[:2])
+    for field, unit in macmahon_fields(bound).items():
+        for sign in (1, -1):
+            yield (f"_step_shift {'+-'[sign < 0]}{field}", "_step_shift",
+                   lambda box, neighbour, lay, u=unit, s=sign:
+                       true_shift(box, neighbour, lay) + s * u(lay))
+
+
+# sweep name -> (module, certificate, grid, mutants)
+PHI_GRID = [(4, 2, 30), (4, 1, 30), (3, 0, 20), (5, 2, 30)]
+INVOLUTION_GRID = [(3, 2, 20), (3, 3, 20), (4, 4, 24)]
+STEP_PHI_GRID = [(3, 2, 1), (2, 2, -1), (3, 1, 0)]
+STEP_PSI_GRID = [(4, 2), (3, 0), (5, 4)]
+SWEEPS = {
+    "andrews-phi": (andrews12, andrews12.phi_certificate, PHI_GRID,
+                    lambda: andrews_mutants("_phi_table", PHI_GRID)),
+    "andrews-involution": (andrews12, andrews12.involution_certificate, INVOLUTION_GRID,
+                           lambda: andrews_mutants("_involution_table", INVOLUTION_GRID)),
+    "macmahon-phi": (macmahon, macmahon.phi_certificate, STEP_PHI_GRID,
+                     lambda: step_mutants(macmahon._phi_index, STEP_PHI_GRID)),
+    "macmahon-psi": (macmahon, macmahon.psi_certificate, STEP_PSI_GRID,
+                     lambda: step_mutants(macmahon._psi_index, STEP_PSI_GRID)),
+}
+
+
+def sweep(name):
+    """{"mutants": how many ran, "seconds": the slowest one's time,
+    "kept": {mutant id: "verified" or the exception} for each mutant that
+    did not fail a certificate}."""
+    module, certificate, grid, mutants = SWEEPS[name]
+    assert all(certificate(*index).verified for index in grid)
+    kept, count, slowest = {}, 0, 0.0
+    for mutant, attribute, replacement in mutants():
+        true_value = getattr(module, attribute)
+        setattr(module, attribute, replacement)
+        started = time.monotonic()
+        try:
+            if all(certificate(*index).verified for index in grid):
+                kept[mutant] = "verified"
+        except Exception as raised:  # noqa: BLE001 - any exception is a finding
+            kept[mutant] = repr(raised)
+        finally:
+            setattr(module, attribute, true_value)
+        slowest = max(slowest, time.monotonic() - started)
+        count += 1
+    return {"mutants": count, "seconds": slowest, "kept": kept}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_every_mutant_fails_its_certificate(name):
+    result = json.loads(run_child(f"""
+        import json, sys
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from test_mutation_sweep import sweep
+        print(json.dumps(sweep({name!r})))
+    """, timeout=120))
+    assert result["mutants"] > 0
+    assert result["kept"] == {}
+    assert result["seconds"] < MUTANT_SECONDS, result
+
+
+def test_the_andrews_grids_reach_every_row():
+    # each row is the first match of an element of its table's grid; rows
+    # count from the end, as the mutants count them
+    for table, grid in (("_phi_table", PHI_GRID), ("_involution_table", INVOLUTION_GRID)):
+        rows_of, reached = getattr(andrews12, table), set()
+        for n, k, cap in grid:
+            lay = andrews12._layout(n, cap)
+            rows = rows_of(n, k, lay)
+            row_of = andrews12._FirstMatch((guard, i - len(rows))
+                                            for i, (_, guard, *_) in enumerate(rows))
+            reached.update(map(row_of, andrews12._packed_slice(
+                (n, k), 2 * n - 1, (n - 1, k - 1), cap, lay)))
+        n, k, _ = grid[0]
+        assert reached == set(range(-len(rows_of(n, k, andrews12._layout(n, 0))), 0)), table

@@ -5,9 +5,9 @@ only counters; where that pass fails, it reruns the set-based checker
 (telescope.check_graded_bijection, or andrews12._involution_failure for
 the involution), which names the counterexample.  These tests hold the
 two paths together: a verified certificate never reaches the oracle, each
-certificate is the one the oracle alone would give, each hand-written
-inverse is two-sided, exceptions are the oracle's, a rule fault fails
-instead of hanging, and a large slice stays small in memory.
+certificate is the one the oracle alone would give, each inverse is
+two-sided, exceptions are the oracle's, a rule fault fails instead of
+hanging, and a large slice stays small in memory.
 """
 
 import json
@@ -198,7 +198,7 @@ def test_exceptions_propagate_as_the_oracles(monkeypatch, name):
     assert str(streamed.value) == str(oracle.value)
 
 
-# each hand-written inverse is two-sided ------------------------------------
+# each inverse is two-sided ----------------------------------------------------
 
 def test_andrews_phi_inverse_is_two_sided():
     for n in range(2, 7):
