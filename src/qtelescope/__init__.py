@@ -13,8 +13,8 @@ The package is organized bottom-up:
                 weight_of, weighted_count, and certify, which makes every
                 Certificate
     macmahon    the square-plus-even-partition families, both step maps,
-                and verify_macmahon, which runs the per-index telescoping
-                check on counts from one weight-only walk per family
+                and verify_macmahon: the per-index telescoping check on one
+                enumeration per box, the lower family off its boundary
     andrews12   the staircase triples, the index rule, classification,
                 bijection, involutions, sum checks and orbit tracing
     cli         command-line driver and text diagram rendering

@@ -35,27 +35,28 @@ check_graded_bijection reruns on lists of both sides as the oracle.  The
 certificates decode a pair only for a counterexample.  The public enum_P,
 enum_Q, phi_step, psi_step and telescoping_phi take and return MacPairs:
 they check the input, encode it, run the packed rule and decode the
-result.  The sum path needs weights only: _box_counts walks every even
-partition of a box once, keeping each leaf's |mu| and whether its first
-part is the bound, and builds no pair.  verify_macmahon runs the per-index
-check (telescope.telescoping_sum_check) on those counts, then checks the
-closed-form identity.  The walk visits every leaf, so the sum side stays an
-enumeration, independent of the Pascal recurrence behind gaussian_binomial.
+result.  The sum path needs weights only: one enumeration per box, in C,
+and the lower family is the box off its boundary (_box_counts); no pair
+is built.  verify_macmahon runs the per-index check
+(telescope.telescoping_sum_check) on those counts, then checks the closed
+form.  Every leaf is counted, so the sum side stays an enumeration,
+independent of the Pascal recurrence behind gaussian_binomial.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations_with_replacement, repeat
 from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Partition
 from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
                        gaussian_binomial)
-from .telescope import (Certificate, MarkedObject, WeightKey, cancelation_psi,
-                        certify, check_graded_bijection, stream_graded_bijection,
-                        telescoping_sum_check)
+from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
+                        WeightKey, cancelation_psi, certify, check_graded_bijection,
+                        stream_graded_bijection, telescoping_sum_check)
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,36 +372,25 @@ def psi_certificate(n: int, k: int) -> Certificate:
                               "macmahon-psi", {"n": n, "k": k})
 
 
-# weighted counts: one walk per box, no pairs -----------------------------
-
-def _walk(hist: list[int], limit: int, slots: int, weight: int) -> None:
-    """Count every even partition with parts <= limit and at most `slots`
-    parts, each into hist at `weight` plus its own weight."""
-    hist[weight] += 1
-    if slots:
-        for part in range(2, limit + 1, 2):
-            _walk(hist, part, slots - 1, weight + part)
-
+# weighted counts: one enumeration per box, no pairs ---------------------
 
 def _box_counts(box: Box) -> tuple[LaurentPoly, LaurentPoly]:
-    """Weighted counts of a box and of its boundary slice, from one walk over
-    its even partitions that keeps only each leaf's |mu|, filed under the
-    boundary when the leaf's first part equals the bound (the empty
-    partition's reads as 0).  No pair is built."""
+    """Weighted counts of a box off its boundary slice and on it.  An even
+    partition is its multiset of `slots` parts from 0, 2, .., bound, zeros
+    padding it: off the boundary all are below the bound, on it one is the
+    bound.  itertools makes each leaf, summed and counted in C."""
     side, bound, slots = box
     if bound < 0 or slots < 0:
         return ZERO, ZERO
-    inner, edge = [0] * (bound * slots + 1), [0] * (bound * slots + 1)
-    (edge if bound == 0 else inner)[0] += 1  # the empty partition
-    if slots:
-        for first in range(2, bound + 1, 2):
-            _walk(edge if first == bound else inner, first, slots - 1, first)
+    if not slots:  # the empty partition alone; its first part reads as 0
+        alone = LaurentPoly.monomial(1, side, side * side)
+        return (alone, ZERO) if bound else (ZERO, alone)
 
-    def shifted(hist):  # z^side q^(side^2 + w) per leaf of weight w
-        return LaurentPoly({(side, side * side + w): c
-                            for w, c in enumerate(hist) if c})
-
-    return shifted([a + b for a, b in zip(inner, edge)]), shifted(edge)
+    def count(top: int, parts: int, start: int) -> LaurentPoly:
+        leaves = combinations_with_replacement(range(0, top + 1, 2), parts)
+        weights = Counter(map(sum, leaves, repeat(start)))  # q^(start + |leaf|)
+        return LaurentPoly({(side, q): c for q, c in weights.items()})
+    return count(bound - 2, slots, side * side), count(bound, slots - 1, side * side + bound)
 
 
 def phi_telescoping_counts(n: int, m: int):
@@ -408,14 +398,14 @@ def phi_telescoping_counts(n: int, m: int):
 
     f(k) counts P(n,m,k), g(k) = (1 + q^(2m-1)/z) * count of P(n,m-1,k),
     and h(k) counts G(n,m,k-1), which vanishes at k_min = -m and beyond
-    k_max = n.  Each P box is walked once, G(n,m,k) being counted on the
-    walk over P(n,m,k); no pair is built.
+    k_max = n.  All three come from P(n,m,k): G(n,m,k) is its boundary, and
+    P(n,m-1,k) the box off it.
     """
     coeff = ONE + LaurentPoly.monomial(1, -1, 2 * m - 1)
     f, g, h = {}, {}, {-m: ZERO}
     for k in range(-m, n + 1):
-        f[k], h[k + 1] = _box_counts(_box_P(n, m, k))
-        g[k] = coeff * _box_counts(_box_P(n, m - 1, k))[0]
+        off, h[k + 1] = _box_counts(_box_P(n, m, k))
+        f[k], g[k] = off + h[k + 1], coeff * off
     return f, g, h, -m, n
 
 
@@ -423,14 +413,14 @@ def psi_telescoping_counts(n: int):
     """(f, g, h, k_min, k_max) for the n-lowering telescoping relation.
 
     Oriented for the generic checker: f(k) = (1 + z*q^(2n-1)) * count of
-    Q(n-1,k), g(k) counts Q(n,k), h(k) counts H(n,k), counted on the walk
-    over Q(n,k).  Each Q box is walked once.
+    Q(n-1,k), g(k) counts Q(n,k), h(k) counts H(n,k).  All three come from
+    Q(n,k): H(n,k) is its boundary, and Q(n-1,k) the box off it.
     """
     coeff = ONE + LaurentPoly.monomial(1, 1, 2 * n - 1)
     f, g, h = {}, {}, {n + 1: ZERO}
     for k in range(0, n + 1):
-        f[k] = coeff * _box_counts(_box_Q(n - 1, k))[0]
-        g[k], h[k] = _box_counts(_box_Q(n, k))
+        off, h[k] = _box_counts(_box_Q(n, k))
+        f[k], g[k] = coeff * off, off + h[k]
     return f, g, h, 0, n
 
 
@@ -481,7 +471,7 @@ def verify_macmahon(n: int, m: int) -> Certificate:
         failure = _recurrence_failure("m-lowering recurrence", *counts)
     else:
         domain_size = codomain_size = _pair_count(
-            _box_counts(_box_P(n, 0, k))[0] for k in range(n + 1))
+            chain.from_iterable(_box_counts(_box_P(n, 0, k)) for k in range(n + 1)))
     if failure is None and n >= 1:
         failure = _recurrence_failure("n-lowering recurrence",
                                       *psi_telescoping_counts(n))
@@ -558,14 +548,17 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     the union plus its boundary pairs plus one, both counted.  The check
     streams, as the step certificates' does: the union of the P(n,m,k)
     against the direct map's inverse and the union of the P(n,m-1,k), bare
-    and marked, counted and tested by membership.
+    and marked, counted and tested by membership.  An orbit that leaves
+    every box or runs out of budget fails at its start, sought on a raise.
     """
+    started = time.monotonic()
     lay, step, _ = _cancelation_rule(n, m)
     field = lay.field
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)]
     lowers = [_box_P(n, m - 1, k) for k in range(-m, n + 1)]
-    budget = sum(_box_size(box, lay) + _box_size(box, lay, edge=True)
-                 for box in boxes) + 1
+    domain_size = sum(_box_size(box, lay) for box in boxes)
+    codomain_size = 2 * sum(_box_size(box, lay) for box in lowers)
+    budget = domain_size + sum(_box_size(box, lay, edge=True) for box in boxes) + 1
 
     def direct(a: int) -> int:
         return cancelation_psi(step, ("A", a), lambda t: t[0] == "B", budget)[1]
@@ -583,7 +576,18 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
         lowered = [x for box in lowers for x in _enum_packed(box, lay)]
         return lowered + [x + _MARKED for x in lowered]
 
-    return _bijection_certificate(
-        direct, _cancelation_inverse(n, m, lay), domain, codomain, in_codomain,
-        2 * sum(_box_size(box, lay) for box in lowers), lay,
-        "macmahon-cancelation", {"n": n, "m": m})
+    try:
+        return _bijection_certificate(
+            direct, _cancelation_inverse(n, m, lay), domain, codomain, in_codomain,
+            codomain_size, lay, "macmahon-cancelation", {"n": n, "m": m})
+    except (ValueError, IterationBudgetExceeded):
+        for a in domain():  # the first orbit that raises
+            try:
+                direct(a)
+            except (ValueError, IterationBudgetExceeded) as fault:
+                reason = ("orbit-leaves-every-box" if isinstance(fault, ValueError)
+                          else "orbit-exceeds-budget")
+                return certify("macmahon-cancelation", {"n": n, "m": m}, started,
+                               (_decoder(lay)(a), str(fault), reason),
+                               domain_size=domain_size, codomain_size=codomain_size)
+        raise

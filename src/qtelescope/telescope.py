@@ -8,8 +8,8 @@ counterexample on failure), built by the one helper certify.  Nothing here
 is probabilistic.  weight_of is the single notion of weight: an object's
 signed monomial as the int key (sign, z_exp, q_exp); weighted_count sums a
 family's keys into one LaurentPoly.  macmahon.verify_macmahon runs
-telescoping_sum_check per index on weighted counts from
-macmahon._box_counts, a weight-only walk over each box that builds no pair.
+telescoping_sum_check per index on counts from macmahon._box_counts: one
+weight-only enumeration per box, the lower family its non-boundary leaves.
 
 A bijection certificate streams: stream_graded_bijection makes one pass
 over the domain against the map's inverse, the codomain's membership test

@@ -17,8 +17,7 @@ from qtelescope.macmahon import (MacPair, cancelation_certificate,
                                  verify_macmahon)
 from qtelescope.partitions import EvenField, Partition, enum_even_bounded
 from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
-from qtelescope.telescope import (IterationBudgetExceeded, MarkedObject,
-                                  telescoping_sum_check, weight_of,
+from qtelescope.telescope import (MarkedObject, telescoping_sum_check, weight_of,
                                   weighted_count)
 
 from partition_edits import drop_first
@@ -118,12 +117,14 @@ def test_weighted_count_matches_per_object_oracle():
         assert weighted_count(family) == oracle_count(family)
 
 
-# the sum path's walk -------------------------------------------------------------
+# the sum path's enumeration -----------------------------------------------------
 
 def test_box_walk_matches_the_enumerated_pairs():
-    # The weight-only walk against weighted_count over the enumerated pairs,
-    # the boundary slice rebuilt from its bound (2m+2k for G, 2n-2k for H),
-    # on every box the sum path can ask for and one index beyond each end.
+    # The weight-only enumeration against weighted_count over the enumerated
+    # pairs, the boundary slice rebuilt from its bound (2m+2k for G, 2n-2k
+    # for H), on every box the sum path can ask for and one index beyond
+    # each end.  Off the boundary, a box is the family one bound lower:
+    # P(n,m-1,k) and Q(n-1,k), which the sum path reads off it.
     import qtelescope.macmahon as mac
 
     kinds = set()
@@ -132,17 +133,60 @@ def test_box_walk_matches_the_enumerated_pairs():
             for k in range(-m - 1, n + 2):
                 box = mac._box_P(n, m, k)
                 kinds.add((box[1] < 0 or box[2] < 0, box[1] == 0, box[2] == 0))
+                edge = G(n, m, k)
+                off = [x for x in enum_P(n, m, k) if x not in edge]
+                assert off == enum_P(n, m - 1, k), (n, m, k)
                 assert mac._box_counts(box) == (
-                    weighted_count(enum_P(n, m, k)),
-                    weighted_count(G(n, m, k))), (n, m, k)
+                    weighted_count(off), weighted_count(edge)), (n, m, k)
         for k in range(-1, n + 2):
             box = mac._box_Q(n, k)
             kinds.add((box[1] < 0 or box[2] < 0, box[1] == 0, box[2] == 0))
+            edge = H(n, k)
+            off = [x for x in enum_Q(n, k) if x not in edge]
+            assert off == enum_Q(n - 1, k), (n, k)
             assert mac._box_counts(box) == (
-                weighted_count(enum_Q(n, k)), weighted_count(H(n, k))), (n, k)
+                weighted_count(off), weighted_count(edge)), (n, k)
     # out of range, bound 0, slots 0, and both 0 at once were all walked
     assert {(True, False, False), (False, True, False), (False, False, True),
             (False, True, True)} <= kinds
+
+
+@pytest.mark.parametrize("N", range(15))
+def test_box_enumeration_is_the_gaussian_binomial(N):
+    # Beyond the pair oracle's reach: the box (side, 2j, N-j) holds the even
+    # partitions in a j x (N-j) rectangle, weighed z^side q^(side^2)
+    # [N, j]_(q^2) in all.  The sum path itself never reads gaussian_binomial.
+    import qtelescope.macmahon as mac
+
+    for j in range(N + 1):
+        side = j - N // 2
+        off, on = mac._box_counts((side, 2 * j, N - j))
+        assert off + on == mono(1, side, side * side) * gaussian_binomial(N, j, 2), j
+
+
+def test_verify_enumerates_each_box_once(monkeypatch):
+    # The boxes walked are the P(n,m,k), k in [-m, n] (at m = 0 the P(n,0,k)
+    # that size the domain), then for n >= 1 the Q(n,k), k in [0, n], each
+    # once; their leaves number 2^(n+m) + 2^n (2^m at n = 0).
+    import qtelescope.macmahon as mac
+
+    true_box_counts, walked = mac._box_counts, []
+
+    def spy(box):
+        walked.append((box, true_box_counts(box)))
+        return walked[-1][1]
+
+    monkeypatch.setattr(mac, "_box_counts", spy)
+    for n in range(6):
+        for m in range(6):
+            walked.clear()
+            assert mac.verify_macmahon(n, m).verified
+            expected = [mac._box_P(n, m, k) for k in range(-m, n + 1)]
+            if n >= 1:
+                expected += [mac._box_Q(n, k) for k in range(n + 1)]
+            assert [box for box, _ in walked] == expected, (n, m)
+            leaves = mac._pair_count(poly for _, counts in walked for poly in counts)
+            assert leaves == 2 ** (n + m) + (2 ** n if n else 0), (n, m)
 
 
 def test_verify_builds_no_pair(monkeypatch):
@@ -459,8 +503,37 @@ def test_cancelation_cycle_exceeds_the_budget(monkeypatch):
         return x if isinstance(y, MarkedObject) else y
 
     monkeypatch.setattr(mac, "_step_rule", faulty_rule(mac._step_rule, cycling))
-    with pytest.raises(IterationBudgetExceeded):
-        mac.cancelation_certificate(2, 2)
+    cert = mac.cancelation_certificate(2, 2)
+    assert not cert.verified
+    counterexample = cert.counterexample
+    assert counterexample["reason"] == "orbit-exceeds-budget"
+    assert counterexample["element"] == pair(-2)  # the first orbit's start
+    assert counterexample["image"].startswith("no landing within 25 applications")
+
+
+def second_first_row(m):
+    """A fault of phi at (n, m): a pair on its own box's boundary, which is
+    its own image, gains a second first row."""
+    def fault(x, y):
+        if y == x and x.mu.first == 2 * m + 2 * x.side > 0:
+            return MacPair(x.side, Partition((x.mu.first,) + x.mu.parts))
+        return y
+    return fault
+
+
+def test_cancelation_orbit_leaving_every_box_fails(monkeypatch):
+    # (0, (2,)) is on the boundary of P(1,1,0) and grows to (0, (2, 2)), on
+    # that boundary still, so its orbit steps at index 1, which refuses it
+    import qtelescope.macmahon as mac
+
+    monkeypatch.setattr(mac, "_step_rule", faulty_rule(mac._step_rule, second_first_row(1)))
+    cert = mac.cancelation_certificate(1, 1)
+    assert not cert.verified
+    counterexample = cert.counterexample
+    assert counterexample["reason"] == "orbit-leaves-every-box"
+    assert counterexample["element"] == pair(0, 2)
+    assert counterexample["image"] == (f"{pair(0, 2, 2)} is neither in (1, 4, 0) "
+                                       "nor on the boundary of (0, 2, 1)")
 
 
 # the packed form against the MacPair-level oracle --------------------------------
@@ -734,15 +807,16 @@ def _assert_recurrence_failure(cert, element, k):
 
 
 def _drop_one_leaf(monkeypatch, box, pairs):
-    """Make the walk over `box` miss the monomial of the last of its pairs."""
+    """Make the enumeration of `box` miss the monomial of the last of
+    `pairs`, which lie off its boundary."""
     import qtelescope.macmahon as mac
 
     true_box_counts = mac._box_counts
     missed = mono(-1, *weight_of(pairs[-1])[1:])
 
     def perturbed(b):
-        count, boundary = true_box_counts(b)
-        return (count + missed, boundary) if b == box else (count, boundary)
+        off, boundary = true_box_counts(b)
+        return (off + missed, boundary) if b == box else (off, boundary)
 
     monkeypatch.setattr(mac, "_box_counts", perturbed)
 
@@ -751,7 +825,7 @@ def test_verify_failure_names_the_index_of_the_m_lowering_recurrence(monkeypatch
     import qtelescope.macmahon as mac
 
     n, m, k = 2, 2, 1
-    _drop_one_leaf(monkeypatch, mac._box_P(n, m - 1, k), enum_P(n, m - 1, k))
+    _drop_one_leaf(monkeypatch, mac._box_P(n, m, k), enum_P(n, m - 1, k))
     _assert_recurrence_failure(mac.verify_macmahon(n, m),
                                "m-lowering recurrence", k)
 
@@ -760,7 +834,7 @@ def test_verify_failure_names_the_index_of_the_n_lowering_recurrence(monkeypatch
     import qtelescope.macmahon as mac
 
     n, k = 3, 1
-    _drop_one_leaf(monkeypatch, mac._box_Q(n - 1, k), enum_Q(n - 1, k))
+    _drop_one_leaf(monkeypatch, mac._box_Q(n, k), enum_Q(n - 1, k))
     _assert_recurrence_failure(mac.verify_macmahon(n, 1),
                                "n-lowering recurrence", k)
 

@@ -2,20 +2,21 @@
 
 A mutant adds or takes away one unit of one field to one shift: the shift
 of one row of an Andrews table (andrews12._phi_table, _involution_table)
-or the MacMahon step's one shift (macmahon._step_shift).  The fields are
-the marker (MacMahon: the flag), the row count (the side, and the
-length), and one lam part or one mu part.  A map and its inverse read the
-same shift, so a mutant moves both.  Each mutant runs its certificate on
-a small grid that reaches every row, one index after another, and must
-fail at one of them: a failed certificate, not an exception.  The sweep
-runs in a child interpreter, so that a mutant that hangs fails the test
-at its time bound instead of stalling the suite.
+or the MacMahon step's one shift (macmahon._step_shift), which the
+cancelation iterates.  The fields are the marker (MacMahon: the flag),
+the row count (the side, and the length), and one lam part or one mu
+part.  A map and its inverse read the same shift, so a mutant moves
+both.  Each mutant runs its certificate on a small grid that reaches every
+row, one index after another, and must fail at one of them: a failed
+certificate, not an exception.  The sweep runs in a child interpreter, so
+that a mutant that hangs fails the test at its time bound instead of
+stalling the suite.
 
 The hand-written MUTATIONS (test_andrews12) and STEP_MUTATIONS
 (test_macmahon) stay: they pin each case's reason and where its
-counterexample shows.  The cancelation is left out: seven of its mutants
-raise ValueError instead of failing, where a later step of an orbit
-refuses an element that lies outside every box.
+counterexample shows.  A cancelation orbit that leaves every box or runs
+out of budget fails its certificate too (test_streaming pins one of
+each), so a cancelation mutant may not raise either.
 """
 
 import json
@@ -94,6 +95,7 @@ PHI_GRID = [(4, 2, 30), (4, 1, 30), (3, 0, 20), (5, 2, 30)]
 INVOLUTION_GRID = [(3, 2, 20), (3, 3, 20), (4, 4, 24)]
 STEP_PHI_GRID = [(3, 2, 1), (2, 2, -1), (3, 1, 0)]
 STEP_PSI_GRID = [(4, 2), (3, 0), (5, 4)]
+CANCELATION_GRID = [(2, 2), (3, 1), (1, 3)]
 SWEEPS = {
     "andrews-phi": (andrews12, andrews12.phi_certificate, PHI_GRID,
                     lambda: andrews_mutants("_phi_table", PHI_GRID)),
@@ -103,6 +105,11 @@ SWEEPS = {
                      lambda: step_mutants(macmahon._phi_index, STEP_PHI_GRID)),
     "macmahon-psi": (macmahon, macmahon.psi_certificate, STEP_PSI_GRID,
                      lambda: step_mutants(macmahon._psi_index, STEP_PSI_GRID)),
+    # the cancelation's last step runs at index n + 1, whose box has the
+    # largest bound
+    "macmahon-cancelation": (macmahon, macmahon.cancelation_certificate, CANCELATION_GRID,
+                             lambda: step_mutants(lambda n, m: macmahon._phi_index(n, m, n + 1),
+                                                  CANCELATION_GRID)),
 }
 
 

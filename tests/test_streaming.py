@@ -7,7 +7,7 @@ the involution), which names the counterexample.  These tests hold the
 two paths together: a verified certificate never reaches the oracle, each
 certificate is the one the oracle alone would give, each inverse is
 two-sided, exceptions are the oracle's, a rule fault fails instead of
-hanging, and a large slice stays small in memory.
+hanging or raising, and a large slice stays small in memory.
 """
 
 import json
@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from qtelescope import andrews12, macmahon
-from qtelescope.telescope import IterationBudgetExceeded
 
 import test_andrews12 as andrews_tests
 import test_macmahon as macmahon_tests
@@ -180,7 +179,6 @@ RAISING = {
     "andrews-involution-index": (None, lambda: andrews12.involution_certificate(3, 1, 20)),
     "map-refuses-an-element": (_refuse_one_element,
                                lambda: macmahon.phi_certificate(2, 2, 0)),
-    "cancelation-cycle": (_cycle, lambda: macmahon.cancelation_certificate(2, 2)),
 }
 
 
@@ -189,13 +187,40 @@ def test_exceptions_propagate_as_the_oracles(monkeypatch, name):
     fault, certificate = RAISING[name]
     if fault is not None:
         fault(monkeypatch)
-    with pytest.raises((ValueError, IterationBudgetExceeded)) as streamed:
+    with pytest.raises(ValueError) as streamed:
         certificate()
     with monkeypatch.context() as patch:
         force_oracle(patch)
         with pytest.raises(streamed.type) as oracle:
             certificate()
     assert str(streamed.value) == str(oracle.value)
+
+
+# a cancelation fault fails as the oracle's ------------------------------------
+
+def _second_first_row(monkeypatch):
+    """A case-1 pair of phi at m = 1 gains a second first row: its orbit
+    leaves every box."""
+    monkeypatch.setattr(macmahon, "_step_rule", macmahon_tests.faulty_rule(
+        macmahon._step_rule, macmahon_tests.second_first_row(1)))
+
+
+# name -> (the fault, the index, the failure's reason)
+CANCELATION_FAULTS = {
+    "cycle": (_cycle, (2, 2), "orbit-exceeds-budget"),
+    "leaves-every-box": (_second_first_row, (1, 1), "orbit-leaves-every-box"),
+}
+
+
+@pytest.mark.parametrize("name", CANCELATION_FAULTS)
+def test_cancelation_faults_give_the_oracles_certificate(monkeypatch, name):
+    fault, index, reason = CANCELATION_FAULTS[name]
+    fault(monkeypatch)
+    streamed, oracle = both_paths(monkeypatch,
+                                  lambda: macmahon.cancelation_certificate(*index))
+    assert streamed == oracle
+    assert streamed["status"] == "failed"
+    assert streamed["counterexample"]["reason"] == reason
 
 
 # each inverse is two-sided ----------------------------------------------------
