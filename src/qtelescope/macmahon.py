@@ -33,9 +33,9 @@ against the map's inverse, which takes a marked pair's shift back, with
 the codomain counted and tested by membership.  Where that fails,
 check_graded_bijection reruns on lists of both sides as the oracle.  The
 certificates decode a pair only for a counterexample.  The public enum_P,
-enum_Q, phi_step, psi_step and telescoping_phi take and return MacPairs:
-they check the input, encode it, run the packed rule and decode the
-result.  The sum path needs weights only: one enumeration per box, in C,
+enum_Q, phi_step and psi_step take and return MacPairs: they check the
+input, encode it, run the packed rule and decode the result;
+telescoping_phi steps through phi_step and retags its case.  The sum path needs weights only: one enumeration per box, in C,
 and the lower family is the box off its boundary (_box_counts); no pair
 is built.  verify_macmahon runs the per-index check
 (telescope.telescoping_sum_check) on those counts, then checks the closed
@@ -488,55 +488,45 @@ def verify_macmahon(n: int, m: int) -> Certificate:
 # cancelation: the direct bijection obtained by iterating phi -------------
 
 def _cancelation_rule(n: int, m: int):
-    """(layout, telescoping_phi on its packed form, the boundary test of the
-    box of a packed pair's own side) for the cancelation at (n, m)."""
+    """(layout, telescoping_phi on its packed form, that map's inverse)
+    for the cancelation at (n, m), from one table per side: the step rule
+    at that index, its box's boundary test and its shift.  An orbit is its
+    pair alone or, from a boundary pair, one marked step onto the next
+    side, so the inverse, unchecked, takes a marked image's shift back.
+    The tables run one side past the side field ("H" steps at the next
+    side), so no image, however faulty, indexes past their end."""
     lay = _Layout(-m, n + 1, n + m + 1, _phi_index(n, m, 0)[2])
     field = lay.field
-    # both lists are indexed by the side field, side + m
-    steps = [_step_rule(*_phi_index(n, m, k)[:2], lay) for k in range(-m, n + 2)]
-    edges = [_edge_test(_box_P(n, m, k)[1], lay) for k in range(-m, n + 1)]
-
-    def on_edge(x: int) -> bool:
-        return edges[x >> _SIDE & field](x)
+    # indexed by the side field, side + m
+    indices = [_phi_index(n, m, s + lay.lo)[:2] for s in range(field + 2)]
+    steps = [_step_rule(box, neighbour, lay) for box, neighbour in indices]
+    edges = [_edge_test(box[1], lay) for box, _ in indices]
+    shifts = [_step_shift(box, neighbour, lay) for box, neighbour in indices]
 
     def step(tagged: tuple[str, int]) -> tuple[str, int]:
         tag, x = tagged
         y = steps[(x >> _SIDE & field) + (tag == "H")](x)
-        return ("H" if not y & _MARKED and on_edge(y) else "B"), y
-    return lay, step, on_edge
+        return ("H" if not y & _MARKED and edges[y >> _SIDE & field](y) else "B"), y
+
+    def inverse(y: int) -> int:
+        return y - shifts[y >> _SIDE & field] if y & _MARKED else y
+    return lay, step, inverse
 
 
 def telescoping_phi(n: int, m: int, tagged: tuple[str, MacPair]):
     """One step of the combined map on the tagged union of all indices.
 
     Elements are ("A", pair) for pair in P(n,m,side) or ("H", pair) for
-    pair in G(n,m,side) viewed at index side+1, where phi_step runs.  The
-    image is tagged "H" where it is case 1 (an unmarked pair on the
-    boundary of its own box) and "B" once the orbit lands in the union of
-    targets.
+    pair in G(n,m,side) viewed at index side+1.  phi_step runs at that
+    index; the image is tagged "H" where it is case 1 (an unmarked pair on
+    the boundary of its own box) and "B" once the orbit lands in the union
+    of targets.
     """
     tag, pair = tagged
     if tag not in ("A", "H"):
         raise ValueError(f"unexpected tag {tag!r}")
-    k = pair.side + (tag == "H")
-    box, neighbour, _ = _phi_index(n, m, k)
-    lay, step, _ = _cancelation_rule(n, m)
-    packed = _encode(pair, lay)
-    if packed is None or k > n + 1:
-        raise ValueError(_not_in_domain(pair, box, neighbour))
-    out, y = step((tag, packed))
-    return out, _decoder(lay)(y)
-
-
-def _cancelation_inverse(n: int, m: int, lay: _Layout) -> Callable[[int], int]:
-    """The inverse of the cancelation's direct map on the packed form,
-    unchecked.  An orbit is its pair alone or, from a boundary pair, one
-    marked step onto the next side: a marked image takes back the shift of
-    the step at its own side, anything else is its own preimage."""
-    field = lay.field
-    shifts = [_step_shift(*_phi_index(n, m, s + lay.lo)[:2], lay)
-              for s in range(field + 1)]  # indexed by the side field
-    return lambda y: y - shifts[y >> _SIDE & field] if y & _MARKED else y
+    case, value = phi_step(n, m, pair.side + (tag == "H"), pair)
+    return ("H" if case == 1 else "B"), value
 
 
 def cancelation_certificate(n: int, m: int) -> Certificate:
@@ -552,7 +542,7 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     every box or runs out of budget fails at its start, sought on a raise.
     """
     started = time.monotonic()
-    lay, step, _ = _cancelation_rule(n, m)
+    lay, step, inverse = _cancelation_rule(n, m)
     field = lay.field
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)]
     lowers = [_box_P(n, m - 1, k) for k in range(-m, n + 1)]
@@ -578,7 +568,7 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
 
     try:
         return _bijection_certificate(
-            direct, _cancelation_inverse(n, m, lay), domain, codomain, in_codomain,
+            direct, inverse, domain, codomain, in_codomain,
             codomain_size, lay, "macmahon-cancelation", {"n": n, "m": m})
     except (ValueError, IterationBudgetExceeded):
         for a in domain():  # the first orbit that raises

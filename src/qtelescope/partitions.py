@@ -143,10 +143,10 @@ class EvenField:
     down, x >> at: equal mus decode to one shared Partition.  A negative
     int packs no partition; both give None for it.
 
-    `enum`, `iter` and `count` share one recursion over the first part,
-    memoised on (largest part, parts left, weight left); `iter` keeps only
-    tail lists of at most CHUNK elements and walks the parts above them,
-    so it holds no whole box.
+    `iter` and `count` share one recursion over the first part, memoised
+    on (largest part, parts left, weight left); `iter` keeps only tail
+    lists of at most CHUNK elements and walks the parts above them, so it
+    holds no whole box.
     """
 
     __slots__ = ("at", "width", "decode")
@@ -187,17 +187,14 @@ class EvenField:
         """Even parts >= 2, packed; each multiplicity must fit its field."""
         return sum(map(self.unit, parts))
 
-    def enum(self, bound: int, slots: int, cap: int, row: int = 0) -> list[int]:
-        """Every even-part partition with largest part <= bound, at most
-        `slots` parts and weight <= cap, packed, with `row` added once per
-        part, in enum_even_bounded's order.  No Partition is built."""
-        return list(self.iter(bound, slots, cap, row))
-
     def iter(self, bound: int, slots: int, cap: int, row: int = 0,
              edge: bool = False) -> Iterator[int]:
-        """`enum`'s partitions one at a time, in its order; with `edge`,
+        """Every even-part partition with largest part <= bound, at most
+        `slots` parts and weight <= cap, packed, with `row` added once per
+        part, one at a time, in enum_even_bounded's order; with `edge`,
         only those whose largest part is `bound` (the empty partition's
-        reads as 0), generated from that first part."""
+        reads as 0), generated from that first part.  No Partition is
+        built."""
         root = self._root(bound, slots, cap, row, edge)
         if root is None:
             return

@@ -195,7 +195,8 @@ def test_verify_builds_no_pair(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sum path enumerated objects")
 
-    monkeypatch.setattr(EvenField, "enum", refuse)
+    for name in ("iter", "count"):  # the packed path's enumerator and counter
+        monkeypatch.setattr(EvenField, name, refuse)
     for name in ("_enum_packed", "enum_P", "enum_Q"):
         monkeypatch.setattr(mac, name, refuse)
     for n in range(5):
@@ -865,6 +866,31 @@ def test_cancelation_orbits_have_length_one_or_two():
         assert tagged[0] == "H"
         tagged = telescoping_phi(n, m, tagged)
         assert tagged[0] == "B"
+
+
+def test_telescoping_phi_builds_one_step_rule(monkeypatch):
+    # telescoping_phi is phi_step at the pair's own index, so one call
+    # builds that index's step rule and no other.
+    import qtelescope.macmahon as mac
+
+    true_step_rule, built = mac._step_rule, []
+
+    def spy(*args):
+        built.append(args[:2])
+        return true_step_rule(*args)
+
+    monkeypatch.setattr(mac, "_step_rule", spy)
+    for n in range(4):
+        for m in range(1, 4):
+            for k in range(-m, n + 1):
+                for a in enum_P(n, m, k):
+                    tags = ["A"] + (["H"] if a.mu.first == 2 * m + 2 * k else [])
+                    for tag in tags:
+                        built.clear()
+                        telescoping_phi(n, m, (tag, a))
+                        index = k + (tag == "H")
+                        assert built == [(mac._box_P(n, m, index),
+                                          mac._box_P(n, m, index - 1))], (n, m, tag, a)
 
 
 def test_cancelation_preserves_weights_elementwise():
