@@ -8,15 +8,17 @@ The package is organized bottom-up:
     partitions  partition objects (zero parts allowed), their enumerators,
                 and EvenField, the packed even partition mu of both families
     telescope   generic bijection / telescoping / cancelation checkers
-                (the bijection check streams, with the set-based one as
-                its failure-path oracle), the (sign, z, q) weight key
-                weight_of, weighted_count, and certify, which makes every
-                Certificate
+                (the set-based bijection check is the failure-path oracle
+                of the families' streaming kernels), the (sign, z, q)
+                weight key weight_of, weighted_count, and certify, which
+                makes every Certificate
     macmahon    the square-plus-even-partition families, both step maps,
-                and verify_macmahon: the per-index telescoping check on one
+                their certificates' one streaming kernel, and
+                verify_macmahon: the per-index telescoping check on one
                 enumeration per box, the lower family off its boundary
     andrews12   the staircase triples, the index rule, classification,
-                bijection, involutions, sum checks and orbit tracing
+                bijection, involutions and a streaming kernel for each,
+                sum checks and orbit tracing
     cli         command-line driver and text diagram rendering
 
 Every check is exhaustive over finite or weight-capped slices and returns
@@ -29,7 +31,7 @@ from .partitions import (Partition, enum_distinct_range, enum_even_bounded,
                          enum_even_capped, staircase)
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         cancelation_psi, check_graded_bijection,
-                        stream_graded_bijection, telescoping_sum_check)
+                        telescoping_sum_check)
 from . import andrews12, macmahon
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "Partition", "enum_distinct_range", "enum_even_bounded",
     "enum_even_capped", "staircase",
     "Certificate", "IterationBudgetExceeded", "MarkedObject",
-    "cancelation_psi", "check_graded_bijection", "stream_graded_bijection",
-    "telescoping_sum_check",
+    "cancelation_psi", "check_graded_bijection", "telescoping_sum_check",
     "andrews12", "macmahon",
 ]

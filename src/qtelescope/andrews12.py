@@ -32,10 +32,12 @@ guard.  One first-match dispatch, _FirstMatch, derives from a table the
 rule (guard, then + shift), phi's inverse (image guard, then - shift)
 and the classes that classify and classify_image report.
 The certificates run end to end on packed ints and decode an element to
-a Triple / MarkedObject only for a counterexample.  Both stream over their
-slice and hold none of its elements: phi against its inverse
-(_phi_inverse, telescope.stream_graded_bijection), the involution by
-_stream_involution.  Where a streaming check fails, the set-based check
+a Triple / MarkedObject only for a counterexample.  Each streams over its
+slice in one flat kernel that holds none of its elements (_stream_phi,
+against _phi_inverse; _stream_involution): it walks the slice's groups of
+one lam and one total weight (_slice_groups), tests membership on the
+_P_mask pairs and reads an image's weight and sign off its fields,
+calling only the rules.  Where a kernel fails, the set-based check
 (check_graded_bijection, _involution_failure) reruns as the oracle and
 names the counterexample; a negative int, which no rule of a sound map
 yields, is shown as {"packed": x}.  The public functions take and return
@@ -60,8 +62,7 @@ from typing import Callable, Iterator, Optional, Union
 from .partitions import EvenField, Partition, enum_distinct_range, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
-                        WeightKey, certify, check_graded_bijection,
-                        stream_graded_bijection, weight_of)
+                        WeightKey, certify, check_graded_bijection, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,23 +232,39 @@ def _P_mask(n: int, k: int, lay: _Layout) -> Optional[tuple[int, int]]:
     return ~free, (n - k) << lay.rows
 
 
-def _slice_test(a: tuple, marker: int, b: tuple, lay: _Layout) -> Callable[[int], bool]:
-    """Membership in P(a) plus marker-`marker` copies (no z) of P(b), on
-    the packed form, with no weight cap."""
-    never = (0, 1)  # x & 0 is never 1
-    forbidden, expected = _P_mask(*a, lay) or never
+_NEVER = (0, 1)  # the mask pair of no element: x & 0 is never 1
+
+
+def _slice_masks(a: tuple, marker: int, b: tuple, lay: _Layout) -> tuple[int, int, int, int]:
+    """(forbidden, expected, forbidden_m, expected_m): a packed x is in P(a)
+    plus marker-`marker` copies (no z) of P(b), with no weight cap, iff
+    x & forbidden == expected or x & forbidden_m == expected_m."""
+    forbidden, expected = _P_mask(*a, lay) or _NEVER
     marked = _P_mask(*b, lay)
-    forbidden_m, expected_m = (marked[0], marked[1] + marker) if marked else never
+    forbidden_m, expected_m = (marked[0], marked[1] + marker) if marked else _NEVER
+    return forbidden, expected, forbidden_m, expected_m
+
+
+def _domain(n: int, k: int) -> tuple:
+    """The maps' domain at (n, k) as _packed_slice's slices: P(n,k), and
+    marker 2n-1 (no z) over P(n-1,k-1)."""
+    return (n, k), 2 * n - 1, (n - 1, k - 1)
+
+
+def _codomain(n: int, k: int) -> tuple:
+    """phi's codomain at (n, k), likewise: P(n-1,k-1), and marker 2n-3
+    over P(n-2,k)."""
+    return (n - 1, k - 1), 2 * n - 3, (n - 2, k)
+
+
+def _domain_test(n: int, k: int, lay: _Layout) -> Callable[[int], bool]:
+    """Membership in the maps' domain at (n, k) on the packed form, with no
+    weight cap (see _slice_masks)."""
+    forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
 
     def member(x: int) -> bool:
         return x & forbidden == expected or x & forbidden_m == expected_m
     return member
-
-
-def _domain_test(n: int, k: int, lay: _Layout) -> Callable[[int], bool]:
-    """Membership in the maps' domain at (n, k) on the packed form: P(n,k),
-    or marker 2n-1 (no z) over a payload in P(n-1,k-1)."""
-    return _slice_test((n, k), 2 * n - 1, (n - 1, k - 1), lay)
 
 
 def _factors(n: int, k: int, cap: int, lay: _Layout):
@@ -266,6 +283,18 @@ def _factors(n: int, k: int, cap: int, lay: _Layout):
     return lams, mus_by_weight
 
 
+def _groups(n: int, k: int, cap: int, lay: _Layout) -> Iterator[tuple[int, int, list[int]]]:
+    """The members of P(n,k) with total weight <= cap, packed at `lay`, in
+    certificate order, as groups (lam, weight, mus): the members lam + mu
+    for mu in mus, all of total weight `weight`.  lam is packed alone, each
+    mu with the row count."""
+    lams, mus_by_weight = _factors(n, k, cap, lay)
+    tau = (n - k) * (n - k - 1) // 2
+    return ((lam, tau + grade, mus_by_weight[grade - weight])
+            for grade in range(len(mus_by_weight)) for weight, lam in lams
+            if weight <= grade)
+
+
 def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> Iterator[int]:
     """All members of P(n,k) with total weight <= cap, packed at `lay`, one
     at a time, in certificate order: by total weight, then lam, then mu,
@@ -274,9 +303,7 @@ def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> Iterator[int]:
     Built grade by grade from the capped enumerators, mu packed and grouped
     by weight once, so nothing over the cap is built and nothing is sorted.
     """
-    lams, mus_by_weight = _factors(n, k, cap, lay)
-    return (lam + mu for grade in range(len(mus_by_weight)) for weight, lam in lams
-            if weight <= grade for mu in mus_by_weight[grade - weight])
+    return (lam + mu for lam, _, mus in _groups(n, k, cap, lay) for mu in mus)
 
 
 def _count_packed(n: int, k: int, cap: int, lay: _Layout) -> int:
@@ -287,11 +314,20 @@ def _count_packed(n: int, k: int, cap: int, lay: _Layout) -> int:
     return sum(at_most[-1 - weight] for weight, _ in lams)  # <= budget - weight
 
 
+def _slice_groups(a: tuple, marker: int, b: tuple, cap: int,
+                  lay: _Layout) -> Iterator[tuple[int, int, list[int]]]:
+    """_packed_slice in _groups: P(a)'s, then P(b)'s with the marker added
+    to each head and weight."""
+    return chain(_groups(*a, cap, lay),
+                 ((lam + marker, weight + marker, mus)
+                  for lam, weight, mus in _groups(*b, cap - marker, lay)))
+
+
 def _packed_slice(a: tuple, marker: int, b: tuple, cap: int,
                   lay: _Layout) -> Iterator[int]:
     """P(a) plus marker-`marker` copies of P(b), all of weight <= cap, packed."""
-    return chain(_enum_packed(*a, cap, lay),
-                 (x + marker for x in _enum_packed(*b, cap - marker, lay)))
+    return (head + mu for head, _, mus in _slice_groups(a, marker, b, cap, lay)
+            for mu in mus)
 
 
 def _slice_size(a: tuple, marker: int, b: tuple, cap: int, lay: _Layout) -> int:
@@ -543,30 +579,82 @@ def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
     """P(n,k) plus marker-(2n-1) copies of P(n-1,k-1), all of weight <= cap."""
     lay = _layout(n, cap)
     return list(map(_decoder(lay),
-                    _packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay)))
+                    _packed_slice(*_domain(n, k), cap, lay)))
+
+
+def _lam_weight(lay: _Layout) -> Callable[[int], int]:
+    """The weight of a lam from its bits in place, x & lay.lam_field,
+    worked out once per lam met."""
+    return lru_cache(maxsize=None)(lambda bits: sum(
+        p - lay.lam for p in range(lay.lam, bits.bit_length()) if bits >> p & 1))
 
 
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     """Exhaustive weight-graded bijection check of phi on a capped slice,
-    run on the packed form; phi tests each element's membership once.
+    run on the packed form; each element's membership is tested once.
 
-    The check streams (telescope.stream_graded_bijection): one pass over
-    the domain slice against phi's inverse, the codomain's membership test
-    and its count.  Where that fails, the set-based check_graded_bijection
-    reruns on both slices and names the counterexample."""
+    The check streams (_stream_phi): one pass over the domain slice
+    against phi's inverse, the codomain's masks and its count.  Where that
+    fails, the set-based check_graded_bijection reruns on both slices and
+    names the counterexample."""
+    started = time.monotonic()
+    _require_map("phi", n, k)
     lay = _layout(n, cap)
-    step, weight = _checked_rule("phi", n, k, lay), _weight_key(lay)
-    domain = (n, k), 2 * n - 1, (n - 1, k - 1)
-    codomain = (n - 1, k - 1), 2 * n - 3, (n - 2, k)
     params = {"n": n, "k": k}
-    return (stream_graded_bijection(
-                step, _phi_inverse(n, k, lay), _packed_slice(*domain, cap, lay),
-                _slice_test(*codomain, lay), _slice_size(*codomain, cap, lay), weight,
-                cap=cap, check="andrews-phi", params=params)
-            or check_graded_bijection(
-                step, _packed_slice(*domain, cap, lay),
-                _packed_slice(*codomain, cap, lay), weight, cap=cap,
-                check="andrews-phi", params=params, present=_decoder(lay)))
+    size = _stream_phi(n, k, cap, lay)
+    if size is not None:
+        return certify("andrews-phi", params, started, cap=cap, domain_size=size,
+                       codomain_size=size)
+    return check_graded_bijection(
+        _checked_rule("phi", n, k, lay), _packed_slice(*_domain(n, k), cap, lay),
+        _packed_slice(*_codomain(n, k), cap, lay), _weight_key(lay), cap=cap,
+        check="andrews-phi", params=params, present=_decoder(lay))
+
+
+def _stream_phi(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
+    """The domain slice's size where phi is a weight-preserving bijection
+    onto the capped codomain slice, checked in one flat pass that holds no
+    element; None where any check fails.
+
+    The domain is walked in _slice_groups, each group one lam and one
+    total weight.  For each x: x passes the domain's masks (the input
+    check of _checked_rule), y = _phi_rule's image passes the codomain's,
+    _phi_inverse takes y back to x, and a moved x keeps its weight and
+    sign.  y's weight is read off its fields (the marker, C(rows, 2), and
+    lam's and mu's weights, cached), its sign off the parity of lam's bit
+    count.  At the end the slice must be nonempty and of the codomain's
+    counted size.  That is sound for any inverse: an inverse that undoes
+    the map on every element makes it injective, and an injective map
+    into a finite set of its own size is a bijection.  A wrong inverse can
+    only fail a good map, and the oracle overrules that.  The codomain
+    masks ignore the cap, which the kept weight enforces.  Only the rule
+    and its inverse are called, on the elements in the oracle's order, so
+    an exception the rule raises is the oracle's.
+    """
+    step, inverse = _phi_rule(n, k, lay), _phi_inverse(n, k, lay)
+    forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
+    image, image_e, image_m, image_me = _slice_masks(*_codomain(n, k), lay)
+    field, rows_at, lam_field, mu_at = lay.field, lay.rows, lay.lam_field, lay.mu.at
+    lam_weight = _lam_weight(lay)
+    mask, split, low, high = lay.mu.halves(2 * k)
+    size = 0
+    for head, weight, mus in _slice_groups(*_domain(n, k), cap, lay):
+        odd = (head & lam_field).bit_count() & 1
+        for mu in mus:
+            x = head + mu
+            if x & forbidden != expected and x & forbidden_m != expected_m:
+                return None
+            y = step(x)
+            if y & image != image_e and y & image_m != image_me or inverse(y) != x:
+                return None
+            if y != x:
+                lam, rows, y_mu = y & lam_field, y >> rows_at & field, y >> mu_at
+                if ((y & field) + rows * (rows - 1) // 2 + lam_weight(lam)
+                        + low(y_mu & mask) + high(y_mu >> split) != weight
+                        or lam.bit_count() & 1 != odd):
+                    return None
+        size += len(mus)
+    return size if size and size == _slice_size(*_codomain(n, k), cap, lay) else None
 
 
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
@@ -585,51 +673,67 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     started = time.monotonic()
     _require_map("involution", n, k)
     lay = _layout(n, cap)
-    step, member, weight = (_involution_rule(n, k, lay), _domain_test(n, k, lay),
-                            _weight_key(lay))
-    sizes = _stream_involution(n, k, cap, lay, step, member, weight)
+    sizes = _stream_involution(n, k, cap, lay)
     if sizes is not None:
         return certify("andrews-involution", {"n": n, "k": k}, started, cap=cap,
                        domain_size=sizes[0], codomain_size=sizes[1])
-    slice_ = list(_packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay))
+    slice_ = list(_packed_slice(*_domain(n, k), cap, lay))
     if not slice_:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
     embedded = set(_enum_packed(n - 1, k - 1, cap, lay))
-    failure = _involution_failure(slice_, embedded, step, member, weight, _decoder(lay))
+    failure = _involution_failure(slice_, embedded, _involution_rule(n, k, lay),
+                                  _domain_test(n, k, lay), _weight_key(lay), _decoder(lay))
     return certify("andrews-involution", {"n": n, "k": k}, started, failure,
                    cap=cap, domain_size=len(slice_), codomain_size=len(embedded))
 
 
-def _stream_involution(n, k, cap, lay, step, member, weight) -> Optional[tuple[int, int]]:
+def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple[int, int]]:
     """(slice size, fixed count) where the involution laws hold on the
-    capped slice, checked in one pass that holds no element; None where any
-    check fails.
+    capped slice, checked in one flat pass that holds no element; None
+    where any check fails.
 
-    For each x: y = step(x) is in the domain, step(y) == x, and x is fixed
-    exactly when it is in the embedded P(n-1,k-1).  Weight and sign are
-    checked at the smaller end of each pair only, and as many elements
-    rise (x < y) as fall: the rising ones' partners have x's weight, so
-    they are in the slice and fall, and the equal counts leave no falling
-    element whose partner was not checked.  The fixed count must equal the
-    count of the embedded P(n-1,k-1), taken from its factors.
+    The slice is walked in _slice_groups, each group one lam and one total
+    weight.  For each x: y = _involution_rule's image passes the domain's
+    masks, the rule takes y back to x, and x is fixed exactly when it is
+    in the embedded P(n-1,k-1).  Weight and sign are checked at the
+    smaller end of each pair only, and as many elements rise (x < y) as
+    fall: the rising ones' partners have x's weight, so they are in the
+    slice and fall, and the equal counts leave no falling element whose
+    partner was not checked.  y's weight is read off its fields as in
+    _stream_phi, its sign off the parity of lam's bit count.  The fixed
+    count must equal the count of the embedded P(n-1,k-1), taken from its
+    factors.  Only the rule is called.
     """
-    forbidden, expected = _P_mask(n - 1, k - 1, lay) or (0, 1)  # x & 0 is never 1
+    step = _involution_rule(n, k, lay)
+    forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
+    forbidden_e, expected_e = _P_mask(n - 1, k - 1, lay) or _NEVER
+    field, rows_at, lam_field, mu_at = lay.field, lay.rows, lay.lam_field, lay.mu.at
+    lam_weight = _lam_weight(lay)
+    mask, split, low, high = lay.mu.halves(2 * k)
     size = fixed = rising = falling = 0
-    for x in _packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay):
-        y = step(x)
-        if not member(y) or step(y) != x or (y == x) != (x & forbidden == expected):
-            return None
-        size += 1
-        if y == x:
-            fixed += 1
-        elif x < y:
-            rising += 1
-            sign_x, z_x, q_x = weight(x)
-            sign_y, z_y, q_y = weight(y)
-            if (z_y, q_y) != (z_x, q_x) or sign_y != -sign_x:
+    for head, weight, mus in _slice_groups(*_domain(n, k), cap, lay):
+        odd = (head & lam_field).bit_count() & 1
+        for mu in mus:
+            x = head + mu
+            y = step(x)
+            if y & forbidden != expected and y & forbidden_m != expected_m or step(y) != x:
                 return None
-        else:
-            falling += 1
+            if y == x:
+                if x & forbidden_e != expected_e:
+                    return None
+                fixed += 1
+            elif x & forbidden_e == expected_e:
+                return None
+            elif x < y:
+                lam, rows, y_mu = y & lam_field, y >> rows_at & field, y >> mu_at
+                if ((y & field) + rows * (rows - 1) // 2 + lam_weight(lam)
+                        + low(y_mu & mask) + high(y_mu >> split) != weight
+                        or lam.bit_count() & 1 == odd):
+                    return None
+                rising += 1
+            else:
+                falling += 1
+        size += len(mus)
     if not size or rising != falling or fixed != _count_packed(n - 1, k - 1, cap, lay):
         return None
     return size, fixed

@@ -28,9 +28,10 @@ box one int at a time and generates a boundary slice from its first part,
 or counts either without walking it; membership is one AND-and-compare
 plus a length bound, and each step map is one rule (_step_rule) whose
 moving case is a constant shift.  The step and cancelation certificates
-stream (telescope.stream_graded_bijection): one pass over the domain
-against the map's inverse, which takes a marked pair's shift back, with
-the codomain counted and tested by membership.  Where that fails,
+stream in one flat kernel (_stream_bijection): one pass over the domain's
+EvenField chunks against the map's inverse, which takes a marked pair's
+shift back, with the codomain counted and tested by masks, and the
+weights read off the fields; only the map is called.  Where that fails,
 check_graded_bijection reruns on lists of both sides as the oracle.  The
 certificates decode a pair only for a counterexample.  The public enum_P,
 enum_Q, phi_step and psi_step take and return MacPairs: they check the
@@ -56,7 +57,7 @@ from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
                        gaussian_binomial)
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         WeightKey, cancelation_psi, certify, check_graded_bijection,
-                        stream_graded_bijection, telescoping_sum_check)
+                        telescoping_sum_check)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,18 +167,28 @@ def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
     return weight
 
 
-def _member(box: Box, lay: _Layout) -> Callable[[int], bool]:
-    """Membership in the box on the packed form: x & forbidden == expected
-    and a length field of at most the box's slots.  The bits left free are
-    the length and the multiplicities of the parts 2 .. bound; the flag is
-    0 and the side the box's.  Never true where the box is empty or its
-    side is outside `lay`."""
+_NEVER = (0, 1, 0)  # the masks of no pair: x & 0 is never 1
+
+
+def _masks(box: Box, lay: _Layout) -> tuple[int, int, int]:
+    """(forbidden, expected, limit): a packed x is in the box iff x &
+    forbidden == expected and its length field, x & (lay.field <<
+    lay.length), is at most limit.  The bits left free are the length and
+    the multiplicities of the parts 2 .. bound; the flag is 0 and the side
+    the box's.  _NEVER where the box is empty or its side is outside
+    `lay`."""
     side, bound, slots = box
     if bound < 0 or slots < 0 or not 0 <= side - lay.lo <= lay.field:
-        return lambda x: False
+        return _NEVER
     length = lay.field << lay.length
-    forbidden = ~(length | lay.mu.unit(bound + 2) - lay.mu.unit(2))
-    expected, limit = side - lay.lo << _SIDE, slots << lay.length
+    return (~(length | lay.mu.unit(bound + 2) - lay.mu.unit(2)),
+            side - lay.lo << _SIDE, slots << lay.length)
+
+
+def _member(box: Box, lay: _Layout) -> Callable[[int], bool]:
+    """Membership in the box on the packed form, from its _masks."""
+    forbidden, expected, limit = _masks(box, lay)
+    length = lay.field << lay.length
     return lambda x: x & forbidden == expected and x & length <= limit
 
 
@@ -229,13 +240,6 @@ def _step_shift(box: Box, neighbour: Box, lay: _Layout) -> int:
     """The constant shift of the step map's moving case."""
     first_row = lay.mu.unit(neighbour[1]) + (1 << lay.length) if neighbour[1] > 0 else 0
     return _MARKED + (box[0] - neighbour[0] << _SIDE) - first_row
-
-
-def _step_inverse(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
-    """The inverse of _step_rule on its codomain, unchecked: a marked pair
-    takes the shift back, anything else is its own preimage."""
-    shift = _step_shift(box, neighbour, lay)
-    return lambda y: y - shift if y & _MARKED else y
 
 
 def _not_in_domain(x, box: Box, neighbour: Box) -> str:
@@ -313,19 +317,87 @@ def psi_step(n: int, k: int, x: MacPair) -> tuple[int, MacValue]:
 
 # certificates -----------------------------------------------------------
 
-def _bijection_certificate(step: Callable[[int], int], inverse: Callable[[int], int],
-                           domain: Callable[[], Iterator[int]],
-                           codomain: Callable[[], list[int]],
-                           in_codomain: Callable[[int], bool], codomain_size: int,
+def _codomain_table(lay: _Layout, sides: dict) -> list[tuple[int, int, int]]:
+    """The codomain test of _stream_bijection, indexed by an image's flag
+    and side field, y & (_MARKED | lay.field << _SIDE): `sides` maps a side
+    field to the masks of its bare pairs and of its marked ones (a box's
+    _masks, the flag expected on top); every other entry is _NEVER."""
+    table = [_NEVER] * (2 * lay.field + 2)
+    for side, (bare, (forbidden, expected, limit)) in sides.items():
+        table[side << _SIDE] = bare
+        table[(side << _SIDE) + _MARKED] = forbidden, expected + _MARKED, limit
+    return table
+
+
+def _stream_bijection(step: Callable[[int], int], walks: list[tuple[Box, bool]],
+                      table: list[tuple[int, int, int]], shifts: list[int],
+                      codomain_size: int, lay: _Layout) -> Optional[int]:
+    """The domain's size where `step` is a weight-preserving bijection onto
+    the codomain, checked in one flat pass that holds no pair; None where
+    any check fails.
+
+    The domain is the walks, each a box (or with `edge` its boundary)
+    walked in EvenField.chunks as _enum_packed walks it.  An image y is in
+    the codomain iff it passes the masks of table[y's flag and side field]
+    (see _codomain_table); the codomain has codomain_size pairs.  Each
+    element x must map into the codomain, y's preimage must be x, and a
+    moved x must keep its weight: side + marker_z and side^2 + |mu| +
+    marker_q of y are x's side and side^2 + |mu|, each |mu| read in two
+    cached halves (EvenField.halves).  The preimage of a marked y is y
+    less shifts[its side field], of any other y itself: the inverse of
+    every step map and of the cancelation, unchecked.  That is sound for
+    any inverse: an inverse that undoes the map on every element makes it
+    injective, and an injective map into a finite set of its own size,
+    checked at the end with the domain nonempty, is a bijection.  A wrong
+    inverse can only fail a good map, and the oracle overrules that.  Only
+    `step` is called, on the elements in the oracle's order, so an
+    exception it raises is the oracle's.
+    """
+    field, lo, at = lay.field, lay.lo, lay.mu.at
+    length, row, flag_side = field << lay.length, 1 << lay.length, _MARKED | field << _SIDE
+    marker_q, marker_z = lay.marker
+    # split mu's fields in the middle of the largest walk's parts
+    widest = max(walks, key=lambda walk: _box_size(walk[0], lay, walk[1]))[0]
+    mask, split, low, high = lay.mu.halves(widest[1])
+    size = 0
+    for (side, bound, slots), edge in walks:
+        base, square = side - lo << _SIDE, side * side
+        for head, tails in lay.mu.chunks(bound, slots, bound * slots, row, edge):
+            head += base
+            for t in tails:
+                x = head + t
+                y = step(x)
+                forbidden, expected, limit = table[y & flag_side]
+                if y & forbidden != expected or y & length > limit:
+                    return None
+                if y & _MARKED:
+                    y_field = y >> _SIDE & field
+                    y_side, y_mu, x_mu = y_field + lo, y >> at, x >> at
+                    if (y - shifts[y_field] != x or y_side + marker_z != side
+                            or y_side * y_side + marker_q + low(y_mu & mask)
+                            + high(y_mu >> split)
+                            != square + low(x_mu & mask) + high(x_mu >> split)):
+                        return None
+                elif y != x:
+                    return None
+            size += len(tails)
+    return size if size and size == codomain_size else None
+
+
+def _bijection_certificate(step: Callable[[int], int], walks: list[tuple[Box, bool]],
+                           table: list[tuple[int, int, int]], shifts: list[int],
+                           codomain_size: int, codomain: Callable[[], list[int]],
                            lay: _Layout, check: str, params: dict) -> Certificate:
-    """The streaming bijection check of a packed map; where it fails, the
-    set-based check_graded_bijection reruns on fresh lists of both sides
-    and names the counterexample."""
-    weight = _weight_key(lay)
-    return (stream_graded_bijection(step, inverse, domain(), in_codomain,
-                                    codomain_size, weight, check=check, params=params)
-            or check_graded_bijection(step, domain(), codomain(), weight, check=check,
-                                      params=params, present=_decoder(lay)))
+    """The streaming bijection check of a packed map (_stream_bijection);
+    where it fails, the set-based check_graded_bijection reruns on fresh
+    lists of both sides and names the counterexample."""
+    started = time.monotonic()
+    size = _stream_bijection(step, walks, table, shifts, codomain_size, lay)
+    if size is not None:
+        return certify(check, params, started, domain_size=size, codomain_size=size)
+    domain = chain.from_iterable(_enum_packed(box, lay, edge) for box, edge in walks)
+    return check_graded_bijection(step, domain, codomain(), _weight_key(lay), check=check,
+                                  params=params, present=_decoder(lay))
 
 
 def _slice_certificate(box: Box, neighbour: Box, marker: tuple[int, int],
@@ -334,28 +406,24 @@ def _slice_certificate(box: Box, neighbour: Box, marker: tuple[int, int],
     Domain: box, then the boundary of neighbour.  Codomain: lower bare and
     marked, then the boundary of box.  The domain streams, each box walked
     once and the boundary from its first part; the codomain is counted and
-    tested by membership."""
+    tested by masks."""
     lay = _step_layout(box, neighbour, marker)
-    in_lower, in_box = _member(lower, lay), _member(box, lay)
-    on_edge = _edge_test(box[1], lay)
-
-    def domain() -> Iterator[int]:
-        return chain(_enum_packed(box, lay), _enum_packed(neighbour, lay, edge=True))
+    forbidden, expected, limit = _masks(box, lay)
+    # lower, box off its boundary, plus that boundary is box itself; at
+    # bound 0, lower is empty and the boundary is box's empty mu alone
+    bare = forbidden, expected, limit if box[1] else 0
 
     def codomain() -> list[int]:
         lowered = list(_enum_packed(lower, lay))
         return (lowered + [x + _MARKED for x in lowered]
                 + list(_enum_packed(box, lay, edge=True)))
 
-    def in_codomain(y: int) -> bool:
-        if y & _MARKED:
-            return in_lower(y - _MARKED)
-        return in_lower(y) or in_box(y) and on_edge(y)
-
     return _bijection_certificate(
-        _step_rule(box, neighbour, lay), _step_inverse(box, neighbour, lay),
-        domain, codomain, in_codomain,
-        2 * _box_size(lower, lay) + _box_size(box, lay, edge=True), lay, check, params)
+        _step_rule(box, neighbour, lay), [(box, False), (neighbour, True)],
+        _codomain_table(lay, {box[0] - lay.lo: (bare, _masks(lower, lay))}),
+        [_step_shift(box, neighbour, lay)] * (lay.field + 1),
+        2 * _box_size(lower, lay) + _box_size(box, lay, edge=True), codomain,
+        lay, check, params)
 
 
 def phi_certificate(n: int, m: int, k: int) -> Certificate:
@@ -427,7 +495,7 @@ def psi_telescoping_counts(n: int):
 def _pair_count(counts) -> int:
     """The number of pairs some weighted counts stand for: their value at
     z = q = 1, since every pair weighs one monomial with coefficient +1."""
-    return sum(c for poly in counts for _z, _q, c in poly.terms())
+    return sum(poly.at_one() for poly in counts)
 
 
 def product_sum_F(n: int, m: int) -> LaurentPoly:
@@ -488,13 +556,14 @@ def verify_macmahon(n: int, m: int) -> Certificate:
 # cancelation: the direct bijection obtained by iterating phi -------------
 
 def _cancelation_rule(n: int, m: int):
-    """(layout, telescoping_phi on its packed form, that map's inverse)
-    for the cancelation at (n, m), from one table per side: the step rule
-    at that index, its box's boundary test and its shift.  An orbit is its
-    pair alone or, from a boundary pair, one marked step onto the next
-    side, so the inverse, unchecked, takes a marked image's shift back.
-    The tables run one side past the side field ("H" steps at the next
-    side), so no image, however faulty, indexes past their end."""
+    """(layout, telescoping_phi on its packed form, the shifts of its
+    inverse) for the cancelation at (n, m), from one table per side: the
+    step rule at that index, its box's boundary test and its shift.  An
+    orbit is its pair alone or, from a boundary pair, one marked step onto
+    the next side, so the inverse, unchecked, takes a marked image's shift
+    back: shifts[y's side field].  The tables run one side past the side
+    field ("H" steps at the next side), so no image, however faulty,
+    indexes past their end."""
     lay = _Layout(-m, n + 1, n + m + 1, _phi_index(n, m, 0)[2])
     field = lay.field
     # indexed by the side field, side + m
@@ -507,10 +576,7 @@ def _cancelation_rule(n: int, m: int):
         tag, x = tagged
         y = steps[(x >> _SIDE & field) + (tag == "H")](x)
         return ("H" if not y & _MARKED and edges[y >> _SIDE & field](y) else "B"), y
-
-    def inverse(y: int) -> int:
-        return y - shifts[y >> _SIDE & field] if y & _MARKED else y
-    return lay, step, inverse
+    return lay, step, shifts
 
 
 def telescoping_phi(n: int, m: int, tagged: tuple[str, MacPair]):
@@ -536,14 +602,14 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     in the union of the P(n,m,k) through the tagged union until it first
     lands in a target, as it reaches the pair; the budget is the size of
     the union plus its boundary pairs plus one, both counted.  The check
-    streams, as the step certificates' does: the union of the P(n,m,k)
-    against the direct map's inverse and the union of the P(n,m-1,k), bare
-    and marked, counted and tested by membership.  An orbit that leaves
-    every box or runs out of budget fails at its start, sought on a raise.
+    streams in the step certificates' kernel (_stream_bijection): the
+    union of the P(n,m,k) against the direct map's inverse and the union
+    of the P(n,m-1,k), bare and marked, counted and tested by masks.  An
+    orbit that leaves every box or runs out of budget fails at its start,
+    sought on a raise.
     """
     started = time.monotonic()
-    lay, step, inverse = _cancelation_rule(n, m)
-    field = lay.field
+    lay, step, shifts = _cancelation_rule(n, m)
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)]
     lowers = [_box_P(n, m - 1, k) for k in range(-m, n + 1)]
     domain_size = sum(_box_size(box, lay) for box in boxes)
@@ -553,14 +619,8 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     def direct(a: int) -> int:
         return cancelation_psi(step, ("A", a), lambda t: t[0] == "B", budget)[1]
 
-    in_lower = [_member(_box_P(n, m - 1, s + lay.lo), lay)
-                for s in range(field + 1)]  # indexed by the side field
-
-    def in_codomain(y: int) -> bool:
-        return in_lower[y >> _SIDE & field](y & ~_MARKED)
-
-    def domain() -> Iterator[int]:
-        return chain.from_iterable(_enum_packed(box, lay) for box in boxes)
+    lower_masks = (_masks(_box_P(n, m - 1, s + lay.lo), lay) for s in range(lay.field + 1))
+    table = _codomain_table(lay, {s: (masks, masks) for s, masks in enumerate(lower_masks)})
 
     def codomain() -> list[int]:
         lowered = [x for box in lowers for x in _enum_packed(box, lay)]
@@ -568,11 +628,11 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
 
     try:
         return _bijection_certificate(
-            direct, inverse, domain, codomain, in_codomain,
-            codomain_size, lay, "macmahon-cancelation", {"n": n, "m": m})
+            direct, [(box, False) for box in boxes], table, shifts, codomain_size,
+            codomain, lay, "macmahon-cancelation", {"n": n, "m": m})
     except (ValueError, IterationBudgetExceeded):
-        for a in domain():  # the first orbit that raises
-            try:
+        for a in chain.from_iterable(_enum_packed(box, lay) for box in boxes):
+            try:  # the first orbit that raises
                 direct(a)
             except (ValueError, IterationBudgetExceeded) as fault:
                 reason = ("orbit-leaves-every-box" if isinstance(fault, ValueError)

@@ -8,14 +8,14 @@ enumerator is a recursion that yields in lexicographic order of the part
 tuple, so its list needs no sort and downstream certificates are
 byte-stable; the weight-capped ones prune a branch once it passes the cap.
 The Partition-level enumerators are the packed one's test references;
-the packed one also streams and counts (EvenField.iter, EvenField.count).
+the packed one also streams and counts (EvenField.chunks, iter and count).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,16 +143,18 @@ class EvenField:
     down, x >> at: equal mus decode to one shared Partition.  A negative
     int packs no partition; both give None for it.
 
-    `iter` and `count` share one recursion over the first part, memoised
-    on (largest part, parts left, weight left); `iter` keeps only tail
-    lists of at most CHUNK elements and walks the parts above them, so it
-    holds no whole box.
+    `chunks` (and `iter`, built on it) and `count` share one recursion over
+    the first part, memoised on (largest part, parts left, weight left);
+    the counts, which depend on nothing else, are kept once per field and
+    serve every box.  `chunks` keeps only tail lists of at most CHUNK
+    elements and walks the parts above them, so it holds no whole box.
     """
 
-    __slots__ = ("at", "width", "decode")
+    __slots__ = ("at", "width", "decode", "_counts")
 
     def __init__(self, at: int, width: int):
         self.at, self.width = at, width
+        self._counts: dict[tuple[int, int, int], int] = {}
         field = (1 << width) - 1
 
         @lru_cache(maxsize=None)
@@ -179,6 +181,17 @@ class EvenField:
             mults, part = mults >> width, part + 2
         return q
 
+    def halves(self, bound: int) -> tuple[int, int, Callable[[int], int],
+                                          Callable[[int], int]]:
+        """(mask, shift, low, high): the weight of a packed mu m >= 0 is
+        low(m & mask) + high(m >> shift), each half's weight cached.  The
+        split falls between two fields, about halfway through the parts up
+        to `bound`, so that both caches stay small where most mus are met
+        once; it is exact for any m."""
+        shift = max(bound // 4, 1) * self.width
+        return ((1 << shift) - 1, shift, lru_cache(maxsize=None)(self.weight),
+                lru_cache(maxsize=None)(lambda high: self.weight(high << shift)))
+
     def unit(self, p: int) -> int:
         """One part p, an even part >= 2: the unit of its multiplicity field."""
         return 1 << self.at + (p // 2 - 1) * self.width
@@ -195,18 +208,21 @@ class EvenField:
         only those whose largest part is `bound` (the empty partition's
         reads as 0), generated from that first part.  No Partition is
         built."""
-        root = self._root(bound, slots, cap, row, edge)
-        if root is None:
-            return
-        counts, lists = {}, {}
-        for head, tails in self._chunks(counts, lists, row, *root):
+        for head, tails in self.chunks(bound, slots, cap, row, edge):
             for t in tails:
                 yield head + t
+
+    def chunks(self, bound: int, slots: int, cap: int, row: int = 0,
+               edge: bool = False) -> Iterator[tuple[int, list[int]]]:
+        """`iter`'s partitions as (head, tails) pairs, in order: the sums
+        head + t for t in tails, a list of at most CHUNK ints."""
+        root = self._root(bound, slots, cap, row, edge)
+        return iter(()) if root is None else self._chunks({}, row, *root)
 
     def count(self, bound: int, slots: int, cap: int, edge: bool = False) -> int:
         """The number of partitions `iter` yields, counted without them."""
         root = self._root(bound, slots, cap, 0, edge)
-        return 0 if root is None else self._count({}, *root[1:])
+        return 0 if root is None else self._count(*root[1:])
 
     def _root(self, bound, slots, cap, row, edge):
         """(head, limit, room, budget) of the walk; None where it is empty."""
@@ -222,13 +238,13 @@ class EvenField:
         room = min(room, budget // 2)
         return limit, room, min(budget, limit * room)
 
-    def _count(self, memo: dict, limit: int, room: int, budget: int) -> int:
+    def _count(self, limit: int, room: int, budget: int) -> int:
         key = self._key(limit, room, budget)
-        out = memo.get(key)
+        out = self._counts.get(key)
         if out is None:
             limit, room, budget = key
-            out = memo[key] = 1 + sum(
-                self._count(memo, part, room - 1, budget - part)
+            out = self._counts[key] = 1 + sum(
+                self._count(part, room - 1, budget - part)
                 for part in range(2, min(limit, budget) + 1, 2))
         return out
 
@@ -245,15 +261,15 @@ class EvenField:
                                                       budget - part)]
         return out
 
-    def _chunks(self, counts: dict, lists: dict, row: int, head: int, limit: int,
-                room: int, budget: int) -> Iterator[tuple[int, list[int]]]:
+    def _chunks(self, lists: dict, row: int, head: int, limit: int, room: int,
+                budget: int) -> Iterator[tuple[int, list[int]]]:
         """(head, tails) pairs whose sums head + t are the walk's elements in
         order: a subtree of at most CHUNK elements is one memoised list."""
-        if self._count(counts, limit, room, budget) <= CHUNK:
+        if self._count(limit, room, budget) <= CHUNK:
             yield head, self._tails(lists, row, limit, room, budget)
             return
         limit, room, budget = self._key(limit, room, budget)
         yield head, [0]
         for part in range(2, min(limit, budget) + 1, 2):
-            yield from self._chunks(counts, lists, row, head + row + self.unit(part),
+            yield from self._chunks(lists, row, head + row + self.unit(part),
                                     part, room - 1, budget - part)

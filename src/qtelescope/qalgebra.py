@@ -65,6 +65,10 @@ class LaurentPoly:
     def coeff(self, z: int = 0, q: int = 0) -> int:
         return self._terms.get((z, q), 0)
 
+    def at_one(self) -> int:
+        """The value at z = q = 1: the sum of the coefficients."""
+        return sum(self._terms.values())
+
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -11,12 +11,13 @@ family's keys into one LaurentPoly.  macmahon.verify_macmahon runs
 telescoping_sum_check per index on counts from macmahon._box_counts: one
 weight-only enumeration per box, the lower family its non-boundary leaves.
 
-A bijection certificate streams: stream_graded_bijection makes one pass
-over the domain against the map's inverse, the codomain's membership test
-and its size, keeping only counters.  The set-based check_graded_bijection,
-which holds both sides, stays as the oracle: where the streaming check
-fails, the certificate reruns it to name the counterexample, so either
-path gives the same certificate.
+A bijection certificate streams, in a flat kernel per family
+(macmahon._stream_bijection, andrews12._stream_phi and
+_stream_involution): one pass over the domain against the map's inverse,
+the codomain's masks and its size, keeping only counters.  The
+set-based check_graded_bijection, which holds both sides, stays as the
+oracle: where a kernel fails, the certificate reruns it to name the
+counterexample, so either path gives the same certificate.
 """
 
 from __future__ import annotations
@@ -213,45 +214,6 @@ def _bijection_failure(map_fn, domain, codomain_set, weight_fn, present):
         missed = (present(y) for y in codomain_set if y not in seen)
         return None, min(missed, key=repr), REASON_NOT_SURJECTIVE
     return None
-
-
-def stream_graded_bijection(map_fn: Callable[[Any], Any],
-                            inverse: Callable[[Any], Any],
-                            domain: Iterable,
-                            in_codomain: Callable[[Any], bool],
-                            codomain_size: int,
-                            weight_fn: Callable[[Any], WeightKey],
-                            cap: Optional[int] = None,
-                            check: str = "graded-bijection",
-                            params: Optional[Mapping] = None) -> Optional[Certificate]:
-    """check_graded_bijection's verified certificate from one pass over the
-    domain that keeps only counters; None where any check fails, and the
-    caller then reruns check_graded_bijection, the oracle, to name the
-    counterexample.
-
-    For each x, y = map_fn(x) must pass in_codomain, inverse(y) must be x
-    and the weights must agree; at the end the domain must be nonempty and
-    of size codomain_size.  That is sound for any inverse: inverse after
-    map_fn being the identity makes map_fn injective, and an injective map
-    into a finite set of its own size is a bijection.  A wrong inverse can
-    only fail a good map, and the oracle overrules that.  in_codomain must
-    hold exactly on the codomain; under a weight cap it may ignore the
-    cap, which the kept weight enforces.  The map runs on the elements in
-    the oracle's order, so an exception it raises is the oracle's.
-    """
-    started = time.monotonic()
-    size = 0
-    for x in domain:
-        y = map_fn(x)
-        if not in_codomain(y) or inverse(y) != x:
-            return None
-        if y != x and weight_fn(y) != weight_fn(x):  # a fixed point keeps its weight
-            return None
-        size += 1
-    if not size or size != codomain_size:
-        return None
-    return certify(check, params or {}, started, cap=cap, domain_size=size,
-                   codomain_size=codomain_size)
 
 
 def telescoping_sum_check(f_counts: Mapping[int, LaurentPoly],

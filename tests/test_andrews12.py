@@ -340,19 +340,27 @@ def test_involution_rejects_bad_indices():
 ])
 def test_involution_certificate_tests_membership_once_per_element(monkeypatch, certificate,
                                                                   n, k, cap):
+    # The kernels test membership inline, x & forbidden == expected on the
+    # _P_mask pairs, and P(n,k)'s forbidden mask tests the maps' domain
+    # alone: phi's input check, the involution's image check.  Counting its
+    # uses counts the domain tests: an int subclass's __rand__ runs for
+    # x & mask ahead of int's own __and__.
     calls = 0
-    true_test = andrews12._domain_test
+    true_mask = andrews12._P_mask
 
-    def counted_test(nn, kk, lay):
-        member = true_test(nn, kk, lay)
-
-        def counted(x):
+    class Counted(int):
+        def __rand__(self, other):
             nonlocal calls
             calls += 1
-            return member(x)
-        return counted
+            return other & int(self)
 
-    monkeypatch.setattr(andrews12, "_domain_test", counted_test)
+    def counted_mask(nn, kk, lay):
+        masks = true_mask(nn, kk, lay)
+        if masks is None or (nn, kk) != (n, k):
+            return masks
+        return Counted(masks[0]), masks[1]
+
+    monkeypatch.setattr(andrews12, "_P_mask", counted_mask)
     cert = certificate(n, k, cap)
     assert cert.verified
     assert calls == cert.domain_size

@@ -348,22 +348,23 @@ def test_psi_bijection_certificates_small_grid():
 def test_step_certificates_enumerate_each_box_once(monkeypatch):
     # A verified step certificate walks its box once and the neighbour's
     # boundary once, from its first part; the codomain is only counted.
+    # The walks are EvenField.chunks calls, whose (bound, slots) are the box's.
     import qtelescope.macmahon as mac
 
     walked = []
-    true_enum = mac._enum_packed
+    true_chunks = EvenField.chunks
 
-    def counted(box, lay, edge=False):
-        walked.append((box, edge))
-        return true_enum(box, lay, edge)
+    def counted(self, bound, slots, cap, row=0, edge=False):
+        walked.append((bound, slots, edge))
+        return true_chunks(self, bound, slots, cap, row, edge)
 
-    monkeypatch.setattr(mac, "_enum_packed", counted)
+    monkeypatch.setattr(EvenField, "chunks", counted)
     for certificate, (box, neighbour, _marker) in (
             (lambda: phi_certificate(3, 2, 1), mac._phi_index(3, 2, 1)),
             (lambda: psi_certificate(4, 2), mac._psi_index(4, 2))):
         walked.clear()
         assert certificate().verified
-        assert walked == [(box, False), (neighbour, True)]
+        assert walked == [(*box[1:], False), (*neighbour[1:], True)]
 
 
 def test_box_enumeration_keeps_no_memory_once_its_list_is_dropped():

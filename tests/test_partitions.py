@@ -275,6 +275,9 @@ def test_decode_and_weight_are_the_partition(at, width):
         assert x & (1 << at) - 1 == 0
         assert field.decode(x >> at) == mu
         assert field.weight(x >> at) == mu.weight
+        for bound in (0, 4, 12, 30):  # the halves split anywhere, and are exact
+            mask, shift, low, high = field.halves(bound)
+            assert low(x >> at & mask) + high(x >> at >> shift) == mu.weight
     # equal mus decode to one shared Partition
     assert field.decode(1) is field.decode(1)
 
@@ -293,6 +296,28 @@ def test_streaming_enumerator_and_count_are_the_list(at, width):
                 assert list(field.iter(bound, slots, cap, row, edge=True)) == edge, \
                     (bound, slots, cap)
                 assert field.count(bound, slots, cap, edge=True) == len(edge)
+
+
+def test_count_memo_serves_every_box_of_a_field(monkeypatch):
+    # The counts depend on (largest part, parts left, weight left) alone, so
+    # one memo per field serves every box: counting again is one lookup.
+    field = EvenField(3, 4)
+    boxes = [(bound, slots, edge) for bound in range(0, 21, 2) for slots in range(9)
+             for edge in (False, True)]
+    counts = [field.count(bound, slots, bound * slots, edge) for bound, slots, edge in boxes]
+    calls = 0
+    true_count = EvenField._count
+
+    def counted(self, *key):
+        nonlocal calls
+        calls += 1
+        return true_count(self, *key)
+
+    monkeypatch.setattr(EvenField, "_count", counted)
+    assert [field.count(bound, slots, bound * slots, edge)
+            for bound, slots, edge in boxes] == counts
+    assert calls == sum(1 for bound, slots, edge in boxes
+                        if not (edge and bound and not slots))  # that edge is empty
 
 
 def test_decode_and_weight_are_total_on_ints():

@@ -1,13 +1,16 @@
 """The streaming certificates against their set-based oracles.
 
-Every bijection-side certificate makes one pass over its slice and keeps
-only counters; where that pass fails, it reruns the set-based checker
-(telescope.check_graded_bijection, or andrews12._involution_failure for
-the involution), which names the counterexample.  These tests hold the
-two paths together: a verified certificate never reaches the oracle, each
-certificate is the one the oracle alone would give, each inverse is
-two-sided, exceptions are the oracle's, a rule fault fails instead of
-hanging or raising, and a large slice stays small in memory.
+Every bijection-side certificate makes one pass over its slice in a flat
+kernel (macmahon._stream_bijection, andrews12._stream_phi and
+_stream_involution) and keeps only counters; where that pass fails, it
+reruns the set-based checker (telescope.check_graded_bijection, or
+andrews12._involution_failure for the involution), which names the
+counterexample.  These tests hold the two paths together: a verified
+certificate never reaches the oracle, each certificate is the one the
+oracle alone would give, a fault that only the weight or sign shows
+fails each kernel, each inverse is two-sided, exceptions are the
+oracle's, a rule fault fails instead of hanging or raising, and a large
+slice stays small in memory.
 """
 
 import json
@@ -35,6 +38,7 @@ def without_timing(cert):
 
 
 def refuse_oracle(monkeypatch):
+    """Make the oracles raise: a certificate that reaches one fails."""
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran")
 
@@ -43,11 +47,16 @@ def refuse_oracle(monkeypatch):
     monkeypatch.setattr(andrews12, "_involution_failure", refuse)
 
 
+# every streaming kernel, by module; each returns None where a check fails
+KERNELS = {macmahon: ("_stream_bijection",),
+           andrews12: ("_stream_phi", "_stream_involution")}
+
+
 def force_oracle(monkeypatch):
-    """Switch the streaming checks off: every certificate is the oracle's."""
-    for module in (macmahon, andrews12):
-        monkeypatch.setattr(module, "stream_graded_bijection", lambda *a, **k: None)
-    monkeypatch.setattr(andrews12, "_stream_involution", lambda *a, **k: None)
+    """Switch the streaming kernels off: every certificate is the oracle's."""
+    for module, names in KERNELS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, lambda *a, **k: None)
 
 
 def both_paths(monkeypatch, certificate):
@@ -134,6 +143,116 @@ def test_each_step_fault_gives_the_oracles_certificate(monkeypatch, step, case, 
     streamed, oracle = both_paths(monkeypatch, lambda: certificate(*index))
     assert streamed == oracle
     assert streamed["counterexample"]["reason"] == reason
+
+
+# weight-only faults: each kernel's inlined weight and sign arithmetic ---------
+
+def kernel_results(monkeypatch, module, name):
+    """Spy on a kernel: the list of what it returned, one entry a call."""
+    results, kernel = [], getattr(module, name)
+
+    def spy(*args):
+        results.append(kernel(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
+
+
+def rewired(true_rule, images):
+    """A rule factory like true_rule whose rule sends x to images[x] where
+    images has it."""
+    def factory(*args):
+        step = true_rule(*args)
+        return lambda x: images[x] if x in images else step(x)
+    return factory
+
+
+def pick(elements, related):
+    """The first pair (a, b) of elements, in their order, with related(a, b)."""
+    return next((a, b) for a in elements for b in elements if related(a, b))
+
+
+def q_only(w, v):
+    return w[0] == v[0] and w[2] != v[2]
+
+
+def sign_only(w, v):
+    return w[0] != v[0] and w[2] == v[2]
+
+
+@pytest.mark.parametrize("differs", [q_only, sign_only], ids=["q", "sign"])
+def test_an_andrews_phi_weight_fault_fails_the_kernel(monkeypatch, differs):
+    # Two elements that differ in q alone, or in sign alone, swap images,
+    # and the inverse swaps to match: every image stays in the codomain
+    # and goes back to its element, so only the weight check can see it.
+    n, k, cap = 5, 2, 30
+    lay = andrews12._layout(n, cap)
+    step, weight = andrews12._phi_rule(n, k, lay), andrews12._weight_key(lay)
+    domain = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
+    moved = [x for x in domain if step(x) != x]
+    a, b = pick(moved, lambda a, b: differs(weight(a), weight(b)))
+    monkeypatch.setattr(andrews12, "_phi_rule", rewired(
+        andrews12._phi_rule, {a: step(b), b: step(a)}))
+    monkeypatch.setattr(andrews12, "_phi_inverse", rewired(
+        andrews12._phi_inverse, {step(b): a, step(a): b}))
+    results = kernel_results(monkeypatch, andrews12, "_stream_phi")
+    streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
+    assert results == [None]
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == "weight-mismatch"
+
+
+@pytest.mark.parametrize("differs, reason", [(q_only, "weight-mismatch"),
+                                             (sign_only, "sign-not-reversed")],
+                         ids=["q", "sign"])
+def test_an_involution_weight_fault_fails_the_kernel(monkeypatch, differs, reason):
+    # Two pairs {a, a'} and {c, c'} rewire to {a, c'} and {c, a'}, where a
+    # and c differ in q alone (the new pairs keep opposite signs) or in
+    # sign alone (the new pairs keep their weight): the rule stays an
+    # involution on the slice with the same fixed set.
+    n, k, cap = 4, 4, 30
+    lay = andrews12._layout(n, cap)
+    step, weight = andrews12._involution_rule(n, k, lay), andrews12._weight_key(lay)
+    slice_ = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
+    moved = [x for x in slice_ if step(x) != x]
+    a, c = pick(moved, lambda a, c: differs(weight(a), weight(c)) and c != step(a))
+    monkeypatch.setattr(andrews12, "_involution_rule", rewired(
+        andrews12._involution_rule,
+        {a: step(c), step(c): a, c: step(a), step(a): c}))
+    results = kernel_results(monkeypatch, andrews12, "_stream_involution")
+    streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
+    assert results == [None]
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == reason
+
+
+@pytest.mark.parametrize("part", ["q", "z"])
+@pytest.mark.parametrize("certificate, index, index_of", [
+    (macmahon.phi_certificate, (3, 2, 1), "_phi_index"),
+    (macmahon.psi_certificate, (4, 2), "_psi_index"),
+    (macmahon.cancelation_certificate, (2, 2), "_phi_index"),
+], ids=["phi", "psi", "cancelation"])
+def test_a_macmahon_marker_fault_fails_the_kernel(monkeypatch, certificate, index,
+                                                  index_of, part):
+    # The kernel's inverse is inline, a marked image less its shift, so no
+    # two images can swap and still go back.  A marker off by q^2 (or by
+    # z) is the weight-only fault: the rule, the masks and the shift, so
+    # membership and invertibility, are the true ones, and only the marked
+    # images' weights are wrong.
+    true_index = getattr(macmahon, index_of)
+
+    def off(*args):
+        box, neighbour, (marker_q, marker_z) = true_index(*args)
+        return box, neighbour, ((marker_q + 2, marker_z) if part == "q"
+                                else (marker_q, marker_z + 1))
+
+    monkeypatch.setattr(macmahon, index_of, off)
+    results = kernel_results(monkeypatch, macmahon, "_stream_bijection")
+    streamed, oracle = both_paths(monkeypatch, lambda: certificate(*index))
+    assert results == [None]
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == "weight-mismatch"
 
 
 # the exceptions are the oracle's ----------------------------------------------
@@ -250,6 +369,13 @@ def _step_sides(box, neighbour, lower, lay):
     return domain, codomain
 
 
+def packed_inverse(shifts, lay):
+    """The inverse macmahon._stream_bijection inlines: a marked pair takes
+    the shift of its side field back, any other pair is its own preimage."""
+    field = lay.field
+    return lambda y: y - shifts[y >> macmahon._SIDE & field] if y & macmahon._MARKED else y
+
+
 def test_macmahon_step_inverse_is_two_sided():
     indices = ([(macmahon._phi_index(n, m, k), macmahon._box_P(n, m - 1, k))
                 for n in range(5) for m in range(1, 5) for k in range(-m, n + 2)]
@@ -258,7 +384,8 @@ def test_macmahon_step_inverse_is_two_sided():
     for (box, neighbour, marker), lower in indices:
         lay = macmahon._step_layout(box, neighbour, marker)
         step = macmahon._step_rule(box, neighbour, lay)
-        inverse = macmahon._step_inverse(box, neighbour, lay)
+        inverse = packed_inverse([macmahon._step_shift(box, neighbour, lay)]
+                                 * (lay.field + 1), lay)
         domain, codomain = _step_sides(box, neighbour, lower, lay)
         for x in domain:
             assert inverse(step(x)) == x, (box, neighbour, x)
@@ -273,7 +400,8 @@ def landed(tagged):
 def test_cancelation_inverse_is_two_sided():
     for n in range(4):
         for m in range(1, 4):
-            lay, step, inverse = macmahon._cancelation_rule(n, m)
+            lay, step, shifts = macmahon._cancelation_rule(n, m)
+            inverse = packed_inverse(shifts, lay)
 
             def union(mm):  # every pair of the P(n,mm,k), k in -m .. n
                 return [x for k in range(-m, n + 1)
