@@ -693,16 +693,17 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     where any check fails.
 
     The slice is walked in _slice_groups, each group one lam and one total
-    weight.  For each x: y = _involution_rule's image passes the domain's
-    masks, the rule takes y back to x, and x is fixed exactly when it is
-    in the embedded P(n-1,k-1).  Weight and sign are checked at the
-    smaller end of each pair only, and as many elements rise (x < y) as
-    fall: the rising ones' partners have x's weight, so they are in the
-    slice and fall, and the equal counts leave no falling element whose
-    partner was not checked.  y's weight is read off its fields as in
-    _stream_phi, its sign off the parity of lam's bit count.  The fixed
-    count must equal the count of the embedded P(n-1,k-1), taken from its
-    factors.  Only the rule is called.
+    weight.  For each x, y = _involution_rule's image, and x is fixed
+    (y == x) exactly when it is in the embedded P(n-1,k-1).  Only a rising
+    x (x < y) is checked further: y passes the domain's masks, the rule
+    takes y back to x, and y has x's weight and the other sign.  That
+    suffices.  Let R be the rising elements and F the falling ones.  The
+    rule is injective on R and maps it into F: each image is in the slice
+    (masks and weight) and falls to its element.  With |R| = |F|, counted,
+    it maps R onto F, so each falling x is the image of an r whose pair
+    was checked.  y's weight is read off its fields as in _stream_phi, its
+    sign off the parity of lam's bit count.  The fixed count must equal
+    the count of the embedded P(n-1,k-1), taken from its factors.
     """
     step = _involution_rule(n, k, lay)
     forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
@@ -716,8 +717,6 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
         for mu in mus:
             x = head + mu
             y = step(x)
-            if y & forbidden != expected and y & forbidden_m != expected_m or step(y) != x:
-                return None
             if y == x:
                 if x & forbidden_e != expected_e:
                     return None
@@ -725,6 +724,9 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
             elif x & forbidden_e == expected_e:
                 return None
             elif x < y:
+                if (y & forbidden != expected and y & forbidden_m != expected_m
+                        or step(y) != x):
+                    return None
                 lam, rows, y_mu = y & lam_field, y >> rows_at & field, y >> mu_at
                 if ((y & field) + rows * (rows - 1) // 2 + lam_weight(lam)
                         + low(y_mu & mask) + high(y_mu >> split) != weight

@@ -26,12 +26,18 @@ certificates and cancelation) runs on a packed form, one int per pair (see
 _Layout; mu is a partitions.EvenField): mu's packed enumerator walks each
 box one int at a time and generates a boundary slice from its first part,
 or counts either without walking it; membership is one AND-and-compare
-plus a length bound, and each step map is one rule (_step_rule) whose
-moving case is a constant shift.  The step and cancelation certificates
-stream in one flat kernel (_stream_bijection): one pass over the domain's
-EvenField chunks against the map's inverse, which takes a marked pair's
-shift back, with the codomain counted and tested by masks, and the
-weights read off the fields; only the map is called.  Where that fails,
+plus a length bound, and each step map is one closure (_step_rule) that
+reads both boxes' masks and the boundary's inline and whose moving case
+is a constant shift.  The cancelation's direct map is a walk on ints: a
+pair steps at its own index and, while its image is bare and on its
+box's boundary, at the next, each rule read off a table by the side
+field; where the walk runs out of budget, the tagged telescoping_phi
+walk (cancelation_psi) reruns and raises with its own text.  The step
+and cancelation certificates stream in one flat kernel
+(_stream_bijection): one pass over the domain's EvenField chunks
+against the map's inverse, which takes a marked pair's shift back, with
+the codomain counted and tested by masks, and the weights read off the
+fields; only the map is called.  Where that fails,
 check_graded_bijection reruns on lists of both sides as the oracle.  The
 certificates decode a pair only for a counterexample.  The public enum_P,
 enum_Q, phi_step and psi_step take and return MacPairs: they check the
@@ -185,21 +191,15 @@ def _masks(box: Box, lay: _Layout) -> tuple[int, int, int]:
             side - lay.lo << _SIDE, slots << lay.length)
 
 
-def _member(box: Box, lay: _Layout) -> Callable[[int], bool]:
-    """Membership in the box on the packed form, from its _masks."""
-    forbidden, expected, limit = _masks(box, lay)
-    length = lay.field << lay.length
-    return lambda x: x & forbidden == expected and x & length <= limit
-
-
-def _edge_test(bound: int, lay: _Layout) -> Callable[[int], bool]:
-    """The boundary test of a box with this bound, on the packed form: mu
-    has a part `bound`, or, when bound is 0, mu is empty."""
+def _edge(bound: int, lay: _Layout) -> tuple[int, int, int]:
+    """(mask, least, most): a packed x is on the boundary of a box with
+    this bound iff least <= x & mask <= most.  That is, mu has a part
+    `bound` (its multiplicity is not 0), or, when bound is 0, mu is empty
+    (its length is 0)."""
     if bound > 0:
         mask = lay.field * lay.mu.unit(bound)
-        return lambda x: x & mask != 0
-    mask = lay.field << lay.length
-    return lambda x: x & mask == 0
+        return mask, 1, mask
+    return lay.field << lay.length, 0, 0
 
 
 def _enum_packed(box: Box, lay: _Layout, edge: bool = False) -> Iterator[int]:
@@ -223,14 +223,18 @@ def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
     """The step map at one index, on the packed form: a pair of box is its
     own image, and a boundary pair of the neighbouring box takes one
     constant shift: its first row goes (an empty mu has none), it takes the
-    side of box and the flag is set.  ValueError for anything else."""
-    in_box, in_neighbour = _member(box, lay), _member(neighbour, lay)
-    on_edge, shift = _edge_test(neighbour[1], lay), _step_shift(box, neighbour, lay)
+    side of box and the flag is set.  ValueError for anything else.  Both
+    boxes' _masks and the neighbour's _edge are read inline."""
+    forbidden, expected, limit = _masks(box, lay)
+    n_forbidden, n_expected, n_limit = _masks(neighbour, lay)
+    edge, least, most = _edge(neighbour[1], lay)
+    length, shift = lay.field << lay.length, _step_shift(box, neighbour, lay)
 
     def step(x: int) -> int:
-        if in_box(x):
+        if x & forbidden == expected and x & length <= limit:
             return x
-        if in_neighbour(x) and on_edge(x):
+        if (x & n_forbidden == n_expected and x & length <= n_limit
+                and least <= x & edge <= most):
             return x + shift
         raise ValueError(_not_in_domain(_decoder(lay)(x), box, neighbour))
     return step
@@ -286,7 +290,8 @@ def _apply(box: Box, neighbour: Box, marker: tuple[int, int],
     if packed is None:
         raise ValueError(_not_in_domain(x, box, neighbour))
     y = _step_rule(box, neighbour, lay)(packed)
-    case = 3 if y & _MARKED else 1 if _edge_test(box[1], lay)(y) else 2
+    edge, least, most = _edge(box[1], lay)
+    case = 3 if y & _MARKED else 1 if least <= y & edge <= most else 2
     return case, _decoder(lay)(y)
 
 
@@ -555,27 +560,33 @@ def verify_macmahon(n: int, m: int) -> Certificate:
 
 # cancelation: the direct bijection obtained by iterating phi -------------
 
+def _cancelation_tables(n: int, m: int):
+    """(layout, step rules, boundaries, shifts) of the cancelation at
+    (n, m), one entry per side field (side + m): the step rule at that
+    index, its box's _edge and its step's shift.  An orbit is its pair
+    alone or, from a boundary pair, one marked step onto the next side, so
+    the inverse, unchecked, takes a marked image's shift back: shifts[y's
+    side field].  The tables run one side past the side field ("H" steps
+    at the next side), so no image, however faulty, indexes past their
+    end."""
+    lay = _Layout(-m, n + 1, n + m + 1, _phi_index(n, m, 0)[2])
+    indices = [_phi_index(n, m, s + lay.lo)[:2] for s in range(lay.field + 2)]
+    return (lay, [_step_rule(box, neighbour, lay) for box, neighbour in indices],
+            [_edge(box[1], lay) for box, _ in indices],
+            [_step_shift(box, neighbour, lay) for box, neighbour in indices])
+
+
 def _cancelation_rule(n: int, m: int):
     """(layout, telescoping_phi on its packed form, the shifts of its
-    inverse) for the cancelation at (n, m), from one table per side: the
-    step rule at that index, its box's boundary test and its shift.  An
-    orbit is its pair alone or, from a boundary pair, one marked step onto
-    the next side, so the inverse, unchecked, takes a marked image's shift
-    back: shifts[y's side field].  The tables run one side past the side
-    field ("H" steps at the next side), so no image, however faulty,
-    indexes past their end."""
-    lay = _Layout(-m, n + 1, n + m + 1, _phi_index(n, m, 0)[2])
+    inverse) for the cancelation at (n, m), from its _cancelation_tables."""
+    lay, steps, edges, shifts = _cancelation_tables(n, m)
     field = lay.field
-    # indexed by the side field, side + m
-    indices = [_phi_index(n, m, s + lay.lo)[:2] for s in range(field + 2)]
-    steps = [_step_rule(box, neighbour, lay) for box, neighbour in indices]
-    edges = [_edge_test(box[1], lay) for box, _ in indices]
-    shifts = [_step_shift(box, neighbour, lay) for box, neighbour in indices]
 
     def step(tagged: tuple[str, int]) -> tuple[str, int]:
         tag, x = tagged
         y = steps[(x >> _SIDE & field) + (tag == "H")](x)
-        return ("H" if not y & _MARKED and edges[y >> _SIDE & field](y) else "B"), y
+        edge, least, most = edges[y >> _SIDE & field]
+        return ("H" if not y & _MARKED and least <= y & edge <= most else "B"), y
     return lay, step, shifts
 
 
@@ -598,18 +609,25 @@ def telescoping_phi(n: int, m: int, tagged: tuple[str, MacPair]):
 def cancelation_certificate(n: int, m: int) -> Certificate:
     """Verify that the direct map obtained by iterating phi is a bijection.
 
-    Runs telescoping_phi on the packed form.  The checker drives each pair
-    in the union of the P(n,m,k) through the tagged union until it first
-    lands in a target, as it reaches the pair; the budget is the size of
-    the union plus its boundary pairs plus one, both counted.  The check
-    streams in the step certificates' kernel (_stream_bijection): the
-    union of the P(n,m,k) against the direct map's inverse and the union
-    of the P(n,m-1,k), bare and marked, counted and tested by masks.  An
-    orbit that leaves every box or runs out of budget fails at its start,
-    sought on a raise.
+    Runs telescoping_phi on the packed form, as a walk on ints: each pair
+    in the union of the P(n,m,k) steps at its own index, read off the
+    _cancelation_tables by its side field, and while its image is bare
+    and on its box's boundary (tagged "H"), the image steps at the next
+    index; the orbit lands on the first other image.  The walk stops
+    after `budget` steps, the size of the union plus its boundary pairs
+    plus one, both counted, and then reruns the tagged walk,
+    cancelation_psi on _cancelation_rule, which raises
+    IterationBudgetExceeded with its own text.  Both walks call the same
+    rules on the same ints, so a rule's ValueError is the same from
+    either.  The check streams in the step certificates' kernel
+    (_stream_bijection): the union of the P(n,m,k) against the direct
+    map's inverse and the union of the P(n,m-1,k), bare and marked,
+    counted and tested by masks.  An orbit that leaves every box or runs
+    out of budget fails at its start, sought on a raise.
     """
     started = time.monotonic()
-    lay, step, shifts = _cancelation_rule(n, m)
+    lay, steps, edges, shifts = _cancelation_tables(n, m)
+    field = lay.field
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)]
     lowers = [_box_P(n, m - 1, k) for k in range(-m, n + 1)]
     domain_size = sum(_box_size(box, lay) for box in boxes)
@@ -617,9 +635,19 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     budget = domain_size + sum(_box_size(box, lay, edge=True) for box in boxes) + 1
 
     def direct(a: int) -> int:
-        return cancelation_psi(step, ("A", a), lambda t: t[0] == "B", budget)[1]
+        x, up = a, 0  # up: 1 where x is an "H" pair, which steps at the next index
+        for _ in range(budget):
+            y = steps[(x >> _SIDE & field) + up](x)
+            if y & _MARKED:
+                return y
+            edge, least, most = edges[y >> _SIDE & field]
+            if not least <= y & edge <= most:
+                return y
+            x, up = y, 1
+        return cancelation_psi(_cancelation_rule(n, m)[1], ("A", a),
+                               lambda t: t[0] == "B", budget)[1]
 
-    lower_masks = (_masks(_box_P(n, m - 1, s + lay.lo), lay) for s in range(lay.field + 1))
+    lower_masks = (_masks(_box_P(n, m - 1, s + lay.lo), lay) for s in range(field + 1))
     table = _codomain_table(lay, {s: (masks, masks) for s, masks in enumerate(lower_masks)})
 
     def codomain() -> list[int]:

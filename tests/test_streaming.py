@@ -9,8 +9,9 @@ counterexample.  These tests hold the two paths together: a verified
 certificate never reaches the oracle, each certificate is the one the
 oracle alone would give, a fault that only the weight or sign shows
 fails each kernel, each inverse is two-sided, exceptions are the
-oracle's, a rule fault fails instead of hanging or raising, and a large
-slice stays small in memory.
+oracle's, the cancelation's int walk and the fused step rule give what
+the tagged walk and the composed closures give, a rule fault fails
+instead of hanging or raising, and a large slice stays small in memory.
 """
 
 import json
@@ -227,6 +228,26 @@ def test_an_involution_weight_fault_fails_the_kernel(monkeypatch, differs, reaso
     assert streamed["counterexample"]["reason"] == reason
 
 
+def test_an_involution_fault_at_falling_elements_fails_the_kernel(monkeypatch):
+    # The kernel checks the rule's pairs from their rising end only.  Two
+    # falling elements of one weight swap images: every image keeps its
+    # weight and sign and stays in the domain, and only the rising ends
+    # see that the rule no longer takes their images back.
+    n, k, cap = 4, 4, 30
+    lay = andrews12._layout(n, cap)
+    step, weight = andrews12._involution_rule(n, k, lay), andrews12._weight_key(lay)
+    slice_ = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
+    falling = [x for x in slice_ if step(x) < x]
+    a, b = pick(falling, lambda a, b: a != b and weight(a) == weight(b))
+    monkeypatch.setattr(andrews12, "_involution_rule", rewired(
+        andrews12._involution_rule, {a: step(b), b: step(a)}))
+    results = kernel_results(monkeypatch, andrews12, "_stream_involution")
+    streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
+    assert results == [None]
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == "not-involutive"
+
+
 @pytest.mark.parametrize("part", ["q", "z"])
 @pytest.mark.parametrize("certificate, index, index_of", [
     (macmahon.phi_certificate, (3, 2, 1), "_phi_index"),
@@ -415,6 +436,102 @@ def test_cancelation_inverse_is_two_sided():
             lowered = union(m - 1)
             for y in lowered + [x + macmahon._MARKED for x in lowered]:
                 assert direct(inverse(y)) == y, (n, m, y)
+
+
+# the fused walk and rule against the composition they replace ------------------
+
+def streamed_walk(monkeypatch, n, m):
+    """The direct map cancelation_certificate(n, m) streams: its int walk."""
+    walks, kernel = [], macmahon._stream_bijection
+
+    def spy(step, *args):
+        walks.append(step)
+        return kernel(step, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(macmahon, "_stream_bijection", spy)
+        macmahon.cancelation_certificate(n, m)
+    return walks[0]
+
+
+def walk_outcome(walk, a):
+    """The image of a under walk, or the class and text of what it raised."""
+    try:
+        return walk(a)
+    except (ValueError, macmahon.IterationBudgetExceeded) as fault:
+        return type(fault), str(fault)
+
+
+@pytest.mark.parametrize("name", [None, *CANCELATION_FAULTS])
+def test_the_cancelation_walk_is_the_tagged_walk(monkeypatch, name):
+    # Every pair of the union, under the true rule and under each fault:
+    # the int walk gives the tagged cancelation_psi walk's image, or raises
+    # as it does, with the same budget and text.
+    if name is not None:
+        CANCELATION_FAULTS[name][0](monkeypatch)
+    raised = 0
+    for n in range(5):
+        for m in range(1, 5):
+            lay, step, _shifts = macmahon._cancelation_rule(n, m)
+            boxes = [macmahon._box_P(n, m, k) for k in range(-m, n + 1)]
+            union = [a for box in boxes for a in macmahon._enum_packed(box, lay)]
+            budget = 1 + len(union) + sum(
+                1 for box in boxes for _ in macmahon._enum_packed(box, lay, edge=True))
+            walk = streamed_walk(monkeypatch, n, m)
+
+            def tagged(a):
+                return macmahon.cancelation_psi(step, ("A", a), landed, budget)[1]
+
+            for a in union:
+                expected = walk_outcome(tagged, a)
+                assert walk_outcome(walk, a) == expected, (n, m, a)
+                raised += isinstance(expected, tuple)
+    assert (raised > 0) == (name is not None)
+
+
+def composed_step_rule(box, neighbour, lay):
+    """The step rule as membership and boundary closures composed it: each
+    box's _masks, and the boundary test of the neighbour's bound."""
+    def member(b):
+        forbidden, expected, limit = macmahon._masks(b, lay)
+        length = lay.field << lay.length
+        return lambda x: x & forbidden == expected and x & length <= limit
+
+    in_box, in_neighbour = member(box), member(neighbour)
+    if neighbour[1] > 0:  # mu has a part equal to the bound
+        mask = lay.field * lay.mu.unit(neighbour[1])
+        on_edge = lambda x: x & mask != 0
+    else:  # mu is empty
+        mask = lay.field << lay.length
+        on_edge = lambda x: x & mask == 0
+    shift = macmahon._step_shift(box, neighbour, lay)
+
+    def step(x):
+        if in_box(x):
+            return x
+        if in_neighbour(x) and on_edge(x):
+            return x + shift
+        raise ValueError(macmahon._not_in_domain(macmahon._decoder(lay)(x), box, neighbour))
+    return step
+
+
+def test_the_fused_step_rule_is_the_composed_one():
+    # Every int of both boxes, bare and flagged, and with its side field
+    # one below and one above: the same image, or the same ValueError.
+    indices = ([macmahon._phi_index(n, m, k)
+                for n in range(4) for m in range(1, 4) for k in range(-m, n + 2)]
+               + [macmahon._psi_index(n, k) for n in range(1, 6) for k in range(-1, n + 2)])
+    one_side = 1 << macmahon._SIDE
+    for box, neighbour, marker in indices:
+        lay = macmahon._step_layout(box, neighbour, marker)
+        fused = macmahon._step_rule(box, neighbour, lay)
+        composed = composed_step_rule(box, neighbour, lay)
+        pairs = chain(macmahon._enum_packed(box, lay), macmahon._enum_packed(neighbour, lay))
+        for x in pairs:
+            for y in (x, x + macmahon._MARKED):
+                for z in (y - one_side, y, y + one_side):
+                    assert macmahon_tests.outcome(lambda: fused(z)) == \
+                        macmahon_tests.outcome(lambda: composed(z)), (box, neighbour, z)
 
 
 # a rule fault fails its certificate; it does not hang it ------------------------
