@@ -5,8 +5,9 @@ The package is organized bottom-up:
 
     qalgebra    exact sparse Laurent polynomials; a truncated q-series is
                 a capped LaurentPoly
-    partitions  partition objects (zero parts allowed), their enumerators,
-                and EvenField, the packed even partition mu of both families
+    partitions  partition objects (zero parts allowed), the distinct-part
+                enumerator, and EvenField, the packed even partition mu of
+                both families, which enumerates and counts the even ones
     telescope   generic bijection / telescoping / cancelation checkers
                 (the set-based bijection check is the failure-path oracle
                 of the families' streaming kernels), the (sign, z, q)
@@ -27,8 +28,7 @@ a Certificate; nothing is floating point and nothing is sampled.
 
 from .qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                        gaussian_binomial, rhs_andrews, truncate)
-from .partitions import (Partition, enum_distinct_range, enum_even_bounded,
-                         enum_even_capped, staircase)
+from .partitions import Partition, enum_distinct_range, staircase
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         cancelation_psi, check_graded_bijection,
                         telescoping_sum_check)
@@ -37,8 +37,7 @@ from . import andrews12, macmahon
 __all__ = [
     "LaurentPoly", "TruncatedSeries", "factor_product", "gaussian_binomial",
     "rhs_andrews", "truncate",
-    "Partition", "enum_distinct_range", "enum_even_bounded",
-    "enum_even_capped", "staircase",
+    "Partition", "enum_distinct_range", "staircase",
     "Certificate", "IterationBudgetExceeded", "MarkedObject",
     "cancelation_psi", "check_graded_bijection", "telescoping_sum_check",
     "andrews12", "macmahon",

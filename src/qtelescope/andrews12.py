@@ -38,11 +38,12 @@ against _phi_inverse; _stream_involution): it walks the slice's groups of
 one lam and one total weight (_slice_groups), tests membership on the
 _P_mask pairs and reads an image's weight and sign off its fields,
 calling only the rules.  Where a kernel fails, the set-based check
-(check_graded_bijection, _involution_failure) reruns as the oracle and
-names the counterexample; a negative int, which no rule of a sound map
-yields, is shown as {"packed": x}.  The public functions take and return
-Triples: they check the input's shape, encode it, run the packed rule
-and decode the result.  The public maps phi and involution share one
+(check_graded_bijection, _involution_failure) reruns as the oracle,
+weighs the decoded elements with weight_of and names the
+counterexample; a negative int, which no rule of a sound map yields, is
+shown as {"packed": x}.  The public functions take and return Triples:
+they check the input's shape, encode it, run the packed rule and decode
+the result.  The public maps phi and involution share one
 input check (the index rule, then membership in their common domain);
 classify and classify_image answer only where the index rule names phi.
 The involution certificate runs the unchecked rule and tests each
@@ -199,25 +200,6 @@ def _pack(n: int, x: TripleValue) -> tuple[Optional[int], Optional[_Layout]]:
         return None, None
     lay = _layout(n, weight_of(x)[2])
     return _encode(x, lay), lay
-
-
-def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
-    """weight_of on the packed form of `lay`, computed from the fields;
-    the sign and weight of each lam and each mu met are worked out once."""
-    field, width, at = lay.field, lay.width, lay.mu.at
-    mu_weight = lru_cache(maxsize=None)(lay.mu.weight)
-
-    @lru_cache(maxsize=None)
-    def lam_key(bits: int) -> tuple[int, int]:
-        return (-1 if bits.bit_count() & 1 else 1,
-                sum(p for p in range(bits.bit_length()) if bits >> p & 1))
-
-    def weight(x: int) -> WeightKey:
-        rows = x >> width & field
-        sign, lam_weight = lam_key((x & lay.lam_field) >> lay.lam)
-        return sign, 0, ((x & field) + rows * (rows - 1) // 2 + lam_weight
-                         + mu_weight(x >> at))
-    return weight
 
 
 def _P_mask(n: int, k: int, lay: _Layout) -> Optional[tuple[int, int]]:
@@ -595,8 +577,9 @@ def phi_certificate(n: int, k: int, cap: int) -> Certificate:
 
     The check streams (_stream_phi): one pass over the domain slice
     against phi's inverse, the codomain's masks and its count.  Where that
-    fails, the set-based check_graded_bijection reruns on both slices and
-    names the counterexample."""
+    fails, the set-based check_graded_bijection reruns on both slices,
+    weighs the decoded elements with weight_of and names the
+    counterexample."""
     started = time.monotonic()
     _require_map("phi", n, k)
     lay = _layout(n, cap)
@@ -607,8 +590,8 @@ def phi_certificate(n: int, k: int, cap: int) -> Certificate:
                        codomain_size=size)
     return check_graded_bijection(
         _checked_rule("phi", n, k, lay), _packed_slice(*_domain(n, k), cap, lay),
-        _packed_slice(*_codomain(n, k), cap, lay), _weight_key(lay), cap=cap,
-        check="andrews-phi", params=params, present=_decoder(lay))
+        _packed_slice(*_codomain(n, k), cap, lay), cap=cap, check="andrews-phi",
+        params=params, present=_decoder(lay))
 
 
 def _stream_phi(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
@@ -682,7 +665,7 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
     embedded = set(_enum_packed(n - 1, k - 1, cap, lay))
     failure = _involution_failure(slice_, embedded, _involution_rule(n, k, lay),
-                                  _domain_test(n, k, lay), _weight_key(lay), _decoder(lay))
+                                  _domain_test(n, k, lay), _decoder(lay))
     return certify("andrews-involution", {"n": n, "k": k}, started, failure,
                    cap=cap, domain_size=len(slice_), codomain_size=len(embedded))
 
@@ -741,14 +724,15 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     return size, fixed
 
 
-def _involution_failure(slice_, embedded, step, member, weight, decode):
+def _involution_failure(slice_, embedded, step, member, decode):
     # Only the images are tested for membership, each once; the slice is
     # the capped domain by construction.  No check is lost: in a verified
     # certificate the map is involutive on the slice, and every image is in
     # the domain and has its element's weight, so it is within the cap.  So
     # the images are exactly the slice, and testing each image tests each
-    # element once.  A counterexample is decoded, and the least element of
-    # a fixed-set mismatch is the least by the repr of its decoded form.
+    # element once.  Weights are weight_of on the decoded elements.  A
+    # counterexample is decoded, and the least element of a fixed-set
+    # mismatch is the least by the repr of its decoded form.
     fixed = set()
     for x in slice_:
         y = step(x)
@@ -759,8 +743,8 @@ def _involution_failure(slice_, embedded, step, member, weight, decode):
         if y == x:
             fixed.add(x)
             continue
-        sign_x, z_x, q_x = weight(x)
-        sign_y, z_y, q_y = weight(y)
+        sign_x, z_x, q_x = weight_of(decode(x))
+        sign_y, z_y, q_y = weight_of(decode(y))
         if (z_y, q_y) != (z_x, q_x):
             return decode(x), decode(y), "weight-mismatch"
         if sign_y != -sign_x:

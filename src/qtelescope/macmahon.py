@@ -31,19 +31,20 @@ reads both boxes' masks and the boundary's inline and whose moving case
 is a constant shift.  The cancelation's direct map is a walk on ints: a
 pair steps at its own index and, while its image is bare and on its
 box's boundary, at the next, each rule read off a table by the side
-field; where the walk runs out of budget, the tagged telescoping_phi
-walk (cancelation_psi) reruns and raises with its own text.  The step
-and cancelation certificates stream in one flat kernel
-(_stream_bijection): one pass over the domain's EvenField chunks
-against the map's inverse, which takes a marked pair's shift back, with
-the codomain counted and tested by masks, and the weights read off the
-fields; only the map is called.  Where that fails,
-check_graded_bijection reruns on lists of both sides as the oracle.  The
-certificates decode a pair only for a counterexample.  The public enum_P,
-enum_Q, phi_step and psi_step take and return MacPairs: they check the
-input, encode it, run the packed rule and decode the result;
-telescoping_phi steps through phi_step and retags its case.  The sum path needs weights only: one enumeration per box, in C,
-and the lower family is the box off its boundary (_box_counts); no pair
+field; where the walk runs out of budget, it raises
+IterationBudgetExceeded with cancelation_psi's text.  The step and
+cancelation certificates stream in one flat kernel (_stream_bijection):
+one pass over the domain's EvenField chunks against the map's inverse,
+which takes a marked pair's shift back, with the codomain counted and
+tested by masks, and the weights read off the fields; only the map is
+called.  Where that fails, check_graded_bijection reruns on lists of
+both sides as the oracle and weighs the decoded pairs with weight_of.
+The certificates decode a pair only for a counterexample.  The public
+enum_P, enum_Q, phi_step and psi_step take and return MacPairs: they
+check the input, encode it, run the packed rule and decode the result;
+telescoping_phi steps through phi_step and retags its case.  The sum
+path needs weights only: one enumeration per box, in C, and the lower
+family is the box off its boundary (_box_counts); no pair
 is built.  verify_macmahon runs the per-index check
 (telescope.telescoping_sum_check) on those counts, then checks the closed
 form.  Every leaf is counted, so the sum side stays an enumeration,
@@ -62,7 +63,7 @@ from .partitions import EvenField, Partition
 from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
                        gaussian_binomial)
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
-                        WeightKey, cancelation_psi, certify, check_graded_bijection,
+                        WeightKey, certify, check_graded_bijection,
                         telescoping_sum_check)
 
 
@@ -161,18 +162,6 @@ def _decoder(lay: _Layout) -> Callable[[int], MacValue]:
     return decode
 
 
-def _weight_key(lay: _Layout) -> Callable[[int], WeightKey]:
-    """weight_of on the packed form of `lay`, computed from the fields."""
-    field, lo, mu_weight, at = lay.field, lay.lo, lay.mu.weight, lay.mu.at
-    marker_q, marker_z = lay.marker
-
-    def weight(x: int) -> WeightKey:
-        side = (x >> _SIDE & field) + lo
-        q = side * side + mu_weight(x >> at)
-        return (1, side + marker_z, q + marker_q) if x & _MARKED else (1, side, q)
-    return weight
-
-
 _NEVER = (0, 1, 0)  # the masks of no pair: x & 0 is never 1
 
 
@@ -204,7 +193,7 @@ def _edge(bound: int, lay: _Layout) -> tuple[int, int, int]:
 
 def _enum_packed(box: Box, lay: _Layout, edge: bool = False) -> Iterator[int]:
     """All pairs of the box, packed at `lay`, one at a time, in
-    enum_even_bounded's order (mu lexicographic, each partition before its
+    lexicographic order of mu's parts (each partition before its
     extensions); with `edge`, its boundary slice only, generated from its
     first part.  No Partition is built."""
     side, bound, slots = box
@@ -395,14 +384,15 @@ def _bijection_certificate(step: Callable[[int], int], walks: list[tuple[Box, bo
                            lay: _Layout, check: str, params: dict) -> Certificate:
     """The streaming bijection check of a packed map (_stream_bijection);
     where it fails, the set-based check_graded_bijection reruns on fresh
-    lists of both sides and names the counterexample."""
+    lists of both sides, weighs the decoded pairs with weight_of and names
+    the counterexample."""
     started = time.monotonic()
     size = _stream_bijection(step, walks, table, shifts, codomain_size, lay)
     if size is not None:
         return certify(check, params, started, domain_size=size, codomain_size=size)
     domain = chain.from_iterable(_enum_packed(box, lay, edge) for box, edge in walks)
-    return check_graded_bijection(step, domain, codomain(), _weight_key(lay), check=check,
-                                  params=params, present=_decoder(lay))
+    return check_graded_bijection(step, domain, codomain(), check=check, params=params,
+                                  present=_decoder(lay))
 
 
 def _slice_certificate(box: Box, neighbour: Box, marker: tuple[int, int],
@@ -563,31 +553,18 @@ def verify_macmahon(n: int, m: int) -> Certificate:
 def _cancelation_tables(n: int, m: int):
     """(layout, step rules, boundaries, shifts) of the cancelation at
     (n, m), one entry per side field (side + m): the step rule at that
-    index, its box's _edge and its step's shift.  An orbit is its pair
-    alone or, from a boundary pair, one marked step onto the next side, so
-    the inverse, unchecked, takes a marked image's shift back: shifts[y's
-    side field].  The tables run one side past the side field ("H" steps
-    at the next side), so no image, however faulty, indexes past their
-    end."""
+    index, its box's _edge and its step's shift.  The direct map's int
+    walk reads the rule and the boundary by an image's side field, plus
+    one for a bare boundary image, which steps at the next index.  An
+    orbit is its pair alone or, from a boundary pair, one marked step onto
+    the next side, so the inverse, unchecked, takes a marked image's shift
+    back: shifts[y's side field].  The tables run one side past the side
+    field, so no image, however faulty, indexes past their end."""
     lay = _Layout(-m, n + 1, n + m + 1, _phi_index(n, m, 0)[2])
     indices = [_phi_index(n, m, s + lay.lo)[:2] for s in range(lay.field + 2)]
     return (lay, [_step_rule(box, neighbour, lay) for box, neighbour in indices],
             [_edge(box[1], lay) for box, _ in indices],
             [_step_shift(box, neighbour, lay) for box, neighbour in indices])
-
-
-def _cancelation_rule(n: int, m: int):
-    """(layout, telescoping_phi on its packed form, the shifts of its
-    inverse) for the cancelation at (n, m), from its _cancelation_tables."""
-    lay, steps, edges, shifts = _cancelation_tables(n, m)
-    field = lay.field
-
-    def step(tagged: tuple[str, int]) -> tuple[str, int]:
-        tag, x = tagged
-        y = steps[(x >> _SIDE & field) + (tag == "H")](x)
-        edge, least, most = edges[y >> _SIDE & field]
-        return ("H" if not y & _MARKED and least <= y & edge <= most else "B"), y
-    return lay, step, shifts
 
 
 def telescoping_phi(n: int, m: int, tagged: tuple[str, MacPair]):
@@ -613,17 +590,15 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     in the union of the P(n,m,k) steps at its own index, read off the
     _cancelation_tables by its side field, and while its image is bare
     and on its box's boundary (tagged "H"), the image steps at the next
-    index; the orbit lands on the first other image.  The walk stops
-    after `budget` steps, the size of the union plus its boundary pairs
-    plus one, both counted, and then reruns the tagged walk,
-    cancelation_psi on _cancelation_rule, which raises
-    IterationBudgetExceeded with its own text.  Both walks call the same
-    rules on the same ints, so a rule's ValueError is the same from
-    either.  The check streams in the step certificates' kernel
-    (_stream_bijection): the union of the P(n,m,k) against the direct
-    map's inverse and the union of the P(n,m-1,k), bare and marked,
-    counted and tested by masks.  An orbit that leaves every box or runs
-    out of budget fails at its start, sought on a raise.
+    index; the orbit lands on the first other image.  After `budget`
+    steps, the size of the union plus its boundary pairs plus one, both
+    counted, the walk raises IterationBudgetExceeded with the text
+    cancelation_psi gives the tagged walk from ("A", a).  The check
+    streams in the step certificates' kernel (_stream_bijection): the
+    union of the P(n,m,k) against the direct map's inverse and the union
+    of the P(n,m-1,k), bare and marked, counted and tested by masks.  An
+    orbit that leaves every box or runs out of budget fails at its start,
+    sought on a raise.
     """
     started = time.monotonic()
     lay, steps, edges, shifts = _cancelation_tables(n, m)
@@ -644,8 +619,7 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
             if not least <= y & edge <= most:
                 return y
             x, up = y, 1
-        return cancelation_psi(_cancelation_rule(n, m)[1], ("A", a),
-                               lambda t: t[0] == "B", budget)[1]
+        raise IterationBudgetExceeded.no_landing(budget, ("A", a))
 
     lower_masks = (_masks(_box_P(n, m - 1, s + lay.lo), lay) for s in range(field + 1))
     table = _codomain_table(lay, {s: (masks, masks) for s, masks in enumerate(lower_masks)})

@@ -1,14 +1,14 @@
-"""Integer partitions with explicit zero parts, the enumerators used by
-the verification drivers, and EvenField, the packed form of an even-part
-partition that both families carry.
+"""Integer partitions with explicit zero parts, the distinct-part
+enumerator, and EvenField, the packed form of an even-part partition that
+both families carry.
 
 Zero parts are first-class: (0) and the empty partition are different
 objects, and staircases always end in a zero part when nonempty.  Each
 enumerator is a recursion that yields in lexicographic order of the part
 tuple, so its list needs no sort and downstream certificates are
-byte-stable; the weight-capped ones prune a branch once it passes the cap.
-The Partition-level enumerators are the packed one's test references;
-the packed one also streams and counts (EvenField.chunks, iter and count).
+byte-stable; each prunes a branch once it passes the weight cap.  Even
+partitions are enumerated on their packed form only, which also streams
+and counts (EvenField.chunks, iter and count).
 """
 
 from __future__ import annotations
@@ -102,37 +102,6 @@ def enum_distinct_range(lo: int, hi: int, weight_cap: int) -> list[Partition]:
     return [Partition(parts) for parts in rec(hi, weight_cap)]
 
 
-def _even_parts(limit: int, slots: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Even-part tuples with parts <= limit, at most `slots` parts and
-    weight <= budget, in lexicographic order."""
-    yield ()
-    if slots:
-        for p in range(2, min(limit, budget) + 1, 2):
-            for rest in _even_parts(p, slots - 1, budget - p):
-                yield (p,) + rest
-
-
-def enum_even_bounded(max_part: int, max_len: int) -> list[Partition]:
-    """All even-part partitions with largest part <= max_part, at most max_len parts."""
-    if max_part % 2 != 0 or max_part < 0:
-        raise ValueError("max_part must be even and nonnegative")
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    return [Partition(p) for p in _even_parts(max_part, max_len, max_part * max_len)]
-
-
-def enum_even_capped(max_part: int, weight_cap: int) -> list[Partition]:
-    """All even-part partitions with largest part <= max_part and weight <= weight_cap.
-
-    The length is unbounded; the weight cap is what keeps the set finite.
-    """
-    if max_part % 2 != 0 or max_part < 0:
-        raise ValueError("max_part must be even and nonnegative")
-    if weight_cap < 0:
-        return []
-    return [Partition(p) for p in _even_parts(max_part, weight_cap // 2, weight_cap)]
-
-
 CHUNK = 512  # the longest tail list a streaming walk keeps
 
 
@@ -204,10 +173,10 @@ class EvenField:
              edge: bool = False) -> Iterator[int]:
         """Every even-part partition with largest part <= bound, at most
         `slots` parts and weight <= cap, packed, with `row` added once per
-        part, one at a time, in enum_even_bounded's order; with `edge`,
-        only those whose largest part is `bound` (the empty partition's
-        reads as 0), generated from that first part.  No Partition is
-        built."""
+        part, one at a time, in lexicographic order of the part tuple;
+        with `edge`, only those whose largest part is `bound` (the empty
+        partition's reads as 0), generated from that first part.  No
+        Partition is built."""
         for head, tails in self.chunks(bound, slots, cap, row, edge):
             for t in tails:
                 yield head + t

@@ -17,7 +17,9 @@ _stream_involution): one pass over the domain against the map's inverse,
 the codomain's masks and its size, keeping only counters.  The
 set-based check_graded_bijection, which holds both sides, stays as the
 oracle: where a kernel fails, the certificate reruns it to name the
-counterexample, so either path gives the same certificate.
+counterexample, so either path gives the same certificate.  The oracle
+weighs each element with weight_of on its presented (decoded) form, so it
+shares no field arithmetic with the kernels.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ class IterationBudgetExceeded(RuntimeError):
     Always indicates a defect in the supplied map (a cycle or an unbounded
     orbit), never a legitimate outcome.
     """
+
+    @classmethod
+    def no_landing(cls, max_iter: int, start) -> IterationBudgetExceeded:
+        """The error of an orbit from `start` that did not land within
+        max_iter applications."""
+        return cls(f"no landing within {max_iter} applications starting "
+                   f"from {start!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +175,7 @@ def certify(check: str, params: Mapping, started: float,
 def check_graded_bijection(map_fn: Callable[[Any], Any],
                            domain: Iterable,
                            codomain: Iterable,
-                           weight_fn: Callable[[Any], WeightKey],
+                           weight_fn: Callable[[Any], WeightKey] = weight_of,
                            cap: Optional[int] = None,
                            check: str = "graded-bijection",
                            params: Optional[Mapping] = None,
@@ -180,8 +189,9 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
     domain would verify vacuously, so it raises ValueError.
 
     present turns an element into the object a counterexample shows (for
-    an encoded family, its decoder); of the codomain elements missed, the
-    one reported is the least by the repr of its presented form.
+    an encoded family, its decoder), and weight_fn weighs that presented
+    form; of the codomain elements missed, the one reported is the least
+    by the repr of its presented form.
     """
     started = time.monotonic()
     domain = list(domain)
@@ -208,7 +218,7 @@ def _bijection_failure(map_fn, domain, codomain_set, weight_fn, present):
             return ({"first": present(seen[y]), "second": present(x)}, present(y),
                     REASON_COLLISION)
         seen[y] = x
-        if weight_fn(x) != weight_fn(y):
+        if weight_fn(present(x)) != weight_fn(present(y)):
             return present(x), present(y), REASON_WEIGHT_MISMATCH
     if len(seen) < len(codomain_set):
         missed = (present(y) for y in codomain_set if y not in seen)
@@ -281,5 +291,4 @@ def cancelation_psi(phi: Callable[[Any], Any],
         current = phi(current)
         if b_membership(current):
             return current
-    raise IterationBudgetExceeded(
-        f"no landing within {max_iter} applications starting from {start!r}")
+    raise IterationBudgetExceeded.no_landing(max_iter, start)

@@ -15,13 +15,13 @@ from qtelescope.macmahon import (MacPair, cancelation_certificate,
                                  phi_certificate, phi_telescoping_counts,
                                  psi_certificate, psi_telescoping_counts,
                                  product_sum_F, verify_macmahon)
-from qtelescope.partitions import (Partition, enum_distinct_range,
-                                   enum_even_bounded, enum_even_capped,
-                                   staircase)
+from qtelescope.partitions import Partition, enum_distinct_range, staircase
 from qtelescope.qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                                  gaussian_binomial, rhs_andrews, truncate)
 from qtelescope.telescope import (MarkedObject, check_graded_bijection,
                                   telescoping_sum_check, weight_of)
+
+from reference_enumerators import enum_even_bounded, enum_even_capped
 
 
 def report(number, name, failures, extra=""):

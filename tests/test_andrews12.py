@@ -16,13 +16,13 @@ from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
                                   involution, involution_certificate, phi,
                                   phi_certificate, verify_andrews, weight_of)
 from qtelescope import andrews12
-from qtelescope.partitions import (EMPTY, Partition, enum_distinct_range,
-                                   enum_even_capped, staircase)
+from qtelescope.partitions import EMPTY, Partition, enum_distinct_range, staircase
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews
 from qtelescope.telescope import MarkedObject, weighted_count
 
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
                              without_part)
+from reference_enumerators import enum_even_capped
 
 
 def T(tau, lam=(), mu=()):

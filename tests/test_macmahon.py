@@ -15,12 +15,13 @@ from qtelescope.macmahon import (MacPair, cancelation_certificate,
                                  psi_certificate, psi_step,
                                  psi_telescoping_counts, telescoping_phi,
                                  verify_macmahon)
-from qtelescope.partitions import EvenField, Partition, enum_even_bounded
+from qtelescope.partitions import EvenField, Partition
 from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
 from qtelescope.telescope import (MarkedObject, telescoping_sum_check, weight_of,
                                   weighted_count)
 
 from partition_edits import drop_first
+from reference_enumerators import enum_even_bounded
 
 
 def pair(side, *mu):

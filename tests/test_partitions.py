@@ -1,4 +1,5 @@
-"""Partition objects and the three enumerators, checked against a naive
+"""Partition objects, the distinct-part enumerator and the even-part
+references of tests/reference_enumerators.py, checked against a naive
 brute-force generator that knows nothing about the library's descent order;
 EvenField, the packed even partition, checked against those enumerators.
 """
@@ -10,12 +11,12 @@ import pytest
 
 from qtelescope import partitions
 from qtelescope.partitions import (EMPTY, EvenField, Partition,
-                                   enum_distinct_range, enum_even_bounded,
-                                   enum_even_capped, staircase)
+                                   enum_distinct_range, staircase)
 from qtelescope.qalgebra import LaurentPoly, gaussian_binomial
 
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
                              without_part)
+from reference_enumerators import enum_even_bounded, enum_even_capped
 
 
 def brute_all_partitions(max_part, weight_cap, max_len=None):

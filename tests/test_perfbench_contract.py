@@ -56,6 +56,7 @@ def test_tracer_finds_every_traced_name_the_library_still_has():
                                   "qtelescope.macmahon.enum_G",
                                   "qtelescope.macmahon.enum_H",
                                   "qtelescope.macmahon.weighted_count",
-                                  "qtelescope.macmahon.weight_of"]
+                                  "qtelescope.macmahon.weight_of",
+                                  "qtelescope.macmahon.cancelation_psi"]
     finally:
         traced.uninstall()

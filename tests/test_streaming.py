@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from qtelescope import andrews12, macmahon
+from qtelescope.telescope import cancelation_psi, weight_of
 
 import test_andrews12 as andrews_tests
 import test_macmahon as macmahon_tests
@@ -174,6 +175,12 @@ def pick(elements, related):
     return next((a, b) for a in elements for b in elements if related(a, b))
 
 
+def decoded_weight(lay):
+    """weight_of on the decoded form of a packed Andrews element."""
+    decode = andrews12._decoder(lay)
+    return lambda x: weight_of(decode(x))
+
+
 def q_only(w, v):
     return w[0] == v[0] and w[2] != v[2]
 
@@ -189,7 +196,7 @@ def test_an_andrews_phi_weight_fault_fails_the_kernel(monkeypatch, differs):
     # and goes back to its element, so only the weight check can see it.
     n, k, cap = 5, 2, 30
     lay = andrews12._layout(n, cap)
-    step, weight = andrews12._phi_rule(n, k, lay), andrews12._weight_key(lay)
+    step, weight = andrews12._phi_rule(n, k, lay), decoded_weight(lay)
     domain = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
     moved = [x for x in domain if step(x) != x]
     a, b = pick(moved, lambda a, b: differs(weight(a), weight(b)))
@@ -214,7 +221,7 @@ def test_an_involution_weight_fault_fails_the_kernel(monkeypatch, differs, reaso
     # involution on the slice with the same fixed set.
     n, k, cap = 4, 4, 30
     lay = andrews12._layout(n, cap)
-    step, weight = andrews12._involution_rule(n, k, lay), andrews12._weight_key(lay)
+    step, weight = andrews12._involution_rule(n, k, lay), decoded_weight(lay)
     slice_ = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
     moved = [x for x in slice_ if step(x) != x]
     a, c = pick(moved, lambda a, c: differs(weight(a), weight(c)) and c != step(a))
@@ -235,7 +242,7 @@ def test_an_involution_fault_at_falling_elements_fails_the_kernel(monkeypatch):
     # see that the rule no longer takes their images back.
     n, k, cap = 4, 4, 30
     lay = andrews12._layout(n, cap)
-    step, weight = andrews12._involution_rule(n, k, lay), andrews12._weight_key(lay)
+    step, weight = andrews12._involution_rule(n, k, lay), decoded_weight(lay)
     slice_ = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
     falling = [x for x in slice_ if step(x) < x]
     a, b = pick(falling, lambda a, b: a != b and weight(a) == weight(b))
@@ -414,6 +421,24 @@ def test_macmahon_step_inverse_is_two_sided():
             assert step(inverse(y)) == y, (box, neighbour, y)
 
 
+def tagged_rule(n, m):
+    """(layout, telescoping_phi on the packed form, the shifts of its
+    inverse) at (n, m), read off macmahon._cancelation_tables: the
+    reference the certificate's int walk is held to.  A tagged element is
+    ("A", x) or ("H", x), an "H" pair stepping at the next index; an image
+    is tagged "H" where it is bare and on its box's boundary, and "B",
+    landed, otherwise."""
+    lay, steps, edges, shifts = macmahon._cancelation_tables(n, m)
+    side, marked = macmahon._SIDE, macmahon._MARKED
+
+    def step(tagged):
+        tag, x = tagged
+        y = steps[(x >> side & lay.field) + (tag == "H")](x)
+        edge, least, most = edges[y >> side & lay.field]
+        return ("H" if not y & marked and least <= y & edge <= most else "B"), y
+    return lay, step, shifts
+
+
 def landed(tagged):
     return tagged[0] == "B"
 
@@ -421,7 +446,7 @@ def landed(tagged):
 def test_cancelation_inverse_is_two_sided():
     for n in range(4):
         for m in range(1, 4):
-            lay, step, shifts = macmahon._cancelation_rule(n, m)
+            lay, step, shifts = tagged_rule(n, m)
             inverse = packed_inverse(shifts, lay)
 
             def union(mm):  # every pair of the P(n,mm,k), k in -m .. n
@@ -429,7 +454,7 @@ def test_cancelation_inverse_is_two_sided():
                         for x in macmahon._enum_packed(macmahon._box_P(n, mm, k), lay)]
 
             def direct(a):
-                return macmahon.cancelation_psi(step, ("A", a), landed, 100)[1]
+                return cancelation_psi(step, ("A", a), landed, 100)[1]
 
             for x in union(m):
                 assert inverse(direct(x)) == x, (n, m, x)
@@ -472,7 +497,7 @@ def test_the_cancelation_walk_is_the_tagged_walk(monkeypatch, name):
     raised = 0
     for n in range(5):
         for m in range(1, 5):
-            lay, step, _shifts = macmahon._cancelation_rule(n, m)
+            lay, step, _shifts = tagged_rule(n, m)
             boxes = [macmahon._box_P(n, m, k) for k in range(-m, n + 1)]
             union = [a for box in boxes for a in macmahon._enum_packed(box, lay)]
             budget = 1 + len(union) + sum(
@@ -480,7 +505,7 @@ def test_the_cancelation_walk_is_the_tagged_walk(monkeypatch, name):
             walk = streamed_walk(monkeypatch, n, m)
 
             def tagged(a):
-                return macmahon.cancelation_psi(step, ("A", a), landed, budget)[1]
+                return cancelation_psi(step, ("A", a), landed, budget)[1]
 
             for a in union:
                 expected = walk_outcome(tagged, a)

@@ -117,6 +117,23 @@ def test_weighted_count_drops_cancelled_terms():
     assert weighted_count([]) == LaurentPoly.zero()
 
 
+def test_the_bijection_check_weighs_presented_elements():
+    # The elements are ints, which have no weight of their own: present
+    # gives each its Signed object, and the default weight_fn, weight_of,
+    # weighs that.  0 and 2 present with one weight, 1 with another.
+    keys = {0: (1, 0, 1), 1: (1, 0, 2), 2: (1, 0, 1)}
+
+    def present(x):
+        return Signed(keys[x])
+
+    cert = check_graded_bijection(lambda x: x + 1, [0], [1], present=present)
+    assert cert.counterexample == {"element": Signed((1, 0, 1)),
+                                   "image": Signed((1, 0, 2)),
+                                   "reason": "weight-mismatch"}
+    cert = check_graded_bijection(lambda x: x + 2, [0], [2], present=present)
+    assert cert.verified
+
+
 # telescoping_sum_check --------------------------------------------------------
 
 def one(q=0, z=0, c=1):
