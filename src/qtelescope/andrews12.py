@@ -36,18 +36,18 @@ a Triple / MarkedObject only for a counterexample.  Each streams over its
 slice in one flat kernel that holds none of its elements (_stream_phi,
 against _phi_inverse; _stream_involution): it walks the slice's groups of
 one lam and one total weight (_slice_groups), tests membership on the
-_P_mask pairs and reads an image's weight and sign off its fields,
-calling only the rules.  Where a kernel fails, the set-based check
-(check_graded_bijection, _involution_failure) reruns as the oracle,
-weighs the decoded elements with weight_of and names the
-counterexample; a negative int, which no rule of a sound map yields, is
-shown as {"packed": x}.  The public functions take and return Triples:
-they check the input's shape, encode it, run the packed rule and decode
-the result.  The public maps phi and involution share one
-input check (the index rule, then membership in their common domain);
-classify and classify_image answer only where the index rule names phi.
-The involution certificate runs the unchecked rule and tests each
-image's membership once.
+_P_mask pairs and reads an image's weight and sign off its fields
+through the one reader both share (_reader), calling only the rules.
+Where a kernel fails, the set-based check (check_graded_bijection,
+_involution_failure) reruns as the oracle, weighs the decoded elements
+with weight_of and names the counterexample; a negative int, which no
+rule of a sound map yields, is shown as {"packed": x}.  The public
+functions take and return Triples: they check the input's shape, encode
+it, run the packed rule and decode the result.  The public maps phi and
+involution share one input check (the index rule, then membership in
+their common domain); classify and classify_image answer only where the
+index rule names phi.  The involution certificate runs the unchecked
+rule and tests each image's membership once.
 """
 
 from __future__ import annotations
@@ -145,6 +145,24 @@ def _layout(n: int, cap: int) -> _Layout:
     """The layout for elements of weight <= cap under the rules at n, whose
     constants (lam parts and markers) are at most 2n."""
     return _Layout(max(cap, 2 * n, 0))
+
+
+def _reader(lay: _Layout, k: int) -> tuple:
+    """(below, head, mask, split, low, high): the kernels' one read of a
+    packed x's signed weight as weight << 1 | parity of lam's length, that
+    is head(x & below) + (low(mu & mask) + high(mu >> split) << 1) with
+    mu = x >> lay.mu.at.  head, cached, reads the marker, C(rows, 2) and
+    lam's weight and parity off the bits below mu; mu's weight comes in
+    EvenField.halves(2k)."""
+    field, rows_at, lam_at = lay.field, lay.rows, lay.lam
+
+    @lru_cache(maxsize=None)
+    def head(bits: int) -> int:
+        rows, lam = bits >> rows_at & field, bits >> lam_at
+        weight = (bits & field) + rows * (rows - 1) // 2 + sum(
+            p for p in range(lam.bit_length()) if lam >> p & 1)
+        return weight << 1 | lam.bit_count() & 1
+    return ((1 << lay.mu.at) - 1, head, *lay.mu.halves(2 * k))
 
 
 def _encode(x: TripleValue, lay: _Layout) -> Optional[int]:
@@ -564,13 +582,6 @@ def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
                     _packed_slice(*_domain(n, k), cap, lay)))
 
 
-def _lam_weight(lay: _Layout) -> Callable[[int], int]:
-    """The weight of a lam from its bits in place, x & lay.lam_field,
-    worked out once per lam met."""
-    return lru_cache(maxsize=None)(lambda bits: sum(
-        p - lay.lam for p in range(lay.lam, bits.bit_length()) if bits >> p & 1))
-
-
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     """Exhaustive weight-graded bijection check of phi on a capped slice,
     run on the packed form; each element's membership is tested once.
@@ -603,26 +614,25 @@ def _stream_phi(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
     total weight.  For each x: x passes the domain's masks (the input
     check of _checked_rule), y = _phi_rule's image passes the codomain's,
     _phi_inverse takes y back to x, and a moved x keeps its weight and
-    sign.  y's weight is read off its fields (the marker, C(rows, 2), and
-    lam's and mu's weights, cached), its sign off the parity of lam's bit
-    count.  At the end the slice must be nonempty and of the codomain's
-    counted size.  That is sound for any inverse: an inverse that undoes
-    the map on every element makes it injective, and an injective map
-    into a finite set of its own size is a bijection.  A wrong inverse can
-    only fail a good map, and the oracle overrules that.  The codomain
-    masks ignore the cap, which the kept weight enforces.  Only the rule
-    and its inverse are called, on the elements in the oracle's order, so
-    an exception the rule raises is the oracle's.
+    sign.  y's weight and sign are read off its fields by _reader, as one
+    int against the group's weight << 1 | parity.  At the end the slice
+    must be nonempty and of the codomain's counted size.  That is sound
+    for any inverse: an inverse that undoes the map on every element makes
+    it injective, and an injective map into a finite set of its own size
+    is a bijection.  A wrong inverse can only fail a good map, and the
+    oracle overrules that.  The codomain masks ignore the cap, which the
+    kept weight enforces.  Only the rule and its inverse are called, on
+    the elements in the oracle's order, so an exception the rule raises is
+    the oracle's.
     """
     step, inverse = _phi_rule(n, k, lay), _phi_inverse(n, k, lay)
     forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
     image, image_e, image_m, image_me = _slice_masks(*_codomain(n, k), lay)
-    field, rows_at, lam_field, mu_at = lay.field, lay.rows, lay.lam_field, lay.mu.at
-    lam_weight = _lam_weight(lay)
-    mask, split, low, high = lay.mu.halves(2 * k)
+    below, read, mask, split, low, high = _reader(lay, k)
+    mu_at = lay.mu.at
     size = 0
     for head, weight, mus in _slice_groups(*_domain(n, k), cap, lay):
-        odd = (head & lam_field).bit_count() & 1
+        target = weight << 1 | read(head) & 1
         for mu in mus:
             x = head + mu
             if x & forbidden != expected and x & forbidden_m != expected_m:
@@ -631,10 +641,8 @@ def _stream_phi(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
             if y & image != image_e and y & image_m != image_me or inverse(y) != x:
                 return None
             if y != x:
-                lam, rows, y_mu = y & lam_field, y >> rows_at & field, y >> mu_at
-                if ((y & field) + rows * (rows - 1) // 2 + lam_weight(lam)
-                        + low(y_mu & mask) + high(y_mu >> split) != weight
-                        or lam.bit_count() & 1 != odd):
+                y_mu = y >> mu_at
+                if read(y & below) + (low(y_mu & mask) + high(y_mu >> split) << 1) != target:
                     return None
         size += len(mus)
     return size if size and size == _slice_size(*_codomain(n, k), cap, lay) else None
@@ -684,19 +692,18 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     rule is injective on R and maps it into F: each image is in the slice
     (masks and weight) and falls to its element.  With |R| = |F|, counted,
     it maps R onto F, so each falling x is the image of an r whose pair
-    was checked.  y's weight is read off its fields as in _stream_phi, its
-    sign off the parity of lam's bit count.  The fixed count must equal
+    was checked.  y's weight and sign are read by _reader, as in
+    _stream_phi, against the other parity.  The fixed count must equal
     the count of the embedded P(n-1,k-1), taken from its factors.
     """
     step = _involution_rule(n, k, lay)
     forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
     forbidden_e, expected_e = _P_mask(n - 1, k - 1, lay) or _NEVER
-    field, rows_at, lam_field, mu_at = lay.field, lay.rows, lay.lam_field, lay.mu.at
-    lam_weight = _lam_weight(lay)
-    mask, split, low, high = lay.mu.halves(2 * k)
+    below, read, mask, split, low, high = _reader(lay, k)
+    mu_at = lay.mu.at
     size = fixed = rising = falling = 0
     for head, weight, mus in _slice_groups(*_domain(n, k), cap, lay):
-        odd = (head & lam_field).bit_count() & 1
+        target = weight << 1 | read(head) & 1 ^ 1  # the other sign
         for mu in mus:
             x = head + mu
             y = step(x)
@@ -710,10 +717,8 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
                 if (y & forbidden != expected and y & forbidden_m != expected_m
                         or step(y) != x):
                     return None
-                lam, rows, y_mu = y & lam_field, y >> rows_at & field, y >> mu_at
-                if ((y & field) + rows * (rows - 1) // 2 + lam_weight(lam)
-                        + low(y_mu & mask) + high(y_mu >> split) != weight
-                        or lam.bit_count() & 1 == odd):
+                y_mu = y >> mu_at
+                if read(y & below) + (low(y_mu & mask) + high(y_mu >> split) << 1) != target:
                     return None
                 rising += 1
             else:

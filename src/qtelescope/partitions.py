@@ -140,7 +140,7 @@ class EvenField:
 
     def weight(self, mults: int) -> Optional[int]:
         """The weight of the packed mu `mults`, read off its multiplicities;
-        not cached, as most mus of a MacMahon box are met once."""
+        uncached, as andrews12._factors weighs each mu it builds once."""
         if mults < 0:
             return None
         field, width = (1 << self.width) - 1, self.width

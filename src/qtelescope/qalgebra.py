@@ -18,7 +18,7 @@ sum that Andrews' identity evaluates to.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 
 class LaurentPoly:
@@ -31,18 +31,8 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for (z, q), c in items:
-                if c:
-                    acc = clean.get((z, q), 0) + c
-                    if acc:
-                        clean[(z, q)] = acc
-                    else:
-                        clean.pop((z, q), None)
-        self._terms = clean
+    def __init__(self, terms: Union[Mapping[tuple[int, int], int], None] = None):
+        self._terms = {zq: c for zq, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":

@@ -1,10 +1,13 @@
 """The failure path on the bare standard library.
 
-One rule of each family is patched to a fault, and each certificate must
-come back failed, with the expected reason, instead of raising.  That runs
-the failure path behind a failed certificate: the Andrews phi oracle
-(telescope.check_graded_bijection, weighing with weight_of) and the
-MacMahon cancelation's search for the orbit that runs out of budget.
+A rule is patched to a fault for each of the four certificate kinds, and
+each certificate must come back failed, with the expected reason, instead
+of raising.  That runs the failure path behind a failed certificate: the
+Andrews phi oracle (telescope.check_graded_bijection, weighing with
+weight_of), the Andrews involution's set-based check
+(andrews12._involution_failure), the MacMahon step certificate's oracle
+and the MacMahon cancelation's search for the orbit that runs out of
+budget.
 
     PYTHONPATH=src python -S tests/bare_failure_path.py
 
@@ -31,6 +34,10 @@ def marked_stays(x, y, lay):
 CASES = [
     (andrews12, "_phi_rule", gains_a_part_2,
      lambda: andrews12.phi_certificate(5, 2, 30), "weight-mismatch"),
+    (andrews12, "_involution_rule", gains_a_part_2,
+     lambda: andrews12.involution_certificate(4, 4, 30), "not-involutive"),
+    (macmahon, "_step_rule", marked_stays,
+     lambda: macmahon.phi_certificate(3, 2, 1), "not-in-codomain"),
     (macmahon, "_step_rule", marked_stays,
      lambda: macmahon.cancelation_certificate(2, 2), "orbit-exceeds-budget"),
 ]

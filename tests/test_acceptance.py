@@ -19,7 +19,7 @@ from qtelescope.partitions import Partition, enum_distinct_range, staircase
 from qtelescope.qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                                  gaussian_binomial, rhs_andrews, truncate)
 from qtelescope.telescope import (MarkedObject, check_graded_bijection,
-                                  telescoping_sum_check, weight_of)
+                                  telescoping_sum_check)
 
 from reference_enumerators import enum_even_bounded, enum_even_capped
 
@@ -277,8 +277,7 @@ def test_criterion_10_negative_controls(monkeypatch, tmp_path):
             return MarkedObject(1, MacPair(k, Partition((2, 2))), marker_z=-1)
         return out
 
-    cert = check_graded_bijection(broken, domain, codomain,
-                                  weight_of, check="macmahon-phi")
+    cert = check_graded_bijection(broken, domain, codomain, check="macmahon-phi")
     if cert.verified or cert.counterexample is None:
         failures.append("graded-bijection control")
 

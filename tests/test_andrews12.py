@@ -271,8 +271,7 @@ def test_phi_certificate_detects_perturbation():
         return y
 
     cert = check_graded_bijection(broken, domain_slice(n, k, cap), codomain,
-                                  weight_of, cap=cap, check="andrews-phi",
-                                  params={"n": n, "k": k})
+                                  cap=cap, check="andrews-phi", params={"n": n, "k": k})
     assert not cert.verified
     assert cert.counterexample["reason"] in ("weight-mismatch", "collision",
                                              "not-in-codomain")

@@ -20,7 +20,7 @@ from qtelescope.macmahon import MacPair
 from qtelescope.partitions import Partition
 from qtelescope.qalgebra import LaurentPoly, rhs_andrews
 from qtelescope.telescope import (MarkedObject, check_graded_bijection,
-                                  telescoping_sum_check, weight_of)
+                                  telescoping_sum_check)
 
 GOLDEN = Path(__file__).with_name("golden_certificates.json")
 
@@ -55,8 +55,7 @@ def _bijection_control():
             return MarkedObject(1, MacPair(k, Partition((2, 2))), marker_z=-1)
         return macmahon.phi_step(n, m, k, x)[1]
 
-    return check_graded_bijection(broken, domain, codomain,
-                                  weight_of, check="macmahon-phi")
+    return check_graded_bijection(broken, domain, codomain, check="macmahon-phi")
 
 
 def _telescoping_control():

@@ -406,7 +406,7 @@ def test_phi_certificate_detects_a_broken_map():
             return MarkedObject(out.marker_q, pair(k, 2, 2), marker_z=-1)
         return out
 
-    cert = check_graded_bijection(broken, domain, codomain, weight_of,
+    cert = check_graded_bijection(broken, domain, codomain,
                                   check="macmahon-phi", params={})
     assert not cert.verified
     assert cert.counterexample is not None
@@ -597,7 +597,7 @@ def oracle_slice_certificate(step, box, neighbour, lower, marker, check, params)
     codomain = (lowered
                 + [MarkedObject(marker[0], x, marker_z=marker[1]) for x in lowered]
                 + [x for x in pairs if x.mu.first == box[1]])
-    return check_graded_bijection(lambda x: step(x)[1], domain, codomain, weight_of,
+    return check_graded_bijection(lambda x: step(x)[1], domain, codomain,
                                   check=check, params=params)
 
 
@@ -622,7 +622,7 @@ def oracle_cancelation(n, m):
 
     codomain = [x for k in range(-m, n + 1) for x in oracle_enum(box_P(n, m - 1, k))]
     codomain += [MarkedObject(2 * m - 1, x, marker_z=-1) for x in codomain]
-    return check_graded_bijection(direct, domain, codomain, weight_of,
+    return check_graded_bijection(direct, domain, codomain,
                                   check="macmahon-cancelation", params={"n": n, "m": m})
 
 

@@ -154,15 +154,13 @@ def test_packed_form_round_trips(member):
 
 
 def kernel_weight(x, lay, k):
-    """The weight key the Andrews kernels read off a packed x at index k:
-    the marker, plus C(rows, 2), plus lam's weight (_lam_weight), plus mu's
-    in the two halves of EvenField.halves(2k); the sign from the parity of
-    lam's bit count."""
-    mask, split, low, high = lay.mu.halves(2 * k)
-    lam, rows, mu = x & lay.lam_field, x >> lay.rows & lay.field, x >> lay.mu.at
-    return (-1 if lam.bit_count() & 1 else 1, 0,
-            (x & lay.field) + rows * (rows - 1) // 2 + andrews12._lam_weight(lay)(lam)
-            + low(mu & mask) + high(mu >> split))
+    """The weight key the Andrews kernels read off a packed x at index k,
+    composed as they compose it from andrews12._reader: weight << 1 |
+    parity of lam's length."""
+    below, head, mask, split, low, high = andrews12._reader(lay, k)
+    mu = x >> lay.mu.at
+    read = head(x & below) + (low(mu & mask) + high(mu >> split) << 1)
+    return -1 if read & 1 else 1, 0, read >> 1
 
 
 @PROPERTY

@@ -44,10 +44,11 @@ def box_partition_sum(rows, cols):
 def subset_expansion(count, sign, z_exp, q_offset, q_step):
     """Expand the product over all 2^count factor choices."""
     offsets = [q_offset + i * q_step for i in range(count)]
-    terms = []
+    terms = {}
     for r in range(count + 1):
         for combo in itertools.combinations(offsets, r):
-            terms.append(((r * z_exp, sum(combo)), sign ** r))
+            key = (r * z_exp, sum(combo))
+            terms[key] = terms.get(key, 0) + sign ** r
     return P(terms)
 
 

@@ -147,7 +147,8 @@ def test_each_step_fault_gives_the_oracles_certificate(monkeypatch, step, case, 
     assert streamed["counterexample"]["reason"] == reason
 
 
-# weight-only faults: each kernel's inlined weight and sign arithmetic ---------
+# weight-only faults: each kernel's weight and sign check, which the Andrews
+# kernels read through their one reader, andrews12._reader --------------------
 
 def kernel_results(monkeypatch, module, name):
     """Spy on a kernel: the list of what it returned, one entry a call."""

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from qtelescope.macmahon import phi_telescoping_counts, psi_telescoping_counts
 from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import (Certificate, IterationBudgetExceeded,
                                   MarkedObject, cancelation_psi,
@@ -18,8 +19,23 @@ from qtelescope.telescope import (Certificate, IterationBudgetExceeded,
                                   weighted_count)
 
 
-def weight_by_table(table):
-    return lambda x: LaurentPoly.monomial(*table[x])
+@dataclass(frozen=True)
+class Named:
+    """An element shown by its name, weighed by its weight key."""
+
+    name: str
+    key: tuple
+
+    def weight(self):
+        return self.key
+
+    def to_json_obj(self):
+        return self.name
+
+
+def by_table(table):
+    """present for elements named in `table`: each as its Named object."""
+    return lambda x: Named(x, table[x])
 
 
 # check_graded_bijection -----------------------------------------------------
@@ -27,8 +43,8 @@ def weight_by_table(table):
 def test_identity_map_verifies():
     family = ["a", "b", "c"]
     weights = {"a": (1, 0, 0), "b": (1, 0, 1), "c": (-1, 1, 2)}
-    cert = check_graded_bijection(lambda x: x, family, family,
-                                  weight_by_table(weights), cap=5)
+    cert = check_graded_bijection(lambda x: x, family, family, cap=5,
+                                  present=by_table(weights))
     assert cert.verified
     assert cert.domain_size == 3 and cert.codomain_size == 3
 
@@ -36,16 +52,16 @@ def test_identity_map_verifies():
 def test_collision_is_reported():
     weights = {"a": (1, 0, 0), "b": (1, 0, 0), "x": (1, 0, 0), "y": (1, 0, 0)}
     cert = check_graded_bijection(lambda _: "x", ["a", "b"], ["x", "y"],
-                                  weight_by_table(weights))
+                                  present=by_table(weights))
     assert not cert.verified
     assert cert.counterexample["reason"] == "collision"
-    assert cert.counterexample["image"] == "x"
+    assert cert.counterexample["image"] == Named("x", (1, 0, 0))
 
 
 def test_image_outside_codomain_is_reported():
     weights = {"a": (1, 0, 0), "x": (1, 0, 0), "z": (1, 0, 0)}
     cert = check_graded_bijection(lambda _: "z", ["a"], ["x"],
-                                  weight_by_table(weights))
+                                  present=by_table(weights))
     assert not cert.verified
     assert cert.counterexample["reason"] == "not-in-codomain"
 
@@ -53,7 +69,7 @@ def test_image_outside_codomain_is_reported():
 def test_weight_mismatch_is_reported():
     weights = {"a": (1, 0, 1), "x": (1, 0, 2)}
     cert = check_graded_bijection(lambda _: "x", ["a"], ["x"],
-                                  weight_by_table(weights))
+                                  present=by_table(weights))
     assert not cert.verified
     assert cert.counterexample["reason"] == "weight-mismatch"
 
@@ -61,7 +77,7 @@ def test_weight_mismatch_is_reported():
 def test_sign_flip_counts_as_weight_mismatch():
     weights = {"a": (1, 0, 1), "x": (-1, 0, 1)}
     cert = check_graded_bijection(lambda _: "x", ["a"], ["x"],
-                                  weight_by_table(weights))
+                                  present=by_table(weights))
     assert not cert.verified
     assert cert.counterexample["reason"] == "weight-mismatch"
 
@@ -69,22 +85,22 @@ def test_sign_flip_counts_as_weight_mismatch():
 def test_missed_codomain_element_is_reported():
     weights = {"a": (1, 0, 0), "x": (1, 0, 0), "y": (1, 0, 0)}
     cert = check_graded_bijection(lambda _: "x", ["a"], ["x", "y"],
-                                  weight_by_table(weights))
+                                  present=by_table(weights))
     assert not cert.verified
     assert cert.counterexample["reason"] == "not-surjective"
-    assert cert.counterexample["image"] == "y"
+    assert cert.counterexample["image"] == Named("y", (1, 0, 0))
 
 
 def test_duplicate_codomain_enumeration_is_rejected():
     weights = {"a": (1, 0, 0), "x": (1, 0, 0)}
     with pytest.raises(ValueError):
         check_graded_bijection(lambda _: "x", ["a"], ["x", "x"],
-                               weight_by_table(weights))
+                               present=by_table(weights))
 
 
 def test_empty_domain_is_rejected():
     with pytest.raises(ValueError, match="empty domain"):
-        check_graded_bijection(lambda x: x, [], [], weight_by_table({}))
+        check_graded_bijection(lambda x: x, [], [], present=by_table({}))
 
 
 # weight keys ------------------------------------------------------------------
@@ -119,8 +135,7 @@ def test_weighted_count_drops_cancelled_terms():
 
 def test_the_bijection_check_weighs_presented_elements():
     # The elements are ints, which have no weight of their own: present
-    # gives each its Signed object, and the default weight_fn, weight_of,
-    # weighs that.  0 and 2 present with one weight, 1 with another.
+    # gives each its Signed object, and weight_of weighs that.  0 and 2 present with one weight, 1 with another.
     keys = {0: (1, 0, 1), 1: (1, 0, 2), 2: (1, 0, 1)}
 
     def present(x):
@@ -187,6 +202,32 @@ def test_negative_k_min_is_supported():
     assert cert.verified
 
 
+@pytest.mark.parametrize("counts", [
+    lambda: phi_telescoping_counts(2, 2), lambda: phi_telescoping_counts(3, 1),
+    lambda: psi_telescoping_counts(3)], ids=["phi-2-2", "phi-3-1", "psi-3"])
+def test_every_single_bump_fails_a_per_index_or_boundary_check(counts):
+    # The sum check is implied by these, so each one-coefficient fault in
+    # real counts must be caught by one of them: a bump of f(k) or g(k)
+    # breaks the relation at k, one of h(k) inside the range the relation
+    # at k - 1, and one of h at either end its boundary condition.
+    f, g, h, k_min, k_max = counts()
+    assert telescoping_sum_check(f, g, h, k_max=k_max, k_min=k_min).verified
+    bumps = [(side, k) for side in (0, 1) for k in range(k_min, k_max + 1)]
+    bumps += [(2, k) for k in range(k_min, k_max + 2)]
+    for side, k in bumps:
+        sides = [dict(f), dict(g), dict(h)]
+        sides[side][k] = sides[side].get(k, LaurentPoly.zero()) + one()
+        cert = telescoping_sum_check(*sides, k_max=k_max, k_min=k_min)
+        if side == 2 and k == k_min:
+            reason, at = "h-nonzero-at-start", k
+        elif side == 2 and k == k_max + 1:
+            reason, at = "h-nonzero-beyond-kmax", k
+        else:
+            reason, at = "index-relation-violated", k - (side == 2)
+        assert cert.counterexample["reason"] == reason
+        assert cert.counterexample["element"] == {"k": at}
+
+
 # cancelation ---------------------------------------------------------------------
 
 def test_immediate_landing_takes_one_step():
@@ -227,9 +268,8 @@ def test_budget_must_be_positive():
 # certificates ---------------------------------------------------------------------
 
 def test_certificate_json_schema():
-    cert = check_graded_bijection(lambda x: x, ["a"], ["a"],
-                                  lambda _: LaurentPoly.one(), cap=7,
-                                  check="demo", params={"n": 1})
+    cert = check_graded_bijection(lambda x: x, ["a"], ["a"], cap=7, check="demo",
+                                  params={"n": 1}, present=by_table({"a": (1, 0, 0)}))
     obj = json.loads(cert.to_json())
     assert set(obj) == {"check", "params", "cap", "status", "domain_size",
                         "codomain_size", "elapsed_ms"}
@@ -240,7 +280,7 @@ def test_certificate_json_schema():
 def test_failure_certificate_carries_counterexample():
     weights = {"a": (1, 0, 1), "x": (1, 0, 2)}
     cert = check_graded_bijection(lambda _: "x", ["a"], ["x"],
-                                  weight_by_table(weights))
+                                  present=by_table(weights))
     obj = json.loads(cert.to_json())
     assert obj["status"] == "failed"
     assert set(obj["counterexample"]) == {"element", "image", "reason"}
