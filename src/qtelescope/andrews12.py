@@ -20,7 +20,7 @@ does the same job; no map lowers any other (n, k).  Summing over k gives
     F_n + (q^(2n-1) - 1) F_{n-1} - q^(2n-3) F_{n-2} = 0,
 
 which pins F_n to the alternating square sum above.  F_trunc counts F_n by
-weight; the bijection and the involutions run on enumerated triples.
+weight, one histogram carried across k; the maps run on enumerated triples.
 
 The maps, membership and the capped enumerator are stated once, on a
 packed form: one int per element, whose fields are marker_q, tau's row
@@ -57,7 +57,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
-from operator import or_
+from operator import add, or_, sub
 from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Partition, enum_distinct_range, staircase
@@ -285,14 +285,14 @@ def _factors(n: int, k: int, cap: int, lay: _Layout):
 
 def _groups(n: int, k: int, cap: int, lay: _Layout) -> Iterator[tuple[int, int, list[int]]]:
     """The members of P(n,k) with total weight <= cap, packed at `lay`, in
-    certificate order, as groups (lam, weight, mus): the members lam + mu
-    for mu in mus, all of total weight `weight`.  lam is packed alone, each
-    mu with the row count."""
+    certificate order, as nonempty groups (lam, weight, mus): the members
+    lam + mu for mu in mus, all of total weight `weight`.  lam is packed
+    alone, each mu with the row count."""
     lams, mus_by_weight = _factors(n, k, cap, lay)
     tau = (n - k) * (n - k - 1) // 2
     return ((lam, tau + grade, mus_by_weight[grade - weight])
             for grade in range(len(mus_by_weight)) for weight, lam in lams
-            if weight <= grade)
+            if weight <= grade and mus_by_weight[grade - weight])
 
 
 def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> Iterator[int]:
@@ -765,27 +765,25 @@ def _involution_failure(slice_, embedded, step, member, decode):
 def F_trunc(n: int, cap: int) -> TruncatedSeries:
     """Signed weighted count of the union of all P(n,k), truncated at cap.
 
-    Counted by weight with integer additions only, no product formula: per
-    k, a histogram takes coin-change steps over mu's even parts 2, ..., 2k,
-    then signed subset-sum steps over lam's parts n-k+1, ..., n+k, and is
-    added in at the staircase weight C(n-k,2).
+    Integer additions only, no product formula: one histogram on [0, cap]
+    is carried across k.  After index k it is the signed lam x mu count of
+    P(n,k) without its staircase: lam gains the parts n-k+1 and n+k
+    (subset-sum steps, slice ops reading the old values) and mu the part
+    2k (coin change, ascending); it is added in at C(n-k,2) if <= cap.
     """
     if n < 0 or cap < 0:
         raise ValueError("n and cap must be nonnegative")
     coeffs = [0] * (cap + 1)
+    hist = [1] + [0] * cap
     for k in range(n + 1):
-        tau_weight = (n - k) * (n - k - 1) // 2
-        if tau_weight > cap:
-            continue
-        hist = [1] + [0] * (cap - tau_weight)
-        for part in range(2, 2 * k + 1, 2):
-            for w in range(part, len(hist)):
-                hist[w] += hist[w - part]
-        for part in range(n - k + 1, n + k + 1):
-            for w in range(len(hist) - 1, part - 1, -1):
-                hist[w] -= hist[w - part]
-        for w, count in enumerate(hist, tau_weight):
-            coeffs[w] += count
+        if k:
+            for part in (n - k + 1, n + k):
+                hist[part:] = map(sub, hist[part:], hist[:-part])
+            for w in range(2 * k, cap + 1):
+                hist[w] += hist[w - 2 * k]
+        tau = (n - k) * (n - k - 1) // 2
+        if tau <= cap:
+            coeffs[tau:] = map(add, coeffs[tau:], hist)
     return TruncatedSeries(cap, dict(enumerate(coeffs)))
 
 

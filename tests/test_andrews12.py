@@ -17,12 +17,12 @@ from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
                                   phi_certificate, verify_andrews, weight_of)
 from qtelescope import andrews12
 from qtelescope.partitions import EMPTY, Partition, enum_distinct_range, staircase
-from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews
+from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from qtelescope.telescope import MarkedObject, weighted_count
 
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
                              without_part)
-from reference_enumerators import enum_even_capped
+from reference_enumerators import F_trunc_per_k, enum_even_capped
 
 
 def T(tau, lam=(), mu=()):
@@ -728,6 +728,22 @@ def test_F_trunc_matches_enumeration(n):
         assert F_trunc(n, cap).coeffs() == expected, cap
 
 
+def test_F_trunc_chain_matches_the_per_k_dp():
+    # Caps below the staircase weights and below lam's parts too, which the
+    # enumeration oracle does not reach at these n.
+    for n in range(25):
+        for cap in sorted({0, 1, 2, n, n * n, n * n + 15}):
+            assert F_trunc(n, cap) == F_trunc_per_k(n, cap), (n, cap)
+
+
+def test_F_trunc_cut_at_a_smaller_cap_is_F_trunc_there():
+    for n in range(13):
+        wide = F_trunc(n, n * n + 20).coeffs()
+        for cap in range(n * n + 20):
+            expected = {e: c for e, c in wide.items() if e <= cap}
+            assert F_trunc(n, cap).coeffs() == expected, (n, cap)
+
+
 def test_F_trunc_matches_sympy_summands():
     # Each summand (q^(n-k+1);q)_{2k} / (q^2;q^2)_k * q^C(n-k,2), divided out.
     sympy = pytest.importorskip("sympy")
@@ -781,6 +797,13 @@ def test_verify_reaches_n_20():
         for which, n_min in (("identity", 0), ("gn", 1), ("rec_fn", 2)):
             if n >= n_min:
                 assert verify_andrews(n, cap, which).verified, (n, which)
+
+
+def test_verify_reaches_n_60():
+    cap = 60 * 60 + 15
+    for which in andrews12.sum_checks(60):
+        assert verify_andrews(60, cap, which).verified, which
+    assert F_trunc(60, cap) == truncate(rhs_andrews(60), cap)
 
 
 def test_verify_records_effective_window():
