@@ -31,12 +31,17 @@ a constant shift of the int; phi's rows add the image class and its
 guard.  One first-match dispatch, _FirstMatch, derives from a table the
 rule (guard, then + shift), phi's inverse (image guard, then - shift)
 and the classes that classify and classify_image report.
+A slice is a tuple of parts (n, k, marker), each marker-`marker` copies
+of P(n,k): P(n,k) itself is ((n, k, 0),), and _domain, _codomain and
+_embedded state each side of each map once.  One grouped walk (_groups),
+one enumerator (_enum_packed) and one counter (_count_packed) take a
+slice, and _slice_masks gives one mask pair per part.
 The certificates run end to end on packed ints and decode an element to
 a Triple / MarkedObject only for a counterexample.  Each streams over its
 slice in one flat kernel that holds none of its elements (_stream_phi,
 against _phi_inverse; _stream_involution): it walks the slice's groups of
-one lam and one total weight (_slice_groups), tests membership on the
-_P_mask pairs and reads an image's weight and sign off its fields
+one lam and one total weight (_groups), tests membership on the
+_slice_masks pairs and reads an image's weight and sign off its fields
 through the one reader both share (_reader), calling only the rules.
 Where a kernel fails, the set-based check (check_graded_bijection,
 _involution_failure) reruns as the oracle, weighs the decoded elements
@@ -56,7 +61,7 @@ import enum
 import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, or_, sub
 from typing import Callable, Iterator, Optional, Union
 
@@ -234,33 +239,40 @@ def _P_mask(n: int, k: int, lay: _Layout) -> Optional[tuple[int, int]]:
 
 _NEVER = (0, 1)  # the mask pair of no element: x & 0 is never 1
 
-
-def _slice_masks(a: tuple, marker: int, b: tuple, lay: _Layout) -> tuple[int, int, int, int]:
-    """(forbidden, expected, forbidden_m, expected_m): a packed x is in P(a)
-    plus marker-`marker` copies (no z) of P(b), with no weight cap, iff
-    x & forbidden == expected or x & forbidden_m == expected_m."""
-    forbidden, expected = _P_mask(*a, lay) or _NEVER
-    marked = _P_mask(*b, lay)
-    forbidden_m, expected_m = (marked[0], marked[1] + marker) if marked else _NEVER
-    return forbidden, expected, forbidden_m, expected_m
+Part = tuple[int, int, int]  # (n, k, marker): marker-`marker` copies (no z) of P(n,k)
 
 
-def _domain(n: int, k: int) -> tuple:
-    """The maps' domain at (n, k) as _packed_slice's slices: P(n,k), and
-    marker 2n-1 (no z) over P(n-1,k-1)."""
-    return (n, k), 2 * n - 1, (n - 1, k - 1)
+def _domain(n: int, k: int) -> tuple[Part, ...]:
+    """The maps' domain at (n, k): P(n,k), and marker 2n-1 over P(n-1,k-1)."""
+    return (n, k, 0), (n - 1, k - 1, 2 * n - 1)
 
 
-def _codomain(n: int, k: int) -> tuple:
-    """phi's codomain at (n, k), likewise: P(n-1,k-1), and marker 2n-3
-    over P(n-2,k)."""
-    return (n - 1, k - 1), 2 * n - 3, (n - 2, k)
+def _codomain(n: int, k: int) -> tuple[Part, ...]:
+    """phi's codomain at (n, k): P(n-1,k-1), and marker 2n-3 over P(n-2,k)."""
+    return (n - 1, k - 1, 0), (n - 2, k, 2 * n - 3)
+
+
+def _embedded(n: int, k: int) -> tuple[Part, ...]:
+    """The involution's fixed set at (n, k): P(n-1,k-1)."""
+    return (n - 1, k - 1, 0),
+
+
+def _slice_masks(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int]]:
+    """One (forbidden, expected) pair per part: a packed x is in the part
+    (n, k, marker), with no weight cap, iff x & forbidden == expected.  An
+    empty part gets _NEVER with no marker added: at n = 0 the marker 2n-1
+    is -1, and _NEVER less 1 is (0, 0), which every int passes."""
+    masks = []
+    for n, k, marker in parts:
+        mask = _P_mask(n, k, lay)
+        masks.append(_NEVER if mask is None else (mask[0], mask[1] + marker))
+    return masks
 
 
 def _domain_test(n: int, k: int, lay: _Layout) -> Callable[[int], bool]:
     """Membership in the maps' domain at (n, k) on the packed form, with no
     weight cap (see _slice_masks)."""
-    forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
+    (forbidden, expected), (forbidden_m, expected_m) = _slice_masks(_domain(n, k), lay)
 
     def member(x: int) -> bool:
         return x & forbidden == expected or x & forbidden_m == expected_m
@@ -283,56 +295,41 @@ def _factors(n: int, k: int, cap: int, lay: _Layout):
     return lams, mus_by_weight
 
 
-def _groups(n: int, k: int, cap: int, lay: _Layout) -> Iterator[tuple[int, int, list[int]]]:
-    """The members of P(n,k) with total weight <= cap, packed at `lay`, in
-    certificate order, as nonempty groups (lam, weight, mus): the members
-    lam + mu for mu in mus, all of total weight `weight`.  lam is packed
-    alone, each mu with the row count."""
-    lams, mus_by_weight = _factors(n, k, cap, lay)
-    tau = (n - k) * (n - k - 1) // 2
-    return ((lam, tau + grade, mus_by_weight[grade - weight])
-            for grade in range(len(mus_by_weight)) for weight, lam in lams
-            if weight <= grade and mus_by_weight[grade - weight])
+def _groups(parts: tuple[Part, ...], cap: int,
+            lay: _Layout) -> Iterator[tuple[int, int, list[int]]]:
+    """The elements of the slice `parts` with total weight <= cap, packed
+    at `lay`, in certificate order, as nonempty groups (head, weight, mus):
+    the elements head + mu for mu in mus, all of total weight `weight`,
+    the marker included.  The parts come in order; a head is the marker
+    plus lam packed alone, each mu is packed with the row count."""
+    for n, k, marker in parts:
+        lams, mus_by_weight = _factors(n, k, cap - marker, lay)
+        base = marker + (n - k) * (n - k - 1) // 2  # the marker and tau's weight
+        yield from ((lam + marker, base + grade, mus_by_weight[grade - weight])
+                    for grade in range(len(mus_by_weight)) for weight, lam in lams
+                    if weight <= grade and mus_by_weight[grade - weight])
 
 
-def _enum_packed(n: int, k: int, cap: int, lay: _Layout) -> Iterator[int]:
-    """All members of P(n,k) with total weight <= cap, packed at `lay`, one
-    at a time, in certificate order: by total weight, then lam, then mu,
-    each lexicographic.
+def _enum_packed(parts: tuple[Part, ...], cap: int, lay: _Layout) -> Iterator[int]:
+    """All elements of the slice `parts` with total weight <= cap, packed
+    at `lay`, one at a time, in certificate order: part by part, then by
+    total weight, then lam, then mu, each lexicographic.
 
     Built grade by grade from the capped enumerators, mu packed and grouped
     by weight once, so nothing over the cap is built and nothing is sorted.
     """
-    return (lam + mu for lam, _, mus in _groups(n, k, cap, lay) for mu in mus)
+    return (head + mu for head, _, mus in _groups(parts, cap, lay) for mu in mus)
 
 
-def _count_packed(n: int, k: int, cap: int, lay: _Layout) -> int:
-    """The number of members _enum_packed yields, counted from its factors
-    without pairing them."""
-    lams, mus_by_weight = _factors(n, k, cap, lay)
-    at_most = list(accumulate(map(len, mus_by_weight)))  # mus of weight <= w
-    return sum(at_most[-1 - weight] for weight, _ in lams)  # <= budget - weight
-
-
-def _slice_groups(a: tuple, marker: int, b: tuple, cap: int,
-                  lay: _Layout) -> Iterator[tuple[int, int, list[int]]]:
-    """_packed_slice in _groups: P(a)'s, then P(b)'s with the marker added
-    to each head and weight."""
-    return chain(_groups(*a, cap, lay),
-                 ((lam + marker, weight + marker, mus)
-                  for lam, weight, mus in _groups(*b, cap - marker, lay)))
-
-
-def _packed_slice(a: tuple, marker: int, b: tuple, cap: int,
-                  lay: _Layout) -> Iterator[int]:
-    """P(a) plus marker-`marker` copies of P(b), all of weight <= cap, packed."""
-    return (head + mu for head, _, mus in _slice_groups(a, marker, b, cap, lay)
-            for mu in mus)
-
-
-def _slice_size(a: tuple, marker: int, b: tuple, cap: int, lay: _Layout) -> int:
-    """The number of elements _packed_slice yields, counted."""
-    return _count_packed(*a, cap, lay) + _count_packed(*b, cap - marker, lay)
+def _count_packed(parts: tuple[Part, ...], cap: int, lay: _Layout) -> int:
+    """The number of elements _enum_packed yields, counted from each
+    part's factors without pairing them."""
+    count = 0
+    for n, k, marker in parts:
+        lams, mus_by_weight = _factors(n, k, cap - marker, lay)
+        at_most = list(accumulate(map(len, mus_by_weight)))  # mus of weight <= w
+        count += sum(at_most[-1 - weight] for weight, _ in lams)  # <= budget - weight
+    return count
 
 
 def _phi_table(n: int, k: int, lay: _Layout) -> list[tuple]:
@@ -437,7 +434,7 @@ def enum_P(n: int, k: int, cap: int) -> list[Triple]:
     """All members of P(n,k) with total weight <= cap, in certificate order:
     by total weight, then lam, then mu, each lexicographic."""
     lay = _layout(n, cap)
-    return list(map(_decoder(lay), _enum_packed(n, k, cap, lay)))
+    return list(map(_decoder(lay), _enum_packed(((n, k, 0),), cap, lay)))
 
 
 def lowering_map(n: int, k: int) -> str:
@@ -483,9 +480,8 @@ def classify_image(n: int, k: int, t: Triple) -> ClassTag:
 
 def _checked_rule(name: str, n: int, k: int, lay: _Layout) -> Callable[[int], int]:
     """The packed rule of the map `name` at (n, k) behind the maps' one
-    input check: ValueError unless the index rule names `name` there, and
-    for each input not in the maps' domain."""
-    _require_map(name, n, k)
+    input check: ValueError for each input not in the maps' domain.  The
+    callers have checked that the index rule names `name` at (n, k)."""
     member = _domain_test(n, k, lay)
     rule = (_phi_rule if name == "phi" else _involution_rule)(n, k, lay)
 
@@ -578,8 +574,7 @@ def andrews_orbit(n: int, k: int, x: TripleValue) -> list[tuple[str, TripleValue
 def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
     """P(n,k) plus marker-(2n-1) copies of P(n-1,k-1), all of weight <= cap."""
     lay = _layout(n, cap)
-    return list(map(_decoder(lay),
-                    _packed_slice(*_domain(n, k), cap, lay)))
+    return list(map(_decoder(lay), _enum_packed(_domain(n, k), cap, lay)))
 
 
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
@@ -600,8 +595,8 @@ def phi_certificate(n: int, k: int, cap: int) -> Certificate:
         return certify("andrews-phi", params, started, cap=cap, domain_size=size,
                        codomain_size=size)
     return check_graded_bijection(
-        _checked_rule("phi", n, k, lay), _packed_slice(*_domain(n, k), cap, lay),
-        _packed_slice(*_codomain(n, k), cap, lay), cap=cap, check="andrews-phi",
+        _checked_rule("phi", n, k, lay), _enum_packed(_domain(n, k), cap, lay),
+        _enum_packed(_codomain(n, k), cap, lay), cap=cap, check="andrews-phi",
         params=params, present=_decoder(lay))
 
 
@@ -610,28 +605,28 @@ def _stream_phi(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
     onto the capped codomain slice, checked in one flat pass that holds no
     element; None where any check fails.
 
-    The domain is walked in _slice_groups, each group one lam and one
-    total weight.  For each x: x passes the domain's masks (the input
-    check of _checked_rule), y = _phi_rule's image passes the codomain's,
+    The domain slice is walked in _groups, each group one lam and one
+    total weight.  For each x: x passes its part's masks (the input
+    check of _checked_rule), y = _phi_rule's image passes a codomain part's,
     _phi_inverse takes y back to x, and a moved x keeps its weight and
     sign.  y's weight and sign are read off its fields by _reader, as one
     int against the group's weight << 1 | parity.  At the end the slice
-    must be nonempty and of the codomain's counted size.  That is sound
-    for any inverse: an inverse that undoes the map on every element makes
-    it injective, and an injective map into a finite set of its own size
-    is a bijection.  A wrong inverse can only fail a good map, and the
+    must be nonempty and of the codomain's size, _count_packed.  That is
+    sound for any inverse: an inverse that undoes the map on every element
+    makes it injective, and an injective map into a finite set of its own
+    size is a bijection.  A wrong inverse can only fail a good map, and the
     oracle overrules that.  The codomain masks ignore the cap, which the
     kept weight enforces.  Only the rule and its inverse are called, on
     the elements in the oracle's order, so an exception the rule raises is
     the oracle's.
     """
     step, inverse = _phi_rule(n, k, lay), _phi_inverse(n, k, lay)
-    forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
-    image, image_e, image_m, image_me = _slice_masks(*_codomain(n, k), lay)
+    (forbidden, expected), (forbidden_m, expected_m) = _slice_masks(_domain(n, k), lay)
+    (image, image_e), (image_m, image_me) = _slice_masks(_codomain(n, k), lay)
     below, read, mask, split, low, high = _reader(lay, k)
     mu_at = lay.mu.at
     size = 0
-    for head, weight, mus in _slice_groups(*_domain(n, k), cap, lay):
+    for head, weight, mus in _groups(_domain(n, k), cap, lay):
         target = weight << 1 | read(head) & 1
         for mu in mus:
             x = head + mu
@@ -645,7 +640,7 @@ def _stream_phi(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
                 if read(y & below) + (low(y_mu & mask) + high(y_mu >> split) << 1) != target:
                     return None
         size += len(mus)
-    return size if size and size == _slice_size(*_codomain(n, k), cap, lay) else None
+    return size if size and size == _count_packed(_codomain(n, k), cap, lay) else None
 
 
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
@@ -668,10 +663,10 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     if sizes is not None:
         return certify("andrews-involution", {"n": n, "k": k}, started, cap=cap,
                        domain_size=sizes[0], codomain_size=sizes[1])
-    slice_ = list(_packed_slice(*_domain(n, k), cap, lay))
+    slice_ = list(_enum_packed(_domain(n, k), cap, lay))
     if not slice_:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
-    embedded = set(_enum_packed(n - 1, k - 1, cap, lay))
+    embedded = set(_enum_packed(_embedded(n, k), cap, lay))
     failure = _involution_failure(slice_, embedded, _involution_rule(n, k, lay),
                                   _domain_test(n, k, lay), _decoder(lay))
     return certify("andrews-involution", {"n": n, "k": k}, started, failure,
@@ -683,9 +678,9 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     capped slice, checked in one flat pass that holds no element; None
     where any check fails.
 
-    The slice is walked in _slice_groups, each group one lam and one total
-    weight.  For each x, y = _involution_rule's image, and x is fixed
-    (y == x) exactly when it is in the embedded P(n-1,k-1).  Only a rising
+    The domain slice is walked in _groups, each group one lam and one
+    total weight.  For each x, y = _involution_rule's image, and x is fixed
+    (y == x) exactly when it passes the masks of _embedded, P(n-1,k-1).  Only a rising
     x (x < y) is checked further: y passes the domain's masks, the rule
     takes y back to x, and y has x's weight and the other sign.  That
     suffices.  Let R be the rising elements and F the falling ones.  The
@@ -694,15 +689,15 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     it maps R onto F, so each falling x is the image of an r whose pair
     was checked.  y's weight and sign are read by _reader, as in
     _stream_phi, against the other parity.  The fixed count must equal
-    the count of the embedded P(n-1,k-1), taken from its factors.
+    _embedded's count, _count_packed.
     """
     step = _involution_rule(n, k, lay)
-    forbidden, expected, forbidden_m, expected_m = _slice_masks(*_domain(n, k), lay)
-    forbidden_e, expected_e = _P_mask(n - 1, k - 1, lay) or _NEVER
+    (forbidden, expected), (forbidden_m, expected_m) = _slice_masks(_domain(n, k), lay)
+    ((forbidden_e, expected_e),) = _slice_masks(_embedded(n, k), lay)
     below, read, mask, split, low, high = _reader(lay, k)
     mu_at = lay.mu.at
     size = fixed = rising = falling = 0
-    for head, weight, mus in _slice_groups(*_domain(n, k), cap, lay):
+    for head, weight, mus in _groups(_domain(n, k), cap, lay):
         target = weight << 1 | read(head) & 1 ^ 1  # the other sign
         for mu in mus:
             x = head + mu
@@ -724,7 +719,7 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
             else:
                 falling += 1
         size += len(mus)
-    if not size or rising != falling or fixed != _count_packed(n - 1, k - 1, cap, lay):
+    if not size or rising != falling or fixed != _count_packed(_embedded(n, k), cap, lay):
         return None
     return size, fixed
 

@@ -37,8 +37,11 @@ cancelation certificates stream in one flat kernel (_stream_bijection):
 one pass over the domain's EvenField chunks against the map's inverse,
 which takes a marked pair's shift back, with the codomain counted and
 tested by masks, and the weights read off the fields; only the map is
-called.  Where that fails, check_graded_bijection reruns on lists of
-both sides as the oracle and weighs the decoded pairs with weight_of.
+called.  Each codomain is stated once, as walks (box, flag), the box's
+pairs plus the flag; its mask table (_codomain_table), its size and the
+oracle's list all come from them.  Where the kernel fails,
+check_graded_bijection reruns on lists of both sides as the oracle and
+weighs the decoded pairs with weight_of.
 The certificates decode a pair only for a counterexample.  The public
 enum_P, enum_Q, phi_step and psi_step take and return MacPairs: they
 check the input, encode it, run the packed rule and decode the result;
@@ -170,14 +173,15 @@ def _masks(box: Box, lay: _Layout) -> tuple[int, int, int]:
     forbidden == expected and its length field, x & (lay.field <<
     lay.length), is at most limit.  The bits left free are the length and
     the multiplicities of the parts 2 .. bound; the flag is 0 and the side
-    the box's.  _NEVER where the box is empty or its side is outside
-    `lay`."""
+    the box's, so expected is the side field alone.  The limit is the
+    slots, or 0 at bound 0, where mu is empty.  _NEVER where the box is
+    empty or its side is outside `lay`."""
     side, bound, slots = box
     if bound < 0 or slots < 0 or not 0 <= side - lay.lo <= lay.field:
         return _NEVER
     length = lay.field << lay.length
     return (~(length | lay.mu.unit(bound + 2) - lay.mu.unit(2)),
-            side - lay.lo << _SIDE, slots << lay.length)
+            side - lay.lo << _SIDE, (slots if bound else 0) << lay.length)
 
 
 def _edge(bound: int, lay: _Layout) -> tuple[int, int, int]:
@@ -311,29 +315,32 @@ def psi_step(n: int, k: int, x: MacPair) -> tuple[int, MacValue]:
 
 # certificates -----------------------------------------------------------
 
-def _codomain_table(lay: _Layout, sides: dict) -> list[tuple[int, int, int]]:
+def _codomain_table(codomain: list[tuple[Box, int]],
+                    lay: _Layout) -> list[tuple[int, int, int]]:
     """The codomain test of _stream_bijection, indexed by an image's flag
-    and side field, y & (_MARKED | lay.field << _SIDE): `sides` maps a side
-    field to the masks of its bare pairs and of its marked ones (a box's
-    _masks, the flag expected on top); every other entry is _NEVER."""
+    and side field, y & (_MARKED | lay.field << _SIDE): each walk (box,
+    flag) of the codomain puts the box's _masks, the flag expected on top,
+    at its side field plus the flag; every other entry is _NEVER."""
     table = [_NEVER] * (2 * lay.field + 2)
-    for side, (bare, (forbidden, expected, limit)) in sides.items():
-        table[side << _SIDE] = bare
-        table[(side << _SIDE) + _MARKED] = forbidden, expected + _MARKED, limit
+    for box, flag in codomain:
+        forbidden, expected, limit = masks = _masks(box, lay)
+        if masks is not _NEVER:
+            table[expected + flag] = forbidden, expected + flag, limit
     return table
 
 
 def _stream_bijection(step: Callable[[int], int], walks: list[tuple[Box, bool]],
-                      table: list[tuple[int, int, int]], shifts: list[int],
-                      codomain_size: int, lay: _Layout) -> Optional[int]:
+                      codomain: list[tuple[Box, int]], shifts: list[int],
+                      lay: _Layout) -> Optional[int]:
     """The domain's size where `step` is a weight-preserving bijection onto
     the codomain, checked in one flat pass that holds no pair; None where
     any check fails.
 
     The domain is the walks, each a box (or with `edge` its boundary)
-    walked in EvenField.chunks as _enum_packed walks it.  An image y is in
-    the codomain iff it passes the masks of table[y's flag and side field]
-    (see _codomain_table); the codomain has codomain_size pairs.  Each
+    walked in EvenField.chunks as _enum_packed walks it.  The codomain is
+    its walks (box, flag), each the box's pairs plus the flag: an image y
+    is in it iff it passes the masks of _codomain_table at y's flag and
+    side field, and its size is the sum of the boxes' counted sizes.  Each
     element x must map into the codomain, y's preimage must be x, and a
     moved x must keep its weight: side + marker_z and side^2 + |mu| +
     marker_q of y are x's side and side^2 + |mu|, each |mu| read in two
@@ -350,6 +357,7 @@ def _stream_bijection(step: Callable[[int], int], walks: list[tuple[Box, bool]],
     field, lo, at = lay.field, lay.lo, lay.mu.at
     length, row, flag_side = field << lay.length, 1 << lay.length, _MARKED | field << _SIDE
     marker_q, marker_z = lay.marker
+    table = _codomain_table(codomain, lay)
     # split mu's fields in the middle of the largest walk's parts
     widest = max(walks, key=lambda walk: _box_size(walk[0], lay, walk[1]))[0]
     mask, split, low, high = lay.mu.halves(widest[1])
@@ -375,64 +383,53 @@ def _stream_bijection(step: Callable[[int], int], walks: list[tuple[Box, bool]],
                 elif y != x:
                     return None
             size += len(tails)
+    codomain_size = sum(_box_size(box, lay) for box, _ in codomain)
     return size if size and size == codomain_size else None
 
 
 def _bijection_certificate(step: Callable[[int], int], walks: list[tuple[Box, bool]],
-                           table: list[tuple[int, int, int]], shifts: list[int],
-                           codomain_size: int, codomain: Callable[[], list[int]],
+                           codomain: list[tuple[Box, int]], shifts: list[int],
                            lay: _Layout, check: str, params: dict) -> Certificate:
-    """The streaming bijection check of a packed map (_stream_bijection);
-    where it fails, the set-based check_graded_bijection reruns on fresh
-    lists of both sides, weighs the decoded pairs with weight_of and names
-    the counterexample."""
+    """The streaming bijection check of a packed map (_stream_bijection)
+    from the domain's walks (box, edge) to the codomain's walks (box,
+    flag); where it fails, the set-based check_graded_bijection reruns on
+    fresh lists of both sides, weighs the decoded pairs with weight_of and
+    names the counterexample."""
     started = time.monotonic()
-    size = _stream_bijection(step, walks, table, shifts, codomain_size, lay)
+    size = _stream_bijection(step, walks, codomain, shifts, lay)
     if size is not None:
         return certify(check, params, started, domain_size=size, codomain_size=size)
     domain = chain.from_iterable(_enum_packed(box, lay, edge) for box, edge in walks)
-    return check_graded_bijection(step, domain, codomain(), check=check, params=params,
-                                  present=_decoder(lay))
+    return check_graded_bijection(
+        step, domain, [x + flag for box, flag in codomain for x in _enum_packed(box, lay)],
+        check=check, params=params, present=_decoder(lay))
 
 
 def _slice_certificate(box: Box, neighbour: Box, marker: tuple[int, int],
-                       lower: Box, check: str, params: dict) -> Certificate:
+                       check: str, params: dict) -> Certificate:
     """Bijection check of a step map at one index, on the packed form.
-    Domain: box, then the boundary of neighbour.  Codomain: lower bare and
-    marked, then the boundary of box.  The domain streams, each box walked
-    once and the boundary from its first part; the codomain is counted and
-    tested by masks."""
+    Domain: box, then the boundary of neighbour.  Codomain: box, and the
+    box off its boundary, (side, bound - 2, slots), marked.  The domain
+    streams, each box walked once and the boundary from its first part;
+    the codomain is counted and tested by masks."""
+    side, bound, slots = box
     lay = _step_layout(box, neighbour, marker)
-    forbidden, expected, limit = _masks(box, lay)
-    # lower, box off its boundary, plus that boundary is box itself; at
-    # bound 0, lower is empty and the boundary is box's empty mu alone
-    bare = forbidden, expected, limit if box[1] else 0
-
-    def codomain() -> list[int]:
-        lowered = list(_enum_packed(lower, lay))
-        return (lowered + [x + _MARKED for x in lowered]
-                + list(_enum_packed(box, lay, edge=True)))
-
     return _bijection_certificate(
         _step_rule(box, neighbour, lay), [(box, False), (neighbour, True)],
-        _codomain_table(lay, {box[0] - lay.lo: (bare, _masks(lower, lay))}),
-        [_step_shift(box, neighbour, lay)] * (lay.field + 1),
-        2 * _box_size(lower, lay) + _box_size(box, lay, edge=True), codomain,
-        lay, check, params)
+        [(box, 0), ((side, bound - 2, slots), _MARKED)],
+        [_step_shift(box, neighbour, lay)] * (lay.field + 1), lay, check, params)
 
 
 def phi_certificate(n: int, m: int, k: int) -> Certificate:
     """Exhaustive bijection check of phi_step at one index (finite sets),
     streamed; see _slice_certificate."""
-    return _slice_certificate(*_phi_index(n, m, k), _box_P(n, m - 1, k),
-                              "macmahon-phi", {"n": n, "m": m, "k": k})
+    return _slice_certificate(*_phi_index(n, m, k), "macmahon-phi", {"n": n, "m": m, "k": k})
 
 
 def psi_certificate(n: int, k: int) -> Certificate:
     """Exhaustive bijection check of psi_step at one index (finite sets),
     streamed; see _slice_certificate."""
-    return _slice_certificate(*_psi_index(n, k), _box_Q(n - 1, k),
-                              "macmahon-psi", {"n": n, "k": k})
+    return _slice_certificate(*_psi_index(n, k), "macmahon-psi", {"n": n, "k": k})
 
 
 # weighted counts: one enumeration per box, no pairs ---------------------
@@ -595,18 +592,18 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     counted, the walk raises IterationBudgetExceeded with the text
     cancelation_psi gives the tagged walk from ("A", a).  The check
     streams in the step certificates' kernel (_stream_bijection): the
-    union of the P(n,m,k) against the direct map's inverse and the union
-    of the P(n,m-1,k), bare and marked, counted and tested by masks.  An
-    orbit that leaves every box or runs out of budget fails at its start,
-    sought on a raise.
+    union of the P(n,m,k) against the direct map's inverse and the
+    codomain walks (P(n,m-1,k), 0) and (P(n,m-1,k), _MARKED) for every k,
+    counted and tested by masks.  An orbit that leaves every box or runs
+    out of budget fails at its start, sought on a raise.
     """
     started = time.monotonic()
     lay, steps, edges, shifts = _cancelation_tables(n, m)
     field = lay.field
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)]
-    lowers = [_box_P(n, m - 1, k) for k in range(-m, n + 1)]
+    codomain = [(_box_P(n, m - 1, k), flag) for flag in (0, _MARKED) for k in range(-m, n + 1)]
     domain_size = sum(_box_size(box, lay) for box in boxes)
-    codomain_size = 2 * sum(_box_size(box, lay) for box in lowers)
+    codomain_size = sum(_box_size(box, lay) for box, _ in codomain)
     budget = domain_size + sum(_box_size(box, lay, edge=True) for box in boxes) + 1
 
     def direct(a: int) -> int:
@@ -621,17 +618,10 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
             x, up = y, 1
         raise IterationBudgetExceeded.no_landing(budget, ("A", a))
 
-    lower_masks = (_masks(_box_P(n, m - 1, s + lay.lo), lay) for s in range(field + 1))
-    table = _codomain_table(lay, {s: (masks, masks) for s, masks in enumerate(lower_masks)})
-
-    def codomain() -> list[int]:
-        lowered = [x for box in lowers for x in _enum_packed(box, lay)]
-        return lowered + [x + _MARKED for x in lowered]
-
     try:
         return _bijection_certificate(
-            direct, [(box, False) for box in boxes], table, shifts, codomain_size,
-            codomain, lay, "macmahon-cancelation", {"n": n, "m": m})
+            direct, [(box, False) for box in boxes], codomain, shifts, lay,
+            "macmahon-cancelation", {"n": n, "m": m})
     except (ValueError, IterationBudgetExceeded):
         for a in chain.from_iterable(_enum_packed(box, lay) for box in boxes):
             try:  # the first orbit that raises

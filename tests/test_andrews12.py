@@ -510,7 +510,7 @@ def assert_images_in_their_class(n, k, cap, table, lay):
     image_case = andrews12._FirstMatch((image, case) for *_, case, image in table)
     image_of = {case: image for case, _, _, image, _ in table}
     step = andrews12._phi_rule(n, k, lay)
-    for x in andrews12._packed_slice((n, k), 2 * n - 1, (n - 1, k - 1), cap, lay):
+    for x in andrews12._enum_packed(andrews12._domain(n, k), cap, lay):
         assert image_case(step(x)) is image_of[row_case(x)], (n, k, cap, x)
 
 
@@ -672,6 +672,28 @@ def test_packed_membership_is_the_paper_domain():
                 for lay, p in ((own, packed), (at_cap, andrews12._encode(x, at_cap))):
                     member = p is not None and andrews12._domain_test(n, k, lay)(p)
                     assert member == paper_domain(n, k, x), (n, k, x)
+
+
+def test_slice_helpers_agree_on_every_slice():
+    # The domain, codomain and embedded slice: the counter counts what the
+    # enumerator yields, and each element passes the masks of its own part
+    # and of no other.  At n <= 1 some parts are empty, and at n = 0 the
+    # domain's marker 2n-1 is -1: an empty part's masks must stay _NEVER.
+    for n in range(7):
+        for k in range(-1, n + 2):
+            for cap in sorted({0, n * n, 30}):
+                lay = andrews12._layout(n, cap)
+                for parts in (andrews12._domain(n, k), andrews12._codomain(n, k),
+                              andrews12._embedded(n, k)):
+                    elements = list(andrews12._enum_packed(parts, cap, lay))
+                    assert andrews12._count_packed(parts, cap, lay) == len(elements), \
+                        (n, k, cap, parts)
+                    masks = andrews12._slice_masks(parts, lay)
+                    owners = [[i for i, (forbidden, expected) in enumerate(masks)
+                               if x & forbidden == expected] for x in elements]
+                    parts_of = [i for i, part in enumerate(parts)
+                                for _ in andrews12._enum_packed((part,), cap, lay)]
+                    assert owners == [[i] for i in parts_of], (n, k, cap, parts)
 
 
 # truncated sums --------------------------------------------------------------------

@@ -713,6 +713,27 @@ def test_bound_zero_boxes():
         assert psi_certificate(n, n - 1).verified
 
 
+def test_a_bound_zero_box_holds_its_empty_mu_at_length_0_only():
+    # At bound 0 mu is empty, so its length field is 0 too: the empty mu
+    # with length field 1 passes the box's AND-and-compare, its limit
+    # refuses it, and so does the step map at that box.
+    import qtelescope.macmahon as mac
+
+    for box, neighbour, marker in (mac._phi_index(3, 2, -2), mac._psi_index(4, 4)):
+        assert box[1] == 0
+        lay = mac._step_layout(box, neighbour, marker)
+        alone = mac._encode(pair(box[0]), lay)
+        longer = alone + (1 << lay.length)
+        forbidden, expected, limit = mac._masks(box, lay)
+        length = lay.field << lay.length
+        assert alone & forbidden == expected and alone & length <= limit
+        assert longer & forbidden == expected and longer & length > limit
+        step = mac._step_rule(box, neighbour, lay)
+        assert step(alone) == alone
+        with pytest.raises(ValueError):
+            step(longer)
+
+
 def test_certificates_check_the_step_parameters_first():
     # phi needs m >= 1 and n >= 0, psi n >= 1, whatever the index
     for make in (lambda: phi_certificate(2, 0, 1), lambda: phi_certificate(-1, 1, 5),

@@ -159,7 +159,7 @@ def test_the_andrews_grids_reach_every_row():
             rows = rows_of(n, k, lay)
             row_of = andrews12._FirstMatch((guard, i - len(rows))
                                             for i, (_, guard, *_) in enumerate(rows))
-            reached.update(map(row_of, andrews12._packed_slice(
-                (n, k), 2 * n - 1, (n - 1, k - 1), cap, lay)))
+            reached.update(map(row_of, andrews12._enum_packed(
+                andrews12._domain(n, k), cap, lay)))
         n, k, _ = grid[0]
         assert reached == set(range(-len(rows_of(n, k, andrews12._layout(n, 0))), 0)), table

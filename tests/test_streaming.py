@@ -76,8 +76,8 @@ def andrews_certificate(n, k, cap):
 
 
 GRID = ([("macmahon-phi", n, m, k) for n in range(4) for m in range(1, 4)
-         for k in range(-m + 1, n + 1)]
-        + [("macmahon-psi", n, k) for n in range(1, 6) for k in range(n)]
+         for k in range(-m, n + 1)]
+        + [("macmahon-psi", n, k) for n in range(1, 6) for k in range(n + 1)]
         + [("macmahon-cancelation", n, m) for n in range(4) for m in range(1, 4)]
         + [("andrews", n, k, cap) for n in range(2, 7) for k in range(n + 1)
            for cap in (n * n, 30)])
@@ -198,7 +198,7 @@ def test_an_andrews_phi_weight_fault_fails_the_kernel(monkeypatch, differs):
     n, k, cap = 5, 2, 30
     lay = andrews12._layout(n, cap)
     step, weight = andrews12._phi_rule(n, k, lay), decoded_weight(lay)
-    domain = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
+    domain = list(andrews12._enum_packed(andrews12._domain(n, k), cap, lay))
     moved = [x for x in domain if step(x) != x]
     a, b = pick(moved, lambda a, b: differs(weight(a), weight(b)))
     monkeypatch.setattr(andrews12, "_phi_rule", rewired(
@@ -223,7 +223,7 @@ def test_an_involution_weight_fault_fails_the_kernel(monkeypatch, differs, reaso
     n, k, cap = 4, 4, 30
     lay = andrews12._layout(n, cap)
     step, weight = andrews12._involution_rule(n, k, lay), decoded_weight(lay)
-    slice_ = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
+    slice_ = list(andrews12._enum_packed(andrews12._domain(n, k), cap, lay))
     moved = [x for x in slice_ if step(x) != x]
     a, c = pick(moved, lambda a, c: differs(weight(a), weight(c)) and c != step(a))
     monkeypatch.setattr(andrews12, "_involution_rule", rewired(
@@ -244,7 +244,7 @@ def test_an_involution_fault_at_falling_elements_fails_the_kernel(monkeypatch):
     n, k, cap = 4, 4, 30
     lay = andrews12._layout(n, cap)
     step, weight = andrews12._involution_rule(n, k, lay), decoded_weight(lay)
-    slice_ = list(andrews12._packed_slice(*andrews12._domain(n, k), cap, lay))
+    slice_ = list(andrews12._enum_packed(andrews12._domain(n, k), cap, lay))
     falling = [x for x in slice_ if step(x) < x]
     a, b = pick(falling, lambda a, b: a != b and weight(a) == weight(b))
     monkeypatch.setattr(andrews12, "_involution_rule", rewired(
@@ -381,11 +381,11 @@ def test_andrews_phi_inverse_is_two_sided():
                 step = andrews12._phi_rule(n, k, lay)
                 inverse = andrews12._phi_inverse(n, k, lay)
                 member = andrews12._domain_test(n, k, lay)
-                domain = (n, k), 2 * n - 1, (n - 1, k - 1)
-                codomain = (n - 1, k - 1), 2 * n - 3, (n - 2, k)
-                for x in andrews12._packed_slice(*domain, cap, lay):
+                domain = (n, k, 0), (n - 1, k - 1, 2 * n - 1)
+                codomain = (n - 1, k - 1, 0), (n - 2, k, 2 * n - 3)
+                for x in andrews12._enum_packed(domain, cap, lay):
                     assert inverse(step(x)) == x, (n, k, cap, x)
-                for y in andrews12._packed_slice(*codomain, cap, lay):
+                for y in andrews12._enum_packed(codomain, cap, lay):
                     assert member(inverse(y)) and step(inverse(y)) == y, (n, k, cap, y)
 
 
