@@ -8,18 +8,18 @@ The package is organized bottom-up:
     partitions  partition objects (zero parts allowed), the distinct-part
                 enumerator, and EvenField, the packed even partition mu of
                 both families, which enumerates and counts the even ones
-    telescope   generic bijection / telescoping / cancelation checkers
-                (the set-based bijection check is the failure-path oracle
-                of the families' streaming kernels), the (sign, z, q)
-                weight key weight_of, weighted_count, and certify, which
-                makes every Certificate
+    telescope   generic bijection / telescoping / cancelation checkers:
+                stream_bijection, the one streaming bijection kernel of
+                both families, and the set-based check, its failure-path
+                oracle; the (sign, z, q) weight key weight_of,
+                weighted_count, and certify, which makes every Certificate
     macmahon    the square-plus-even-partition families, both step maps,
-                their certificates' one streaming kernel, and
+                their certificates on the streaming kernel, and
                 verify_macmahon: the per-index telescoping check on one
                 enumeration per box, the lower family off its boundary
     andrews12   the staircase triples, the index rule, classification,
-                bijection, involutions and a streaming kernel for each,
-                sum checks and orbit tracing
+                bijection (on the streaming kernel), involutions (with a
+                kernel of their own), sum checks and orbit tracing
     cli         command-line driver and text diagram rendering
 
 Every check is exhaustive over finite or weight-capped slices and returns

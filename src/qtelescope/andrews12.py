@@ -25,34 +25,37 @@ weight, one histogram carried across k; the maps run on enumerated triples.
 The maps, membership and the capped enumerator are stated once, on a
 packed form: one int per element, whose fields are marker_q, tau's row
 count, lam as a bitmask and mu as a partitions.EvenField (see _Layout).
-Each map is one ordered table of cases (_phi_table, _involution_table):
-a row holds the case, a guard x & mask == value on the _Layout masks and
-a constant shift of the int; phi's rows add the image class and its
-guard.  One first-match dispatch, _FirstMatch, derives from a table the
-rule (guard, then + shift), phi's inverse (image guard, then - shift)
-and the classes that classify and classify_image report.
 A slice is a tuple of parts (n, k, marker), each marker-`marker` copies
 of P(n,k): P(n,k) itself is ((n, k, 0),), and _domain, _codomain and
 _embedded state each side of each map once.  One grouped walk (_groups),
 one enumerator (_enum_packed) and one counter (_count_packed) take a
 slice, and _slice_masks gives one mask pair per part.
+Each map is one ordered table of cases (_phi_table, _involution_table):
+a row holds the case, a guard x & mask == value and a constant shift of
+the int; phi's rows add the image class and its guard.  Each guard holds
+its domain part's mask pair (_within), so an int that passes no guard is
+not in the domain.  One first-match dispatch, _FirstMatch, derives from
+a table the rule (guard, then + shift; ValueError where no guard passes),
+phi's inverse (_phi_back: image guard, then - shift) and the classes
+that classify and classify_image report.
 The certificates run end to end on packed ints and decode an element to
-a Triple / MarkedObject only for a counterexample.  Each streams over its
-slice in one flat kernel that holds none of its elements (_stream_phi,
-against _phi_inverse; _stream_involution): it walks the slice's groups of
-one lam and one total weight (_groups), tests membership on the
-_slice_masks pairs and reads an image's weight and sign off its fields
-through the one reader both share (_reader), calling only the rules.
-Where a kernel fails, the set-based check (check_graded_bijection,
-_involution_failure) reruns as the oracle, weighs the decoded elements
-with weight_of and names the counterexample; a negative int, which no
-rule of a sound map yields, is shown as {"packed": x}.  The public
-functions take and return Triples: they check the input's shape, encode
-it, run the packed rule and decode the result.  The public maps phi and
-involution share one input check (the index rule, then membership in
-their common domain); classify and classify_image answer only where the
-index rule names phi.  The involution certificate runs the unchecked
-rule and tests each image's membership once.
+a Triple / MarkedObject only for a counterexample.  phi's streams in the
+one bijection kernel, telescope.stream_bijection, over _groups without
+the weight, against _phi_back and a codomain table indexed by the marker
+field (_codomain_table); the involution's streams in its own kernel for
+its own laws (_stream_involution).  Neither holds an element, both read
+an element's weight and sign off its fields through one reader
+(_reader), and only the rules are called.  Where a kernel fails, the
+set-based check (check_graded_bijection, _involution_failure) reruns as
+the oracle, weighs the decoded elements with weight_of and names the
+counterexample; a negative int, which no rule of a sound map yields, is
+shown as {"packed": x}.  The public functions take and return Triples:
+they check the input's shape, encode it, run the packed rule and decode
+the result.  The public maps phi and involution share one input check:
+the index rule, then the rule's own refusal of an element outside their
+common domain.  classify and classify_image answer only where the index
+rule names phi.  The involution certificate tests each image's
+membership once, before the rule takes it back.
 """
 
 from __future__ import annotations
@@ -65,10 +68,11 @@ from itertools import accumulate
 from operator import add, or_, sub
 from typing import Callable, Iterator, Optional, Union
 
-from .partitions import EvenField, Partition, enum_distinct_range, staircase
+from .partitions import EvenField, Memo, Partition, enum_distinct_range, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
-                        WeightKey, certify, check_graded_bijection, weight_of)
+                        WeightKey, certify, check_graded_bijection,
+                        stream_bijection, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,21 +157,20 @@ def _layout(n: int, cap: int) -> _Layout:
 
 
 def _reader(lay: _Layout, k: int) -> tuple:
-    """(below, head, mask, split, low, high): the kernels' one read of a
-    packed x's signed weight as weight << 1 | parity of lam's length, that
-    is head(x & below) + (low(mu & mask) + high(mu >> split) << 1) with
-    mu = x >> lay.mu.at.  head, cached, reads the marker, C(rows, 2) and
-    lam's weight and parity off the bits below mu; mu's weight comes in
-    EvenField.halves(2k)."""
+    """(below, head, at, mask, split, low, high, 1): the kernels' one read
+    of a packed x's signed weight as weight << 1 | parity of lam's length,
+    that is head[x & below] + (low[mu & mask] + high[mu >> split] << 1)
+    with mu = x >> at (see telescope.stream_bijection).  head, a Memo,
+    reads the marker, C(rows, 2) and lam's weight and parity off the bits
+    below mu; mu's weight comes in EvenField.halves(2k)."""
     field, rows_at, lam_at = lay.field, lay.rows, lay.lam
 
-    @lru_cache(maxsize=None)
     def head(bits: int) -> int:
         rows, lam = bits >> rows_at & field, bits >> lam_at
         weight = (bits & field) + rows * (rows - 1) // 2 + sum(
             p for p in range(lam.bit_length()) if lam >> p & 1)
         return weight << 1 | lam.bit_count() & 1
-    return ((1 << lay.mu.at) - 1, head, *lay.mu.halves(2 * k))
+    return ((1 << lay.mu.at) - 1, Memo(head), lay.mu.at, *lay.mu.halves(2 * k), 1)
 
 
 def _encode(x: TripleValue, lay: _Layout) -> Optional[int]:
@@ -332,57 +335,78 @@ def _count_packed(parts: tuple[Part, ...], cap: int, lay: _Layout) -> int:
     return count
 
 
+def _within(guard: tuple[int, int], part: tuple[int, int]) -> tuple[int, int]:
+    """The guard (mask, value) narrowed to a part's _slice_masks pair
+    (forbidden, expected): x passes it iff x passes the guard and is in the
+    part.  _NEVER where the two fix a bit to different values, or the part
+    is empty, so that no int passes both."""
+    (mask, value), (forbidden, expected) = guard, part
+    if part == _NEVER or forbidden & value != expected & mask:
+        return _NEVER
+    return mask | forbidden, value | expected
+
+
 def _phi_table(n: int, k: int, lay: _Layout) -> list[tuple]:
     """`phi`'s cases in dispatch order, one row each: (case, guard, shift,
     image case, image guard), a guard (mask, value) passed by x & mask ==
-    value.  The first row whose guard an element of the domain passes is
-    its case and adds its shift; the first whose image guard an element of
-    the codomain passes is its image case and takes the shift back.
-    The marker reads exactly 2n-1 in the domain and 2n-3 in the codomain.
-    No guard tests that mu has a part 2k: the embedded case comes before
-    A, and D before C'.  At k = 0 the embedded case, P(n-1,-1), is empty."""
+    value.  The first row whose guard an int passes is its case and adds
+    its shift, and an int that passes none is not in phi's domain: each
+    guard holds its domain part's _slice_masks pair (_within), the
+    embedded case's is P(n-1,k-1)'s and the marked case's is the marked
+    part's alone.  The first row whose image guard an element of the
+    codomain passes is its image case and takes the shift back; there the
+    marker reads exactly 2n-3.  No guard tests that mu has a part 2k: the
+    embedded case comes before A, and D before C'.  At k = 0 the embedded
+    case, the marked part (both P(n-1,-1), empty) and B and C (lam has no
+    parts) are _NEVER."""
     field, mu_2k = lay.field, lay.mu.unit(2 * k) if k else 0  # one mu part 2k
     top, second = lay.part(n + k), lay.part(n + k - 1)
     low, lower = lay.part(n - k), lay.part(n - k - 1)
-    tops, lows, out = field | top | second, field | low | lower, 2 * n - 3
+    tops, lows, out = top | second, field | low | lower, 2 * n - 3
     lowered = out - (2 << lay.rows)  # marker 2n-3, two staircase rows fewer
-    cases = [  # case, guard, shift, image case, image guard
-        (ClassTag.EMBEDDED, (tops | field * mu_2k, 0), 0, ClassTag.EMBEDDED, (field, 0)),
-        (ClassTag.A, (tops, 0), lowered - mu_2k, ClassTag.A_PRIME, (lows, out)),
-        (ClassTag.B, (tops, top), lowered - top + low, ClassTag.B_PRIME, (lows, out + low)),
-        (ClassTag.B, (tops, second), lowered - second + lower,
+    own, marked = _slice_masks(_domain(n, k), lay)
+    (embedded,) = _slice_masks(_embedded(n, k), lay)
+    return [  # case, guard, shift, image case, image guard
+        (ClassTag.EMBEDDED, embedded, 0, ClassTag.EMBEDDED, (field, 0)),
+        (ClassTag.A, _within((tops, 0), own), lowered - mu_2k,
+         ClassTag.A_PRIME, (lows, out)),
+        (ClassTag.B, _within((tops, top), own), lowered - top + low,
+         ClassTag.B_PRIME, (lows, out + low)),
+        (ClassTag.B, _within((tops, second), own), lowered - second + lower,
          ClassTag.B_PRIME, (lows, out + lower)),
-        (ClassTag.MARKED, (field, 2 * n - 1), lowered - (2 * n - 1) + low + lower,
+        (ClassTag.MARKED, marked, lowered - (2 * n - 1) + low + lower,
          ClassTag.D, (lows | field * mu_2k, out + low + lower)),
-        (ClassTag.C, (tops, top + second), lowered - top - second + low + lower + mu_2k,
+        (ClassTag.C, _within((tops, top + second), own),
+         lowered - top - second + low + lower + mu_2k,
          ClassTag.C_PRIME, (lows, out + low + lower)),
     ]
-    return cases if k else cases[1:]
 
 
 def _involution_table(n: int, k: int, lay: _Layout) -> list[tuple]:
     """Rules (a)-(e) of `involution` in dispatch order, one row each: (rule,
-    guard, shift), read like _phi_table's.  In the domain the marker reads
-    exactly 2n-1, and once the toggle 2k is not in lam, a part 2n-1 is
-    lam's first part.  (b), the toggle in mu, is what the rows before it
-    leave."""
+    guard, shift), read like _phi_table's, each guard within its domain
+    part (_within): (d)'s is the marked part, the others P(n,k).  Once the
+    toggle 2k is not in lam, a part 2n-1 is lam's first part.  (b), the
+    toggle in mu, is what the rows before it leave of P(n,k)."""
     field, marker_part = lay.field, lay.part(2 * n - 1)
     toggle, toggle_mults = lay.part(2 * k), field * lay.mu.unit(2 * k)
     to_mu, absorb = lay.mu.unit(2 * k) - toggle, marker_part - (2 * n - 1)
+    own, marked = _slice_masks(_domain(n, k), lay)
     return [
-        ("d", (field, 2 * n - 1), absorb),
-        ("a", (toggle, toggle), to_mu),
-        ("c", (toggle_mults | marker_part, marker_part), -absorb),
-        ("e", (toggle_mults, 0), 0),
-        ("b", (0, 0), -to_mu),
+        ("d", _within((field, 2 * n - 1), marked), absorb),
+        ("a", _within((toggle, toggle), own), to_mu),
+        ("c", _within((toggle_mults | marker_part, marker_part), own), -absorb),
+        ("e", _within((toggle_mults, 0), own), 0),
+        ("b", _within((0, 0), own), -to_mu),
     ]
 
 
 class _FirstMatch(dict):
     """First-match dispatch on rows ((mask, value), out): called on x, the
-    out of the first row whose guard x passes, x & mask == value.  The
-    guards read only the bits of `read`, the union of their masks, so the
-    dict keeps each x & read met with its out."""
+    out of the first row whose guard x passes, x & mask == value; KeyError
+    where it passes none.  The guards read only the bits of `read`, the
+    union of their masks, so the dict keeps each x & read met with its
+    out."""
 
     def __init__(self, rows):
         self.rows = list(rows)
@@ -393,32 +417,45 @@ class _FirstMatch(dict):
             if bits & mask == value:
                 self[bits] = out
                 return out
+        raise KeyError(bits)
 
     def __call__(self, x: int):
         return self[x & self.read]
 
 
-def _shifted(rows) -> Callable[[int], int]:
-    """x -> x plus the shift of the first ((mask, value), shift) row x passes."""
+def _rule(name: str, n: int, k: int, lay: _Layout, rows) -> Callable[[int], int]:
+    """The map `name` at (n, k) on the packed form: x plus the shift of the
+    first ((mask, value), shift) row x passes.  The guards hold the
+    domain's masks, so ValueError for each x not in the domain."""
     shifts = _FirstMatch(rows)
     read = shifts.read
-    return lambda x: x + shifts[x & read]  # shifts(x) inlined: the certificates' inner loop
+
+    def step(x: int) -> int:
+        try:
+            return x + shifts[x & read]  # shifts(x) inlined: the certificates' inner loop
+        except KeyError:
+            raise ValueError(f"{_decoder(lay)(x)} is not in the domain of "
+                             f"{name} at n={n}, k={k}") from None
+    return step
 
 
 def _phi_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """`phi` on the packed form, unchecked: x must be in its domain."""
-    return _shifted((guard, shift) for _, guard, shift, _, _ in _phi_table(n, k, lay))
+    """`phi` on the packed form; ValueError outside its domain."""
+    return _rule("phi", n, k, lay,
+                 ((guard, shift) for _, guard, shift, _, _ in _phi_table(n, k, lay)))
 
 
-def _phi_inverse(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """The inverse of _phi_rule on the packed form, unchecked: y must be in
-    phi's codomain."""
-    return _shifted((image, -shift) for _, _, shift, _, image in _phi_table(n, k, lay))
+def _phi_back(n: int, k: int, lay: _Layout) -> _FirstMatch:
+    """phi's inverse as the shifts it takes back: an element y of phi's
+    codomain is the image of y - back[y & back.read], the shift of the
+    first row whose image guard y passes."""
+    return _FirstMatch((image, shift) for _, _, shift, _, image in _phi_table(n, k, lay))
 
 
 def _involution_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """`involution` on the packed form, unchecked: x must be in its domain."""
-    return _shifted((guard, shift) for _, guard, shift in _involution_table(n, k, lay))
+    """`involution` on the packed form; ValueError outside its domain."""
+    return _rule("involution", n, k, lay,
+                 ((guard, shift) for _, guard, shift in _involution_table(n, k, lay)))
 
 
 # the public maps on triples ---------------------------------------------------
@@ -478,29 +515,16 @@ def classify_image(n: int, k: int, t: Triple) -> ClassTag:
         x + 2 * n - 3)
 
 
-def _checked_rule(name: str, n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """The packed rule of the map `name` at (n, k) behind the maps' one
-    input check: ValueError for each input not in the maps' domain.  The
-    callers have checked that the index rule names `name` at (n, k)."""
-    member = _domain_test(n, k, lay)
-    rule = (_phi_rule if name == "phi" else _involution_rule)(n, k, lay)
-
-    def step(x: int) -> int:
-        if not member(x):
-            raise ValueError(f"{_decoder(lay)(x)} is not in the domain of "
-                             f"{name} at n={n}, k={k}")
-        return rule(x)
-    return step
-
-
 def _apply(name: str, n: int, k: int, x: TripleValue) -> TripleValue:
     """The map `name` at (n, k) on a Triple or MarkedObject: check, encode,
-    run the packed rule, decode."""
+    run the packed rule, which refuses an element outside the domain,
+    decode."""
     _require_map(name, n, k)
     packed, lay = _pack(n, x)
     if packed is None:
         raise ValueError(f"{x} is not in the domain of {name} at n={n}, k={k}")
-    return _decoder(lay)(_checked_rule(name, n, k, lay)(packed))
+    rule = _phi_rule if name == "phi" else _involution_rule
+    return _decoder(lay)(rule(n, k, lay)(packed))
 
 
 def phi(n: int, k: int, x: TripleValue) -> TripleValue:
@@ -577,12 +601,26 @@ def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
     return list(map(_decoder(lay), _enum_packed(_domain(n, k), cap, lay)))
 
 
+def _codomain_table(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int, int]]:
+    """stream_bijection's codomain test of the slice `parts`, indexed by an
+    image's marker field, y & lay.field: each part's _slice_masks pair at
+    its marker, with limit 0 (no length field is read); every other entry
+    passes no int."""
+    table = [(*_NEVER, 0)] * (lay.field + 1)
+    for (_, _, marker), masks in zip(parts, _slice_masks(parts, lay)):
+        table[marker] = (*masks, 0)
+    return table
+
+
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     """Exhaustive weight-graded bijection check of phi on a capped slice,
-    run on the packed form; each element's membership is tested once.
+    run on the packed form.
 
-    The check streams (_stream_phi): one pass over the domain slice
-    against phi's inverse, the codomain's masks and its count.  Where that
+    The check streams in telescope.stream_bijection: the domain slice in
+    _groups against _phi_rule, which refuses any element outside its
+    domain, the inverse _phi_back, the codomain's masks by marker
+    (_codomain_table) and its count, and _reader.  The codomain masks
+    ignore the cap, which the kept weight enforces.  Where the stream
     fails, the set-based check_graded_bijection reruns on both slices,
     weighs the decoded elements with weight_of and names the
     counterexample."""
@@ -590,57 +628,18 @@ def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     _require_map("phi", n, k)
     lay = _layout(n, cap)
     params = {"n": n, "k": k}
-    size = _stream_phi(n, k, cap, lay)
+    step, back = _phi_rule(n, k, lay), _phi_back(n, k, lay)
+    size = stream_bijection(
+        ((head, mus) for head, _, mus in _groups(_domain(n, k), cap, lay)), step,
+        (_codomain_table(_codomain(n, k), lay), lay.field, 0), (back, back.read),
+        _reader(lay, k), _count_packed(_codomain(n, k), cap, lay))
     if size is not None:
         return certify("andrews-phi", params, started, cap=cap, domain_size=size,
                        codomain_size=size)
     return check_graded_bijection(
-        _checked_rule("phi", n, k, lay), _enum_packed(_domain(n, k), cap, lay),
+        step, _enum_packed(_domain(n, k), cap, lay),
         _enum_packed(_codomain(n, k), cap, lay), cap=cap, check="andrews-phi",
         params=params, present=_decoder(lay))
-
-
-def _stream_phi(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
-    """The domain slice's size where phi is a weight-preserving bijection
-    onto the capped codomain slice, checked in one flat pass that holds no
-    element; None where any check fails.
-
-    The domain slice is walked in _groups, each group one lam and one
-    total weight.  For each x: x passes its part's masks (the input
-    check of _checked_rule), y = _phi_rule's image passes a codomain part's,
-    _phi_inverse takes y back to x, and a moved x keeps its weight and
-    sign.  y's weight and sign are read off its fields by _reader, as one
-    int against the group's weight << 1 | parity.  At the end the slice
-    must be nonempty and of the codomain's size, _count_packed.  That is
-    sound for any inverse: an inverse that undoes the map on every element
-    makes it injective, and an injective map into a finite set of its own
-    size is a bijection.  A wrong inverse can only fail a good map, and the
-    oracle overrules that.  The codomain masks ignore the cap, which the
-    kept weight enforces.  Only the rule and its inverse are called, on
-    the elements in the oracle's order, so an exception the rule raises is
-    the oracle's.
-    """
-    step, inverse = _phi_rule(n, k, lay), _phi_inverse(n, k, lay)
-    (forbidden, expected), (forbidden_m, expected_m) = _slice_masks(_domain(n, k), lay)
-    (image, image_e), (image_m, image_me) = _slice_masks(_codomain(n, k), lay)
-    below, read, mask, split, low, high = _reader(lay, k)
-    mu_at = lay.mu.at
-    size = 0
-    for head, weight, mus in _groups(_domain(n, k), cap, lay):
-        target = weight << 1 | read(head) & 1
-        for mu in mus:
-            x = head + mu
-            if x & forbidden != expected and x & forbidden_m != expected_m:
-                return None
-            y = step(x)
-            if y & image != image_e and y & image_m != image_me or inverse(y) != x:
-                return None
-            if y != x:
-                y_mu = y >> mu_at
-                if read(y & below) + (low(y_mu & mask) + high(y_mu >> split) << 1) != target:
-                    return None
-        size += len(mus)
-    return size if size and size == _count_packed(_codomain(n, k), cap, lay) else None
 
 
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
@@ -687,20 +686,20 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     rule is injective on R and maps it into F: each image is in the slice
     (masks and weight) and falls to its element.  With |R| = |F|, counted,
     it maps R onto F, so each falling x is the image of an r whose pair
-    was checked.  y's weight and sign are read by _reader, as in
-    _stream_phi, against the other parity.  The fixed count must equal
-    _embedded's count, _count_packed.
+    was checked.  y's weight and sign are read by _reader, as
+    stream_bijection reads them, as one int against the group's weight <<
+    1 | the other parity.  The fixed count must equal _embedded's count,
+    _count_packed.
     """
     step = _involution_rule(n, k, lay)
     (forbidden, expected), (forbidden_m, expected_m) = _slice_masks(_domain(n, k), lay)
     ((forbidden_e, expected_e),) = _slice_masks(_embedded(n, k), lay)
-    below, read, mask, split, low, high = _reader(lay, k)
-    mu_at = lay.mu.at
+    below, head, at, mask, split, low, high, scale = _reader(lay, k)
     size = fixed = rising = falling = 0
-    for head, weight, mus in _groups(_domain(n, k), cap, lay):
-        target = weight << 1 | read(head) & 1 ^ 1  # the other sign
+    for base, weight, mus in _groups(_domain(n, k), cap, lay):
+        target = weight << scale | head[base] & 1 ^ 1  # the other sign
         for mu in mus:
-            x = head + mu
+            x = base + mu
             y = step(x)
             if y == x:
                 if x & forbidden_e != expected_e:
@@ -712,8 +711,9 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
                 if (y & forbidden != expected and y & forbidden_m != expected_m
                         or step(y) != x):
                     return None
-                y_mu = y >> mu_at
-                if read(y & below) + (low(y_mu & mask) + high(y_mu >> split) << 1) != target:
+                y_mu = y >> at
+                if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
+                        != target):
                     return None
                 rising += 1
             else:

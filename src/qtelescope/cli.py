@@ -7,6 +7,7 @@ Grammar (ROWS states each row's flags; every row but trace also takes
     verify andrews  [--n N | --n-max N] [--cap D]
     check-bijection macmahon-phi --n N --m M --k K
     check-bijection macmahon-psi --n N --k K
+    check-bijection macmahon-cancelation --n N --m M
     check-bijection (andrews-phi|andrews-involution) --n N --k K [--cap D]
     trace andrews --n N --k K [--cap D]     (some map must lower (n, k))
 
@@ -143,6 +144,8 @@ ROWS = {
         lambda a: [macmahon.phi_certificate(a.n, a.m, a.k)])),
     ("check-bijection", "macmahon-psi"): ((N, K, *OUTPUT), _certifying(
         lambda a: [macmahon.psi_certificate(a.n, a.k)])),
+    ("check-bijection", "macmahon-cancelation"): ((N, M, *OUTPUT), _certifying(
+        lambda a: [macmahon.cancelation_certificate(a.n, a.m)])),
     ("check-bijection", "andrews-phi"): ((N, K, CAP, *OUTPUT), _certifying(
         lambda a: [andrews12.phi_certificate(a.n, a.k, a.cap)])),
     ("check-bijection", "andrews-involution"): ((N, K, CAP, *OUTPUT), _certifying(

@@ -33,15 +33,17 @@ pair steps at its own index and, while its image is bare and on its
 box's boundary, at the next, each rule read off a table by the side
 field; where the walk runs out of budget, it raises
 IterationBudgetExceeded with cancelation_psi's text.  The step and
-cancelation certificates stream in one flat kernel (_stream_bijection):
-one pass over the domain's EvenField chunks against the map's inverse,
-which takes a marked pair's shift back, with the codomain counted and
-tested by masks, and the weights read off the fields; only the map is
-called.  Each codomain is stated once, as walks (box, flag), the box's
-pairs plus the flag; its mask table (_codomain_table), its size and the
-oracle's list all come from them.  Where the kernel fails,
-check_graded_bijection reruns on lists of both sides as the oracle and
-weighs the decoded pairs with weight_of.
+cancelation certificates stream in the one bijection kernel,
+telescope.stream_bijection (_bijection_certificate): one pass over the
+domain's EvenField chunks against the map's inverse, which takes a marked
+pair's shift back, with the codomain counted and tested by masks, both
+tables indexed by an image's flag and side field, and the weights read
+off the fields by _reader, whose head folds side, flag and marker into
+one int key; only the map is called.  Each codomain is stated once, as
+walks (box, flag), the box's pairs plus the flag; its mask table
+(_codomain_table), its size and the oracle's list all come from them.
+Where the kernel fails, check_graded_bijection reruns on lists of both
+sides as the oracle and weighs the decoded pairs with weight_of.
 The certificates decode a pair only for a counterexample.  The public
 enum_P, enum_Q, phi_step and psi_step take and return MacPairs: they
 check the input, encode it, run the packed rule and decode the result;
@@ -62,12 +64,12 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, repeat
 from typing import Callable, Iterator, Optional, Union
 
-from .partitions import EvenField, Partition
+from .partitions import EvenField, Memo, Partition
 from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
                        gaussian_binomial)
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         WeightKey, certify, check_graded_bijection,
-                        telescoping_sum_check)
+                        stream_bijection, telescoping_sum_check)
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,8 +319,8 @@ def psi_step(n: int, k: int, x: MacPair) -> tuple[int, MacValue]:
 
 def _codomain_table(codomain: list[tuple[Box, int]],
                     lay: _Layout) -> list[tuple[int, int, int]]:
-    """The codomain test of _stream_bijection, indexed by an image's flag
-    and side field, y & (_MARKED | lay.field << _SIDE): each walk (box,
+    """stream_bijection's codomain test, indexed by an image's flag and
+    side field, y & (_MARKED | lay.field << _SIDE): each walk (box,
     flag) of the codomain puts the box's _masks, the flag expected on top,
     at its side field plus the flag; every other entry is _NEVER."""
     table = [_NEVER] * (2 * lay.field + 2)
@@ -329,74 +331,46 @@ def _codomain_table(codomain: list[tuple[Box, int]],
     return table
 
 
-def _stream_bijection(step: Callable[[int], int], walks: list[tuple[Box, bool]],
-                      codomain: list[tuple[Box, int]], shifts: list[int],
-                      lay: _Layout) -> Optional[int]:
-    """The domain's size where `step` is a weight-preserving bijection onto
-    the codomain, checked in one flat pass that holds no pair; None where
-    any check fails.
+def _reader(lay: _Layout, bound: int) -> tuple:
+    """stream_bijection's reader of a packed pair's weight: the key (q <<
+    scale) + z + offset, where 0 <= z + offset < 2^scale for every side
+    field and flag.  head, a Memo, reads side^2 + marker_q (flagged) and
+    side + marker_z (flagged) off the flag and side field; mu's weight
+    comes in EvenField.halves(bound)."""
+    field, lo, (marker_q, marker_z) = lay.field, lay.lo, lay.marker
+    zs = lo, lo + field, lo + marker_z, lo + field + marker_z
+    offset, scale = -min(zs), (max(zs) - min(zs)).bit_length()
 
-    The domain is the walks, each a box (or with `edge` its boundary)
-    walked in EvenField.chunks as _enum_packed walks it.  The codomain is
-    its walks (box, flag), each the box's pairs plus the flag: an image y
-    is in it iff it passes the masks of _codomain_table at y's flag and
-    side field, and its size is the sum of the boxes' counted sizes.  Each
-    element x must map into the codomain, y's preimage must be x, and a
-    moved x must keep its weight: side + marker_z and side^2 + |mu| +
-    marker_q of y are x's side and side^2 + |mu|, each |mu| read in two
-    cached halves (EvenField.halves).  The preimage of a marked y is y
-    less shifts[its side field], of any other y itself: the inverse of
-    every step map and of the cancelation, unchecked.  That is sound for
-    any inverse: an inverse that undoes the map on every element makes it
-    injective, and an injective map into a finite set of its own size,
-    checked at the end with the domain nonempty, is a bijection.  A wrong
-    inverse can only fail a good map, and the oracle overrules that.  Only
-    `step` is called, on the elements in the oracle's order, so an
-    exception it raises is the oracle's.
-    """
-    field, lo, at = lay.field, lay.lo, lay.mu.at
-    length, row, flag_side = field << lay.length, 1 << lay.length, _MARKED | field << _SIDE
-    marker_q, marker_z = lay.marker
-    table = _codomain_table(codomain, lay)
-    # split mu's fields in the middle of the largest walk's parts
-    widest = max(walks, key=lambda walk: _box_size(walk[0], lay, walk[1]))[0]
-    mask, split, low, high = lay.mu.halves(widest[1])
-    size = 0
-    for (side, bound, slots), edge in walks:
-        base, square = side - lo << _SIDE, side * side
-        for head, tails in lay.mu.chunks(bound, slots, bound * slots, row, edge):
-            head += base
-            for t in tails:
-                x = head + t
-                y = step(x)
-                forbidden, expected, limit = table[y & flag_side]
-                if y & forbidden != expected or y & length > limit:
-                    return None
-                if y & _MARKED:
-                    y_field = y >> _SIDE & field
-                    y_side, y_mu, x_mu = y_field + lo, y >> at, x >> at
-                    if (y - shifts[y_field] != x or y_side + marker_z != side
-                            or y_side * y_side + marker_q + low(y_mu & mask)
-                            + high(y_mu >> split)
-                            != square + low(x_mu & mask) + high(x_mu >> split)):
-                        return None
-                elif y != x:
-                    return None
-            size += len(tails)
-    codomain_size = sum(_box_size(box, lay) for box, _ in codomain)
-    return size if size and size == codomain_size else None
+    def head(bits: int) -> int:
+        side, flag = (bits >> _SIDE) + lo, bits & _MARKED
+        return (side * side + flag * marker_q << scale) + side + flag * marker_z + offset
+    return (_MARKED | field << _SIDE, Memo(head), lay.mu.at, *lay.mu.halves(bound), scale)
 
 
 def _bijection_certificate(step: Callable[[int], int], walks: list[tuple[Box, bool]],
                            codomain: list[tuple[Box, int]], shifts: list[int],
                            lay: _Layout, check: str, params: dict) -> Certificate:
-    """The streaming bijection check of a packed map (_stream_bijection)
-    from the domain's walks (box, edge) to the codomain's walks (box,
-    flag); where it fails, the set-based check_graded_bijection reruns on
+    """The bijection check of a packed map from the domain's walks (box,
+    edge), each a box (or with `edge` its boundary) walked in
+    EvenField.chunks as _enum_packed walks it, to the codomain's walks
+    (box, flag), streamed in telescope.stream_bijection.  An image's flag
+    and side field index both the codomain's _codomain_table and the
+    inverse: a marked y less shifts[its side field], any other y itself.
+    Where the stream fails, the set-based check_graded_bijection reruns on
     fresh lists of both sides, weighs the decoded pairs with weight_of and
     names the counterexample."""
     started = time.monotonic()
-    size = _stream_bijection(step, walks, codomain, shifts, lay)
+    field, row = lay.field, 1 << lay.length
+    flag_side = _MARKED | field << _SIDE
+    # split mu's fields in the middle of the largest walk's parts
+    widest = max(walks, key=lambda walk: _box_size(walk[0], lay, walk[1]))[0]
+    groups = ((head + (side - lay.lo << _SIDE), tails)
+              for (side, bound, slots), edge in walks
+              for head, tails in lay.mu.chunks(bound, slots, bound * slots, row, edge))
+    size = stream_bijection(
+        groups, step, (_codomain_table(codomain, lay), flag_side, field << lay.length),
+        ([back for shift in shifts[:field + 1] for back in (0, shift)], flag_side),
+        _reader(lay, widest[1]), sum(_box_size(box, lay) for box, _ in codomain))
     if size is not None:
         return certify(check, params, started, domain_size=size, codomain_size=size)
     domain = chain.from_iterable(_enum_packed(box, lay, edge) for box, edge in walks)
@@ -591,7 +565,7 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     steps, the size of the union plus its boundary pairs plus one, both
     counted, the walk raises IterationBudgetExceeded with the text
     cancelation_psi gives the tagged walk from ("A", a).  The check
-    streams in the step certificates' kernel (_stream_bijection): the
+    streams as the step certificates do (_bijection_certificate): the
     union of the P(n,m,k) against the direct map's inverse and the
     codomain walks (P(n,m-1,k), 0) and (P(n,m-1,k), _MARKED) for every k,
     counted and tested by masks.  An orbit that leaves every box or runs

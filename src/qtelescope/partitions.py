@@ -8,7 +8,8 @@ enumerator is a recursion that yields in lexicographic order of the part
 tuple, so its list needs no sort and downstream certificates are
 byte-stable; each prunes a branch once it passes the weight cap.  Even
 partitions are enumerated on their packed form only, which also streams
-and counts (EvenField.chunks, iter and count).
+and counts (EvenField.chunks, iter and count).  Memo is the subscripted
+cache the bijection kernels read weights through.
 """
 
 from __future__ import annotations
@@ -105,6 +106,22 @@ def enum_distinct_range(lo: int, hi: int, weight_cap: int) -> list[Partition]:
 CHUNK = 512  # the longest tail list a streaming walk keeps
 
 
+class Memo(dict):
+    """fn's values, each computed once: memo[x] is fn(x).  The kernels
+    read weights through a subscript of one, which costs less than a
+    call."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[int], int]):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.fn(key)
+        return value
+
+
 class EvenField:
     """An even-part partition packed into an int: the multiplicities of its
     parts 2, 4, 6, ..., `width` bits each from bit `at` up, the last one
@@ -150,16 +167,15 @@ class EvenField:
             mults, part = mults >> width, part + 2
         return q
 
-    def halves(self, bound: int) -> tuple[int, int, Callable[[int], int],
-                                          Callable[[int], int]]:
+    def halves(self, bound: int) -> tuple[int, int, Memo, Memo]:
         """(mask, shift, low, high): the weight of a packed mu m >= 0 is
-        low(m & mask) + high(m >> shift), each half's weight cached.  The
+        low[m & mask] + high[m >> shift], each half's weight a Memo.  The
         split falls between two fields, about halfway through the parts up
-        to `bound`, so that both caches stay small where most mus are met
+        to `bound`, so that both memos stay small where most mus are met
         once; it is exact for any m."""
         shift = max(bound // 4, 1) * self.width
-        return ((1 << shift) - 1, shift, lru_cache(maxsize=None)(self.weight),
-                lru_cache(maxsize=None)(lambda high: self.weight(high << shift)))
+        return ((1 << shift) - 1, shift, Memo(self.weight),
+                Memo(lambda high: self.weight(high << shift)))
 
     def unit(self, p: int) -> int:
         """One part p, an even part >= 2: the unit of its multiplicity field."""

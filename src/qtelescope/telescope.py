@@ -11,15 +11,18 @@ family's keys into one LaurentPoly.  macmahon.verify_macmahon runs
 telescoping_sum_check per index on counts from macmahon._box_counts: one
 weight-only enumeration per box, the lower family its non-boundary leaves.
 
-A bijection certificate streams, in a flat kernel per family
-(macmahon._stream_bijection, andrews12._stream_phi and
-_stream_involution): one pass over the domain against the map's inverse,
-the codomain's masks and its size, keeping only counters.  The
-set-based check_graded_bijection, which holds both sides, stays as the
-oracle: where a kernel fails, the certificate reruns it to name the
-counterexample, so either path gives the same certificate.  The oracle
-weighs each element with weight_of on its presented (decoded) form, so it
-shares no field arithmetic with the kernels.
+A bijection certificate of either family streams in one flat kernel,
+stream_bijection: one pass over the packed domain's groups against the
+map's inverse, taken inline as a table of shifts, a codomain table of
+masks and the codomain's counted size, with each weight read one way off
+the packed fields; only the map is called, and only counters are kept.
+The involution certificate keeps its own kernel for its own laws
+(andrews12._stream_involution).  The set-based check_graded_bijection,
+which holds both sides, stays as the oracle: where a kernel fails, the
+certificate reruns it to name the counterexample, so either path gives
+the same certificate.  The oracle weighs each element with weight_of on
+its presented (decoded) form, so it shares no field arithmetic with the
+kernels.
 """
 
 from __future__ import annotations
@@ -205,6 +208,54 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
                    _bijection_failure(map_fn, domain, codomain_set, present),
                    cap=cap, domain_size=len(domain),
                    codomain_size=len(codomain))
+
+
+def stream_bijection(groups: Iterable[tuple[int, list[int]]],
+                     step: Callable[[int], int], codomain: tuple, back: tuple,
+                     reader: tuple, size: int) -> Optional[int]:
+    """The domain's size where `step` is a weight-preserving bijection of
+    packed ints onto the codomain, checked in one flat pass that holds no
+    element; None where any check fails.
+
+    The domain comes as nonempty groups (base, tails), its elements base +
+    t for t in tails, in the oracle's order.  For each x, y = step(x) must
+    pass the codomain test: with (table, index, length) = codomain and
+    (forbidden, expected, limit) = table[y & index], y & forbidden ==
+    expected and y & length <= limit.  The inverse must take y back to x: with (shifts,
+    read) = back, y - shifts[y & read] == x.  A moved y must keep x's
+    weight: with (below, head, at, mask, split, low, high, scale) =
+    reader, the int key of v's signed weight is head[v & below] + (low[mu
+    & mask] + high[mu >> split] << scale), mu = v >> at, and y's must be
+    x's.  The elements of a group share their bits under `below`, so x's
+    head is read once a group.  At the end the domain must be nonempty and
+    of the codomain's counted `size`.
+
+    That is sound for any inverse: an inverse that undoes the map on every
+    element makes it injective, and an injective map into a finite set of
+    its own size is a bijection.  A wrong inverse can only fail a good
+    map, and the oracle overrules that.  Only `step` is called, on the
+    elements in the oracle's order, so an exception it raises is the
+    oracle's.
+    """
+    table, index, length = codomain
+    shifts, read = back
+    below, head, at, mask, split, low, high, scale = reader
+    count = 0
+    for base, tails in groups:
+        x_head = head[base + tails[0] & below]
+        for t in tails:
+            x = base + t
+            y = step(x)
+            forbidden, expected, limit = table[y & index]
+            if y & forbidden != expected or y & length > limit or y - shifts[y & read] != x:
+                return None
+            if y != x:
+                y_mu, x_mu = y >> at, x >> at
+                if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
+                        != x_head + (low[x_mu & mask] + high[x_mu >> split] << scale)):
+                    return None
+        count += len(tails)
+    return count if count and count == size else None
 
 
 def _bijection_failure(map_fn, domain, codomain_set, present):

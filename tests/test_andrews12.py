@@ -329,21 +329,14 @@ def test_involution_rejects_bad_indices():
         involution(3, 1, T((1, 0), (3,)))
 
 
-@pytest.mark.parametrize("certificate, n, k, cap", [
-    pytest.param(involution_certificate, 3, 2, 20, id="3-2-20"),
-    pytest.param(involution_certificate, 4, 4, 30, id="4-4-30"),
-    pytest.param(involution_certificate, 5, 4, 30, id="5-4-30"),
-    pytest.param(phi_certificate, 4, 0, 20, id="phi-4-0-20"),
-    pytest.param(phi_certificate, 4, 2, 30, id="phi-4-2-30"),
-    pytest.param(phi_certificate, 5, 3, 30, id="phi-5-3-30"),
-])
-def test_involution_certificate_tests_membership_once_per_element(monkeypatch, certificate,
-                                                                  n, k, cap):
-    # The kernels test membership inline, x & forbidden == expected on the
-    # _P_mask pairs, and P(n,k)'s forbidden mask tests the maps' domain
-    # alone: phi's input check, the involution's image check.  Counting its
-    # uses counts the domain tests: an int subclass's __rand__ runs for
-    # x & mask ahead of int's own __and__.  phi tests each element once.
+@pytest.mark.parametrize("n, k, cap", [(3, 2, 20), (4, 4, 30), (5, 4, 30)],
+                         ids=["3-2-20", "4-4-30", "5-4-30"])
+def test_involution_certificate_tests_membership_once_per_element(monkeypatch, n, k, cap):
+    # The kernel tests an image's membership inline, y & forbidden ==
+    # expected on the _P_mask pairs, and P(n,k)'s forbidden mask tests the
+    # maps' domain alone there: the rules read it only through guards
+    # narrowed from it.  Counting its uses counts the domain tests: an int
+    # subclass's __rand__ runs for y & mask ahead of int's own __and__.
     # The involution tests the image of each rising element (x < y) only,
     # half of the non-fixed ones, and the fixed ones are the codomain.
     calls = 0
@@ -362,12 +355,9 @@ def test_involution_certificate_tests_membership_once_per_element(monkeypatch, c
         return Counted(masks[0]), masks[1]
 
     monkeypatch.setattr(andrews12, "_P_mask", counted_mask)
-    cert = certificate(n, k, cap)
+    cert = involution_certificate(n, k, cap)
     assert cert.verified
-    if certificate is phi_certificate:
-        assert calls == cert.domain_size
-    else:
-        assert calls == (cert.domain_size - cert.codomain_size) // 2
+    assert calls == (cert.domain_size - cert.codomain_size) // 2
 
 
 def test_involution_net_weight_equals_embedded():
@@ -453,6 +443,57 @@ def test_maps_accept_exactly_their_domain(name):
                     accepted.add(type(x))
             if in_domain:  # the neighbourhood reaches both parts of the domain
                 assert accepted == ({Triple, MarkedObject} if k else {Triple}), (n, k)
+
+
+def packed_neighbourhood(n, k, cap, lay):
+    """Packed ints around the maps' domain and phi's codomain at (n, k):
+    each element of both slices at `cap`, bare and under the markers 2n-3
+    and 2n-1 (at k = 0 the marked ones over P(n,0) are the copies of the
+    empty P(n-1,-1)), and each of those one unit off in the marker, the
+    row count, one lam part n-k-1 .. n+k+1 or one mu part 2 .. 2k+4: one
+    past each end of the parts' ranges."""
+    field = lay.field
+    slices = andrews12._domain(n, k) + andrews12._codomain(n, k)
+    bare = {x - (x & field) for x in andrews12._enum_packed(slices, cap, lay)}
+    marked = {x + marker for x in bare for marker in (0, 2 * n - 3, 2 * n - 1)}
+    units = ([1, 1 << lay.rows] + [lay.part(p) for p in range(max(n - k - 1, 1), n + k + 2)]
+             + [lay.mu.unit(p) for p in range(2, 2 * k + 5, 2)])
+    return sorted(marked | {x + sign * unit for x in marked for unit in units
+                            for sign in (1, -1) if x + sign * unit >= 0})
+
+
+@pytest.mark.parametrize("name", ["phi", "involution"])
+def test_each_rule_refuses_every_non_member_with_its_maps_text(name):
+    # The packed rule alone tests membership: each guard holds its domain
+    # part's masks.  Each int it refuses decodes to a non-member of the
+    # domain, and it refuses with the public map's text for that element,
+    # which the public map itself gives at n <= 4 (the public calls are
+    # most of the test's time); each member it maps as the public map does.
+    public = {"phi": phi, "involution": involution}[name]
+    rule_of = {"phi": andrews12._phi_rule, "involution": andrews12._involution_rule}[name]
+    refused = 0
+    for n in range(2, 7):
+        for k in range(n + 1):
+            if paper_map(n, k) != name:
+                continue
+            cap = (n - k) * (n - k - 1) // 2 + 2 * n - 1  # the marked part's least weight
+            lay = andrews12._layout(n, cap)
+            rule, decode = rule_of(n, k, lay), andrews12._decoder(lay)
+            for c in packed_neighbourhood(n, k, cap, lay):
+                x = decode(c)
+                if paper_domain(n, k, x):
+                    assert decode(rule(c)) == public(n, k, x), (n, k, x)
+                    continue
+                text = f"{x} is not in the domain of {name} at n={n}, k={k}"
+                with pytest.raises(ValueError) as packed:
+                    rule(c)
+                assert str(packed.value) == text, (n, k, x)
+                if n <= 4:
+                    with pytest.raises(ValueError) as triple:
+                        public(n, k, x)
+                    assert str(triple.value) == text, (n, k, x)
+                refused += 1
+    assert refused > 0
 
 
 # one broken case at a time: each certificate sees every case of its map ---------

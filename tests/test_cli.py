@@ -189,6 +189,20 @@ def test_check_bijection_names_the_index_rule_before_the_slice(capsys):
         assert "does not lower n=3, k=" in capsys.readouterr().err, name
 
 
+def test_check_bijection_macmahon_cancelation_prints_the_golden_certificate(capsys):
+    from test_golden import GOLDEN
+
+    code, output = run(["check-bijection", "macmahon-cancelation", "--n", "3", "--m", "3",
+                        "--format", "json"])
+    assert code == 0
+    printed = json.loads(output)
+    del printed["elapsed_ms"]
+    assert [printed] == json.loads(GOLDEN.read_text())["cancelation"]
+    code, output = run(["check-bijection", "macmahon-cancelation", "--n", "3", "--m", "0"])
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == "error: phi_step requires n >= 0 and m >= 1\n"
+
+
 # trace ---------------------------------------------------------------------------
 
 def test_trace_prints_the_pinned_staircase_orbit():
@@ -248,6 +262,8 @@ def test_macmahon_commands_run_exactly_where_their_index_is_in_range(capsys):
              for n in range(-3, 4) for m in range(-1, 4) for k in range(-5, 6)]
     cells += [("macmahon-psi", {"n": n, "k": k}, n >= 1 and 0 <= k <= n)
               for n in range(-2, 5) for k in range(-3, 7)]
+    cells += [("macmahon-cancelation", {"n": n, "m": m}, n >= 0 and m >= 1)
+              for n in range(-2, 4) for m in range(-1, 4)]
     for which, index, in_range in cells:
         args = [str(a) for name, value in index.items() for a in (f"--{name}", value)]
         code, output = run(["check-bijection", which] + args)
@@ -313,6 +329,7 @@ GRAMMAR = {
     ("verify", "andrews"): {"--n", "--n-max", "--cap", "--json", "--format"},
     ("check-bijection", "macmahon-phi"): {"--n", "--m", "--k", "--json", "--format"},
     ("check-bijection", "macmahon-psi"): {"--n", "--k", "--json", "--format"},
+    ("check-bijection", "macmahon-cancelation"): {"--n", "--m", "--json", "--format"},
     ("check-bijection", "andrews-phi"): {"--n", "--k", "--cap", "--json", "--format"},
     ("check-bijection", "andrews-involution"): {"--n", "--k", "--cap", "--json",
                                                 "--format"},
@@ -325,6 +342,7 @@ VALID = {
     ("verify", "andrews"): ["--n", "1"],
     ("check-bijection", "macmahon-phi"): ["--n", "2", "--m", "1", "--k", "0"],
     ("check-bijection", "macmahon-psi"): ["--n", "2", "--k", "1"],
+    ("check-bijection", "macmahon-cancelation"): ["--n", "1", "--m", "1"],
     ("check-bijection", "andrews-phi"): ["--n", "3", "--k", "1", "--cap", "12"],
     ("check-bijection", "andrews-involution"): ["--n", "2", "--k", "2", "--cap", "12"],
     ("trace", "andrews"): ["--n", "2", "--k", "0", "--cap", "10"],

@@ -54,8 +54,9 @@ def macmahon_fields(bound):
 
 def shifted_row(table, row, unit):
     """A table factory like `table` whose row `row` shifts by unit(lay) more.
-    Rows count from the end: at k = 0 phi's table drops its first row, and
-    a mutant of that row changes nothing there."""
+    Rows count from the end, as test_the_andrews_grids_reach_every_row
+    counts them; at k = 0 the guards of phi's embedded, B, marked and C
+    rows pass no int, and a mutant of those rows changes nothing there."""
     def factory(n, k, lay):
         rows = table(n, k, lay)
         if row >= -len(rows):

@@ -278,7 +278,7 @@ def test_decode_and_weight_are_the_partition(at, width):
         assert field.weight(x >> at) == mu.weight
         for bound in (0, 4, 12, 30):  # the halves split anywhere, and are exact
             mask, shift, low, high = field.halves(bound)
-            assert low(x >> at & mask) + high(x >> at >> shift) == mu.weight
+            assert low[x >> at & mask] + high[x >> at >> shift] == mu.weight
     # equal mus decode to one shared Partition
     assert field.decode(1) is field.decode(1)
 

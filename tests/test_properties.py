@@ -157,9 +157,9 @@ def kernel_weight(x, lay, k):
     """The weight key the Andrews kernels read off a packed x at index k,
     composed as they compose it from andrews12._reader: weight << 1 |
     parity of lam's length."""
-    below, head, mask, split, low, high = andrews12._reader(lay, k)
-    mu = x >> lay.mu.at
-    read = head(x & below) + (low(mu & mask) + high(mu >> split) << 1)
+    below, head, at, mask, split, low, high, scale = andrews12._reader(lay, k)
+    mu = x >> at
+    read = head[x & below] + (low[mu & mask] + high[mu >> split] << scale)
     return -1 if read & 1 else 1, 0, read >> 1
 
 

@@ -1,11 +1,11 @@
 """The streaming certificates against their set-based oracles.
 
 Every bijection-side certificate makes one pass over its slice in a flat
-kernel (macmahon._stream_bijection, andrews12._stream_phi and
-_stream_involution) and keeps only counters; where that pass fails, it
-reruns the set-based checker (telescope.check_graded_bijection, or
-andrews12._involution_failure for the involution), which names the
-counterexample.  These tests hold the two paths together: a verified
+kernel (telescope.stream_bijection, which macmahon and andrews12 each
+import, and andrews12._stream_involution) and keeps only counters; where
+that pass fails, it reruns the set-based checker
+(telescope.check_graded_bijection, or andrews12._involution_failure for
+the involution), which names the counterexample.  These tests hold the two paths together: a verified
 certificate never reaches the oracle, each certificate is the one the
 oracle alone would give, a fault that only the weight or sign shows
 fails each kernel, each inverse is two-sided, exceptions are the
@@ -49,9 +49,10 @@ def refuse_oracle(monkeypatch):
     monkeypatch.setattr(andrews12, "_involution_failure", refuse)
 
 
-# every streaming kernel, by module; each returns None where a check fails
-KERNELS = {macmahon: ("_stream_bijection",),
-           andrews12: ("_stream_phi", "_stream_involution")}
+# every streaming kernel, by the module that calls it; each returns None
+# where a check fails
+KERNELS = {macmahon: ("stream_bijection",),
+           andrews12: ("stream_bijection", "_stream_involution")}
 
 
 def force_oracle(monkeypatch):
@@ -147,8 +148,8 @@ def test_each_step_fault_gives_the_oracles_certificate(monkeypatch, step, case, 
     assert streamed["counterexample"]["reason"] == reason
 
 
-# weight-only faults: each kernel's weight and sign check, which the Andrews
-# kernels read through their one reader, andrews12._reader --------------------
+# weight-only faults: each kernel's weight and sign check, which the kernels
+# read through a reader, macmahon._reader or andrews12._reader -----------------
 
 def kernel_results(monkeypatch, module, name):
     """Spy on a kernel: the list of what it returned, one entry a call."""
@@ -168,6 +169,22 @@ def rewired(true_rule, images):
     def factory(*args):
         step = true_rule(*args)
         return lambda x: images[x] if x in images else step(x)
+    return factory
+
+
+def rewired_back(true_back, preimages):
+    """A factory of phi's inverse shifts like andrews12._phi_back whose
+    inverse sends y to preimages[y] where preimages has it: its `read` is
+    every bit, so it is keyed on y itself."""
+    def factory(*args):
+        back = true_back(*args)
+
+        class Rewired(dict):
+            read = -1
+
+            def __missing__(self, y):
+                return y - preimages[y] if y in preimages else back[y & back.read]
+        return Rewired()
     return factory
 
 
@@ -203,9 +220,9 @@ def test_an_andrews_phi_weight_fault_fails_the_kernel(monkeypatch, differs):
     a, b = pick(moved, lambda a, b: differs(weight(a), weight(b)))
     monkeypatch.setattr(andrews12, "_phi_rule", rewired(
         andrews12._phi_rule, {a: step(b), b: step(a)}))
-    monkeypatch.setattr(andrews12, "_phi_inverse", rewired(
-        andrews12._phi_inverse, {step(b): a, step(a): b}))
-    results = kernel_results(monkeypatch, andrews12, "_stream_phi")
+    monkeypatch.setattr(andrews12, "_phi_back", rewired_back(
+        andrews12._phi_back, {step(b): a, step(a): b}))
+    results = kernel_results(monkeypatch, andrews12, "stream_bijection")
     streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
     assert results == [None]
     assert streamed == oracle
@@ -277,7 +294,7 @@ def test_a_macmahon_marker_fault_fails_the_kernel(monkeypatch, certificate, inde
                                 else (marker_q, marker_z + 1))
 
     monkeypatch.setattr(macmahon, index_of, off)
-    results = kernel_results(monkeypatch, macmahon, "_stream_bijection")
+    results = kernel_results(monkeypatch, macmahon, "stream_bijection")
     streamed, oracle = both_paths(monkeypatch, lambda: certificate(*index))
     assert results == [None]
     assert streamed == oracle
@@ -378,8 +395,8 @@ def test_andrews_phi_inverse_is_two_sided():
         for k in range(n - 1):
             for cap in range(0, 31, 3):
                 lay = andrews12._layout(n, cap)
-                step = andrews12._phi_rule(n, k, lay)
-                inverse = andrews12._phi_inverse(n, k, lay)
+                step, back = andrews12._phi_rule(n, k, lay), andrews12._phi_back(n, k, lay)
+                inverse = lambda y: y - back[y & back.read]  # as stream_bijection reads it
                 member = andrews12._domain_test(n, k, lay)
                 domain = (n, k, 0), (n - 1, k - 1, 2 * n - 1)
                 codomain = (n - 1, k - 1, 0), (n - 2, k, 2 * n - 3)
@@ -399,8 +416,9 @@ def _step_sides(box, neighbour, lower, lay):
 
 
 def packed_inverse(shifts, lay):
-    """The inverse macmahon._stream_bijection inlines: a marked pair takes
-    the shift of its side field back, any other pair is its own preimage."""
+    """The inverse stream_bijection reads off macmahon's table: a marked
+    pair takes the shift of its side field back, any other pair is its own
+    preimage."""
     field = lay.field
     return lambda y: y - shifts[y >> macmahon._SIDE & field] if y & macmahon._MARKED else y
 
@@ -468,14 +486,14 @@ def test_cancelation_inverse_is_two_sided():
 
 def streamed_walk(monkeypatch, n, m):
     """The direct map cancelation_certificate(n, m) streams: its int walk."""
-    walks, kernel = [], macmahon._stream_bijection
+    walks, kernel = [], macmahon.stream_bijection
 
-    def spy(step, *args):
+    def spy(groups, step, *args):
         walks.append(step)
-        return kernel(step, *args)
+        return kernel(groups, step, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(macmahon, "_stream_bijection", spy)
+        patch.setattr(macmahon, "stream_bijection", spy)
         macmahon.cancelation_certificate(n, m)
     return walks[0]
 

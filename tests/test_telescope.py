@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import pytest
 
 from qtelescope.macmahon import phi_telescoping_counts, psi_telescoping_counts
+from qtelescope.partitions import Memo
 from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import (Certificate, IterationBudgetExceeded,
                                   MarkedObject, cancelation_psi,
-                                  check_graded_bijection,
+                                  check_graded_bijection, stream_bijection,
                                   telescoping_sum_check, weight_of,
                                   weighted_count)
 
@@ -101,6 +102,68 @@ def test_duplicate_codomain_enumeration_is_rejected():
 def test_empty_domain_is_rejected():
     with pytest.raises(ValueError, match="empty domain"):
         check_graded_bijection(lambda x: x, [], [], present=by_table({}))
+
+
+# stream_bijection on a toy family of ints ---------------------------------------
+#
+# The domain is x = a << 4 | 1 and the codomain y = a << 4 | 2 for a in
+# 0..7: a 4-bit tag below a.  The true map adds 1.  The weight key is
+# a // 2, so a = 0, 1 share one weight.  The inverse is keyed on y itself
+# (read -1), so a test can name any preimage.
+
+TOY_DOMAIN = [a << 4 | 1 for a in range(8)]
+
+
+def toy_stream(step=lambda x: x + 1, preimages=None, size=8, groups=None):
+    table = [(0, 1, 0)] * 16  # (0, 1): no int passes
+    table[2] = (~(7 << 4), 2, 0)  # tag 2, a <= 7
+    if preimages is None:
+        preimages = {x + 1: x for x in TOY_DOMAIN}
+    shifts = {y: y - x for y, x in preimages.items()}
+    # key: head 0, plus low[a & 1] + high[a >> 1] = a // 2, at scale 0
+    reader = (15, Memo(lambda bits: 0), 4, 1, 1, Memo(lambda low: 0), Memo(lambda high: high), 0)
+    if groups is None:
+        groups = [(1, [0, 16, 32, 48]), (65, [0, 16, 32, 48])]
+    return stream_bijection(groups, step, (table, 15, 0), (shifts, -1), reader, size)
+
+
+def test_stream_bijection_verifies_a_weight_preserving_bijection():
+    assert toy_stream() == 8
+
+
+def test_stream_bijection_refuses_an_image_outside_the_codomain():
+    assert toy_stream(step=lambda x: x + 2 if x == 17 else x + 1) is None
+
+
+def test_stream_bijection_refuses_a_wrong_preimage():
+    # a = 0 and a = 1 share a weight, so only the inverse can see it
+    assert toy_stream(preimages={2: 17, 18: 1, **{x + 1: x for x in TOY_DOMAIN[2:]}}) is None
+
+
+def swapped_stream(a, b):
+    """toy_stream where the elements a and b swap images, and the inverse
+    swaps to match."""
+    x, y = a << 4 | 1, b << 4 | 1
+    swapped = {x: y + 1, y: x + 1}
+    preimages = {image: element for element, image in swapped.items()}
+    preimages.update((z + 1, z) for z in TOY_DOMAIN if z not in swapped)
+    return toy_stream(step=lambda z: swapped.get(z, z + 1), preimages=preimages)
+
+
+def test_stream_bijection_refuses_a_changed_weight():
+    # a = 0 and a = 2 differ in weight: only the weight check can see the
+    # swap, as the same swap of a = 0 and a = 1, of one weight, verifies
+    assert swapped_stream(0, 2) is None
+    assert swapped_stream(0, 1) == 8
+
+
+def test_stream_bijection_refuses_a_size_off_by_one():
+    assert toy_stream(size=7) is None
+    assert toy_stream(size=9) is None
+
+
+def test_stream_bijection_refuses_an_empty_domain():
+    assert toy_stream(groups=[], size=0) is None
 
 
 # weight keys ------------------------------------------------------------------
