@@ -36,8 +36,8 @@ the int; phi's rows add the image class and its guard.  Each guard holds
 its domain part's mask pair (_within), so an int that passes no guard is
 not in the domain.  One first-match dispatch, _FirstMatch, derives from
 a table the rule (guard, then + shift; ValueError where no guard passes),
-phi's inverse (_phi_back: image guard, then - shift) and the classes
-that classify and classify_image report.
+phi's inverse (_phi_back: image guard, then - shift) and the class that
+classify reports.
 The certificates run end to end on packed ints and decode an element to
 a Triple / MarkedObject only for a counterexample.  phi's streams in the
 one bijection kernel, telescope.stream_bijection, over _groups without
@@ -53,9 +53,9 @@ shown as {"packed": x}.  The public functions take and return Triples:
 they check the input's shape, encode it, run the packed rule and decode
 the result.  The public maps phi and involution share one input check:
 the index rule, then the rule's own refusal of an element outside their
-common domain.  classify and classify_image answer only where the index
-rule names phi.  The involution certificate tests each image's
-membership once, before the rule takes it back.
+common domain.  classify answers only where the index rule names phi.
+The involution certificate tests each image's membership once, before
+the rule takes it back.
 """
 
 from __future__ import annotations
@@ -428,13 +428,13 @@ def _rule(name: str, n: int, k: int, lay: _Layout, rows) -> Callable[[int], int]
     first ((mask, value), shift) row x passes.  The guards hold the
     domain's masks, so ValueError for each x not in the domain."""
     shifts = _FirstMatch(rows)
-    read = shifts.read
+    read, decode = shifts.read, _decoder(lay)
 
     def step(x: int) -> int:
         try:
             return x + shifts[x & read]  # shifts(x) inlined: the certificates' inner loop
         except KeyError:
-            raise ValueError(f"{_decoder(lay)(x)} is not in the domain of "
+            raise ValueError(f"{decode(x)} is not in the domain of "
                              f"{name} at n={n}, k={k}") from None
     return step
 
@@ -499,20 +499,6 @@ def classify(n: int, k: int, t: Triple) -> ClassTag:
         raise ValueError(f"{t} is not in P({n},{k})")
     x, lay = _pack(n, t)
     return _FirstMatch((guard, case) for case, guard, *_ in _phi_table(n, k, lay))(x)
-
-
-def classify_image(n: int, k: int, t: Triple) -> ClassTag:
-    """The codomain class of a member of P(n-2,k), keyed on which of lam's
-    smallest admissible parts n-k, n-k-1 occur and on whether mu has a part
-    2k: the image case of _phi_table that phi's marked image (2n-3, t)
-    falls in.  ValueError unless the index rule names phi at (n, k) and t
-    is in P(n-2,k)."""
-    _require_map("phi", n, k)
-    if not in_P(n - 2, k, t):
-        raise ValueError(f"{t} is not in P({n - 2},{k})")
-    x, lay = _pack(n, t)
-    return _FirstMatch((image, case) for *_, case, image in _phi_table(n, k, lay))(
-        x + 2 * n - 3)
 
 
 def _apply(name: str, n: int, k: int, x: TripleValue) -> TripleValue:

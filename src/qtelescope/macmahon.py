@@ -11,7 +11,7 @@ range (k outside [-m, n] for P, [0, n] for Q), and the box is then empty.
 The boundary slices G(n,m,k) and H(n,k) are the pairs of the box whose
 largest part equals its bound (the empty partition's reads as 0).
 
-phi_step lowers m by one, psi_step lowers n by one, by one construction:
+phi_step lowers m by one, psi lowers n by one, by one construction:
 a pair of the index's own box is its own image, and a boundary pair of the
 neighbouring box (k-1 for phi, k+1 for psi) loses its first row and
 carries a marker.  So at each index k
@@ -32,8 +32,8 @@ is a constant shift.  The cancelation's direct map is a walk on ints: a
 pair steps at its own index and, while its image is bare and on its
 box's boundary, at the next, each rule read off a table by the side
 field; where the walk runs out of budget, it raises
-IterationBudgetExceeded with cancelation_psi's text.  The step and
-cancelation certificates stream in the one bijection kernel,
+IterationBudgetExceeded.no_landing.  The step and cancelation
+certificates stream in the one bijection kernel,
 telescope.stream_bijection (_bijection_certificate): one pass over the
 domain's EvenField chunks against the map's inverse, which takes a marked
 pair's shift back, with the codomain counted and tested by masks, both
@@ -45,8 +45,8 @@ walks (box, flag), the box's pairs plus the flag; its mask table
 Where the kernel fails, check_graded_bijection reruns on lists of both
 sides as the oracle and weighs the decoded pairs with weight_of.
 The certificates decode a pair only for a counterexample.  The public
-enum_P, enum_Q, phi_step and psi_step take and return MacPairs: they
-check the input, encode it, run the packed rule and decode the result;
+enum_P and phi_step take and return MacPairs: phi_step checks the input,
+encodes it, runs the packed rule and decodes the result;
 telescoping_phi steps through phi_step and retags its case.  The sum
 path needs weights only: one enumeration per box, in C, and the lower
 family is the box off its boundary (_box_counts); no pair
@@ -224,6 +224,7 @@ def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
     n_forbidden, n_expected, n_limit = _masks(neighbour, lay)
     edge, least, most = _edge(neighbour[1], lay)
     length, shift = lay.field << lay.length, _step_shift(box, neighbour, lay)
+    decode = _decoder(lay)
 
     def step(x: int) -> int:
         if x & forbidden == expected and x & length <= limit:
@@ -231,7 +232,7 @@ def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
         if (x & n_forbidden == n_expected and x & length <= n_limit
                 and least <= x & edge <= most):
             return x + shift
-        raise ValueError(_not_in_domain(_decoder(lay)(x), box, neighbour))
+        raise ValueError(_not_in_domain(decode(x), box, neighbour))
     return step
 
 
@@ -257,11 +258,6 @@ def enum_P(n: int, m: int, k: int) -> list[MacPair]:
     return _enum_box(_box_P(n, m, k))
 
 
-def enum_Q(n: int, k: int) -> list[MacPair]:
-    """All of Q(n,k); empty for k outside [0, n]."""
-    return _enum_box(_box_Q(n, k))
-
-
 def _phi_index(n: int, m: int, k: int) -> tuple[Box, Box, tuple[int, int]]:
     """The box of phi_step at index k, its neighbour and its marker (q, z)."""
     if n < 0 or m < 1:
@@ -270,9 +266,9 @@ def _phi_index(n: int, m: int, k: int) -> tuple[Box, Box, tuple[int, int]]:
 
 
 def _psi_index(n: int, k: int) -> tuple[Box, Box, tuple[int, int]]:
-    """The box of psi_step at index k, its neighbour and its marker (q, z)."""
+    """The box of psi at index k, its neighbour and its marker (q, z)."""
     if n < 1:
-        raise ValueError("psi_step requires n >= 1")
+        raise ValueError("psi requires n >= 1")
     return _box_Q(n, k), _box_Q(n, k + 1), (2 * n - 1, 1)
 
 
@@ -301,18 +297,6 @@ def phi_step(n: int, m: int, k: int, x: MacPair) -> tuple[int, MacValue]:
               goes away, and the output carries marker q^(2m-1)/z
     """
     return _apply(*_phi_index(n, m, k), x)
-
-
-def psi_step(n: int, k: int, x: MacPair) -> tuple[int, MacValue]:
-    """One application of the n-lowering map at index k.
-
-    Input must lie in Q(n,k) or H(n,k+1); n >= 1.  Returns (case, value):
-      case 1: boundary pair, lands in H(n,k) unchanged
-      case 2: interior pair, lands in Q(n-1,k) unchanged
-      case 3: H(n,k+1) pair; the side shrinks by one, the first row of mu
-              goes away, and the output carries marker z*q^(2n-1)
-    """
-    return _apply(*_psi_index(n, k), x)
 
 
 # certificates -----------------------------------------------------------
@@ -401,8 +385,8 @@ def phi_certificate(n: int, m: int, k: int) -> Certificate:
 
 
 def psi_certificate(n: int, k: int) -> Certificate:
-    """Exhaustive bijection check of psi_step at one index (finite sets),
-    streamed; see _slice_certificate."""
+    """Exhaustive bijection check of psi, the n-lowering step map, at one
+    index (finite sets), streamed; see _slice_certificate."""
     return _slice_certificate(*_psi_index(n, k), "macmahon-psi", {"n": n, "k": k})
 
 
@@ -563,8 +547,8 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     and on its box's boundary (tagged "H"), the image steps at the next
     index; the orbit lands on the first other image.  After `budget`
     steps, the size of the union plus its boundary pairs plus one, both
-    counted, the walk raises IterationBudgetExceeded with the text
-    cancelation_psi gives the tagged walk from ("A", a).  The check
+    counted, the walk raises IterationBudgetExceeded.no_landing(budget,
+    ("A", a)), the text of the tagged walk from ("A", a).  The check
     streams as the step certificates do (_bijection_certificate): the
     union of the P(n,m,k) against the direct map's inverse and the
     codomain walks (P(n,m-1,k), 0) and (P(n,m-1,k), _MARKED) for every k,

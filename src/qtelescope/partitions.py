@@ -64,9 +64,6 @@ class Partition:
         """All parts positive and even (the empty partition qualifies)."""
         return all(p > 0 and p % 2 == 0 for p in self.parts)
 
-    def contains(self, value: int) -> bool:
-        return value in self.parts
-
     def __str__(self) -> str:
         return "()" if not self.parts else "(" + ",".join(map(str, self.parts)) + ")"
 

@@ -188,12 +188,6 @@ class TruncatedSeries:
             raise ValueError(f"exponent {e} beyond cap {self.cap}")
         return self.poly.coeff(0, e)
 
-    def coeffs(self) -> dict[int, int]:
-        return {q: c for _z, q, c in self.poly.terms()}
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -228,7 +222,8 @@ class TruncatedSeries:
         return self.cap == other.cap and self.poly == other.poly
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries(cap={self.cap}, coeffs={self.coeffs()!r})"
+        coeffs = {q: c for _z, q, c in self.poly.terms()}
+        return f"TruncatedSeries(cap={self.cap}, coeffs={coeffs!r})"
 
     def __str__(self) -> str:
         return f"{self.poly} + O(q^{self.cap + 1})"

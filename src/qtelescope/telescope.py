@@ -1,6 +1,5 @@
 """Generic machinery for checking weight-preserving bijections on graded
-families, the telescoping relation their index sum induces, and the
-cancelation iteration that turns a telescoping map into a direct bijection.
+families and the telescoping relation their index sum induces.
 
 All checks are exhaustive over explicitly enumerated, weight-capped slices
 and report their verdict as a Certificate (machine-readable, with a concrete
@@ -317,23 +316,3 @@ def _telescoping_failure(f_counts, g_counts, h_counts, k_min, k_max):
             return ({"k": k}, {"lhs": str(lhs), "rhs": str(rhs)},
                     "index-relation-violated")
     return None
-
-
-def cancelation_psi(phi: Callable[[Any], Any],
-                    start: Any,
-                    b_membership: Callable[[Any], bool],
-                    max_iter: int) -> Any:
-    """Iterate phi from start and return the first iterate landing in B.
-
-    phi must be total on the union the orbit walks through.  Raises
-    IterationBudgetExceeded after max_iter applications without landing,
-    which signals a cycle or unbounded orbit in the supplied map.
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    current = start
-    for _ in range(max_iter):
-        current = phi(current)
-        if b_membership(current):
-            return current
-    raise IterationBudgetExceeded.no_landing(max_iter, start)

@@ -6,7 +6,8 @@ The library walks even partitions on their packed form
 that the packed enumerator, the families built on it and the Gaussian
 coefficients are checked against.  Each yields in lexicographic order of
 the part tuple.  F_trunc_per_k is the reference that andrews12.F_trunc's
-histogram chain is checked against.
+histogram chain is checked against, and coeffs reads a truncated series
+as the dict the tests compare.
 """
 
 from typing import Iterator
@@ -67,3 +68,8 @@ def F_trunc_per_k(n: int, cap: int) -> TruncatedSeries:
         for w, count in enumerate(hist, tau_weight):
             coeffs[w] += count
     return TruncatedSeries(cap, dict(enumerate(coeffs)))
+
+
+def coeffs(series: TruncatedSeries) -> dict[int, int]:
+    """The nonzero coefficients of a truncated series, by exponent."""
+    return {q: c for _z, q, c in series.poly.terms()}

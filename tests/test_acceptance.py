@@ -9,8 +9,8 @@ import math
 import time
 
 from qtelescope import andrews12, cli, macmahon
-from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
-                                  classify_image, enum_P, verify_andrews)
+from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify, enum_P,
+                                  verify_andrews)
 from qtelescope.macmahon import (MacPair, cancelation_certificate,
                                  phi_certificate, phi_telescoping_counts,
                                  psi_certificate, psi_telescoping_counts,
@@ -22,6 +22,7 @@ from qtelescope.telescope import (MarkedObject, check_graded_bijection,
                                   telescoping_sum_check)
 
 from reference_enumerators import enum_even_bounded, enum_even_capped
+from test_andrews12 import image_class
 
 
 def report(number, name, failures, extra=""):
@@ -188,8 +189,8 @@ def test_criterion_09_property_suites():
         for k in range(1, n - 1):
             embedded = set()
             for t in enum_P(n, k, 30):
-                top = t.lam.contains(n + k)
-                second = t.lam.contains(n + k - 1)
+                top = n + k in t.lam.parts
+                second = n + k - 1 in t.lam.parts
                 flags = [not top and not second and t.mu.first == 2 * k,
                          top != second,
                          top and second,
@@ -200,19 +201,21 @@ def test_criterion_09_property_suites():
                     embedded.add(t)
             if embedded != set(enum_P(n - 1, k - 1, 30)):
                 failures.append(("embedded-mismatch", n, k))
-    # codomain side
+    # codomain side, in the order of the flags below
+    images = [ClassTag.A_PRIME, ClassTag.B_PRIME, ClassTag.C_PRIME, ClassTag.D]
     for n in range(2, 7):
         for k in range(0, n - 1):
             for t in enum_P(n - 2, k, 30):
-                low = t.lam.contains(n - k)
-                lower = t.lam.contains(n - k - 1)
+                low = n - k in t.lam.parts
+                lower = n - k - 1 in t.lam.parts
                 flags = [not low and not lower,
                          low != lower,
                          low and lower and t.mu.first == 2 * k,
                          low and lower and t.mu.first < 2 * k]
                 if sum(flags) != 1:
                     failures.append(("codomain-split", n, k, t))
-                classify_image(n, k, t)
+                if not flags[images.index(image_class(n, k, t))]:
+                    failures.append(("codomain-class", n, k, t))
     # enumerator completeness against the naive recursive oracle
     for max_part in (0, 2, 4):
         for cap in range(9):

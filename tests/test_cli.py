@@ -255,7 +255,7 @@ def test_andrews_commands_run_exactly_where_the_index_rule_names_a_map(capsys):
 
 
 def test_macmahon_commands_run_exactly_where_their_index_is_in_range(capsys):
-    # phi_step needs n >= 0 and m >= 1, psi_step n >= 1; P(n,m,k) is indexed
+    # phi_step needs n >= 0 and m >= 1, psi n >= 1; P(n,m,k) is indexed
     # by -m <= k <= n and Q(n,k) by 0 <= k <= n
     cells = [("macmahon-phi", {"n": n, "m": m, "k": k},
               n >= 0 and m >= 1 and -m <= k <= n)

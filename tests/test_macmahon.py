@@ -8,24 +8,36 @@ import tracemalloc
 
 import pytest
 
-from qtelescope.macmahon import (MacPair, cancelation_certificate,
-                                 enum_P, enum_Q,
+from qtelescope.macmahon import (MacPair, _apply, _box_Q, _enum_box, _psi_index,
+                                 cancelation_certificate, enum_P,
                                  phi_certificate, phi_step,
                                  phi_telescoping_counts, product_sum_F,
-                                 psi_certificate, psi_step,
-                                 psi_telescoping_counts, telescoping_phi,
-                                 verify_macmahon)
+                                 psi_certificate, psi_telescoping_counts,
+                                 telescoping_phi, verify_macmahon)
 from qtelescope.partitions import EvenField, Partition
 from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
 from qtelescope.telescope import (MarkedObject, telescoping_sum_check, weight_of,
                                   weighted_count)
 
 from partition_edits import drop_first
+from reference_cancelation import cancelation_psi
 from reference_enumerators import enum_even_bounded
 
 
 def pair(side, *mu):
     return MacPair(side, Partition(mu))
+
+
+def enum_Q(n, k):
+    """All of Q(n,k), decoded from the packed box; empty for k outside [0, n]."""
+    return _enum_box(_box_Q(n, k))
+
+
+def psi_step(n, k, x):
+    """(case, image) of psi at index k on a pair, as phi_step gives phi's:
+    case 1 lands in H(n,k), case 2 in Q(n-1,k), case 3 is an H(n,k+1) pair
+    that loses its first row, its side one smaller, marked z*q^(2n-1)."""
+    return _apply(*_psi_index(n, k), x)
 
 
 def mono(c, z=0, q=0):
@@ -198,7 +210,7 @@ def test_verify_builds_no_pair(monkeypatch):
 
     for name in ("iter", "count"):  # the packed path's enumerator and counter
         monkeypatch.setattr(EvenField, name, refuse)
-    for name in ("_enum_packed", "enum_P", "enum_Q"):
+    for name in ("_enum_packed", "enum_P", "_enum_box"):
         monkeypatch.setattr(mac, name, refuse)
     for n in range(5):
         for m in range(5):
@@ -583,7 +595,7 @@ def oracle_phi(n, m, k, x):
 
 def oracle_psi(n, k, x):
     if n < 1:
-        raise ValueError("psi_step requires n >= 1")
+        raise ValueError("psi requires n >= 1")
     return oracle_step(box_Q(n, k), box_Q(n, k + 1), (2 * n - 1, 1), x)
 
 
@@ -610,7 +622,7 @@ def oracle_telescoping(n, m, tagged):
 
 
 def oracle_cancelation(n, m):
-    from qtelescope.telescope import cancelation_psi, check_graded_bijection
+    from qtelescope.telescope import check_graded_bijection
 
     domain = [x for k in range(-m, n + 1) for x in oracle_enum(box_P(n, m, k))]
     budget = (len(domain) + 1
@@ -740,7 +752,7 @@ def test_certificates_check_the_step_parameters_first():
                  lambda: cancelation_certificate(2, 0)):
         with pytest.raises(ValueError, match="phi_step requires"):
             make()
-    with pytest.raises(ValueError, match="psi_step requires"):
+    with pytest.raises(ValueError, match="psi requires"):
         psi_certificate(0, 0)
 
 
@@ -917,8 +929,6 @@ def test_telescoping_phi_builds_one_step_rule(monkeypatch):
 
 
 def test_cancelation_preserves_weights_elementwise():
-    from qtelescope.telescope import cancelation_psi
-
     n = m = 3
     domain = [x for k in range(-m, n + 1) for x in enum_P(n, m, k)]
     images = []

@@ -54,8 +54,10 @@ def test_tracer_finds_every_traced_name_the_library_still_has():
         assert traced.missing == ["qtelescope.macmahon.enum_even_bounded",
                                   "qtelescope.andrews12.enum_even_capped",
                                   "qtelescope.macmahon.enum_G",
+                                  "qtelescope.macmahon.enum_Q",
                                   "qtelescope.macmahon.enum_H",
                                   "qtelescope.macmahon.weighted_count",
+                                  "qtelescope.macmahon.psi_step",
                                   "qtelescope.macmahon.weight_of",
                                   "qtelescope.macmahon.cancelation_psi"]
     finally:

@@ -29,6 +29,7 @@ from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, truncate  # noqa: 
 from qtelescope.telescope import MarkedObject, weight_of  # noqa: E402
 
 from partition_edits import drop_first_rows, with_part, without_part  # noqa: E402
+from reference_enumerators import coeffs  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -82,13 +83,13 @@ def cut(poly, cap):
 def test_series_combine_at_the_smaller_cap(a, cap_a, b, cap_b, p):
     x, y = truncate(a, cap_a), truncate(b, cap_b)
     low = min(cap_a, cap_b)
-    assert x.coeffs() == cut(a, cap_a)
+    assert coeffs(x) == cut(a, cap_a)
     for result, exact in ((x + y, a + b), (x - y, a - b)):
         assert result.cap == low
-        assert result.coeffs() == cut(exact, low)
+        assert coeffs(result) == cut(exact, low)
     product = x.mul_poly(p)
     assert product.cap == cap_a
-    assert product.coeffs() == cut(a * p, cap_a)
+    assert coeffs(product) == cut(a * p, cap_a)
     assert TruncatedSeries(cap_a, {q: c for _z, q, c in a.terms()}) == x
 
 
@@ -99,7 +100,7 @@ def test_series_combine_at_the_smaller_cap(a, cap_a, b, cap_b, p):
 def test_with_part_and_without_part_are_inverse(p, value):
     grown = with_part(p, value)
     assert grown.weight == p.weight + value and grown.length == p.length + 1
-    assert grown.contains(value)
+    assert value in grown.parts
     assert without_part(grown, value) == p
     for part in p.parts:
         assert with_part(without_part(p, part), part) == p

@@ -14,6 +14,8 @@ import pytest
 from qtelescope.qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                                  gaussian_binomial, rhs_andrews, truncate)
 
+from reference_enumerators import coeffs
+
 
 def P(terms):
     return LaurentPoly(terms)
@@ -28,17 +30,17 @@ def mono(c, z=0, q=0):
 def box_partition_sum(rows, cols):
     """Sum of q^|lam| over partitions fitting in a rows x cols box, by
     direct recursive enumeration."""
-    coeffs = {}
+    counts = {}
 
     def rec(limit, slots, total):
-        coeffs[total] = coeffs.get(total, 0) + 1
+        counts[total] = counts.get(total, 0) + 1
         if slots == 0:
             return
         for p in range(1, limit + 1):
             rec(p, slots - 1, total + p)
 
     rec(cols, rows, 0)
-    return P({(0, e): c for e, c in coeffs.items()})
+    return P({(0, e): c for e, c in counts.items()})
 
 
 def subset_expansion(count, sign, z_exp, q_offset, q_step):
@@ -152,12 +154,12 @@ def test_gaussian_palindromic_nonnegative_counts():
     for n in range(13):
         for k in range(n + 1):
             g = gaussian_binomial(n, k, 1)
-            coeffs = {q: c for _z, q, c in g.terms()}
-            assert all(c > 0 for c in coeffs.values())
-            assert sum(coeffs.values()) == math.comb(n, k)
+            terms = {q: c for _z, q, c in g.terms()}
+            assert all(c > 0 for c in terms.values())
+            assert sum(terms.values()) == math.comb(n, k)
             deg = k * (n - k)
-            assert max(coeffs) == deg and min(coeffs) == 0
-            assert all(coeffs.get(e, 0) == coeffs.get(deg - e, 0)
+            assert max(terms) == deg and min(terms) == 0
+            assert all(terms.get(e, 0) == terms.get(deg - e, 0)
                        for e in range(deg + 1))
 
 
@@ -256,9 +258,9 @@ def test_rhs_andrews_two_term_recurrence():
 
 def test_truncate_examples():
     s = truncate(rhs_andrews(2), 3)
-    assert s.coeffs() == {0: 2, 3: -2}
-    assert truncate(LaurentPoly.zero(), 10).is_zero()
-    assert truncate(P({(0, 0): 1, (0, 5): 1}), 5).coeffs() == {0: 1, 5: 1}
+    assert coeffs(s) == {0: 2, 3: -2}
+    assert coeffs(truncate(LaurentPoly.zero(), 10)) == {}
+    assert coeffs(truncate(P({(0, 0): 1, (0, 5): 1}), 5)) == {0: 1, 5: 1}
 
 
 def test_truncate_rejects_z_and_negative_exponents():
@@ -272,14 +274,14 @@ def test_series_arithmetic_uses_min_cap():
     a = TruncatedSeries(10, {0: 1, 9: 2})
     b = TruncatedSeries(5, {0: 1, 4: 1})
     assert (a + b).cap == 5
-    assert (a + b).coeffs() == {0: 2, 4: 1}
-    assert (a - a).is_zero()
+    assert coeffs(a + b) == {0: 2, 4: 1}
+    assert coeffs(a - a) == {}
 
 
 def test_series_poly_multiplication_shifts_and_drops():
     s = TruncatedSeries(6, {0: 1, 1: -1})
     shifted = s.mul_poly(mono(1, 0, 5))
-    assert shifted.coeffs() == {5: 1, 6: -1}
+    assert coeffs(shifted) == {5: 1, 6: -1}
     with pytest.raises(ValueError):
         s.mul_poly(mono(1, 1, 0))
     with pytest.raises(ValueError):
@@ -300,9 +302,9 @@ def test_series_is_truncated_polynomial_arithmetic():
         differ = [e for e in range(limit + 1) if a.coeff(0, e) != b.coeff(0, e)]
         assert truncate(a, c1).first_mismatch(truncate(b, c2), window) == \
             (differ[0] if differ else None)
-        coeffs = {q: c for _z, q, c in a.terms()}
-        assert TruncatedSeries(c1, coeffs).coeffs() == \
-            {e: c for e, c in coeffs.items() if e <= c1}
+        terms = {q: c for _z, q, c in a.terms()}
+        assert coeffs(TruncatedSeries(c1, terms)) == \
+            {e: c for e, c in terms.items() if e <= c1}
 
 
 def test_series_first_mismatch():

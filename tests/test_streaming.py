@@ -25,10 +25,11 @@ from pathlib import Path
 import pytest
 
 from qtelescope import andrews12, macmahon
-from qtelescope.telescope import cancelation_psi, weight_of
+from qtelescope.telescope import weight_of
 
 import test_andrews12 as andrews_tests
 import test_macmahon as macmahon_tests
+from reference_cancelation import cancelation_psi
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -1,4 +1,5 @@
-"""The generic checkers: graded bijection, telescoping sum, cancelation.
+"""The generic checkers (graded bijection, telescoping sum) and the
+cancelation walk of tests/reference_cancelation.py.
 
 Positive cases use tiny synthetic families; every failure reason has a
 negative control that must produce a failure certificate with a concrete
@@ -14,10 +15,11 @@ from qtelescope.macmahon import phi_telescoping_counts, psi_telescoping_counts
 from qtelescope.partitions import Memo
 from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import (Certificate, IterationBudgetExceeded,
-                                  MarkedObject, cancelation_psi,
-                                  check_graded_bijection, stream_bijection,
-                                  telescoping_sum_check, weight_of,
-                                  weighted_count)
+                                  MarkedObject, check_graded_bijection,
+                                  stream_bijection, telescoping_sum_check,
+                                  weight_of, weighted_count)
+
+from reference_cancelation import cancelation_psi
 
 
 @dataclass(frozen=True)
