@@ -29,23 +29,24 @@ A slice is a tuple of parts (n, k, marker), each marker-`marker` copies
 of P(n,k): P(n,k) itself is ((n, k, 0),), and _domain, _codomain and
 _embedded state each side of each map once.  One grouped walk (_groups),
 one enumerator (_enum_packed) and one counter (_count_packed) take a
-slice, and _slice_masks gives one mask pair per part.
+slice; _slice_masks states its membership, one mask pair per part, and
+_slice_table reads those pairs by the marker field.
 Each map is one ordered table of cases (_phi_table, _involution_table):
 a row holds the case, a guard x & mask == value and a constant shift of
 the int; phi's rows add the image class and its guard.  Each guard holds
 its domain part's mask pair (_within), so an int that passes no guard is
-not in the domain.  One first-match dispatch, _FirstMatch, derives from
+not in the domain.  One first-match dispatch, _first_match, derives from
 a table the rule (guard, then + shift; ValueError where no guard passes),
 phi's inverse (_phi_back: image guard, then - shift) and the class that
 classify reports.
 The certificates run end to end on packed ints and decode an element to
 a Triple / MarkedObject only for a counterexample.  phi's streams in the
 one bijection kernel, telescope.stream_bijection, over _groups without
-the weight, against _phi_back and a codomain table indexed by the marker
-field (_codomain_table); the involution's streams in its own kernel for
-its own laws (_stream_involution).  Neither holds an element, both read
-an element's weight and sign off its fields through one reader
-(_reader), and only the rules are called.  Where a kernel fails, the
+the weight, against _phi_back and the codomain's _slice_table; the
+involution's streams in its own kernel for its own laws
+(_stream_involution).  Neither holds an element, both read an element's
+weight and sign off its fields through one reader (_reader), and only
+the rules are called.  Where a kernel fails, the
 set-based check (check_graded_bijection, _involution_failure) reruns as
 the oracle, weighs the decoded elements with weight_of and names the
 counterexample; a negative int, which no rule of a sound map yields, is
@@ -55,7 +56,8 @@ the result.  The public maps phi and involution share one input check:
 the index rule, then the rule's own refusal of an element outside their
 common domain.  classify answers only where the index rule names phi.
 The involution certificate tests each image's membership once, before
-the rule takes it back.
+the rule takes it back.  The decoders' parts, the first-match tables
+and the weight reads are each cached per layout in a partitions.Memo.
 """
 
 from __future__ import annotations
@@ -200,19 +202,18 @@ def _decoder(lay: _Layout) -> Callable[[int], TripleValue]:
     elements it decodes are one shared Partition."""
     field, mu_of, at = lay.field, lay.mu.decode, lay.mu.at
 
-    @lru_cache(maxsize=None)
-    def lam_of(bits: int) -> Partition:
+    def lam(bits: int) -> Partition:
         return Partition(tuple(p for p in range(bits.bit_length() - 1, 0, -1)
                                if bits >> p & 1))
 
-    tau_of = lru_cache(maxsize=None)(staircase)
+    lam_of, tau_of = Memo(lam), Memo(staircase)
 
     def decode(x: int) -> TripleValue:
-        mu = mu_of(x >> at)
+        mu = mu_of[x >> at]
         if mu is None:  # a negative int packs no triple
             return {"packed": x}
-        t = Triple(tau_of(x >> lay.rows & field),
-                   lam_of((x & lay.lam_field) >> lay.lam), mu)
+        t = Triple(tau_of[x >> lay.rows & field],
+                   lam_of[(x & lay.lam_field) >> lay.lam], mu)
         marker = x & field
         return MarkedObject(marker, t) if marker else t
     return decode
@@ -226,18 +227,6 @@ def _pack(n: int, x: TripleValue) -> tuple[Optional[int], Optional[_Layout]]:
         return None, None
     lay = _layout(n, weight_of(x)[2])
     return _encode(x, lay), lay
-
-
-def _P_mask(n: int, k: int, lay: _Layout) -> Optional[tuple[int, int]]:
-    """(forbidden, expected): a packed x is in P(n,k) iff x & forbidden ==
-    expected.  The bits left free are lam's parts n-k+1 .. n+k and the
-    multiplicities of mu's parts 2 .. 2k; the marker must be 0 and the row
-    count n-k.  None where P(n,k) is empty or has no element in `lay`."""
-    if n < 0 or k < 0 or k > n or n - k > lay.field:
-        return None
-    free = (lay.lam_field & ((1 << 2 * k) - 1) * lay.part(n - k + 1)
-            | lay.mu.unit(2 * k + 2) - lay.mu.unit(2))
-    return ~free, (n - k) << lay.rows
 
 
 _NEVER = (0, 1)  # the mask pair of no element: x & 0 is never 1
@@ -262,24 +251,34 @@ def _embedded(n: int, k: int) -> tuple[Part, ...]:
 
 def _slice_masks(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int]]:
     """One (forbidden, expected) pair per part: a packed x is in the part
-    (n, k, marker), with no weight cap, iff x & forbidden == expected.  An
-    empty part gets _NEVER with no marker added: at n = 0 the marker 2n-1
-    is -1, and _NEVER less 1 is (0, 0), which every int passes."""
+    (n, k, marker), with no weight cap, iff x & forbidden == expected.  The
+    bits left free are lam's parts n-k+1 .. n+k and the multiplicities of
+    mu's parts 2 .. 2k; the marker field must read `marker` and the row
+    count n-k.  An empty part (k < 0 or k > n) is _NEVER, no marker added
+    (at n = 0 the marker 2n-1 is -1, and _NEVER less 1 passes every int)."""
     masks = []
     for n, k, marker in parts:
-        mask = _P_mask(n, k, lay)
-        masks.append(_NEVER if mask is None else (mask[0], mask[1] + marker))
+        if k < 0 or k > n:
+            masks.append(_NEVER)
+            continue
+        free = (lay.lam_field & ((1 << 2 * k) - 1) * lay.part(n - k + 1)
+                | lay.mu.unit(2 * k + 2) - lay.mu.unit(2))
+        masks.append((~free, marker + ((n - k) << lay.rows)))
     return masks
 
 
-def _domain_test(n: int, k: int, lay: _Layout) -> Callable[[int], bool]:
-    """Membership in the maps' domain at (n, k) on the packed form, with no
-    weight cap (see _slice_masks)."""
-    (forbidden, expected), (forbidden_m, expected_m) = _slice_masks(_domain(n, k), lay)
-
-    def member(x: int) -> bool:
-        return x & forbidden == expected or x & forbidden_m == expected_m
-    return member
+def _slice_table(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int, int]]:
+    """The slice `parts`' membership, indexed by the marker field: a packed
+    x is in the slice, with no weight cap, iff x & forbidden == expected
+    for (forbidden, expected, limit) = table[x & lay.field].  Each part's
+    _slice_masks pair sits at its marker (a slice's markers are distinct;
+    an empty part's _NEVER, even at marker -1, changes nothing), with limit
+    0 for stream_bijection, which reads no length field here; every other
+    entry passes no int."""
+    table = [(*_NEVER, 0)] * (lay.field + 1)
+    for (_, _, marker), masks in zip(parts, _slice_masks(parts, lay)):
+        table[marker] = (*masks, 0)
+    return table
 
 
 def _factors(n: int, k: int, cap: int, lay: _Layout):
@@ -401,38 +400,31 @@ def _involution_table(n: int, k: int, lay: _Layout) -> list[tuple]:
     ]
 
 
-class _FirstMatch(dict):
-    """First-match dispatch on rows ((mask, value), out): called on x, the
-    out of the first row whose guard x passes, x & mask == value; KeyError
-    where it passes none.  The guards read only the bits of `read`, the
-    union of their masks, so the dict keeps each x & read met with its
-    out."""
+def _first_match(rows) -> tuple[Memo, int]:
+    """First-match dispatch on rows ((mask, value), out): (memo, read),
+    where memo[x & read] is the out of the first row whose guard x passes,
+    x & mask == value, and KeyError where it passes none.  The guards read
+    only the bits of `read`, the union of their masks, so the memo keeps
+    each x & read met with its out."""
+    rows = list(rows)
 
-    def __init__(self, rows):
-        self.rows = list(rows)
-        self.read = reduce(or_, (mask for (mask, _), _ in self.rows), 0)
-
-    def __missing__(self, bits: int):
-        for (mask, value), out in self.rows:
+    def first(bits: int):
+        for (mask, value), out in rows:
             if bits & mask == value:
-                self[bits] = out
                 return out
         raise KeyError(bits)
-
-    def __call__(self, x: int):
-        return self[x & self.read]
+    return Memo(first), reduce(or_, (mask for (mask, _), _ in rows), 0)
 
 
 def _rule(name: str, n: int, k: int, lay: _Layout, rows) -> Callable[[int], int]:
     """The map `name` at (n, k) on the packed form: x plus the shift of the
     first ((mask, value), shift) row x passes.  The guards hold the
     domain's masks, so ValueError for each x not in the domain."""
-    shifts = _FirstMatch(rows)
-    read, decode = shifts.read, _decoder(lay)
+    (shifts, read), decode = _first_match(rows), _decoder(lay)
 
     def step(x: int) -> int:
         try:
-            return x + shifts[x & read]  # shifts(x) inlined: the certificates' inner loop
+            return x + shifts[x & read]
         except KeyError:
             raise ValueError(f"{decode(x)} is not in the domain of "
                              f"{name} at n={n}, k={k}") from None
@@ -445,11 +437,11 @@ def _phi_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
                  ((guard, shift) for _, guard, shift, _, _ in _phi_table(n, k, lay)))
 
 
-def _phi_back(n: int, k: int, lay: _Layout) -> _FirstMatch:
-    """phi's inverse as the shifts it takes back: an element y of phi's
-    codomain is the image of y - back[y & back.read], the shift of the
-    first row whose image guard y passes."""
-    return _FirstMatch((image, shift) for _, _, shift, _, image in _phi_table(n, k, lay))
+def _phi_back(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
+    """phi's inverse as the shifts it takes back, (shifts, read): an
+    element y of phi's codomain is the image of y - shifts[y & read], the
+    shift of the first row whose image guard y passes."""
+    return _first_match((image, shift) for _, _, shift, _, image in _phi_table(n, k, lay))
 
 
 def _involution_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
@@ -463,8 +455,10 @@ def _involution_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
 def in_P(n: int, k: int, t: Triple) -> bool:
     """Membership in P(n,k); False outside 0 <= k <= n."""
     x, lay = _pack(n, t)
-    mask = None if x is None else _P_mask(n, k, lay)
-    return mask is not None and x & mask[0] == mask[1]
+    if x is None:
+        return False
+    ((forbidden, expected),) = _slice_masks(((n, k, 0),), lay)
+    return x & forbidden == expected
 
 
 def enum_P(n: int, k: int, cap: int) -> list[Triple]:
@@ -498,7 +492,8 @@ def classify(n: int, k: int, t: Triple) -> ClassTag:
     if not in_P(n, k, t):
         raise ValueError(f"{t} is not in P({n},{k})")
     x, lay = _pack(n, t)
-    return _FirstMatch((guard, case) for case, guard, *_ in _phi_table(n, k, lay))(x)
+    case_of, read = _first_match((guard, case) for case, guard, *_ in _phi_table(n, k, lay))
+    return case_of[x & read]
 
 
 def _apply(name: str, n: int, k: int, x: TripleValue) -> TripleValue:
@@ -587,37 +582,25 @@ def domain_slice(n: int, k: int, cap: int) -> list[TripleValue]:
     return list(map(_decoder(lay), _enum_packed(_domain(n, k), cap, lay)))
 
 
-def _codomain_table(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int, int]]:
-    """stream_bijection's codomain test of the slice `parts`, indexed by an
-    image's marker field, y & lay.field: each part's _slice_masks pair at
-    its marker, with limit 0 (no length field is read); every other entry
-    passes no int."""
-    table = [(*_NEVER, 0)] * (lay.field + 1)
-    for (_, _, marker), masks in zip(parts, _slice_masks(parts, lay)):
-        table[marker] = (*masks, 0)
-    return table
-
-
 def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     """Exhaustive weight-graded bijection check of phi on a capped slice,
     run on the packed form.
 
     The check streams in telescope.stream_bijection: the domain slice in
     _groups against _phi_rule, which refuses any element outside its
-    domain, the inverse _phi_back, the codomain's masks by marker
-    (_codomain_table) and its count, and _reader.  The codomain masks
-    ignore the cap, which the kept weight enforces.  Where the stream
-    fails, the set-based check_graded_bijection reruns on both slices,
-    weighs the decoded elements with weight_of and names the
-    counterexample."""
+    domain, the inverse _phi_back, the codomain's _slice_table and its
+    count, and _reader.  The codomain masks ignore the cap, which the kept
+    weight enforces.  Where the stream fails, the set-based
+    check_graded_bijection reruns on both slices, weighs the decoded
+    elements with weight_of and names the counterexample."""
     started = time.monotonic()
     _require_map("phi", n, k)
     lay = _layout(n, cap)
     params = {"n": n, "k": k}
-    step, back = _phi_rule(n, k, lay), _phi_back(n, k, lay)
+    step = _phi_rule(n, k, lay)
     size = stream_bijection(
         ((head, mus) for head, _, mus in _groups(_domain(n, k), cap, lay)), step,
-        (_codomain_table(_codomain(n, k), lay), lay.field, 0), (back, back.read),
+        (_slice_table(_codomain(n, k), lay), lay.field, 0), _phi_back(n, k, lay),
         _reader(lay, k), _count_packed(_codomain(n, k), cap, lay))
     if size is not None:
         return certify("andrews-phi", params, started, cap=cap, domain_size=size,
@@ -653,7 +636,7 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
     embedded = set(_enum_packed(_embedded(n, k), cap, lay))
     failure = _involution_failure(slice_, embedded, _involution_rule(n, k, lay),
-                                  _domain_test(n, k, lay), _decoder(lay))
+                                  _slice_table(_domain(n, k), lay), lay)
     return certify("andrews-involution", {"n": n, "k": k}, started, failure,
                    cap=cap, domain_size=len(slice_), codomain_size=len(embedded))
 
@@ -664,21 +647,23 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     where any check fails.
 
     The domain slice is walked in _groups, each group one lam and one
-    total weight.  For each x, y = _involution_rule's image, and x is fixed
-    (y == x) exactly when it passes the masks of _embedded, P(n-1,k-1).  Only a rising
-    x (x < y) is checked further: y passes the domain's masks, the rule
-    takes y back to x, and y has x's weight and the other sign.  That
-    suffices.  Let R be the rising elements and F the falling ones.  The
-    rule is injective on R and maps it into F: each image is in the slice
-    (masks and weight) and falls to its element.  With |R| = |F|, counted,
-    it maps R onto F, so each falling x is the image of an r whose pair
-    was checked.  y's weight and sign are read by _reader, as
-    stream_bijection reads them, as one int against the group's weight <<
-    1 | the other parity.  The fixed count must equal _embedded's count,
-    _count_packed.
+    total weight.  For each x, y = _involution_rule's image.  A fixed x (y
+    == x) must pass the masks of _embedded, P(n-1,k-1), and the fixed count
+    must equal _embedded's count, _count_packed.  Every capped element of
+    P(n-1,k-1) is in the slice, so together these make the fixed set
+    exactly the embedded one: an embedded x that moves leaves the count
+    short.  Only a rising x (x < y) is checked further: y is in the domain
+    (one read of _slice_table by y's marker), the rule takes y back to x,
+    and y has x's weight and the other sign.  That suffices.  Let R be the
+    rising elements and F the falling ones.  The rule is injective on R
+    and maps it into F: each image is in the slice (masks and weight) and
+    falls to its element.  With |R| = |F|, counted, it maps R onto F, so
+    each falling x is the image of an r whose pair was checked.  y's weight
+    and sign are read by _reader, as stream_bijection reads them, as one
+    int against the group's weight << 1 | the other parity.
     """
     step = _involution_rule(n, k, lay)
-    (forbidden, expected), (forbidden_m, expected_m) = _slice_masks(_domain(n, k), lay)
+    table, field = _slice_table(_domain(n, k), lay), lay.field
     ((forbidden_e, expected_e),) = _slice_masks(_embedded(n, k), lay)
     below, head, at, mask, split, low, high, scale = _reader(lay, k)
     size = fixed = rising = falling = 0
@@ -691,11 +676,9 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
                 if x & forbidden_e != expected_e:
                     return None
                 fixed += 1
-            elif x & forbidden_e == expected_e:
-                return None
             elif x < y:
-                if (y & forbidden != expected and y & forbidden_m != expected_m
-                        or step(y) != x):
+                forbidden, expected, _ = table[y & field]
+                if y & forbidden != expected or step(y) != x:
                     return None
                 y_mu = y >> at
                 if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
@@ -710,19 +693,22 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     return size, fixed
 
 
-def _involution_failure(slice_, embedded, step, member, decode):
-    # Only the images are tested for membership, each once; the slice is
-    # the capped domain by construction.  No check is lost: in a verified
-    # certificate the map is involutive on the slice, and every image is in
-    # the domain and has its element's weight, so it is within the cap.  So
-    # the images are exactly the slice, and testing each image tests each
-    # element once.  Weights are weight_of on the decoded elements.  A
-    # counterexample is decoded, and the least element of a fixed-set
-    # mismatch is the least by the repr of its decoded form.
+def _involution_failure(slice_, embedded, step, table, lay):
+    # Only the images are tested for membership, each once, by one read
+    # of the domain's _slice_table; the slice is the capped domain by
+    # construction.  No check is lost: in a verified certificate the map
+    # is involutive on the slice, and every image is in the domain and has
+    # its element's weight, so it is within the cap.  So the images are
+    # exactly the slice, and testing each image tests each element once.
+    # Weights are weight_of on the decoded elements.  A counterexample is
+    # decoded, and the least element of a fixed-set mismatch is the least
+    # by the repr of its decoded form.
+    decode, field = _decoder(lay), lay.field
     fixed = set()
     for x in slice_:
         y = step(x)
-        if not member(y):
+        forbidden, expected, _ = table[y & field]
+        if y & forbidden != expected:
             return decode(x), decode(y), REASON_NOT_IN_CODOMAIN
         if step(y) != x:
             return decode(x), decode(y), "not-involutive"

@@ -157,7 +157,7 @@ def _decoder(lay: _Layout) -> Callable[[int], MacValue]:
     field, mu_of, at = lay.field, lay.mu.decode, lay.mu.at
 
     def decode(x: int) -> MacValue:
-        mu = mu_of(x >> at)
+        mu = mu_of[x >> at]
         if mu is None:  # a negative int packs no pair
             return {"packed": x}
         pair = MacPair((x >> _SIDE & field) + lay.lo, mu)
@@ -548,7 +548,8 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     index; the orbit lands on the first other image.  After `budget`
     steps, the size of the union plus its boundary pairs plus one, both
     counted, the walk raises IterationBudgetExceeded.no_landing(budget,
-    ("A", a)), the text of the tagged walk from ("A", a).  The check
+    ("A", a)), the text of the tagged walk from ("A", a); a failed
+    certificate states it with the pair a decoded.  The check
     streams as the step certificates do (_bijection_certificate): the
     union of the P(n,m,k) against the direct map's inverse and the
     codomain walks (P(n,m-1,k), 0) and (P(n,m-1,k), _MARKED) for every k,
@@ -581,13 +582,17 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
             direct, [(box, False) for box in boxes], codomain, shifts, lay,
             "macmahon-cancelation", {"n": n, "m": m})
     except (ValueError, IterationBudgetExceeded):
+        decode = _decoder(lay)
         for a in chain.from_iterable(_enum_packed(box, lay) for box in boxes):
             try:  # the first orbit that raises
                 direct(a)
-            except (ValueError, IterationBudgetExceeded) as fault:
-                reason = ("orbit-leaves-every-box" if isinstance(fault, ValueError)
-                          else "orbit-exceeds-budget")
-                return certify("macmahon-cancelation", {"n": n, "m": m}, started,
-                               (_decoder(lay)(a), str(fault), reason),
-                               domain_size=domain_size, codomain_size=codomain_size)
+            except ValueError as fault:
+                failure = decode(a), str(fault), "orbit-leaves-every-box"
+            except IterationBudgetExceeded:
+                failure = (decode(a), str(IterationBudgetExceeded.no_landing(
+                    budget, ("A", decode(a)))), "orbit-exceeds-budget")
+            else:
+                continue
+            return certify("macmahon-cancelation", {"n": n, "m": m}, started, failure,
+                           domain_size=domain_size, codomain_size=codomain_size)
         raise

@@ -8,14 +8,15 @@ enumerator is a recursion that yields in lexicographic order of the part
 tuple, so its list needs no sort and downstream certificates are
 byte-stable; each prunes a branch once it passes the weight cap.  Even
 partitions are enumerated on their packed form only, which also streams
-and counts (EvenField.chunks, iter and count).  Memo is the subscripted
-cache the bijection kernels read weights through.
+and counts (EvenField.chunks, iter and count).  Memo is the one cache of
+a function's values per layout: the kernels' weight reads, the decoders
+and the rules' first-match tables are each a subscript of one (the
+enumerator's recursion keeps its own memos of counts and tails).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 
@@ -104,17 +105,17 @@ CHUNK = 512  # the longest tail list a streaming walk keeps
 
 
 class Memo(dict):
-    """fn's values, each computed once: memo[x] is fn(x).  The kernels
-    read weights through a subscript of one, which costs less than a
+    """fn's values, each computed once: memo[x] is fn(x), and an exception
+    fn raises propagates uncached.  A subscript of one costs less than a
     call."""
 
     __slots__ = ("fn",)
 
-    def __init__(self, fn: Callable[[int], int]):
+    def __init__(self, fn: Callable):
         super().__init__()
         self.fn = fn
 
-    def __missing__(self, key: int) -> int:
+    def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
 
@@ -122,9 +123,9 @@ class Memo(dict):
 class EvenField:
     """An even-part partition packed into an int: the multiplicities of its
     parts 2, 4, 6, ..., `width` bits each from bit `at` up, the last one
-    unbounded.  `decode` (cached) and `weight` read those fields shifted
-    down, x >> at: equal mus decode to one shared Partition.  A negative
-    int packs no partition; both give None for it.
+    unbounded.  `decode`, a Memo read as decode[x >> at], and `weight` read
+    those fields shifted down: equal mus decode to one shared Partition.
+    A negative int packs no partition; both give None for it.
 
     `chunks` (and `iter`, built on it) and `count` share one recursion over
     the first part, memoised on (largest part, parts left, weight left);
@@ -140,7 +141,6 @@ class EvenField:
         self._counts: dict[tuple[int, int, int], int] = {}
         field = (1 << width) - 1
 
-        @lru_cache(maxsize=None)
         def decode(mults: int) -> Optional[Partition]:
             if mults < 0:
                 return None
@@ -150,7 +150,7 @@ class EvenField:
                 mults, part = mults >> width, part + 2
             return Partition(parts)
 
-        self.decode = decode
+        self.decode = Memo(decode)
 
     def weight(self, mults: int) -> Optional[int]:
         """The weight of the packed mu `mults`, read off its multiplicities;

@@ -147,12 +147,26 @@ def raw_image_flags(n, k, t):
     }
 
 
+def first_match(rows):
+    """_first_match's dispatch as a call: x goes to the out of the first
+    row whose guard it passes, read as the rules read it."""
+    memo, read = andrews12._first_match(rows)
+    return lambda x: memo[x & read]
+
+
+def table_member(table, lay, x):
+    """Whether the packed x is in the slice whose _slice_table is `table`,
+    by one read, as the involution certificate tests an image."""
+    forbidden, expected, _ = table[x & lay.field]
+    return x & forbidden == expected
+
+
 def image_class(n, k, t):
     """The codomain class of t in P(n-2,k): the image case of _phi_table's
     first row whose image guard phi's marked image (2n-3, t) passes, read
-    through _FirstMatch as _phi_back reads the table."""
+    through _first_match as _phi_back reads the table."""
     x, lay = andrews12._pack(n, t)
-    return andrews12._FirstMatch(
+    return first_match(
         (image, case) for *_, case, image in andrews12._phi_table(n, k, lay))(x + 2 * n - 3)
 
 
@@ -340,29 +354,26 @@ def test_involution_rejects_bad_indices():
 @pytest.mark.parametrize("n, k, cap", [(3, 2, 20), (4, 4, 30), (5, 4, 30)],
                          ids=["3-2-20", "4-4-30", "5-4-30"])
 def test_involution_certificate_tests_membership_once_per_element(monkeypatch, n, k, cap):
-    # The kernel tests an image's membership inline, y & forbidden ==
-    # expected on the _P_mask pairs, and P(n,k)'s forbidden mask tests the
-    # maps' domain alone there: the rules read it only through guards
-    # narrowed from it.  Counting its uses counts the domain tests: an int
-    # subclass's __rand__ runs for y & mask ahead of int's own __and__.
-    # The involution tests the image of each rising element (x < y) only,
-    # half of the non-fixed ones, and the fixed ones are the codomain.
+    # The kernel tests an image's membership by one read of the domain's
+    # _slice_table, which it reads for nothing else: the rules read the
+    # domain only through guards narrowed from its masks.  Counting the
+    # table's reads counts the domain tests.  The involution tests the
+    # image of each rising element (x < y) only, half of the non-fixed
+    # ones, and the fixed ones are the codomain.
     calls = 0
-    true_mask = andrews12._P_mask
+    true_table = andrews12._slice_table
 
-    class Counted(int):
-        def __rand__(self, other):
+    class Counted(list):
+        def __getitem__(self, index):
             nonlocal calls
             calls += 1
-            return other & int(self)
+            return super().__getitem__(index)
 
-    def counted_mask(nn, kk, lay):
-        masks = true_mask(nn, kk, lay)
-        if masks is None or (nn, kk) != (n, k):
-            return masks
-        return Counted(masks[0]), masks[1]
+    def counted_table(parts, lay):
+        table = true_table(parts, lay)
+        return Counted(table) if parts == andrews12._domain(n, k) else table
 
-    monkeypatch.setattr(andrews12, "_P_mask", counted_mask)
+    monkeypatch.setattr(andrews12, "_slice_table", counted_table)
     cert = involution_certificate(n, k, cap)
     assert cert.verified
     assert calls == (cert.domain_size - cert.codomain_size) // 2
@@ -544,7 +555,7 @@ def test_each_table_row_is_its_docstring_case(name):
             for cap in (n * n, 30):
                 lay = andrews12._layout(n, cap)
                 table = table_of(n, k, lay)
-                row_case = andrews12._FirstMatch((guard, case) for case, guard, *_ in table)
+                row_case = first_match((guard, case) for case, guard, *_ in table)
                 for x in domain_slice(n, k, cap):
                     case, expected = row_case(andrews12._encode(x, lay)), case_of(n, k, x)
                     assert getattr(case, "value", case) == {"k=0": "A"}.get(expected, expected), \
@@ -555,8 +566,8 @@ def test_each_table_row_is_its_docstring_case(name):
 
 def assert_images_in_their_class(n, k, cap, table, lay):
     """phi's image of each case is in that case's image class."""
-    row_case = andrews12._FirstMatch((guard, case) for case, guard, *_ in table)
-    image_case = andrews12._FirstMatch((image, case) for *_, case, image in table)
+    row_case = first_match((guard, case) for case, guard, *_ in table)
+    image_case = first_match((image, case) for *_, case, image in table)
     image_of = {case: image for case, _, _, image, _ in table}
     step = andrews12._phi_rule(n, k, lay)
     for x in andrews12._enum_packed(andrews12._domain(n, k), cap, lay):
@@ -719,15 +730,17 @@ def test_packed_membership_is_the_paper_domain():
                 packed, own = andrews12._pack(n, x)
                 at_cap = andrews12._layout(n, 40)
                 for lay, p in ((own, packed), (at_cap, andrews12._encode(x, at_cap))):
-                    member = p is not None and andrews12._domain_test(n, k, lay)(p)
+                    table = andrews12._slice_table(andrews12._domain(n, k), lay)
+                    member = p is not None and table_member(table, lay, p)
                     assert member == paper_domain(n, k, x), (n, k, x)
 
 
 def test_slice_helpers_agree_on_every_slice():
     # The domain, codomain and embedded slice: the counter counts what the
-    # enumerator yields, and each element passes the masks of its own part
-    # and of no other.  At n <= 1 some parts are empty, and at n = 0 the
-    # domain's marker 2n-1 is -1: an empty part's masks must stay _NEVER.
+    # enumerator yields, each element passes the masks of its own part and
+    # of no other, and the slice's table reads it its own part's masks.  At
+    # n <= 1 some parts are empty, and at n = 0 the domain's marker 2n-1 is
+    # -1: an empty part's masks must stay _NEVER.
     for n in range(7):
         for k in range(-1, n + 2):
             for cap in sorted({0, n * n, 30}):
@@ -743,6 +756,9 @@ def test_slice_helpers_agree_on_every_slice():
                     parts_of = [i for i, part in enumerate(parts)
                                 for _ in andrews12._enum_packed((part,), cap, lay)]
                     assert owners == [[i] for i in parts_of], (n, k, cap, parts)
+                    table = andrews12._slice_table(parts, lay)
+                    assert [table[x & lay.field] for x in elements] == \
+                        [(*masks[i], 0) for i in parts_of], (n, k, cap, parts)
 
 
 # truncated sums --------------------------------------------------------------------

@@ -524,6 +524,7 @@ def test_cancelation_cycle_exceeds_the_budget(monkeypatch):
     assert counterexample["reason"] == "orbit-exceeds-budget"
     assert counterexample["element"] == pair(-2)  # the first orbit's start
     assert counterexample["image"].startswith("no landing within 25 applications")
+    assert "starting from ('A', MacPair(side=-2, " in counterexample["image"]  # the pair, not its int
 
 
 def second_first_row(m):

@@ -158,9 +158,9 @@ def test_the_andrews_grids_reach_every_row():
         for n, k, cap in grid:
             lay = andrews12._layout(n, cap)
             rows = rows_of(n, k, lay)
-            row_of = andrews12._FirstMatch((guard, i - len(rows))
-                                            for i, (_, guard, *_) in enumerate(rows))
-            reached.update(map(row_of, andrews12._enum_packed(
-                andrews12._domain(n, k), cap, lay)))
+            row_of, read = andrews12._first_match((guard, i - len(rows))
+                                                  for i, (_, guard, *_) in enumerate(rows))
+            reached.update(row_of[x & read] for x in andrews12._enum_packed(
+                andrews12._domain(n, k), cap, lay))
         n, k, _ = grid[0]
         assert reached == set(range(-len(rows_of(n, k, andrews12._layout(n, 0))), 0)), table

@@ -232,7 +232,7 @@ FIELDS = [(0, 1), (0, 3), (5, 2), (9, 4)]  # (at, width)
 
 
 def decoded(field, packed):
-    return [field.decode(x >> field.at) for x in packed]
+    return [field.decode[x >> field.at] for x in packed]
 
 
 @pytest.mark.parametrize("at, width", FIELDS)
@@ -274,13 +274,13 @@ def test_decode_and_weight_are_the_partition(at, width):
     for mu in enum_even_capped(12, 2 * (2 ** width - 1)):  # multiplicities fit
         x = field.encode(mu.parts)
         assert x & (1 << at) - 1 == 0
-        assert field.decode(x >> at) == mu
+        assert field.decode[x >> at] == mu
         assert field.weight(x >> at) == mu.weight
         for bound in (0, 4, 12, 30):  # the halves split anywhere, and are exact
             mask, shift, low, high = field.halves(bound)
             assert low[x >> at & mask] + high[x >> at >> shift] == mu.weight
     # equal mus decode to one shared Partition
-    assert field.decode(1) is field.decode(1)
+    assert field.decode[1] is field.decode[1]
 
 
 @pytest.mark.parametrize("at, width", FIELDS)
@@ -293,7 +293,7 @@ def test_streaming_enumerator_and_count_are_the_list(at, width):
             for cap in (-1, 0, 7, bound * slots):
                 packed = list(field.iter(bound, slots, cap, row))
                 assert field.count(bound, slots, cap) == len(packed)
-                edge = [x for x in packed if field.decode(x >> at).first == max(bound, 0)]
+                edge = [x for x in packed if field.decode[x >> at].first == max(bound, 0)]
                 assert list(field.iter(bound, slots, cap, row, edge=True)) == edge, \
                     (bound, slots, cap)
                 assert field.count(bound, slots, cap, edge=True) == len(edge)
@@ -324,5 +324,5 @@ def test_count_memo_serves_every_box_of_a_field(monkeypatch):
 def test_decode_and_weight_are_total_on_ints():
     # A negative int packs no partition; reading it must not loop.
     field = EvenField(3, 2)
-    assert field.decode(-5) is None and field.weight(-5) is None
-    assert field.decode(0) == EMPTY and field.weight(0) == 0
+    assert field.decode[-5] is None and field.weight(-5) is None
+    assert field.decode[0] == EMPTY and field.weight(0) == 0

@@ -28,6 +28,7 @@ from qtelescope import andrews12, macmahon
 from qtelescope.telescope import weight_of
 
 import test_andrews12 as andrews_tests
+from bare_failure_path import faulty, toggles_two
 import test_macmahon as macmahon_tests
 from reference_cancelation import cancelation_psi
 
@@ -174,18 +175,16 @@ def rewired(true_rule, images):
 
 
 def rewired_back(true_back, preimages):
-    """A factory of phi's inverse shifts like andrews12._phi_back whose
-    inverse sends y to preimages[y] where preimages has it: its `read` is
-    every bit, so it is keyed on y itself."""
+    """A factory of phi's inverse shifts (shifts, read) like
+    andrews12._phi_back whose inverse sends y to preimages[y] where
+    preimages has it: its read is every bit, so it is keyed on y itself."""
     def factory(*args):
-        back = true_back(*args)
+        back, read = true_back(*args)
 
         class Rewired(dict):
-            read = -1
-
             def __missing__(self, y):
-                return y - preimages[y] if y in preimages else back[y & back.read]
-        return Rewired()
+                return y - preimages[y] if y in preimages else back[y & read]
+        return Rewired(), -1
     return factory
 
 
@@ -272,6 +271,22 @@ def test_an_involution_fault_at_falling_elements_fails_the_kernel(monkeypatch):
     assert results == [None]
     assert streamed == oracle
     assert streamed["counterexample"]["reason"] == "not-involutive"
+
+
+def test_an_involution_fault_moving_embedded_points_fails_the_kernel(monkeypatch):
+    # Embedded fixed points toggle the part 2 between lam and mu: the rule
+    # stays an involution on the slice, and each moved pair keeps its
+    # weight, flips its sign and stays in the domain.  The kernel tests no
+    # moved element against the embedded masks; the fixed count, short of
+    # the embedded count, is what fails it.
+    n, k, cap = 3, 2, 20
+    monkeypatch.setattr(andrews12, "_involution_rule",
+                        faulty(toggles_two)(andrews12._involution_rule))
+    results = kernel_results(monkeypatch, andrews12, "_stream_involution")
+    streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
+    assert results == [None]
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == "fixed-set-mismatch"
 
 
 @pytest.mark.parametrize("part", ["q", "z"])
@@ -396,15 +411,16 @@ def test_andrews_phi_inverse_is_two_sided():
         for k in range(n - 1):
             for cap in range(0, 31, 3):
                 lay = andrews12._layout(n, cap)
-                step, back = andrews12._phi_rule(n, k, lay), andrews12._phi_back(n, k, lay)
-                inverse = lambda y: y - back[y & back.read]  # as stream_bijection reads it
-                member = andrews12._domain_test(n, k, lay)
+                step, (back, read) = andrews12._phi_rule(n, k, lay), andrews12._phi_back(n, k, lay)
+                inverse = lambda y: y - back[y & read]  # as stream_bijection reads it
                 domain = (n, k, 0), (n - 1, k - 1, 2 * n - 1)
                 codomain = (n - 1, k - 1, 0), (n - 2, k, 2 * n - 3)
+                table = andrews12._slice_table(domain, lay)
                 for x in andrews12._enum_packed(domain, cap, lay):
                     assert inverse(step(x)) == x, (n, k, cap, x)
                 for y in andrews12._enum_packed(codomain, cap, lay):
-                    assert member(inverse(y)) and step(inverse(y)) == y, (n, k, cap, y)
+                    assert andrews_tests.table_member(table, lay, inverse(y)), (n, k, cap, y)
+                    assert step(inverse(y)) == y, (n, k, cap, y)
 
 
 def _step_sides(box, neighbour, lower, lay):
