@@ -49,11 +49,19 @@ enum_P and phi_step take and return MacPairs: phi_step checks the input,
 encodes it, runs the packed rule and decodes the result;
 telescoping_phi steps through phi_step and retags its case.  The sum
 path needs weights only: one enumeration per box, in C, and the lower
-family is the box off its boundary (_box_counts); no pair
-is built.  verify_macmahon runs the per-index check
-(telescope.telescoping_sum_check) on those counts, then checks the closed
-form.  Every leaf is counted, so the sum side stays an enumeration,
-independent of the Pascal recurrence behind gaussian_binomial.
+family is the box off its boundary (_box_counts); no pair is built.
+Each count is one int, packed (qalgebra.Kronecker) by the layout of its
+(n, m), which _sum_layout reads off the boxes' largest leaf weights and
+leaf counts: the Counter of leaf weights goes straight into its slots,
+and g's marked copy (psi's f) is a shift and an add.  verify_macmahon
+runs the per-index check (telescope.telescoping_sum_check) on those
+ints, then compares the closed form's Gaussian sum, gaussian_row's
+Pascal recurrence on ints, with the packed product of the two
+factor_products, in a packing widened to hold that product.  A failed
+check reruns on the decoded forms (phi_telescoping_counts,
+psi_telescoping_counts, product_sum_F) to name its counterexample.
+Every leaf is counted, so the sum side stays an enumeration, independent
+of the Pascal recurrence behind the closed form.
 """
 
 from __future__ import annotations
@@ -61,12 +69,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement
+from math import comb
+from operator import lshift
 from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition
-from .qalgebra import (ONE, ZERO, LaurentPoly, factor_product,
-                       gaussian_binomial)
+from .qalgebra import Kronecker, LaurentPoly, factor_product, gaussian_row
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         WeightKey, certify, check_graded_bijection,
                         stream_bijection, telescoping_sum_check)
@@ -390,25 +399,67 @@ def psi_certificate(n: int, k: int) -> Certificate:
     return _slice_certificate(*_psi_index(n, k), "macmahon-psi", {"n": n, "k": k})
 
 
-# weighted counts: one enumeration per box, no pairs ---------------------
+# weighted counts: one enumeration per box, packed, no pairs ---------------
 
-def _box_counts(box: Box) -> tuple[LaurentPoly, LaurentPoly]:
-    """Weighted counts of a box off its boundary slice and on it.  An even
-    partition is its multiset of `slots` parts from 0, 2, .., bound, zeros
-    padding it: off the boundary all are below the bound, on it one is the
-    bound.  itertools makes each leaf, summed and counted in C."""
+def _sum_layout(n: int, m: int) -> Kronecker:
+    """The packing of the sum side's counts at (n, m), from the boxes it
+    enumerates, the P(n,m,k) and Q(n,k): z from -m - 1 (phi's marker
+    lowers z by one); q up to a box's largest leaf weight, side^2 +
+    bound*slots, plus a marker q^(2m-1) or q^(2n-1); coefficients up to
+    twice the boxes' leaves, C(bound/2 + slots, slots) each, as g holds
+    its box off the boundary twice."""
+    boxes = [_box_P(n, m, k) for k in range(-m, n + 1)] + [_box_Q(n, k) for k in range(n + 1)]
+    top = max(side * side + bound * slots for side, bound, slots in boxes)
+    leaves = sum(comb(bound // 2 + slots, slots) for _side, bound, slots in boxes)
+    return Kronecker(-m - 1, top + 2 * max(m, n), 2 * leaves)
+
+
+def _box_counts(box: Box, lay: Kronecker) -> tuple[int, int]:
+    """Weighted counts of a box off its boundary slice and on it, packed
+    by lay.  An even partition is its multiset of `slots` parts from 0, 2,
+    .., bound, zeros padding it: off the boundary all are below the bound,
+    on it one is the bound.  itertools makes each leaf, summed and counted
+    in C, and each weight's count goes into its slot."""
     side, bound, slots = box
     if bound < 0 or slots < 0:
-        return ZERO, ZERO
+        return 0, 0
+    base = lay.at(side - lay.z_lo, side * side)  # z^side q^(side^2)
     if not slots:  # the empty partition alone; its first part reads as 0
-        alone = LaurentPoly.monomial(1, side, side * side)
-        return (alone, ZERO) if bound else (ZERO, alone)
+        return (1 << base, 0) if bound else (0, 1 << base)
+    width = lay.width
 
-    def count(top: int, parts: int, start: int) -> LaurentPoly:
-        leaves = combinations_with_replacement(range(0, top + 1, 2), parts)
-        weights = Counter(map(sum, leaves, repeat(start)))  # q^(start + |leaf|)
-        return LaurentPoly({(side, q): c for q, c in weights.items()})
-    return count(bound - 2, slots, side * side), count(bound, slots - 1, side * side + bound)
+    def count(top: int, parts: int, shift: int) -> int:
+        weights = Counter(map(sum, combinations_with_replacement(range(0, top + 1, 2), parts)))
+        # each count c of a weight q into its slot: c << width * q
+        return sum(map(lshift, weights.values(), map(width.__mul__, weights))) << shift
+    return count(bound - 2, slots, base), count(bound, slots - 1, base + width * bound)
+
+
+def _phi_counts(n: int, m: int, lay: Kronecker):
+    """phi_telescoping_counts, packed by lay."""
+    f, g, h = {}, {}, {-m: 0}
+    marker = lay.at(1, 1 - 2 * m)  # q^(2m-1)/z, a right shift by this
+    for k in range(-m, n + 1):
+        off, h[k + 1] = _box_counts(_box_P(n, m, k), lay)
+        f[k], g[k] = off + h[k + 1], off + (off >> marker)
+    return f, g, h, -m, n
+
+
+def _psi_counts(n: int, lay: Kronecker):
+    """psi_telescoping_counts, packed by lay."""
+    f, g, h = {}, {}, {n + 1: 0}
+    marker = lay.at(1, 2 * n - 1)  # z*q^(2n-1)
+    for k in range(0, n + 1):
+        off, h[k] = _box_counts(_box_Q(n, k), lay)
+        f[k], g[k] = off + (off << marker), off + h[k]
+    return f, g, h, 0, n
+
+
+def _decoded(counts, lay: Kronecker):
+    """Telescoping counts with each packed count decoded."""
+    f, g, h, k_min, k_max = counts
+    return (*({k: lay.unpack(x) for k, x in side.items()} for side in (f, g, h)),
+            k_min, k_max)
 
 
 def phi_telescoping_counts(n: int, m: int):
@@ -419,12 +470,8 @@ def phi_telescoping_counts(n: int, m: int):
     k_max = n.  All three come from P(n,m,k): G(n,m,k) is its boundary, and
     P(n,m-1,k) the box off it.
     """
-    coeff = ONE + LaurentPoly.monomial(1, -1, 2 * m - 1)
-    f, g, h = {}, {}, {-m: ZERO}
-    for k in range(-m, n + 1):
-        off, h[k + 1] = _box_counts(_box_P(n, m, k))
-        f[k], g[k] = off + h[k + 1], coeff * off
-    return f, g, h, -m, n
+    lay = _sum_layout(n, m)
+    return _decoded(_phi_counts(n, m, lay), lay)
 
 
 def psi_telescoping_counts(n: int):
@@ -434,33 +481,54 @@ def psi_telescoping_counts(n: int):
     Q(n-1,k), g(k) counts Q(n,k), h(k) counts H(n,k).  All three come from
     Q(n,k): H(n,k) is its boundary, and Q(n-1,k) the box off it.
     """
-    coeff = ONE + LaurentPoly.monomial(1, 1, 2 * n - 1)
-    f, g, h = {}, {}, {n + 1: ZERO}
-    for k in range(0, n + 1):
-        off, h[k] = _box_counts(_box_Q(n, k))
-        f[k], g[k] = coeff * off, off + h[k]
-    return f, g, h, 0, n
+    lay = _sum_layout(n, 0)
+    return _decoded(_psi_counts(n, lay), lay)
 
 
-def _pair_count(counts) -> int:
-    """The number of pairs some weighted counts stand for: their value at
-    z = q = 1, since every pair weighs one monomial with coefficient +1."""
-    return sum(poly.at_one() for poly in counts)
+def _closed_layout(n: int, m: int) -> Kronecker:
+    """The packing of the closed form's Gaussian sum at (n, m): z from -m;
+    q up to m^2 + n^2, the sum's largest exponent (at k = n - m), which is
+    at least (m+n)^2 / 2, the bound of every Pascal entry on the way;
+    coefficients up to 2^(m+n), gaussian_row's bound."""
+    return Kronecker(-m, m * m + n * n, 1 << m + n)
+
+
+def _gaussian_sum(n: int, m: int, kron: Kronecker) -> int:
+    """sum_k z^k q^(k^2) [m+n, m+k]_(q^2), packed by kron (z_lo = -m):
+    entry j of the Gaussian row, raised j rows to z^(j-m)."""
+    return sum(entry << kron.at(j, (j - m) ** 2)
+               for j, entry in enumerate(gaussian_row(m + n, 2, kron)))
 
 
 def product_sum_F(n: int, m: int) -> LaurentPoly:
     """Closed-form left-hand side: sum_k z^k q^(k^2) [m+n, m+k] in base q^2."""
-    total = LaurentPoly.zero()
-    for k in range(-m, n + 1):
-        term = LaurentPoly.monomial(1, k, k * k) * gaussian_binomial(m + n, m + k, 2)
-        total = total + term
-    return total
+    kron = _closed_layout(n, m)
+    return kron.unpack(_gaussian_sum(n, m, kron))
 
 
-def _recurrence_failure(name: str, f, g, h, k_min, k_max):
+def _recurrence_failure(name: str, packed, decoded: Callable[[], tuple]):
+    """The relation check on the packed counts; where it fails, it reruns
+    on the decoded counts, decoded(), to name the counterexample."""
+    f, g, h, k_min, k_max = packed
+    if telescoping_sum_check(f, g, h, k_max=k_max, k_min=k_min, zero=0).verified:
+        return None
+    f, g, h, k_min, k_max = decoded()
     sub = telescoping_sum_check(f, g, h, k_max=k_max, k_min=k_min)
     return None if sub.verified else (name, sub.counterexample,
                                       "sub-identity-violated")
+
+
+def _product_failure(n: int, m: int):
+    """The closed form on packed ints: the product of the two factors,
+    each packed from z^-m, has its offset at z^-2m, so the Gaussian sum is
+    raised m rows to meet it.  The packing is widened to hold the product,
+    whatever the factors are."""
+    minus, plus = factor_product(m, 1, -1, 1, 2), factor_product(n, 1, 1, 1, 2)
+    kron = _closed_layout(n, m).holding(minus, plus)
+    if kron.pack(minus) * kron.pack(plus) == _gaussian_sum(n, m, kron) << kron.at(m, 0):
+        return None
+    return ("product identity", {"lhs": str(product_sum_F(n, m)), "rhs": str(minus * plus)},
+            "sub-identity-violated")
 
 
 def verify_macmahon(n: int, m: int) -> Certificate:
@@ -475,30 +543,29 @@ def verify_macmahon(n: int, m: int) -> Certificate:
       (c) the closed-form identity: weighted sum = product of factors
     Summing the per-index relation over k gives the recurrence, so a
     failed one reports the telescoping sub-check's counterexample, which
-    names the index k.
+    names the index k.  Each check compares packed ints (qalgebra.Kronecker,
+    laid out by _sum_layout and _closed_layout); a failed one reruns on
+    the decoded forms, which name the counterexample.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     started = time.monotonic()
-    failure = None
+    lay, failure = _sum_layout(n, m), None
     if m >= 1:
-        counts = phi_telescoping_counts(n, m)
-        domain_size = _pair_count(counts[0].values())
+        counts = _phi_counts(n, m, lay)
+        domain_size = lay.at_one(sum(counts[0].values()))
         # g holds every P(n,m-1,k) pair twice: bare and marked
-        codomain_size = _pair_count(counts[1].values()) // 2
-        failure = _recurrence_failure("m-lowering recurrence", *counts)
+        codomain_size = lay.at_one(sum(counts[1].values())) // 2
+        failure = _recurrence_failure("m-lowering recurrence", counts,
+                                      lambda: phi_telescoping_counts(n, m))
     else:
-        domain_size = codomain_size = _pair_count(
-            chain.from_iterable(_box_counts(_box_P(n, 0, k)) for k in range(n + 1)))
+        domain_size = codomain_size = lay.at_one(sum(
+            chain.from_iterable(_box_counts(_box_P(n, 0, k), lay) for k in range(n + 1))))
     if failure is None and n >= 1:
-        failure = _recurrence_failure("n-lowering recurrence",
-                                      *psi_telescoping_counts(n))
+        failure = _recurrence_failure("n-lowering recurrence", _psi_counts(n, lay),
+                                      lambda: psi_telescoping_counts(n))
     if failure is None:
-        lhs = product_sum_F(n, m)
-        rhs = factor_product(m, 1, -1, 1, 2) * factor_product(n, 1, 1, 1, 2)
-        if lhs != rhs:
-            failure = ("product identity", {"lhs": str(lhs), "rhs": str(rhs)},
-                       "sub-identity-violated")
+        failure = _product_failure(n, m)
     return certify("macmahon", {"n": n, "m": m}, started, failure,
                    domain_size=domain_size, codomain_size=codomain_size)
 

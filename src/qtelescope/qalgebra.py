@@ -9,15 +9,22 @@ A truncated q-series is a capped LaurentPoly: a cap and a z-free
 polynomial with no term above it, so series arithmetic is polynomial
 arithmetic followed by one cut at the cap.
 
+A Kronecker packing stores a polynomial as one int, its value at
+q = 2^width and z = 2^(width*span): where every exponent and coefficient
+is in the packing's range, a sum is one int add, a monomial multiple one
+shift and a comparison one int compare.  MacMahon's sum side runs on it.
+
 The module also provides the closed-form building blocks used by the
 verification drivers: Gaussian (q-binomial) coefficients in base q^step,
-finite products of (1 +/- z^a q^b) factors, and the alternating square
-sum that Andrews' identity evaluates to.
+whose Pascal recurrence runs on packed ints (gaussian_row), finite
+products of (1 +/- z^a q^b) factors, and the alternating square sum that
+Andrews' identity evaluates to.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Mapping, Union
 
 
@@ -54,13 +61,6 @@ class LaurentPoly:
 
     def coeff(self, z: int = 0, q: int = 0) -> int:
         return self._terms.get((z, q), 0)
-
-    def at_one(self) -> int:
-        """The value at z = q = 1: the sum of the coefficients."""
-        return sum(self._terms.values())
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -240,13 +240,89 @@ def truncate(p: LaurentPoly, cap: int) -> TruncatedSeries:
     return series
 
 
+class Kronecker:
+    """Polynomials in z and q packed into ints (Kronecker substitution).
+
+    The term c z^a q^b sits in slot (a - z_lo) * span + b, slots `width`
+    bits apart, so a polynomial packs to its value at q = 2^width and
+    z = 2^(width*span), times z^-z_lo.  A slot holds a signed coefficient,
+    its top bit the sign.  On polynomials with z exponents >= z_lo, q
+    exponents in [0, span) and coefficients of absolute value below
+    2^(width-1), packing is injective and takes sums to sums and a
+    monomial multiple to a shift (at), as long as the results stay there.
+    """
+
+    __slots__ = ("z_lo", "span", "width")
+
+    def __init__(self, z_lo: int, top: int, bound: int):
+        """The packing of z exponents from z_lo, q exponents up to top and
+        coefficients of absolute value up to bound."""
+        self.z_lo, self.span, self.width = z_lo, top + 1, bound.bit_length() + 1
+
+    def at(self, z: int, q: int) -> int:
+        """The shift that multiplies a packed value by z^z q^q."""
+        return self.width * (z * self.span + q)
+
+    def holding(self, *factors: LaurentPoly) -> "Kronecker":
+        """This packing, widened where needed to hold the product of
+        `factors`: its largest q exponent is at most the sum of theirs, and
+        each coefficient at most the product of their coefficients'
+        absolute sums.  z_lo stays, so the product of the packed factors is
+        offset by z^(z_lo * len(factors))."""
+        top = sum(max((q for _z, q in f._terms), default=0) for f in factors)
+        bound = prod(sum(map(abs, f._terms.values())) for f in factors)
+        return Kronecker(self.z_lo, max(self.span - 1, top),
+                         max((1 << self.width - 1) - 1, bound))
+
+    def pack(self, poly: LaurentPoly) -> int:
+        """The int of poly, built a row (z exponent) at a time; ValueError
+        where a term is out of range."""
+        width, half, rows = self.width, 1 << self.width - 1, {}
+        for (z, q), c in poly._terms.items():
+            if z < self.z_lo or not 0 <= q < self.span or not -half < c < half:
+                raise ValueError(f"{poly} has a term outside the packing")
+            rows[z] = rows.get(z, 0) + (c << width * q)
+        return sum(row << self.at(z - self.z_lo, 0) for z, row in rows.items())
+
+    def unpack(self, x: int) -> LaurentPoly:
+        """The polynomial packed as x: its balanced base-2^width digits."""
+        width, terms, slot = self.width, {}, 0
+        mask, half = (1 << width) - 1, 1 << width - 1
+        while x:
+            skip = ((x & -x).bit_length() - 1) // width  # the empty slots below
+            x, slot = x >> skip * width, slot + skip
+            c = (x & mask ^ half) - half
+            row, q = divmod(slot, self.span)
+            terms[row + self.z_lo, q] = c
+            x, slot = x - c >> width, slot + 1
+        return LaurentPoly(terms)
+
+    def at_one(self, x: int) -> int:
+        """The value at z = q = 1 of the polynomial packed as x, the sum of
+        its coefficients, where that is below 2^(width-1) in absolute
+        value: each slot is worth 1 modulo 2^width - 1."""
+        half = (1 << self.width - 1) - 1
+        return (x + half) % (2 * half + 1) - half
+
+
+def gaussian_row(n: int, step: int, kron: Kronecker) -> list[int]:
+    """The Gaussian coefficients [n, j] in base q**step, j = 0..n, packed
+    by kron as multiples of the int 1 (z^z_lo), by the Pascal-type
+    recurrence [i, j] = [i-1, j-1] + q^(step*j) [i-1, j], with
+    [i, 0] = [i, i] = 1.  Every [i, j] on the way has degree
+    step*j*(i-j) <= step*n^2/4 and coefficients summing to C(i, j) <= 2^n,
+    so a kron of that range holds them."""
+    shift, row = kron.at(0, step), [1]
+    for i in range(1, n + 1):
+        row = [1, *[row[j - 1] + (row[j] << shift * j) for j in range(1, i)], 1]
+    return row
+
+
 @lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, step: int = 1) -> LaurentPoly:
-    """The Gaussian coefficient [n choose k] in base q**step.
-
-    Computed division-free by the Pascal-type recurrence
-    [n, k] = [n-1, k-1] + q^(step*k) [n-1, k], with [n, 0] = 1.
-    Returns the zero polynomial when k < 0 or k > n.
+    """The Gaussian coefficient [n choose k] in base q**step: the decoded
+    entry k of gaussian_row.  Returns the zero polynomial when k < 0 or
+    k > n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -254,10 +330,8 @@ def gaussian_binomial(n: int, k: int, step: int = 1) -> LaurentPoly:
         raise ValueError("step must be positive")
     if k < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    shifted = LaurentPoly.monomial(1, 0, step * k) * gaussian_binomial(n - 1, k, step)
-    return gaussian_binomial(n - 1, k - 1, step) + shifted
+    kron = Kronecker(0, step * (n * n // 4), 1 << n)
+    return kron.unpack(gaussian_row(n, step, kron)[k])
 
 
 def factor_product(count: int, sign: int, z_exp: int, q_offset: int,

@@ -7,8 +7,9 @@ counterexample on failure), built by the one helper certify.  Nothing here
 is probabilistic.  weight_of is the single notion of weight: an object's
 signed monomial as the int key (sign, z_exp, q_exp); weighted_count sums a
 family's keys into one LaurentPoly.  macmahon.verify_macmahon runs
-telescoping_sum_check per index on counts from macmahon._box_counts: one
-weight-only enumeration per box, the lower family its non-boundary leaves.
+telescoping_sum_check per index on counts from macmahon._box_counts, one
+weight-only enumeration per box, the lower family its non-boundary leaves,
+each count packed into one int (qalgebra.Kronecker).
 
 A bijection certificate of either family streams in one flat kernel,
 stream_bijection: one pass over the packed domain's groups against the
@@ -275,18 +276,21 @@ def _bijection_failure(map_fn, domain, codomain_set, present):
     return None
 
 
-def telescoping_sum_check(f_counts: Mapping[int, LaurentPoly],
-                          g_counts: Mapping[int, LaurentPoly],
-                          h_counts: Mapping[int, LaurentPoly],
+def telescoping_sum_check(f_counts: Mapping[int, Any],
+                          g_counts: Mapping[int, Any],
+                          h_counts: Mapping[int, Any],
                           k_max: int,
                           k_min: int = 0,
                           check: str = "telescoping-sum",
-                          params: Optional[Mapping] = None) -> Certificate:
+                          params: Optional[Mapping] = None,
+                          zero: Any = LaurentPoly.zero()) -> Certificate:
     """Verify f(k) + h(k) = g(k) + h(k+1) for every index k_min..k_max,
     and the telescoping boundary conditions: h vanishes at k_min and at
     every k > k_max.
 
-    The counts are weighted counts per index k (missing keys mean zero).
+    The counts are weighted counts per index k (missing keys mean zero):
+    LaurentPolys, or any values that add, compare and are false at zero,
+    such as packed ints (qalgebra.Kronecker) with zero=0.
     sum(f) = sum(g) follows and is not checked again: summing the
     per-index relation over k_min..k_max gives
     sum(f) + h(k_min) = sum(g) + h(k_max+1), and both h terms are zero.
@@ -294,20 +298,18 @@ def telescoping_sum_check(f_counts: Mapping[int, LaurentPoly],
     started = time.monotonic()
     return certify(check, params or {}, started,
                    _telescoping_failure(f_counts, g_counts, h_counts,
-                                        k_min, k_max),
+                                        k_min, k_max, zero),
                    domain_size=len(f_counts), codomain_size=len(g_counts))
 
 
-def _telescoping_failure(f_counts, g_counts, h_counts, k_min, k_max):
-    zero = LaurentPoly.zero()
-
+def _telescoping_failure(f_counts, g_counts, h_counts, k_min, k_max, zero):
     def at(counts, k):
         return counts.get(k, zero)
 
-    if not at(h_counts, k_min).is_zero():
+    if at(h_counts, k_min):
         return {"k": k_min}, str(at(h_counts, k_min)), "h-nonzero-at-start"
     for k in h_counts:
-        if k > k_max and not h_counts[k].is_zero():
+        if k > k_max and h_counts[k]:
             return {"k": k}, str(h_counts[k]), "h-nonzero-beyond-kmax"
     for k in range(k_min, k_max + 1):
         lhs = at(f_counts, k) + at(h_counts, k)

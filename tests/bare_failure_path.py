@@ -3,12 +3,14 @@
 Each case puts a fault into one name of the library, and its certificate
 must come back failed, with the expected reason, instead of raising.
 There is one case per failure reason that a control in the tests reaches
-in a library certificate.  Together they run the failure path behind a
-failed certificate: the Andrews phi oracle
+in a library certificate, and one per failed sub-check of
+verify_macmahon, each named by the sub-check's own reason.  Together they
+run the failure path behind a failed certificate: the Andrews phi oracle
 (telescope.check_graded_bijection, weighing with weight_of), the Andrews
 involution's set-based check (andrews12._involution_failure), the
 MacMahon step certificate's oracle, the MacMahon cancelation's search
-for the orbit that raises, and the sum checks of both families.  The
+for the orbit that raises, and the sum checks of both families, the
+MacMahon recurrences rerun on their decoded counts.  The
 faults act on the packed ints the rules see, so they need no test
 helper and no package outside the standard library.
 
@@ -96,6 +98,21 @@ def crossed_pairs(cap):
     return wrap
 
 
+def drops_a_leaf(box):
+    """A change to the MacMahon box counts: the box, off its boundary,
+    misses its pair with the empty mu, of weight z^side q^(side^2)."""
+    side = box[0]
+
+    def wrap(true_counts):
+        def counts(b, lay):
+            off, on = true_counts(b, lay)
+            if b == box:
+                off -= lay.pack(LaurentPoly.monomial(1, side, side * side))
+            return off, on
+        return counts
+    return wrap
+
+
 def plus_q(q):
     """A change to a closed form: it gains one term q^q."""
     def wrap(true_form):
@@ -126,7 +143,21 @@ CASES = [
      lambda: macmahon.cancelation_certificate(1, 1)),
     ("sub-identity-violated", macmahon, "factor_product", plus_q(9),
      lambda: macmahon.verify_macmahon(1, 1)),
+    ("index-relation-violated", macmahon, "_box_counts", drops_a_leaf(macmahon._box_P(2, 2, 1)),
+     lambda: macmahon.verify_macmahon(2, 2)),
+    ("index-relation-violated", macmahon, "_box_counts", drops_a_leaf(macmahon._box_Q(3, 1)),
+     lambda: macmahon.verify_macmahon(3, 1)),
 ]
+
+
+def reason_of(cert):
+    """The reason a certificate failed (None if it did not); for a failed
+    sub-check that names its own reason, as a recurrence does, that one."""
+    if cert.verified:
+        return None
+    image = cert.counterexample["image"]
+    return image["reason"] if isinstance(image, dict) and "reason" in image \
+        else cert.counterexample["reason"]
 
 
 def main() -> int:
@@ -138,7 +169,7 @@ def main() -> int:
             cert = certificate()
         finally:
             setattr(module, name, true_value)
-        got = None if cert.verified else cert.counterexample["reason"]
+        got = reason_of(cert)
         print(f"{cert.summary()}  (expected reason={reason})\n    {cert.to_json()}")
         wrong += got != reason
     return 1 if wrong else 0

@@ -15,13 +15,14 @@ from qtelescope.macmahon import (MacPair, _apply, _box_Q, _enum_box, _psi_index,
                                  psi_certificate, psi_telescoping_counts,
                                  telescoping_phi, verify_macmahon)
 from qtelescope.partitions import EvenField, Partition
-from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
+from qtelescope.qalgebra import Kronecker, LaurentPoly, factor_product, gaussian_binomial
 from qtelescope.telescope import (MarkedObject, telescoping_sum_check, weight_of,
                                   weighted_count)
 
 from partition_edits import drop_first
 from reference_cancelation import cancelation_psi
 from reference_enumerators import enum_even_bounded
+import reference_sums
 
 
 def pair(side, *mu):
@@ -42,6 +43,13 @@ def psi_step(n, k, x):
 
 def mono(c, z=0, q=0):
     return LaurentPoly.monomial(c, z, q)
+
+
+def decoded_box_counts(box, lay):
+    """macmahon._box_counts, packed by lay, decoded."""
+    import qtelescope.macmahon as mac
+
+    return tuple(map(lay.unpack, mac._box_counts(box, lay)))
 
 
 def G(n, m, k):
@@ -149,7 +157,7 @@ def test_box_walk_matches_the_enumerated_pairs():
                 edge = G(n, m, k)
                 off = [x for x in enum_P(n, m, k) if x not in edge]
                 assert off == enum_P(n, m - 1, k), (n, m, k)
-                assert mac._box_counts(box) == (
+                assert decoded_box_counts(box, mac._sum_layout(n, m)) == (
                     weighted_count(off), weighted_count(edge)), (n, m, k)
         for k in range(-1, n + 2):
             box = mac._box_Q(n, k)
@@ -157,24 +165,48 @@ def test_box_walk_matches_the_enumerated_pairs():
             edge = H(n, k)
             off = [x for x in enum_Q(n, k) if x not in edge]
             assert off == enum_Q(n - 1, k), (n, k)
-            assert mac._box_counts(box) == (
+            assert decoded_box_counts(box, mac._sum_layout(n, 0)) == (
                 weighted_count(off), weighted_count(edge)), (n, k)
     # out of range, bound 0, slots 0, and both 0 at once were all walked
     assert {(True, False, False), (False, True, False), (False, False, True),
             (False, True, True)} <= kinds
 
 
+def test_packed_sums_match_the_dict_reference():
+    # Every decoded packed value against tests/reference_sums.py, the same
+    # sums on LaurentPolys: each box the sum path walks (and one index
+    # beyond each end: out of range, bound 0, slots 0), the phi and psi
+    # telescoping counts and the closed form's sum, for all n, m <= 6.
+    import qtelescope.macmahon as mac
+
+    for n in range(7):
+        for m in range(7):
+            lay = mac._sum_layout(n, m)
+            for k in range(-m - 1, n + 2):
+                box = mac._box_P(n, m, k)
+                assert decoded_box_counts(box, lay) == reference_sums.box_counts(box), box
+            for k in range(-1, n + 2):
+                box = mac._box_Q(n, k)
+                assert decoded_box_counts(box, lay) == reference_sums.box_counts(box), box
+            assert phi_telescoping_counts(n, m) == reference_sums.phi_telescoping_counts(n, m)
+            assert product_sum_F(n, m) == reference_sums.product_sum_F(n, m), (n, m)
+        assert psi_telescoping_counts(n) == reference_sums.psi_telescoping_counts(n)
+
+
 @pytest.mark.parametrize("N", range(15))
 def test_box_enumeration_is_the_gaussian_binomial(N):
     # Beyond the pair oracle's reach: the box (side, 2j, N-j) holds the even
     # partitions in a j x (N-j) rectangle, weighed z^side q^(side^2)
-    # [N, j]_(q^2) in all.  The sum path itself never reads gaussian_binomial.
+    # [N, j]_(q^2) in all.  The box counts never read gaussian_binomial.
+    # The packing holds side >= -N, weights side^2 + 2j(N-j) < N^2 and
+    # C(N, j) <= 2^N leaves.
     import qtelescope.macmahon as mac
 
+    lay = Kronecker(-N, N * N, 1 << N)
     for j in range(N + 1):
         side = j - N // 2
-        off, on = mac._box_counts((side, 2 * j, N - j))
-        assert off + on == mono(1, side, side * side) * gaussian_binomial(N, j, 2), j
+        off, on = mac._box_counts((side, 2 * j, N - j), lay)
+        assert lay.unpack(off + on) == mono(1, side, side * side) * gaussian_binomial(N, j, 2), j
 
 
 def test_verify_enumerates_each_box_once(monkeypatch):
@@ -185,9 +217,10 @@ def test_verify_enumerates_each_box_once(monkeypatch):
 
     true_box_counts, walked = mac._box_counts, []
 
-    def spy(box):
-        walked.append((box, true_box_counts(box)))
-        return walked[-1][1]
+    def spy(box, lay):
+        counts = true_box_counts(box, lay)
+        walked.append((box, tuple(map(lay.unpack, counts))))
+        return counts
 
     monkeypatch.setattr(mac, "_box_counts", spy)
     for n in range(6):
@@ -198,7 +231,8 @@ def test_verify_enumerates_each_box_once(monkeypatch):
             if n >= 1:
                 expected += [mac._box_Q(n, k) for k in range(n + 1)]
             assert [box for box, _ in walked] == expected, (n, m)
-            leaves = mac._pair_count(poly for _, counts in walked for poly in counts)
+            leaves = sum(c for _, counts in walked for poly in counts
+                         for _z, _q, c in poly.terms())
             assert leaves == 2 ** (n + m) + (2 ** n if n else 0), (n, m)
 
 
@@ -832,6 +866,11 @@ def test_verify_failure_names_the_sub_identity(monkeypatch):
     assert not cert.verified
     assert cert.counterexample["element"] == "product identity"
     assert cert.counterexample["reason"] == "sub-identity-violated"
+    # the product's q^18 needs a wider packing than the sum side's q^2
+    assert cert.counterexample["image"] == {
+        "lhs": str(product_sum_F(1, 1)),
+        "rhs": str((true_product(1, 1, -1, 1, 2) + mono(1, 0, 9))
+                   * (true_product(1, 1, 1, 1, 2) + mono(1, 0, 9)))}
 
 
 def _assert_recurrence_failure(cert, element, k):
@@ -851,9 +890,9 @@ def _drop_one_leaf(monkeypatch, box, pairs):
     true_box_counts = mac._box_counts
     missed = mono(-1, *weight_of(pairs[-1])[1:])
 
-    def perturbed(b):
-        off, boundary = true_box_counts(b)
-        return (off + missed, boundary) if b == box else (off, boundary)
+    def perturbed(b, lay):
+        off, boundary = true_box_counts(b, lay)
+        return (off + lay.pack(missed), boundary) if b == box else (off, boundary)
 
     monkeypatch.setattr(mac, "_box_counts", perturbed)
 

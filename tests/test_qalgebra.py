@@ -11,9 +11,10 @@ import random
 
 import pytest
 
-from qtelescope.qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
-                                 gaussian_binomial, rhs_andrews, truncate)
+from qtelescope.qalgebra import (Kronecker, LaurentPoly, TruncatedSeries, factor_product,
+                                 gaussian_binomial, gaussian_row, rhs_andrews, truncate)
 
+import reference_sums
 from reference_enumerators import coeffs
 
 
@@ -110,7 +111,7 @@ def test_ring_laws_on_random_values():
 def test_canonical_form_drops_zeros():
     p = P({(0, 0): 0, (1, 1): 2})
     assert len(list(p.terms())) == 1
-    assert (p - p).is_zero()
+    assert p - p == LaurentPoly.zero()
     assert P({}) == LaurentPoly.zero()
 
 
@@ -140,8 +141,8 @@ def test_gaussian_examples():
 
 
 def test_gaussian_out_of_range_is_zero():
-    assert gaussian_binomial(3, -1, 1).is_zero()
-    assert gaussian_binomial(3, 4, 1).is_zero()
+    assert gaussian_binomial(3, -1, 1) == LaurentPoly.zero()
+    assert gaussian_binomial(3, 4, 1) == LaurentPoly.zero()
 
 
 def test_gaussian_matches_box_partition_oracle():
@@ -184,6 +185,54 @@ def test_gaussian_matches_sympy_product_formula():
                                     for i in range(1, k + 1)])
                 expected = from_sympy(sympy, sympy.cancel(ratio), z, q)
                 assert gaussian_binomial(n, k, step) == expected, (n, k, step)
+
+
+# Kronecker packing -------------------------------------------------------------
+
+def test_kronecker_round_trips_at_the_edges_of_its_range():
+    # z from -2, q up to 5, coefficients up to 6 in absolute value: a
+    # coefficient at the bound, a negative one (a dropped leaf that was
+    # never there) and q at the span's end, next to the row above
+    kron = Kronecker(-2, 5, 6)
+    for poly in (P({(-2, 0): 6, (0, 5): -6}), P({(1, 3): -1}),
+                 P({(-2, 5): 1, (-1, 0): 1}), P({(-2, 5): -6, (-1, 0): 6, (3, 5): -1}),
+                 LaurentPoly.zero()):
+        assert kron.unpack(kron.pack(poly)) == poly, poly
+        assert kron.at_one(kron.pack(poly)) == sum(c for _z, _q, c in poly.terms())
+
+
+def test_kronecker_shifts_and_adds_are_the_polynomial_ones():
+    kron = Kronecker(-1, 9, 8)
+    a, b = P({(0, 1): 2, (1, 0): -1}), P({(0, 0): 1, (2, 4): 3})
+    assert kron.unpack(kron.pack(a) + kron.pack(b)) == a + b
+    assert kron.unpack(kron.pack(a) << kron.at(1, 3)) == a * P({(1, 3): 1})
+    assert kron.unpack(kron.pack(a) >> kron.at(1, -1)) == a * P({(-1, 1): 1})
+
+
+def test_kronecker_refuses_what_it_cannot_hold():
+    kron = Kronecker(-1, 4, 3)
+    for poly in (P({(-2, 0): 1}), P({(0, 5): 1}), P({(0, -1): 1}), P({(0, 0): 4}),
+                 P({(0, 0): -4})):
+        with pytest.raises(ValueError):
+            kron.pack(poly)
+
+
+def test_kronecker_holding_a_product_fits_it():
+    # q^9 in each factor gives the product a q^18, far past the packing's 2
+    kron = Kronecker(-1, 2, 4)
+    minus = factor_product(1, 1, -1, 1, 2) + P({(0, 9): 1})
+    plus = factor_product(1, 1, 1, 1, 2) + P({(0, 9): 1})
+    wide = kron.holding(minus, plus)
+    assert wide.span == 19 and wide.z_lo == -1
+    product = wide.pack(minus) * wide.pack(plus)  # its offset is z^-2
+    assert wide.unpack(product >> wide.at(1, 0)) == minus * plus
+
+
+def test_gaussian_row_is_the_pascal_recurrence_on_packed_ints():
+    for n in range(9):
+        kron = Kronecker(0, 2 * (n * n // 4), 1 << n)
+        row = [kron.unpack(x) for x in gaussian_row(n, 2, kron)]
+        assert row == [reference_sums.gaussian_binomial(n, j, 2) for j in range(n + 1)]
 
 
 # factor products -------------------------------------------------------------

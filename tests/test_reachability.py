@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "qtelescope"
 # protocol methods no path calls, each kept for the protocol it completes
 UNCALLED = {
     "qalgebra.LaurentPoly.__hash__": "polynomials compare by value, so they hash by value",
-    "qalgebra.LaurentPoly.__bool__": "a polynomial is false exactly when it is zero",
     "qalgebra.LaurentPoly.__repr__": "the unambiguous form of a polynomial, for debugging",
     "qalgebra.TruncatedSeries.__repr__": "the unambiguous form of a series, for debugging",
 }
