@@ -58,8 +58,9 @@ runs the per-index check (telescope.telescoping_sum_check) on those
 ints, then compares the closed form's Gaussian sum, gaussian_row's
 Pascal recurrence on ints, with the packed product of the two
 factor_products, in a packing widened to hold that product.  A failed
-check reruns on the decoded forms (phi_telescoping_counts,
-psi_telescoping_counts, product_sum_F) to name its counterexample.
+check decodes the packed values it compared to name its counterexample;
+the public phi_telescoping_counts, psi_telescoping_counts and
+product_sum_F are decodes of the same packed computations.
 Every leaf is counted, so the sum side stays an enumeration, independent
 of the Pascal recurrence behind the closed form.
 """
@@ -506,14 +507,11 @@ def product_sum_F(n: int, m: int) -> LaurentPoly:
     return kron.unpack(_gaussian_sum(n, m, kron))
 
 
-def _recurrence_failure(name: str, packed, decoded: Callable[[], tuple]):
-    """The relation check on the packed counts; where it fails, it reruns
-    on the decoded counts, decoded(), to name the counterexample."""
-    f, g, h, k_min, k_max = packed
-    if telescoping_sum_check(f, g, h, k_max=k_max, k_min=k_min, zero=0).verified:
-        return None
-    f, g, h, k_min, k_max = decoded()
-    sub = telescoping_sum_check(f, g, h, k_max=k_max, k_min=k_min)
+def _recurrence_failure(name: str, counts, lay: Kronecker):
+    """The relation check on the counts packed by lay, which decodes a
+    counterexample's polynomials."""
+    f, g, h, k_min, k_max = counts
+    sub = telescoping_sum_check(f, g, h, k_max=k_max, k_min=k_min, present=lay.unpack)
     return None if sub.verified else (name, sub.counterexample,
                                       "sub-identity-violated")
 
@@ -521,11 +519,16 @@ def _recurrence_failure(name: str, packed, decoded: Callable[[], tuple]):
 def _product_failure(n: int, m: int):
     """The closed form on packed ints: the product of the two factors,
     each packed from z^-m, has its offset at z^-2m, so the Gaussian sum is
-    raised m rows to meet it.  The packing is widened to hold the product,
-    whatever the factors are."""
+    raised m rows to meet it.  The packing is widened to hold the product;
+    a factor with a term below z^-m or q^0, which no packing here holds,
+    is compared as polynomials."""
     minus, plus = factor_product(m, 1, -1, 1, 2), factor_product(n, 1, 1, 1, 2)
     kron = _closed_layout(n, m).holding(minus, plus)
-    if kron.pack(minus) * kron.pack(plus) == _gaussian_sum(n, m, kron) << kron.at(m, 0):
+    try:
+        holds = kron.pack(minus) * kron.pack(plus) == _gaussian_sum(n, m, kron) << kron.at(m, 0)
+    except ValueError:
+        holds = product_sum_F(n, m) == minus * plus
+    if holds:
         return None
     return ("product identity", {"lhs": str(product_sum_F(n, m)), "rhs": str(minus * plus)},
             "sub-identity-violated")
@@ -544,8 +547,8 @@ def verify_macmahon(n: int, m: int) -> Certificate:
     Summing the per-index relation over k gives the recurrence, so a
     failed one reports the telescoping sub-check's counterexample, which
     names the index k.  Each check compares packed ints (qalgebra.Kronecker,
-    laid out by _sum_layout and _closed_layout); a failed one reruns on
-    the decoded forms, which name the counterexample.
+    laid out by _sum_layout and _closed_layout); a failed one decodes them
+    to name the counterexample.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -556,14 +559,12 @@ def verify_macmahon(n: int, m: int) -> Certificate:
         domain_size = lay.at_one(sum(counts[0].values()))
         # g holds every P(n,m-1,k) pair twice: bare and marked
         codomain_size = lay.at_one(sum(counts[1].values())) // 2
-        failure = _recurrence_failure("m-lowering recurrence", counts,
-                                      lambda: phi_telescoping_counts(n, m))
+        failure = _recurrence_failure("m-lowering recurrence", counts, lay)
     else:
         domain_size = codomain_size = lay.at_one(sum(
             chain.from_iterable(_box_counts(_box_P(n, 0, k), lay) for k in range(n + 1))))
     if failure is None and n >= 1:
-        failure = _recurrence_failure("n-lowering recurrence", _psi_counts(n, lay),
-                                      lambda: psi_telescoping_counts(n))
+        failure = _recurrence_failure("n-lowering recurrence", _psi_counts(n, lay), lay)
     if failure is None:
         failure = _product_failure(n, m)
     return certify("macmahon", {"n": n, "m": m}, started, failure,

@@ -283,14 +283,16 @@ def telescoping_sum_check(f_counts: Mapping[int, Any],
                           k_min: int = 0,
                           check: str = "telescoping-sum",
                           params: Optional[Mapping] = None,
-                          zero: Any = LaurentPoly.zero()) -> Certificate:
+                          present: Callable[[Any], Any] = lambda x: x) -> Certificate:
     """Verify f(k) + h(k) = g(k) + h(k+1) for every index k_min..k_max,
     and the telescoping boundary conditions: h vanishes at k_min and at
     every k > k_max.
 
     The counts are weighted counts per index k (missing keys mean zero):
-    LaurentPolys, or any values that add, compare and are false at zero,
-    such as packed ints (qalgebra.Kronecker) with zero=0.
+    LaurentPolys, or, where every index is present, any values that add,
+    compare and are false at zero, such as packed ints (qalgebra.Kronecker).
+    present turns a value into the polynomial a counterexample shows (for
+    packed ints, their unpack).
     sum(f) = sum(g) follows and is not checked again: summing the
     per-index relation over k_min..k_max gives
     sum(f) + h(k_min) = sum(g) + h(k_max+1), and both h terms are zero.
@@ -298,23 +300,25 @@ def telescoping_sum_check(f_counts: Mapping[int, Any],
     started = time.monotonic()
     return certify(check, params or {}, started,
                    _telescoping_failure(f_counts, g_counts, h_counts,
-                                        k_min, k_max, zero),
+                                        k_min, k_max, present),
                    domain_size=len(f_counts), codomain_size=len(g_counts))
 
 
-def _telescoping_failure(f_counts, g_counts, h_counts, k_min, k_max, zero):
+def _telescoping_failure(f_counts, g_counts, h_counts, k_min, k_max, present):
+    zero = LaurentPoly.zero()
+
     def at(counts, k):
         return counts.get(k, zero)
 
     if at(h_counts, k_min):
-        return {"k": k_min}, str(at(h_counts, k_min)), "h-nonzero-at-start"
+        return {"k": k_min}, str(present(at(h_counts, k_min))), "h-nonzero-at-start"
     for k in h_counts:
         if k > k_max and h_counts[k]:
-            return {"k": k}, str(h_counts[k]), "h-nonzero-beyond-kmax"
+            return {"k": k}, str(present(h_counts[k])), "h-nonzero-beyond-kmax"
     for k in range(k_min, k_max + 1):
         lhs = at(f_counts, k) + at(h_counts, k)
         rhs = at(g_counts, k) + at(h_counts, k + 1)
         if lhs != rhs:
-            return ({"k": k}, {"lhs": str(lhs), "rhs": str(rhs)},
+            return ({"k": k}, {"lhs": str(present(lhs)), "rhs": str(present(rhs))},
                     "index-relation-violated")
     return None

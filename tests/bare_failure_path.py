@@ -9,9 +9,10 @@ run the failure path behind a failed certificate: the Andrews phi oracle
 (telescope.check_graded_bijection, weighing with weight_of), the Andrews
 involution's set-based check (andrews12._involution_failure), the
 MacMahon step certificate's oracle, the MacMahon cancelation's search
-for the orbit that raises, and the sum checks of both families, the
-MacMahon recurrences rerun on their decoded counts.  The
-faults act on the packed ints the rules see, so they need no test
+for the orbit that raises, and the sum checks of both families: the
+MacMahon recurrences, which decode their packed counts, the telescoping
+check on psi's decoded counts, and the closed form, compared as
+polynomials where a factor has a term no packing holds.  The faults act on the packed ints the rules see, so they need no test
 helper and no package outside the standard library.
 
     PYTHONPATH=src python -S tests/bare_failure_path.py
@@ -25,7 +26,7 @@ import sys
 
 from qtelescope import andrews12, macmahon
 from qtelescope.qalgebra import LaurentPoly
-from qtelescope.telescope import weight_of
+from qtelescope.telescope import telescoping_sum_check, weight_of
 
 
 def gains_a_part_2(x, y, lay):
@@ -98,25 +99,33 @@ def crossed_pairs(cap):
     return wrap
 
 
-def drops_a_leaf(box):
-    """A change to the MacMahon box counts: the box, off its boundary,
-    misses its pair with the empty mu, of weight z^side q^(side^2)."""
+def miscounts(box, c, boundary=False):
+    """A change to the MacMahon box counts: the box off its boundary (with
+    `boundary`, on it) counts c more pairs of weight z^side q^(side^2), the
+    weight of its pair with the empty mu."""
     side = box[0]
 
     def wrap(true_counts):
         def counts(b, lay):
             off, on = true_counts(b, lay)
-            if b == box:
-                off -= lay.pack(LaurentPoly.monomial(1, side, side * side))
-            return off, on
+            if b != box:
+                return off, on
+            extra = lay.pack(LaurentPoly.monomial(c, side, side * side))
+            return (off, on + extra) if boundary else (off + extra, on)
         return counts
     return wrap
 
 
-def plus_q(q):
-    """A change to a closed form: it gains one term q^q."""
+def psi_sum_certificate(n):
+    """The telescoping check on the decoded counts of psi at n."""
+    f, g, h, k_min, k_max = macmahon.psi_telescoping_counts(n)
+    return telescoping_sum_check(f, g, h, k_max=k_max, k_min=k_min)
+
+
+def plus_term(z, q):
+    """A change to a closed form: it gains one term z^z q^q."""
     def wrap(true_form):
-        return lambda *args: true_form(*args) + LaurentPoly.monomial(1, 0, q)
+        return lambda *args: true_form(*args) + LaurentPoly.monomial(1, z, q)
     return wrap
 
 
@@ -131,7 +140,7 @@ CASES = [
      lambda: andrews12.involution_certificate(4, 4, 30)),
     ("fixed-set-mismatch", andrews12, "_involution_rule", faulty(toggles_two),
      lambda: andrews12.involution_certificate(3, 2, 20)),
-    ("coefficient-mismatch", andrews12, "rhs_andrews", plus_q(2),
+    ("coefficient-mismatch", andrews12, "rhs_andrews", plus_term(0, 2),
      lambda: andrews12.verify_andrews(2, 20, "identity")),
     ("not-in-codomain", macmahon, "_step_rule", faulty(marked_stays),
      lambda: macmahon.phi_certificate(3, 2, 1)),
@@ -141,12 +150,18 @@ CASES = [
      lambda: macmahon.cancelation_certificate(2, 2)),
     ("orbit-leaves-every-box", macmahon, "_step_rule", faulty(second_first_row(1)),
      lambda: macmahon.cancelation_certificate(1, 1)),
-    ("sub-identity-violated", macmahon, "factor_product", plus_q(9),
+    ("sub-identity-violated", macmahon, "factor_product", plus_term(0, 9),
      lambda: macmahon.verify_macmahon(1, 1)),
-    ("index-relation-violated", macmahon, "_box_counts", drops_a_leaf(macmahon._box_P(2, 2, 1)),
+    ("sub-identity-violated", macmahon, "factor_product", plus_term(-2, 1),
+     lambda: macmahon.verify_macmahon(1, 1)),
+    ("index-relation-violated", macmahon, "_box_counts", miscounts(macmahon._box_P(2, 2, 1), -1),
      lambda: macmahon.verify_macmahon(2, 2)),
-    ("index-relation-violated", macmahon, "_box_counts", drops_a_leaf(macmahon._box_Q(3, 1)),
+    ("index-relation-violated", macmahon, "_box_counts", miscounts(macmahon._box_Q(3, 1), -1),
      lambda: macmahon.verify_macmahon(3, 1)),
+    ("h-nonzero-beyond-kmax", macmahon, "_box_counts",
+     miscounts(macmahon._box_P(2, 2, 2), 1, boundary=True), lambda: macmahon.verify_macmahon(2, 2)),
+    ("h-nonzero-at-start", macmahon, "_box_counts",
+     miscounts(macmahon._box_Q(3, 0), 1, boundary=True), lambda: psi_sum_certificate(3)),
 ]
 
 

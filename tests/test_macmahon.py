@@ -873,6 +873,29 @@ def test_verify_failure_names_the_sub_identity(monkeypatch):
                    * (true_product(1, 1, 1, 1, 2) + mono(1, 0, 9)))}
 
 
+def test_verify_compares_a_factor_no_packing_holds_as_polynomials(monkeypatch):
+    import qtelescope.macmahon as mac
+
+    true_product = factor_product
+    # a term below z^-m or q^0 in a factor: the closed form fails, as the
+    # polynomial comparison says
+    for extra in (mono(1, -2, 1), mono(1, 0, -1)):
+        monkeypatch.setattr(mac, "factor_product",
+                            lambda *a, extra=extra: true_product(*a) + extra)
+        cert = mac.verify_macmahon(1, 1)
+        assert not cert.verified
+        assert cert.counterexample == {
+            "element": "product identity", "reason": "sub-identity-violated",
+            "image": {"lhs": str(product_sum_F(1, 1)),
+                      "rhs": str((true_product(1, 1, -1, 1, 2) + extra)
+                                 * (true_product(1, 1, 1, 1, 2) + extra))}}
+    # q^-1 in one factor and q in the other: the product, and the identity, hold
+    monkeypatch.setattr(mac, "factor_product",
+                        lambda count, sign, z, *a: true_product(count, sign, z, *a)
+                        * mono(1, 0, z))
+    assert mac.verify_macmahon(1, 1).verified
+
+
 def _assert_recurrence_failure(cert, element, k):
     assert not cert.verified
     assert cert.counterexample["element"] == element
