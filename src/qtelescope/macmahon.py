@@ -48,21 +48,23 @@ The certificates decode a pair only for a counterexample.  The public
 enum_P and phi_step take and return MacPairs: phi_step checks the input,
 encodes it, runs the packed rule and decodes the result;
 telescoping_phi steps through phi_step and retags its case.  The sum
-path needs weights only: one enumeration per box, in C, and the lower
-family is the box off its boundary (_box_counts); no pair is built.
-Each count is one int, packed (qalgebra.Kronecker) by the layout of its
-(n, m), which _sum_layout reads off the boxes' largest leaf weights and
-leaf counts: the Counter of leaf weights goes straight into its slots,
-and g's marked copy (psi's f) is a shift and an add.  verify_macmahon
-runs the per-index check (telescope.telescoping_sum_check) on those
-ints, then compares the closed form's Gaussian sum, gaussian_row's
-Pascal recurrence on ints, with the packed product of the two
-factor_products, in a packing widened to hold that product.  A failed
-check decodes the packed values it compared to name its counterexample;
-the public phi_telescoping_counts, psi_telescoping_counts and
-product_sum_F are decodes of the same packed computations.
-Every leaf is counted, so the sum side stays an enumeration, independent
-of the Pascal recurrence behind the closed form.
+path needs weights only: one enumeration per leaf family, in C, and the
+lower family is the box off its boundary, which is the next box's
+boundary less its bound (_box_counts); no pair is built.  Each count is
+one int, packed (qalgebra.Kronecker) by the layout of its (n, m), which
+_sum_layout reads off the boxes' largest leaf weights and leaf counts:
+the Counter of leaf weights goes straight into its slots, and g's
+marked copy (psi's f) is a shift and an add.  verify_macmahon runs the
+per-index check (telescope.telescoping_sum_check) on those ints, then
+compares the closed form's Gaussian sum, gaussian_row's Pascal
+recurrence on ints, with the packed product of the two factor_products,
+in a packing widened to hold that product, and last the enumerated
+totals with the Gaussian sums.  A failed check decodes the packed
+values it compared to name its counterexample; the public
+phi_telescoping_counts, psi_telescoping_counts and product_sum_F are
+decodes of the same packed computations.  Every leaf is counted, so the
+sum side stays an enumeration, independent of the Pascal recurrence
+behind the closed form.
 """
 
 from __future__ import annotations
@@ -400,9 +402,28 @@ def psi_certificate(n: int, k: int) -> Certificate:
     return _slice_certificate(*_psi_index(n, k), "macmahon-psi", {"n": n, "k": k})
 
 
-# weighted counts: one enumeration per box, packed, no pairs ---------------
+# weighted counts: one enumeration per leaf family, packed, no pairs ----------
 
-def _sum_layout(n: int, m: int) -> Kronecker:
+class _SumLayout(Kronecker):
+    """A sum side's packing and its leaf families: families[top, parts],
+    a Memo, packs the count of the multisets of `parts` parts from 0, 2,
+    .., top by weight q^(sum), each leaf made and summed in C."""
+
+    __slots__ = ("families",)
+
+    def __init__(self, z_lo: int, top: int, bound: int):
+        super().__init__(z_lo, top, bound)
+        width = self.width
+
+        def family(key: tuple[int, int]) -> int:
+            top, parts = key
+            weights = Counter(map(sum, combinations_with_replacement(range(0, top + 1, 2), parts)))
+            # each count c of a weight q into its slot: c << width * q
+            return sum(map(lshift, weights.values(), map(width.__mul__, weights)))
+        self.families = Memo(family)
+
+
+def _sum_layout(n: int, m: int) -> _SumLayout:
     """The packing of the sum side's counts at (n, m), from the boxes it
     enumerates, the P(n,m,k) and Q(n,k): z from -m - 1 (phi's marker
     lowers z by one); q up to a box's largest leaf weight, side^2 +
@@ -412,31 +433,27 @@ def _sum_layout(n: int, m: int) -> Kronecker:
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)] + [_box_Q(n, k) for k in range(n + 1)]
     top = max(side * side + bound * slots for side, bound, slots in boxes)
     leaves = sum(comb(bound // 2 + slots, slots) for _side, bound, slots in boxes)
-    return Kronecker(-m - 1, top + 2 * max(m, n), 2 * leaves)
+    return _SumLayout(-m - 1, top + 2 * max(m, n), 2 * leaves)
 
 
-def _box_counts(box: Box, lay: Kronecker) -> tuple[int, int]:
+def _box_counts(box: Box, lay: _SumLayout) -> tuple[int, int]:
     """Weighted counts of a box off its boundary slice and on it, packed
     by lay.  An even partition is its multiset of `slots` parts from 0, 2,
     .., bound, zeros padding it: off the boundary all are below the bound,
-    on it one is the bound.  itertools makes each leaf, summed and counted
-    in C, and each weight's count goes into its slot."""
+    on it one is the bound.  Each is a family of lay, raised to the box;
+    the boundary's is the next box's family off its boundary."""
     side, bound, slots = box
     if bound < 0 or slots < 0:
         return 0, 0
     base = lay.at(side - lay.z_lo, side * side)  # z^side q^(side^2)
     if not slots:  # the empty partition alone; its first part reads as 0
         return (1 << base, 0) if bound else (0, 1 << base)
-    width = lay.width
-
-    def count(top: int, parts: int, shift: int) -> int:
-        weights = Counter(map(sum, combinations_with_replacement(range(0, top + 1, 2), parts)))
-        # each count c of a weight q into its slot: c << width * q
-        return sum(map(lshift, weights.values(), map(width.__mul__, weights))) << shift
-    return count(bound - 2, slots, base), count(bound, slots - 1, base + width * bound)
+    families = lay.families
+    return (families[bound - 2, slots] << base,
+            families[bound, slots - 1] << base + lay.width * bound)
 
 
-def _phi_counts(n: int, m: int, lay: Kronecker):
+def _phi_counts(n: int, m: int, lay: _SumLayout):
     """phi_telescoping_counts, packed by lay."""
     f, g, h = {}, {}, {-m: 0}
     marker = lay.at(1, 1 - 2 * m)  # q^(2m-1)/z, a right shift by this
@@ -446,7 +463,7 @@ def _phi_counts(n: int, m: int, lay: Kronecker):
     return f, g, h, -m, n
 
 
-def _psi_counts(n: int, lay: Kronecker):
+def _psi_counts(n: int, lay: _SumLayout):
     """psi_telescoping_counts, packed by lay."""
     f, g, h = {}, {}, {n + 1: 0}
     marker = lay.at(1, 2 * n - 1)  # z*q^(2n-1)
@@ -534,16 +551,35 @@ def _product_failure(n: int, m: int):
             "sub-identity-violated")
 
 
+def _totals_failure(n: int, m: int, lay: _SumLayout, p_total: int, q_total: Optional[int]):
+    """The P(n,m,k) total against the Gaussian sum at (n, m), and the
+    Q(n,k) total (None at n = 0) against it at (n, 0), in lay, whose span
+    above m^2 + n^2 >= (m+n)^2 / 2 and width, twice the P boxes' 2^(m+n)
+    leaves, hold every Pascal entry.  The relations hold whatever a shared
+    family counts; only these tie the families to their leaves."""
+    for name, total, lower, rows in (("P total", p_total, m, 1),
+                                     ("Q total", q_total, 0, m + 1)):
+        if total is None:
+            continue
+        closed = _gaussian_sum(n, lower, lay) << lay.at(rows, 0)
+        if total != closed:
+            return (name, {"enumerated": str(lay.unpack(total)),
+                           "closed form": str(lay.unpack(closed))}, "sub-identity-violated")
+    return None
+
+
 def verify_macmahon(n: int, m: int) -> Certificate:
     """Verify the identity and both enumerated recurrences at one (n, m).
 
-    Three exact polynomial checks, each skipped only where its index
+    Four exact polynomial checks, each skipped only where its index
     range makes it vacuous:
       (a) m-lowering recurrence: the per-index telescoping relation of
           phi on the enumerated P families                     (m >= 1)
       (b) n-lowering recurrence: the same for psi on the Q families
                                                                (n >= 1)
       (c) the closed-form identity: weighted sum = product of factors
+      (d) the enumerated totals of the P and (n >= 1) Q families against
+          the closed form's Gaussian sums (_totals_failure)
     Summing the per-index relation over k gives the recurrence, so a
     failed one reports the telescoping sub-check's counterexample, which
     names the index k.  Each check compares packed ints (qalgebra.Kronecker,
@@ -553,22 +589,24 @@ def verify_macmahon(n: int, m: int) -> Certificate:
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     started = time.monotonic()
-    lay, failure = _sum_layout(n, m), None
+    lay, failure, q_total = _sum_layout(n, m), None, None
+    counts = _phi_counts(n, m, lay)
+    p_total = sum(counts[0].values())
+    codomain_size = lay.at_one(p_total)
     if m >= 1:
-        counts = _phi_counts(n, m, lay)
-        domain_size = lay.at_one(sum(counts[0].values()))
         # g holds every P(n,m-1,k) pair twice: bare and marked
         codomain_size = lay.at_one(sum(counts[1].values())) // 2
         failure = _recurrence_failure("m-lowering recurrence", counts, lay)
-    else:
-        domain_size = codomain_size = lay.at_one(sum(
-            chain.from_iterable(_box_counts(_box_P(n, 0, k), lay) for k in range(n + 1))))
     if failure is None and n >= 1:
-        failure = _recurrence_failure("n-lowering recurrence", _psi_counts(n, lay), lay)
+        counts = _psi_counts(n, lay)
+        q_total = sum(counts[1].values())
+        failure = _recurrence_failure("n-lowering recurrence", counts, lay)
     if failure is None:
         failure = _product_failure(n, m)
+    if failure is None:
+        failure = _totals_failure(n, m, lay, p_total, q_total)
     return certify("macmahon", {"n": n, "m": m}, started, failure,
-                   domain_size=domain_size, codomain_size=codomain_size)
+                   domain_size=lay.at_one(p_total), codomain_size=codomain_size)
 
 
 # cancelation: the direct bijection obtained by iterating phi -------------

@@ -8,8 +8,9 @@ is probabilistic.  weight_of is the single notion of weight: an object's
 signed monomial as the int key (sign, z_exp, q_exp); weighted_count sums a
 family's keys into one LaurentPoly.  macmahon.verify_macmahon runs
 telescoping_sum_check per index on counts from macmahon._box_counts, one
-weight-only enumeration per box, the lower family its non-boundary leaves,
-each count packed into one int (qalgebra.Kronecker).
+weight-only enumeration per leaf family, the lower family a box's
+non-boundary leaves, each count packed into one int (qalgebra.Kronecker),
+and then ties the enumerated totals to the closed form.
 
 A bijection certificate of either family streams in one flat kernel,
 stream_bijection: one pass over the packed domain's groups against the

@@ -15,7 +15,7 @@ from qtelescope.macmahon import (MacPair, _apply, _box_Q, _enum_box, _psi_index,
                                  psi_certificate, psi_telescoping_counts,
                                  telescoping_phi, verify_macmahon)
 from qtelescope.partitions import EvenField, Partition
-from qtelescope.qalgebra import Kronecker, LaurentPoly, factor_product, gaussian_binomial
+from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
 from qtelescope.telescope import (MarkedObject, telescoping_sum_check, weight_of,
                                   weighted_count)
 
@@ -202,7 +202,7 @@ def test_box_enumeration_is_the_gaussian_binomial(N):
     # C(N, j) <= 2^N leaves.
     import qtelescope.macmahon as mac
 
-    lay = Kronecker(-N, N * N, 1 << N)
+    lay = mac._SumLayout(-N, N * N, 1 << N)
     for j in range(N + 1):
         side = j - N // 2
         off, on = mac._box_counts((side, 2 * j, N - j), lay)
@@ -212,7 +212,8 @@ def test_box_enumeration_is_the_gaussian_binomial(N):
 def test_verify_enumerates_each_box_once(monkeypatch):
     # The boxes walked are the P(n,m,k), k in [-m, n] (at m = 0 the P(n,0,k)
     # that size the domain), then for n >= 1 the Q(n,k), k in [0, n], each
-    # once; their leaves number 2^(n+m) + 2^n (2^m at n = 0).
+    # once; their counts hold 2^(n+m) + 2^n pairs (2^m at n = 0), though
+    # the leaves walked are fewer (test_verify_enumerates_each_leaf_family_once).
     import qtelescope.macmahon as mac
 
     true_box_counts, walked = mac._box_counts, []
@@ -234,6 +235,48 @@ def test_verify_enumerates_each_box_once(monkeypatch):
             leaves = sum(c for _, counts in walked for poly in counts
                          for _z, _q, c in poly.terms())
             assert leaves == 2 ** (n + m) + (2 ** n if n else 0), (n, m)
+
+
+def _count_leaves(monkeypatch):
+    """A spy on the leaf enumerator of the sum side: the list it returns
+    holds one count, of the leaves yielded so far."""
+    import qtelescope.macmahon as mac
+
+    true_leaves, walked = mac.combinations_with_replacement, [0]
+
+    def spy(pool, parts):
+        for leaf in true_leaves(pool, parts):
+            walked[0] += 1
+            yield leaf
+
+    monkeypatch.setattr(mac, "combinations_with_replacement", spy)
+    return walked
+
+
+def test_verify_enumerates_each_leaf_family_once(monkeypatch):
+    # A box's boundary less its bound is the next box's family off its
+    # boundary, and at m = 0 the P(n,0,k) are the Q(n,n-k) moved, so the
+    # distinct families hold 2^(n+m-1) leaves for the P boxes and 2^(n-1)
+    # for the Q boxes, each walked once; a slots-0 box walks no leaf.
+    import qtelescope.macmahon as mac
+
+    walked = _count_leaves(monkeypatch)
+    for n in range(7):
+        for m in range(7):
+            walked[0] = 0
+            assert mac.verify_macmahon(n, m).verified
+            P = 2 ** (n + m - 1) if n + m else 0
+            Q = 2 ** (n - 1) if n and m else 0
+            assert walked[0] == P + Q, (n, m)
+            walked[0] = 0
+            phi_telescoping_counts(n, m)
+            assert walked[0] == P, (n, m)
+        walked[0] = 0
+        psi_telescoping_counts(n)
+        assert walked[0] == (2 ** (n - 1) if n else 0), n
+    walked[0] = 0
+    mac.verify_macmahon(8, 8)
+    assert walked[0] == 32_896  # 2^15 + 2^7, where two walks per box made 65,790
 
 
 def test_verify_builds_no_pair(monkeypatch):
@@ -936,6 +979,32 @@ def test_verify_failure_names_the_index_of_the_n_lowering_recurrence(monkeypatch
     _drop_one_leaf(monkeypatch, mac._box_Q(n, k), enum_Q(n - 1, k))
     _assert_recurrence_failure(mac.verify_macmahon(n, 1),
                                "n-lowering recurrence", k)
+
+
+@pytest.mark.parametrize("family, lower", [("P", 4), ("Q", 0)])
+def test_verify_ties_each_family_total_to_the_closed_form(monkeypatch, family, lower):
+    # Every leaf family of more than one leaf loses its last leaf: a box's
+    # boundary and its neighbour's family off the boundary still agree, so
+    # both relations and the closed form hold, and only the totals see it.
+    # At (4, 4) a P family has bound/2 + parts = 7, a Q family 3.
+    import qtelescope.macmahon as mac
+
+    true_leaves = mac.combinations_with_replacement
+    size = {"P": 7, "Q": 3}[family]
+
+    def lossy(pool, parts):
+        leaves = list(true_leaves(pool, parts))
+        return leaves[:-1] if len(leaves) > 1 and len(pool) - 1 + parts == size else leaves
+
+    monkeypatch.setattr(mac, "combinations_with_replacement", lossy)
+    cert = mac.verify_macmahon(4, 4)
+    assert not cert.verified
+    assert cert.counterexample["element"] == f"{family} total"
+    assert cert.counterexample["reason"] == "sub-identity-violated"
+    image = cert.counterexample["image"]
+    assert image["closed form"] == str(product_sum_F(4, lower))
+    assert image["enumerated"] != image["closed form"]
+    assert cert.domain_size == (244 if family == "P" else 256)
 
 
 def test_enumerated_and_closed_forms_agree():
