@@ -11,6 +11,19 @@ Grammar (ROWS states each row's flags; every row but trace also takes
     check-bijection (andrews-phi|andrews-involution) --n N --k K [--cap D]
     trace andrews --n N --k K [--cap D]     (some map must lower (n, k))
 
+The argv is read by _parse from the ROWS table alone; no parser object is
+built or kept.  COMMAND and TARGET are the first two words that are not
+flags or flag values, wherever they stand.  A flag takes one value, as
+--flag VALUE or --flag=VALUE; a negative number (--k -2) is a value, not
+a flag, and every argument after "--" is a word.  A repeated flag keeps
+its last value.  Flag names are given in full: an abbreviation such as
+--ca is not read as --cap.  -h/--help prints the help of the row (or,
+with no row, the list of rows) and exits 0.  A flag the row does not
+take, a missing required flag, two flags of one group (--n with --n-max,
+even at the default), a value that is not an int or not among the
+choices, or an argv that names no row prints the usage line and the
+reason to stderr and exits 2.
+
 Exit status: 0 if every emitted certificate verified, 1 if any failed,
 2 on a usage or precondition error (any ValueError a row raises, or a
 --json path that cannot be written).
@@ -18,10 +31,11 @@ Exit status: 0 if every emitted certificate verified, 1 if any failed,
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 from typing import Optional
 
 from . import andrews12, macmahon
@@ -31,22 +45,22 @@ from .telescope import Certificate, MarkedObject
 
 USAGE_ERROR = 2
 
-# A row's flag is added as add_argument(name, **keywords); the flags of one
-# row that share a group are mutually exclusive.
-Flag = namedtuple("Flag", "name keywords group", defaults=[None])
-N = Flag("--n", dict(type=int, required=True))
-M = Flag("--m", dict(type=int, required=True))
-K = Flag("--k", dict(type=int, required=True))
-N_RANGE = (Flag("--n", dict(type=int), group="n"),
-           Flag("--n-max", dict(type=int, metavar="N", help="default 4"), group="n"))
-M_RANGE = (Flag("--m", dict(type=int), group="m"),
-           Flag("--m-max", dict(type=int, metavar="M", help="default 4"), group="m"))
-CAP = Flag("--cap", dict(type=int, default=30, metavar="D", help="weight cap (default 30)"))
-SERIES_CAP = Flag("--cap", dict(type=int, metavar="D",
-                                help="series truncation degree (default n^2 + 15)"))
-OUTPUT = (Flag("--json", dict(dest="json_path", metavar="PATH",
-                              help="also write the certificates to this file")),
-          Flag("--format", dict(choices=["text", "json"], default="text")))
+# A row's flag takes one value, converted by type and, where it has choices,
+# checked against them; the value is stored under the name less its dashes,
+# "-" read as "_" (--n-max as n_max).  The flags of one row that share a
+# group are mutually exclusive.
+Flag = namedtuple("Flag", "name metavar type required default group choices help",
+                  defaults=(int, False, None, None, None, ""))
+N = Flag("--n", "N", required=True)
+M = Flag("--m", "M", required=True)
+K = Flag("--k", "K", required=True)
+N_RANGE = (Flag("--n", "N", group="n"), Flag("--n-max", "N", group="n", help="default 4"))
+M_RANGE = (Flag("--m", "M", group="m"), Flag("--m-max", "M", group="m", help="default 4"))
+CAP = Flag("--cap", "D", default=30, help="weight cap (default 30)")
+SERIES_CAP = Flag("--cap", "D", help="series truncation degree (default n^2 + 15)")
+OUTPUT = (Flag("--json", "PATH", str, help="also write the certificates to this file"),
+          Flag("--format", "{text,json}", str, default="text", choices=("text", "json")))
+HELP = ("-h", "--help")
 
 
 def render_diagram(obj) -> str:
@@ -87,13 +101,13 @@ def _certifying(certs_of):
         certs = certs_of(args)
         for cert in certs:
             print(cert.to_json() if args.format == "json" else cert.summary(), file=out)
-        if args.json_path:
+        if args.json:
             try:
-                with open(args.json_path, "w") as fh:
+                with open(args.json, "w") as fh:
                     json.dump([c.to_json_obj() for c in certs], fh, sort_keys=True, indent=2)
                     fh.write("\n")
             except OSError as exc:
-                raise ValueError(f"cannot write --json {args.json_path}: {exc.strerror}")
+                raise ValueError(f"cannot write --json {args.json}: {exc.strerror}")
         return 0 if all(c.verified for c in certs) else 1
     return action
 
@@ -154,53 +168,129 @@ ROWS = {
 }
 
 
-def _row_parser(command: str, target: str) -> argparse.ArgumentParser:
-    """The parser of one row: it accepts that row's flags and no other."""
-    parser = argparse.ArgumentParser(prog=f"qtelescope {command} {target}")
-    parser.add_argument("command", help=argparse.SUPPRESS)
-    parser.add_argument("target", help=argparse.SUPPRESS)
-    adds_to = {None: parser}
-    for flag in ROWS[command, target][0]:
-        if flag.group not in adds_to:
-            adds_to[flag.group] = parser.add_mutually_exclusive_group()
-        adds_to[flag.group].add_argument(flag.name, **flag.keywords)
-    return parser
+def _is_flag(arg: str) -> bool:
+    """Whether arg reads as a flag: a leading "-" and more, unless it is a
+    negative number (the value of --k -2) or holds a space."""
+    return (arg[:1] == "-" and len(arg) > 1 and " " not in arg
+            and not re.fullmatch(r"-\d+|-\d*\.\d+", arg))
 
 
-def _find_row(argv: list[str]) -> tuple[str, str]:
-    """The row of an argv whose COMMAND and TARGET stand among the flags (each
-    known here only as taking one value); exits 0 on --help, else 2, if none."""
-    parser = argparse.ArgumentParser(
-        prog="qtelescope", add_help=False,
-        description="Exact verification of the MacMahon and Andrews partition "
-                    "identities via telescoping bijections.",
-        epilog="rows (see 'qtelescope COMMAND TARGET --help' for each one's "
-               "flags):\n" + "\n".join(f"  {c} {t}" for c, t in ROWS),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("-h", "--help", action="store_true",
-                        help="show this help message and exit")
-    for i, name in enumerate(("COMMAND", "TARGET")):
-        parser.add_argument(name.lower(), nargs="?", metavar=name,
-                            choices=list(dict.fromkeys(row[i] for row in ROWS)))
-    for name in dict.fromkeys(f.name for flags, _ in ROWS.values() for f in flags):
-        parser.add_argument(name, help=argparse.SUPPRESS)
-    words, _ = parser.parse_known_intermixed_args(argv)
-    if (words.command, words.target) in ROWS:
-        return words.command, words.target
-    if words.help:
-        parser.print_help()
-        parser.exit()
-    parser.error(f"{words.command} has no target {words.target}" if words.target
-                 else "COMMAND and TARGET are required")
+def _usage(row: tuple[str, str]) -> str:
+    """The grammar line of a row, as README.md shows it."""
+    alternatives = {}
+    for flag in ROWS[row][0]:
+        alternatives.setdefault(flag.group or flag.name, []).append(flag)
+    words = ["qtelescope", *row]
+    for group in alternatives.values():
+        spec = " | ".join(f"{flag.name} {flag.metavar}" for flag in group)
+        words.append(spec if group[0].required else f"[{spec}]")
+    return " ".join(words)
+
+
+def _help(row: Optional[tuple[str, str]]) -> str:
+    """The --help text of a row, or with no row the list of rows."""
+    if row is None:
+        return ("usage: qtelescope [-h] [COMMAND] [TARGET]\n\n"
+                "Exact verification of the MacMahon and Andrews partition identities "
+                "via telescoping bijections.\n\n"
+                "options:\n  -h, --help  show this help message and exit\n\n"
+                "rows (see 'qtelescope COMMAND TARGET --help' for each one's flags):\n"
+                + "".join(f"  {command} {target}\n" for command, target in ROWS))
+    entries = [(", ".join(HELP), "show this help message and exit")]
+    entries += [(f"{flag.name} {flag.metavar}", flag.help) for flag in ROWS[row][0]]
+    width = max(len(left) for left, _ in entries)
+    return f"usage: {_usage(row)}\n\noptions:\n" + "".join(
+        f"  {left:<{width}}  {text}".rstrip() + "\n" for left, text in entries)
+
+
+def _usage_error(row: Optional[tuple[str, str]], reason: str):
+    """Print the usage of the row (or of qtelescope) and the reason to
+    stderr, and exit 2."""
+    usage, prog = ((_usage(row), " ".join(["qtelescope", *row])) if row
+                   else ("qtelescope [-h] [COMMAND] [TARGET]", "qtelescope"))
+    print(f"usage: {usage}\n{prog}: error: {reason}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
+def _choices(values) -> str:
+    return ", ".join(map(repr, dict.fromkeys(values)))
+
+
+def _parse(argv: list[str]) -> tuple[tuple[str, str], SimpleNamespace]:
+    """The row an argv names and its flags' values; prints help and exits 0
+    on -h/--help, or prints a usage error and exits 2."""
+    takes_value = {flag.name for flags, _ in ROWS.values() for flag in flags}
+    words, given = [], []  # the positional words; each (flag, value) in argv order
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--":  # what follows are words
+            words += argv[i:]
+            break
+        name, eq, value = arg.partition("=")
+        if name in takes_value:
+            if not eq:
+                value = argv[i] if i < len(argv) and not _is_flag(argv[i]) else None
+                i += value is not None
+            given.append((name, value))
+        elif _is_flag(arg):
+            given.append((arg, None))  # -h, --help or no row's flag: no value
+        else:
+            words.append(arg)
+
+    row = tuple(words[:2])
+    if row not in ROWS:
+        for label, word, choices in zip(("COMMAND", "TARGET"), row, zip(*ROWS)):
+            if word not in choices:
+                _usage_error(None, f"argument {label}: invalid choice: {word!r} "
+                                   f"(choose from {_choices(choices)})")
+        if any(name in HELP for name, _ in given):
+            print(_help(None), end="")
+            raise SystemExit(0)
+        _usage_error(None, f"{row[0]} has no target {row[1]}" if len(row) == 2
+                     else "COMMAND and TARGET are required")
+
+    flags = {flag.name: flag for flag in ROWS[row][0]}
+    values = {name: flag.default for name, flag in flags.items()}
+    chosen = {}  # group -> the flag given for it
+    extra = words[2:]
+    for name, value in given:
+        flag = flags.get(name)
+        if flag is None:
+            if name in HELP:
+                print(_help(row), end="")
+                raise SystemExit(0)
+            extra += [name] if value is None else [name, value]
+        elif value is None:
+            _usage_error(row, f"argument {name}: expected one argument")
+        else:
+            try:
+                value = flag.type(value)
+            except ValueError:
+                _usage_error(row, f"argument {name}: invalid {flag.type.__name__} "
+                                  f"value: {value!r}")
+            if flag.choices and value not in flag.choices:
+                _usage_error(row, f"argument {name}: invalid choice: {value!r} "
+                                  f"(choose from {_choices(flag.choices)})")
+            if flag.group and chosen.setdefault(flag.group, name) != name:
+                _usage_error(row, f"argument {name}: not allowed with argument "
+                                  f"{chosen[flag.group]}")
+            values[name] = value
+    missing = [name for name, flag in flags.items() if flag.required and values[name] is None]
+    if missing:
+        _usage_error(row, f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        _usage_error(row, f"unrecognized arguments: {' '.join(extra)}")
+    return row, SimpleNamespace(**{name[2:].replace("-", "_"): value
+                                   for name, value in values.items()})
 
 
 def run(argv: list[str], out=sys.stdout) -> int:
     try:
-        # COMMAND TARGET mostly come first, which spares building _find_row's parser
-        row = tuple(argv[:2]) if tuple(argv[:2]) in ROWS else _find_row(argv)
-        args = _row_parser(*row).parse_args(argv)
+        row, args = _parse(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        return exc.code
     try:
         return ROWS[row][1](args, out)
     except ValueError as exc:

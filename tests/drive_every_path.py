@@ -2,9 +2,11 @@
 that records each function of src/qtelescope that is called.
 
 The paths: every CLI row at a small size, in text and, where the row
-takes it, with --format json, one row with --json PATH; a usage error
-that exits 2 with COMMAND and TARGET not first; the console entry point
-cli.main; the three demos; and every case of tests/bare_failure_path.py.
+takes it, with --format json, one row with --json PATH; a row's
+precondition error that exits 2 with COMMAND and TARGET not first; the
+help of qtelescope and of one row, which exit 0; an argv that names no
+row, which exits 2; the console entry point cli.main; the three demos;
+and every case of tests/bare_failure_path.py.
 The profiler is installed before qtelescope is imported, so the calls
 made at import (such as cli._certifying, which builds the row actions)
 count.
@@ -69,6 +71,10 @@ def drive():
         argv = ["verify", "andrews", "--n", "1", "--json", os.path.join(scratch, "certs.json")]
         expect(0, cli.run(argv), argv)
     argv = ["--n", "0", "check-bijection", "macmahon-psi", "--k", "0"]
+    expect(cli.USAGE_ERROR, cli.run(argv), argv)
+    for argv in (["--help"], ["verify", "macmahon", "--help"]):
+        expect(0, cli.run(argv), argv)
+    argv = ["verify", "nonsense"]
     expect(cli.USAGE_ERROR, cli.run(argv), argv)
     sys.argv = ["qtelescope", "check-bijection", "macmahon-psi", "--n", "2", "--k", "0"]
     try:

@@ -4,7 +4,12 @@ rendering, and orbit traces.
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
 
 from qtelescope import andrews12, cli
 from qtelescope.andrews12 import Triple
@@ -398,8 +403,11 @@ def test_flags_may_stand_before_the_target(capsys):
     assert expected[0] == 0
     for argv in (["verify", "--n-max", "1", "macmahon", "--m", "1"],
                  ["--n-max", "1", "--m", "1", "verify", "macmahon"],
-                 ["verify", "--m=1", "macmahon", "--n-max=1"]):
+                 ["verify", "--m=1", "macmahon", "--n-max=1"],
+                 ["--n-max", "1", "--m", "1", "--", "verify", "macmahon"]):
         assert run(argv) == expected, argv
+    assert run(["verify", "macmahon", "--n-max", "1", "--", "--m", "1"]) == (2, "")
+    capsys.readouterr()
     # -2 is --k's value, not a word, so the row's index rule sees it
     assert run(["check-bijection", "--k", "-2", "andrews-phi", "--n", "3"]) == (2, "")
     assert capsys.readouterr().err == "error: no map lowers n=3, k=-2\n"
@@ -425,3 +433,102 @@ def test_json_to_an_unwritable_path_is_usage_error(tmp_path, capsys):
         assert code == 2, path
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, path
+
+
+# the argv reader against argparse ---------------------------------------------------
+
+def argv_corpus():
+    """Argvs for every part of the grammar: each row's valid call, with the
+    flags before the target and in --flag=value form, negative and repeated
+    values, each foreign flag, exclusive conflict, missing required flag,
+    missing value, bad int and bad choice, help, and argvs naming no row."""
+    values = {"--json": "certs.json", "--format": "json"}
+    argvs = [[], ["verify"], ["frobnicate"], ["verify", "nonsense"], ["nonsense", "macmahon"],
+             ["verify", "andrews-phi"], ["trace", "macmahon", "--n", "1"],
+             ["verify", "--json", "macmahon"], ["--n", "1"], ["--help"], ["-h"],
+             ["verify", "--help"], ["verify", "nonsense", "--help"],
+             ["check-bijection", "--k", "-2", "andrews-phi", "--n", "3"]]
+    for row, (flags, _) in cli.ROWS.items():
+        valid = VALID[row]
+        pairs = list(zip(valid[::2], valid[1::2]))
+        argvs += [[*row], [*row, *valid], [row[0], *valid, row[1]], [*valid, *row],
+                  [*row, *(f"{flag}={value}" for flag, value in pairs)],
+                  [*row, "--help"], [*valid, *row, "-h"], [*row, "-h", "--n", "x"],
+                  [*row, *valid, "extra"], [*row, *valid, "--bogus"]]
+        for flag, value in pairs:
+            argvs += [[*row, *valid, flag, f"-{value}"], [*row, *valid, flag, "7", flag, value],
+                      [*row, *(a for pair in pairs if pair[0] != flag for a in pair)]]
+        argvs += [[*row, *valid, flag, values.get(flag, "1")]
+                  for flag in ALL_FLAGS if flag not in GRAMMAR[row]]
+        for flag in flags:
+            value = values.get(flag.name, "3")
+            argvs += [[*row, *valid, flag.name, value], [*row, *valid, f"{flag.name}=-{value}"],
+                      [*row, *valid, flag.name], [*row, flag.name, "-x", *valid],
+                      [*row, flag.name, "1.5", *valid]]
+            if flag.name != "--json":  # any string is a path
+                argvs.append([*row, *valid, flag.name, "xml" if flag.choices else "x"])
+        argvs += [[*row, first.name, "1", second.name, "4"]
+                  for first, second in permutations(flags, 2)
+                  if first.group and first.group == second.group]
+    return argvs
+
+
+def parsed(parse, argv):
+    """(row, values) of argv, or the status parse exits with."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_the_argv_reader_agrees_with_argparse_on_the_whole_corpus(capsys):
+    import reference_cli
+
+    def ours(argv):
+        row, args = cli._parse(argv)
+        return row, vars(args)
+
+    kinds = set()
+    for argv in argv_corpus():
+        got = parsed(ours, argv)
+        out, err = capsys.readouterr()
+        assert got == parsed(reference_cli.parse, argv), argv
+        capsys.readouterr()
+        if got == cli.USAGE_ERROR:
+            usage, reason = err.splitlines()
+            assert usage.startswith("usage: qtelescope ") and ": error: " in reason, argv
+        elif got == 0:
+            assert out.startswith("usage: qtelescope ") and not err, argv
+        kinds.add(got if isinstance(got, int) else "row")
+    assert kinds == {"row", 0, cli.USAGE_ERROR}
+
+
+def test_flag_names_are_given_in_full(capsys):
+    # argparse read --form as --format and --ca as --cap
+    for argv, abbreviation in (
+            (["verify", "macmahon", "--n", "1", "--m", "1", "--form", "json"], "--form"),
+            (["check-bijection", "andrews-phi", "--n", "3", "--k", "1", "--ca", "20"], "--ca")):
+        assert run(argv) == (2, ""), argv
+        reason = capsys.readouterr().err.splitlines()[1]
+        assert "unrecognized arguments: " in reason and abbreviation in reason.split(), argv
+
+
+def test_the_readme_grammar_is_each_row_usage():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    assert block.splitlines() == [cli._usage(row) for row in cli.ROWS]
+
+
+def test_the_cli_runs_without_loading_argparse(tmp_path):
+    # -S leaves out site-packages, as the bare standard library job does
+    child = ("import sys\n"
+             "from qtelescope import cli\n"
+             "code = cli.run(['verify', 'macmahon', '--n', '0', '--m', '0'])\n"
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+             "sys.exit(code)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-S", "-c", child], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, encoding="utf-8", timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[ok ] macmahon n=0 m=0\n[]\n"), \
+        result.stderr

@@ -1,9 +1,9 @@
 """src/ holds only what some path runs.
 
 tests/drive_every_path.py runs every path by which the library reaches its
-users (the CLI rows, the console entry point, a usage error, the demos and
-the failure controls of tests/bare_failure_path.py) in one child
-interpreter on the bare standard library, under a profiler.  Every
+users (the CLI rows, the console entry point, the help texts, usage
+errors, the demos and the failure controls of tests/bare_failure_path.py)
+in one child interpreter on the bare standard library, under a profiler.  Every
 function that `ast` finds in src/qtelescope must be among those it
 reports called, except the pinned protocol methods below.  A function no
 path calls is either wired into a path or leaves src/: a reference the
