@@ -10,7 +10,7 @@ from qtelescope.macmahon import (cancelation_certificate, enum_P,
                                  phi_telescoping_counts, psi_certificate,
                                  telescoping_phi, verify_macmahon)
 from qtelescope.qalgebra import LaurentPoly
-from qtelescope.telescope import telescoping_sum_check, weight_of, weighted_count
+from qtelescope.telescope import telescoping_sum_check, weight_of
 
 
 def monomial(x):
@@ -22,10 +22,11 @@ print("=" * 64)
 print("The families at n = 2, m = 1")
 print("=" * 64)
 boundary = {}
+counts = phi_telescoping_counts(2, 1)[0]  # f(k), the weighted count of P(2,1,k)
 for k in range(-1, 3):
     pairs = enum_P(2, 1, k)
     print(f"  P(2,1,{k:+d}): {len(pairs):2d} pairs, "
-          f"weighted count = {weighted_count(pairs)}")
+          f"weighted count = {counts[k]}")
     # G(2,1,k): the pairs of P(2,1,k) whose largest part equals 2 + 2k
     boundary[k] = [(x.side, x.mu.parts) for x in pairs if x.mu.first == 2 + 2 * k]
 for k, pairs in boundary.items():

@@ -7,12 +7,12 @@ The package is organized bottom-up:
                 a capped LaurentPoly
     partitions  partition objects (zero parts allowed), the distinct-part
                 enumerator, and EvenField, the packed even partition mu of
-                both families, which enumerates and counts the even ones
+                both families, which enumerates the even ones
     telescope   generic bijection and telescoping checkers:
                 stream_bijection, the one streaming bijection kernel of
                 both families, and the set-based check, its failure-path
-                oracle; the (sign, z, q) weight key weight_of,
-                weighted_count, and certify, which makes every Certificate
+                oracle; the (sign, z, q) weight key weight_of, and
+                certify, which makes every Certificate
     macmahon    the square-plus-even-partition families, the step maps
                 phi and psi and the cancelation's direct map, their
                 certificates on the streaming kernel, and

@@ -286,13 +286,15 @@ def _parse(argv: list[str]) -> tuple[tuple[str, str], SimpleNamespace]:
                                    for name, value in values.items()})
 
 
-def run(argv: list[str], out=sys.stdout) -> int:
+def run(argv: list[str], out=None) -> int:
+    """Run one command line, writing to `out`, sys.stdout at the time of the
+    call where None; the exit status."""
     try:
         row, args = _parse(argv)
     except SystemExit as exc:
         return exc.code
     try:
-        return ROWS[row][1](args, out)
+        return ROWS[row][1](args, sys.stdout if out is None else out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -25,7 +25,7 @@ The two paths see the boxes differently.  The bijection path (the step
 certificates and cancelation) runs on a packed form, one int per pair (see
 _Layout; mu is a partitions.EvenField): mu's packed enumerator walks each
 box one int at a time and generates a boundary slice from its first part,
-or counts either without walking it; membership is one AND-and-compare
+and _box_size counts either by its leaves; membership is one AND-and-compare
 plus a length bound, and each step map is one closure (_step_rule) that
 reads both boxes' masks and the boundary's inline and whose moving case
 is a constant shift.  The cancelation's direct map is a walk on ints: a
@@ -55,14 +55,14 @@ one int, packed (qalgebra.Kronecker) by the layout of its (n, m), which
 _sum_layout reads off the boxes' largest leaf weights and leaf counts:
 the Counter of leaf weights goes straight into its slots, and g's
 marked copy (psi's f) is a shift and an add.  verify_macmahon runs the
-per-index check (telescope.telescoping_sum_check) on those ints, then
-compares the closed form's Gaussian sum, gaussian_row's Pascal
-recurrence on ints, with the packed product of the two factor_products,
-in a packing widened to hold that product, and last the enumerated
-totals with the Gaussian sums.  A failed check decodes the packed
-values it compared to name its counterexample; the public
-phi_telescoping_counts, psi_telescoping_counts and product_sum_F are
-decodes of the same packed computations.  Every leaf is counted, so the
+per-index check (telescope.telescoping_sum_check) on those ints, then,
+in the same packing, compares the closed form's Gaussian sum,
+gaussian_row's Pascal recurrence on ints, with the packed product of the
+two factor_products, and last the enumerated totals with the Gaussian
+sums, the one at (n, m) computed once for both.  A failed check decodes
+the packed values it compared to name its counterexample; the public
+phi_telescoping_counts and psi_telescoping_counts are decodes of the
+same packed computations.  Every leaf is counted, so the
 sum side stays an enumeration, independent of the Pascal recurrence
 behind the closed form.
 """
@@ -78,7 +78,7 @@ from operator import lshift
 from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition
-from .qalgebra import Kronecker, LaurentPoly, factor_product, gaussian_row
+from .qalgebra import Kronecker, factor_product, gaussian_row
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         WeightKey, certify, check_graded_bijection,
                         stream_bijection, telescoping_sum_check)
@@ -220,10 +220,15 @@ def _enum_packed(box: Box, lay: _Layout, edge: bool = False) -> Iterator[int]:
                                           1 << lay.length, edge))
 
 
-def _box_size(box: Box, lay: _Layout, edge: bool = False) -> int:
-    """The number of pairs _enum_packed yields, counted without them."""
+def _box_size(box: Box, edge: bool = False) -> int:
+    """The number of pairs _enum_packed yields, its leaves: the multisets
+    of `slots` parts from 0, 2, .., bound, C(bound/2 + slots, slots).  A
+    boundary slice is the box with one slot fewer, the first part being
+    the bound, or at bound 0 the box itself, its empty mu alone."""
     _side, bound, slots = box
-    return lay.mu.count(bound, slots, bound * slots, edge)
+    if edge and bound:
+        slots -= 1
+    return comb(bound // 2 + slots, slots) if min(bound, slots) >= 0 else 0
 
 
 def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
@@ -359,14 +364,14 @@ def _bijection_certificate(step: Callable[[int], int], walks: list[tuple[Box, bo
     field, row = lay.field, 1 << lay.length
     flag_side = _MARKED | field << _SIDE
     # split mu's fields in the middle of the largest walk's parts
-    widest = max(walks, key=lambda walk: _box_size(walk[0], lay, walk[1]))[0]
+    widest = max(walks, key=lambda walk: _box_size(*walk))[0]
     groups = ((head + (side - lay.lo << _SIDE), tails)
               for (side, bound, slots), edge in walks
               for head, tails in lay.mu.chunks(bound, slots, bound * slots, row, edge))
     size = stream_bijection(
         groups, step, (_codomain_table(codomain, lay), flag_side, field << lay.length),
         ([back for shift in shifts[:field + 1] for back in (0, shift)], flag_side),
-        _reader(lay, widest[1]), sum(_box_size(box, lay) for box, _ in codomain))
+        _reader(lay, widest[1]), sum(_box_size(box) for box, _ in codomain))
     if size is not None:
         return certify(check, params, started, domain_size=size, codomain_size=size)
     domain = chain.from_iterable(_enum_packed(box, lay, edge) for box, edge in walks)
@@ -428,11 +433,15 @@ def _sum_layout(n: int, m: int) -> _SumLayout:
     enumerates, the P(n,m,k) and Q(n,k): z from -m - 1 (phi's marker
     lowers z by one); q up to a box's largest leaf weight, side^2 +
     bound*slots, plus a marker q^(2m-1) or q^(2n-1); coefficients up to
-    twice the boxes' leaves, C(bound/2 + slots, slots) each, as g holds
-    its box off the boundary twice."""
+    twice the boxes' leaves (_box_size), as g holds its box off the
+    boundary twice.  The closed form fits too: the Gaussian sum at (n, m)
+    and the product of its two factors reach q^(m^2 + n^2), the largest
+    leaf weight of P(n,m,n-m), and coefficients 2^(m+n), the P boxes'
+    leaves; the Pascal entries on the way and the sum at (n, 0) stay
+    below both."""
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)] + [_box_Q(n, k) for k in range(n + 1)]
     top = max(side * side + bound * slots for side, bound, slots in boxes)
-    leaves = sum(comb(bound // 2 + slots, slots) for _side, bound, slots in boxes)
+    leaves = sum(map(_box_size, boxes))
     return _SumLayout(-m - 1, top + 2 * max(m, n), 2 * leaves)
 
 
@@ -503,25 +512,11 @@ def psi_telescoping_counts(n: int):
     return _decoded(_psi_counts(n, lay), lay)
 
 
-def _closed_layout(n: int, m: int) -> Kronecker:
-    """The packing of the closed form's Gaussian sum at (n, m): z from -m;
-    q up to m^2 + n^2, the sum's largest exponent (at k = n - m), which is
-    at least (m+n)^2 / 2, the bound of every Pascal entry on the way;
-    coefficients up to 2^(m+n), gaussian_row's bound."""
-    return Kronecker(-m, m * m + n * n, 1 << m + n)
-
-
-def _gaussian_sum(n: int, m: int, kron: Kronecker) -> int:
-    """sum_k z^k q^(k^2) [m+n, m+k]_(q^2), packed by kron (z_lo = -m):
-    entry j of the Gaussian row, raised j rows to z^(j-m)."""
-    return sum(entry << kron.at(j, (j - m) ** 2)
-               for j, entry in enumerate(gaussian_row(m + n, 2, kron)))
-
-
-def product_sum_F(n: int, m: int) -> LaurentPoly:
-    """Closed-form left-hand side: sum_k z^k q^(k^2) [m+n, m+k] in base q^2."""
-    kron = _closed_layout(n, m)
-    return kron.unpack(_gaussian_sum(n, m, kron))
+def _gaussian_sum(n: int, m: int, lay: Kronecker) -> int:
+    """sum_k z^k q^(k^2) [m+n, m+k]_(q^2), packed by lay: entry j of the
+    Gaussian row at z^(j-m), which lay must hold (z_lo <= -m)."""
+    return sum(entry << lay.at(j - m - lay.z_lo, (j - m) ** 2)
+               for j, entry in enumerate(gaussian_row(m + n, 2, lay)))
 
 
 def _recurrence_failure(name: str, counts, lay: Kronecker):
@@ -533,38 +528,33 @@ def _recurrence_failure(name: str, counts, lay: Kronecker):
                                       "sub-identity-violated")
 
 
-def _product_failure(n: int, m: int):
-    """The closed form on packed ints: the product of the two factors,
-    each packed from z^-m, has its offset at z^-2m, so the Gaussian sum is
-    raised m rows to meet it.  The packing is widened to hold the product;
-    a factor with a term below z^-m or q^0, which no packing here holds,
-    is compared as polynomials."""
+def _closed_form_failure(n: int, m: int, lay: _SumLayout, p_total: int,
+                         q_total: Optional[int]):
+    """The closed form, in the sum side's own packing lay: the Gaussian
+    sum at (n, m) against the product of the two factors, then against the
+    P(n,m,k) total, and the Q(n,k) total (None at n = 0) against the
+    Gaussian sum at (n, 0).  Each factor packed from z_lo, their product
+    is offset by z^(-2 z_lo), -z_lo rows more than the sum, which is raised
+    to meet it; a factor lay does not pack, or a product it may not hold,
+    is compared as polynomials.  The relations hold whatever a shared
+    family counts; only the totals tie the families to their leaves."""
     minus, plus = factor_product(m, 1, -1, 1, 2), factor_product(n, 1, 1, 1, 2)
-    kron = _closed_layout(n, m).holding(minus, plus)
-    try:
-        holds = kron.pack(minus) * kron.pack(plus) == _gaussian_sum(n, m, kron) << kron.at(m, 0)
-    except ValueError:
-        holds = product_sum_F(n, m) == minus * plus
-    if holds:
-        return None
-    return ("product identity", {"lhs": str(product_sum_F(n, m)), "rhs": str(minus * plus)},
-            "sub-identity-violated")
-
-
-def _totals_failure(n: int, m: int, lay: _SumLayout, p_total: int, q_total: Optional[int]):
-    """The P(n,m,k) total against the Gaussian sum at (n, m), and the
-    Q(n,k) total (None at n = 0) against it at (n, 0), in lay, whose span
-    above m^2 + n^2 >= (m+n)^2 / 2 and width, twice the P boxes' 2^(m+n)
-    leaves, hold every Pascal entry.  The relations hold whatever a shared
-    family counts; only these tie the families to their leaves."""
-    for name, total, lower, rows in (("P total", p_total, m, 1),
-                                     ("Q total", q_total, 0, m + 1)):
-        if total is None:
-            continue
-        closed = _gaussian_sum(n, lower, lay) << lay.at(rows, 0)
-        if total != closed:
+    closed = _gaussian_sum(n, m, lay)
+    product = lay.pack_product(minus, plus)
+    if product is None:
+        holds = lay.unpack(closed) == minus * plus
+    else:
+        holds = product == closed << lay.at(-lay.z_lo, 0)
+    if not holds:
+        return ("product identity", {"lhs": str(lay.unpack(closed)), "rhs": str(minus * plus)},
+                "sub-identity-violated")
+    totals = [("P total", p_total, closed)]
+    if q_total is not None:
+        totals.append(("Q total", q_total, _gaussian_sum(n, 0, lay)))
+    for name, total, gaussian in totals:
+        if total != gaussian:
             return (name, {"enumerated": str(lay.unpack(total)),
-                           "closed form": str(lay.unpack(closed))}, "sub-identity-violated")
+                           "closed form": str(lay.unpack(gaussian))}, "sub-identity-violated")
     return None
 
 
@@ -579,12 +569,14 @@ def verify_macmahon(n: int, m: int) -> Certificate:
                                                                (n >= 1)
       (c) the closed-form identity: weighted sum = product of factors
       (d) the enumerated totals of the P and (n >= 1) Q families against
-          the closed form's Gaussian sums (_totals_failure)
+          the closed form's Gaussian sums
     Summing the per-index relation over k gives the recurrence, so a
     failed one reports the telescoping sub-check's counterexample, which
-    names the index k.  Each check compares packed ints (qalgebra.Kronecker,
-    laid out by _sum_layout and _closed_layout); a failed one decodes them
-    to name the counterexample.
+    names the index k.  Every check compares packed ints in the one
+    packing of (n, m) (qalgebra.Kronecker, laid out by _sum_layout), the
+    Gaussian sum at (n, m) computed once for (c) and (d)
+    (_closed_form_failure); a failed one decodes them to name the
+    counterexample.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -602,9 +594,7 @@ def verify_macmahon(n: int, m: int) -> Certificate:
         q_total = sum(counts[1].values())
         failure = _recurrence_failure("n-lowering recurrence", counts, lay)
     if failure is None:
-        failure = _product_failure(n, m)
-    if failure is None:
-        failure = _totals_failure(n, m, lay, p_total, q_total)
+        failure = _closed_form_failure(n, m, lay, p_total, q_total)
     return certify("macmahon", {"n": n, "m": m}, started, failure,
                    domain_size=lay.at_one(p_total), codomain_size=codomain_size)
 
@@ -667,9 +657,9 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     field = lay.field
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)]
     codomain = [(_box_P(n, m - 1, k), flag) for flag in (0, _MARKED) for k in range(-m, n + 1)]
-    domain_size = sum(_box_size(box, lay) for box in boxes)
-    codomain_size = sum(_box_size(box, lay) for box, _ in codomain)
-    budget = domain_size + sum(_box_size(box, lay, edge=True) for box in boxes) + 1
+    domain_size = sum(map(_box_size, boxes))
+    codomain_size = sum(_box_size(box) for box, _ in codomain)
+    budget = domain_size + sum(_box_size(box, edge=True) for box in boxes) + 1
 
     def direct(a: int) -> int:
         x, up = a, 0  # up: 1 where x is an "H" pair, which steps at the next index

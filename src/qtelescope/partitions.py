@@ -8,8 +8,8 @@ enumerator is a recursion that yields in lexicographic order of the part
 tuple, so its list needs no sort and downstream certificates are
 byte-stable; each prunes a branch once it passes the weight cap.  Even
 partitions are enumerated on their packed form only, which also streams
-and counts (EvenField.chunks, iter and count).  Memo is the one cache of
-a function's values per layout: the kernels' weight reads, the decoders
+(EvenField.chunks and iter).  Memo is the one cache of a function's
+values per layout: the kernels' weight reads, the decoders
 and the rules' first-match tables are each a subscript of one (the
 enumerator's recursion keeps its own memos of counts and tails).
 """
@@ -127,11 +127,12 @@ class EvenField:
     those fields shifted down: equal mus decode to one shared Partition.
     A negative int packs no partition; both give None for it.
 
-    `chunks` (and `iter`, built on it) and `count` share one recursion over
-    the first part, memoised on (largest part, parts left, weight left);
-    the counts, which depend on nothing else, are kept once per field and
-    serve every box.  `chunks` keeps only tail lists of at most CHUNK
-    elements and walks the parts above them, so it holds no whole box.
+    `chunks` (and `iter`, built on it) is one recursion over the first
+    part, memoised on (largest part, parts left, weight left).  It keeps
+    only tail lists of at most CHUNK elements and walks the parts above
+    them, so it holds no whole box; the subtree counts that decide where a
+    list starts depend on nothing else, so they are kept once per field
+    and serve every box.
     """
 
     __slots__ = ("at", "width", "decode", "_counts")
@@ -198,20 +199,12 @@ class EvenField:
                edge: bool = False) -> Iterator[tuple[int, list[int]]]:
         """`iter`'s partitions as (head, tails) pairs, in order: the sums
         head + t for t in tails, a list of at most CHUNK ints."""
-        root = self._root(bound, slots, cap, row, edge)
-        return iter(()) if root is None else self._chunks({}, row, *root)
-
-    def count(self, bound: int, slots: int, cap: int, edge: bool = False) -> int:
-        """The number of partitions `iter` yields, counted without them."""
-        root = self._root(bound, slots, cap, 0, edge)
-        return 0 if root is None else self._count(*root[1:])
-
-    def _root(self, bound, slots, cap, row, edge):
-        """(head, limit, room, budget) of the walk; None where it is empty."""
         head = 0
         if edge and bound > 0:  # the first part is the bound
             head, slots, cap = row + self.unit(bound), slots - 1, cap - bound
-        return None if min(bound, slots, cap) < 0 else (head, bound, slots, cap)
+        if min(bound, slots, cap) < 0:
+            return iter(())
+        return self._chunks({}, row, head, bound, slots, cap)
 
     @staticmethod
     def _key(limit: int, room: int, budget: int) -> tuple[int, int, int]:

@@ -12,7 +12,9 @@ arithmetic followed by one cut at the cap.
 A Kronecker packing stores a polynomial as one int, its value at
 q = 2^width and z = 2^(width*span): where every exponent and coefficient
 is in the packing's range, a sum is one int add, a monomial multiple one
-shift and a comparison one int compare.  MacMahon's sum side runs on it.
+shift, a product one int multiply (pack_product says where it fits) and
+a comparison one int compare.  MacMahon's sum side and closed form run on
+one such packing per (n, m).
 
 The module also provides the closed-form building blocks used by the
 verification drivers: Gaussian (q-binomial) coefficients in base q^step,
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 
 class LaurentPoly:
@@ -263,16 +265,20 @@ class Kronecker:
         """The shift that multiplies a packed value by z^z q^q."""
         return self.width * (z * self.span + q)
 
-    def holding(self, *factors: LaurentPoly) -> "Kronecker":
-        """This packing, widened where needed to hold the product of
-        `factors`: its largest q exponent is at most the sum of theirs, and
-        each coefficient at most the product of their coefficients'
-        absolute sums.  z_lo stays, so the product of the packed factors is
-        offset by z^(z_lo * len(factors))."""
+    def pack_product(self, *factors: LaurentPoly) -> Optional[int]:
+        """The product of the packed factors, the packed product of
+        `factors` offset by z^(-z_lo * len(factors)); None where a factor
+        does not pack or the product may not fit: it fits where the
+        factors' largest q exponents sum below the span and the product of
+        their coefficients' absolute sums is below 2^(width-1)."""
         top = sum(max((q for _z, q in f._terms), default=0) for f in factors)
         bound = prod(sum(map(abs, f._terms.values())) for f in factors)
-        return Kronecker(self.z_lo, max(self.span - 1, top),
-                         max((1 << self.width - 1) - 1, bound))
+        if top >= self.span or bound >= 1 << self.width - 1:
+            return None
+        try:
+            return prod(map(self.pack, factors))
+        except ValueError:
+            return None
 
     def pack(self, poly: LaurentPoly) -> int:
         """The int of poly, built a row (z exponent) at a time; ValueError

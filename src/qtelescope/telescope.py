@@ -5,12 +5,12 @@ All checks are exhaustive over explicitly enumerated, weight-capped slices
 and report their verdict as a Certificate (machine-readable, with a concrete
 counterexample on failure), built by the one helper certify.  Nothing here
 is probabilistic.  weight_of is the single notion of weight: an object's
-signed monomial as the int key (sign, z_exp, q_exp); weighted_count sums a
-family's keys into one LaurentPoly.  macmahon.verify_macmahon runs
-telescoping_sum_check per index on counts from macmahon._box_counts, one
-weight-only enumeration per leaf family, the lower family a box's
-non-boundary leaves, each count packed into one int (qalgebra.Kronecker),
-and then ties the enumerated totals to the closed form.
+signed monomial as the int key (sign, z_exp, q_exp).
+macmahon.verify_macmahon runs telescoping_sum_check per index on counts
+from macmahon._box_counts, one weight-only enumeration per leaf family,
+the lower family a box's non-boundary leaves, each count packed into one
+int (qalgebra.Kronecker), and then ties the enumerated totals to the
+closed form.
 
 A bijection certificate of either family streams in one flat kernel,
 stream_bijection: one pass over the packed domain's groups against the
@@ -88,14 +88,6 @@ def weight_of(x) -> WeightKey:
         sign, z, q = weight_of(x.payload)
         return sign, z + x.marker_z, q + x.marker_q
     return x.weight()
-
-
-def weighted_count(objs: Iterable) -> LaurentPoly:
-    """The sum of the weight monomials of objs, as one LaurentPoly."""
-    terms: dict[tuple[int, int], int] = {}
-    for sign, z, q in map(weight_of, objs):
-        terms[z, q] = terms.get((z, q), 0) + sign
-    return LaurentPoly(terms)
 
 
 def _jsonable(obj):

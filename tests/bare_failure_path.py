@@ -11,9 +11,12 @@ involution's set-based check (andrews12._involution_failure), the
 MacMahon step certificate's oracle, the MacMahon cancelation's search
 for the orbit that raises, and the sum checks of both families: the
 MacMahon recurrences, which decode their packed counts, the telescoping
-check on psi's decoded counts, the closed form, compared as polynomials
-where a factor has a term no packing holds, and the enumerated totals
-against it.  The faults act on the packed ints the rules see, or on the
+check on psi's decoded counts, the closed form, and the enumerated
+totals against it.  The closed form is compared in the sum side's packing
+where both factors pack and their product fits, else as polynomials: at
+(1, 1) a term q^9 in each factor is past the packing's q^4, so it goes to
+the polynomials, while a term z^-2 q packs (z_lo is -m - 1) and fails the
+packed comparison.  The faults act on the packed ints the rules see, or on the
 leaves the sums enumerate, so they need no test helper and no package
 outside the standard library.
 
@@ -163,8 +166,10 @@ CASES = [
      lambda: macmahon.cancelation_certificate(2, 2)),
     ("orbit-leaves-every-box", macmahon, "_step_rule", faulty(second_first_row(1)),
      lambda: macmahon.cancelation_certificate(1, 1)),
+    # compared as polynomials
     ("sub-identity-violated", macmahon, "factor_product", plus_term(0, 9),
      lambda: macmahon.verify_macmahon(1, 1)),
+    # compared packed
     ("sub-identity-violated", macmahon, "factor_product", plus_term(-2, 1),
      lambda: macmahon.verify_macmahon(1, 1)),
     ("sub-identity-violated", macmahon, "combinations_with_replacement", drops_the_last_leaf,

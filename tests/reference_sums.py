@@ -5,7 +5,8 @@ box's counts, the phi and psi telescoping counts and the closed form's
 sum are ints, and the Gaussian row is the Pascal recurrence on ints.
 These are the same computations as dict arithmetic, kept for the tests
 only: the references that every decoded packed value is checked against.
-gaussian_binomial here is the memoised recursion on LaurentPolys.
+gaussian_binomial here is the memoised recursion on LaurentPolys, and
+weighted_count sums the weights of enumerated objects.
 """
 
 from collections import Counter
@@ -14,6 +15,7 @@ from itertools import combinations_with_replacement, repeat
 
 from qtelescope.macmahon import _box_P, _box_Q
 from qtelescope.qalgebra import LaurentPoly
+from qtelescope.telescope import weight_of
 
 ZERO, ONE = LaurentPoly.zero(), LaurentPoly.one()
 
@@ -75,3 +77,12 @@ def product_sum_F(n, m):
     for k in range(-m, n + 1):
         total = total + LaurentPoly.monomial(1, k, k * k) * gaussian_binomial(m + n, m + k, 2)
     return total
+
+
+def weighted_count(objs):
+    """The sum of the weight monomials of objs, as one LaurentPoly: the
+    object-level count that the packed sums and slices are checked against."""
+    terms = {}
+    for sign, z, q in map(weight_of, objs):
+        terms[z, q] = terms.get((z, q), 0) + sign
+    return LaurentPoly(terms)

@@ -14,7 +14,7 @@ from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify, enum_P,
 from qtelescope.macmahon import (MacPair, cancelation_certificate,
                                  phi_certificate, phi_telescoping_counts,
                                  psi_certificate, psi_telescoping_counts,
-                                 product_sum_F, verify_macmahon)
+                                 verify_macmahon)
 from qtelescope.partitions import Partition, enum_distinct_range, staircase
 from qtelescope.qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                                  gaussian_binomial, rhs_andrews, truncate)
@@ -23,6 +23,7 @@ from qtelescope.telescope import (MarkedObject, check_graded_bijection,
 
 from reference_enumerators import enum_even_bounded, enum_even_capped
 from test_andrews12 import image_class
+from test_macmahon import product_sum_F
 
 
 def report(number, name, failures, extra=""):

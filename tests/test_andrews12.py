@@ -18,11 +18,12 @@ from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
 from qtelescope import andrews12
 from qtelescope.partitions import EMPTY, Partition, enum_distinct_range, staircase
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
-from qtelescope.telescope import MarkedObject, weighted_count
+from qtelescope.telescope import MarkedObject
 
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
                              without_part)
 from reference_enumerators import F_trunc_per_k, coeffs, enum_even_capped
+from reference_sums import weighted_count
 
 
 def T(tau, lam=(), mu=()):

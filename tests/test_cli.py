@@ -2,6 +2,7 @@
 rendering, and orbit traces.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -149,6 +150,14 @@ def test_failed_certificate_yields_exit_one(monkeypatch):
     code, output = run(["verify", "macmahon", "--n", "0", "--m", "0"])
     assert code == 1
     assert "[FAIL]" in output
+
+
+def test_run_writes_to_the_stdout_of_the_call():
+    # out defaults to sys.stdout as it is when run is called, not at import
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.run(["verify", "macmahon", "--n", "0", "--m", "0"]) == 0
+    assert buffer.getvalue() == "[ok ] macmahon n=0 m=0\n"
 
 
 # check-bijection -----------------------------------------------------------------

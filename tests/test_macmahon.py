@@ -11,18 +11,18 @@ import pytest
 from qtelescope.macmahon import (MacPair, _apply, _box_Q, _enum_box, _psi_index,
                                  cancelation_certificate, enum_P,
                                  phi_certificate, phi_step,
-                                 phi_telescoping_counts, product_sum_F,
+                                 phi_telescoping_counts,
                                  psi_certificate, psi_telescoping_counts,
                                  telescoping_phi, verify_macmahon)
 from qtelescope.partitions import EvenField, Partition
 from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
-from qtelescope.telescope import (MarkedObject, telescoping_sum_check, weight_of,
-                                  weighted_count)
+from qtelescope.telescope import MarkedObject, telescoping_sum_check, weight_of
 
 from partition_edits import drop_first
 from reference_cancelation import cancelation_psi
 from reference_enumerators import enum_even_bounded
 import reference_sums
+from reference_sums import weighted_count
 
 
 def pair(side, *mu):
@@ -50,6 +50,15 @@ def decoded_box_counts(box, lay):
     import qtelescope.macmahon as mac
 
     return tuple(map(lay.unpack, mac._box_counts(box, lay)))
+
+
+def product_sum_F(n, m):
+    """The closed form's left-hand side sum_k z^k q^(k^2) [m+n, m+k] in base
+    q^2, as verify_macmahon packs it in the layout of (n, m), decoded."""
+    import qtelescope.macmahon as mac
+
+    lay = mac._sum_layout(n, m)
+    return lay.unpack(mac._gaussian_sum(n, m, lay))
 
 
 def G(n, m, k):
@@ -209,6 +218,19 @@ def test_box_enumeration_is_the_gaussian_binomial(N):
         assert lay.unpack(off + on) == mono(1, side, side * side) * gaussian_binomial(N, j, 2), j
 
 
+def test_box_size_is_the_number_of_pairs_walked():
+    # The leaf formula against the packed walk, off the chunk size and past
+    # it, on the boundary slice too: out of range, bound 0 and slots 0.
+    import qtelescope.macmahon as mac
+
+    for bound in range(-2, 17, 2):
+        for slots in range(-1, 7):
+            box, lay = (0, bound, slots), mac._Layout(0, 0, max(slots, 0))
+            for edge in (False, True):
+                assert mac._box_size(box, edge) == len(list(mac._enum_packed(box, lay, edge))), \
+                    (box, edge)
+
+
 def test_verify_enumerates_each_box_once(monkeypatch):
     # The boxes walked are the P(n,m,k), k in [-m, n] (at m = 0 the P(n,0,k)
     # that size the domain), then for n >= 1 the Q(n,k), k in [0, n], each
@@ -285,8 +307,7 @@ def test_verify_builds_no_pair(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sum path enumerated objects")
 
-    for name in ("iter", "count"):  # the packed path's enumerator and counter
-        monkeypatch.setattr(EvenField, name, refuse)
+    monkeypatch.setattr(EvenField, "iter", refuse)  # the packed path's enumerator
     for name in ("_enum_packed", "enum_P", "_enum_box"):
         monkeypatch.setattr(mac, name, refuse)
     for n in range(5):
@@ -909,34 +930,94 @@ def test_verify_failure_names_the_sub_identity(monkeypatch):
     assert not cert.verified
     assert cert.counterexample["element"] == "product identity"
     assert cert.counterexample["reason"] == "sub-identity-violated"
-    # the product's q^18 needs a wider packing than the sum side's q^2
+    # q^9 is past the span of the sum layout at (1, 1), which stops at q^4,
+    # so the factors are compared as polynomials
     assert cert.counterexample["image"] == {
         "lhs": str(product_sum_F(1, 1)),
         "rhs": str((true_product(1, 1, -1, 1, 2) + mono(1, 0, 9))
                    * (true_product(1, 1, 1, 1, 2) + mono(1, 0, 9)))}
 
 
-def test_verify_compares_a_factor_no_packing_holds_as_polynomials(monkeypatch):
+def _spy_products(monkeypatch):
+    """The values Kronecker.pack_product returns, in order: an int where
+    the product was packed, None where it is compared as polynomials."""
+    from qtelescope.qalgebra import Kronecker
+
+    true_pack_product, returned = Kronecker.pack_product, []
+
+    def spy(self, *factors):
+        returned.append(true_pack_product(self, *factors))
+        return returned[-1]
+
+    monkeypatch.setattr(Kronecker, "pack_product", spy)
+    return returned
+
+
+@pytest.mark.parametrize("change, packed", [
+    (lambda f: f + mono(1, -3, 1), False),  # below z^-(m+1), the layout's z_lo
+    (lambda f: f + mono(1, 0, -1), False),  # below q^0
+    (lambda f: f + mono(1, -2, 1), True),   # at z_lo: it packs, the product fits
+    (lambda f: f * 15, False),  # each packs, but 30 * 30 overflows a 5-bit slot
+], ids=["below-z_lo", "below-q0", "at-z_lo", "times-15"])
+def test_verify_compares_a_wrong_factor_packed_or_as_polynomials(monkeypatch, change,
+                                                                 packed):
+    # At (1, 1) the sum layout packs z from z^-2, q up to q^4 and
+    # coefficients below 2^4.  A wrong factor fails the closed form either
+    # way, with the same counterexample; a product that may overflow a slot
+    # is never packed, where it could alias the sum.
     import qtelescope.macmahon as mac
 
-    true_product = factor_product
-    # a term below z^-m or q^0 in a factor: the closed form fails, as the
-    # polynomial comparison says
-    for extra in (mono(1, -2, 1), mono(1, 0, -1)):
-        monkeypatch.setattr(mac, "factor_product",
-                            lambda *a, extra=extra: true_product(*a) + extra)
-        cert = mac.verify_macmahon(1, 1)
-        assert not cert.verified
-        assert cert.counterexample == {
-            "element": "product identity", "reason": "sub-identity-violated",
-            "image": {"lhs": str(product_sum_F(1, 1)),
-                      "rhs": str((true_product(1, 1, -1, 1, 2) + extra)
-                                 * (true_product(1, 1, 1, 1, 2) + extra))}}
-    # q^-1 in one factor and q in the other: the product, and the identity, hold
+    true_product, returned = factor_product, _spy_products(monkeypatch)
+    monkeypatch.setattr(mac, "factor_product", lambda *a: change(true_product(*a)))
+    cert = mac.verify_macmahon(1, 1)
+    assert [value is not None for value in returned] == [packed]
+    assert cert.counterexample == {
+        "element": "product identity", "reason": "sub-identity-violated",
+        "image": {"lhs": str(product_sum_F(1, 1)),
+                  "rhs": str(change(true_product(1, 1, -1, 1, 2))
+                             * change(true_product(1, 1, 1, 1, 2)))}}
+
+
+def test_verify_compares_an_unpackable_product_that_holds_as_polynomials(monkeypatch):
+    # q^-1 in one factor and q in the other: no packing holds the first, but
+    # the product, and the identity, hold
+    import qtelescope.macmahon as mac
+
+    true_product, returned = factor_product, _spy_products(monkeypatch)
     monkeypatch.setattr(mac, "factor_product",
                         lambda count, sign, z, *a: true_product(count, sign, z, *a)
                         * mono(1, 0, z))
     assert mac.verify_macmahon(1, 1).verified
+    assert returned == [None]
+
+
+def test_verify_packs_each_check_in_one_layout(monkeypatch):
+    # The relations, the product and both totals share the one packing of
+    # (n, m), and one Gaussian sum at (n, m) serves the product and the P
+    # total: one Kronecker a call, and gaussian_row at m+n, then at n for
+    # the Q total (n >= 1).
+    import qtelescope.macmahon as mac
+    from qtelescope.qalgebra import Kronecker
+
+    true_init, true_row, made, rows = Kronecker.__init__, mac.gaussian_row, [], []
+
+    def init(self, *args):
+        made.append(args)
+        true_init(self, *args)
+
+    def row(n, *args):
+        rows.append(n)
+        return true_row(n, *args)
+
+    monkeypatch.setattr(Kronecker, "__init__", init)
+    monkeypatch.setattr(mac, "gaussian_row", row)
+    for n in range(5):
+        for m in range(5):
+            made.clear()
+            rows.clear()
+            assert mac.verify_macmahon(n, m).verified
+            assert len(made) == 1, (n, m)
+            assert rows == [m + n] + [n] * (n >= 1), (n, m)
 
 
 def _assert_recurrence_failure(cert, element, k):

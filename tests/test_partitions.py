@@ -284,7 +284,7 @@ def test_decode_and_weight_are_the_partition(at, width):
 
 
 @pytest.mark.parametrize("at, width", FIELDS)
-def test_streaming_enumerator_and_count_are_the_list(at, width):
+def test_streaming_enumerator_is_the_list(at, width):
     # Boxes past the chunk size walk their top parts; `edge` keeps the
     # partitions whose largest part is the bound (the empty one's reads as 0).
     field, row = EvenField(at, width), 1 if at else 0
@@ -292,33 +292,33 @@ def test_streaming_enumerator_and_count_are_the_list(at, width):
         for slots in range(-1, 2 ** width):
             for cap in (-1, 0, 7, bound * slots):
                 packed = list(field.iter(bound, slots, cap, row))
-                assert field.count(bound, slots, cap) == len(packed)
                 edge = [x for x in packed if field.decode[x >> at].first == max(bound, 0)]
                 assert list(field.iter(bound, slots, cap, row, edge=True)) == edge, \
                     (bound, slots, cap)
-                assert field.count(bound, slots, cap, edge=True) == len(edge)
 
 
 def test_count_memo_serves_every_box_of_a_field(monkeypatch):
-    # The counts depend on (largest part, parts left, weight left) alone, so
-    # one memo per field serves every box: counting again is one lookup.
+    # The subtree counts that decide where a chunk starts depend on (largest
+    # part, parts left, weight left) alone, so one memo per field serves
+    # every box: walking the boxes again counts nothing anew.
     field = EvenField(3, 4)
-    boxes = [(bound, slots, edge) for bound in range(0, 21, 2) for slots in range(9)
+    boxes = [(bound, slots, edge) for bound in range(0, 15, 2) for slots in range(8)
              for edge in (False, True)]
-    counts = [field.count(bound, slots, bound * slots, edge) for bound, slots, edge in boxes]
-    calls = 0
-    true_count = EvenField._count
+
+    def walk():
+        return [list(field.chunks(bound, slots, bound * slots, 1, edge))
+                for bound, slots, edge in boxes]
+
+    first, computed, true_count = walk(), 0, EvenField._count
 
     def counted(self, *key):
-        nonlocal calls
-        calls += 1
+        nonlocal computed
+        computed += self._key(*key) not in self._counts
         return true_count(self, *key)
 
     monkeypatch.setattr(EvenField, "_count", counted)
-    assert [field.count(bound, slots, bound * slots, edge)
-            for bound, slots, edge in boxes] == counts
-    assert calls == sum(1 for bound, slots, edge in boxes
-                        if not (edge and bound and not slots))  # that edge is empty
+    assert walk() == first
+    assert computed == 0 and field._counts
 
 
 def test_decode_and_weight_are_total_on_ints():

@@ -217,15 +217,19 @@ def test_kronecker_refuses_what_it_cannot_hold():
             kron.pack(poly)
 
 
-def test_kronecker_holding_a_product_fits_it():
-    # q^9 in each factor gives the product a q^18, far past the packing's 2
-    kron = Kronecker(-1, 2, 4)
-    minus = factor_product(1, 1, -1, 1, 2) + P({(0, 9): 1})
-    plus = factor_product(1, 1, 1, 1, 2) + P({(0, 9): 1})
-    wide = kron.holding(minus, plus)
-    assert wide.span == 19 and wide.z_lo == -1
-    product = wide.pack(minus) * wide.pack(plus)  # its offset is z^-2
-    assert wide.unpack(product >> wide.at(1, 0)) == minus * plus
+def test_kronecker_packs_a_product_only_where_it_fits():
+    # Packed from z^-1, the product of two factors is offset by z^2.  Its q
+    # exponents reach the sum of the factors' largest, and its coefficients
+    # the product of their absolute sums: each must stay in range.
+    kron = Kronecker(-1, 2, 4)  # q up to q^2, coefficients below 2^3
+    minus, plus = factor_product(1, 1, -1, 1, 2), factor_product(1, 1, 1, 1, 2)
+    product = kron.pack_product(minus, plus)
+    assert kron.unpack(product >> kron.at(1, 0)) == minus * plus
+    for factors in ((minus + P({(0, 2): 1}), plus),  # q^3 in the product
+                    (minus * 2, plus * 2),  # 4 * 4 may overflow a slot
+                    (minus + P({(-2, 0): 1}), plus),  # z^-2 does not pack
+                    (minus, plus + P({(0, -1): 1}))):  # nor does q^-1
+        assert kron.pack_product(*factors) is None, factors
 
 
 def test_gaussian_row_is_the_pascal_recurrence_on_packed_ints():

@@ -17,9 +17,10 @@ from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import (Certificate, IterationBudgetExceeded,
                                   MarkedObject, check_graded_bijection,
                                   stream_bijection, telescoping_sum_check,
-                                  weight_of, weighted_count)
+                                  weight_of)
 
 from reference_cancelation import cancelation_psi
+from reference_sums import weighted_count
 
 
 @dataclass(frozen=True)
