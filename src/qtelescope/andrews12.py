@@ -20,7 +20,8 @@ does the same job; no map lowers any other (n, k).  Summing over k gives
     F_n + (q^(2n-1) - 1) F_{n-1} - q^(2n-3) F_{n-2} = 0,
 
 which pins F_n to the alternating square sum above.  F_trunc counts F_n by
-weight, one histogram carried across k; the maps run on enumerated triples.
+weight, the sum over k in Horner form on one list; the maps run on
+enumerated triples.
 
 The maps, membership and the capped enumerator are stated once, on a
 packed form: one int per element, whose fields are marker_q, tau's row
@@ -67,7 +68,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import add, or_, sub
+from operator import or_, sub
 from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition, enum_distinct_range, staircase
@@ -732,26 +733,28 @@ def _involution_failure(slice_, embedded, step, table, lay):
 def F_trunc(n: int, cap: int) -> TruncatedSeries:
     """Signed weighted count of the union of all P(n,k), truncated at cap.
 
-    Integer additions only, no product formula: one histogram on [0, cap]
-    is carried across k.  After index k it is the signed lam x mu count of
-    P(n,k) without its staircase: lam gains the parts n-k+1 and n+k
-    (subset-sum steps, slice ops reading the old values) and mu the part
-    2k (coin change, ascending); it is added in at C(n-k,2) if <= cap.
+    Integer additions only, no product formula: F_n = sum_k q^C(n-k,2) T_k,
+    T_k the signed lam x mu count of P(n,k) without its staircase, summed
+    in Horner form.  T_{k+1} is T_k times (1 - q^(n-k))(1 - q^(n+k+1)) /
+    (1 - q^(2k+2)): lam gains two parts and mu one.  One list on [0, cap]
+    starts at 1, the staircase at k = n; for j = n-1 down to 0 it takes
+    that ratio at k = j (two subset-sum steps, slice ops reading the old
+    values, then a coin change, ascending) and gains q^C(n-j,2) if <= cap.
+    At j = 0 it is F_n.
     """
     if n < 0 or cap < 0:
         raise ValueError("n and cap must be nonnegative")
-    coeffs = [0] * (cap + 1)
-    hist = [1] + [0] * cap
-    for k in range(n + 1):
-        if k:
-            for part in (n - k + 1, n + k):
-                hist[part:] = map(sub, hist[part:], hist[:-part])
-            for w in range(2 * k, cap + 1):
-                hist[w] += hist[w - 2 * k]
-        tau = (n - k) * (n - k - 1) // 2
+    acc = [1] + [0] * cap
+    for j in range(n - 1, -1, -1):
+        for part in (n - j, n + j + 1):
+            acc[part:] = map(sub, acc[part:], acc[:-part])
+        coin = 2 * j + 2
+        for w in range(coin, cap + 1):
+            acc[w] += acc[w - coin]
+        tau = (n - j) * (n - j - 1) // 2
         if tau <= cap:
-            coeffs[tau:] = map(add, coeffs[tau:], hist)
-    return TruncatedSeries(cap, dict(enumerate(coeffs)))
+            acc[tau] += 1
+    return TruncatedSeries.from_list(acc)
 
 
 def sum_checks(n: int) -> list[str]:

@@ -533,11 +533,12 @@ def _closed_form_failure(n: int, m: int, lay: _SumLayout, p_total: int,
     """The closed form, in the sum side's own packing lay: the Gaussian
     sum at (n, m) against the product of the two factors, then against the
     P(n,m,k) total, and the Q(n,k) total (None at n = 0) against the
-    Gaussian sum at (n, 0).  Each factor packed from z_lo, their product
-    is offset by z^(-2 z_lo), -z_lo rows more than the sum, which is raised
-    to meet it; a factor lay does not pack, or a product it may not hold,
-    is compared as polynomials.  The relations hold whatever a shared
-    family counts; only the totals tie the families to their leaves."""
+    Gaussian sum at (n, 0), which at m = 0 is the one at (n, m).  Each
+    factor packed from z_lo, their product is offset by z^(-2 z_lo), -z_lo
+    rows more than the sum, which is raised to meet it; a factor lay does
+    not pack, or a product it may not hold, is compared as polynomials.
+    The relations hold whatever a shared family counts; only the totals
+    tie the families to their leaves."""
     minus, plus = factor_product(m, 1, -1, 1, 2), factor_product(n, 1, 1, 1, 2)
     closed = _gaussian_sum(n, m, lay)
     product = lay.pack_product(minus, plus)
@@ -550,7 +551,7 @@ def _closed_form_failure(n: int, m: int, lay: _SumLayout, p_total: int,
                 "sub-identity-violated")
     totals = [("P total", p_total, closed)]
     if q_total is not None:
-        totals.append(("Q total", q_total, _gaussian_sum(n, 0, lay)))
+        totals.append(("Q total", q_total, _gaussian_sum(n, 0, lay) if m else closed))
     for name, total, gaussian in totals:
         if total != gaussian:
             return (name, {"enumerated": str(lay.unpack(total)),

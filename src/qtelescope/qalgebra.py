@@ -185,6 +185,18 @@ class TruncatedSeries:
     def constant(cls, value: int, cap: int) -> "TruncatedSeries":
         return cls(cap, {0: value})
 
+    @classmethod
+    def from_list(cls, coeffs: list[int]) -> "TruncatedSeries":
+        """The series with coefficient coeffs[e] at q^e, capped at
+        len(coeffs) - 1: one pass, every exponent in range by construction."""
+        if not coeffs:
+            raise ValueError("cap must be nonnegative")
+        poly = LaurentPoly.__new__(LaurentPoly)
+        poly._terms = {(0, e): c for e, c in enumerate(coeffs) if c}
+        series = cls.__new__(cls)
+        series.cap, series.poly = len(coeffs) - 1, poly
+        return series
+
     def coeff(self, e: int) -> int:
         if e > self.cap:
             raise ValueError(f"exponent {e} beyond cap {self.cap}")

@@ -5,11 +5,13 @@ The library walks even partitions on their packed form
 (partitions.EvenField), so these serve the tests only: the references
 that the packed enumerator, the families built on it and the Gaussian
 coefficients are checked against.  Each yields in lexicographic order of
-the part tuple.  F_trunc_per_k is the reference that andrews12.F_trunc's
-histogram chain is checked against, and coeffs reads a truncated series
-as the dict the tests compare.
+the part tuple.  F_trunc_per_k and F_trunc_carried are the two references
+that andrews12.F_trunc's Horner form is checked against: a fresh
+histogram per k, and one histogram carried across k.  coeffs reads a
+truncated series as the dict the tests compare.
 """
 
+from operator import add, sub
 from typing import Iterator
 
 from qtelescope.partitions import Partition
@@ -67,6 +69,28 @@ def F_trunc_per_k(n: int, cap: int) -> TruncatedSeries:
                 hist[w] -= hist[w - part]
         for w, count in enumerate(hist, tau_weight):
             coeffs[w] += count
+    return TruncatedSeries(cap, dict(enumerate(coeffs)))
+
+
+def F_trunc_carried(n: int, cap: int) -> TruncatedSeries:
+    """andrews12.F_trunc with one histogram on [0, cap] carried across k.
+    After index k it is the signed lam x mu count of P(n,k) without its
+    staircase: lam gains the parts n-k+1 and n+k (subset-sum steps, slice
+    ops reading the old values) and mu the part 2k (coin change,
+    ascending); it is added in at C(n-k,2) if <= cap."""
+    if n < 0 or cap < 0:
+        raise ValueError("n and cap must be nonnegative")
+    coeffs = [0] * (cap + 1)
+    hist = [1] + [0] * cap
+    for k in range(n + 1):
+        if k:
+            for part in (n - k + 1, n + k):
+                hist[part:] = map(sub, hist[part:], hist[:-part])
+            for w in range(2 * k, cap + 1):
+                hist[w] += hist[w - 2 * k]
+        tau = (n - k) * (n - k - 1) // 2
+        if tau <= cap:
+            coeffs[tau:] = map(add, coeffs[tau:], hist)
     return TruncatedSeries(cap, dict(enumerate(coeffs)))
 
 

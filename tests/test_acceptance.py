@@ -320,7 +320,29 @@ def test_criterion_10_negative_controls(monkeypatch, tmp_path):
     if cert.verified or cert.counterexample is None:
         failures.append("identity control")
 
-    # (v) the CLI exits nonzero when any certificate fails
+    # (v) F_trunc's Horner form with one wrong factor, 1 - q^(n+j) for
+    # 1 - q^(n+j+1), must fail every sum check at every n it is run at
+    def wrong_factor(nn, cap):
+        acc = [1] + [0] * cap
+        for j in range(nn - 1, -1, -1):
+            for part in (nn - j, nn + j):
+                acc[part:] = [a - b for a, b in zip(acc[part:], acc[:-part])]
+            for w in range(2 * j + 2, cap + 1):
+                acc[w] += acc[w - 2 * j - 2]
+            tau = (nn - j) * (nn - j - 1) // 2
+            if tau <= cap:
+                acc[tau] += 1
+        return TruncatedSeries(cap, dict(enumerate(acc)))
+
+    monkeypatch.setattr(andrews12, "F_trunc", wrong_factor)
+    for n in range(1, 7):
+        for which in andrews12.sum_checks(n):
+            cert = verify_andrews(n, n * n + 15, which)
+            if cert.verified or cert.counterexample is None:
+                failures.append(("wrong F_trunc factor", n, which))
+    monkeypatch.setattr(andrews12, "F_trunc", F_trunc)
+
+    # (vi) the CLI exits nonzero when any certificate fails
     from qtelescope.telescope import Certificate
     failed = Certificate(check="macmahon", params={"n": 0, "m": 0},
                          status="failed",

@@ -22,7 +22,8 @@ from qtelescope.telescope import MarkedObject
 
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
                              without_part)
-from reference_enumerators import F_trunc_per_k, coeffs, enum_even_capped
+from reference_enumerators import (F_trunc_carried, F_trunc_per_k, coeffs,
+                                   enum_even_capped)
 from reference_sums import weighted_count
 
 
@@ -822,6 +823,14 @@ def test_F_trunc_chain_matches_the_per_k_dp():
     for n in range(25):
         for cap in sorted({0, 1, 2, n, n * n, n * n + 15}):
             assert F_trunc(n, cap) == F_trunc_per_k(n, cap), (n, cap)
+
+
+def test_F_trunc_matches_the_carried_histogram():
+    # Every cap up to past the tail, so each staircase monomial and each
+    # part of lam and mu enters at a cap of its own.
+    for n in range(13):
+        for cap in range(n * n + 20):
+            assert F_trunc(n, cap) == F_trunc_carried(n, cap), (n, cap)
 
 
 def test_F_trunc_cut_at_a_smaller_cap_is_F_trunc_there():

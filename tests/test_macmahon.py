@@ -995,7 +995,7 @@ def test_verify_packs_each_check_in_one_layout(monkeypatch):
     # The relations, the product and both totals share the one packing of
     # (n, m), and one Gaussian sum at (n, m) serves the product and the P
     # total: one Kronecker a call, and gaussian_row at m+n, then at n for
-    # the Q total (n >= 1).
+    # the Q total (n, m >= 1; at m = 0 the sum at (n, m) is the one at n).
     import qtelescope.macmahon as mac
     from qtelescope.qalgebra import Kronecker
 
@@ -1017,7 +1017,7 @@ def test_verify_packs_each_check_in_one_layout(monkeypatch):
             rows.clear()
             assert mac.verify_macmahon(n, m).verified
             assert len(made) == 1, (n, m)
-            assert rows == [m + n] + [n] * (n >= 1), (n, m)
+            assert rows == [m + n] + [n] * (n >= 1 and m >= 1), (n, m)
 
 
 def _assert_recurrence_failure(cert, element, k):

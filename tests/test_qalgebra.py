@@ -321,6 +321,8 @@ def test_truncate_rejects_z_and_negative_exponents():
         truncate(mono(1, 1, 0), 5)
     with pytest.raises(ValueError):
         truncate(mono(1, 0, -1), 5)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_list([])
 
 
 def test_series_arithmetic_uses_min_cap():
@@ -358,6 +360,8 @@ def test_series_is_truncated_polynomial_arithmetic():
         terms = {q: c for _z, q, c in a.terms()}
         assert coeffs(TruncatedSeries(c1, terms)) == \
             {e: c for e, c in terms.items() if e <= c1}
+        assert TruncatedSeries.from_list([a.coeff(0, e) for e in range(c1 + 1)]) == \
+            TruncatedSeries(c1, terms)
 
 
 def test_series_first_mismatch():
