@@ -5,9 +5,9 @@ The package is organized bottom-up:
 
     qalgebra    exact sparse Laurent polynomials; a truncated q-series is
                 a capped LaurentPoly
-    partitions  partition objects (zero parts allowed), the distinct-part
-                enumerator, and EvenField, the packed even partition mu of
-                both families, which enumerates the even ones
+    partitions  partition objects (zero parts allowed) and EvenField, the
+                packed even partition mu of both families, which
+                enumerates the even ones
     telescope   generic bijection and telescoping checkers:
                 stream_bijection, the one streaming bijection kernel of
                 both families, and the set-based check, its failure-path
@@ -29,7 +29,7 @@ a Certificate; nothing is floating point and nothing is sampled.
 
 from .qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                        gaussian_binomial, rhs_andrews, truncate)
-from .partitions import Partition, enum_distinct_range, staircase
+from .partitions import Partition, staircase
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         check_graded_bijection, telescoping_sum_check)
 from . import andrews12, macmahon
@@ -37,7 +37,7 @@ from . import andrews12, macmahon
 __all__ = [
     "LaurentPoly", "TruncatedSeries", "factor_product", "gaussian_binomial",
     "rhs_andrews", "truncate",
-    "Partition", "enum_distinct_range", "staircase",
+    "Partition", "staircase",
     "Certificate", "IterationBudgetExceeded", "MarkedObject",
     "check_graded_bijection", "telescoping_sum_check",
     "andrews12", "macmahon",

@@ -30,24 +30,26 @@ A slice is a tuple of parts (n, k, marker), each marker-`marker` copies
 of P(n,k): P(n,k) itself is ((n, k, 0),), and _domain, _codomain and
 _embedded state each side of each map once.  One grouped walk (_groups),
 one enumerator (_enum_packed) and one counter (_count_packed) take a
-slice; _slice_masks states its membership, one mask pair per part, and
-_slice_table reads those pairs by the marker field.
+slice, each from its parts' factors, lam and mu built packed with no
+Partition (_factors); _slice_masks states its membership, one mask pair
+per part, and _slice_table reads those pairs by the marker field.
 Each map is one ordered table of cases (_phi_table, _involution_table):
 a row holds the case, a guard x & mask == value and a constant shift of
 the int; phi's rows add the image class and its guard.  Each guard holds
 its domain part's mask pair (_within), so an int that passes no guard is
 not in the domain.  One first-match dispatch, _first_match, derives from
-a table the rule (guard, then + shift; ValueError where no guard passes),
-phi's inverse (_phi_back: image guard, then - shift) and the class that
-classify reports.
+a table the rule (_rule: guard, then + shift, as a pair (shifts, read);
+KeyError where no guard passes), phi's inverse (_phi_back: image guard,
+then - shift) and the class that classify reports.  _step turns a rule
+into a call, which raises ValueError outside the domain.
 The certificates run end to end on packed ints and decode an element to
 a Triple / MarkedObject only for a counterexample.  phi's streams in the
 one bijection kernel, telescope.stream_bijection, over _groups without
-the weight, against _phi_back and the codomain's _slice_table; the
-involution's streams in its own kernel for its own laws
-(_stream_involution).  Neither holds an element, both read an element's
-weight and sign off its fields through one reader (_reader), and only
-the rules are called.  Where a kernel fails, the
+the weight, against phi's _step, _phi_back and the codomain's
+_slice_table; the involution's streams in its own kernel for its own
+laws (_stream_involution), which reads its rule inline.  Neither holds an
+element, and both read an element's weight and sign off its fields
+through one reader (_reader).  Where a kernel fails, the
 set-based check (check_graded_bijection, _involution_failure) reruns as
 the oracle, weighs the decoded elements with weight_of and names the
 counterexample; a negative int, which no rule of a sound map yields, is
@@ -55,10 +57,11 @@ shown as {"packed": x}.  The public functions take and return Triples:
 they check the input's shape, encode it, run the packed rule and decode
 the result.  The public maps phi and involution share one input check:
 the index rule, then the rule's own refusal of an element outside their
-common domain.  classify answers only where the index rule names phi.
-The involution certificate tests each image's membership once, before
-the rule takes it back.  The decoders' parts, the first-match tables
-and the weight reads are each cached per layout in a partitions.Memo.
+common domain (_step).  classify answers only where the index rule
+names phi.  The involution certificate tests each image's membership
+once, before the rule takes it back.  The decoders' parts, the
+first-match tables and the weight reads are each cached per layout in a
+partitions.Memo.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from itertools import accumulate
 from operator import or_, sub
 from typing import Callable, Iterator, Optional, Union
 
-from .partitions import EvenField, Memo, Partition, enum_distinct_range, staircase
+from .partitions import EvenField, Memo, Partition, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
                         WeightKey, certify, check_graded_bijection,
@@ -135,10 +138,11 @@ class _Layout:
     holds bound + 2: more than any marker, any row count (a staircase of
     weight w has at most w + 1 rows) and twice any multiplicity within the
     bound, so no rule step on an element of weight <= bound carries into
-    the next field.
+    the next field.  `span` is the bit above mu's fields for the parts up
+    to the bound: every element of weight <= bound packs below it.
     """
 
-    __slots__ = ("width", "field", "rows", "lam", "lam_field", "mu")
+    __slots__ = ("width", "field", "rows", "lam", "lam_field", "mu", "span")
 
     def __init__(self, bound: int):
         self.width = (bound + 2).bit_length()
@@ -147,6 +151,7 @@ class _Layout:
         self.lam = 2 * self.width
         self.lam_field = ((1 << bound + 2) - 1) << self.lam
         self.mu = EvenField(self.lam + bound + 2, self.width)
+        self.span = self.mu.unit(bound // 2 * 2 + 2)
 
     def part(self, p: int) -> int:
         """The bit of the lam part p."""
@@ -285,16 +290,33 @@ def _slice_table(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int, 
 def _factors(n: int, k: int, cap: int, lay: _Layout):
     """(lams, mus by weight) of the members of P(n,k) with total weight
     <= cap: each lam as its (weight, packed bits), each mu packed with the
-    row count, grouped by its weight; ([], []) where P(n,k) is empty."""
-    if n < 0 or k < 0 or k > n:
-        return [], []
+    row count, grouped by its weight, each in lexicographic order; ([], [])
+    where P(n,k) is empty or its staircase alone passes the cap.
+
+    Both are built packed, one part p at a time in ascending order, by
+    adding p to each member that stays within the budget.  lam takes p at
+    most once, so it extends the list as it was; mu takes p again and
+    again, so it extends the list while walking it.  Either way the
+    members with largest part p follow all those with smaller parts, in
+    the order of what p is added to, so the list stays lexicographic, and
+    each mu's weight is known as it is built."""
     rows = n - k
     budget = cap - rows * (rows - 1) // 2
-    lams = [(lam.weight, sum(map(lay.part, lam.parts)))
-            for lam in enum_distinct_range(n - k + 1, n + k, budget)]
+    if n < 0 or k < 0 or k > n or budget < 0:
+        return [], []
+    lams = [(0, 0)]
+    for p in range(n - k + 1, min(n + k, budget) + 1):
+        bit, room = lay.part(p), budget - p
+        lams += [(weight + p, bits + bit) for weight, bits in lams if weight <= room]
+    mus = [(0, rows << lay.rows)]
+    for p in range(2, min(2 * k, budget) + 1, 2):
+        unit, room = lay.mu.unit(p), budget - p
+        for weight, mu in mus:
+            if weight <= room:
+                mus.append((weight + p, mu + unit))
     mus_by_weight = [[] for _ in range(budget + 1)]
-    for mu in lay.mu.iter(2 * k, budget // 2, budget):
-        mus_by_weight[lay.mu.weight(mu >> lay.mu.at)].append((rows << lay.rows) + mu)
+    for weight, mu in mus:
+        mus_by_weight[weight].append(mu)
     return lams, mus_by_weight
 
 
@@ -417,25 +439,24 @@ def _first_match(rows) -> tuple[Memo, int]:
     return Memo(first), reduce(or_, (mask for (mask, _), _ in rows), 0)
 
 
-def _rule(name: str, n: int, k: int, lay: _Layout, rows) -> Callable[[int], int]:
-    """The map `name` at (n, k) on the packed form: x plus the shift of the
-    first ((mask, value), shift) row x passes.  The guards hold the
-    domain's masks, so ValueError for each x not in the domain."""
-    (shifts, read), decode = _first_match(rows), _decoder(lay)
+def _rule(rows, lay: _Layout) -> tuple[Memo, int]:
+    """A map's rule on the packed form at `lay`, from its rows ((mask,
+    value), shift): (shifts, read), where x's image is x + shifts[x &
+    read], the shift of the first row x passes (_first_match), and
+    KeyError where x passes none: the guards hold the domain's masks, so
+    where x is not in the domain.  The read is narrowed below
+    lay.span, which makes it nonnegative, and an AND with it cheaper.  That
+    is exact for every x below the span: every element of the layout, and
+    every image the certificates take back, since they take back only an
+    image that passed the domain's masks, which forbid each bit from the
+    span up."""
+    shifts, read = _first_match(rows)
+    return shifts, read & lay.span - 1
 
-    def step(x: int) -> int:
-        try:
-            return x + shifts[x & read]
-        except KeyError:
-            raise ValueError(f"{decode(x)} is not in the domain of "
-                             f"{name} at n={n}, k={k}") from None
-    return step
 
-
-def _phi_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """`phi` on the packed form; ValueError outside its domain."""
-    return _rule("phi", n, k, lay,
-                 ((guard, shift) for _, guard, shift, _, _ in _phi_table(n, k, lay)))
+def _phi_rule(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
+    """`phi` on the packed form, as its rule (shifts, read) (_rule)."""
+    return _rule(((guard, shift) for _, guard, shift, _, _ in _phi_table(n, k, lay)), lay)
 
 
 def _phi_back(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
@@ -445,10 +466,27 @@ def _phi_back(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
     return _first_match((image, shift) for _, _, shift, _, image in _phi_table(n, k, lay))
 
 
-def _involution_rule(n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """`involution` on the packed form; ValueError outside its domain."""
-    return _rule("involution", n, k, lay,
-                 ((guard, shift) for _, guard, shift in _involution_table(n, k, lay)))
+def _involution_rule(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
+    """`involution` on the packed form, as its rule (shifts, read) (_rule)."""
+    return _rule(((guard, shift) for _, guard, shift in _involution_table(n, k, lay)), lay)
+
+
+def _step(name: str, n: int, k: int, lay: _Layout) -> Callable[[int], int]:
+    """The map `name` at (n, k) as a call on packed ints, read off its rule
+    (_phi_rule or _involution_rule): x + shifts[x & read] for x in the
+    domain, ValueError for each other int, those outside the layout's
+    span included."""
+    shifts, read = (_phi_rule if name == "phi" else _involution_rule)(n, k, lay)
+    span, decode = lay.span, _decoder(lay)
+
+    def step(x: int) -> int:
+        try:
+            if 0 <= x < span:
+                return x + shifts[x & read]
+        except KeyError:
+            pass
+        raise ValueError(f"{decode(x)} is not in the domain of {name} at n={n}, k={k}")
+    return step
 
 
 # the public maps on triples ---------------------------------------------------
@@ -505,8 +543,7 @@ def _apply(name: str, n: int, k: int, x: TripleValue) -> TripleValue:
     packed, lay = _pack(n, x)
     if packed is None:
         raise ValueError(f"{x} is not in the domain of {name} at n={n}, k={k}")
-    rule = _phi_rule if name == "phi" else _involution_rule
-    return _decoder(lay)(rule(n, k, lay)(packed))
+    return _decoder(lay)(_step(name, n, k, lay)(packed))
 
 
 def phi(n: int, k: int, x: TripleValue) -> TripleValue:
@@ -588,7 +625,7 @@ def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     run on the packed form.
 
     The check streams in telescope.stream_bijection: the domain slice in
-    _groups against _phi_rule, which refuses any element outside its
+    _groups against phi's _step, which refuses any element outside its
     domain, the inverse _phi_back, the codomain's _slice_table and its
     count, and _reader.  The codomain masks ignore the cap, which the kept
     weight enforces.  Where the stream fails, the set-based
@@ -598,7 +635,7 @@ def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     _require_map("phi", n, k)
     lay = _layout(n, cap)
     params = {"n": n, "k": k}
-    step = _phi_rule(n, k, lay)
+    step = _step("phi", n, k, lay)
     size = stream_bijection(
         ((head, mus) for head, _, mus in _groups(_domain(n, k), cap, lay)), step,
         (_slice_table(_codomain(n, k), lay), lay.field, 0), _phi_back(n, k, lay),
@@ -636,7 +673,7 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     if not slice_:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
     embedded = set(_enum_packed(_embedded(n, k), cap, lay))
-    failure = _involution_failure(slice_, embedded, _involution_rule(n, k, lay),
+    failure = _involution_failure(slice_, embedded, _step("involution", n, k, lay),
                                   _slice_table(_domain(n, k), lay), lay)
     return certify("andrews-involution", {"n": n, "k": k}, started, failure,
                    cap=cap, domain_size=len(slice_), codomain_size=len(embedded))
@@ -648,48 +685,54 @@ def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple
     where any check fails.
 
     The domain slice is walked in _groups, each group one lam and one
-    total weight.  For each x, y = _involution_rule's image.  A fixed x (y
-    == x) must pass the masks of _embedded, P(n-1,k-1), and the fixed count
-    must equal _embedded's count, _count_packed.  Every capped element of
-    P(n-1,k-1) is in the slice, so together these make the fixed set
-    exactly the embedded one: an embedded x that moves leaves the count
-    short.  Only a rising x (x < y) is checked further: y is in the domain
-    (one read of _slice_table by y's marker), the rule takes y back to x,
-    and y has x's weight and the other sign.  That suffices.  Let R be the
-    rising elements and F the falling ones.  The rule is injective on R
-    and maps it into F: each image is in the slice (masks and weight) and
-    falls to its element.  With |R| = |F|, counted, it maps R onto F, so
+    total weight.  The rule is read inline, as stream_bijection reads its
+    inverse: x's image is y = x + shifts[x & read] of _involution_rule,
+    and a KeyError (x outside the domain) returns None, so that the oracle
+    reruns and raises.  A fixed x (y == x) must pass the masks of
+    _embedded, P(n-1,k-1), and the fixed count must equal _embedded's
+    count, _count_packed.  Every capped element of P(n-1,k-1) is in the
+    slice, so together these make the fixed set exactly the embedded one:
+    an embedded x that moves leaves the count short.  Only a rising x (x <
+    y) is checked further: y is in the domain (one read of _slice_table by
+    y's marker), the rule takes y back to x, and y has x's weight and the
+    other sign.  That suffices.  Let R be the rising elements and F the
+    falling ones.  The rule is injective on R and maps it into F: each
+    image is in the slice (masks and weight) and falls to its element.
+    With |R| = |F|, counted as 2|R| + fixed == size, it maps R onto F, so
     each falling x is the image of an r whose pair was checked.  y's weight
     and sign are read by _reader, as stream_bijection reads them, as one
     int against the group's weight << 1 | the other parity.
     """
-    step = _involution_rule(n, k, lay)
+    shifts, read = _involution_rule(n, k, lay)
     table, field = _slice_table(_domain(n, k), lay), lay.field
     ((forbidden_e, expected_e),) = _slice_masks(_embedded(n, k), lay)
     below, head, at, mask, split, low, high, scale = _reader(lay, k)
-    size = fixed = rising = falling = 0
-    for base, weight, mus in _groups(_domain(n, k), cap, lay):
-        target = weight << scale | head[base] & 1 ^ 1  # the other sign
-        for mu in mus:
-            x = base + mu
-            y = step(x)
-            if y == x:
-                if x & forbidden_e != expected_e:
-                    return None
-                fixed += 1
-            elif x < y:
-                forbidden, expected, _ = table[y & field]
-                if y & forbidden != expected or step(y) != x:
-                    return None
-                y_mu = y >> at
-                if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
-                        != target):
-                    return None
-                rising += 1
-            else:
-                falling += 1
-        size += len(mus)
-    if not size or rising != falling or fixed != _count_packed(_embedded(n, k), cap, lay):
+    size = fixed = rising = 0
+    try:
+        for base, weight, mus in _groups(_domain(n, k), cap, lay):
+            target = weight << scale | head[base] & 1 ^ 1  # the other sign
+            for mu in mus:
+                x = base + mu
+                shift = shifts[x & read]
+                if not shift:
+                    if x & forbidden_e != expected_e:
+                        return None
+                    fixed += 1
+                elif shift > 0:
+                    y = x + shift
+                    forbidden, expected, _ = table[y & field]
+                    if y & forbidden != expected or shifts[y & read] != -shift:
+                        return None
+                    y_mu = y >> at
+                    if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
+                            != target):
+                        return None
+                    rising += 1
+            size += len(mus)
+    except KeyError:
+        return None
+    if (not size or 2 * rising + fixed != size
+            or fixed != _count_packed(_embedded(n, k), cap, lay)):
         return None
     return size, fixed
 

@@ -1,17 +1,17 @@
-"""Integer partitions with explicit zero parts, the distinct-part
-enumerator, and EvenField, the packed form of an even-part partition that
-both families carry.
+"""Integer partitions with explicit zero parts, and EvenField, the packed
+form of an even-part partition that both families carry.
 
 Zero parts are first-class: (0) and the empty partition are different
-objects, and staircases always end in a zero part when nonempty.  Each
-enumerator is a recursion that yields in lexicographic order of the part
-tuple, so its list needs no sort and downstream certificates are
-byte-stable; each prunes a branch once it passes the weight cap.  Even
-partitions are enumerated on their packed form only, which also streams
-(EvenField.chunks and iter).  Memo is the one cache of a function's
-values per layout: the kernels' weight reads, the decoders
-and the rules' first-match tables are each a subscript of one (the
-enumerator's recursion keeps its own memos of counts and tails).
+objects, and staircases always end in a zero part when nonempty.  Even
+partitions are enumerated on their packed form only, by one recursion
+that yields in lexicographic order of the part tuple, so its list needs
+no sort and downstream certificates are byte-stable; it prunes a branch
+once it passes the weight cap, and it streams (EvenField.chunks and
+iter).  andrews12 builds its own slices' factors packed (_factors).
+Memo is the one cache of a function's values per layout: the kernels'
+weight reads, the decoders and the rules' first-match tables are each a
+subscript of one (the enumerator's recursion keeps its own memos of
+counts and tails).
 """
 
 from __future__ import annotations
@@ -82,25 +82,6 @@ def staircase(r: int) -> Partition:
     return Partition(tuple(range(r - 1, -1, -1)))
 
 
-def enum_distinct_range(lo: int, hi: int, weight_cap: int) -> list[Partition]:
-    """All strictly decreasing partitions with parts in [lo, hi] and weight <= weight_cap.
-
-    A branch is pruned once its weight passes the cap, so no partition over
-    the cap is built.  An empty range (hi < lo) yields exactly [()]; a
-    negative cap yields [].
-    """
-    if weight_cap < 0:
-        return []
-
-    def rec(limit: int, budget: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        for p in range(lo, min(limit, budget) + 1):
-            for rest in rec(p - 1, budget - p):
-                yield (p,) + rest
-
-    return [Partition(parts) for parts in rec(hi, weight_cap)]
-
-
 CHUNK = 512  # the longest tail list a streaming walk keeps
 
 
@@ -155,7 +136,7 @@ class EvenField:
 
     def weight(self, mults: int) -> Optional[int]:
         """The weight of the packed mu `mults`, read off its multiplicities;
-        uncached, as andrews12._factors weighs each mu it builds once."""
+        uncached, as `halves` memoises it for the kernels' weight reads."""
         if mults < 0:
             return None
         field, width = (1 << self.width) - 1, self.width

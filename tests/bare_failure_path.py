@@ -30,6 +30,7 @@ tests/test_reachability.py drives these same cases.
 import sys
 
 from qtelescope import andrews12, macmahon
+from qtelescope.partitions import Memo
 from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import telescoping_sum_check, weight_of
 
@@ -81,6 +82,31 @@ def faulty(fault):
         def factory(*args):
             step, lay = true_factory(*args), args[-1]
             return lambda x: fault(x, step(x), lay)
+        return factory
+    return wrap
+
+
+def stepping(rule):
+    """An Andrews rule, the table (shifts, read), as a call on the packed
+    ints of its domain, as the kernels read it."""
+    shifts, read = rule
+    return lambda x: x + shifts[x & read]
+
+
+def as_rule(broken):
+    """A map of packed ints in an Andrews rule's form (shifts, read): the
+    shifts are read on all of x, and x + shifts[x] is broken(x)."""
+    return Memo(lambda x: broken(x) - x), -1
+
+
+def in_rule_form(change):
+    """A change to a rule factory of calls, such as faulty(fault), made to
+    an Andrews rule factory: the true rule is read as a call, and the
+    changed call is handed back as a rule."""
+    def wrap(true_rule):
+        def factory(n, k, lay):
+            step = stepping(true_rule(n, k, lay))
+            return as_rule(change(lambda *args: step)(n, k, lay))
         return factory
     return wrap
 
@@ -148,13 +174,13 @@ def plus_term(z, q):
 # (expected reason, module, name, change, certificate): module.name is
 # change(its true value) while certificate() runs
 CASES = [
-    ("weight-mismatch", andrews12, "_phi_rule", faulty(gains_a_part_2),
+    ("weight-mismatch", andrews12, "_phi_rule", in_rule_form(faulty(gains_a_part_2)),
      lambda: andrews12.phi_certificate(5, 2, 30)),
-    ("not-involutive", andrews12, "_involution_rule", faulty(gains_a_part_2),
+    ("not-involutive", andrews12, "_involution_rule", in_rule_form(faulty(gains_a_part_2)),
      lambda: andrews12.involution_certificate(4, 4, 30)),
-    ("sign-not-reversed", andrews12, "_involution_rule", crossed_pairs(30),
+    ("sign-not-reversed", andrews12, "_involution_rule", in_rule_form(crossed_pairs(30)),
      lambda: andrews12.involution_certificate(4, 4, 30)),
-    ("fixed-set-mismatch", andrews12, "_involution_rule", faulty(toggles_two),
+    ("fixed-set-mismatch", andrews12, "_involution_rule", in_rule_form(faulty(toggles_two)),
      lambda: andrews12.involution_certificate(3, 2, 20)),
     ("coefficient-mismatch", andrews12, "rhs_andrews", plus_term(0, 2),
      lambda: andrews12.verify_andrews(2, 20, "identity")),

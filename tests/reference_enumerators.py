@@ -1,13 +1,15 @@
-"""Partition-level enumerators of the even-part partitions, as plain
-recursions on part tuples, and the per-index weighted-count DP.
+"""Partition-level enumerators of the even-part and the distinct-part
+partitions, as plain recursions on part tuples, and the per-index
+weighted-count DP.
 
-The library walks even partitions on their packed form
-(partitions.EvenField), so these serve the tests only: the references
-that the packed enumerator, the families built on it and the Gaussian
-coefficients are checked against.  Each yields in lexicographic order of
-the part tuple.  F_trunc_per_k and F_trunc_carried are the two references
-that andrews12.F_trunc's Horner form is checked against: a fresh
-histogram per k, and one histogram carried across k.  coeffs reads a
+The library walks partitions on their packed form (partitions.EvenField,
+and andrews12._factors for both factors of an Andrews slice), so these
+serve the tests only: the references that the packed enumerators, the
+families built on them and the Gaussian coefficients are checked
+against.  Each yields in lexicographic order of the part tuple.
+F_trunc_per_k and F_trunc_carried are the two references that
+andrews12.F_trunc's Horner form is checked against: a fresh histogram
+per k, and one histogram carried across k.  coeffs reads a
 truncated series as the dict the tests compare.
 """
 
@@ -47,6 +49,25 @@ def enum_even_capped(max_part: int, weight_cap: int) -> list[Partition]:
     if weight_cap < 0:
         return []
     return [Partition(p) for p in _even_parts(max_part, weight_cap // 2, weight_cap)]
+
+
+def enum_distinct_range(lo: int, hi: int, weight_cap: int) -> list[Partition]:
+    """All strictly decreasing partitions with parts in [lo, hi] and weight <= weight_cap.
+
+    A branch is pruned once its weight passes the cap, so no partition over
+    the cap is built.  An empty range (hi < lo) yields exactly [()]; a
+    negative cap yields [].
+    """
+    if weight_cap < 0:
+        return []
+
+    def rec(limit: int, budget: int) -> Iterator[tuple[int, ...]]:
+        yield ()
+        for p in range(lo, min(limit, budget) + 1):
+            for rest in rec(p - 1, budget - p):
+                yield (p,) + rest
+
+    return [Partition(parts) for parts in rec(hi, weight_cap)]
 
 
 def F_trunc_per_k(n: int, cap: int) -> TruncatedSeries:

@@ -15,13 +15,14 @@ from qtelescope.macmahon import (MacPair, cancelation_certificate,
                                  phi_certificate, phi_telescoping_counts,
                                  psi_certificate, psi_telescoping_counts,
                                  verify_macmahon)
-from qtelescope.partitions import Partition, enum_distinct_range, staircase
+from qtelescope.partitions import Partition, staircase
 from qtelescope.qalgebra import (LaurentPoly, TruncatedSeries, factor_product,
                                  gaussian_binomial, rhs_andrews, truncate)
 from qtelescope.telescope import (MarkedObject, check_graded_bijection,
                                   telescoping_sum_check)
 
-from reference_enumerators import enum_even_bounded, enum_even_capped
+from bare_failure_path import as_rule, stepping
+from reference_enumerators import enum_distinct_range, enum_even_bounded, enum_even_capped
 from test_andrews12 import image_class
 from test_macmahon import product_sum_F
 
@@ -297,14 +298,14 @@ def test_criterion_10_negative_controls(monkeypatch, tmp_path):
     true_rule = andrews12._involution_rule
 
     def broken_rule(nn, kk, lay):
-        step, decode = true_rule(nn, kk, lay), andrews12._decoder(lay)
+        step, decode = stepping(true_rule(nn, kk, lay)), andrews12._decoder(lay)
 
         def broken_involution(x):
             t = decode(x)
             if isinstance(t, Triple) and t.lam.parts == (3,) and t.mu.is_empty():
                 return andrews12._encode(t, lay)  # silently freeze one non-fixed point
             return step(x)
-        return broken_involution
+        return as_rule(broken_involution)
 
     monkeypatch.setattr(andrews12, "_involution_rule", broken_rule)
     cert = andrews12.involution_certificate(2, 2, 12)

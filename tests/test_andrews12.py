@@ -16,14 +16,15 @@ from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
                                   involution_certificate, phi, phi_certificate,
                                   verify_andrews, weight_of)
 from qtelescope import andrews12
-from qtelescope.partitions import EMPTY, Partition, enum_distinct_range, staircase
+from qtelescope.partitions import EMPTY, Partition, staircase
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from qtelescope.telescope import MarkedObject
 
+from bare_failure_path import as_rule, stepping
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
                              without_part)
-from reference_enumerators import (F_trunc_carried, F_trunc_per_k, coeffs,
-                                   enum_even_capped)
+from reference_enumerators import (F_trunc_carried, F_trunc_per_k, _even_parts, coeffs,
+                                   enum_distinct_range, enum_even_capped)
 from reference_sums import weighted_count
 
 
@@ -491,7 +492,6 @@ def test_each_rule_refuses_every_non_member_with_its_maps_text(name):
     # which the public map itself gives at n <= 4 (the public calls are
     # most of the test's time); each member it maps as the public map does.
     public = {"phi": phi, "involution": involution}[name]
-    rule_of = {"phi": andrews12._phi_rule, "involution": andrews12._involution_rule}[name]
     refused = 0
     for n in range(2, 7):
         for k in range(n + 1):
@@ -499,7 +499,7 @@ def test_each_rule_refuses_every_non_member_with_its_maps_text(name):
                 continue
             cap = (n - k) * (n - k - 1) // 2 + 2 * n - 1  # the marked part's least weight
             lay = andrews12._layout(n, cap)
-            rule, decode = rule_of(n, k, lay), andrews12._decoder(lay)
+            rule, decode = andrews12._step(name, n, k, lay), andrews12._decoder(lay)
             for c in packed_neighbourhood(n, k, cap, lay):
                 x = decode(c)
                 if paper_domain(n, k, x):
@@ -571,21 +571,21 @@ def assert_images_in_their_class(n, k, cap, table, lay):
     row_case = first_match((guard, case) for case, guard, *_ in table)
     image_case = first_match((image, case) for *_, case, image in table)
     image_of = {case: image for case, _, _, image, _ in table}
-    step = andrews12._phi_rule(n, k, lay)
+    step = andrews12._step("phi", n, k, lay)
     for x in andrews12._enum_packed(andrews12._domain(n, k), cap, lay):
         assert image_case(step(x)) is image_of[row_case(x)], (n, k, cap, x)
 
 
 def faulty_rule(true_rule, fault):
-    """A packed rule factory like true_rule whose step decodes its element
+    """A packed rule factory like true_rule whose map decodes its element
     and image, applies the Triple-level fault(n, k, x, y) and encodes the
-    result back."""
+    result back, handed over in the rule's form (shifts, read)."""
     def factory(n, k, lay):
-        step, decode = true_rule(n, k, lay), andrews12._decoder(lay)
+        step, decode = stepping(true_rule(n, k, lay)), andrews12._decoder(lay)
 
         def broken(x):
             return andrews12._encode(fault(n, k, decode(x), decode(step(x))), lay)
-        return broken
+        return as_rule(broken)
     return factory
 
 
@@ -713,10 +713,9 @@ def test_packed_rules_match_the_triple_oracle(n):
     for k in range(n + 1):
         name = andrews12.lowering_map(n, k)
         oracle = {"phi": oracle_phi, "involution": oracle_involution}[name]
-        rule_of = {"phi": andrews12._phi_rule, "involution": andrews12._involution_rule}[name]
         for cap in range(31):
             lay = andrews12._layout(n, cap)
-            rule, decode = rule_of(n, k, lay), andrews12._decoder(lay)
+            rule, decode = andrews12._step(name, n, k, lay), andrews12._decoder(lay)
             for x in domain_slice(n, k, cap):
                 assert decode(rule(andrews12._encode(x, lay))) == oracle(n, k, x), \
                     (n, k, cap, x)
@@ -761,6 +760,77 @@ def test_slice_helpers_agree_on_every_slice():
                     table = andrews12._slice_table(parts, lay)
                     assert [table[x & lay.field] for x in elements] == \
                         [(*masks[i], 0) for i in parts_of], (n, k, cap, parts)
+
+
+def test_factors_are_the_reference_enumerations():
+    # _factors builds lam and mu packed; the references build part tuples,
+    # packed here after they are built.  Order and weights are compared
+    # too.  A lexicographic enumeration cut at a cap is the enumeration
+    # there, and so is its prefix up to a largest part, so mu is
+    # enumerated once, at the largest cap and part, and lam once per
+    # (n, k).  A packed lam is its bitmask shifted to the lam field, and a
+    # packed mu its multiplicities at the layout's width shifted to the mu
+    # field.
+    top = 9 * 9 + 15
+    all_mus = [(sum(mu), mu) for mu in _even_parts(2 * 9, top // 2, top)]
+    packed_mus = {}  # (k, width) -> mus packed from bit 0, by weight
+
+    def mus_of(k, width):
+        if (k, width) not in packed_mus:
+            # the mus with parts <= 2k are a prefix, up to the first (2k + 1,)
+            prefix = all_mus[:bisect_right(all_mus, (2 * k + 1,), key=lambda wm: wm[1])]
+            unit = {p: 1 << (p // 2 - 1) * width for p in range(2, 2 * k + 1, 2)}.__getitem__
+            by_weight = packed_mus[k, width] = [[] for _ in range(top + 1)]
+            for weight, mu in prefix:
+                by_weight[weight].append(sum(map(unit, mu)))
+        return packed_mus[k, width]
+
+    for n in range(10):
+        caps = (0, 1, n, n * n, n * n + 15)
+        for k in range(-1, n + 2):
+            rows = n - k
+            budgets = [cap - rows * (rows - 1) // 2 for cap in caps]
+            lams = []
+            if 0 <= k <= n:
+                lams = [(lam.weight, sum(map((1).__lshift__, lam.parts)))
+                        for lam in enum_distinct_range(n - k + 1, n + k, max(budgets))]
+            for cap, budget in zip(caps, budgets):
+                lay = andrews12._layout(n, cap)
+                expected = ([], [])
+                if lams and budget >= 0:
+                    row, at = rows << lay.rows, lay.mu.at
+                    expected = ([(weight, lam << lay.lam) for weight, lam in lams
+                                 if weight <= budget],
+                                [[row + (mu << at) for mu in mus]
+                                 for mus in mus_of(k, lay.width)[:budget + 1]])
+                assert andrews12._factors(n, k, cap, lay) == expected, (n, k, cap)
+
+
+def test_packed_ints_lie_below_the_span():
+    # The rules read x below the layout's span only.  Every element the
+    # enumerator yields and every image a rule returns packs below it.  No
+    # int with a bit at or above the span passes a mask of a slice's part:
+    # each forbids every such bit and expects none, or is _NEVER.  So no
+    # image the certificates take back has one, and the map refuses it.
+    for n in range(7):
+        for k in range(-1, n + 2):
+            for cap in sorted({0, n * n, 30}):
+                lay = andrews12._layout(n, cap)
+                name = paper_map(n, k)
+                for parts in (andrews12._domain(n, k), andrews12._codomain(n, k),
+                              andrews12._embedded(n, k)):
+                    for forbidden, expected in andrews12._slice_masks(parts, lay):
+                        assert (forbidden, expected) == andrews12._NEVER or (
+                            forbidden | lay.span - 1 == -1 and 0 <= expected < lay.span), \
+                            (n, k, cap, parts)
+                    elements = list(andrews12._enum_packed(parts, cap, lay))
+                    assert all(0 <= x < lay.span for x in elements), (n, k, cap, parts)
+                    if name and parts == andrews12._domain(n, k):
+                        step = andrews12._step(name, n, k, lay)
+                        assert all(0 <= step(x) < lay.span for x in elements), (n, k, cap)
+                        for x in elements[:50]:
+                            with pytest.raises(ValueError):
+                                step(x + lay.span)
 
 
 # truncated sums --------------------------------------------------------------------

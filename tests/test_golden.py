@@ -22,6 +22,8 @@ from qtelescope.qalgebra import LaurentPoly, rhs_andrews
 from qtelescope.telescope import (MarkedObject, check_graded_bijection,
                                   telescoping_sum_check)
 
+from bare_failure_path import as_rule, stepping
+
 GOLDEN = Path(__file__).with_name("golden_certificates.json")
 
 
@@ -69,7 +71,7 @@ def _involution_control():
     true_rule = andrews12._involution_rule
 
     def broken_rule(nn, kk, lay):
-        step, decode = true_rule(nn, kk, lay), andrews12._decoder(lay)
+        step, decode = stepping(true_rule(nn, kk, lay)), andrews12._decoder(lay)
 
         def broken(x):
             t = decode(x)
@@ -77,7 +79,7 @@ def _involution_control():
                     and t.mu.is_empty():
                 return andrews12._encode(t, lay)
             return step(x)
-        return broken
+        return as_rule(broken)
 
     with mock.patch.object(andrews12, "_involution_rule", broken_rule):
         return andrews12.involution_certificate(2, 2, 12)

@@ -1,5 +1,5 @@
-"""Partition objects, the distinct-part enumerator and the even-part
-references of tests/reference_enumerators.py, checked against a naive
+"""Partition objects and the distinct-part and even-part references of
+tests/reference_enumerators.py, checked against a naive
 brute-force generator that knows nothing about the library's descent order;
 EvenField, the packed even partition, checked against those enumerators.
 """
@@ -9,14 +9,13 @@ import math
 
 import pytest
 
-from qtelescope import partitions
-from qtelescope.partitions import (EMPTY, EvenField, Partition,
-                                   enum_distinct_range, staircase)
+from qtelescope.partitions import EMPTY, EvenField, Partition, staircase
 from qtelescope.qalgebra import LaurentPoly, gaussian_binomial
 
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
                              without_part)
-from reference_enumerators import enum_even_bounded, enum_even_capped
+import reference_enumerators
+from reference_enumerators import enum_distinct_range, enum_even_bounded, enum_even_capped
 
 
 def brute_all_partitions(max_part, weight_cap, max_len=None):
@@ -137,7 +136,7 @@ def test_distinct_range_builds_only_what_it_returns(monkeypatch):
         def __post_init__(self):
             built.append(self)
 
-    monkeypatch.setattr(partitions, "Partition", CountedPartition)
+    monkeypatch.setattr(reference_enumerators, "Partition", CountedPartition)
     result = enum_distinct_range(2, 21, 40)
     assert len(built) == len(result) < 2 ** 20
 

@@ -53,6 +53,7 @@ def test_tracer_finds_every_traced_name_the_library_still_has():
         traced.install()
         assert traced.missing == ["qtelescope.macmahon.enum_even_bounded",
                                   "qtelescope.andrews12.enum_even_capped",
+                                  "qtelescope.andrews12.enum_distinct_range",
                                   "qtelescope.macmahon.gaussian_binomial",
                                   "qtelescope.macmahon.enum_G",
                                   "qtelescope.macmahon.enum_Q",

@@ -195,8 +195,7 @@ def test_a_full_mu_field_survives_one_map_step(data):
     x = MarkedObject(marker, t) if marked else t
     name = andrews12.lowering_map(n, k)
     lay = andrews12._layout(n, cap)
-    rule = {"phi": andrews12._phi_rule, "involution": andrews12._involution_rule}[name]
-    y = rule(n, k, lay)(andrews12._encode(x, lay))
+    y = andrews12._step(name, n, k, lay)(andrews12._encode(x, lay))
     image = andrews12._decoder(lay)(y)
     assert andrews12._encode(image, lay) == y
     assert image == {"phi": phi, "involution": involution}[name](n, k, x)

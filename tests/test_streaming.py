@@ -28,7 +28,7 @@ from qtelescope import andrews12, macmahon
 from qtelescope.telescope import weight_of
 
 import test_andrews12 as andrews_tests
-from bare_failure_path import faulty, toggles_two
+from bare_failure_path import as_rule, faulty, in_rule_form, stepping, toggles_two
 import test_macmahon as macmahon_tests
 from reference_cancelation import cancelation_psi
 
@@ -166,11 +166,11 @@ def kernel_results(monkeypatch, module, name):
 
 
 def rewired(true_rule, images):
-    """A rule factory like true_rule whose rule sends x to images[x] where
-    images has it."""
+    """An Andrews rule factory like true_rule whose rule sends x to
+    images[x] where images has it, in the rule's form (shifts, read)."""
     def factory(*args):
-        step = true_rule(*args)
-        return lambda x: images[x] if x in images else step(x)
+        step = stepping(true_rule(*args))
+        return as_rule(lambda x: images[x] if x in images else step(x))
     return factory
 
 
@@ -214,7 +214,7 @@ def test_an_andrews_phi_weight_fault_fails_the_kernel(monkeypatch, differs):
     # and goes back to its element, so only the weight check can see it.
     n, k, cap = 5, 2, 30
     lay = andrews12._layout(n, cap)
-    step, weight = andrews12._phi_rule(n, k, lay), decoded_weight(lay)
+    step, weight = andrews12._step("phi", n, k, lay), decoded_weight(lay)
     domain = list(andrews12._enum_packed(andrews12._domain(n, k), cap, lay))
     moved = [x for x in domain if step(x) != x]
     a, b = pick(moved, lambda a, b: differs(weight(a), weight(b)))
@@ -239,7 +239,7 @@ def test_an_involution_weight_fault_fails_the_kernel(monkeypatch, differs, reaso
     # involution on the slice with the same fixed set.
     n, k, cap = 4, 4, 30
     lay = andrews12._layout(n, cap)
-    step, weight = andrews12._involution_rule(n, k, lay), decoded_weight(lay)
+    step, weight = andrews12._step("involution", n, k, lay), decoded_weight(lay)
     slice_ = list(andrews12._enum_packed(andrews12._domain(n, k), cap, lay))
     moved = [x for x in slice_ if step(x) != x]
     a, c = pick(moved, lambda a, c: differs(weight(a), weight(c)) and c != step(a))
@@ -260,7 +260,7 @@ def test_an_involution_fault_at_falling_elements_fails_the_kernel(monkeypatch):
     # see that the rule no longer takes their images back.
     n, k, cap = 4, 4, 30
     lay = andrews12._layout(n, cap)
-    step, weight = andrews12._involution_rule(n, k, lay), decoded_weight(lay)
+    step, weight = andrews12._step("involution", n, k, lay), decoded_weight(lay)
     slice_ = list(andrews12._enum_packed(andrews12._domain(n, k), cap, lay))
     falling = [x for x in slice_ if step(x) < x]
     a, b = pick(falling, lambda a, b: a != b and weight(a) == weight(b))
@@ -281,7 +281,7 @@ def test_an_involution_fault_moving_embedded_points_fails_the_kernel(monkeypatch
     # the embedded count, is what fails it.
     n, k, cap = 3, 2, 20
     monkeypatch.setattr(andrews12, "_involution_rule",
-                        faulty(toggles_two)(andrews12._involution_rule))
+                        in_rule_form(faulty(toggles_two))(andrews12._involution_rule))
     results = kernel_results(monkeypatch, andrews12, "_stream_involution")
     streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
     assert results == [None]
@@ -411,7 +411,8 @@ def test_andrews_phi_inverse_is_two_sided():
         for k in range(n - 1):
             for cap in range(0, 31, 3):
                 lay = andrews12._layout(n, cap)
-                step, (back, read) = andrews12._phi_rule(n, k, lay), andrews12._phi_back(n, k, lay)
+                step = andrews12._step("phi", n, k, lay)
+                back, read = andrews12._phi_back(n, k, lay)
                 inverse = lambda y: y - back[y & read]  # as stream_bijection reads it
                 domain = (n, k, 0), (n - 1, k - 1, 2 * n - 1)
                 codomain = (n - 1, k - 1, 0), (n - 2, k, 2 * n - 3)
@@ -606,7 +607,10 @@ def run_child(code, timeout=60):
     return done.stdout
 
 
-LOSE_A_TWO = """
+LOSE_A_TWO = f"""
+    import sys
+    sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+    from bare_failure_path import in_rule_form
     from qtelescope import andrews12, macmahon
 
     def lose_a_two(true_rule):  # a fixed point loses one mu part 2
@@ -622,7 +626,7 @@ LOSE_A_TWO = """
 
 
 @pytest.mark.parametrize("patch, call", [
-    ("andrews12._involution_rule = lose_a_two(andrews12._involution_rule)",
+    ("andrews12._involution_rule = in_rule_form(lose_a_two)(andrews12._involution_rule)",
      "andrews12.involution_certificate(3, 2, 20)"),
     ("macmahon._step_rule = lose_a_two(macmahon._step_rule)",
      "macmahon.phi_certificate(2, 2, 0)"),
