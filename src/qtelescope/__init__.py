@@ -7,7 +7,7 @@ The package is organized bottom-up:
                 a capped LaurentPoly
     partitions  partition objects (zero parts allowed) and EvenField, the
                 packed even partition mu of both families, which
-                enumerates the even ones
+                walks MacMahon's boxes
     telescope   generic bijection and telescoping checkers:
                 stream_bijection, the one streaming bijection kernel of
                 both families, and the set-based check, its failure-path

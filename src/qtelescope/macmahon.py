@@ -23,9 +23,10 @@ slice.  Summing over k telescopes h away and yields the two recurrences.
 
 The two paths see the boxes differently.  The bijection path (the step
 certificates and cancelation) runs on a packed form, one int per pair (see
-_Layout; mu is a partitions.EvenField): mu's packed enumerator walks each
-box one int at a time and generates a boundary slice from its first part,
-and _box_size counts either by its leaves; membership is one AND-and-compare
+_Layout; mu is a partitions.EvenField): one helper, _groups, walks each
+box, or its boundary slice generated from its first part, as groups of
+ints, which _enum_packed flattens, and _box_size counts either by
+partitions.box_size; membership is one AND-and-compare
 plus a length bound, and each step map is one closure (_step_rule) that
 reads both boxes' masks and the boundary's inline and whose moving case
 is a constant shift.  The cancelation's direct map is a walk on ints: a
@@ -35,7 +36,7 @@ field; where the walk runs out of budget, it raises
 IterationBudgetExceeded.no_landing.  The step and cancelation
 certificates stream in the one bijection kernel,
 telescope.stream_bijection (_bijection_certificate): one pass over the
-domain's EvenField chunks against the map's inverse, which takes a marked
+domain's _groups against the map's inverse, which takes a marked
 pair's shift back, with the codomain counted and tested by masks, both
 tables indexed by an image's flag and side field, and the weights read
 off the fields by _reader, whose head folds side, flag and marker into
@@ -73,11 +74,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
-from math import comb
 from operator import lshift
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .partitions import EvenField, Memo, Partition
+from .partitions import EvenField, Memo, Partition, box_size
 from .qalgebra import Kronecker, factor_product, gaussian_row
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
                         WeightKey, certify, check_graded_bijection,
@@ -209,26 +209,32 @@ def _edge(bound: int, lay: _Layout) -> tuple[int, int, int]:
     return lay.field << lay.length, 0, 0
 
 
+def _groups(walks: Iterable[tuple[Box, bool]],
+            lay: _Layout) -> Iterator[tuple[int, list[int]]]:
+    """The pairs of the walks (box, edge), packed at `lay`: each box (with
+    `edge`, its boundary slice) as mu's EvenField.chunks walks it, with
+    the side field added to each head."""
+    row = 1 << lay.length
+    for (side, bound, slots), edge in walks:
+        base = side - lay.lo << _SIDE
+        for head, tails in lay.mu.chunks(bound, slots, row, edge):
+            yield base + head, tails
+
+
 def _enum_packed(box: Box, lay: _Layout, edge: bool = False) -> Iterator[int]:
-    """All pairs of the box, packed at `lay`, one at a time, in
-    lexicographic order of mu's parts (each partition before its
-    extensions); with `edge`, its boundary slice only, generated from its
-    first part.  No Partition is built."""
-    side, bound, slots = box
-    base = side - lay.lo << _SIDE
-    return (base + t for t in lay.mu.iter(bound, slots, bound * slots,
-                                          1 << lay.length, edge))
+    """All pairs of the box (or its boundary slice), packed at `lay`, one
+    at a time: _groups flattened."""
+    return (head + t for head, tails in _groups([(box, edge)], lay) for t in tails)
 
 
 def _box_size(box: Box, edge: bool = False) -> int:
-    """The number of pairs _enum_packed yields, its leaves: the multisets
-    of `slots` parts from 0, 2, .., bound, C(bound/2 + slots, slots).  A
+    """The number of pairs _enum_packed yields, partitions.box_size.  A
     boundary slice is the box with one slot fewer, the first part being
     the bound, or at bound 0 the box itself, its empty mu alone."""
     _side, bound, slots = box
     if edge and bound:
         slots -= 1
-    return comb(bound // 2 + slots, slots) if min(bound, slots) >= 0 else 0
+    return box_size(bound, slots)
 
 
 def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
@@ -352,24 +358,21 @@ def _bijection_certificate(step: Callable[[int], int], walks: list[tuple[Box, bo
                            codomain: list[tuple[Box, int]], shifts: list[int],
                            lay: _Layout, check: str, params: dict) -> Certificate:
     """The bijection check of a packed map from the domain's walks (box,
-    edge), each a box (or with `edge` its boundary) walked in
-    EvenField.chunks as _enum_packed walks it, to the codomain's walks
-    (box, flag), streamed in telescope.stream_bijection.  An image's flag
-    and side field index both the codomain's _codomain_table and the
-    inverse: a marked y less shifts[its side field], any other y itself.
+    edge), their _groups streamed in telescope.stream_bijection, to the
+    codomain's walks (box, flag).  An image's flag and side field index
+    both the codomain's _codomain_table and the inverse: a marked y less
+    shifts[its side field], any other y itself.
     Where the stream fails, the set-based check_graded_bijection reruns on
     fresh lists of both sides, weighs the decoded pairs with weight_of and
     names the counterexample."""
     started = time.monotonic()
-    field, row = lay.field, 1 << lay.length
+    field = lay.field
     flag_side = _MARKED | field << _SIDE
     # split mu's fields in the middle of the largest walk's parts
     widest = max(walks, key=lambda walk: _box_size(*walk))[0]
-    groups = ((head + (side - lay.lo << _SIDE), tails)
-              for (side, bound, slots), edge in walks
-              for head, tails in lay.mu.chunks(bound, slots, bound * slots, row, edge))
     size = stream_bijection(
-        groups, step, (_codomain_table(codomain, lay), flag_side, field << lay.length),
+        _groups(walks, lay), step,
+        (_codomain_table(codomain, lay), flag_side, field << lay.length),
         ([back for shift in shifts[:field + 1] for back in (0, shift)], flag_side),
         _reader(lay, widest[1]), sum(_box_size(box) for box, _ in codomain))
     if size is not None:

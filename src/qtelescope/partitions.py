@@ -3,20 +3,21 @@ form of an even-part partition that both families carry.
 
 Zero parts are first-class: (0) and the empty partition are different
 objects, and staircases always end in a zero part when nonempty.  Even
-partitions are enumerated on their packed form only, by one recursion
-that yields in lexicographic order of the part tuple, so its list needs
-no sort and downstream certificates are byte-stable; it prunes a branch
-once it passes the weight cap, and it streams (EvenField.chunks and
-iter).  andrews12 builds its own slices' factors packed (_factors).
-Memo is the one cache of a function's values per layout: the kernels'
-weight reads, the decoders and the rules' first-match tables are each a
-subscript of one (the enumerator's recursion keeps its own memos of
-counts and tails).
+partitions in a box, largest part <= bound and at most `slots` parts,
+are walked on their packed form only (EvenField.chunks, MacMahon's
+boxes), by one recursion that yields in lexicographic order of the part
+tuple, so its list needs no sort and downstream certificates are
+byte-stable; box_size counts a box.  andrews12 builds its own slices'
+factors packed (_factors).  Memo is the one cache of a function's values
+per layout: the kernels' weight reads, the decoders and the rules'
+first-match tables are each a subscript of one (the walk keeps its own
+memo of tails).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterator, Optional
 
 
@@ -85,6 +86,13 @@ def staircase(r: int) -> Partition:
 CHUNK = 512  # the longest tail list a streaming walk keeps
 
 
+def box_size(bound: int, slots: int) -> int:
+    """The number of even partitions with largest part <= bound and at
+    most `slots` parts, the multisets of `slots` parts from 0, 2, ..,
+    bound: C(bound/2 + slots, slots); 0 when either is negative."""
+    return comb(bound // 2 + slots, slots) if min(bound, slots) >= 0 else 0
+
+
 class Memo(dict):
     """fn's values, each computed once: memo[x] is fn(x), and an exception
     fn raises propagates uncached.  A subscript of one costs less than a
@@ -108,19 +116,16 @@ class EvenField:
     those fields shifted down: equal mus decode to one shared Partition.
     A negative int packs no partition; both give None for it.
 
-    `chunks` (and `iter`, built on it) is one recursion over the first
-    part, memoised on (largest part, parts left, weight left).  It keeps
-    only tail lists of at most CHUNK elements and walks the parts above
-    them, so it holds no whole box; the subtree counts that decide where a
-    list starts depend on nothing else, so they are kept once per field
-    and serve every box.
+    `chunks` walks a box by one recursion over the first part.  It keeps
+    only tail lists of at most CHUNK elements, memoised on (largest part,
+    parts left) for one walk, and walks the parts above them, so it holds
+    no whole box; box_size decides where a list starts.
     """
 
-    __slots__ = ("at", "width", "decode", "_counts")
+    __slots__ = ("at", "width", "decode")
 
     def __init__(self, at: int, width: int):
         self.at, self.width = at, width
-        self._counts: dict[tuple[int, int, int], int] = {}
         field = (1 << width) - 1
 
         def decode(mults: int) -> Optional[Partition]:
@@ -164,68 +169,39 @@ class EvenField:
         """Even parts >= 2, packed; each multiplicity must fit its field."""
         return sum(map(self.unit, parts))
 
-    def iter(self, bound: int, slots: int, cap: int, row: int = 0,
-             edge: bool = False) -> Iterator[int]:
-        """Every even-part partition with largest part <= bound, at most
-        `slots` parts and weight <= cap, packed, with `row` added once per
-        part, one at a time, in lexicographic order of the part tuple;
-        with `edge`, only those whose largest part is `bound` (the empty
+    def chunks(self, bound: int, slots: int, row: int = 0,
+               edge: bool = False) -> Iterator[tuple[int, list[int]]]:
+        """Every even-part partition with largest part <= bound and at most
+        `slots` parts, packed, with `row` added once per part, in
+        lexicographic order of the part tuple, as (head, tails) pairs: the
+        sums head + t for t in tails, a list of at most CHUNK ints; with
+        `edge`, only those whose largest part is `bound` (the empty
         partition's reads as 0), generated from that first part.  No
         Partition is built."""
-        for head, tails in self.chunks(bound, slots, cap, row, edge):
-            for t in tails:
-                yield head + t
-
-    def chunks(self, bound: int, slots: int, cap: int, row: int = 0,
-               edge: bool = False) -> Iterator[tuple[int, list[int]]]:
-        """`iter`'s partitions as (head, tails) pairs, in order: the sums
-        head + t for t in tails, a list of at most CHUNK ints."""
         head = 0
         if edge and bound > 0:  # the first part is the bound
-            head, slots, cap = row + self.unit(bound), slots - 1, cap - bound
-        if min(bound, slots, cap) < 0:
+            head, slots = row + self.unit(bound), slots - 1
+        if min(bound, slots) < 0:
             return iter(())
-        return self._chunks({}, row, head, bound, slots, cap)
+        return self._chunks({}, row, head, bound, slots)
 
-    @staticmethod
-    def _key(limit: int, room: int, budget: int) -> tuple[int, int, int]:
-        # one key per set: at most budget // 2 parts fit, and `room` parts
-        # <= limit weigh at most limit * room
-        room = min(room, budget // 2)
-        return limit, room, min(budget, limit * room)
-
-    def _count(self, limit: int, room: int, budget: int) -> int:
-        key = self._key(limit, room, budget)
-        out = self._counts.get(key)
+    def _tails(self, memo: dict, row: int, limit: int, room: int) -> list[int]:
+        out = memo.get((limit, room))
         if out is None:
-            limit, room, budget = key
-            out = self._counts[key] = 1 + sum(
-                self._count(part, room - 1, budget - part)
-                for part in range(2, min(limit, budget) + 1, 2))
-        return out
-
-    def _tails(self, memo: dict, row: int, limit: int, room: int,
-               budget: int) -> list[int]:
-        key = self._key(limit, room, budget)
-        out = memo.get(key)
-        if out is None:
-            limit, room, budget = key
-            out = memo[key] = [0]
-            for part in range(2, min(limit, budget) + 1, 2):
+            out = memo[limit, room] = [0]
+            for part in range(2, limit + 1, 2) if room else ():
                 head = row + self.unit(part)
-                out += [head + t for t in self._tails(memo, row, part, room - 1,
-                                                      budget - part)]
+                out += [head + t for t in self._tails(memo, row, part, room - 1)]
         return out
 
-    def _chunks(self, lists: dict, row: int, head: int, limit: int, room: int,
-                budget: int) -> Iterator[tuple[int, list[int]]]:
+    def _chunks(self, lists: dict, row: int, head: int, limit: int,
+                room: int) -> Iterator[tuple[int, list[int]]]:
         """(head, tails) pairs whose sums head + t are the walk's elements in
         order: a subtree of at most CHUNK elements is one memoised list."""
-        if self._count(limit, room, budget) <= CHUNK:
-            yield head, self._tails(lists, row, limit, room, budget)
+        if box_size(limit, room) <= CHUNK:
+            yield head, self._tails(lists, row, limit, room)
             return
-        limit, room, budget = self._key(limit, room, budget)
         yield head, [0]
-        for part in range(2, min(limit, budget) + 1, 2):
+        for part in range(2, limit + 1, 2):
             yield from self._chunks(lists, row, head + row + self.unit(part),
-                                    part, room - 1, budget - part)
+                                    part, room - 1)

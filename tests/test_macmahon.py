@@ -307,7 +307,7 @@ def test_verify_builds_no_pair(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sum path enumerated objects")
 
-    monkeypatch.setattr(EvenField, "iter", refuse)  # the packed path's enumerator
+    monkeypatch.setattr(EvenField, "chunks", refuse)  # the packed path's walker
     for name in ("_enum_packed", "enum_P", "_enum_box"):
         monkeypatch.setattr(mac, name, refuse)
     for n in range(5):
@@ -465,9 +465,9 @@ def test_step_certificates_enumerate_each_box_once(monkeypatch):
     walked = []
     true_chunks = EvenField.chunks
 
-    def counted(self, bound, slots, cap, row=0, edge=False):
+    def counted(self, bound, slots, row=0, edge=False):
         walked.append((bound, slots, edge))
-        return true_chunks(self, bound, slots, cap, row, edge)
+        return true_chunks(self, bound, slots, row, edge)
 
     monkeypatch.setattr(EvenField, "chunks", counted)
     for certificate, (box, neighbour, _marker) in (

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from qtelescope.partitions import EMPTY, EvenField, Partition, staircase
+from qtelescope.partitions import CHUNK, EMPTY, EvenField, Partition, box_size, staircase
 from qtelescope.qalgebra import LaurentPoly, gaussian_binomial
 
 from partition_edits import (drop_first, drop_first_rows, replace_part, with_part,
@@ -234,37 +234,32 @@ def decoded(field, packed):
     return [field.decode[x >> field.at] for x in packed]
 
 
+def walked(field, *box):
+    """The ints of field.chunks(*box), flattened."""
+    return [head + t for head, tails in field.chunks(*box) for t in tails]
+
+
 @pytest.mark.parametrize("at, width", FIELDS)
 def test_packed_enumerator_is_the_bounded_reference(at, width):
     field = EvenField(at, width)
     for bound in range(0, 11, 2):
         for slots in range(2 ** width):
-            packed = list(field.iter(bound, slots, bound * slots))
+            packed = walked(field, bound, slots)
             assert decoded(field, packed) == enum_even_bounded(bound, slots), \
                 (bound, slots)
-    assert list(field.iter(-2, 3, 6)) == list(field.iter(4, -1, 0)) == []
+    assert walked(field, -2, 3) == walked(field, 4, -1) == []
 
 
-@pytest.mark.parametrize("at, width", FIELDS)
-def test_packed_enumerator_is_the_capped_reference(at, width):
-    field = EvenField(at, width)
-    for bound in range(0, 11, 2):
-        for cap in range(-3, 2 * (2 ** width - 1) + 1):
-            packed = list(field.iter(bound, max(cap, 0) // 2, cap))
-            assert decoded(field, packed) == enum_even_capped(bound, cap), (bound, cap)
-
-
-def test_packed_enumerator_with_all_three_bounds_and_a_row():
+def test_packed_enumerator_with_both_bounds_and_a_row():
     # row counts the parts in the bits below the field, as a length field does
     at, row = 4, 1
     field = EvenField(at, 3)
     for bound in (0, 2, 6):
         for slots in range(4):
-            for cap in range(-1, 16):
-                packed = list(field.iter(bound, slots, cap, row))
-                want = [mu for mu in enum_even_bounded(bound, slots) if mu.weight <= cap]
-                assert decoded(field, packed) == want, (bound, slots, cap)
-                assert [x & (1 << at) - 1 for x in packed] == [mu.length for mu in want]
+            packed = walked(field, bound, slots, row)
+            want = enum_even_bounded(bound, slots)
+            assert decoded(field, packed) == want, (bound, slots)
+            assert [x & (1 << at) - 1 for x in packed] == [mu.length for mu in want]
 
 
 @pytest.mark.parametrize("at, width", FIELDS)
@@ -289,35 +284,23 @@ def test_streaming_enumerator_is_the_list(at, width):
     field, row = EvenField(at, width), 1 if at else 0
     for bound in range(-2, 11, 2):
         for slots in range(-1, 2 ** width):
-            for cap in (-1, 0, 7, bound * slots):
-                packed = list(field.iter(bound, slots, cap, row))
-                edge = [x for x in packed if field.decode[x >> at].first == max(bound, 0)]
-                assert list(field.iter(bound, slots, cap, row, edge=True)) == edge, \
-                    (bound, slots, cap)
+            packed = walked(field, bound, slots, row)
+            edge = [x for x in packed if field.decode[x >> at].first == max(bound, 0)]
+            assert walked(field, bound, slots, row, True) == edge, (bound, slots)
 
 
-def test_count_memo_serves_every_box_of_a_field(monkeypatch):
-    # The subtree counts that decide where a chunk starts depend on (largest
-    # part, parts left, weight left) alone, so one memo per field serves
-    # every box: walking the boxes again counts nothing anew.
-    field = EvenField(3, 4)
-    boxes = [(bound, slots, edge) for bound in range(0, 15, 2) for slots in range(8)
-             for edge in (False, True)]
-
-    def walk():
-        return [list(field.chunks(bound, slots, bound * slots, 1, edge))
-                for bound, slots, edge in boxes]
-
-    first, computed, true_count = walk(), 0, EvenField._count
-
-    def counted(self, *key):
-        nonlocal computed
-        computed += self._key(*key) not in self._counts
-        return true_count(self, *key)
-
-    monkeypatch.setattr(EvenField, "_count", counted)
-    assert walk() == first
-    assert computed == 0 and field._counts
+@pytest.mark.parametrize("edge", [False, True])
+@pytest.mark.parametrize("at, width", FIELDS)
+def test_chunks_hold_the_box_size_in_lists_of_at_most_CHUNK(at, width, edge):
+    # box_size both sizes a box and decides where a tail list starts; boxes
+    # up to bound 14 reach past CHUNK (C(7 + 15, 15) = 170,544 at width 4).
+    field = EvenField(at, width)
+    for bound in range(0, 15, 2):
+        for slots in range(2 ** width):
+            lists = [tails for _head, tails in field.chunks(bound, slots, 1, edge)]
+            assert sum(map(len, lists)) == box_size(
+                bound, slots - 1 if edge and bound else slots), (bound, slots)
+            assert max(map(len, lists), default=0) <= CHUNK, (bound, slots)
 
 
 def test_decode_and_weight_are_total_on_ints():
