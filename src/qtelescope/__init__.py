@@ -9,9 +9,9 @@ The package is organized bottom-up:
                 packed even partition mu of both families, which
                 walks MacMahon's boxes
     telescope   generic bijection and telescoping checkers:
-                stream_bijection, the one streaming bijection kernel of
-                both families, and the set-based check, its failure-path
-                oracle; the (sign, z, q) weight key weight_of, and
+                stream_bijection, MacMahon's streaming bijection kernel,
+                and the set-based check, the failure-path oracle of both
+                families; the (sign, z, q) weight key weight_of, and
                 certify, which makes every Certificate
     macmahon    the square-plus-even-partition families, the step maps
                 phi and psi and the cancelation's direct map, their
@@ -19,8 +19,9 @@ The package is organized bottom-up:
                 verify_macmahon: the per-index telescoping check on one
                 enumeration per box, the lower family off its boundary
     andrews12   the staircase triples, the index rule, classification,
-                bijection (on the streaming kernel), involutions (with a
-                kernel of their own), sum checks and orbit tracing
+                bijection and involutions (each certified once per class
+                of the bits its checks read), sum checks and orbit
+                tracing
     cli         command-line driver and text diagram rendering
 
 Every check is exhaustive over finite or weight-capped slices and returns

@@ -29,10 +29,11 @@ count, lam as a bitmask and mu as a partitions.EvenField (see _Layout).
 A slice is a tuple of parts (n, k, marker), each marker-`marker` copies
 of P(n,k): P(n,k) itself is ((n, k, 0),), and _domain, _codomain and
 _embedded state each side of each map once.  One grouped walk (_groups),
-one enumerator (_enum_packed) and one counter (_count_packed) take a
-slice, each from its parts' factors, lam and mu built packed with no
-Partition (_factors); _slice_masks states its membership, one mask pair
-per part, and _slice_table reads those pairs by the marker field.
+one enumerator (_enum_packed), one counter (_count_packed) and one class
+counter (_count_classes) take a slice, each from its parts' factors, lam
+and mu built packed with no Partition (_factors); _slice_masks states
+its membership, one mask pair per part, and _slice_table reads those
+pairs by the marker field.
 Each map is one ordered table of cases (_phi_table, _involution_table):
 a row holds the case, a guard x & mask == value and a constant shift of
 the int; phi's rows add the image class and its guard.  Each guard holds
@@ -43,24 +44,25 @@ KeyError where no guard passes), phi's inverse (_phi_back: image guard,
 then - shift) and the class that classify reports.  _step turns a rule
 into a call, which raises ValueError outside the domain.
 The certificates run end to end on packed ints and decode an element to
-a Triple / MarkedObject only for a counterexample.  phi's streams in the
-one bijection kernel, telescope.stream_bijection, over _groups without
-the weight, against phi's _step, _phi_back and the codomain's
-_slice_table; the involution's streams in its own kernel for its own
-laws (_stream_involution), which reads its rule inline.  Neither holds an
-element, and both read an element's weight and sign off its fields
-through one reader (_reader).  Where a kernel fails, the
+a Triple / MarkedObject only for a counterexample.  Each is checked once
+per class of the bits its checks read, R (_reads): the slice's elements
+are counted by x & R from its factors, with no element built, and each
+class is checked on one int, phi's bijection laws in _phi_by_class and
+the involution's laws in _involution_by_class, with the rule, its
+inverse and the membership masks read off the class and its image, and
+weight and sign through one reader (_key).  Where a kernel fails, the
 set-based check (check_graded_bijection, _involution_failure) reruns as
-the oracle, weighs the decoded elements with weight_of and names the
+the oracle on the enumerated slice, against the rule as a call (_step),
+weighs the decoded elements with weight_of and names the
 counterexample; a negative int, which no rule of a sound map yields, is
 shown as {"packed": x}.  The public functions take and return Triples:
 they check the input's shape, encode it, run the packed rule and decode
 the result.  The public maps phi and involution share one input check:
 the index rule, then the rule's own refusal of an element outside their
 common domain (_step).  classify answers only where the index rule
-names phi.  The involution certificate tests each image's membership
-once, before the rule takes it back.  The decoders' parts, the
-first-match tables and the weight reads are each cached per layout in a
+names phi.  The involution certificate tests each rising class's image
+for membership once, before the rule takes it back.  The decoders'
+parts and the first-match tables are each cached per layout in a
 partitions.Memo.
 """
 
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -77,8 +80,7 @@ from typing import Callable, Iterator, Optional, Union
 from .partitions import EvenField, Memo, Partition, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
-                        WeightKey, certify, check_graded_bijection,
-                        stream_bijection, weight_of)
+                        WeightKey, certify, check_graded_bijection, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,21 +166,18 @@ def _layout(n: int, cap: int) -> _Layout:
     return _Layout(max(cap, 2 * n, 0))
 
 
-def _reader(lay: _Layout, k: int) -> tuple:
-    """(below, head, at, mask, split, low, high, 1): the kernels' one read
-    of a packed x's signed weight as weight << 1 | parity of lam's length,
-    that is head[x & below] + (low[mu & mask] + high[mu >> split] << 1)
-    with mu = x >> at (see telescope.stream_bijection).  head, a Memo,
-    reads the marker, C(rows, 2) and lam's weight and parity off the bits
-    below mu; mu's weight comes in EvenField.halves(2k)."""
-    field, rows_at, lam_at = lay.field, lay.rows, lay.lam
+def _key(lay: _Layout) -> Callable[[int], int]:
+    """The kernels' one read of a packed x's signed weight, off its fields,
+    as the int weight << 1 | parity of lam's length: the marker, C(rows,
+    2), lam's parts and mu's (EvenField.weight)."""
+    field, rows_at, lam_at, lam_field = lay.field, lay.rows, lay.lam, lay.lam_field
 
-    def head(bits: int) -> int:
-        rows, lam = bits >> rows_at & field, bits >> lam_at
-        weight = (bits & field) + rows * (rows - 1) // 2 + sum(
-            p for p in range(lam.bit_length()) if lam >> p & 1)
+    def key(x: int) -> int:
+        rows, lam = x >> rows_at & field, (x & lam_field) >> lam_at
+        weight = ((x & field) + rows * (rows - 1) // 2 + lay.mu.weight(x >> lay.mu.at)
+                  + sum(p for p in range(lam.bit_length()) if lam >> p & 1))
         return weight << 1 | lam.bit_count() & 1
-    return ((1 << lay.mu.at) - 1, Memo(head), lay.mu.at, *lay.mu.halves(2 * k), 1)
+    return key
 
 
 def _encode(x: TripleValue, lay: _Layout) -> Optional[int]:
@@ -273,17 +272,16 @@ def _slice_masks(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int]]
     return masks
 
 
-def _slice_table(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int, int]]:
+def _slice_table(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int]]:
     """The slice `parts`' membership, indexed by the marker field: a packed
     x is in the slice, with no weight cap, iff x & forbidden == expected
-    for (forbidden, expected, limit) = table[x & lay.field].  Each part's
+    for (forbidden, expected) = table[x & lay.field].  Each part's
     _slice_masks pair sits at its marker (a slice's markers are distinct;
-    an empty part's _NEVER, even at marker -1, changes nothing), with limit
-    0 for stream_bijection, which reads no length field here; every other
-    entry passes no int."""
-    table = [(*_NEVER, 0)] * (lay.field + 1)
+    an empty part's _NEVER, even at marker -1, changes nothing); every
+    other entry is _NEVER."""
+    table = [_NEVER] * (lay.field + 1)
     for (_, _, marker), masks in zip(parts, _slice_masks(parts, lay)):
-        table[marker] = (*masks, 0)
+        table[marker] = masks
     return table
 
 
@@ -321,16 +319,15 @@ def _factors(n: int, k: int, cap: int, lay: _Layout):
 
 
 def _groups(parts: tuple[Part, ...], cap: int,
-            lay: _Layout) -> Iterator[tuple[int, int, list[int]]]:
+            lay: _Layout) -> Iterator[tuple[int, list[int]]]:
     """The elements of the slice `parts` with total weight <= cap, packed
-    at `lay`, in certificate order, as nonempty groups (head, weight, mus):
-    the elements head + mu for mu in mus, all of total weight `weight`,
-    the marker included.  The parts come in order; a head is the marker
-    plus lam packed alone, each mu is packed with the row count."""
+    at `lay`, in certificate order, as nonempty groups (head, mus): the
+    elements head + mu for mu in mus, all of one total weight.  The parts
+    come in order; a head is the marker plus lam packed alone, each mu is
+    packed with the row count."""
     for n, k, marker in parts:
         lams, mus_by_weight = _factors(n, k, cap - marker, lay)
-        base = marker + (n - k) * (n - k - 1) // 2  # the marker and tau's weight
-        yield from ((lam + marker, base + grade, mus_by_weight[grade - weight])
+        yield from ((lam + marker, mus_by_weight[grade - weight])
                     for grade in range(len(mus_by_weight)) for weight, lam in lams
                     if weight <= grade and mus_by_weight[grade - weight])
 
@@ -343,7 +340,30 @@ def _enum_packed(parts: tuple[Part, ...], cap: int, lay: _Layout) -> Iterator[in
     Built grade by grade from the capped enumerators, mu packed and grouped
     by weight once, so nothing over the cap is built and nothing is sorted.
     """
-    return (head + mu for head, _, mus in _groups(parts, cap, lay) for mu in mus)
+    return (head + mu for head, mus in _groups(parts, cap, lay) for mu in mus)
+
+
+def _count_classes(parts: tuple[Part, ...], cap: int, lay: _Layout, reads: int) -> Counter:
+    """How many elements _enum_packed yields in each class x & reads,
+    counted from each part's factors without pairing them.  A head and a
+    mu use disjoint bits, so (head + mu) & reads == head & reads | mu &
+    reads: the mus are classed once, into running counts by weight, and
+    the heads of lam weight w take the counts of the mus of weight <=
+    budget - w."""
+    classes = Counter()
+    for n, k, marker in parts:
+        lams, mus_by_weight = _factors(n, k, cap - marker, lay)
+        heads = [[] for _ in mus_by_weight]  # by the mu weight left
+        for (weight, head), count in Counter((weight, lam + marker & reads)
+                                             for weight, lam in lams).items():
+            heads[-1 - weight].append((head, count))
+        mus = Counter()  # the classes of the mus met so far
+        for by_weight, by_head in zip(mus_by_weight, heads):
+            mus.update(map(reads.__and__, by_weight))
+            for head, count in by_head:
+                for mu, times in mus.items():
+                    classes[head | mu] += count * times
+    return classes
 
 
 def _count_packed(parts: tuple[Part, ...], cap: int, lay: _Layout) -> int:
@@ -452,6 +472,23 @@ def _rule(rows, lay: _Layout) -> tuple[Memo, int]:
     span up."""
     shifts, read = _first_match(rows)
     return shifts, read & lay.span - 1
+
+
+def _reads(lay: _Layout, *masks: int) -> int:
+    """R, the bits that a class kernel's checks read: the union of `masks`
+    (the rule's read, its inverse's, each membership mask) with the marker
+    field, which indexes _slice_table, and the row-count field, whose
+    C(rows, 2) is the one part of the weight that does not add across
+    bits, narrowed below lay.span.  Every other bit of an element adds its
+    part to the weight and to lam's parity and is read by nothing else.
+
+    So where a shift moves a class c = x & R to d = c + shift with no
+    carry out of R, d & ~R == 0 (which a negative d fails), every x of the
+    class goes to (x & ~R) | d, and each check on the image reads d alike
+    for the whole class: membership, the inverse's shift, and the weight
+    and sign change, since the bits f outside R add the same to _key's
+    weight and flip lam's parity alike in c | f and in d | f."""
+    return reduce(or_, masks, lay.field | lay.field << lay.rows) & lay.span - 1
 
 
 def _phi_rule(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
@@ -624,29 +661,53 @@ def phi_certificate(n: int, k: int, cap: int) -> Certificate:
     """Exhaustive weight-graded bijection check of phi on a capped slice,
     run on the packed form.
 
-    The check streams in telescope.stream_bijection: the domain slice in
-    _groups against phi's _step, which refuses any element outside its
-    domain, the inverse _phi_back, the codomain's _slice_table and its
-    count, and _reader.  The codomain masks ignore the cap, which the kept
-    weight enforces.  Where the stream fails, the set-based
-    check_graded_bijection reruns on both slices, weighs the decoded
-    elements with weight_of and names the counterexample."""
+    The check runs once per class of the bits it reads (_phi_by_class).
+    Where that fails, the set-based check_graded_bijection reruns on both
+    slices, against phi's _step, which refuses any element outside its
+    domain, weighs the decoded elements with weight_of and names the
+    counterexample."""
     started = time.monotonic()
     _require_map("phi", n, k)
     lay = _layout(n, cap)
     params = {"n": n, "k": k}
-    step = _step("phi", n, k, lay)
-    size = stream_bijection(
-        ((head, mus) for head, _, mus in _groups(_domain(n, k), cap, lay)), step,
-        (_slice_table(_codomain(n, k), lay), lay.field, 0), _phi_back(n, k, lay),
-        _reader(lay, k), _count_packed(_codomain(n, k), cap, lay))
+    size = _phi_by_class(n, k, cap, lay)
     if size is not None:
         return certify("andrews-phi", params, started, cap=cap, domain_size=size,
                        codomain_size=size)
     return check_graded_bijection(
-        step, _enum_packed(_domain(n, k), cap, lay),
+        _step("phi", n, k, lay), _enum_packed(_domain(n, k), cap, lay),
         _enum_packed(_codomain(n, k), cap, lay), cap=cap, check="andrews-phi",
         params=params, present=_decoder(lay))
+
+
+def _phi_by_class(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
+    """The domain slice's size where phi is a weight-preserving bijection
+    onto the capped codomain; None where any check fails.
+
+    The checks run once per class c = x & R of the slice (_reads: phi's
+    read, its inverse's and the codomain's masks), on d = c + shifts[c &
+    read] (_phi_rule): no carry out of R; d in the codomain (one read of
+    its _slice_table); the inverse takes d back to c (_phi_back); and d
+    has c's weight and sign (_key).  Then each x of the class goes into
+    the codomain with its weight and back to x, so phi is injective from
+    the slice into the capped codomain, and onto it where the slice's
+    size, nonzero, is the codomain's count."""
+    shifts, read = _phi_rule(n, k, lay)
+    back, back_read = _phi_back(n, k, lay)
+    table, field, key = _slice_table(_codomain(n, k), lay), lay.field, _key(lay)
+    reads = _reads(lay, read, back_read, *(forbidden for forbidden, _ in table))
+    size = 0
+    try:
+        for c, count in _count_classes(_domain(n, k), cap, lay, reads).items():
+            d = c + shifts[c & read]
+            forbidden, expected = table[d & field]
+            if (d & ~reads or d & forbidden != expected
+                    or d - back[d & back_read] != c or key(d) != key(c)):
+                return None
+            size += count
+    except KeyError:
+        return None
+    return size if size and size == _count_packed(_codomain(n, k), cap, lay) else None
 
 
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
@@ -658,14 +719,14 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
     the embedded copy of P(n-1,k-1).  An empty slice would verify
     vacuously, so it raises ValueError.
 
-    The check streams (_stream_involution): one pass over the slice that
-    keeps only counters.  Where that fails, the set-based
+    The check runs once per class of the bits it reads
+    (_involution_by_class).  Where that fails, the set-based
     _involution_failure reruns on the slice and names the counterexample.
     """
     started = time.monotonic()
     _require_map("involution", n, k)
     lay = _layout(n, cap)
-    sizes = _stream_involution(n, k, cap, lay)
+    sizes = _involution_by_class(n, k, cap, lay)
     if sizes is not None:
         return certify("andrews-involution", {"n": n, "k": k}, started, cap=cap,
                        domain_size=sizes[0], codomain_size=sizes[1])
@@ -679,56 +740,46 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
                    cap=cap, domain_size=len(slice_), codomain_size=len(embedded))
 
 
-def _stream_involution(n: int, k: int, cap: int, lay: _Layout) -> Optional[tuple[int, int]]:
+def _involution_by_class(n: int, k: int, cap: int,
+                         lay: _Layout) -> Optional[tuple[int, int]]:
     """(slice size, fixed count) where the involution laws hold on the
-    capped slice, checked in one flat pass that holds no element; None
-    where any check fails.
+    capped slice; None where any check fails.
 
-    The domain slice is walked in _groups, each group one lam and one
-    total weight.  The rule is read inline, as stream_bijection reads its
-    inverse: x's image is y = x + shifts[x & read] of _involution_rule,
-    and a KeyError (x outside the domain) returns None, so that the oracle
-    reruns and raises.  A fixed x (y == x) must pass the masks of
-    _embedded, P(n-1,k-1), and the fixed count must equal _embedded's
-    count, _count_packed.  Every capped element of P(n-1,k-1) is in the
-    slice, so together these make the fixed set exactly the embedded one:
-    an embedded x that moves leaves the count short.  Only a rising x (x <
-    y) is checked further: y is in the domain (one read of _slice_table by
-    y's marker), the rule takes y back to x, and y has x's weight and the
-    other sign.  That suffices.  Let R be the rising elements and F the
-    falling ones.  The rule is injective on R and maps it into F: each
-    image is in the slice (masks and weight) and falls to its element.
-    With |R| = |F|, counted as 2|R| + fixed == size, it maps R onto F, so
-    each falling x is the image of an r whose pair was checked.  y's weight
-    and sign are read by _reader, as stream_bijection reads them, as one
-    int against the group's weight << 1 | the other parity.
-    """
+    The checks run once per class c = x & R of the slice (_reads: the
+    rule's read, the domain's masks and the embedded ones), by its shift
+    s = shifts[c & read] (_involution_rule).  A fixed class (s == 0) must
+    pass the masks of _embedded, P(n-1,k-1), and the fixed count must
+    equal _embedded's count.  Every capped element of P(n-1,k-1) is in
+    the slice, so together these make the fixed set exactly the embedded
+    one: an embedded x that moves leaves the count short.  Only a rising
+    class (s > 0) is checked further, on d = c + s: no carry out of R; d
+    in the domain (one read of its _slice_table); the rule takes d back
+    to c (shifts[d & read] == -s); and d has c's weight and the other
+    sign (_key).  Then each rising x goes to a y in the slice that falls
+    back to x.  That suffices.  Let U be the rising elements and D the
+    falling ones.  The rule is injective on U and maps it into D.  With
+    |U| = |D|, counted as 2|U| + fixed == size, it maps U onto D, so each
+    falling x is the image of a u whose pair was checked."""
     shifts, read = _involution_rule(n, k, lay)
-    table, field = _slice_table(_domain(n, k), lay), lay.field
+    table, field, key = _slice_table(_domain(n, k), lay), lay.field, _key(lay)
     ((forbidden_e, expected_e),) = _slice_masks(_embedded(n, k), lay)
-    below, head, at, mask, split, low, high, scale = _reader(lay, k)
+    reads = _reads(lay, read, forbidden_e, *(forbidden for forbidden, _ in table))
     size = fixed = rising = 0
     try:
-        for base, weight, mus in _groups(_domain(n, k), cap, lay):
-            target = weight << scale | head[base] & 1 ^ 1  # the other sign
-            for mu in mus:
-                x = base + mu
-                shift = shifts[x & read]
-                if not shift:
-                    if x & forbidden_e != expected_e:
-                        return None
-                    fixed += 1
-                elif shift > 0:
-                    y = x + shift
-                    forbidden, expected, _ = table[y & field]
-                    if y & forbidden != expected or shifts[y & read] != -shift:
-                        return None
-                    y_mu = y >> at
-                    if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
-                            != target):
-                        return None
-                    rising += 1
-            size += len(mus)
+        for c, count in _count_classes(_domain(n, k), cap, lay, reads).items():
+            shift = shifts[c & read]
+            size += count
+            if not shift:
+                if c & forbidden_e != expected_e:
+                    return None
+                fixed += count
+            elif shift > 0:
+                d = c + shift
+                forbidden, expected = table[d & field]
+                if (d & ~reads or d & forbidden != expected or shifts[d & read] != -shift
+                        or key(d) != key(c) ^ 1):
+                    return None
+                rising += count
     except KeyError:
         return None
     if (not size or 2 * rising + fixed != size
@@ -751,7 +802,7 @@ def _involution_failure(slice_, embedded, step, table, lay):
     fixed = set()
     for x in slice_:
         y = step(x)
-        forbidden, expected, _ = table[y & field]
+        forbidden, expected = table[y & field]
         if y & forbidden != expected:
             return decode(x), decode(y), REASON_NOT_IN_CODOMAIN
         if step(y) != x:

@@ -12,18 +12,18 @@ the lower family a box's non-boundary leaves, each count packed into one
 int (qalgebra.Kronecker), and then ties the enumerated totals to the
 closed form.
 
-A bijection certificate of either family streams in one flat kernel,
+A MacMahon bijection certificate streams in one flat kernel,
 stream_bijection: one pass over the packed domain's groups against the
 map's inverse, taken inline as a table of shifts, a codomain table of
 masks and the codomain's counted size, with each weight read one way off
 the packed fields; only the map is called, and only counters are kept.
-The involution certificate keeps its own kernel for its own laws
-(andrews12._stream_involution).  The set-based check_graded_bijection,
-which holds both sides, stays as the oracle: where a kernel fails, the
-certificate reruns it to name the counterexample, so either path gives
-the same certificate.  The oracle weighs each element with weight_of on
-its presented (decoded) form, so it shares no field arithmetic with the
-kernels.
+The Andrews certificates are checked once per class of the bits their
+checks read, in andrews12 (_phi_by_class, _involution_by_class).  The
+set-based check_graded_bijection, which holds both sides, stays as the
+oracle: where a kernel fails, the certificate reruns it to name the
+counterexample, so either path gives the same certificate.  The oracle
+weighs each element with weight_of on its presented (decoded) form, so
+it shares no field arithmetic with the kernels.
 """
 
 from __future__ import annotations

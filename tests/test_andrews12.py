@@ -160,7 +160,7 @@ def first_match(rows):
 def table_member(table, lay, x):
     """Whether the packed x is in the slice whose _slice_table is `table`,
     by one read, as the involution certificate tests an image."""
-    forbidden, expected, _ = table[x & lay.field]
+    forbidden, expected = table[x & lay.field]
     return x & forbidden == expected
 
 
@@ -356,15 +356,17 @@ def test_involution_rejects_bad_indices():
 
 @pytest.mark.parametrize("n, k, cap", [(3, 2, 20), (4, 4, 30), (5, 4, 30)],
                          ids=["3-2-20", "4-4-30", "5-4-30"])
-def test_involution_certificate_tests_membership_once_per_element(monkeypatch, n, k, cap):
+def test_involution_certificate_tests_membership_once_per_rising_class(monkeypatch, n, k,
+                                                                       cap):
     # The kernel tests an image's membership by one read of the domain's
-    # _slice_table, which it reads for nothing else: the rules read the
-    # domain only through guards narrowed from its masks.  Counting the
-    # table's reads counts the domain tests.  The involution tests the
-    # image of each rising element (x < y) only, half of the non-fixed
-    # ones, and the fixed ones are the codomain.
-    calls = 0
-    true_table = andrews12._slice_table
+    # _slice_table, which it reads by index for nothing else: the rules
+    # read the domain only through guards narrowed from its masks.
+    # Counting the table's reads counts the domain tests.  The kernel
+    # tests the image of each rising class (x & R for the R of _reads,
+    # with x < its image) once, far fewer than the rising elements, half
+    # of the non-fixed ones.
+    calls, reads = 0, []
+    true_table, true_reads = andrews12._slice_table, andrews12._reads
 
     class Counted(list):
         def __getitem__(self, index):
@@ -376,10 +378,20 @@ def test_involution_certificate_tests_membership_once_per_element(monkeypatch, n
         table = true_table(parts, lay)
         return Counted(table) if parts == andrews12._domain(n, k) else table
 
+    def kept_reads(*args):
+        reads.append(true_reads(*args))
+        return reads[-1]
+
     monkeypatch.setattr(andrews12, "_slice_table", counted_table)
+    monkeypatch.setattr(andrews12, "_reads", kept_reads)
     cert = involution_certificate(n, k, cap)
     assert cert.verified
-    assert calls == (cert.domain_size - cert.codomain_size) // 2
+    lay = andrews12._layout(n, cap)
+    step = andrews12._step("involution", n, k, lay)
+    rising = [x for x in andrews12._enum_packed(andrews12._domain(n, k), cap, lay)
+              if step(x) > x]
+    assert len(rising) == (cert.domain_size - cert.codomain_size) // 2
+    assert calls == len({x & reads[0] for x in rising}) < len(rising) // 10
 
 
 def test_involution_net_weight_equals_embedded():
@@ -759,7 +771,7 @@ def test_slice_helpers_agree_on_every_slice():
                     assert owners == [[i] for i in parts_of], (n, k, cap, parts)
                     table = andrews12._slice_table(parts, lay)
                     assert [table[x & lay.field] for x in elements] == \
-                        [(*masks[i], 0) for i in parts_of], (n, k, cap, parts)
+                        [masks[i] for i in parts_of], (n, k, cap, parts)
 
 
 def test_factors_are_the_reference_enumerations():

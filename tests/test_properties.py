@@ -30,6 +30,7 @@ from qtelescope.telescope import MarkedObject, weight_of  # noqa: E402
 
 from partition_edits import drop_first_rows, with_part, without_part  # noqa: E402
 from reference_enumerators import coeffs  # noqa: E402
+from reference_kernels import reader  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -155,12 +156,13 @@ def test_packed_form_round_trips(member):
 
 
 def kernel_weight(x, lay, k):
-    """The weight key the Andrews kernels read off a packed x at index k,
-    composed as they compose it from andrews12._reader: weight << 1 |
-    parity of lam's length."""
-    below, head, at, mask, split, low, high, scale = andrews12._reader(lay, k)
+    """The weight key the Andrews kernels read off a packed x
+    (andrews12._key), which the reference element kernels read at index
+    k too: weight << 1 | parity of lam's length."""
+    read = andrews12._key(lay)(x)
+    below, head, at, mask, split, low, high, scale = reader(lay, k)
     mu = x >> at
-    read = head[x & below] + (low[mu & mask] + high[mu >> split] << scale)
+    assert head[x & below] + (low[mu & mask] + high[mu >> split] << scale) == read
     return -1 if read & 1 else 1, 0, read >> 1
 
 

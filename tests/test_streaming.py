@@ -1,9 +1,10 @@
 """The streaming certificates against their set-based oracles.
 
-Every bijection-side certificate makes one pass over its slice in a flat
-kernel (telescope.stream_bijection, which macmahon and andrews12 each
-import, and andrews12._stream_involution) and keeps only counters; where
-that pass fails, it reruns the set-based checker
+Every bijection-side certificate checks its slice in a kernel that keeps
+only counters: MacMahon's make one pass over it in telescope.stream_bijection,
+and Andrews' check it once per class of the bits their checks read
+(andrews12._phi_by_class and _involution_by_class); where a kernel fails,
+the certificate reruns the set-based checker
 (telescope.check_graded_bijection, or andrews12._involution_failure for
 the involution), which names the counterexample.  These tests hold the two paths together: a verified
 certificate never reaches the oracle, each certificate is the one the
@@ -51,10 +52,10 @@ def refuse_oracle(monkeypatch):
     monkeypatch.setattr(andrews12, "_involution_failure", refuse)
 
 
-# every streaming kernel, by the module that calls it; each returns None
-# where a check fails
+# every kernel, by the module that calls it; each returns None where a
+# check fails
 KERNELS = {macmahon: ("stream_bijection",),
-           andrews12: ("stream_bijection", "_stream_involution")}
+           andrews12: ("_phi_by_class", "_involution_by_class")}
 
 
 def force_oracle(monkeypatch):
@@ -151,7 +152,7 @@ def test_each_step_fault_gives_the_oracles_certificate(monkeypatch, step, case, 
 
 
 # weight-only faults: each kernel's weight and sign check, which the kernels
-# read through a reader, macmahon._reader or andrews12._reader -----------------
+# read through macmahon._reader or andrews12._key ------------------------------
 
 def kernel_results(monkeypatch, module, name):
     """Spy on a kernel: the list of what it returned, one entry a call."""
@@ -222,7 +223,7 @@ def test_an_andrews_phi_weight_fault_fails_the_kernel(monkeypatch, differs):
         andrews12._phi_rule, {a: step(b), b: step(a)}))
     monkeypatch.setattr(andrews12, "_phi_back", rewired_back(
         andrews12._phi_back, {step(b): a, step(a): b}))
-    results = kernel_results(monkeypatch, andrews12, "stream_bijection")
+    results = kernel_results(monkeypatch, andrews12, "_phi_by_class")
     streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
     assert results == [None]
     assert streamed == oracle
@@ -246,7 +247,7 @@ def test_an_involution_weight_fault_fails_the_kernel(monkeypatch, differs, reaso
     monkeypatch.setattr(andrews12, "_involution_rule", rewired(
         andrews12._involution_rule,
         {a: step(c), step(c): a, c: step(a), step(a): c}))
-    results = kernel_results(monkeypatch, andrews12, "_stream_involution")
+    results = kernel_results(monkeypatch, andrews12, "_involution_by_class")
     streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
     assert results == [None]
     assert streamed == oracle
@@ -266,7 +267,7 @@ def test_an_involution_fault_at_falling_elements_fails_the_kernel(monkeypatch):
     a, b = pick(falling, lambda a, b: a != b and weight(a) == weight(b))
     monkeypatch.setattr(andrews12, "_involution_rule", rewired(
         andrews12._involution_rule, {a: step(b), b: step(a)}))
-    results = kernel_results(monkeypatch, andrews12, "_stream_involution")
+    results = kernel_results(monkeypatch, andrews12, "_involution_by_class")
     streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
     assert results == [None]
     assert streamed == oracle
@@ -282,7 +283,7 @@ def test_an_involution_fault_moving_embedded_points_fails_the_kernel(monkeypatch
     n, k, cap = 3, 2, 20
     monkeypatch.setattr(andrews12, "_involution_rule",
                         in_rule_form(faulty(toggles_two))(andrews12._involution_rule))
-    results = kernel_results(monkeypatch, andrews12, "_stream_involution")
+    results = kernel_results(monkeypatch, andrews12, "_involution_by_class")
     streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
     assert results == [None]
     assert streamed == oracle
@@ -413,7 +414,7 @@ def test_andrews_phi_inverse_is_two_sided():
                 lay = andrews12._layout(n, cap)
                 step = andrews12._step("phi", n, k, lay)
                 back, read = andrews12._phi_back(n, k, lay)
-                inverse = lambda y: y - back[y & read]  # as stream_bijection reads it
+                inverse = lambda y: y - back[y & read]  # as _phi_by_class reads it
                 domain = (n, k, 0), (n - 1, k - 1, 2 * n - 1)
                 codomain = (n - 1, k - 1, 0), (n - 2, k, 2 * n - 3)
                 table = andrews12._slice_table(domain, lay)
