@@ -38,11 +38,11 @@ Each map is one ordered table of cases (_phi_table, _involution_table):
 a row holds the case, a guard x & mask == value and a constant shift of
 the int; phi's rows add the image class and its guard.  Each guard holds
 its domain part's mask pair (_within), so an int that passes no guard is
-not in the domain.  One first-match dispatch, _first_match, derives from
-a table the rule (_rule: guard, then + shift, as a pair (shifts, read);
-KeyError where no guard passes), phi's inverse (_phi_back: image guard,
-then - shift) and the class that classify reports.  _step turns a rule
-into a call, which raises ValueError outside the domain.
+not in the domain.  The first-match dispatch of both families,
+telescope.first_match, derives from a table the rule (guard, then +
+shift, as (shifts, read); KeyError where no guard passes), phi's inverse
+(_phi_back: image guard, then - shift) and the class classify reports;
+_step is a rule as a call (telescope.rule_call), ValueError outside.
 The certificates run end to end on packed ints and decode an element to
 a Triple / MarkedObject only for a counterexample.  Each is checked once
 per class of the bits its checks read, R (_reads): the slice's elements
@@ -79,8 +79,8 @@ from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
-from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject,
-                        WeightKey, certify, check_graded_bijection, weight_of)
+from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject, Rule, WeightKey,
+                        certify, check_graded_bijection, first_match, rule_call, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,37 +443,6 @@ def _involution_table(n: int, k: int, lay: _Layout) -> list[tuple]:
     ]
 
 
-def _first_match(rows) -> tuple[Memo, int]:
-    """First-match dispatch on rows ((mask, value), out): (memo, read),
-    where memo[x & read] is the out of the first row whose guard x passes,
-    x & mask == value, and KeyError where it passes none.  The guards read
-    only the bits of `read`, the union of their masks, so the memo keeps
-    each x & read met with its out."""
-    rows = list(rows)
-
-    def first(bits: int):
-        for (mask, value), out in rows:
-            if bits & mask == value:
-                return out
-        raise KeyError(bits)
-    return Memo(first), reduce(or_, (mask for (mask, _), _ in rows), 0)
-
-
-def _rule(rows, lay: _Layout) -> tuple[Memo, int]:
-    """A map's rule on the packed form at `lay`, from its rows ((mask,
-    value), shift): (shifts, read), where x's image is x + shifts[x &
-    read], the shift of the first row x passes (_first_match), and
-    KeyError where x passes none: the guards hold the domain's masks, so
-    where x is not in the domain.  The read is narrowed below
-    lay.span, which makes it nonnegative, and an AND with it cheaper.  That
-    is exact for every x below the span: every element of the layout, and
-    every image the certificates take back, since they take back only an
-    image that passed the domain's masks, which forbid each bit from the
-    span up."""
-    shifts, read = _first_match(rows)
-    return shifts, read & lay.span - 1
-
-
 def _reads(lay: _Layout, *masks: int) -> int:
     """R, the bits that a class kernel's checks read: the union of `masks`
     (the rule's read, its inverse's, each membership mask) with the marker
@@ -491,39 +460,30 @@ def _reads(lay: _Layout, *masks: int) -> int:
     return reduce(or_, masks, lay.field | lay.field << lay.rows) & lay.span - 1
 
 
-def _phi_rule(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
-    """`phi` on the packed form, as its rule (shifts, read) (_rule)."""
-    return _rule(((guard, shift) for _, guard, shift, _, _ in _phi_table(n, k, lay)), lay)
+def _phi_rule(n: int, k: int, lay: _Layout) -> Rule:
+    """`phi` as its rule (shifts, read), the first row x passes; KeyError
+    outside the domain, whose masks the guards hold."""
+    return first_match((guard, shift) for _, guard, shift, _, _ in _phi_table(n, k, lay))
 
 
-def _phi_back(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
+def _phi_back(n: int, k: int, lay: _Layout) -> Rule:
     """phi's inverse as the shifts it takes back, (shifts, read): an
     element y of phi's codomain is the image of y - shifts[y & read], the
     shift of the first row whose image guard y passes."""
-    return _first_match((image, shift) for _, _, shift, _, image in _phi_table(n, k, lay))
+    return first_match((image, shift) for _, _, shift, _, image in _phi_table(n, k, lay))
 
 
-def _involution_rule(n: int, k: int, lay: _Layout) -> tuple[Memo, int]:
-    """`involution` on the packed form, as its rule (shifts, read) (_rule)."""
-    return _rule(((guard, shift) for _, guard, shift in _involution_table(n, k, lay)), lay)
+def _involution_rule(n: int, k: int, lay: _Layout) -> Rule:
+    """`involution` as its rule (shifts, read), read as _phi_rule's."""
+    return first_match((guard, shift) for _, guard, shift in _involution_table(n, k, lay))
 
 
 def _step(name: str, n: int, k: int, lay: _Layout) -> Callable[[int], int]:
-    """The map `name` at (n, k) as a call on packed ints, read off its rule
-    (_phi_rule or _involution_rule): x + shifts[x & read] for x in the
-    domain, ValueError for each other int, those outside the layout's
-    span included."""
-    shifts, read = (_phi_rule if name == "phi" else _involution_rule)(n, k, lay)
-    span, decode = lay.span, _decoder(lay)
-
-    def step(x: int) -> int:
-        try:
-            if 0 <= x < span:
-                return x + shifts[x & read]
-        except KeyError:
-            pass
-        raise ValueError(f"{decode(x)} is not in the domain of {name} at n={n}, k={k}")
-    return step
+    """The map `name` at (n, k), its rule as a call (telescope.rule_call):
+    ValueError outside the domain, at every bit from the span up too."""
+    decode = _decoder(lay)
+    return rule_call((_phi_rule if name == "phi" else _involution_rule)(n, k, lay),
+                     lambda x: f"{decode(x)} is not in the domain of {name} at n={n}, k={k}")
 
 
 # the public maps on triples ---------------------------------------------------
@@ -568,7 +528,7 @@ def classify(n: int, k: int, t: Triple) -> ClassTag:
     if not in_P(n, k, t):
         raise ValueError(f"{t} is not in P({n},{k})")
     x, lay = _pack(n, t)
-    case_of, read = _first_match((guard, case) for case, guard, *_ in _phi_table(n, k, lay))
+    case_of, read = first_match((guard, case) for case, guard, *_ in _phi_table(n, k, lay))
     return case_of[x & read]
 
 

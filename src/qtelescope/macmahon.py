@@ -26,26 +26,22 @@ certificates and cancelation) runs on a packed form, one int per pair (see
 _Layout; mu is a partitions.EvenField): one helper, _groups, walks each
 box, or its boundary slice generated from its first part, as groups of
 ints, which _enum_packed flattens, and _box_size counts either by
-partitions.box_size; membership is one AND-and-compare
-plus a length bound, and each step map is one closure (_step_rule) that
-reads both boxes' masks and the boundary's inline and whose moving case
-is a constant shift.  The cancelation's direct map is a walk on ints: a
-pair steps at its own index and, while its image is bare and on its
-box's boundary, at the next, each rule read off a table by the side
-field; where the walk runs out of budget, it raises
-IterationBudgetExceeded.no_landing.  The step and cancelation
-certificates stream in the one bijection kernel,
+partitions.box_size; membership is one AND-and-compare plus a length
+bound.  Each step map is a table of two rows (_step_table) read by
+telescope.first_match, as Andrews' maps are; the cancelation's walk
+(_walk) is composed once per class of each box into one rule
+(_composed).  The certificates stream in the one bijection kernel,
 telescope.stream_bijection (_bijection_certificate): one pass over the
-domain's _groups against the map's inverse, which takes a marked
-pair's shift back, with the codomain counted and tested by masks, both
-tables indexed by an image's flag and side field, and the weights read
-off the fields by _reader, whose head folds side, flag and marker into
-one int key; only the map is called.  Each codomain is stated once, as
-walks (box, flag), the box's pairs plus the flag; its mask table
-(_codomain_table), its size and the oracle's list all come from them.
-Where the kernel fails, check_graded_bijection reruns on lists of both
-sides as the oracle and weighs the decoded pairs with weight_of.
-The certificates decode a pair only for a counterexample.  The public
+domain's _groups, each walk with its rule, against the map's inverse,
+which takes a marked pair's shift back, with the codomain tested by
+masks, both tables indexed by an image's flag and side field, and the
+weights read by _reader, whose head folds side, flag and marker into
+one int key.  Each codomain is stated once, as walks (box, flag), the
+box's pairs plus the flag; its mask table (_codomain_table), its size
+and the oracle's list all come from them.  Where the kernel fails,
+check_graded_bijection reruns on lists of both sides as the oracle and
+weighs the decoded pairs with weight_of, decoding a pair only for a
+counterexample.  The public
 enum_P and phi_step take and return MacPairs: phi_step checks the input,
 encodes it, runs the packed rule and decodes the result;
 telescoping_phi steps through phi_step and retags its case.  The sum
@@ -73,15 +69,16 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations_with_replacement
 from operator import lshift
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition, box_size
 from .qalgebra import Kronecker, factor_product, gaussian_row
-from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject,
-                        WeightKey, certify, check_graded_bijection,
-                        stream_bijection, telescoping_sum_check)
+from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject, Rule,
+                        WeightKey, certify, check_graded_bijection, first_match,
+                        rule_call, stream_bijection, telescoping_sum_check)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,32 +234,29 @@ def _box_size(box: Box, edge: bool = False) -> int:
     return box_size(bound, slots)
 
 
-def _step_rule(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
-    """The step map at one index, on the packed form: a pair of box is its
-    own image, and a boundary pair of the neighbouring box takes one
-    constant shift: its first row goes (an empty mu has none), it takes the
-    side of box and the flag is set.  ValueError for anything else.  Both
-    boxes' _masks and the neighbour's _edge are read inline."""
-    forbidden, expected, limit = _masks(box, lay)
-    n_forbidden, n_expected, n_limit = _masks(neighbour, lay)
-    edge, least, most = _edge(neighbour[1], lay)
-    length, shift = lay.field << lay.length, _step_shift(box, neighbour, lay)
+def _step_table(box: Box, neighbour: Box, lay: _Layout) -> list[tuple]:
+    """The step map at one index as rows (case, guard, shift), each guard a
+    box's _masks, the length bound a range: a pair of box is its own image,
+    and one on the neighbour's boundary (_edge) loses its first row (an
+    empty mu has none), takes the side of box and is flagged."""
+    own, other = [(forbidden, expected, (lay.field << lay.length, 0, limit))
+                  for forbidden, expected, limit in (_masks(box, lay), _masks(neighbour, lay))]
+    side, bound, _ = neighbour
+    first_row = lay.mu.unit(bound) + (1 << lay.length) if bound > 0 else 0
+    return [("box", own, 0), ("boundary", (*other, _edge(bound, lay)),
+                              _MARKED + (box[0] - side << _SIDE) - first_row)]
+
+
+def _index_rule(box: Box, neighbour: Box, lay: _Layout) -> Rule:
+    """The step map at one index as its rule: _step_table's first match."""
+    return first_match((guard, shift) for _, guard, shift in _step_table(box, neighbour, lay))
+
+
+def _step(box: Box, neighbour: Box, lay: _Layout) -> Callable[[int], int]:
+    """_index_rule as a call, ValueError outside the domain (rule_call)."""
     decode = _decoder(lay)
-
-    def step(x: int) -> int:
-        if x & forbidden == expected and x & length <= limit:
-            return x
-        if (x & n_forbidden == n_expected and x & length <= n_limit
-                and least <= x & edge <= most):
-            return x + shift
-        raise ValueError(_not_in_domain(decode(x), box, neighbour))
-    return step
-
-
-def _step_shift(box: Box, neighbour: Box, lay: _Layout) -> int:
-    """The constant shift of the step map's moving case."""
-    first_row = lay.mu.unit(neighbour[1]) + (1 << lay.length) if neighbour[1] > 0 else 0
-    return _MARKED + (box[0] - neighbour[0] << _SIDE) - first_row
+    return rule_call(_index_rule(box, neighbour, lay),
+                     lambda x: _not_in_domain(decode(x), box, neighbour))
 
 
 def _not_in_domain(x, box: Box, neighbour: Box) -> str:
@@ -303,7 +297,7 @@ def _apply(box: Box, neighbour: Box, marker: tuple[int, int],
     packed = _encode(x, lay)
     if packed is None:
         raise ValueError(_not_in_domain(x, box, neighbour))
-    y = _step_rule(box, neighbour, lay)(packed)
+    y = _step(box, neighbour, lay)(packed)
     edge, least, most = _edge(box[1], lay)
     case = 3 if y & _MARKED else 1 if least <= y & edge <= most else 2
     return case, _decoder(lay)(y)
@@ -354,30 +348,28 @@ def _reader(lay: _Layout, bound: int) -> tuple:
     return (_MARKED | field << _SIDE, Memo(head), lay.mu.at, *lay.mu.halves(bound), scale)
 
 
-def _bijection_certificate(step: Callable[[int], int], walks: list[tuple[Box, bool]],
-                           codomain: list[tuple[Box, int]], shifts: list[int],
-                           lay: _Layout, check: str, params: dict) -> Certificate:
-    """The bijection check of a packed map from the domain's walks (box,
-    edge), their _groups streamed in telescope.stream_bijection, to the
-    codomain's walks (box, flag).  An image's flag and side field index
-    both the codomain's _codomain_table and the inverse: a marked y less
-    shifts[its side field], any other y itself.
-    Where the stream fails, the set-based check_graded_bijection reruns on
-    fresh lists of both sides, weighs the decoded pairs with weight_of and
-    names the counterexample."""
+def _bijection_certificate(walks: list, step: Callable[[int], int], codomain: list,
+                           shifts: list, lay: _Layout, check: str, params: dict) -> Certificate:
+    """The bijection check of a packed map from the domain's walks ((box,
+    edge), the map's rule there), their _groups streamed in
+    telescope.stream_bijection, to the codomain's walks (box, flag).  An
+    image's flag and side field index both the codomain's _codomain_table
+    and the inverse: a marked y less shifts[its side field], any other y
+    itself.  Where the stream fails, check_graded_bijection reruns against
+    the call `step`, weighs decoded pairs and names the counterexample."""
     started = time.monotonic()
     field = lay.field
     flag_side = _MARKED | field << _SIDE
     # split mu's fields in the middle of the largest walk's parts
-    widest = max(walks, key=lambda walk: _box_size(*walk))[0]
+    widest = max((walk for walk, _ in walks), key=lambda walk: _box_size(*walk))[0]
     size = stream_bijection(
-        _groups(walks, lay), step,
+        [(rule, _groups([walk], lay)) for walk, rule in walks],
         (_codomain_table(codomain, lay), flag_side, field << lay.length),
         ([back for shift in shifts[:field + 1] for back in (0, shift)], flag_side),
         _reader(lay, widest[1]), sum(_box_size(box) for box, _ in codomain))
     if size is not None:
         return certify(check, params, started, domain_size=size, codomain_size=size)
-    domain = chain.from_iterable(_enum_packed(box, lay, edge) for box, edge in walks)
+    domain = chain.from_iterable(_enum_packed(box, lay, edge) for (box, edge), _ in walks)
     return check_graded_bijection(
         step, domain, [x + flag for box, flag in codomain for x in _enum_packed(box, lay)],
         check=check, params=params, present=_decoder(lay))
@@ -392,10 +384,11 @@ def _slice_certificate(box: Box, neighbour: Box, marker: tuple[int, int],
     the codomain is counted and tested by masks."""
     side, bound, slots = box
     lay = _step_layout(box, neighbour, marker)
+    rule = _index_rule(box, neighbour, lay)
     return _bijection_certificate(
-        _step_rule(box, neighbour, lay), [(box, False), (neighbour, True)],
+        [((box, False), rule), ((neighbour, True), rule)], _step(box, neighbour, lay),
         [(box, 0), ((side, bound - 2, slots), _MARKED)],
-        [_step_shift(box, neighbour, lay)] * (lay.field + 1), lay, check, params)
+        [_step_table(box, neighbour, lay)[-1][2]] * (lay.field + 1), lay, check, params)
 
 
 def phi_certificate(n: int, m: int, k: int) -> Certificate:
@@ -605,21 +598,37 @@ def verify_macmahon(n: int, m: int) -> Certificate:
 
 # cancelation: the direct bijection obtained by iterating phi -------------
 
-def _cancelation_tables(n: int, m: int):
-    """(layout, step rules, boundaries, shifts) of the cancelation at
-    (n, m), one entry per side field (side + m): the step rule at that
-    index, its box's _edge and its step's shift.  The direct map's int
-    walk reads the rule and the boundary by an image's side field, plus
-    one for a bare boundary image, which steps at the next index.  An
-    orbit is its pair alone or, from a boundary pair, one marked step onto
-    the next side, so the inverse, unchecked, takes a marked image's shift
-    back: shifts[y's side field].  The tables run one side past the side
-    field, so no image, however faulty, indexes past their end."""
-    lay = _Layout(-m, n + 1, n + m + 1, _phi_index(n, m, 0)[2])
-    indices = [_phi_index(n, m, s + lay.lo)[:2] for s in range(lay.field + 2)]
-    return (lay, [_step_rule(box, neighbour, lay) for box, neighbour in indices],
-            [_edge(box[1], lay) for box, _ in indices],
-            [_step_shift(box, neighbour, lay) for box, neighbour in indices])
+def _walk(a: int, levels: list, edges: list, field: int, budget: int) -> tuple[int, int]:
+    """telescoping_phi's walk from the packed pair a: x steps by the level
+    (call, read) at its side field, the next one while x is a bare image on
+    its box's edge.  (Where it lands, the union of a, each image, read and
+    edge mask met); ValueError, or after budget steps no_landing(budget, ("A", a))."""
+    x, up, seen = a, 0, a
+    for _ in range(budget):
+        step, read = levels[(x >> _SIDE & field) + up]
+        y = step(x)
+        edge, least, most = edges[y >> _SIDE & field]
+        seen |= read | y | edge
+        if y & _MARKED or not least <= y & edge <= most:
+            return y, seen
+        x, up = y, 1
+    raise IterationBudgetExceeded.no_landing(budget, ("A", a))
+
+
+def _composed(walk: Callable[[int], tuple[int, int]], read: int) -> Rule:
+    """The direct map on a box as a rule composed per class c = x & read, R:
+    shifts[c] is c's landing less c, exact where c's walk reads nothing off
+    R and no image carries or borrows out of it (seen & ~R == 0), so x walks
+    to (x & ~R) | c's image; KeyError elsewhere and where the walk raises."""
+    def shift(c: int) -> int:
+        try:
+            image, seen = walk(c)
+        except (ValueError, IterationBudgetExceeded):
+            raise KeyError(c) from None
+        if seen & ~read:
+            raise KeyError(c)
+        return image - c
+    return Memo(shift), read
 
 
 def telescoping_phi(n: int, m: int, tagged: tuple[str, MacPair]):
@@ -641,51 +650,40 @@ def telescoping_phi(n: int, m: int, tagged: tuple[str, MacPair]):
 def cancelation_certificate(n: int, m: int) -> Certificate:
     """Verify that the direct map obtained by iterating phi is a bijection.
 
-    Runs telescoping_phi on the packed form, as a walk on ints: each pair
-    in the union of the P(n,m,k) steps at its own index, read off the
-    _cancelation_tables by its side field, and while its image is bare
-    and on its box's boundary (tagged "H"), the image steps at the next
-    index; the orbit lands on the first other image.  After `budget`
-    steps, the size of the union plus its boundary pairs plus one, both
-    counted, the walk raises IterationBudgetExceeded.no_landing(budget,
-    ("A", a)), the text of the tagged walk from ("A", a); a failed
-    certificate states it with the pair a decoded.  The check
-    streams as the step certificates do (_bijection_certificate): the
-    union of the P(n,m,k) against the direct map's inverse and the
-    codomain walks (P(n,m-1,k), 0) and (P(n,m-1,k), _MARKED) for every k,
-    counted and tested by masks.  An orbit that leaves every box or runs
-    out of budget fails at its start, sought on a raise.
+    Runs telescoping_phi on the packed form, a walk on ints (_walk) from
+    each pair of the union of the P(n,m,k), its budget the union's size
+    plus its boundary pairs plus one.  It streams as the step certificates
+    do, the walk composed on each box (_composed), read by the flag, the
+    side and its step's, the next step's and its edge's reads, onto
+    (P(n,m-1,k), 0) and (P(n,m-1,k), _MARKED).  The oracle runs against the
+    walk per element; an orbit that leaves every box or runs out of budget
+    fails at its start, sought on a raise.
     """
     started = time.monotonic()
-    lay, steps, edges, shifts = _cancelation_tables(n, m)
-    field = lay.field
+    lay = _Layout(-m, n + 1, n + m + 1, _phi_index(n, m, 0)[2])
+    # per side field and one past it: the step, its box's edge and the shift
+    # the inverse takes back from a marked image (an orbit moves once)
+    indices = [_phi_index(n, m, s + lay.lo)[:2] for s in range(lay.field + 2)]
+    levels = [(_step(*index, lay), _index_rule(*index, lay)[1]) for index in indices]
+    edges, field = [_edge(box[1], lay) for box, _ in indices], lay.field
+    shifts = [_step_table(*index, lay)[-1][2] for index in indices]
     boxes = [_box_P(n, m, k) for k in range(-m, n + 1)]
     codomain = [(_box_P(n, m - 1, k), flag) for flag in (0, _MARKED) for k in range(-m, n + 1)]
     domain_size = sum(map(_box_size, boxes))
     codomain_size = sum(_box_size(box) for box, _ in codomain)
     budget = domain_size + sum(_box_size(box, edge=True) for box in boxes) + 1
-
-    def direct(a: int) -> int:
-        x, up = a, 0  # up: 1 where x is an "H" pair, which steps at the next index
-        for _ in range(budget):
-            y = steps[(x >> _SIDE & field) + up](x)
-            if y & _MARKED:
-                return y
-            edge, least, most = edges[y >> _SIDE & field]
-            if not least <= y & edge <= most:
-                return y
-            x, up = y, 1
-        raise IterationBudgetExceeded.no_landing(budget, ("A", a))
-
+    walk = partial(_walk, levels=levels, edges=edges, field=field, budget=budget)
+    walks = [((box, False), _composed(walk, _MARKED | field << _SIDE | levels[s][1]
+                                      | levels[s + 1][1] | edges[s][0]))
+             for s, box in enumerate(boxes)]  # box s has side field s
     try:
-        return _bijection_certificate(
-            direct, [(box, False) for box in boxes], codomain, shifts, lay,
-            "macmahon-cancelation", {"n": n, "m": m})
+        return _bijection_certificate(walks, lambda a: walk(a)[0], codomain, shifts, lay,
+                                      "macmahon-cancelation", {"n": n, "m": m})
     except (ValueError, IterationBudgetExceeded):
         decode = _decoder(lay)
         for a in chain.from_iterable(_enum_packed(box, lay) for box in boxes):
             try:  # the first orbit that raises
-                direct(a)
+                walk(a)
             except ValueError as fault:
                 failure = decode(a), str(fault), "orbit-leaves-every-box"
             except IterationBudgetExceeded:

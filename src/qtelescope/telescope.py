@@ -12,15 +12,15 @@ the lower family a box's non-boundary leaves, each count packed into one
 int (qalgebra.Kronecker), and then ties the enumerated totals to the
 closed form.
 
-A MacMahon bijection certificate streams in one flat kernel,
-stream_bijection: one pass over the packed domain's groups against the
-map's inverse, taken inline as a table of shifts, a codomain table of
-masks and the codomain's counted size, with each weight read one way off
-the packed fields; only the map is called, and only counters are kept.
-The Andrews certificates are checked once per class of the bits their
-checks read, in andrews12 (_phi_by_class, _involution_by_class).  The
-set-based check_graded_bijection, which holds both sides, stays as the
-oracle: where a kernel fails, the certificate reruns it to name the
+Every map of both families is a table of rows (guard, shift) on packed
+ints, read by the one dispatch first_match as a rule (shifts, read): x
+goes to x + shifts[x & read], and rule_call makes it a call.  MacMahon's
+certificates stream in one flat kernel, stream_bijection, each walk of
+the domain with its rule; the Andrews certificates are checked once per
+class of the bits their checks read, in andrews12 (_phi_by_class,
+_involution_by_class).  The set-based check_graded_bijection, which
+holds both sides, stays as the oracle: where a kernel fails, the
+certificate reruns it to name the
 counterexample, so either path gives the same certificate.  The oracle
 weighs each element with weight_of on its presented (decoded) form, so
 it shares no field arithmetic with the kernels.
@@ -31,8 +31,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import or_
 from typing import Any, Callable, Iterable, Mapping, Optional
 
+from .partitions import Memo
 from .qalgebra import LaurentPoly
 
 REASON_NOT_IN_CODOMAIN = "not-in-codomain"
@@ -41,6 +44,7 @@ REASON_WEIGHT_MISMATCH = "weight-mismatch"
 REASON_NOT_SURJECTIVE = "not-surjective"
 
 WeightKey = tuple[int, int, int]  # (sign, z_exp, q_exp), see weight_of
+Rule = tuple[Mapping[int, int], int]  # (shifts, read): x goes to x + shifts[x & read]
 
 
 class IterationBudgetExceeded(RuntimeError):
@@ -203,51 +207,87 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
                    codomain_size=len(codomain))
 
 
-def stream_bijection(groups: Iterable[tuple[int, list[int]]],
-                     step: Callable[[int], int], codomain: tuple, back: tuple,
-                     reader: tuple, size: int) -> Optional[int]:
-    """The domain's size where `step` is a weight-preserving bijection of
+def first_match(rows: Iterable[tuple[tuple, Any]]) -> tuple[Memo, int]:
+    """First-match dispatch on rows (guard, out): (memo, read), memo[x &
+    read] the out of the first row whose guard x passes, KeyError where
+    none: x passes (mask, value, *ranges) iff x & mask == value and lo <=
+    x & m <= hi for each range (m, lo, hi).  read is the union of the
+    guards' masks, so the memo keeps each x & read met."""
+    rows = list(rows)
+
+    def first(bits: int):
+        for (mask, value, *ranges), out in rows:
+            if bits & mask == value and all(lo <= bits & m <= hi for m, lo, hi in ranges):
+                return out
+        raise KeyError(bits)
+    masks = (part for (mask, _, *ranges), _ in rows for part, *_ in ((mask,), *ranges))
+    return Memo(first), reduce(or_, masks, 0)
+
+
+def rule_call(rule: Rule, refusal: Callable[[int], str]) -> Callable[[int], int]:
+    """The rule (shifts, read) as a call, for the public maps and the
+    oracles: x + shifts[x & read], ValueError(refusal(x)) where x passes
+    none of its guards."""
+    shifts, read = rule
+
+    def step(x: int) -> int:
+        try:
+            return x + shifts[x & read]
+        except KeyError:
+            raise ValueError(refusal(x)) from None
+    return step
+
+
+def stream_bijection(walks: Iterable[tuple[Rule, Iterable[tuple[int, list[int]]]]],
+                     codomain: tuple, back: tuple, reader: tuple, size: int) -> Optional[int]:
+    """The domain's size where a map is a weight-preserving bijection of
     packed ints onto the codomain, checked in one flat pass that holds no
     element; None where any check fails.
 
-    The domain comes as nonempty groups (base, tails), its elements base +
-    t for t in tails, in the oracle's order.  For each x, y = step(x) must
-    pass the codomain test: with (table, index, length) = codomain and
-    (forbidden, expected, limit) = table[y & index], y & forbidden ==
-    expected and y & length <= limit.  The inverse must take y back to x: with (shifts,
-    read) = back, y - shifts[y & read] == x.  A moved y must keep x's
-    weight: with (below, head, at, mask, split, low, high, scale) =
-    reader, the int key of v's signed weight is head[v & below] + (low[mu
-    & mask] + high[mu >> split] << scale), mu = v >> at, and y's must be
-    x's.  The elements of a group share their bits under `below`, so x's
-    head is read once a group.  At the end the domain must be nonempty and
-    of the codomain's counted `size`.
+    The domain comes as walks (rule, groups), in the oracle's order, its
+    elements base + t for t in tails of each nonempty group (base, tails).
+    For each x, y = x + shifts[x & read] by its walk's rule (shifts, read),
+    which must not refuse x (KeyError), must pass the codomain test: with
+    (table, index, length) = codomain and (forbidden, expected, limit) =
+    table[y & index], y & forbidden == expected and y & length <= limit.
+    The inverse must take y back to x: with (shifts, read) = back, y -
+    shifts[y & read] == x.  A moved y must keep x's weight: with (below,
+    head, at, mask, split, low, high, scale) = reader, the int key of v's
+    signed weight is head[v & below] + (low[mu & mask] + high[mu >>
+    split] << scale), mu = v >> at, and y's must be x's.  The elements of
+    a group share their bits under `below`, so x's head is read once a
+    group.  At the end the domain must be nonempty and of the codomain's
+    counted `size`.
 
     That is sound for any inverse: an inverse that undoes the map on every
     element makes it injective, and an injective map into a finite set of
     its own size is a bijection.  A wrong inverse can only fail a good
-    map, and the oracle overrules that.  Only `step` is called, on the
-    elements in the oracle's order, so an exception it raises is the
-    oracle's.
+    map, and the oracle overrules that.  The rules meet the elements in the
+    oracle's order, so any exception but a KeyError is the oracle's.
     """
     table, index, length = codomain
-    shifts, read = back
+    inverse, inverse_read = back
     below, head, at, mask, split, low, high, scale = reader
     count = 0
-    for base, tails in groups:
-        x_head = head[base + tails[0] & below]
-        for t in tails:
-            x = base + t
-            y = step(x)
-            forbidden, expected, limit = table[y & index]
-            if y & forbidden != expected or y & length > limit or y - shifts[y & read] != x:
-                return None
-            if y != x:
-                y_mu, x_mu = y >> at, x >> at
-                if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
-                        != x_head + (low[x_mu & mask] + high[x_mu >> split] << scale)):
-                    return None
-        count += len(tails)
+    try:
+        for (shifts, read), groups in walks:
+            for base, tails in groups:
+                x_head = head[base + tails[0] & below]
+                for t in tails:
+                    x = base + t
+                    y = x + shifts[x & read]
+                    forbidden, expected, limit = table[y & index]
+                    if (y & forbidden != expected or y & length > limit
+                            or y - inverse[y & inverse_read] != x):
+                        return None
+                    if y != x:
+                        y_mu, x_mu = y >> at, x >> at
+                        if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
+                                != x_head + (low[x_mu & mask] + high[x_mu >> split] << scale)):
+                            return None
+                count += len(tails)
+    except KeyError:
+        return None
     return count if count and count == size else None
 
 

@@ -87,26 +87,27 @@ def faulty(fault):
 
 
 def stepping(rule):
-    """An Andrews rule, the table (shifts, read), as a call on the packed
-    ints of its domain, as the kernels read it."""
+    """A rule, the table (shifts, read), as a call on the packed ints of
+    its domain, as the kernels read it: KeyError where it refuses x."""
     shifts, read = rule
     return lambda x: x + shifts[x & read]
 
 
 def as_rule(broken):
-    """A map of packed ints in an Andrews rule's form (shifts, read): the
-    shifts are read on all of x, and x + shifts[x] is broken(x)."""
+    """A map of packed ints in a rule's form (shifts, read): the shifts
+    are read on all of x, and x + shifts[x] is broken(x)."""
     return Memo(lambda x: broken(x) - x), -1
 
 
 def in_rule_form(change):
     """A change to a rule factory of calls, such as faulty(fault), made to
-    an Andrews rule factory: the true rule is read as a call, and the
-    changed call is handed back as a rule."""
+    a rule factory of either family (its last argument the layout): the
+    true rule is read as a call, and the changed call is handed back as a
+    rule."""
     def wrap(true_rule):
-        def factory(n, k, lay):
-            step = stepping(true_rule(n, k, lay))
-            return as_rule(change(lambda *args: step)(n, k, lay))
+        def factory(*args):
+            step = stepping(true_rule(*args))
+            return as_rule(change(lambda *_: step)(*args))
         return factory
     return wrap
 
@@ -184,13 +185,14 @@ CASES = [
      lambda: andrews12.involution_certificate(3, 2, 20)),
     ("coefficient-mismatch", andrews12, "rhs_andrews", plus_term(0, 2),
      lambda: andrews12.verify_andrews(2, 20, "identity")),
-    ("not-in-codomain", macmahon, "_step_rule", faulty(marked_stays),
+    ("not-in-codomain", macmahon, "_index_rule", in_rule_form(faulty(marked_stays)),
      lambda: macmahon.phi_certificate(3, 2, 1)),
-    ("collision", macmahon, "_step_rule", faulty(loses_its_marker),
+    ("collision", macmahon, "_index_rule", in_rule_form(faulty(loses_its_marker)),
      lambda: macmahon.psi_certificate(4, 2)),
-    ("orbit-exceeds-budget", macmahon, "_step_rule", faulty(marked_stays),
+    ("orbit-exceeds-budget", macmahon, "_index_rule", in_rule_form(faulty(marked_stays)),
      lambda: macmahon.cancelation_certificate(2, 2)),
-    ("orbit-leaves-every-box", macmahon, "_step_rule", faulty(second_first_row(1)),
+    ("orbit-leaves-every-box", macmahon, "_index_rule",
+     in_rule_form(faulty(second_first_row(1))),
      lambda: macmahon.cancelation_certificate(1, 1)),
     # compared as polynomials
     ("sub-identity-violated", macmahon, "factor_product", plus_term(0, 9),

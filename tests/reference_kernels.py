@@ -3,8 +3,8 @@ class kernels that replaced them (andrews12._phi_by_class and
 _involution_by_class).
 
 Each checks one element at a time and keeps only counters: stream_phi
-runs telescope.stream_bijection over the domain's groups against phi's
-_step, and stream_involution checks the involution's laws with the rule
+runs telescope.stream_bijection over the domain's groups with phi's
+rule, and stream_involution checks the involution's laws with the rule
 read inline.  Both read an element's signed weight through `reader`, a
 memoised head table plus EvenField.halves, as the element kernels read
 it; the class kernels read it through andrews12._key.
@@ -37,12 +37,11 @@ def reader(lay, k) -> tuple:
 def stream_phi(n, k, cap, lay) -> Optional[int]:
     """The domain slice's size where phi is a weight-preserving bijection
     onto the capped codomain, by stream_bijection; None where a check
-    fails.  A refused element raises, as phi's _step raises."""
+    fails, a refused element among them."""
     codomain = andrews12._codomain(n, k)
     # stream_bijection's codomain test also reads a length field: none here
     return stream_bijection(
-        andrews12._groups(andrews12._domain(n, k), cap, lay),
-        andrews12._step("phi", n, k, lay),
+        [(andrews12._phi_rule(n, k, lay), andrews12._groups(andrews12._domain(n, k), cap, lay))],
         ([(*masks, 0) for masks in andrews12._slice_table(codomain, lay)], lay.field, 0),
         andrews12._phi_back(n, k, lay), reader(lay, k),
         andrews12._count_packed(codomain, cap, lay))

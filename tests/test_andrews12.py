@@ -15,7 +15,7 @@ from qtelescope.andrews12 import (ClassTag, F_trunc, Triple, classify,
                                   domain_slice, enum_P, in_P, involution,
                                   involution_certificate, phi, phi_certificate,
                                   verify_andrews, weight_of)
-from qtelescope import andrews12
+from qtelescope import andrews12, telescope
 from qtelescope.partitions import EMPTY, Partition, staircase
 from qtelescope.qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from qtelescope.telescope import MarkedObject
@@ -151,9 +151,9 @@ def raw_image_flags(n, k, t):
 
 
 def first_match(rows):
-    """_first_match's dispatch as a call: x goes to the out of the first
-    row whose guard it passes, read as the rules read it."""
-    memo, read = andrews12._first_match(rows)
+    """telescope.first_match's dispatch as a call: x goes to the out of the
+    first row whose guard it passes, read as the rules read it."""
+    memo, read = telescope.first_match(rows)
     return lambda x: memo[x & read]
 
 
@@ -167,7 +167,7 @@ def table_member(table, lay, x):
 def image_class(n, k, t):
     """The codomain class of t in P(n-2,k): the image case of _phi_table's
     first row whose image guard phi's marked image (2n-3, t) passes, read
-    through _first_match as _phi_back reads the table."""
+    through first_match as _phi_back reads the table."""
     x, lay = andrews12._pack(n, t)
     return first_match(
         (image, case) for *_, case, image in andrews12._phi_table(n, k, lay))(x + 2 * n - 3)
@@ -819,11 +819,11 @@ def test_factors_are_the_reference_enumerations():
 
 
 def test_packed_ints_lie_below_the_span():
-    # The rules read x below the layout's span only.  Every element the
-    # enumerator yields and every image a rule returns packs below it.  No
-    # int with a bit at or above the span passes a mask of a slice's part:
-    # each forbids every such bit and expects none, or is _NEVER.  So no
-    # image the certificates take back has one, and the map refuses it.
+    # Every element the enumerator yields and every image a rule returns
+    # packs below the layout's span.  No int with a bit at or above the span
+    # passes a mask of a slice's part: each forbids every such bit and
+    # expects none, or is _NEVER.  So no image the certificates take back
+    # has one, and the map refuses it.
     for n in range(7):
         for k in range(-1, n + 2):
             for cap in sorted({0, n * n, 30}):

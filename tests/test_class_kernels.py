@@ -1,4 +1,5 @@
-"""The Andrews class kernels against the element kernels they replaced.
+"""The class kernels against the element kernels they replaced, and the
+checks that keep each class read exact.
 
 andrews12._phi_by_class and _involution_by_class check a certificate
 once per class x & R of the bits its checks read (andrews12._reads),
@@ -7,19 +8,22 @@ hold them to the element kernels kept in reference_kernels: the class
 counts are the enumeration's, the verdicts are the references' on the
 Andrews grid of the certificate digests and under every mutant of the
 mutation sweep, and a shift that carries out of R makes the kernel give
-up, so that the oracle decides.
+up, so that the oracle decides.  The MacMahon cancelation's rule, its walk
+composed once per class of its box (macmahon._composed), is refused in
+the same way where a step's image carries or borrows out of the box's R.
 """
 
 from collections import Counter
 
 import pytest
 
-from qtelescope import andrews12
+from qtelescope import andrews12, macmahon
 
 from reference_kernels import stream_involution, stream_phi
 from test_certificate_digests import andrews_slices
-from test_mutation_sweep import SWEEPS
-from test_streaming import both_paths, kernel_results
+from test_mutation_sweep import SWEEPS, shifted_row
+from test_streaming import (both_paths, cancelation_levels, composed, kernel_results,
+                            streamed_rules)
 
 
 def lowered_slices():
@@ -40,16 +44,11 @@ KERNELS = {"phi": ("_phi_by_class", stream_phi),
 
 
 def verdicts(name, n, k, cap):
-    """(the class kernel's result, the reference's) on one slice; a
-    reference that raises, as phi's _step raises on an element outside
-    its domain, reads None, as the class kernel returns None there."""
+    """(the class kernel's result, the reference's) on one slice; both
+    read None where the rule refuses an element outside its domain."""
     kernel, reference = KERNELS[name]
     lay = andrews12._layout(n, cap)
-    try:
-        expected = reference(n, k, cap, lay)
-    except ValueError:
-        expected = None
-    return getattr(andrews12, kernel)(n, k, cap, lay), expected
+    return getattr(andrews12, kernel)(n, k, cap, lay), reference(n, k, cap, lay)
 
 
 def test_class_counts_are_the_enumerations(monkeypatch):
@@ -144,6 +143,34 @@ def test_a_carry_out_of_R_goes_to_the_oracle(monkeypatch, name, table, case, bit
     results = kernel_results(monkeypatch, andrews12, KERNELS[name][0])
     streamed, oracle = both_paths(monkeypatch, lambda: getattr(
         andrews12, f"{name}_certificate")(n, k, cap))
+    assert results == [None]
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == reason
+
+
+@pytest.mark.parametrize("unit, reason", [
+    # the moving row also adds a mu part 2, below the bound of every box
+    # of bound 6 or more, whose R leaves part 2 out: the image carries out
+    (lambda lay: lay.mu.unit(2), "not-in-codomain"),
+    # the moving row drops one more from the length: a pair with one part
+    # has none left, and its image borrows across the length field
+    (lambda lay: -(1 << lay.length), "not-in-codomain"),
+], ids=["carries-a-mu-part", "borrows-across-the-length"])
+def test_a_composition_out_of_R_goes_to_the_oracle(monkeypatch, unit, reason):
+    n = m = 3
+    monkeypatch.setattr(macmahon, "_step_table", shifted_row(macmahon._step_table, -1, unit))
+    lay, levels, edges, _ = cancelation_levels(n, m)
+    boxes = [macmahon._box_P(n, m, k) for k in range(-m, n + 1)]
+    refused = 0
+    for box, rule in zip(boxes, streamed_rules(monkeypatch, n, m)):
+        for a in macmahon._enum_packed(box, lay):
+            # the walk of a alone lands; only the composition is refused
+            image = macmahon._walk(a, levels, edges, lay.field, 1000)[0]
+            assert composed(rule, a) in (image, "refused"), a
+            refused += composed(rule, a) == "refused"
+    assert refused > 0
+    results = kernel_results(monkeypatch, macmahon, "stream_bijection")
+    streamed, oracle = both_paths(monkeypatch, lambda: macmahon.cancelation_certificate(n, m))
     assert results == [None]
     assert streamed == oracle
     assert streamed["counterexample"]["reason"] == reason

@@ -18,6 +18,7 @@ from qtelescope.partitions import EvenField, Partition
 from qtelescope.qalgebra import LaurentPoly, factor_product, gaussian_binomial
 from qtelescope.telescope import MarkedObject, telescoping_sum_check, weight_of
 
+from bare_failure_path import as_rule, stepping
 from partition_edits import drop_first
 from reference_cancelation import cancelation_psi
 from reference_enumerators import enum_even_bounded
@@ -570,17 +571,14 @@ STEP_MUTATIONS = [
 
 
 def faulty_rule(true_rule, fault):
-    """A packed step rule factory like true_rule whose step decodes its
+    """A packed step rule factory like true_rule whose rule decodes its
     element and image, applies the MacPair-level fault(x, y) and encodes
-    the result back."""
+    the result back, handed over in rule form."""
     import qtelescope.macmahon as mac
 
     def factory(box, neighbour, lay):
-        step, decode = true_rule(box, neighbour, lay), mac._decoder(lay)
-
-        def broken(x):
-            return mac._encode(fault(decode(x), decode(step(x))), lay)
-        return broken
+        step, decode = stepping(true_rule(box, neighbour, lay)), mac._decoder(lay)
+        return as_rule(lambda x: mac._encode(fault(decode(x), decode(step(x))), lay))
     return factory
 
 
@@ -597,7 +595,7 @@ def test_step_certificate_sees_a_fault_in_each_case(monkeypatch, step, case,
     def broken(x, y):
         return fault(x, y, marker) if case_of(*index, x) == case else y
 
-    monkeypatch.setattr(mac, "_step_rule", faulty_rule(mac._step_rule, broken))
+    monkeypatch.setattr(mac, "_index_rule", faulty_rule(mac._index_rule, broken))
     cert = certificate(*index)
     assert not cert.verified
     counterexample = cert.counterexample
@@ -615,7 +613,7 @@ def test_cancelation_cycle_exceeds_the_budget(monkeypatch):
     def cycling(x, y):  # an H-tagged pair stays as it is: case 1, so H again
         return x if isinstance(y, MarkedObject) else y
 
-    monkeypatch.setattr(mac, "_step_rule", faulty_rule(mac._step_rule, cycling))
+    monkeypatch.setattr(mac, "_index_rule", faulty_rule(mac._index_rule, cycling))
     cert = mac.cancelation_certificate(2, 2)
     assert not cert.verified
     counterexample = cert.counterexample
@@ -640,7 +638,7 @@ def test_cancelation_orbit_leaving_every_box_fails(monkeypatch):
     # that boundary still, so its orbit steps at index 1, which refuses it
     import qtelescope.macmahon as mac
 
-    monkeypatch.setattr(mac, "_step_rule", faulty_rule(mac._step_rule, second_first_row(1)))
+    monkeypatch.setattr(mac, "_index_rule", faulty_rule(mac._index_rule, second_first_row(1)))
     cert = mac.cancelation_certificate(1, 1)
     assert not cert.verified
     counterexample = cert.counterexample
@@ -839,7 +837,7 @@ def test_a_bound_zero_box_holds_its_empty_mu_at_length_0_only():
         length = lay.field << lay.length
         assert alone & forbidden == expected and alone & length <= limit
         assert longer & forbidden == expected and longer & length > limit
-        step = mac._step_rule(box, neighbour, lay)
+        step = mac._step(box, neighbour, lay)
         assert step(alone) == alone
         with pytest.raises(ValueError):
             step(longer)
@@ -1121,13 +1119,13 @@ def test_telescoping_phi_builds_one_step_rule(monkeypatch):
     # builds that index's step rule and no other.
     import qtelescope.macmahon as mac
 
-    true_step_rule, built = mac._step_rule, []
+    true_rule, built = mac._index_rule, []
 
     def spy(*args):
         built.append(args[:2])
-        return true_step_rule(*args)
+        return true_rule(*args)
 
-    monkeypatch.setattr(mac, "_step_rule", spy)
+    monkeypatch.setattr(mac, "_index_rule", spy)
     for n in range(4):
         for m in range(1, 4):
             for k in range(-m, n + 1):

@@ -1,12 +1,12 @@
 """Every one-unit fault in a packed rule's shift fails its certificate.
 
-A mutant adds or takes away one unit of one field to one shift: the shift
-of one row of an Andrews table (andrews12._phi_table, _involution_table)
-or the MacMahon step's one shift (macmahon._step_shift), which the
-cancelation iterates.  The fields are the marker (MacMahon: the flag),
-the row count (the side, and the length), and one lam part or one mu
-part.  A map and its inverse read the same shift, so a mutant moves
-both.  Each mutant runs its certificate on a small grid that reaches every
+A mutant adds or takes away one unit of one field to the shift of one
+row of a map's table: an Andrews table (andrews12._phi_table,
+_involution_table) or the MacMahon step's (macmahon._step_table), whose
+rows the cancelation composes; the identity rows are mutated too.  The
+fields are the marker (MacMahon: the flag), the row count (the side,
+and the length), and one lam part or one mu part.  A map and its
+inverse read the same table, so a mutant moves both.  Each mutant runs its certificate on a small grid that reaches every
 row, one index after another, and must fail at one of them: a failed
 certificate, not an exception.  The sweep runs in a child interpreter, so
 that a mutant that hangs fails the test at its time bound instead of
@@ -21,11 +21,13 @@ each), so a cancelation mutant may not raise either.
 
 import json
 import time
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from qtelescope import andrews12, macmahon
+from qtelescope.telescope import first_match
 
 from test_streaming import run_child
 
@@ -53,42 +55,46 @@ def macmahon_fields(bound):
 
 
 def shifted_row(table, row, unit):
-    """A table factory like `table` whose row `row` shifts by unit(lay) more.
-    Rows count from the end, as test_the_andrews_grids_reach_every_row
-    counts them; at k = 0 the guards of phi's embedded, B, marked and C
-    rows pass no int, and a mutant of those rows changes nothing there."""
-    def factory(n, k, lay):
-        rows = table(n, k, lay)
+    """A table factory like `table` (its last argument the layout) whose
+    row `row` shifts by unit(lay) more.  Rows count from the end, as
+    test_every_table_grid_reaches_every_row counts them; at k = 0 the
+    guards of phi's embedded, B, marked and C rows pass no int, and a
+    mutant of those rows changes nothing there."""
+    def factory(*args):
+        rows = table(*args)
         if row >= -len(rows):
             case, guard, shift, *image = rows[row]
-            rows[row] = (case, guard, shift + unit(lay), *image)
+            rows[row] = (case, guard, shift + unit(args[-1]), *image)
         return rows
     return factory
 
 
-def andrews_mutants(name, grid):
-    """(mutant id, attribute, its replacement) for every row of the table
-    `name` and every field unit at the largest n of the grid, both signs."""
-    true_table = getattr(andrews12, name)
-    rows = len(true_table(*grid[0][:2], andrews12._layout(grid[0][0], 0)))
+def row_mutants(module, name, rows, fields):
+    """(mutant id, attribute, its replacement) for each of the last `rows`
+    rows of the table `name` of module and each field unit of `fields`,
+    both signs."""
+    true_table = getattr(module, name)
     for row in range(-rows, 0):
-        for field, unit in andrews_fields(max(n for n, _, _ in grid)).items():
+        for field, unit in fields.items():
             for sign in (1, -1):
                 yield (f"{name} row {row} {'+-'[sign < 0]}{field}", name,
                        shifted_row(true_table, row, lambda lay, u=unit, s=sign: s * u(lay)))
 
 
+def andrews_mutants(name, grid):
+    """row_mutants of the Andrews table `name`, every row and every field
+    unit at the largest n of the grid."""
+    rows = len(getattr(andrews12, name)(*grid[0][:2], andrews12._layout(grid[0][0], 0)))
+    return row_mutants(andrews12, name, rows, andrews_fields(max(n for n, _, _ in grid)))
+
+
 def step_mutants(index_of, grid):
-    """(mutant id, attribute, its replacement) for every field unit of
-    the MacMahon step's shift, mu parts up to the grid's largest bound
-    plus 2, both signs."""
-    true_shift = macmahon._step_shift
+    """row_mutants of the MacMahon step's table, both rows and every field
+    unit, mu parts up to the grid's largest bound plus 2."""
     bound = max(box[1] for index in grid for box in index_of(*index)[:2])
-    for field, unit in macmahon_fields(bound).items():
-        for sign in (1, -1):
-            yield (f"_step_shift {'+-'[sign < 0]}{field}", "_step_shift",
-                   lambda box, neighbour, lay, u=unit, s=sign:
-                       true_shift(box, neighbour, lay) + s * u(lay))
+    box, neighbour, marker = index_of(*grid[0])
+    rows = len(macmahon._step_table(box, neighbour, macmahon._step_layout(box, neighbour, marker)))
+    return row_mutants(macmahon, "_step_table", rows, macmahon_fields(bound))
 
 
 # sweep name -> (module, certificate, grid, mutants)
@@ -150,17 +156,34 @@ def test_every_mutant_fails_its_certificate(name):
     assert result["seconds"] < MUTANT_SECONDS, result
 
 
-def test_the_andrews_grids_reach_every_row():
-    # each row is the first match of an element of its table's grid; rows
-    # count from the end, as the mutants count them
-    for table, grid in (("_phi_table", PHI_GRID), ("_involution_table", INVOLUTION_GRID)):
-        rows_of, reached = getattr(andrews12, table), set()
+def table_slices(sweep):
+    """(rows, packed domain) of each index of a sweep's grid, its table's
+    rows there: an Andrews map's domain, or a MacMahon step's box and its
+    neighbour's boundary."""
+    _, _, grid, _ = SWEEPS[sweep]
+    if sweep.startswith("andrews"):
+        table = getattr(andrews12, f"_{sweep.removeprefix('andrews-')}_table")
         for n, k, cap in grid:
             lay = andrews12._layout(n, cap)
-            rows = rows_of(n, k, lay)
-            row_of, read = andrews12._first_match((guard, i - len(rows))
-                                                  for i, (_, guard, *_) in enumerate(rows))
-            reached.update(row_of[x & read] for x in andrews12._enum_packed(
-                andrews12._domain(n, k), cap, lay))
-        n, k, _ = grid[0]
-        assert reached == set(range(-len(rows_of(n, k, andrews12._layout(n, 0))), 0)), table
+            yield table(n, k, lay), andrews12._enum_packed(andrews12._domain(n, k), cap, lay)
+        return
+    index_of = macmahon._phi_index if sweep == "macmahon-phi" else macmahon._psi_index
+    for index in grid:
+        box, neighbour, marker = index_of(*index)
+        lay = macmahon._step_layout(box, neighbour, marker)
+        yield macmahon._step_table(box, neighbour, lay), chain(
+            macmahon._enum_packed(box, lay), macmahon._enum_packed(neighbour, lay, edge=True))
+
+
+@pytest.mark.parametrize("sweep", ["andrews-phi", "andrews-involution", "macmahon-phi",
+                                   "macmahon-psi"])
+def test_every_table_grid_reaches_every_row(sweep):
+    # each row is the first match of an element of its table's grid; rows
+    # count from the end, as the mutants count them
+    reached, counts = set(), set()
+    for rows, domain in table_slices(sweep):
+        row_of, read = first_match((guard, i - len(rows)) for i, (_, guard, *_) in enumerate(rows))
+        reached.update(row_of[x & read] for x in domain)
+        counts.add(len(rows))
+    (count,) = counts
+    assert reached == set(range(-count, 0))

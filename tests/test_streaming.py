@@ -2,7 +2,7 @@
 
 Every bijection-side certificate checks its slice in a kernel that keeps
 only counters: MacMahon's make one pass over it in telescope.stream_bijection,
-and Andrews' check it once per class of the bits their checks read
+each walk of the domain with its map's rule, and Andrews' check it once per class of the bits their checks read
 (andrews12._phi_by_class and _involution_by_class); where a kernel fails,
 the certificate reruns the set-based checker
 (telescope.check_graded_bijection, or andrews12._involution_failure for
@@ -10,9 +10,10 @@ the involution), which names the counterexample.  These tests hold the two paths
 certificate never reaches the oracle, each certificate is the one the
 oracle alone would give, a fault that only the weight or sign shows
 fails each kernel, each inverse is two-sided, exceptions are the
-oracle's, the cancelation's int walk and the fused step rule give what
-the tagged walk and the composed closures give, a rule fault fails
-instead of hanging or raising, and a large slice stays small in memory.
+oracle's, the cancelation's composed rules and its walk per element
+give what the tagged walk gives, the step rule gives what membership
+and boundary closures composed give, a rule fault fails instead of
+hanging or raising, and a large slice stays small in memory.
 """
 
 import json
@@ -144,8 +145,8 @@ def test_each_step_fault_gives_the_oracles_certificate(monkeypatch, step, case, 
     def broken(x, y):
         return fault(x, y, marker) if case_of(*index, x) == case else y
 
-    monkeypatch.setattr(macmahon, "_step_rule",
-                        macmahon_tests.faulty_rule(macmahon._step_rule, broken))
+    monkeypatch.setattr(macmahon, "_index_rule",
+                        macmahon_tests.faulty_rule(macmahon._index_rule, broken))
     streamed, oracle = both_paths(monkeypatch, lambda: certificate(*index))
     assert streamed == oracle
     assert streamed["counterexample"]["reason"] == reason
@@ -321,33 +322,25 @@ def test_a_macmahon_marker_fault_fails_the_kernel(monkeypatch, certificate, inde
 # the exceptions are the oracle's ----------------------------------------------
 
 def _refuse_one_element(monkeypatch):
-    """_step_rule refuses the fourth pair of phi_certificate(2, 2, 0)'s domain."""
-    true_rule = macmahon._step_rule
+    """The step rule refuses the fourth pair of phi_certificate(2, 2, 0)'s
+    domain with a ValueError of its own."""
     box, neighbour, marker = macmahon._phi_index(2, 2, 0)
     lay = macmahon._step_layout(box, neighbour, marker)
     refused = list(macmahon._enum_packed(box, lay))[3]
 
-    def factory(box_, neighbour_, lay_):
-        step = true_rule(box_, neighbour_, lay_)
+    def refusing(x, y, lay_):
+        if x == refused:
+            raise ValueError(f"refused {x}")
+        return y
 
-        def refusing(x):
-            if x == refused:
-                raise ValueError(f"refused {x}")
-            return step(x)
-        return refusing
-
-    monkeypatch.setattr(macmahon, "_step_rule", factory)
+    monkeypatch.setattr(macmahon, "_index_rule",
+                        in_rule_form(faulty(refusing))(macmahon._index_rule))
 
 
 def _cycle(monkeypatch):
     """An H-tagged pair stays as it is: the cancelation's orbit cycles."""
-    true_rule = macmahon._step_rule
-
-    def factory(box, neighbour, lay):
-        step = true_rule(box, neighbour, lay)
-        return lambda x: x if step(x) & macmahon._MARKED else step(x)
-
-    monkeypatch.setattr(macmahon, "_step_rule", factory)
+    monkeypatch.setattr(macmahon, "_index_rule", in_rule_form(faulty(
+        lambda x, y, lay: x if y & macmahon._MARKED else y))(macmahon._index_rule))
 
 
 # name -> (a fault to patch in, or None; the raising call)
@@ -383,8 +376,8 @@ def test_exceptions_propagate_as_the_oracles(monkeypatch, name):
 def _second_first_row(monkeypatch):
     """A case-1 pair of phi at m = 1 gains a second first row: its orbit
     leaves every box."""
-    monkeypatch.setattr(macmahon, "_step_rule", macmahon_tests.faulty_rule(
-        macmahon._step_rule, macmahon_tests.second_first_row(1)))
+    monkeypatch.setattr(macmahon, "_index_rule", macmahon_tests.faulty_rule(
+        macmahon._index_rule, macmahon_tests.second_first_row(1)))
 
 
 # name -> (the fault, the index, the failure's reason)
@@ -449,8 +442,8 @@ def test_macmahon_step_inverse_is_two_sided():
                   for n in range(1, 7) for k in range(-1, n + 1)])
     for (box, neighbour, marker), lower in indices:
         lay = macmahon._step_layout(box, neighbour, marker)
-        step = macmahon._step_rule(box, neighbour, lay)
-        inverse = packed_inverse([macmahon._step_shift(box, neighbour, lay)]
+        step = macmahon._step(box, neighbour, lay)
+        inverse = packed_inverse([macmahon._step_table(box, neighbour, lay)[-1][2]]
                                  * (lay.field + 1), lay)
         domain, codomain = _step_sides(box, neighbour, lower, lay)
         for x in domain:
@@ -459,19 +452,32 @@ def test_macmahon_step_inverse_is_two_sided():
             assert step(inverse(y)) == y, (box, neighbour, y)
 
 
+def cancelation_levels(n, m):
+    """(layout, levels, edges, shifts) of the cancelation at (n, m), as
+    cancelation_certificate builds them, one entry per side field and one
+    past it: the step at that index as (its call, its rule's read), its
+    box's edge, and the shift of its moving row."""
+    lay = macmahon._Layout(-m, n + 1, n + m + 1, macmahon._phi_index(n, m, 0)[2])
+    indices = [macmahon._phi_index(n, m, s + lay.lo)[:2] for s in range(lay.field + 2)]
+    return (lay, [(macmahon._step(*index, lay), macmahon._index_rule(*index, lay)[1])
+                  for index in indices],
+            [macmahon._edge(box[1], lay) for box, _ in indices],
+            [macmahon._step_table(*index, lay)[-1][2] for index in indices])
+
+
 def tagged_rule(n, m):
     """(layout, telescoping_phi on the packed form, the shifts of its
-    inverse) at (n, m), read off macmahon._cancelation_tables: the
-    reference the certificate's int walk is held to.  A tagged element is
-    ("A", x) or ("H", x), an "H" pair stepping at the next index; an image
-    is tagged "H" where it is bare and on its box's boundary, and "B",
-    landed, otherwise."""
-    lay, steps, edges, shifts = macmahon._cancelation_tables(n, m)
+    inverse) at (n, m), read off cancelation_levels: the reference the
+    certificate's composed rules and its walk are held to.  A tagged
+    element is ("A", x) or ("H", x), an "H" pair stepping at the next
+    index; an image is tagged "H" where it is bare and on its box's
+    boundary, and "B", landed, otherwise."""
+    lay, levels, edges, shifts = cancelation_levels(n, m)
     side, marked = macmahon._SIDE, macmahon._MARKED
 
     def step(tagged):
         tag, x = tagged
-        y = steps[(x >> side & lay.field) + (tag == "H")](x)
+        y = levels[(x >> side & lay.field) + (tag == "H")][0](x)
         edge, least, most = edges[y >> side & lay.field]
         return ("H" if not y & marked and least <= y & edge <= most else "B"), y
     return lay, step, shifts
@@ -481,18 +487,51 @@ def landed(tagged):
     return tagged[0] == "B"
 
 
-def test_cancelation_inverse_is_two_sided():
+def streamed_rules(monkeypatch, n, m):
+    """The rules cancelation_certificate(n, m) streams, one a box of the
+    union, in order: the direct map composed on each box."""
+    rules, kernel = [], macmahon.stream_bijection
+
+    def spy(walks, *args):
+        walks = list(walks)
+        rules.extend(rule for rule, _ in walks)
+        return kernel(walks, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(macmahon, "stream_bijection", spy)
+        macmahon.cancelation_certificate(n, m)
+    return rules
+
+
+def composed(rule, a):
+    """a's image under a composed rule, or "refused" where the rule
+    refuses a's class."""
+    shifts, read = rule
+    try:
+        return a + shifts[a & read]
+    except KeyError:
+        return "refused"
+
+
+def test_cancelation_inverse_is_two_sided(monkeypatch):
+    # The composed rules are the tagged walk, and the inverse undoes them
+    # on the union and they undo the inverse on the codomain.
     for n in range(4):
         for m in range(1, 4):
             lay, step, shifts = tagged_rule(n, m)
             inverse = packed_inverse(shifts, lay)
+            boxes = [macmahon._box_P(n, m, k) for k in range(-m, n + 1)]
+            rules = dict(zip(boxes, streamed_rules(monkeypatch, n, m)))
+
+            def direct(a):  # by the composed rule of a's box
+                image = composed(rules[macmahon._box_P(n, m, (a >> macmahon._SIDE & lay.field)
+                                                       + lay.lo)], a)
+                assert image == cancelation_psi(step, ("A", a), landed, 100)[1], (n, m, a)
+                return image
 
             def union(mm):  # every pair of the P(n,mm,k), k in -m .. n
                 return [x for k in range(-m, n + 1)
                         for x in macmahon._enum_packed(macmahon._box_P(n, mm, k), lay)]
-
-            def direct(a):
-                return cancelation_psi(step, ("A", a), landed, 100)[1]
 
             for x in union(m):
                 assert inverse(direct(x)) == x, (n, m, x)
@@ -501,21 +540,7 @@ def test_cancelation_inverse_is_two_sided():
                 assert direct(inverse(y)) == y, (n, m, y)
 
 
-# the fused walk and rule against the composition they replace ------------------
-
-def streamed_walk(monkeypatch, n, m):
-    """The direct map cancelation_certificate(n, m) streams: its int walk."""
-    walks, kernel = [], macmahon.stream_bijection
-
-    def spy(groups, step, *args):
-        walks.append(step)
-        return kernel(groups, step, *args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(macmahon, "stream_bijection", spy)
-        macmahon.cancelation_certificate(n, m)
-    return walks[0]
-
+# the composed rules, the walk and the step rule against the references ----------
 
 def walk_outcome(walk, a):
     """The image of a under walk, or the class and text of what it raised."""
@@ -528,33 +553,40 @@ def walk_outcome(walk, a):
 @pytest.mark.parametrize("name", [None, *CANCELATION_FAULTS])
 def test_the_cancelation_walk_is_the_tagged_walk(monkeypatch, name):
     # Every pair of the union, under the true rule and under each fault:
-    # the int walk gives the tagged cancelation_psi walk's image, or raises
-    # as it does, with the same budget and text.
+    # the walk per element gives the tagged cancelation_psi walk's image,
+    # or raises as it does, with the same budget and text; its box's
+    # composed rule gives that image, and refuses where the walk raises.
     if name is not None:
         CANCELATION_FAULTS[name][0](monkeypatch)
     raised = 0
     for n in range(5):
         for m in range(1, 5):
             lay, step, _shifts = tagged_rule(n, m)
+            levels, edges = cancelation_levels(n, m)[1:3]
             boxes = [macmahon._box_P(n, m, k) for k in range(-m, n + 1)]
-            union = [a for box in boxes for a in macmahon._enum_packed(box, lay)]
-            budget = 1 + len(union) + sum(
+            budget = 1 + sum(1 for box in boxes for _ in macmahon._enum_packed(box, lay)) + sum(
                 1 for box in boxes for _ in macmahon._enum_packed(box, lay, edge=True))
-            walk = streamed_walk(monkeypatch, n, m)
 
             def tagged(a):
                 return cancelation_psi(step, ("A", a), landed, budget)[1]
 
-            for a in union:
-                expected = walk_outcome(tagged, a)
-                assert walk_outcome(walk, a) == expected, (n, m, a)
-                raised += isinstance(expected, tuple)
+            def walk(a):
+                return macmahon._walk(a, levels, edges, lay.field, budget)[0]
+
+            for box, rule in zip(boxes, streamed_rules(monkeypatch, n, m)):
+                for a in macmahon._enum_packed(box, lay):
+                    expected = walk_outcome(tagged, a)
+                    assert walk_outcome(walk, a) == expected, (n, m, a)
+                    assert composed(rule, a) == (
+                        "refused" if isinstance(expected, tuple) else expected), (n, m, a)
+                    raised += isinstance(expected, tuple)
     assert (raised > 0) == (name is not None)
 
 
 def composed_step_rule(box, neighbour, lay):
-    """The step rule as membership and boundary closures composed it: each
-    box's _masks, and the boundary test of the neighbour's bound."""
+    """The step map as membership and boundary closures composed it: each
+    box's _masks, the boundary test of the neighbour's bound and the
+    moving row's shift."""
     def member(b):
         forbidden, expected, limit = macmahon._masks(b, lay)
         length = lay.field << lay.length
@@ -567,7 +599,7 @@ def composed_step_rule(box, neighbour, lay):
     else:  # mu is empty
         mask = lay.field << lay.length
         on_edge = lambda x: x & mask == 0
-    shift = macmahon._step_shift(box, neighbour, lay)
+    shift = macmahon._step_table(box, neighbour, lay)[-1][2]
 
     def step(x):
         if in_box(x):
@@ -580,14 +612,15 @@ def composed_step_rule(box, neighbour, lay):
 
 def test_the_fused_step_rule_is_the_composed_one():
     # Every int of both boxes, bare and flagged, and with its side field
-    # one below and one above: the same image, or the same ValueError.
+    # one below and one above: the rule's call form gives the same image,
+    # or the same ValueError.
     indices = ([macmahon._phi_index(n, m, k)
                 for n in range(4) for m in range(1, 4) for k in range(-m, n + 2)]
                + [macmahon._psi_index(n, k) for n in range(1, 6) for k in range(-1, n + 2)])
     one_side = 1 << macmahon._SIDE
     for box, neighbour, marker in indices:
         lay = macmahon._step_layout(box, neighbour, marker)
-        fused = macmahon._step_rule(box, neighbour, lay)
+        fused = macmahon._step(box, neighbour, lay)
         composed = composed_step_rule(box, neighbour, lay)
         pairs = chain(macmahon._enum_packed(box, lay), macmahon._enum_packed(neighbour, lay))
         for x in pairs:
@@ -629,7 +662,7 @@ LOSE_A_TWO = f"""
 @pytest.mark.parametrize("patch, call", [
     ("andrews12._involution_rule = in_rule_form(lose_a_two)(andrews12._involution_rule)",
      "andrews12.involution_certificate(3, 2, 20)"),
-    ("macmahon._step_rule = lose_a_two(macmahon._step_rule)",
+    ("macmahon._index_rule = in_rule_form(lose_a_two)(macmahon._index_rule)",
      "macmahon.phi_certificate(2, 2, 0)"),
 ], ids=["involution", "macmahon-phi"])
 def test_a_negative_image_fails_its_certificate(patch, call):

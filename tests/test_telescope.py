@@ -15,8 +15,8 @@ from qtelescope.macmahon import phi_telescoping_counts, psi_telescoping_counts
 from qtelescope.partitions import Memo
 from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import (Certificate, IterationBudgetExceeded,
-                                  MarkedObject, check_graded_bijection,
-                                  stream_bijection, telescoping_sum_check,
+                                  MarkedObject, check_graded_bijection, first_match,
+                                  rule_call, stream_bijection, telescoping_sum_check,
                                   weight_of)
 
 from reference_cancelation import cancelation_psi
@@ -110,9 +110,10 @@ def test_empty_domain_is_rejected():
 # stream_bijection on a toy family of ints ---------------------------------------
 #
 # The domain is x = a << 4 | 1 and the codomain y = a << 4 | 2 for a in
-# 0..7: a 4-bit tag below a.  The true map adds 1.  The weight key is
-# a // 2, so a = 0, 1 share one weight.  The inverse is keyed on y itself
-# (read -1), so a test can name any preimage.
+# 0..7: a 4-bit tag below a.  The true map adds 1; a map is handed over
+# in rule form keyed on x itself (read -1).  The weight key is a // 2, so
+# a = 0, 1 share one weight.  The inverse is keyed on y itself too, so a
+# test can name any preimage.
 
 TOY_DOMAIN = [a << 4 | 1 for a in range(8)]
 
@@ -127,7 +128,8 @@ def toy_stream(step=lambda x: x + 1, preimages=None, size=8, groups=None):
     reader = (15, Memo(lambda bits: 0), 4, 1, 1, Memo(lambda low: 0), Memo(lambda high: high), 0)
     if groups is None:
         groups = [(1, [0, 16, 32, 48]), (65, [0, 16, 32, 48])]
-    return stream_bijection(groups, step, (table, 15, 0), (shifts, -1), reader, size)
+    rule = Memo(lambda x: step(x) - x), -1
+    return stream_bijection([(rule, groups)], (table, 15, 0), (shifts, -1), reader, size)
 
 
 def test_stream_bijection_verifies_a_weight_preserving_bijection():
@@ -167,6 +169,36 @@ def test_stream_bijection_refuses_a_size_off_by_one():
 
 def test_stream_bijection_refuses_an_empty_domain():
     assert toy_stream(groups=[], size=0) is None
+
+
+def test_stream_bijection_refuses_an_element_its_rule_refuses():
+    def refusing(x):
+        if x == 33:
+            raise KeyError(x)
+        return x + 1
+
+    assert toy_stream(step=refusing) is None
+
+
+# the one first-match dispatch and the call form of a rule -----------------------
+
+# x = a << 4 | tag: tag 1 with a <= 3 moves up by 16, any other tag 1 stays
+TOY_RULE = first_match([((15, 1, (-16, 0, 3 << 4)), 16), ((15, 1), 0)])
+
+
+def test_first_match_reads_each_guard_as_a_conjunction():
+    shifts, read = TOY_RULE
+    assert read == 15 | -16
+    assert [shifts[a << 4 | 1 & read] for a in range(6)] == [16, 16, 16, 16, 0, 0]
+    with pytest.raises(KeyError):
+        shifts[2 & read]
+
+
+def test_rule_call_refuses_with_its_text():
+    step = rule_call(TOY_RULE, lambda x: f"no rule for {x}")
+    assert step(1) == 17 and step(65) == 65
+    with pytest.raises(ValueError, match="^no rule for 2$"):
+        step(2)
 
 
 # weight keys ------------------------------------------------------------------
