@@ -10,13 +10,14 @@ The package is organized bottom-up:
                 walks MacMahon's boxes
     telescope   generic bijection and telescoping checkers:
                 first_match, the one dispatch of every map's rule table,
-                stream_bijection, MacMahon's streaming bijection kernel,
-                and the set-based check, the failure-path oracle of both
-                families; the (sign, z, q) weight key weight_of, and
+                bijection_by_class, the bijection kernel of both families,
+                which checks a map once per class of the bits its checks
+                read, and the set-based check, the failure-path oracle of
+                both families; the (sign, z, q) weight key weight_of, and
                 certify, which makes every Certificate
     macmahon    the square-plus-even-partition families, the step maps
                 phi and psi as rule tables and the cancelation's walk,
-                composed per class, their certificates on the streaming
+                composed per class, their certificates on the class
                 kernel, and verify_macmahon: the per-index telescoping
                 check on one enumeration per box, the lower family off
                 its boundary

@@ -29,9 +29,10 @@ count, lam as a bitmask and mu as a partitions.EvenField (see _Layout).
 A slice is a tuple of parts (n, k, marker), each marker-`marker` copies
 of P(n,k): P(n,k) itself is ((n, k, 0),), and _domain, _codomain and
 _embedded state each side of each map once.  One grouped walk (_groups),
-one enumerator (_enum_packed), one counter (_count_packed) and one class
-counter (_count_classes) take a slice, each from its parts' factors, lam
-and mu built packed with no Partition (_factors); _slice_masks states
+one enumerator (_enum_packed) and one class counter (_count_classes),
+whose one class at R = 0 is the slice's size, take a slice, each from
+its parts' factors, lam and mu built packed with no Partition, lam as
+counts by (weight, lam & R) (_factors); _slice_masks states
 its membership, one mask pair per part, and _slice_table reads those
 pairs by the marker field.
 Each map is one ordered table of cases (_phi_table, _involution_table):
@@ -47,8 +48,10 @@ The certificates run end to end on packed ints and decode an element to
 a Triple / MarkedObject only for a counterexample.  Each is checked once
 per class of the bits its checks read, R (_reads): the slice's elements
 are counted by x & R from its factors, with no element built, and each
-class is checked on one int, phi's bijection laws in _phi_by_class and
-the involution's laws in _involution_by_class, with the rule, its
+class is checked on one int, phi's bijection laws in _phi_by_class,
+through the kernel MacMahon's certificates share
+(telescope.bijection_by_class), and the involution's laws in
+_involution_by_class, with the rule, its
 inverse and the membership masks read off the class and its image, and
 weight and sign through one reader (_key).  Where a kernel fails, the
 set-based check (check_graded_bijection, _involution_failure) reruns as
@@ -73,14 +76,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate
 from operator import or_, sub
 from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
 from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject, Rule, WeightKey,
-                        certify, check_graded_bijection, first_match, rule_call, weight_of)
+                        bijection_by_class, certify, check_graded_bijection, first_match,
+                        rule_call, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,36 +288,37 @@ def _slice_table(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int]]
     return table
 
 
-def _factors(n: int, k: int, cap: int, lay: _Layout):
+def _factors(n: int, k: int, cap: int, lay: _Layout, reads: int = -1):
     """(lams, mus by weight) of the members of P(n,k) with total weight
-    <= cap: each lam as its (weight, packed bits), each mu packed with the
-    row count, grouped by its weight, each in lexicographic order; ([], [])
-    where P(n,k) is empty or its staircase alone passes the cap.
+    <= cap: lams a Counter of (weight, lam & reads), lam packed as its
+    bits, each mu packed with the row count, grouped by its weight, each
+    in lexicographic order; empty where P(n,k) is empty or its staircase
+    alone passes the cap.
 
     Both are built packed, one part p at a time in ascending order, by
     adding p to each member that stays within the budget.  lam takes p at
-    most once, so it extends the list as it was; mu takes p again and
-    again, so it extends the list while walking it.  Either way the
-    members with largest part p follow all those with smaller parts, in
-    the order of what p is added to, so the list stays lexicographic, and
-    each mu's weight is known as it is built."""
+    most once, so it extends the members as they were, as counts: that is
+    exact for any reads, since a lam part is one bit and adding it carries
+    nowhere, and at reads -1 each count is 1.  mu takes p again and again,
+    so its lists by weight extend in ascending weight, each from the list
+    p below it, which has already taken p.  Either way the members with
+    largest part p follow all those with smaller parts, in the order of
+    what p is added to, so both stay lexicographic, and each member's
+    weight is known as it is built."""
     rows = n - k
     budget = cap - rows * (rows - 1) // 2
     if n < 0 or k < 0 or k > n or budget < 0:
-        return [], []
-    lams = [(0, 0)]
+        return Counter(), []
+    lams = Counter({(0, 0): 1})
     for p in range(n - k + 1, min(n + k, budget) + 1):
-        bit, room = lay.part(p), budget - p
-        lams += [(weight + p, bits + bit) for weight, bits in lams if weight <= room]
-    mus = [(0, rows << lay.rows)]
+        bit, room = lay.part(p) & reads, budget - p
+        for (weight, bits), count in [item for item in lams.items() if item[0][0] <= room]:
+            lams[weight + p, bits + bit] += count
+    mus_by_weight = [[rows << lay.rows]] + [[] for _ in range(budget)]
     for p in range(2, min(2 * k, budget) + 1, 2):
-        unit, room = lay.mu.unit(p), budget - p
-        for weight, mu in mus:
-            if weight <= room:
-                mus.append((weight + p, mu + unit))
-    mus_by_weight = [[] for _ in range(budget + 1)]
-    for weight, mu in mus:
-        mus_by_weight[weight].append(mu)
+        unit = lay.mu.unit(p)
+        for weight in range(budget - p + 1):  # ascending, so each takes p again
+            mus_by_weight[weight + p] += [mu + unit for mu in mus_by_weight[weight]]
     return lams, mus_by_weight
 
 
@@ -345,18 +349,18 @@ def _enum_packed(parts: tuple[Part, ...], cap: int, lay: _Layout) -> Iterator[in
 
 def _count_classes(parts: tuple[Part, ...], cap: int, lay: _Layout, reads: int) -> Counter:
     """How many elements _enum_packed yields in each class x & reads,
-    counted from each part's factors without pairing them.  A head and a
-    mu use disjoint bits, so (head + mu) & reads == head & reads | mu &
-    reads: the mus are classed once, into running counts by weight, and
-    the heads of lam weight w take the counts of the mus of weight <=
-    budget - w."""
+    counted from each part's factors without pairing them and with no lam
+    held, lam counted by (weight, lam & reads) (_factors).  A head and a mu
+    use disjoint bits, so (head + mu) & reads == head & reads | mu & reads:
+    the mus are classed once, into running counts by weight, and the heads
+    of lam weight w take the counts of the mus of weight <= budget - w.  At
+    reads 0 the one class, 0, counts the slice."""
     classes = Counter()
     for n, k, marker in parts:
-        lams, mus_by_weight = _factors(n, k, cap - marker, lay)
+        lams, mus_by_weight = _factors(n, k, cap - marker, lay, reads)
         heads = [[] for _ in mus_by_weight]  # by the mu weight left
-        for (weight, head), count in Counter((weight, lam + marker & reads)
-                                             for weight, lam in lams).items():
-            heads[-1 - weight].append((head, count))
+        for (weight, lam), count in lams.items():
+            heads[-1 - weight].append((lam + marker & reads, count))
         mus = Counter()  # the classes of the mus met so far
         for by_weight, by_head in zip(mus_by_weight, heads):
             mus.update(map(reads.__and__, by_weight))
@@ -364,17 +368,6 @@ def _count_classes(parts: tuple[Part, ...], cap: int, lay: _Layout, reads: int) 
                 for mu, times in mus.items():
                     classes[head | mu] += count * times
     return classes
-
-
-def _count_packed(parts: tuple[Part, ...], cap: int, lay: _Layout) -> int:
-    """The number of elements _enum_packed yields, counted from each
-    part's factors without pairing them."""
-    count = 0
-    for n, k, marker in parts:
-        lams, mus_by_weight = _factors(n, k, cap - marker, lay)
-        at_most = list(accumulate(map(len, mus_by_weight)))  # mus of weight <= w
-        count += sum(at_most[-1 - weight] for weight, _ in lams)  # <= budget - weight
-    return count
 
 
 def _within(guard: tuple[int, int], part: tuple[int, int]) -> tuple[int, int]:
@@ -645,29 +638,20 @@ def _phi_by_class(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
     onto the capped codomain; None where any check fails.
 
     The checks run once per class c = x & R of the slice (_reads: phi's
-    read, its inverse's and the codomain's masks), on d = c + shifts[c &
-    read] (_phi_rule): no carry out of R; d in the codomain (one read of
+    read, its inverse's and the codomain's masks), in the kernel of both
+    families, telescope.bijection_by_class, on d = c + shifts[c & read]
+    (_phi_rule): no carry out of R; d in the codomain (one read of
     its _slice_table); the inverse takes d back to c (_phi_back); and d
     has c's weight and sign (_key).  Then each x of the class goes into
     the codomain with its weight and back to x, so phi is injective from
     the slice into the capped codomain, and onto it where the slice's
     size, nonzero, is the codomain's count."""
-    shifts, read = _phi_rule(n, k, lay)
-    back, back_read = _phi_back(n, k, lay)
-    table, field, key = _slice_table(_codomain(n, k), lay), lay.field, _key(lay)
-    reads = _reads(lay, read, back_read, *(forbidden for forbidden, _ in table))
-    size = 0
-    try:
-        for c, count in _count_classes(_domain(n, k), cap, lay, reads).items():
-            d = c + shifts[c & read]
-            forbidden, expected = table[d & field]
-            if (d & ~reads or d & forbidden != expected
-                    or d - back[d & back_read] != c or key(d) != key(c)):
-                return None
-            size += count
-    except KeyError:
-        return None
-    return size if size and size == _count_packed(_codomain(n, k), cap, lay) else None
+    rule, back = _phi_rule(n, k, lay), _phi_back(n, k, lay)
+    table = [(*masks, 0) for masks in _slice_table(_codomain(n, k), lay)]  # no length field
+    reads = _reads(lay, rule[1], back[1], *(forbidden for forbidden, *_ in table))
+    return bijection_by_class(
+        [(rule, reads, table, _count_classes(_domain(n, k), cap, lay, reads))],
+        (lay.field, 0), back, _key(lay), _count_classes(_codomain(n, k), cap, lay, 0)[0])
 
 
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
@@ -743,7 +727,7 @@ def _involution_by_class(n: int, k: int, cap: int,
     except KeyError:
         return None
     if (not size or 2 * rising + fixed != size
-            or fixed != _count_packed(_embedded(n, k), cap, lay)):
+            or fixed != _count_classes(_embedded(n, k), cap, lay, 0)[0]):
         return None
     return size, fixed
 

@@ -25,23 +25,25 @@ The two paths see the boxes differently.  The bijection path (the step
 certificates and cancelation) runs on a packed form, one int per pair (see
 _Layout; mu is a partitions.EvenField): one helper, _groups, walks each
 box, or its boundary slice generated from its first part, as groups of
-ints, which _enum_packed flattens, and _box_size counts either by
-partitions.box_size; membership is one AND-and-compare plus a length
-bound.  Each step map is a table of two rows (_step_table) read by
-telescope.first_match, as Andrews' maps are; the cancelation's walk
-(_walk) is composed once per class of each box into one rule
-(_composed).  The certificates stream in the one bijection kernel,
-telescope.stream_bijection (_bijection_certificate): one pass over the
-domain's _groups, each walk with its rule, against the map's inverse,
-which takes a marked pair's shift back, with the codomain tested by
-masks, both tables indexed by an image's flag and side field, and the
-weights read by _reader, whose head folds side, flag and marker into
-one int key.  Each codomain is stated once, as walks (box, flag), the
-box's pairs plus the flag; its mask table (_codomain_table), its size
-and the oracle's list all come from them.  Where the kernel fails,
-check_graded_bijection reruns on lists of both sides as the oracle and
-weighs the decoded pairs with weight_of, decoding a pair only for a
-counterexample.  The public
+ints, which _enum_packed flattens, _count_classes counts by class and
+_box_size counts by partitions.box_size; membership is one
+AND-and-compare plus a length bound.  Each step map is a table of two
+rows (_step_table) read by telescope.first_match, as Andrews' maps are;
+the cancelation's walk (_walk) is composed once per class of each box
+into one rule (_composed).  The certificates run in the bijection kernel
+both families share, telescope.bijection_by_class
+(_bijection_certificate): once per class x & R of each walk of the
+domain, R the bits its checks read, each walk with its rule, against the
+map's inverse, which takes a marked pair's shift back, with the codomain
+tested by masks, both tables indexed by an image's flag and side field,
+and the weights read by _key, which folds side, flag, marker and mu's
+weight into one int.  The classes are counted off _groups' (head, tails)
+pairs, each tail list classed once, and no pair is built.  Each codomain
+is stated once, as walks (box, flag), the box's pairs plus the flag; its
+mask table (_codomain_table), its size and the oracle's list all come
+from them.  Where the kernel fails, check_graded_bijection reruns on
+lists of both sides as the oracle and weighs the decoded pairs with
+weight_of, decoding a pair only for a counterexample.  The public
 enum_P and phi_step take and return MacPairs: phi_step checks the input,
 encodes it, runs the packed rule and decodes the result;
 telescoping_phi steps through phi_step and retags its case.  The sum
@@ -69,16 +71,16 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, combinations_with_replacement
-from operator import lshift
+from operator import lshift, or_
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition, box_size
 from .qalgebra import Kronecker, factor_product, gaussian_row
 from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject, Rule,
-                        WeightKey, certify, check_graded_bijection, first_match,
-                        rule_call, stream_bijection, telescoping_sum_check)
+                        WeightKey, bijection_by_class, certify, check_graded_bijection,
+                        first_match, rule_call, telescoping_sum_check)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,28 +122,33 @@ _SIDE = 1  # where the side field starts
 
 class _Layout:
     """Where the fields of the packed form sit, for pairs with sides in
-    [lo, hi] and at most `slots` parts, marked with `marker` (q, z).
+    [lo, hi], at most `slots` parts and parts at most `bound`, marked with
+    `marker` (q, z).
 
     From bit 0 up: the marked flag; side - lo and mu's length, `width` bits
     each; then mu, an EvenField of `width`-bit multiplicities.  A field
     holds max(hi - lo, slots), so no step between two sides of [lo, hi]
-    carries or borrows across a field.
+    carries or borrows across a field.  `span` is the bit above mu's fields
+    for the parts up to the bound: every pair of the layout packs below it.
     """
 
-    __slots__ = ("lo", "marker", "field", "length", "mu")
+    __slots__ = ("lo", "marker", "field", "length", "mu", "span")
 
-    def __init__(self, lo: int, hi: int, slots: int, marker=(0, 0)):
+    def __init__(self, lo: int, hi: int, slots: int, bound: int, marker=(0, 0)):
         self.lo, self.marker = lo, marker
         width = max(hi - lo, slots, 1).bit_length()
         self.field = (1 << width) - 1
         self.length = _SIDE + width
         self.mu = EvenField(_SIDE + 2 * width, width)
+        self.span = self.mu.unit(max(bound, 0) // 2 * 2 + 2)
 
 
 def _step_layout(box: Box, neighbour: Box, marker: tuple[int, int]) -> _Layout:
-    """The layout of a step map: it fits both boxes' sides and slots."""
+    """The layout of a step map: it fits both boxes' sides, slots and
+    bounds."""
     sides = box[0], neighbour[0]
-    return _Layout(min(sides), max(sides), max(box[2], neighbour[2], 0), marker)
+    return _Layout(min(sides), max(sides), max(box[2], neighbour[2], 0),
+                   max(box[1], neighbour[1]), marker)
 
 
 def _encode(x: MacValue, lay: _Layout) -> Optional[int]:
@@ -224,6 +231,24 @@ def _enum_packed(box: Box, lay: _Layout, edge: bool = False) -> Iterator[int]:
     return (head + t for head, tails in _groups([(box, edge)], lay) for t in tails)
 
 
+def _count_classes(walks: Iterable[tuple[Box, bool]], lay: _Layout, reads: int) -> Counter:
+    """How many pairs _groups yields in each class x & reads, for reads a
+    union of whole fields, counted from the groups without building a
+    pair.  No field of a pair overflows, so (head + t) & reads == (head &
+    reads) + (t & reads): each memoised tail list is classed once, in C,
+    kept by its identity for the call, and each head's class is added to
+    its counts."""
+    classes, known = Counter(), {}
+    for head, tails in _groups(walks, lay):
+        tail_classes = known.get(id(tails))
+        if tail_classes is None:  # the list is kept, so its id is not reused
+            tail_classes = known[id(tails)] = tails, Counter(map(reads.__and__, tails))
+        head &= reads
+        for t, count in tail_classes[1].items():
+            classes[head + t] += count
+    return classes
+
+
 def _box_size(box: Box, edge: bool = False) -> int:
     """The number of pairs _enum_packed yields, partitions.box_size.  A
     boundary slice is the box with one slot fewer, the first part being
@@ -266,7 +291,7 @@ def _not_in_domain(x, box: Box, neighbour: Box) -> str:
 # the public families and step maps --------------------------------------------
 
 def _enum_box(box: Box) -> list[MacPair]:
-    lay = _Layout(box[0], box[0], max(box[2], 0))
+    lay = _Layout(box[0], box[0], max(box[2], 0), box[1])
     return list(map(_decoder(lay), _enum_packed(box, lay)))
 
 
@@ -320,10 +345,10 @@ def phi_step(n: int, m: int, k: int, x: MacPair) -> tuple[int, MacValue]:
 
 def _codomain_table(codomain: list[tuple[Box, int]],
                     lay: _Layout) -> list[tuple[int, int, int]]:
-    """stream_bijection's codomain test, indexed by an image's flag and
-    side field, y & (_MARKED | lay.field << _SIDE): each walk (box,
-    flag) of the codomain puts the box's _masks, the flag expected on top,
-    at its side field plus the flag; every other entry is _NEVER."""
+    """The codomain test, indexed by an image's flag and side field, y &
+    (_MARKED | lay.field << _SIDE): each walk (box, flag) of the codomain
+    puts the box's _masks, the flag expected on top, at its side field
+    plus the flag; every other entry is _NEVER."""
     table = [_NEVER] * (2 * lay.field + 2)
     for box, flag in codomain:
         forbidden, expected, limit = masks = _masks(box, lay)
@@ -332,44 +357,56 @@ def _codomain_table(codomain: list[tuple[Box, int]],
     return table
 
 
-def _reader(lay: _Layout, bound: int) -> tuple:
-    """stream_bijection's reader of a packed pair's weight: the key (q <<
-    scale) + z + offset, where 0 <= z + offset < 2^scale for every side
-    field and flag.  head, a Memo, reads side^2 + marker_q (flagged) and
-    side + marker_z (flagged) off the flag and side field; mu's weight
-    comes in EvenField.halves(bound)."""
+def _key(lay: _Layout) -> Callable[[int], int]:
+    """The class kernel's one read of a packed pair's weight, as the int
+    (q << scale) + z + offset, where 0 <= z + offset < 2^scale for every
+    side field and flag: q is side^2 + |mu|, z the side, plus the marker
+    when flagged."""
     field, lo, (marker_q, marker_z) = lay.field, lay.lo, lay.marker
     zs = lo, lo + field, lo + marker_z, lo + field + marker_z
     offset, scale = -min(zs), (max(zs) - min(zs)).bit_length()
+    at, mu_weight = lay.mu.at, Memo(lay.mu.weight)
 
-    def head(bits: int) -> int:
-        side, flag = (bits >> _SIDE) + lo, bits & _MARKED
-        return (side * side + flag * marker_q << scale) + side + flag * marker_z + offset
-    return (_MARKED | field << _SIDE, Memo(head), lay.mu.at, *lay.mu.halves(bound), scale)
+    def key(x: int) -> int:
+        side, flag = (x >> _SIDE & field) + lo, x & _MARKED
+        return ((side * side + flag * marker_q + mu_weight[x >> at] << scale)
+                + side + flag * marker_z + offset)
+    return key
 
 
 def _bijection_certificate(walks: list, step: Callable[[int], int], codomain: list,
                            shifts: list, lay: _Layout, check: str, params: dict) -> Certificate:
     """The bijection check of a packed map from the domain's walks ((box,
-    edge), the map's rule there), their _groups streamed in
-    telescope.stream_bijection, to the codomain's walks (box, flag).  An
-    image's flag and side field index both the codomain's _codomain_table
-    and the inverse: a marked y less shifts[its side field], any other y
-    itself.  Where the stream fails, check_graded_bijection reruns against
-    the call `step`, weighs decoded pairs and names the counterexample."""
+    edge), the map's rule there, the side fields its images land on) to
+    the codomain's walks (box, flag), once per class of each walk's pairs
+    (_count_classes) in telescope.bijection_by_class.  A walk's R holds
+    the flag and side field, which index the codomain's _codomain_table
+    and the inverse, the length field, its rule's read and the forbidden
+    masks of the table's entries at the side fields it lands on, both
+    flags, the only entries its images are tested against; it is narrowed
+    below lay.span, so it is nonnegative.  Every bit R leaves out is a
+    whole mu field, which adds its parts to the weight (_key).  The
+    inverse takes a marked image less shifts[its side field] and any other
+    image as itself.  Where the kernel fails, check_graded_bijection reruns
+    against the call `step`, weighs decoded pairs and names the
+    counterexample."""
     started = time.monotonic()
-    field = lay.field
-    flag_side = _MARKED | field << _SIDE
-    # split mu's fields in the middle of the largest walk's parts
-    widest = max((walk for walk, _ in walks), key=lambda walk: _box_size(*walk))[0]
-    size = stream_bijection(
-        [(rule, _groups([walk], lay)) for walk, rule in walks],
-        (_codomain_table(codomain, lay), flag_side, field << lay.length),
+    field, table = lay.field, _codomain_table(codomain, lay)
+    flag_side, length = _MARKED | field << _SIDE, field << lay.length
+
+    def by_class(walk: tuple[Box, bool], rule: Rule, lands: tuple[int, ...]) -> tuple:
+        entries = {i: table[i] for side in lands for i in (side << _SIDE, side << _SIDE | _MARKED)}
+        reads = reduce(or_, (forbidden for forbidden, _, _ in entries.values()),
+                       flag_side | length | rule[1]) & lay.span - 1
+        return rule, reads, entries, _count_classes([walk], lay, reads)
+
+    size = bijection_by_class(
+        (by_class(*walk) for walk in walks), (flag_side, length),
         ([back for shift in shifts[:field + 1] for back in (0, shift)], flag_side),
-        _reader(lay, widest[1]), sum(_box_size(box) for box, _ in codomain))
+        _key(lay), sum(_box_size(box) for box, _ in codomain))
     if size is not None:
         return certify(check, params, started, domain_size=size, codomain_size=size)
-    domain = chain.from_iterable(_enum_packed(box, lay, edge) for (box, edge), _ in walks)
+    domain = chain.from_iterable(_enum_packed(box, lay, edge) for (box, edge), *_ in walks)
     return check_graded_bijection(
         step, domain, [x + flag for box, flag in codomain for x in _enum_packed(box, lay)],
         check=check, params=params, present=_decoder(lay))
@@ -379,27 +416,28 @@ def _slice_certificate(box: Box, neighbour: Box, marker: tuple[int, int],
                        check: str, params: dict) -> Certificate:
     """Bijection check of a step map at one index, on the packed form.
     Domain: box, then the boundary of neighbour.  Codomain: box, and the
-    box off its boundary, (side, bound - 2, slots), marked.  The domain
-    streams, each box walked once and the boundary from its first part;
-    the codomain is counted and tested by masks."""
+    box off its boundary, (side, bound - 2, slots), marked, both at box's
+    side, where every image lands.  The domain is counted by class, each
+    box walked once and the boundary from its first part; the codomain is
+    counted and tested by masks."""
     side, bound, slots = box
     lay = _step_layout(box, neighbour, marker)
-    rule = _index_rule(box, neighbour, lay)
+    rule, lands = _index_rule(box, neighbour, lay), (side - lay.lo,)
     return _bijection_certificate(
-        [((box, False), rule), ((neighbour, True), rule)], _step(box, neighbour, lay),
-        [(box, 0), ((side, bound - 2, slots), _MARKED)],
+        [((box, False), rule, lands), ((neighbour, True), rule, lands)],
+        _step(box, neighbour, lay), [(box, 0), ((side, bound - 2, slots), _MARKED)],
         [_step_table(box, neighbour, lay)[-1][2]] * (lay.field + 1), lay, check, params)
 
 
 def phi_certificate(n: int, m: int, k: int) -> Certificate:
     """Exhaustive bijection check of phi_step at one index (finite sets),
-    streamed; see _slice_certificate."""
+    checked by class; see _slice_certificate."""
     return _slice_certificate(*_phi_index(n, m, k), "macmahon-phi", {"n": n, "m": m, "k": k})
 
 
 def psi_certificate(n: int, k: int) -> Certificate:
     """Exhaustive bijection check of psi, the n-lowering step map, at one
-    index (finite sets), streamed; see _slice_certificate."""
+    index (finite sets), checked by class; see _slice_certificate."""
     return _slice_certificate(*_psi_index(n, k), "macmahon-psi", {"n": n, "k": k})
 
 
@@ -652,15 +690,16 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
 
     Runs telescoping_phi on the packed form, a walk on ints (_walk) from
     each pair of the union of the P(n,m,k), its budget the union's size
-    plus its boundary pairs plus one.  It streams as the step certificates
-    do, the walk composed on each box (_composed), read by the flag, the
-    side and its step's, the next step's and its edge's reads, onto
-    (P(n,m-1,k), 0) and (P(n,m-1,k), _MARKED).  The oracle runs against the
+    plus its boundary pairs plus one.  It is checked by class as the step
+    certificates are, the walk composed on each box (_composed), read by the
+    flag, the side and its step's, the next step's and its edge's reads,
+    onto (P(n,m-1,k), 0) and (P(n,m-1,k), _MARKED); a pair of box k lands at
+    side k bare or at side k + 1 marked.  The oracle runs against the
     walk per element; an orbit that leaves every box or runs out of budget
     fails at its start, sought on a raise.
     """
     started = time.monotonic()
-    lay = _Layout(-m, n + 1, n + m + 1, _phi_index(n, m, 0)[2])
+    lay = _Layout(-m, n + 1, n + m + 1, 2 * (n + m), _phi_index(n, m, 0)[2])
     # per side field and one past it: the step, its box's edge and the shift
     # the inverse takes back from a marked image (an orbit moves once)
     indices = [_phi_index(n, m, s + lay.lo)[:2] for s in range(lay.field + 2)]
@@ -674,8 +713,8 @@ def cancelation_certificate(n: int, m: int) -> Certificate:
     budget = domain_size + sum(_box_size(box, edge=True) for box in boxes) + 1
     walk = partial(_walk, levels=levels, edges=edges, field=field, budget=budget)
     walks = [((box, False), _composed(walk, _MARKED | field << _SIDE | levels[s][1]
-                                      | levels[s + 1][1] | edges[s][0]))
-             for s, box in enumerate(boxes)]  # box s has side field s
+                                      | levels[s + 1][1] | edges[s][0]), (s, s + 1))
+             for s, box in enumerate(boxes)]  # box s has side field s, and lands at s or s + 1
     try:
         return _bijection_certificate(walks, lambda a: walk(a)[0], codomain, shifts, lay,
                                       "macmahon-cancelation", {"n": n, "m": m})

@@ -141,7 +141,7 @@ class EvenField:
 
     def weight(self, mults: int) -> Optional[int]:
         """The weight of the packed mu `mults`, read off its multiplicities;
-        uncached, as `halves` memoises it for the kernels' weight reads."""
+        uncached, as the kernels' weight reads memoise it."""
         if mults < 0:
             return None
         field, width = (1 << self.width) - 1, self.width
@@ -150,16 +150,6 @@ class EvenField:
             q += part * (mults & field)
             mults, part = mults >> width, part + 2
         return q
-
-    def halves(self, bound: int) -> tuple[int, int, Memo, Memo]:
-        """(mask, shift, low, high): the weight of a packed mu m >= 0 is
-        low[m & mask] + high[m >> shift], each half's weight a Memo.  The
-        split falls between two fields, about halfway through the parts up
-        to `bound`, so that both memos stay small where most mus are met
-        once; it is exact for any m."""
-        shift = max(bound // 4, 1) * self.width
-        return ((1 << shift) - 1, shift, Memo(self.weight),
-                Memo(lambda high: self.weight(high << shift)))
 
     def unit(self, p: int) -> int:
         """One part p, an even part >= 2: the unit of its multiplicity field."""

@@ -14,16 +14,17 @@ closed form.
 
 Every map of both families is a table of rows (guard, shift) on packed
 ints, read by the one dispatch first_match as a rule (shifts, read): x
-goes to x + shifts[x & read], and rule_call makes it a call.  MacMahon's
-certificates stream in one flat kernel, stream_bijection, each walk of
-the domain with its rule; the Andrews certificates are checked once per
-class of the bits their checks read, in andrews12 (_phi_by_class,
-_involution_by_class).  The set-based check_graded_bijection, which
-holds both sides, stays as the oracle: where a kernel fails, the
-certificate reruns it to name the
-counterexample, so either path gives the same certificate.  The oracle
-weighs each element with weight_of on its presented (decoded) form, so
-it shares no field arithmetic with the kernels.
+goes to x + shifts[x & read], and rule_call makes it a call.  Each
+certificate is checked once per class of the bits its checks read: the
+bijections of both families (MacMahon's steps and cancelation, Andrews'
+phi) in one kernel, bijection_by_class, each walk of the domain with its
+rule and its class counts, and the Andrews involution in
+andrews12._involution_by_class.  The set-based check_graded_bijection,
+which holds both sides, stays as the oracle: where a kernel fails, the
+certificate reruns it to name the counterexample, so either path gives
+the same certificate.  The oracle weighs each element with weight_of on
+its presented (decoded) form, so it shares no field arithmetic with the
+kernels.
 """
 
 from __future__ import annotations
@@ -238,54 +239,49 @@ def rule_call(rule: Rule, refusal: Callable[[int], str]) -> Callable[[int], int]
     return step
 
 
-def stream_bijection(walks: Iterable[tuple[Rule, Iterable[tuple[int, list[int]]]]],
-                     codomain: tuple, back: tuple, reader: tuple, size: int) -> Optional[int]:
+def bijection_by_class(walks: Iterable[tuple[Rule, int, Mapping, Mapping[int, int]]],
+                       codomain: tuple[int, int], back: Rule, key: Callable[[int], int],
+                       size: int) -> Optional[int]:
     """The domain's size where a map is a weight-preserving bijection of
-    packed ints onto the codomain, checked in one flat pass that holds no
-    element; None where any check fails.
+    packed ints onto the codomain, checked once per class of the bits its
+    checks read; None where any check fails.
 
-    The domain comes as walks (rule, groups), in the oracle's order, its
-    elements base + t for t in tails of each nonempty group (base, tails).
-    For each x, y = x + shifts[x & read] by its walk's rule (shifts, read),
-    which must not refuse x (KeyError), must pass the codomain test: with
-    (table, index, length) = codomain and (forbidden, expected, limit) =
-    table[y & index], y & forbidden == expected and y & length <= limit.
-    The inverse must take y back to x: with (shifts, read) = back, y -
-    shifts[y & read] == x.  A moved y must keep x's weight: with (below,
-    head, at, mask, split, low, high, scale) = reader, the int key of v's
-    signed weight is head[v & below] + (low[mu & mask] + high[mu >>
-    split] << scale), mu = v >> at, and y's must be x's.  The elements of
-    a group share their bits under `below`, so x's head is read once a
-    group.  At the end the domain must be nonempty and of the codomain's
-    counted `size`.
+    The domain comes as walks (rule, R, table, classes), classes[c] the
+    number of the walk's elements x with x & R == c.  With (index, length)
+    = codomain and (shifts, read) = rule, each class c goes to d = c +
+    shifts[c & read], which must not be refused (KeyError), must not carry
+    or borrow out of R (d & ~R == 0, which a negative d fails), must pass
+    the codomain test: with (forbidden, expected, limit) = table[d &
+    index], d & forbidden == expected and d & length <= limit; the inverse
+    must take d back to c: with (shifts, read) = back, d - shifts[d &
+    read] == c; and d's weight key must be c's.  At the end the domain
+    must be nonempty and of the codomain's counted `size`.
 
-    That is sound for any inverse: an inverse that undoes the map on every
-    element makes it injective, and an injective map into a finite set of
-    its own size is a bijection.  A wrong inverse can only fail a good
-    map, and the oracle overrules that.  The rules meet the elements in the
-    oracle's order, so any exception but a KeyError is the oracle's.
+    That is exact where R is nonnegative, no element has a bit at or
+    above R's top, R holds every bit below it that the rule, the inverse,
+    index, length and the masks of the walk's table entries read, and the
+    bits R leaves out change any two keys alike: key(c | f) == key(d | f)
+    exactly where key(c) == key(d) (they add to the weight, and flip the
+    parity of Andrews' lam, the same in both).  Then each x of a class is
+    c | f with f = x & ~R, which no check reads, so x goes to y = d | f,
+    each check reads y as it reads d, and y has x's key where d has c's.
+    So each x goes into the codomain with its weight and back to x: the
+    map is injective into the codomain, and a bijection where the sizes
+    agree.  A wrong inverse can only fail a good map, and
+    the oracle overrules that.
     """
-    table, index, length = codomain
+    index, length = codomain
     inverse, inverse_read = back
-    below, head, at, mask, split, low, high, scale = reader
     count = 0
     try:
-        for (shifts, read), groups in walks:
-            for base, tails in groups:
-                x_head = head[base + tails[0] & below]
-                for t in tails:
-                    x = base + t
-                    y = x + shifts[x & read]
-                    forbidden, expected, limit = table[y & index]
-                    if (y & forbidden != expected or y & length > limit
-                            or y - inverse[y & inverse_read] != x):
-                        return None
-                    if y != x:
-                        y_mu, x_mu = y >> at, x >> at
-                        if (head[y & below] + (low[y_mu & mask] + high[y_mu >> split] << scale)
-                                != x_head + (low[x_mu & mask] + high[x_mu >> split] << scale)):
-                            return None
-                count += len(tails)
+        for (shifts, read), reads, table, classes in walks:
+            for c, times in classes.items():
+                d = c + shifts[c & read]
+                forbidden, expected, limit = table[d & index]
+                if (d & ~reads or d & forbidden != expected or d & length > limit
+                        or d - inverse[d & inverse_read] != c or d != c and key(d) != key(c)):
+                    return None
+                count += times
     except KeyError:
         return None
     return count if count and count == size else None

@@ -761,7 +761,7 @@ def test_slice_helpers_agree_on_every_slice():
                 for parts in (andrews12._domain(n, k), andrews12._codomain(n, k),
                               andrews12._embedded(n, k)):
                     elements = list(andrews12._enum_packed(parts, cap, lay))
-                    assert andrews12._count_packed(parts, cap, lay) == len(elements), \
+                    assert andrews12._count_classes(parts, cap, lay, 0)[0] == len(elements), \
                         (n, k, cap, parts)
                     masks = andrews12._slice_masks(parts, lay)
                     owners = [[i for i, (forbidden, expected) in enumerate(masks)
@@ -815,7 +815,10 @@ def test_factors_are_the_reference_enumerations():
                                  if weight <= budget],
                                 [[row + (mu << at) for mu in mus]
                                  for mus in mus_of(k, lay.width)[:budget + 1]])
-                assert andrews12._factors(n, k, cap, lay) == expected, (n, k, cap)
+                # lam comes as counts by (weight, bits), each 1 at reads -1
+                lams_counted, mus = andrews12._factors(n, k, cap, lay)
+                assert (list(lams_counted), mus) == expected, (n, k, cap)
+                assert set(lams_counted.values()) <= {1}, (n, k, cap)
 
 
 def test_packed_ints_lie_below_the_span():

@@ -3,24 +3,30 @@ checks that keep each class read exact.
 
 andrews12._phi_by_class and _involution_by_class check a certificate
 once per class x & R of the bits its checks read (andrews12._reads),
-counted from the slice's factors (andrews12._count_classes).  These tests
-hold them to the element kernels kept in reference_kernels: the class
-counts are the enumeration's, the verdicts are the references' on the
-Andrews grid of the certificate digests and under every mutant of the
-mutation sweep, and a shift that carries out of R makes the kernel give
-up, so that the oracle decides.  The MacMahon cancelation's rule, its walk
-composed once per class of its box (macmahon._composed), is refused in
-the same way where a step's image carries or borrows out of the box's R.
+counted from the slice's factors (andrews12._count_classes).  MacMahon's
+step and cancelation certificates do the same, each walk of the domain
+with its own R (macmahon._bijection_certificate), counted from the box
+walk's groups (macmahon._count_classes); they and Andrews' phi share one
+kernel, telescope.bijection_by_class.  These tests hold the kernels to
+the element kernels kept in reference_kernels: the class counts are the
+enumeration's, the verdicts are the references' on the grid of the
+certificate digests and under every mutant of the mutation sweep, and a
+shift that carries out of R makes the kernel give up, so that the oracle
+decides.  The MacMahon cancelation's rule, its walk composed once per
+class of its box (macmahon._composed), is refused in the same way where
+a step's image carries or borrows out of the box's R.
 """
 
 from collections import Counter
+from functools import cache
+from itertools import chain
 
 import pytest
 
 from qtelescope import andrews12, macmahon
 
-from reference_kernels import stream_involution, stream_phi
-from test_certificate_digests import andrews_slices
+from reference_kernels import stream_involution, stream_macmahon, stream_phi
+from test_certificate_digests import andrews_slices, grid
 from test_mutation_sweep import SWEEPS, shifted_row
 from test_streaming import (both_paths, cancelation_levels, composed, kernel_results,
                             streamed_rules)
@@ -53,7 +59,8 @@ def verdicts(name, n, k, cap):
 
 def test_class_counts_are_the_enumerations(monkeypatch):
     # Every count the kernels take on the grid, at the R of its
-    # certificate and at R = span - 1, where each element is a class.
+    # certificate (or at R = 0, the size of a codomain or fixed set), and
+    # at R = span - 1, where each element is a class.
     taken, true_count = [], andrews12._count_classes
 
     def spy(*args):
@@ -63,7 +70,7 @@ def test_class_counts_are_the_enumerations(monkeypatch):
     monkeypatch.setattr(andrews12, "_count_classes", spy)
     for name, n, k, cap in lowered_slices():
         getattr(andrews12, KERNELS[name][0])(n, k, cap, andrews12._layout(n, cap))
-    assert len(taken) == len(lowered_slices())
+    assert len([reads for *_, reads in taken if reads]) == len(lowered_slices())
     for parts, cap, lay, reads in taken:
         elements = list(andrews12._enum_packed(parts, cap, lay))
         assert true_count(parts, cap, lay, reads) == Counter(map(reads.__and__, elements)), \
@@ -96,6 +103,124 @@ def test_class_kernels_give_the_references_verdicts_under_every_mutant(monkeypat
         count += 1
         failed += any(kernel is None for kernel, _ in found)
     assert count == failed > 0  # each mutant fails the kernels somewhere
+
+
+# MacMahon's step and cancelation ----------------------------------------------
+
+def macmahon_calls():
+    """The MacMahon step and cancelation certificates of the digests' grid,
+    indices one past each end, as (call, name)."""
+    return [(call, name) for call, name in grid()
+            if name.startswith(("macmahon.phi", "macmahon.psi", "macmahon.cancelation"))]
+
+
+def outcome(call):
+    """What call returns, or the class and text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as error:
+        return ValueError, str(error)
+
+
+@cache
+def counted_on_the_grid():
+    """(walks, layout, R, the counts) of every class count the MacMahon
+    certificates of the grid take."""
+    taken, true_count = [], macmahon._count_classes
+
+    def spy(walks, lay, reads):
+        taken.append((walks, lay, reads, true_count(walks, lay, reads)))
+        return taken[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(macmahon, "_count_classes", spy)
+        for call, _ in macmahon_calls():
+            outcome(call)
+    return taken
+
+
+def test_macmahon_class_counts_are_the_enumerations():
+    taken = counted_on_the_grid()
+    assert len(taken) > len(macmahon_calls())
+    for walks, lay, reads, counts in taken:
+        pairs = chain.from_iterable(macmahon._enum_packed(box, lay, edge) for box, edge in walks)
+        assert counts == Counter(map(reads.__and__, pairs)), (walks, reads)
+
+
+def test_every_macmahon_R_is_nonnegative_and_below_the_span():
+    # R is narrowed below the layout's span, which every pair packs below
+    for walks, lay, reads, _ in counted_on_the_grid():
+        assert 0 <= reads < lay.span, (walks, reads)
+        for box, edge in walks:
+            assert all(0 <= x < lay.span for x in macmahon._enum_packed(box, lay, edge)), box
+
+
+def test_the_public_step_refuses_an_int_with_higher_bits():
+    # the kernel's R is narrowed below the span; the rule's read, which the
+    # public call reads, is not
+    box, neighbour, marker = macmahon._phi_index(3, 2, 1)
+    lay = macmahon._step_layout(box, neighbour, marker)
+    step = macmahon._step(box, neighbour, lay)
+    for x in chain(macmahon._enum_packed(box, lay),
+                   macmahon._enum_packed(neighbour, lay, edge=True)):
+        step(x)
+        with pytest.raises(ValueError, match="is neither in"):
+            step(x + lay.span)
+
+
+def macmahon_verdicts(monkeypatch, call):
+    """(the class kernel's result, the reference's) for each bijection
+    check that call() makes; a kernel that raises reads as the class and
+    text of what it raised, as the reference does."""
+    found = []
+    true_kernel, true_certificate = macmahon.bijection_by_class, macmahon._bijection_certificate
+
+    def certificate(walks, step, codomain, shifts, lay, *args):
+        reference = outcome(lambda: stream_macmahon(walks, codomain, shifts, lay))
+        kernel = []
+
+        def spy(*kernel_args):
+            kernel.append(outcome(lambda: true_kernel(*kernel_args)))
+            if isinstance(kernel[-1], tuple):
+                raise kernel[-1][0](kernel[-1][1])
+            return kernel[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(macmahon, "bijection_by_class", spy)
+            try:
+                return true_certificate(walks, step, codomain, shifts, lay, *args)
+            finally:
+                found.append((*kernel, reference))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(macmahon, "_bijection_certificate", certificate)
+        outcome(call)
+    return found
+
+
+def test_the_macmahon_class_kernel_gives_the_references_verdicts_on_the_grid(monkeypatch):
+    checked = 0
+    for call, name in macmahon_calls():
+        for kernel, reference in macmahon_verdicts(monkeypatch, call):
+            assert kernel == reference, name
+            checked += kernel is not None
+    assert checked > 0
+
+
+@pytest.mark.parametrize("sweep", ["macmahon-phi", "macmahon-psi", "macmahon-cancelation"])
+def test_the_macmahon_class_kernel_gives_the_references_verdicts_under_every_mutant(
+        monkeypatch, sweep):
+    _, certificate, grid_, mutants = SWEEPS[sweep]
+    count = failed = 0
+    for mutant, attribute, replacement in mutants():
+        with monkeypatch.context() as patch:
+            patch.setattr(macmahon, attribute, replacement)
+            found = [verdict for index in grid_
+                     for verdict in macmahon_verdicts(patch, lambda: certificate(*index))]
+        assert found and all(kernel == reference for kernel, reference in found), mutant
+        count += 1
+        failed += any(kernel is None for kernel, _ in found)
+    assert count == failed > 0  # each mutant fails the kernel somewhere
 
 
 # a shift that carries out of R ------------------------------------------------
@@ -169,8 +294,34 @@ def test_a_composition_out_of_R_goes_to_the_oracle(monkeypatch, unit, reason):
             assert composed(rule, a) in (image, "refused"), a
             refused += composed(rule, a) == "refused"
     assert refused > 0
-    results = kernel_results(monkeypatch, macmahon, "stream_bijection")
+    results = kernel_results(monkeypatch, macmahon, "bijection_by_class")
     streamed, oracle = both_paths(monkeypatch, lambda: macmahon.cancelation_certificate(n, m))
     assert results == [None]
     assert streamed == oracle
     assert streamed["counterexample"]["reason"] == reason
+
+
+def test_a_step_carry_out_of_R_goes_to_the_oracle(monkeypatch):
+    # phi at (3, 3, 1): the moving row also adds a mu part 2, below the
+    # bound 6 of the neighbour's boundary, which no check reads, so every
+    # marked image carries out of its class's R
+    n, m, k = 3, 3, 1
+    monkeypatch.setattr(macmahon, "_step_table", shifted_row(
+        macmahon._step_table, -1, lambda lay: lay.mu.unit(2)))
+    assert macmahon_verdicts(monkeypatch, lambda: macmahon.phi_certificate(n, m, k)) == \
+        [(None, None)]
+    reads, true_count = [], macmahon._count_classes
+
+    def spy(walks, lay, walk_reads):
+        reads.append(not walk_reads & lay.mu.unit(2))
+        return true_count(walks, lay, walk_reads)
+
+    monkeypatch.setattr(macmahon, "_count_classes", spy)
+    results = kernel_results(monkeypatch, macmahon, "bijection_by_class")
+    streamed, oracle = both_paths(monkeypatch, lambda: macmahon.phi_certificate(n, m, k))
+    assert results == [None]
+    assert reads and all(reads)
+    assert streamed == oracle
+    # the image of a pair whose first row was its one part holds a part 2
+    # with a length of 0, which the oracle's enumerated codomain has not
+    assert streamed["counterexample"]["reason"] == "not-in-codomain"

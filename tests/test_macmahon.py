@@ -226,7 +226,7 @@ def test_box_size_is_the_number_of_pairs_walked():
 
     for bound in range(-2, 17, 2):
         for slots in range(-1, 7):
-            box, lay = (0, bound, slots), mac._Layout(0, 0, max(slots, 0))
+            box, lay = (0, bound, slots), mac._Layout(0, 0, max(slots, 0), bound)
             for edge in (False, True):
                 assert mac._box_size(box, edge) == len(list(mac._enum_packed(box, lay, edge))), \
                     (box, edge)
@@ -484,7 +484,7 @@ def test_box_enumeration_keeps_no_memory_once_its_list_is_dropped():
     # collector next runs: with gc off, a leaked memo holds about 1.5 MB here.
     import qtelescope.macmahon as mac
 
-    lay = mac._Layout(0, 0, 8)
+    lay = mac._Layout(0, 0, 8, 16)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()

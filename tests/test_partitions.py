@@ -16,6 +16,7 @@ from partition_edits import (drop_first, drop_first_rows, replace_part, with_par
                              without_part)
 import reference_enumerators
 from reference_enumerators import enum_distinct_range, enum_even_bounded, enum_even_capped
+from reference_kernels import halves
 
 
 def brute_all_partitions(max_part, weight_cap, max_len=None):
@@ -271,7 +272,7 @@ def test_decode_and_weight_are_the_partition(at, width):
         assert field.decode[x >> at] == mu
         assert field.weight(x >> at) == mu.weight
         for bound in (0, 4, 12, 30):  # the halves split anywhere, and are exact
-            mask, shift, low, high = field.halves(bound)
+            mask, shift, low, high = halves(field, bound)
             assert low[x >> at & mask] + high[x >> at >> shift] == mu.weight
     # equal mus decode to one shared Partition
     assert field.decode[1] is field.decode[1]

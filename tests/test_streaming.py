@@ -1,9 +1,10 @@
 """The streaming certificates against their set-based oracles.
 
 Every bijection-side certificate checks its slice in a kernel that keeps
-only counters: MacMahon's make one pass over it in telescope.stream_bijection,
-each walk of the domain with its map's rule, and Andrews' check it once per class of the bits their checks read
-(andrews12._phi_by_class and _involution_by_class); where a kernel fails,
+only counters, once per class of the bits its checks read: MacMahon's
+in telescope.bijection_by_class, each walk of the domain with its map's
+rule, and Andrews' in andrews12._phi_by_class (which calls the same
+kernel) and _involution_by_class; where a kernel fails,
 the certificate reruns the set-based checker
 (telescope.check_graded_bijection, or andrews12._involution_failure for
 the involution), which names the counterexample.  These tests hold the two paths together: a verified
@@ -55,7 +56,7 @@ def refuse_oracle(monkeypatch):
 
 # every kernel, by the module that calls it; each returns None where a
 # check fails
-KERNELS = {macmahon: ("stream_bijection",),
+KERNELS = {macmahon: ("bijection_by_class",),
            andrews12: ("_phi_by_class", "_involution_by_class")}
 
 
@@ -153,7 +154,7 @@ def test_each_step_fault_gives_the_oracles_certificate(monkeypatch, step, case, 
 
 
 # weight-only faults: each kernel's weight and sign check, which the kernels
-# read through macmahon._reader or andrews12._key ------------------------------
+# read through macmahon._key or andrews12._key ---------------------------------
 
 def kernel_results(monkeypatch, module, name):
     """Spy on a kernel: the list of what it returned, one entry a call."""
@@ -312,7 +313,7 @@ def test_a_macmahon_marker_fault_fails_the_kernel(monkeypatch, certificate, inde
                                 else (marker_q, marker_z + 1))
 
     monkeypatch.setattr(macmahon, index_of, off)
-    results = kernel_results(monkeypatch, macmahon, "stream_bijection")
+    results = kernel_results(monkeypatch, macmahon, "bijection_by_class")
     streamed, oracle = both_paths(monkeypatch, lambda: certificate(*index))
     assert results == [None]
     assert streamed == oracle
@@ -457,7 +458,7 @@ def cancelation_levels(n, m):
     cancelation_certificate builds them, one entry per side field and one
     past it: the step at that index as (its call, its rule's read), its
     box's edge, and the shift of its moving row."""
-    lay = macmahon._Layout(-m, n + 1, n + m + 1, macmahon._phi_index(n, m, 0)[2])
+    lay = macmahon._Layout(-m, n + 1, n + m + 1, 2 * (n + m), macmahon._phi_index(n, m, 0)[2])
     indices = [macmahon._phi_index(n, m, s + lay.lo)[:2] for s in range(lay.field + 2)]
     return (lay, [(macmahon._step(*index, lay), macmahon._index_rule(*index, lay)[1])
                   for index in indices],
@@ -488,17 +489,17 @@ def landed(tagged):
 
 
 def streamed_rules(monkeypatch, n, m):
-    """The rules cancelation_certificate(n, m) streams, one a box of the
-    union, in order: the direct map composed on each box."""
-    rules, kernel = [], macmahon.stream_bijection
+    """The rules cancelation_certificate(n, m) hands its kernel, one a box
+    of the union, in order: the direct map composed on each box."""
+    rules, kernel = [], macmahon.bijection_by_class
 
     def spy(walks, *args):
         walks = list(walks)
-        rules.extend(rule for rule, _ in walks)
+        rules.extend(rule for rule, *_ in walks)
         return kernel(walks, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(macmahon, "stream_bijection", spy)
+        patch.setattr(macmahon, "bijection_by_class", spy)
         macmahon.cancelation_certificate(n, m)
     return rules
 

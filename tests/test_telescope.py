@@ -1,4 +1,5 @@
-"""The generic checkers (graded bijection, telescoping sum) and the
+"""The generic checkers (graded bijection, the class kernel, telescoping
+sum), the element kernel of tests/reference_kernels.py and the
 cancelation walk of tests/reference_cancelation.py.
 
 Positive cases use tiny synthetic families; every failure reason has a
@@ -15,11 +16,11 @@ from qtelescope.macmahon import phi_telescoping_counts, psi_telescoping_counts
 from qtelescope.partitions import Memo
 from qtelescope.qalgebra import LaurentPoly
 from qtelescope.telescope import (Certificate, IterationBudgetExceeded,
-                                  MarkedObject, check_graded_bijection, first_match,
-                                  rule_call, stream_bijection, telescoping_sum_check,
-                                  weight_of)
+                                  MarkedObject, bijection_by_class, check_graded_bijection,
+                                  first_match, rule_call, telescoping_sum_check, weight_of)
 
 from reference_cancelation import cancelation_psi
+from reference_kernels import stream_bijection
 from reference_sums import weighted_count
 
 
@@ -107,7 +108,8 @@ def test_empty_domain_is_rejected():
         check_graded_bijection(lambda x: x, [], [], present=by_table({}))
 
 
-# stream_bijection on a toy family of ints ---------------------------------------
+# stream_bijection, the element kernel kept as the class kernel's reference,
+# on a toy family of ints -------------------------------------------------------
 #
 # The domain is x = a << 4 | 1 and the codomain y = a << 4 | 2 for a in
 # 0..7: a 4-bit tag below a.  The true map adds 1; a map is handed over
@@ -178,6 +180,41 @@ def test_stream_bijection_refuses_an_element_its_rule_refuses():
         return x + 1
 
     assert toy_stream(step=refusing) is None
+
+
+# bijection_by_class on the toy family ------------------------------------------
+#
+# R is the tag and the low bit of a, which the weight key a // 2 does not
+# read: the classes are a's parity, four elements each, and the bits of a
+# above it, free in the table's masks, add the same to the key of an
+# element and of its image.  The inverse takes the rule's shift back.
+
+def toy_by_class(shift=1, size=8, key=lambda v: v >> 5):
+    classes = {1: 4, 17: 4}  # x & 31 of the toy domain: a even, a odd
+    table = {2: (~(6 << 4), 2, 0), 18: (~(6 << 4), 18, 0)}  # tag 2 with a's parity
+    return bijection_by_class([((Memo(lambda c: shift), -1), 31, table, classes)], (31, 0),
+                              (Memo(lambda y: shift), -1), key, size)
+
+
+def test_bijection_by_class_verifies_a_weight_preserving_bijection():
+    assert toy_by_class() == 8
+
+
+def test_bijection_by_class_refuses_a_carry_out_of_R():
+    # a even goes to tag 2 with a odd, and back; a odd carries into a's
+    # bits above R.  With every element of one weight, that is the one
+    # check it fails.
+    assert toy_by_class(shift=17, key=lambda v: 0) is None
+
+
+def test_bijection_by_class_refuses_an_image_its_table_does_not_hold():
+    # tag 3 is no entry of the table: a KeyError, not a verdict
+    assert toy_by_class(shift=2) is None
+
+
+def test_bijection_by_class_refuses_a_size_off_by_one():
+    assert toy_by_class(size=7) is None
+    assert toy_by_class(size=9) is None
 
 
 # the one first-match dispatch and the call form of a rule -----------------------
