@@ -10,11 +10,13 @@ The package is organized bottom-up:
                 walks MacMahon's boxes
     telescope   generic bijection and telescoping checkers:
                 first_match, the one dispatch of every map's rule table,
-                bijection_by_class, the bijection kernel of both families,
-                which checks a map once per class of the bits its checks
-                read, and the set-based check, the failure-path oracle of
-                both families; the (sign, z, q) weight key weight_of, and
-                certify, which makes every Certificate
+                bijection_by_class, the one class kernel of both
+                families, which checks a map (a bijection, or an
+                involution as its own inverse) once per class of the
+                bits its checks read, and the set-based check, the
+                failure-path oracle of both families; the (sign, z, q)
+                weight key weight_of, and certify, which makes every
+                Certificate
     macmahon    the square-plus-even-partition families, the step maps
                 phi and psi as rule tables and the cancelation's walk,
                 composed per class, their certificates on the class
@@ -22,9 +24,8 @@ The package is organized bottom-up:
                 check on one enumeration per box, the lower family off
                 its boundary
     andrews12   the staircase triples, the index rule, classification,
-                bijection and involutions (each certified once per class
-                of the bits its checks read), sum checks and orbit
-                tracing
+                bijection and involutions (each certified on the class
+                kernel), sum checks and orbit tracing
     cli         command-line driver and text diagram rendering
 
 Every check is exhaustive over finite or weight-capped slices and returns

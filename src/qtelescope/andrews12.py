@@ -48,12 +48,12 @@ The certificates run end to end on packed ints and decode an element to
 a Triple / MarkedObject only for a counterexample.  Each is checked once
 per class of the bits its checks read, R (_reads): the slice's elements
 are counted by x & R from its factors, with no element built, and each
-class is checked on one int, phi's bijection laws in _phi_by_class,
-through the kernel MacMahon's certificates share
-(telescope.bijection_by_class), and the involution's laws in
-_involution_by_class, with the rule, its
-inverse and the membership masks read off the class and its image, and
-weight and sign through one reader (_key).  Where a kernel fails, the
+class is checked on one int in the kernel MacMahon's certificates share
+(telescope.bijection_by_class): phi's bijection laws in _phi_by_class,
+and the involution's laws in _involution_by_class, the rule as its own
+inverse and the domain as its own codomain, with the rule, its inverse
+and the membership masks read off the class and its image, and weight
+and sign through one reader (_key).  Where a kernel fails, the
 set-based check (check_graded_bijection, _involution_failure) reruns as
 the oracle on the enumerated slice, against the rule as a call (_step),
 weighs the decoded elements with weight_of and names the
@@ -63,8 +63,8 @@ they check the input's shape, encode it, run the packed rule and decode
 the result.  The public maps phi and involution share one input check:
 the index rule, then the rule's own refusal of an element outside their
 common domain (_step).  classify answers only where the index rule
-names phi.  The involution certificate tests each rising class's image
-for membership once, before the rule takes it back.  The decoders'
+names phi.  The involution certificate tests each class's image for
+membership once, before the rule takes it back.  The decoders'
 parts and the first-match tables are each cached per layout in a
 partitions.Memo.
 """
@@ -689,47 +689,36 @@ def _involution_by_class(n: int, k: int, cap: int,
     """(slice size, fixed count) where the involution laws hold on the
     capped slice; None where any check fails.
 
-    The checks run once per class c = x & R of the slice (_reads: the
-    rule's read, the domain's masks and the embedded ones), by its shift
-    s = shifts[c & read] (_involution_rule).  A fixed class (s == 0) must
-    pass the masks of _embedded, P(n-1,k-1), and the fixed count must
-    equal _embedded's count.  Every capped element of P(n-1,k-1) is in
-    the slice, so together these make the fixed set exactly the embedded
-    one: an embedded x that moves leaves the count short.  Only a rising
-    class (s > 0) is checked further, on d = c + s: no carry out of R; d
-    in the domain (one read of its _slice_table); the rule takes d back
-    to c (shifts[d & read] == -s); and d has c's weight and the other
-    sign (_key).  Then each rising x goes to a y in the slice that falls
-    back to x.  That suffices.  Let U be the rising elements and D the
-    falling ones.  The rule is injective on U and maps it into D.  With
-    |U| = |D|, counted as 2|U| + fixed == size, it maps U onto D, so each
-    falling x is the image of a u whose pair was checked."""
+    The laws run once per class c = x & R of the slice (_reads: the
+    rule's read, the domain's masks and the embedded ones) in the kernel
+    of both families, telescope.bijection_by_class, with the domain as
+    its own codomain and the rule (_involution_rule) as its own inverse.
+    So the kernel's inverse check is the involution law: the rule takes
+    d = c + shifts[c & read], which must be in the domain, back to c.
+    The key is _key with lam's parity flipped at the rising end of each
+    pair (shifts[x & read] > 0), so the kernel's key check is the sign
+    reversal: d has c's weight and the other sign.  Rising-ness reads
+    only x & read, inside R, so the bits R leaves out still change both
+    keys alike.  Then a class must be fixed exactly where it passes the
+    masks of _embedded, P(n-1,k-1), which R holds, and the fixed count
+    must be _embedded's capped count: the fixed set is the embedded one."""
     shifts, read = _involution_rule(n, k, lay)
-    table, field, key = _slice_table(_domain(n, k), lay), lay.field, _key(lay)
+    table = [(*masks, 0) for masks in _slice_table(_domain(n, k), lay)]  # no length field
     ((forbidden_e, expected_e),) = _slice_masks(_embedded(n, k), lay)
-    reads = _reads(lay, read, forbidden_e, *(forbidden for forbidden, _ in table))
-    size = fixed = rising = 0
-    try:
-        for c, count in _count_classes(_domain(n, k), cap, lay, reads).items():
-            shift = shifts[c & read]
-            size += count
-            if not shift:
-                if c & forbidden_e != expected_e:
-                    return None
-                fixed += count
-            elif shift > 0:
-                d = c + shift
-                forbidden, expected = table[d & field]
-                if (d & ~reads or d & forbidden != expected or shifts[d & read] != -shift
-                        or key(d) != key(c) ^ 1):
-                    return None
-                rising += count
-    except KeyError:
+    reads = _reads(lay, read, forbidden_e, *(forbidden for forbidden, *_ in table))
+    classes, key = _count_classes(_domain(n, k), cap, lay, reads), _key(lay)
+    size = bijection_by_class(
+        [((shifts, read), reads, table, classes)], (lay.field, 0),
+        (Memo(lambda bits: -shifts[bits]), read),
+        lambda x: key(x) ^ (shifts[x & read] > 0), sum(classes.values()))
+    if size is None:
         return None
-    if (not size or 2 * rising + fixed != size
-            or fixed != _count_classes(_embedded(n, k), cap, lay, 0)[0]):
+    fixed = {c: times for c, times in classes.items() if not shifts[c & read]}
+    count = sum(fixed.values())
+    if (fixed.keys() != {c for c in classes if c & forbidden_e == expected_e}
+            or count != _count_classes(_embedded(n, k), cap, lay, 0)[0]):
         return None
-    return size, fixed
+    return size, count
 
 
 def _involution_failure(slice_, embedded, step, table, lay):

@@ -15,14 +15,14 @@ closed form.
 Every map of both families is a table of rows (guard, shift) on packed
 ints, read by the one dispatch first_match as a rule (shifts, read): x
 goes to x + shifts[x & read], and rule_call makes it a call.  Each
-certificate is checked once per class of the bits its checks read: the
-bijections of both families (MacMahon's steps and cancelation, Andrews'
-phi) in one kernel, bijection_by_class, each walk of the domain with its
-rule and its class counts, and the Andrews involution in
-andrews12._involution_by_class.  The set-based check_graded_bijection,
-which holds both sides, stays as the oracle: where a kernel fails, the
-certificate reruns it to name the counterexample, so either path gives
-the same certificate.  The oracle weighs each element with weight_of on
+certificate is checked once per class of the bits its checks read, in
+one kernel, bijection_by_class, each walk of the domain with its rule
+and its class counts: the bijections of both families (MacMahon's steps
+and cancelation, Andrews' phi) and the Andrews involution, whose rule is
+its own inverse (andrews12._involution_by_class).  The set-based
+check_graded_bijection, which holds both sides, stays as the oracle:
+where the kernel fails, the certificate reruns it to name the
+counterexample, so either path gives the same certificate.  The oracle weighs each element with weight_of on
 its presented (decoded) form, so it shares no field arithmetic with the
 kernels.
 """

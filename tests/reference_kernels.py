@@ -1,7 +1,7 @@
 """The certificates' element kernels, kept as references for the class
-kernels that replaced them: telescope.bijection_by_class, which
-andrews12._phi_by_class and macmahon._bijection_certificate call, and
-andrews12._involution_by_class.
+kernel that replaced them, telescope.bijection_by_class, which
+andrews12._phi_by_class, andrews12._involution_by_class and
+macmahon._bijection_certificate call.
 
 Each checks one element at a time and keeps only counters.
 stream_bijection is the one flat pass of a bijection: stream_phi runs it
@@ -10,7 +10,7 @@ MacMahon's walks with their rules.  stream_involution checks the
 involution's laws with the rule read inline.  Each reads an element's
 signed weight through a reader, a memoised head table plus `halves`
 of mu's fields (`reader` for Andrews, `macmahon_reader`), as the
-element kernels read it; the class kernels read it through andrews12._key
+element kernels read it; the class kernel reads it through andrews12._key
 and macmahon._key.
 """
 

@@ -356,17 +356,15 @@ def test_involution_rejects_bad_indices():
 
 @pytest.mark.parametrize("n, k, cap", [(3, 2, 20), (4, 4, 30), (5, 4, 30)],
                          ids=["3-2-20", "4-4-30", "5-4-30"])
-def test_involution_certificate_tests_membership_once_per_rising_class(monkeypatch, n, k,
-                                                                       cap):
-    # The kernel tests an image's membership by one read of the domain's
-    # _slice_table, which it reads by index for nothing else: the rules
-    # read the domain only through guards narrowed from its masks.
-    # Counting the table's reads counts the domain tests.  The kernel
-    # tests the image of each rising class (x & R for the R of _reads,
-    # with x < its image) once, far fewer than the rising elements, half
-    # of the non-fixed ones.
-    calls, reads = 0, []
-    true_table, true_reads = andrews12._slice_table, andrews12._reads
+def test_involution_certificate_tests_membership_once_per_class(monkeypatch, n, k, cap):
+    # The class kernel tests an image's membership by one read of the
+    # table it is handed, the domain's _slice_table, which it reads by
+    # index for nothing else: the rules read the domain only through
+    # guards narrowed from its masks.  Counting the table's reads counts
+    # the domain tests.  The kernel tests the image of each class (x & R
+    # for the R of _reads) once, far fewer than the elements.
+    calls, reads, tables = 0, [], []
+    true_kernel, true_reads = andrews12.bijection_by_class, andrews12._reads
 
     class Counted(list):
         def __getitem__(self, index):
@@ -374,24 +372,25 @@ def test_involution_certificate_tests_membership_once_per_rising_class(monkeypat
             calls += 1
             return super().__getitem__(index)
 
-    def counted_table(parts, lay):
-        table = true_table(parts, lay)
-        return Counted(table) if parts == andrews12._domain(n, k) else table
+    def counted_kernel(walks, *args):
+        tables.extend(table for _, _, table, _ in walks)
+        return true_kernel([(rule, r, Counted(table), classes)
+                            for rule, r, table, classes in walks], *args)
 
     def kept_reads(*args):
         reads.append(true_reads(*args))
         return reads[-1]
 
-    monkeypatch.setattr(andrews12, "_slice_table", counted_table)
+    monkeypatch.setattr(andrews12, "bijection_by_class", counted_kernel)
     monkeypatch.setattr(andrews12, "_reads", kept_reads)
     cert = involution_certificate(n, k, cap)
     assert cert.verified
     lay = andrews12._layout(n, cap)
-    step = andrews12._step("involution", n, k, lay)
-    rising = [x for x in andrews12._enum_packed(andrews12._domain(n, k), cap, lay)
-              if step(x) > x]
-    assert len(rising) == (cert.domain_size - cert.codomain_size) // 2
-    assert calls == len({x & reads[0] for x in rising}) < len(rising) // 10
+    domain = andrews12._domain(n, k)
+    assert tables == [[(*masks, 0) for masks in andrews12._slice_table(domain, lay)]]
+    slice_ = list(andrews12._enum_packed(domain, cap, lay))
+    assert len(slice_) == cert.domain_size
+    assert calls == len({x & reads[0] for x in slice_}) < cert.domain_size // 10
 
 
 def test_involution_net_weight_equals_embedded():

@@ -1,13 +1,14 @@
 """The streaming certificates against their set-based oracles.
 
-Every bijection-side certificate checks its slice in a kernel that keeps
-only counters, once per class of the bits its checks read: MacMahon's
-in telescope.bijection_by_class, each walk of the domain with its map's
-rule, and Andrews' in andrews12._phi_by_class (which calls the same
-kernel) and _involution_by_class; where a kernel fails,
-the certificate reruns the set-based checker
+Every bijection-side certificate checks its slice in one kernel that
+keeps only counters, once per class of the bits its checks read,
+telescope.bijection_by_class: MacMahon's with each walk of the domain
+and its map's rule, and Andrews' through andrews12._phi_by_class and
+_involution_by_class, whose rule is its own inverse; where the kernel
+fails, the certificate reruns the set-based checker
 (telescope.check_graded_bijection, or andrews12._involution_failure for
-the involution), which names the counterexample.  These tests hold the two paths together: a verified
+the involution), which names the counterexample.  These tests hold the
+two paths together: a verified
 certificate never reaches the oracle, each certificate is the one the
 oracle alone would give, a fault that only the weight or sign shows
 fails each kernel, each inverse is two-sided, exceptions are the
@@ -61,14 +62,14 @@ KERNELS = {macmahon: ("bijection_by_class",),
 
 
 def force_oracle(monkeypatch):
-    """Switch the streaming kernels off: every certificate is the oracle's."""
+    """Switch the class kernels off: every certificate is the oracle's."""
     for module, names in KERNELS.items():
         for name in names:
             monkeypatch.setattr(module, name, lambda *a, **k: None)
 
 
 def both_paths(monkeypatch, certificate):
-    """(the streaming path's certificate, the oracle's), timing left out."""
+    """(the class kernel's certificate, the oracle's), timing left out."""
     streamed = without_timing(certificate())
     with monkeypatch.context() as patch:
         force_oracle(patch)
@@ -257,10 +258,10 @@ def test_an_involution_weight_fault_fails_the_kernel(monkeypatch, differs, reaso
 
 
 def test_an_involution_fault_at_falling_elements_fails_the_kernel(monkeypatch):
-    # The kernel checks the rule's pairs from their rising end only.  Two
-    # falling elements of one weight swap images: every image keeps its
-    # weight and sign and stays in the domain, and only the rising ends
-    # see that the rule no longer takes their images back.
+    # Two falling elements of one weight swap images: every image keeps
+    # its weight and sign and stays in the domain, and only the
+    # involution law, the kernel's inverse check with the rule as its own
+    # inverse, sees that the rule no longer takes their images back.
     n, k, cap = 4, 4, 30
     lay = andrews12._layout(n, cap)
     step, weight = andrews12._step("involution", n, k, lay), decoded_weight(lay)
@@ -279,12 +280,31 @@ def test_an_involution_fault_at_falling_elements_fails_the_kernel(monkeypatch):
 def test_an_involution_fault_moving_embedded_points_fails_the_kernel(monkeypatch):
     # Embedded fixed points toggle the part 2 between lam and mu: the rule
     # stays an involution on the slice, and each moved pair keeps its
-    # weight, flips its sign and stays in the domain.  The kernel tests no
-    # moved element against the embedded masks; the fixed count, short of
-    # the embedded count, is what fails it.
+    # weight, flips its sign and stays in the domain.  The kernel's laws
+    # hold; what fails it is that the moved classes pass the embedded
+    # masks, and the fixed count falls short of the embedded count.
     n, k, cap = 3, 2, 20
     monkeypatch.setattr(andrews12, "_involution_rule",
                         in_rule_form(faulty(toggles_two))(andrews12._involution_rule))
+    results = kernel_results(monkeypatch, andrews12, "_involution_by_class")
+    streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
+    assert results == [None]
+    assert streamed == oracle
+    assert streamed["counterexample"]["reason"] == "fixed-set-mismatch"
+
+
+def test_an_involution_fault_fixing_a_moving_pair_fails_the_kernel(monkeypatch):
+    # The first rising element and its image both become fixed: the rule
+    # stays an involution on the slice, and the kernel's laws hold, but it
+    # fixes two points outside P(n-1,k-1).  The fixed classes' test
+    # against the embedded masks is what fails it.
+    n, k, cap = 4, 4, 30
+    lay = andrews12._layout(n, cap)
+    step = andrews12._step("involution", n, k, lay)
+    slice_ = list(andrews12._enum_packed(andrews12._domain(n, k), cap, lay))
+    a = next(x for x in slice_ if step(x) > x)
+    monkeypatch.setattr(andrews12, "_involution_rule", rewired(
+        andrews12._involution_rule, {a: a, step(a): step(a)}))
     results = kernel_results(monkeypatch, andrews12, "_involution_by_class")
     streamed, oracle = both_paths(monkeypatch, lambda: andrews_certificate(n, k, cap))
     assert results == [None]
