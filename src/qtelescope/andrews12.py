@@ -31,10 +31,10 @@ of P(n,k): P(n,k) itself is ((n, k, 0),), and _domain, _codomain and
 _embedded state each side of each map once.  One grouped walk (_groups),
 one enumerator (_enum_packed) and one class counter (_count_classes),
 whose one class at R = 0 is the slice's size, take a slice, each from
-its parts' factors, lam and mu built packed with no Partition, lam as
-counts by (weight, lam & R) (_factors); _slice_masks states
-its membership, one mask pair per part, and _slice_table reads those
-pairs by the marker field.
+its parts' factors, lam and mu built packed with no Partition, each as
+counts by (weight, its bits & R) (_factors); _slice_masks states its
+membership, one mask pair per part, and _member reads those pairs as
+the guards of a first-match rule, as the maps read theirs.
 Each map is one ordered table of cases (_phi_table, _involution_table):
 a row holds the case, a guard x & mask == value and a constant shift of
 the int; phi's rows add the image class and its guard.  Each guard holds
@@ -52,8 +52,8 @@ class is checked on one int in the kernel MacMahon's certificates share
 (telescope.bijection_by_class): phi's bijection laws in _phi_by_class,
 and the involution's laws in _involution_by_class, the rule as its own
 inverse and the domain as its own codomain, with the rule, its inverse
-and the membership masks read off the class and its image, and weight
-and sign through one reader (_key).  Where a kernel fails, the
+and the member read off the class and its image, and weight and sign
+through one reader (_key).  Where a kernel fails, the
 set-based check (check_graded_bijection, _involution_failure) reruns as
 the oracle on the enumerated slice, against the rule as a call (_step),
 weighs the decoded elements with weight_of and names the
@@ -64,8 +64,8 @@ the result.  The public maps phi and involution share one input check:
 the index rule, then the rule's own refusal of an element outside their
 common domain (_step).  classify answers only where the index rule
 names phi.  The involution certificate tests each class's image for
-membership once, before the rule takes it back.  The decoders'
-parts and the first-match tables are each cached per layout in a
+membership once, before the rule takes it back.  The decoders' parts
+and the first-match rules are each cached per layout in a
 partitions.Memo.
 """
 
@@ -81,9 +81,9 @@ from typing import Callable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition, staircase
 from .qalgebra import LaurentPoly, TruncatedSeries, rhs_andrews, truncate
-from .telescope import (REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject, Rule, WeightKey,
-                        bijection_by_class, certify, check_graded_bijection, first_match,
-                        rule_call, weight_of)
+from .telescope import (NEVER, REASON_NOT_IN_CODOMAIN, Certificate, MarkedObject, Rule,
+                        WeightKey, bijection_by_class, certify, check_graded_bijection,
+                        first_match, passes, rule_call, weight_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,8 +237,6 @@ def _pack(n: int, x: TripleValue) -> tuple[Optional[int], Optional[_Layout]]:
     return _encode(x, lay), lay
 
 
-_NEVER = (0, 1)  # the mask pair of no element: x & 0 is never 1
-
 Part = tuple[int, int, int]  # (n, k, marker): marker-`marker` copies (no z) of P(n,k)
 
 
@@ -262,12 +260,12 @@ def _slice_masks(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int]]
     (n, k, marker), with no weight cap, iff x & forbidden == expected.  The
     bits left free are lam's parts n-k+1 .. n+k and the multiplicities of
     mu's parts 2 .. 2k; the marker field must read `marker` and the row
-    count n-k.  An empty part (k < 0 or k > n) is _NEVER, no marker added
-    (at n = 0 the marker 2n-1 is -1, and _NEVER less 1 passes every int)."""
+    count n-k.  An empty part (k < 0 or k > n) is NEVER, no marker added
+    (at n = 0 the marker 2n-1 is -1, and NEVER less 1 passes every int)."""
     masks = []
     for n, k, marker in parts:
         if k < 0 or k > n:
-            masks.append(_NEVER)
+            masks.append(NEVER)
             continue
         free = (lay.lam_field & ((1 << 2 * k) - 1) * lay.part(n - k + 1)
                 | lay.mu.unit(2 * k + 2) - lay.mu.unit(2))
@@ -275,36 +273,34 @@ def _slice_masks(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int]]
     return masks
 
 
-def _slice_table(parts: tuple[Part, ...], lay: _Layout) -> list[tuple[int, int]]:
-    """The slice `parts`' membership, indexed by the marker field: a packed
-    x is in the slice, with no weight cap, iff x & forbidden == expected
-    for (forbidden, expected) = table[x & lay.field].  Each part's
-    _slice_masks pair sits at its marker (a slice's markers are distinct;
-    an empty part's _NEVER, even at marker -1, changes nothing); every
-    other entry is _NEVER."""
-    table = [_NEVER] * (lay.field + 1)
-    for (_, _, marker), masks in zip(parts, _slice_masks(parts, lay)):
-        table[marker] = masks
-    return table
+def _member(parts: tuple[Part, ...], lay: _Layout) -> tuple[Memo, int]:
+    """The slice `parts`' membership as a first-match rule (memo, read),
+    each part's _slice_masks pair its guard: a packed x is in the slice,
+    with no weight cap, iff memo[x & read] raises no KeyError
+    (telescope.passes), and then it is x's part."""
+    return first_match(zip(_slice_masks(parts, lay), parts))
 
 
 def _factors(n: int, k: int, cap: int, lay: _Layout, reads: int = -1):
     """(lams, mus by weight) of the members of P(n,k) with total weight
     <= cap: lams a Counter of (weight, lam & reads), lam packed as its
-    bits, each mu packed with the row count, grouped by its weight, each
-    in lexicographic order; empty where P(n,k) is empty or its staircase
-    alone passes the cap.
+    bits, and for each weight a dict {mu & reads: count}, mu packed with
+    the row count; each in lexicographic order; empty where P(n,k) is
+    empty or its staircase alone passes the cap.
 
     Both are built packed, one part p at a time in ascending order, by
-    adding p to each member that stays within the budget.  lam takes p at
-    most once, so it extends the members as they were, as counts: that is
-    exact for any reads, since a lam part is one bit and adding it carries
-    nowhere, and at reads -1 each count is 1.  mu takes p again and again,
-    so its lists by weight extend in ascending weight, each from the list
-    p below it, which has already taken p.  Either way the members with
-    largest part p follow all those with smaller parts, in the order of
-    what p is added to, so both stay lexicographic, and each member's
-    weight is known as it is built."""
+    adding p to each member that stays within the budget, as counts by
+    class.  That is exact for any reads that hold whole fields of mu: a
+    lam part is one bit and a mu part adds one to its field, so adding
+    either carries nowhere, and (x + unit) & reads == (x & reads) + (unit
+    & reads).  At reads -1 each count is 1, and each dict's keys are the
+    members themselves.  lam takes p at most once, so it extends the
+    members as they were.  mu takes p again and again, so its counts by
+    weight extend in ascending weight, each from the counts p below it,
+    which have already taken p.  Either way the members with largest part
+    p follow all those with smaller parts, in the order of what p is added
+    to, so both stay lexicographic, and each member's weight is known as
+    it is built."""
     rows = n - k
     budget = cap - rows * (rows - 1) // 2
     if n < 0 or k < 0 or k > n or budget < 0:
@@ -314,16 +310,18 @@ def _factors(n: int, k: int, cap: int, lay: _Layout, reads: int = -1):
         bit, room = lay.part(p) & reads, budget - p
         for (weight, bits), count in [item for item in lams.items() if item[0][0] <= room]:
             lams[weight + p, bits + bit] += count
-    mus_by_weight = [[rows << lay.rows]] + [[] for _ in range(budget)]
+    mus_by_weight = [{rows << lay.rows & reads: 1}] + [{} for _ in range(budget)]
     for p in range(2, min(2 * k, budget) + 1, 2):
-        unit = lay.mu.unit(p)
+        unit = lay.mu.unit(p) & reads
         for weight in range(budget - p + 1):  # ascending, so each takes p again
-            mus_by_weight[weight + p] += [mu + unit for mu in mus_by_weight[weight]]
+            into = mus_by_weight[weight + p]
+            for mu, count in mus_by_weight[weight].items():
+                into[mu + unit] = into.get(mu + unit, 0) + count
     return lams, mus_by_weight
 
 
 def _groups(parts: tuple[Part, ...], cap: int,
-            lay: _Layout) -> Iterator[tuple[int, list[int]]]:
+            lay: _Layout) -> Iterator[tuple[int, dict[int, int]]]:
     """The elements of the slice `parts` with total weight <= cap, packed
     at `lay`, in certificate order, as nonempty groups (head, mus): the
     elements head + mu for mu in mus, all of one total weight.  The parts
@@ -350,11 +348,11 @@ def _enum_packed(parts: tuple[Part, ...], cap: int, lay: _Layout) -> Iterator[in
 def _count_classes(parts: tuple[Part, ...], cap: int, lay: _Layout, reads: int) -> Counter:
     """How many elements _enum_packed yields in each class x & reads,
     counted from each part's factors without pairing them and with no lam
-    held, lam counted by (weight, lam & reads) (_factors).  A head and a mu
-    use disjoint bits, so (head + mu) & reads == head & reads | mu & reads:
-    the mus are classed once, into running counts by weight, and the heads
-    of lam weight w take the counts of the mus of weight <= budget - w.  At
-    reads 0 the one class, 0, counts the slice."""
+    or mu held, each counted by (weight, its bits & reads) (_factors).  A
+    head and a mu use disjoint bits, so (head + mu) & reads == head & reads
+    | mu & reads: the mus' counts go into running counts by weight, and
+    the heads of lam weight w take the counts of the mus of weight <=
+    budget - w.  At reads 0 the one class, 0, counts the slice."""
     classes = Counter()
     for n, k, marker in parts:
         lams, mus_by_weight = _factors(n, k, cap - marker, lay, reads)
@@ -363,7 +361,7 @@ def _count_classes(parts: tuple[Part, ...], cap: int, lay: _Layout, reads: int) 
             heads[-1 - weight].append((lam + marker & reads, count))
         mus = Counter()  # the classes of the mus met so far
         for by_weight, by_head in zip(mus_by_weight, heads):
-            mus.update(map(reads.__and__, by_weight))
+            mus.update(by_weight)
             for head, count in by_head:
                 for mu, times in mus.items():
                     classes[head | mu] += count * times
@@ -373,11 +371,11 @@ def _count_classes(parts: tuple[Part, ...], cap: int, lay: _Layout, reads: int) 
 def _within(guard: tuple[int, int], part: tuple[int, int]) -> tuple[int, int]:
     """The guard (mask, value) narrowed to a part's _slice_masks pair
     (forbidden, expected): x passes it iff x passes the guard and is in the
-    part.  _NEVER where the two fix a bit to different values, or the part
+    part.  NEVER where the two fix a bit to different values, or the part
     is empty, so that no int passes both."""
     (mask, value), (forbidden, expected) = guard, part
-    if part == _NEVER or forbidden & value != expected & mask:
-        return _NEVER
+    if part == NEVER or forbidden & value != expected & mask:
+        return NEVER
     return mask | forbidden, value | expected
 
 
@@ -393,7 +391,7 @@ def _phi_table(n: int, k: int, lay: _Layout) -> list[tuple]:
     marker reads exactly 2n-3.  No guard tests that mu has a part 2k: the
     embedded case comes before A, and D before C'.  At k = 0 the embedded
     case, the marked part (both P(n-1,-1), empty) and B and C (lam has no
-    parts) are _NEVER."""
+    parts) are NEVER."""
     field, mu_2k = lay.field, lay.mu.unit(2 * k) if k else 0  # one mu part 2k
     top, second = lay.part(n + k), lay.part(n + k - 1)
     low, lower = lay.part(n - k), lay.part(n - k - 1)
@@ -438,8 +436,8 @@ def _involution_table(n: int, k: int, lay: _Layout) -> list[tuple]:
 
 def _reads(lay: _Layout, *masks: int) -> int:
     """R, the bits that a class kernel's checks read: the union of `masks`
-    (the rule's read, its inverse's, each membership mask) with the marker
-    field, which indexes _slice_table, and the row-count field, whose
+    (the rule's read, its inverse's, each member's read, which holds the
+    marker field of every nonempty part) with the row-count field, whose
     C(rows, 2) is the one part of the weight that does not add across
     bits, narrowed below lay.span.  Every other bit of an element adds its
     part to the weight and to lam's parity and is read by nothing else.
@@ -450,7 +448,7 @@ def _reads(lay: _Layout, *masks: int) -> int:
     for the whole class: membership, the inverse's shift, and the weight
     and sign change, since the bits f outside R add the same to _key's
     weight and flip lam's parity alike in c | f and in d | f."""
-    return reduce(or_, masks, lay.field | lay.field << lay.rows) & lay.span - 1
+    return reduce(or_, masks, lay.field << lay.rows) & lay.span - 1
 
 
 def _phi_rule(n: int, k: int, lay: _Layout) -> Rule:
@@ -484,10 +482,7 @@ def _step(name: str, n: int, k: int, lay: _Layout) -> Callable[[int], int]:
 def in_P(n: int, k: int, t: Triple) -> bool:
     """Membership in P(n,k); False outside 0 <= k <= n."""
     x, lay = _pack(n, t)
-    if x is None:
-        return False
-    ((forbidden, expected),) = _slice_masks(((n, k, 0),), lay)
-    return x & forbidden == expected
+    return x is not None and passes(_member(((n, k, 0),), lay), x)
 
 
 def enum_P(n: int, k: int, cap: int) -> list[Triple]:
@@ -638,20 +633,20 @@ def _phi_by_class(n: int, k: int, cap: int, lay: _Layout) -> Optional[int]:
     onto the capped codomain; None where any check fails.
 
     The checks run once per class c = x & R of the slice (_reads: phi's
-    read, its inverse's and the codomain's masks), in the kernel of both
+    read, its inverse's and the codomain member's), in the kernel of both
     families, telescope.bijection_by_class, on d = c + shifts[c & read]
-    (_phi_rule): no carry out of R; d in the codomain (one read of
-    its _slice_table); the inverse takes d back to c (_phi_back); and d
-    has c's weight and sign (_key).  Then each x of the class goes into
-    the codomain with its weight and back to x, so phi is injective from
-    the slice into the capped codomain, and onto it where the slice's
-    size, nonzero, is the codomain's count."""
+    (_phi_rule): no carry out of R; d in the codomain (its _member); the
+    inverse takes d back to c (_phi_back); and d has c's weight and sign
+    (_key).  Then each x of the class goes into the codomain with its
+    weight and back to x, so phi is injective from the slice into the
+    capped codomain, and onto it where the slice's size, nonzero, is the
+    codomain's count."""
     rule, back = _phi_rule(n, k, lay), _phi_back(n, k, lay)
-    table = [(*masks, 0) for masks in _slice_table(_codomain(n, k), lay)]  # no length field
-    reads = _reads(lay, rule[1], back[1], *(forbidden for forbidden, *_ in table))
+    member = _member(_codomain(n, k), lay)
+    reads = _reads(lay, rule[1], back[1], member[1])
     return bijection_by_class(
-        [(rule, reads, table, _count_classes(_domain(n, k), cap, lay, reads))],
-        (lay.field, 0), back, _key(lay), _count_classes(_codomain(n, k), cap, lay, 0)[0])
+        [(rule, reads, member, _count_classes(_domain(n, k), cap, lay, reads))],
+        back, _key(lay), _count_classes(_codomain(n, k), cap, lay, 0)[0])
 
 
 def involution_certificate(n: int, k: int, cap: int) -> Certificate:
@@ -679,7 +674,7 @@ def involution_certificate(n: int, k: int, cap: int) -> Certificate:
         raise ValueError(f"empty domain: andrews-involution {dict(n=n, k=k)}")
     embedded = set(_enum_packed(_embedded(n, k), cap, lay))
     failure = _involution_failure(slice_, embedded, _step("involution", n, k, lay),
-                                  _slice_table(_domain(n, k), lay), lay)
+                                  _member(_domain(n, k), lay), lay)
     return certify("andrews-involution", {"n": n, "k": k}, started, failure,
                    cap=cap, domain_size=len(slice_), codomain_size=len(embedded))
 
@@ -690,7 +685,7 @@ def _involution_by_class(n: int, k: int, cap: int,
     capped slice; None where any check fails.
 
     The laws run once per class c = x & R of the slice (_reads: the
-    rule's read, the domain's masks and the embedded ones) in the kernel
+    rule's read, the domain member's and the embedded one's) in the kernel
     of both families, telescope.bijection_by_class, with the domain as
     its own codomain and the rule (_involution_rule) as its own inverse.
     So the kernel's inverse check is the involution law: the rule takes
@@ -699,31 +694,29 @@ def _involution_by_class(n: int, k: int, cap: int,
     pair (shifts[x & read] > 0), so the kernel's key check is the sign
     reversal: d has c's weight and the other sign.  Rising-ness reads
     only x & read, inside R, so the bits R leaves out still change both
-    keys alike.  Then a class must be fixed exactly where it passes the
-    masks of _embedded, P(n-1,k-1), which R holds, and the fixed count
-    must be _embedded's capped count: the fixed set is the embedded one."""
+    keys alike.  Then a class must be fixed exactly where it is a member
+    of _embedded, P(n-1,k-1), whose read R holds, and the fixed count must
+    be _embedded's capped count: the fixed set is the embedded one."""
     shifts, read = _involution_rule(n, k, lay)
-    table = [(*masks, 0) for masks in _slice_table(_domain(n, k), lay)]  # no length field
-    ((forbidden_e, expected_e),) = _slice_masks(_embedded(n, k), lay)
-    reads = _reads(lay, read, forbidden_e, *(forbidden for forbidden, *_ in table))
+    member, embedded = _member(_domain(n, k), lay), _member(_embedded(n, k), lay)
+    reads = _reads(lay, read, member[1], embedded[1])
     classes, key = _count_classes(_domain(n, k), cap, lay, reads), _key(lay)
     size = bijection_by_class(
-        [((shifts, read), reads, table, classes)], (lay.field, 0),
-        (Memo(lambda bits: -shifts[bits]), read),
+        [((shifts, read), reads, member, classes)], (Memo(lambda bits: -shifts[bits]), read),
         lambda x: key(x) ^ (shifts[x & read] > 0), sum(classes.values()))
     if size is None:
         return None
     fixed = {c: times for c, times in classes.items() if not shifts[c & read]}
     count = sum(fixed.values())
-    if (fixed.keys() != {c for c in classes if c & forbidden_e == expected_e}
+    if (fixed.keys() != {c for c in classes if passes(embedded, c)}
             or count != _count_classes(_embedded(n, k), cap, lay, 0)[0]):
         return None
     return size, count
 
 
-def _involution_failure(slice_, embedded, step, table, lay):
+def _involution_failure(slice_, embedded, step, member, lay):
     # Only the images are tested for membership, each once, by one read
-    # of the domain's _slice_table; the slice is the capped domain by
+    # of the domain's _member; the slice is the capped domain by
     # construction.  No check is lost: in a verified certificate the map
     # is involutive on the slice, and every image is in the domain and has
     # its element's weight, so it is within the cap.  So the images are
@@ -731,12 +724,10 @@ def _involution_failure(slice_, embedded, step, table, lay):
     # Weights are weight_of on the decoded elements.  A counterexample is
     # decoded, and the least element of a fixed-set mismatch is the least
     # by the repr of its decoded form.
-    decode, field = _decoder(lay), lay.field
-    fixed = set()
+    decode, fixed = _decoder(lay), set()
     for x in slice_:
         y = step(x)
-        forbidden, expected = table[y & field]
-        if y & forbidden != expected:
+        if not passes(member, y):
             return decode(x), decode(y), REASON_NOT_IN_CODOMAIN
         if step(y) != x:
             return decode(x), decode(y), "not-involutive"

@@ -26,22 +26,22 @@ certificates and cancelation) runs on a packed form, one int per pair (see
 _Layout; mu is a partitions.EvenField): one helper, _groups, walks each
 box, or its boundary slice generated from its first part, as groups of
 ints, which _enum_packed flattens, _count_classes counts by class and
-_box_size counts by partitions.box_size; membership is one
-AND-and-compare plus a length bound.  Each step map is a table of two
-rows (_step_table) read by telescope.first_match, as Andrews' maps are;
+_box_size counts by partitions.box_size; a box's membership is one
+guard (_masks), an AND-and-compare plus a length bound.  Each step map
+is a table of two rows (_step_table) of those guards, read by
+telescope.first_match, as Andrews' maps are;
 the cancelation's walk (_walk) is composed once per class of each box
 into one rule (_composed).  The certificates run in the bijection kernel
 both families share, telescope.bijection_by_class
 (_bijection_certificate): once per class x & R of each walk of the
-domain, R the bits its checks read, each walk with its rule, against the
-map's inverse, which takes a marked pair's shift back, with the codomain
-tested by masks, both tables indexed by an image's flag and side field,
-and the weights read by _key, which folds side, flag, marker and mu's
-weight into one int.  The classes are counted off _groups' (head, tails)
+domain, R the bits its checks read, each walk with its rule and its
+member, the first match of the codomain's guards where its images
+land, against the map's inverse, which takes a marked pair's shift back
+by an image's flag and side field, and the weights read by _key, which
+folds side, flag, marker and mu's weight into one int.  The classes are counted off _groups' (head, tails)
 pairs, each tail list classed once, and no pair is built.  Each codomain
 is stated once, as walks (box, flag), the box's pairs plus the flag; its
-mask table (_codomain_table), its size and the oracle's list all come
-from them.  Where the kernel fails, check_graded_bijection reruns on
+guards, its size and the oracle's list all come from them.  Where the kernel fails, check_graded_bijection reruns on
 lists of both sides as the oracle and weighs the decoded pairs with
 weight_of, decoding a pair only for a counterexample.  The public
 enum_P and phi_step take and return MacPairs: phi_step checks the input,
@@ -61,9 +61,9 @@ two factor_products, and last the enumerated totals with the Gaussian
 sums, the one at (n, m) computed once for both.  A failed check decodes
 the packed values it compared to name its counterexample; the public
 phi_telescoping_counts and psi_telescoping_counts are decodes of the
-same packed computations.  Every leaf is counted, so the
-sum side stays an enumeration, independent of the Pascal recurrence
-behind the closed form.
+same packed computations.  Every leaf is counted, so the sum side stays
+an enumeration, independent of the Pascal recurrence behind the closed
+form.
 """
 
 from __future__ import annotations
@@ -71,14 +71,14 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import chain, combinations_with_replacement
-from operator import lshift, or_
+from operator import lshift
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .partitions import EvenField, Memo, Partition, box_size
 from .qalgebra import Kronecker, factor_product, gaussian_row
-from .telescope import (Certificate, IterationBudgetExceeded, MarkedObject, Rule,
+from .telescope import (NEVER, Certificate, IterationBudgetExceeded, MarkedObject, Rule,
                         WeightKey, bijection_by_class, certify, check_graded_bijection,
                         first_match, rule_call, telescoping_sum_check)
 
@@ -183,23 +183,20 @@ def _decoder(lay: _Layout) -> Callable[[int], MacValue]:
     return decode
 
 
-_NEVER = (0, 1, 0)  # the masks of no pair: x & 0 is never 1
-
-
-def _masks(box: Box, lay: _Layout) -> tuple[int, int, int]:
-    """(forbidden, expected, limit): a packed x is in the box iff x &
-    forbidden == expected and its length field, x & (lay.field <<
-    lay.length), is at most limit.  The bits left free are the length and
-    the multiplicities of the parts 2 .. bound; the flag is 0 and the side
-    the box's, so expected is the side field alone.  The limit is the
-    slots, or 0 at bound 0, where mu is empty.  _NEVER where the box is
+def _masks(box: Box, lay: _Layout, flag: int) -> tuple:
+    """The guard (forbidden, expected, (length, 0, limit)) of the box's
+    pairs with the flag `flag`: a packed x passes it iff x & forbidden ==
+    expected and its length field, x & length, is at most limit.  The
+    bits left free are the length and the multiplicities of the parts 2
+    .. bound, so expected is the side field and the flag.  The limit is
+    the slots, or 0 at bound 0, where mu is empty.  NEVER where the box is
     empty or its side is outside `lay`."""
     side, bound, slots = box
     if bound < 0 or slots < 0 or not 0 <= side - lay.lo <= lay.field:
-        return _NEVER
+        return NEVER
     length = lay.field << lay.length
     return (~(length | lay.mu.unit(bound + 2) - lay.mu.unit(2)),
-            side - lay.lo << _SIDE, (slots if bound else 0) << lay.length)
+            (side - lay.lo << _SIDE) + flag, (length, 0, (slots if bound else 0) << lay.length))
 
 
 def _edge(bound: int, lay: _Layout) -> tuple[int, int, int]:
@@ -261,15 +258,14 @@ def _box_size(box: Box, edge: bool = False) -> int:
 
 def _step_table(box: Box, neighbour: Box, lay: _Layout) -> list[tuple]:
     """The step map at one index as rows (case, guard, shift), each guard a
-    box's _masks, the length bound a range: a pair of box is its own image,
-    and one on the neighbour's boundary (_edge) loses its first row (an
+    bare box's _masks: a pair of box is its own image, and one on the
+    neighbour's boundary (_edge, a second range) loses its first row (an
     empty mu has none), takes the side of box and is flagged."""
-    own, other = [(forbidden, expected, (lay.field << lay.length, 0, limit))
-                  for forbidden, expected, limit in (_masks(box, lay), _masks(neighbour, lay))]
     side, bound, _ = neighbour
     first_row = lay.mu.unit(bound) + (1 << lay.length) if bound > 0 else 0
-    return [("box", own, 0), ("boundary", (*other, _edge(bound, lay)),
-                              _MARKED + (box[0] - side << _SIDE) - first_row)]
+    return [("box", _masks(box, lay, 0), 0),
+            ("boundary", (*_masks(neighbour, lay, 0), _edge(bound, lay)),
+             _MARKED + (box[0] - side << _SIDE) - first_row)]
 
 
 def _index_rule(box: Box, neighbour: Box, lay: _Layout) -> Rule:
@@ -343,20 +339,6 @@ def phi_step(n: int, m: int, k: int, x: MacPair) -> tuple[int, MacValue]:
 
 # certificates -----------------------------------------------------------
 
-def _codomain_table(codomain: list[tuple[Box, int]],
-                    lay: _Layout) -> list[tuple[int, int, int]]:
-    """The codomain test, indexed by an image's flag and side field, y &
-    (_MARKED | lay.field << _SIDE): each walk (box, flag) of the codomain
-    puts the box's _masks, the flag expected on top, at its side field
-    plus the flag; every other entry is _NEVER."""
-    table = [_NEVER] * (2 * lay.field + 2)
-    for box, flag in codomain:
-        forbidden, expected, limit = masks = _masks(box, lay)
-        if masks is not _NEVER:
-            table[expected + flag] = forbidden, expected + flag, limit
-    return table
-
-
 def _key(lay: _Layout) -> Callable[[int], int]:
     """The class kernel's one read of a packed pair's weight, as the int
     (q << scale) + z + offset, where 0 <= z + offset < 2^scale for every
@@ -379,29 +361,29 @@ def _bijection_certificate(walks: list, step: Callable[[int], int], codomain: li
     """The bijection check of a packed map from the domain's walks ((box,
     edge), the map's rule there, the side fields its images land on) to
     the codomain's walks (box, flag), once per class of each walk's pairs
-    (_count_classes) in telescope.bijection_by_class.  A walk's R holds
-    the flag and side field, which index the codomain's _codomain_table
-    and the inverse, the length field, its rule's read and the forbidden
-    masks of the table's entries at the side fields it lands on, both
-    flags, the only entries its images are tested against; it is narrowed
-    below lay.span, so it is nonnegative.  Every bit R leaves out is a
-    whole mu field, which adds its parts to the weight (_key).  The
-    inverse takes a marked image less shifts[its side field] and any other
-    image as itself.  Where the kernel fails, check_graded_bijection reruns
-    against the call `step`, weighs decoded pairs and names the
-    counterexample."""
+    (_count_classes) in telescope.bijection_by_class.  Each codomain walk
+    is one guard, the box's _masks with its flag, built once; a walk's
+    member is the first match of the guards at the side fields it lands
+    on, the only ones its images are tested against.  Its R holds the flag
+    and side field, which index the inverse, its rule's read and its
+    member's, narrowed below lay.span, so it is nonnegative.  Every bit R
+    leaves out is a whole mu field, which adds its parts to the weight
+    (_key).  The inverse takes a marked image less shifts[its side field]
+    and any other image as itself.  Where the kernel fails,
+    check_graded_bijection reruns against the call `step`, weighs decoded
+    pairs and names the counterexample."""
     started = time.monotonic()
-    field, table = lay.field, _codomain_table(codomain, lay)
-    flag_side, length = _MARKED | field << _SIDE, field << lay.length
+    field, flag_side = lay.field, _MARKED | lay.field << _SIDE
+    guards = [(_masks(box, lay, flag), (box, flag)) for box, flag in codomain]
 
     def by_class(walk: tuple[Box, bool], rule: Rule, lands: tuple[int, ...]) -> tuple:
-        entries = {i: table[i] for side in lands for i in (side << _SIDE, side << _SIDE | _MARKED)}
-        reads = reduce(or_, (forbidden for forbidden, _, _ in entries.values()),
-                       flag_side | length | rule[1]) & lay.span - 1
-        return rule, reads, entries, _count_classes([walk], lay, reads)
+        member = first_match((guard, to) for guard, to in guards
+                             if guard is not NEVER and guard[1] >> _SIDE in lands)
+        reads = (flag_side | rule[1] | member[1]) & lay.span - 1
+        return rule, reads, member, _count_classes([walk], lay, reads)
 
     size = bijection_by_class(
-        (by_class(*walk) for walk in walks), (flag_side, length),
+        (by_class(*walk) for walk in walks),
         ([back for shift in shifts[:field + 1] for back in (0, shift)], flag_side),
         _key(lay), sum(_box_size(box) for box, _ in codomain))
     if size is not None:

@@ -14,17 +14,20 @@ closed form.
 
 Every map of both families is a table of rows (guard, shift) on packed
 ints, read by the one dispatch first_match as a rule (shifts, read): x
-goes to x + shifts[x & read], and rule_call makes it a call.  Each
-certificate is checked once per class of the bits its checks read, in
-one kernel, bijection_by_class, each walk of the domain with its rule
-and its class counts: the bijections of both families (MacMahon's steps
+goes to x + shifts[x & read], and rule_call makes it a call.  Every
+family's membership is rows of the same guards, one per part, read by
+first_match as a member: x is in the family where a guard passes
+(passes), and NEVER is the guard of an empty part.  Each certificate is
+checked once per class of the bits its checks read, in one kernel,
+bijection_by_class, each walk of the domain with its rule, its
+codomain's member and its class counts: the bijections of both families (MacMahon's steps
 and cancelation, Andrews' phi) and the Andrews involution, whose rule is
 its own inverse (andrews12._involution_by_class).  The set-based
 check_graded_bijection, which holds both sides, stays as the oracle:
 where the kernel fails, the certificate reruns it to name the
-counterexample, so either path gives the same certificate.  The oracle weighs each element with weight_of on
-its presented (decoded) form, so it shares no field arithmetic with the
-kernels.
+counterexample, so either path gives the same certificate.  The oracle
+weighs each element with weight_of on its presented (decoded) form, so
+it shares no field arithmetic with the kernels.
 """
 
 from __future__ import annotations
@@ -208,6 +211,9 @@ def check_graded_bijection(map_fn: Callable[[Any], Any],
                    codomain_size=len(codomain))
 
 
+NEVER = (0, 1)  # the guard no int passes: x & 0 is never 1
+
+
 def first_match(rows: Iterable[tuple[tuple, Any]]) -> tuple[Memo, int]:
     """First-match dispatch on rows (guard, out): (memo, read), memo[x &
     read] the out of the first row whose guard x passes, KeyError where
@@ -225,6 +231,17 @@ def first_match(rows: Iterable[tuple[tuple, Any]]) -> tuple[Memo, int]:
     return Memo(first), reduce(or_, masks, 0)
 
 
+def passes(rule: tuple[Mapping, int], x: int) -> bool:
+    """Whether x passes a guard of the first-match rule (memo, read):
+    memo[x & read] raises no KeyError."""
+    memo, read = rule
+    try:
+        memo[x & read]
+    except KeyError:
+        return False
+    return True
+
+
 def rule_call(rule: Rule, refusal: Callable[[int], str]) -> Callable[[int], int]:
     """The rule (shifts, read) as a call, for the public maps and the
     oracles: x + shifts[x & read], ValueError(refusal(x)) where x passes
@@ -239,47 +256,45 @@ def rule_call(rule: Rule, refusal: Callable[[int], str]) -> Callable[[int], int]
     return step
 
 
-def bijection_by_class(walks: Iterable[tuple[Rule, int, Mapping, Mapping[int, int]]],
-                       codomain: tuple[int, int], back: Rule, key: Callable[[int], int],
-                       size: int) -> Optional[int]:
+def bijection_by_class(walks: Iterable[tuple[Rule, int, tuple[Mapping, int], Mapping[int, int]]],
+                       back: Rule, key: Callable[[int], int], size: int) -> Optional[int]:
     """The domain's size where a map is a weight-preserving bijection of
     packed ints onto the codomain, checked once per class of the bits its
     checks read; None where any check fails.
 
-    The domain comes as walks (rule, R, table, classes), classes[c] the
-    number of the walk's elements x with x & R == c.  With (index, length)
-    = codomain and (shifts, read) = rule, each class c goes to d = c +
-    shifts[c & read], which must not be refused (KeyError), must not carry
-    or borrow out of R (d & ~R == 0, which a negative d fails), must pass
-    the codomain test: with (forbidden, expected, limit) = table[d &
-    index], d & forbidden == expected and d & length <= limit; the inverse
-    must take d back to c: with (shifts, read) = back, d - shifts[d &
-    read] == c; and d's weight key must be c's.  At the end the domain
-    must be nonempty and of the codomain's counted `size`.
+    The domain comes as walks (rule, R, member, classes), classes[c] the
+    number of the walk's elements x with x & R == c, and member the
+    codomain's membership as a first-match rule (memo, read) of guards
+    (first_match), which the images of the walk are tested against.  With
+    (shifts, read) = rule, each class c goes to d = c + shifts[c & read],
+    which must not be refused (KeyError), must not carry or borrow out of
+    R (d & ~R == 0, which a negative d fails), must be a member: memo[d &
+    read] raises no KeyError; the inverse must take d back to c: with
+    (shifts, read) = back, d - shifts[d & read] == c; and d's weight key
+    must be c's.  At the end the domain must be nonempty and of the
+    codomain's counted `size`.
 
     That is exact where R is nonnegative, no element has a bit at or
-    above R's top, R holds every bit below it that the rule, the inverse,
-    index, length and the masks of the walk's table entries read, and the
-    bits R leaves out change any two keys alike: key(c | f) == key(d | f)
-    exactly where key(c) == key(d) (they add to the weight, and flip the
-    parity of Andrews' lam, the same in both).  Then each x of a class is
-    c | f with f = x & ~R, which no check reads, so x goes to y = d | f,
-    each check reads y as it reads d, and y has x's key where d has c's.
-    So each x goes into the codomain with its weight and back to x: the
-    map is injective into the codomain, and a bijection where the sizes
-    agree.  A wrong inverse can only fail a good map, and
-    the oracle overrules that.
+    above R's top, R holds every bit below it that the rule, the inverse
+    and the member read, and the bits R leaves out change any two keys
+    alike: key(c | f) == key(d | f) exactly where key(c) == key(d) (they
+    add to the weight, and flip the parity of Andrews' lam, the same in
+    both).  Then each x of a class is c | f with f = x & ~R, which no
+    check reads, so x goes to y = d | f, each check reads y as it reads d,
+    and y has x's key where d has c's.  So each x goes into the codomain
+    with its weight and back to x: the map is injective into the
+    codomain, and a bijection where the sizes agree.  A wrong inverse can
+    only fail a good map, and the oracle overrules that.
     """
-    index, length = codomain
     inverse, inverse_read = back
     count = 0
     try:
-        for (shifts, read), reads, table, classes in walks:
+        for (shifts, read), reads, (member, member_read), classes in walks:
             for c, times in classes.items():
                 d = c + shifts[c & read]
-                forbidden, expected, limit = table[d & index]
-                if (d & ~reads or d & forbidden != expected or d & length > limit
-                        or d - inverse[d & inverse_read] != c or d != c and key(d) != key(c)):
+                member[d & member_read]
+                if (d & ~reads or d - inverse[d & inverse_read] != c
+                        or d != c and key(d) != key(c)):
                     return None
                 count += times
     except KeyError:

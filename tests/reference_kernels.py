@@ -18,11 +18,11 @@ from typing import Iterable, Optional
 
 from qtelescope import andrews12, macmahon
 from qtelescope.partitions import Memo
-from qtelescope.telescope import Rule
+from qtelescope.telescope import Rule, first_match, passes
 
 
-def stream_bijection(walks: Iterable[tuple[Rule, Iterable[tuple[int, list[int]]]]],
-                     codomain: tuple, back: tuple, reader: tuple, size: int) -> Optional[int]:
+def stream_bijection(walks: Iterable[tuple[Rule, Iterable[tuple[int, Iterable[int]]]]],
+                     member: tuple, back: tuple, reader: tuple, size: int) -> Optional[int]:
     """The domain's size where a map is a weight-preserving bijection of
     packed ints onto the codomain, checked in one flat pass that holds no
     element; None where any check fails.
@@ -30,17 +30,16 @@ def stream_bijection(walks: Iterable[tuple[Rule, Iterable[tuple[int, list[int]]]
     The domain comes as walks (rule, groups), in the oracle's order, its
     elements base + t for t in tails of each nonempty group (base, tails).
     For each x, y = x + shifts[x & read] by its walk's rule (shifts, read),
-    which must not refuse x (KeyError), must pass the codomain test: with
-    (table, index, length) = codomain and (forbidden, expected, limit) =
-    table[y & index], y & forbidden == expected and y & length <= limit.
-    The inverse must take y back to x: with (shifts, read) = back, y -
-    shifts[y & read] == x.  A moved y must keep x's weight: with (below,
-    head, at, mask, split, low, high, scale) = reader, the int key of v's
-    signed weight is head[v & below] + (low[mu & mask] + high[mu >>
-    split] << scale), mu = v >> at, and y's must be x's.  The elements of
-    a group share their bits under `below`, so x's head is read once a
-    group.  At the end the domain must be nonempty and of the codomain's
-    counted `size`.
+    which must not refuse x (KeyError), must be a member of the codomain:
+    with (memo, read) = member, a first-match rule of the codomain's
+    guards, memo[y & read] raises no KeyError.  The inverse must take y
+    back to x: with (shifts, read) = back, y - shifts[y & read] == x.  A
+    moved y must keep x's weight: with (below, head, at, mask, split, low,
+    high, scale) = reader, the int key of v's signed weight is head[v &
+    below] + (low[mu & mask] + high[mu >> split] << scale), mu = v >> at,
+    and y's must be x's.  The elements of a group share their bits under
+    `below`, so x's head is read once a group.  At the end the domain must
+    be nonempty and of the codomain's counted `size`.
 
     That is sound for any inverse: an inverse that undoes the map on every
     element makes it injective, and an injective map into a finite set of
@@ -48,20 +47,19 @@ def stream_bijection(walks: Iterable[tuple[Rule, Iterable[tuple[int, list[int]]]
     map, and the oracle overrules that.  The rules meet the elements in the
     oracle's order, so any exception but a KeyError is the oracle's.
     """
-    table, index, length = codomain
+    member, member_read = member
     inverse, inverse_read = back
     below, head, at, mask, split, low, high, scale = reader
     count = 0
     try:
         for (shifts, read), groups in walks:
             for base, tails in groups:
-                x_head = head[base + tails[0] & below]
+                x_head = head[base + next(iter(tails)) & below]
                 for t in tails:
                     x = base + t
                     y = x + shifts[x & read]
-                    forbidden, expected, limit = table[y & index]
-                    if (y & forbidden != expected or y & length > limit
-                            or y - inverse[y & inverse_read] != x):
+                    member[y & member_read]
+                    if y - inverse[y & inverse_read] != x:
                         return None
                     if y != x:
                         y_mu, x_mu = y >> at, x >> at
@@ -107,11 +105,9 @@ def stream_phi(n, k, cap, lay) -> Optional[int]:
     onto the capped codomain, by stream_bijection; None where a check
     fails, a refused element among them."""
     codomain = andrews12._codomain(n, k)
-    # stream_bijection's codomain test also reads a length field: none here
     return stream_bijection(
         [(andrews12._phi_rule(n, k, lay), andrews12._groups(andrews12._domain(n, k), cap, lay))],
-        ([(*masks, 0) for masks in andrews12._slice_table(codomain, lay)], lay.field, 0),
-        andrews12._phi_back(n, k, lay), reader(lay, k),
+        andrews12._member(codomain, lay), andrews12._phi_back(n, k, lay), reader(lay, k),
         andrews12._count_classes(codomain, cap, lay, 0)[0])
 
 
@@ -123,7 +119,7 @@ def stream_involution(n, k, cap, lay) -> Optional[tuple[int, int]]:
     fall back to x and have x's weight and the other sign; and 2 * rising
     + fixed must be the size."""
     shifts, read = andrews12._involution_rule(n, k, lay)
-    table, field = andrews12._slice_table(andrews12._domain(n, k), lay), lay.field
+    member = andrews12._member(andrews12._domain(n, k), lay)
     ((forbidden_e, expected_e),) = andrews12._slice_masks(andrews12._embedded(n, k), lay)
     below, head, at, mask, split, low, high, scale = reader(lay, k)
 
@@ -142,8 +138,7 @@ def stream_involution(n, k, cap, lay) -> Optional[tuple[int, int]]:
                 fixed += 1
             elif shift > 0:
                 y = x + shift
-                forbidden, expected = table[y & field]
-                if (y & forbidden != expected or shifts[y & read] != -shift
+                if (not passes(member, y) or shifts[y & read] != -shift
                         or key(y) != key(x) ^ 1):
                     return None
                 rising += 1
@@ -178,15 +173,15 @@ def stream_macmahon(walks, codomain, shifts, lay) -> Optional[int]:
     fails.  It takes the arguments of macmahon._bijection_certificate: the
     domain's walks ((box, edge), rule, the side fields it lands on), the
     codomain's walks (box, flag), the inverse's shifts by side field and
-    the layout.  Every image is tested against the whole codomain table,
-    and the inverse takes a marked image less the shift of its side
-    field, any other image as itself."""
+    the layout.  Every image is tested against the first match of the
+    whole codomain's guards, and the inverse takes a marked image less the
+    shift of its side field, any other image as itself."""
     field = lay.field
     flag_side = macmahon._MARKED | field << macmahon._SIDE
     # split mu's fields in the middle of the largest walk's parts
     widest = max((walk for walk, *_ in walks), key=lambda walk: macmahon._box_size(*walk))[0]
     return stream_bijection(
         [(rule, macmahon._groups([walk], lay)) for walk, rule, *_ in walks],
-        (macmahon._codomain_table(codomain, lay), flag_side, field << lay.length),
+        first_match((macmahon._masks(box, lay, flag), (box, flag)) for box, flag in codomain),
         ([back for shift in shifts[:field + 1] for back in (0, shift)], flag_side),
         macmahon_reader(lay, widest[1]), sum(macmahon._box_size(box) for box, _ in codomain))

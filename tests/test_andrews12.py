@@ -157,13 +157,6 @@ def first_match(rows):
     return lambda x: memo[x & read]
 
 
-def table_member(table, lay, x):
-    """Whether the packed x is in the slice whose _slice_table is `table`,
-    by one read, as the involution certificate tests an image."""
-    forbidden, expected = table[x & lay.field]
-    return x & forbidden == expected
-
-
 def image_class(n, k, t):
     """The codomain class of t in P(n-2,k): the image case of _phi_table's
     first row whose image guard phi's marked image (2n-3, t) passes, read
@@ -358,24 +351,28 @@ def test_involution_rejects_bad_indices():
                          ids=["3-2-20", "4-4-30", "5-4-30"])
 def test_involution_certificate_tests_membership_once_per_class(monkeypatch, n, k, cap):
     # The class kernel tests an image's membership by one read of the
-    # table it is handed, the domain's _slice_table, which it reads by
-    # index for nothing else: the rules read the domain only through
-    # guards narrowed from its masks.  Counting the table's reads counts
-    # the domain tests.  The kernel tests the image of each class (x & R
-    # for the R of _reads) once, far fewer than the elements.
-    calls, reads, tables = 0, [], []
+    # member it is handed, the domain's _member, which it reads for nothing
+    # else: the rules read the domain only through guards narrowed from its
+    # masks.  Counting the member's reads counts the domain tests.  The
+    # kernel tests the image of each class (x & R for the R of _reads)
+    # once, far fewer than the elements.
+    calls, reads, members = 0, [], []
     true_kernel, true_reads = andrews12.bijection_by_class, andrews12._reads
 
-    class Counted(list):
-        def __getitem__(self, index):
+    class Counted:
+        def __init__(self, memo):
+            self.memo = memo
+
+        def __getitem__(self, bits):
             nonlocal calls
             calls += 1
-            return super().__getitem__(index)
+            return self.memo[bits]
 
     def counted_kernel(walks, *args):
-        tables.extend(table for _, _, table, _ in walks)
-        return true_kernel([(rule, r, Counted(table), classes)
-                            for rule, r, table, classes in walks], *args)
+        walks = list(walks)
+        members.extend(member for _, _, member, _ in walks)
+        return true_kernel([(rule, r, (Counted(memo), read), classes)
+                            for rule, r, (memo, read), classes in walks], *args)
 
     def kept_reads(*args):
         reads.append(true_reads(*args))
@@ -387,8 +384,9 @@ def test_involution_certificate_tests_membership_once_per_class(monkeypatch, n, 
     assert cert.verified
     lay = andrews12._layout(n, cap)
     domain = andrews12._domain(n, k)
-    assert tables == [[(*masks, 0) for masks in andrews12._slice_table(domain, lay)]]
     slice_ = list(andrews12._enum_packed(domain, cap, lay))
+    assert [read for _, read in members] == [andrews12._member(domain, lay)[1]]
+    assert all(telescope.passes(members[0], x) for x in slice_)
     assert len(slice_) == cert.domain_size
     assert calls == len({x & reads[0] for x in slice_}) < cert.domain_size // 10
 
@@ -742,17 +740,17 @@ def test_packed_membership_is_the_paper_domain():
                 packed, own = andrews12._pack(n, x)
                 at_cap = andrews12._layout(n, 40)
                 for lay, p in ((own, packed), (at_cap, andrews12._encode(x, at_cap))):
-                    table = andrews12._slice_table(andrews12._domain(n, k), lay)
-                    member = p is not None and table_member(table, lay, p)
+                    member = p is not None and telescope.passes(
+                        andrews12._member(andrews12._domain(n, k), lay), p)
                     assert member == paper_domain(n, k, x), (n, k, x)
 
 
 def test_slice_helpers_agree_on_every_slice():
     # The domain, codomain and embedded slice: the counter counts what the
     # enumerator yields, each element passes the masks of its own part and
-    # of no other, and the slice's table reads it its own part's masks.  At
-    # n <= 1 some parts are empty, and at n = 0 the domain's marker 2n-1 is
-    # -1: an empty part's masks must stay _NEVER.
+    # of no other, and the slice's member reads it its own part.  At n <= 1
+    # some parts are empty, and at n = 0 the domain's marker 2n-1 is -1: an
+    # empty part's masks must stay NEVER.
     for n in range(7):
         for k in range(-1, n + 2):
             for cap in sorted({0, n * n, 30}):
@@ -768,9 +766,9 @@ def test_slice_helpers_agree_on_every_slice():
                     parts_of = [i for i, part in enumerate(parts)
                                 for _ in andrews12._enum_packed((part,), cap, lay)]
                     assert owners == [[i] for i in parts_of], (n, k, cap, parts)
-                    table = andrews12._slice_table(parts, lay)
-                    assert [table[x & lay.field] for x in elements] == \
-                        [masks[i] for i in parts_of], (n, k, cap, parts)
+                    member, read = andrews12._member(parts, lay)
+                    assert [member[x & read] for x in elements] == \
+                        [parts[i] for i in parts_of], (n, k, cap, parts)
 
 
 def test_factors_are_the_reference_enumerations():
@@ -814,17 +812,20 @@ def test_factors_are_the_reference_enumerations():
                                  if weight <= budget],
                                 [[row + (mu << at) for mu in mus]
                                  for mus in mus_of(k, lay.width)[:budget + 1]])
-                # lam comes as counts by (weight, bits), each 1 at reads -1
+                # lam comes as counts by (weight, bits), mu as counts by
+                # bits for each weight, each count 1 at reads -1
                 lams_counted, mus = andrews12._factors(n, k, cap, lay)
-                assert (list(lams_counted), mus) == expected, (n, k, cap)
-                assert set(lams_counted.values()) <= {1}, (n, k, cap)
+                assert (list(lams_counted), list(map(list, mus))) == expected, (n, k, cap)
+                assert set(itertools.chain(lams_counted.values(),
+                                           *(by_weight.values() for by_weight in mus))) \
+                    <= {1}, (n, k, cap)
 
 
 def test_packed_ints_lie_below_the_span():
     # Every element the enumerator yields and every image a rule returns
     # packs below the layout's span.  No int with a bit at or above the span
     # passes a mask of a slice's part: each forbids every such bit and
-    # expects none, or is _NEVER.  So no image the certificates take back
+    # expects none, or is NEVER.  So no image the certificates take back
     # has one, and the map refuses it.
     for n in range(7):
         for k in range(-1, n + 2):
@@ -834,7 +835,7 @@ def test_packed_ints_lie_below_the_span():
                 for parts in (andrews12._domain(n, k), andrews12._codomain(n, k),
                               andrews12._embedded(n, k)):
                     for forbidden, expected in andrews12._slice_masks(parts, lay):
-                        assert (forbidden, expected) == andrews12._NEVER or (
+                        assert (forbidden, expected) == telescope.NEVER or (
                             forbidden | lay.span - 1 == -1 and 0 <= expected < lay.span), \
                             (n, k, cap, parts)
                     elements = list(andrews12._enum_packed(parts, cap, lay))

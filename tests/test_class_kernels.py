@@ -147,10 +147,43 @@ def test_macmahon_class_counts_are_the_enumerations():
         assert counts == Counter(map(reads.__and__, pairs)), (walks, reads)
 
 
-def test_every_macmahon_R_is_nonnegative_and_below_the_span():
-    # R is narrowed below the layout's span, which every pair packs below
-    for walks, lay, reads, _ in counted_on_the_grid():
-        assert 0 <= reads < lay.span, (walks, reads)
+@cache
+def kernel_walks_on_the_grid():
+    """(module, walk, span) for each walk (rule, R, member, classes) that
+    the class kernel takes on the digests' grid, from both families, and
+    the span of its certificate's layout."""
+    taken, spans = [], []
+    certificates = {andrews12: ("_phi_by_class", "_involution_by_class"),
+                    macmahon: ("_bijection_certificate",)}
+    with pytest.MonkeyPatch.context() as patch:
+        for module, names in certificates.items():
+            def kernel(walks, *args, module=module, true_kernel=module.bijection_by_class):
+                walks = list(walks)
+                taken.extend((module, walk, spans[-1]) for walk in walks)
+                return true_kernel(walks, *args)
+
+            patch.setattr(module, "bijection_by_class", kernel)
+            for name in names:
+                def certificate(*args, true_certificate=getattr(module, name)):
+                    spans.append(next(arg.span for arg in args if hasattr(arg, "span")))
+                    return true_certificate(*args)
+
+                patch.setattr(module, name, certificate)
+        for call, _ in grid():
+            outcome(call)
+    return taken
+
+
+def test_every_R_is_nonnegative_below_the_span_and_holds_its_walk_s_reads():
+    # R is narrowed below the layout's span, which every element packs
+    # below, and holds every bit below the span that its walk's rule and
+    # member read, as the kernel's exactness needs
+    taken = kernel_walks_on_the_grid()
+    assert {module for module, *_ in taken} == {andrews12, macmahon}
+    for module, ((_, read), reads, (_, member_read), _), span in taken:
+        assert 0 <= reads < span, (module.__name__, reads)
+        assert (read | member_read) & ~reads & span - 1 == 0, (module.__name__, reads)
+    for walks, lay, _, _ in counted_on_the_grid():
         for box, edge in walks:
             assert all(0 <= x < lay.span for x in macmahon._enum_packed(box, lay, edge)), box
 

@@ -833,8 +833,7 @@ def test_a_bound_zero_box_holds_its_empty_mu_at_length_0_only():
         lay = mac._step_layout(box, neighbour, marker)
         alone = mac._encode(pair(box[0]), lay)
         longer = alone + (1 << lay.length)
-        forbidden, expected, limit = mac._masks(box, lay)
-        length = lay.field << lay.length
+        forbidden, expected, (length, _, limit) = mac._masks(box, lay, 0)
         assert alone & forbidden == expected and alone & length <= limit
         assert longer & forbidden == expected and longer & length > limit
         step = mac._step(box, neighbour, lay)

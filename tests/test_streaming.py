@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from qtelescope import andrews12, macmahon
-from qtelescope.telescope import weight_of
+from qtelescope.telescope import NEVER, passes, weight_of
 
 import test_andrews12 as andrews_tests
 from bare_failure_path import as_rule, faulty, in_rule_form, stepping, toggles_two
@@ -431,11 +431,11 @@ def test_andrews_phi_inverse_is_two_sided():
                 inverse = lambda y: y - back[y & read]  # as _phi_by_class reads it
                 domain = (n, k, 0), (n - 1, k - 1, 2 * n - 1)
                 codomain = (n - 1, k - 1, 0), (n - 2, k, 2 * n - 3)
-                table = andrews12._slice_table(domain, lay)
+                member = andrews12._member(domain, lay)
                 for x in andrews12._enum_packed(domain, cap, lay):
                     assert inverse(step(x)) == x, (n, k, cap, x)
                 for y in andrews12._enum_packed(codomain, cap, lay):
-                    assert andrews_tests.table_member(table, lay, inverse(y)), (n, k, cap, y)
+                    assert passes(member, inverse(y)), (n, k, cap, y)
                     assert step(inverse(y)) == y, (n, k, cap, y)
 
 
@@ -609,8 +609,10 @@ def composed_step_rule(box, neighbour, lay):
     box's _masks, the boundary test of the neighbour's bound and the
     moving row's shift."""
     def member(b):
-        forbidden, expected, limit = macmahon._masks(b, lay)
-        length = lay.field << lay.length
+        guard = macmahon._masks(b, lay, 0)
+        if guard == NEVER:
+            return lambda x: False
+        forbidden, expected, (length, _, limit) = guard
         return lambda x: x & forbidden == expected and x & length <= limit
 
     in_box, in_neighbour = member(box), member(neighbour)

@@ -121,8 +121,7 @@ TOY_DOMAIN = [a << 4 | 1 for a in range(8)]
 
 
 def toy_stream(step=lambda x: x + 1, preimages=None, size=8, groups=None):
-    table = [(0, 1, 0)] * 16  # (0, 1): no int passes
-    table[2] = (~(7 << 4), 2, 0)  # tag 2, a <= 7
+    member = first_match([((~(7 << 4), 2), "tag 2, a <= 7")])
     if preimages is None:
         preimages = {x + 1: x for x in TOY_DOMAIN}
     shifts = {y: y - x for y, x in preimages.items()}
@@ -131,7 +130,7 @@ def toy_stream(step=lambda x: x + 1, preimages=None, size=8, groups=None):
     if groups is None:
         groups = [(1, [0, 16, 32, 48]), (65, [0, 16, 32, 48])]
     rule = Memo(lambda x: step(x) - x), -1
-    return stream_bijection([(rule, groups)], (table, 15, 0), (shifts, -1), reader, size)
+    return stream_bijection([(rule, groups)], member, (shifts, -1), reader, size)
 
 
 def test_stream_bijection_verifies_a_weight_preserving_bijection():
@@ -186,13 +185,18 @@ def test_stream_bijection_refuses_an_element_its_rule_refuses():
 #
 # R is the tag and the low bit of a, which the weight key a // 2 does not
 # read: the classes are a's parity, four elements each, and the bits of a
-# above it, free in the table's masks, add the same to the key of an
+# above it, free in the member's guards, add the same to the key of an
 # element and of its image.  The inverse takes the rule's shift back.
+
+TOY_MASKS = [(~(6 << 4 | 3), parity) for parity in (0, 16)]  # a's parity, tag bits 2, 3 clear
+
 
 def toy_by_class(shift=1, size=8, key=lambda v: v >> 5):
     classes = {1: 4, 17: 4}  # x & 31 of the toy domain: a even, a odd
-    table = {2: (~(6 << 4), 2, 0), 18: (~(6 << 4), 18, 0)}  # tag 2 with a's parity
-    return bijection_by_class([((Memo(lambda c: shift), -1), 31, table, classes)], (31, 0),
+    # the codomain: TOY_MASKS, and the tag's low two bits, a range, at most
+    # 2; the images are tag 2
+    member = first_match(((*masks, (3, 0, 2)), masks[1]) for masks in TOY_MASKS)
+    return bijection_by_class([((Memo(lambda c: shift), -1), 31, member, classes)],
                               (Memo(lambda y: shift), -1), key, size)
 
 
@@ -202,13 +206,21 @@ def test_bijection_by_class_verifies_a_weight_preserving_bijection():
 
 def test_bijection_by_class_refuses_a_carry_out_of_R():
     # a even goes to tag 2 with a odd, and back; a odd carries into a's
-    # bits above R.  With every element of one weight, that is the one
-    # check it fails.
+    # bits above R, which the member leaves free.  With every element of
+    # one weight, that is the one check it fails.
     assert toy_by_class(shift=17, key=lambda v: 0) is None
 
 
-def test_bijection_by_class_refuses_an_image_its_table_does_not_hold():
-    # tag 3 is no entry of the table: a KeyError, not a verdict
+def test_bijection_by_class_refuses_an_image_its_member_does_not_hold():
+    # tag 6 sets a bit the guards forbid: a KeyError, not a verdict
+    assert toy_by_class(shift=5) is None
+
+
+def test_bijection_by_class_refuses_an_image_over_its_guard_s_limit():
+    # tag 3 passes each guard's mask and value, but its low bits are over
+    # the range's limit 2; the inverse takes it back and the weight is kept
+    masks_alone, read = first_match((masks, masks[1]) for masks in TOY_MASKS)
+    assert [masks_alone[d & read] for d in (3, 19)] == [0, 16]
     assert toy_by_class(shift=2) is None
 
 
